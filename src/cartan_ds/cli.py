@@ -262,7 +262,7 @@ def parse_vector_list(text: str, rank: int, what: str) -> list[Weight]:
     return [parse_vector(c, rank, f"{what}[{i}]") for i, c in enumerate(chunks)]
 
 
-def resolve_form(form: str, catalog_dir: Path | None) -> CatalogEntry:
+def resolve_form(form: str, catalog_dir: Path) -> CatalogEntry:
     """Resolve a form argument: explicit file path, catalog id, or builder id."""
     candidate = Path(form)
     if candidate.suffix == ".json" or os.sep in form:
@@ -273,10 +273,9 @@ def resolve_form(form: str, catalog_dir: Path | None) -> CatalogEntry:
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read form document {form}: {exc}") from exc
         return cat.document_to_entry(document)
-    if catalog_dir is not None and catalog_dir.is_dir():
-        for entry in cat.load_catalog(catalog_dir):
-            if entry.id == form:
-                return entry
+    for entry in cat.load_catalog(catalog_dir):
+        if entry.id == form:
+            return entry
     return cat.catalog_form(form)
 
 
@@ -295,7 +294,7 @@ def entry_source(entry: CatalogEntry) -> str:
 
 
 def load_form(
-    form: str, catalog_dir: Path | None
+    form: str, catalog_dir: Path
 ) -> tuple[CatalogEntry, RootSystem, CartanInvolution, str]:
     entry = resolve_form(form, catalog_dir)
     source = entry_source(entry)
@@ -361,7 +360,8 @@ def cmd_catalog(args: argparse.Namespace) -> tuple[Report, int]:
 
 def cmd_inspect(args: argparse.Namespace) -> tuple[Report, int]:
     start = time.monotonic()
-    entry, rs, inv, source = load_form(args.form, _catalog_dir_opt(args))
+    directory = cat.resolve_catalog_dir(args.catalog)
+    entry, rs, inv, source = load_form(args.form, directory)
     rrs = restricted_roots(rs, inv)
     identity_ok = multiplicity_identity_holds(rrs)
     multiplicities = [
@@ -389,7 +389,7 @@ def cmd_inspect(args: argparse.Namespace) -> tuple[Report, int]:
     }
     report = Report(
         command="inspect",
-        inputs={"form": args.form, "catalog_dir": _catalog_dir_str(args)},
+        inputs={"form": args.form, "catalog_dir": str(directory)},
         results=results,
         certificates={"multiplicity_identity": identity_ok},
         timing_ms=_elapsed_ms(start),
@@ -399,7 +399,8 @@ def cmd_inspect(args: argparse.Namespace) -> tuple[Report, int]:
 
 def cmd_criterion(args: argparse.Namespace) -> tuple[Report, int]:
     start = time.monotonic()
-    entry, rs, inv, source = load_form(args.form, _catalog_dir_opt(args))
+    directory = cat.resolve_catalog_dir(args.catalog)
+    entry, rs, inv, source = load_form(args.form, directory)
     oracle = entry.expected_verdict if source == "catalog" else None
     verdict = compact_cartan_verdict(rs, inv, oracle_compact_rank_equal=oracle)
     witness_verified: bool | None = None
@@ -422,7 +423,7 @@ def cmd_criterion(args: argparse.Namespace) -> tuple[Report, int]:
     failed = verdict.consistent is False or witness_verified is False
     report = Report(
         command="criterion",
-        inputs={"form": args.form, "catalog_dir": _catalog_dir_str(args)},
+        inputs={"form": args.form, "catalog_dir": str(directory)},
         results=results,
         certificates=certificates,
         timing_ms=_elapsed_ms(start),
@@ -479,7 +480,8 @@ def _strongreg_exponents(
 
 def cmd_strongreg(args: argparse.Namespace) -> tuple[Report, int]:
     start = time.monotonic()
-    entry, rs, inv, source = load_form(args.form, _catalog_dir_opt(args))
+    directory = cat.resolve_catalog_dir(args.catalog)
+    entry, rs, inv, source = load_form(args.form, directory)
     rrs = restricted_roots(rs, inv)
     chamber = dual_chamber(rrs)
 
@@ -559,7 +561,7 @@ def cmd_strongreg(args: argparse.Namespace) -> tuple[Report, int]:
         command="strong-reg",
         inputs={
             "form": args.form,
-            "catalog_dir": _catalog_dir_str(args),
+            "catalog_dir": str(directory),
             "lambda": datum.weight,
             "exponents": datum.exponents,
             "label": datum.label,
@@ -725,21 +727,6 @@ def cmd_verify(args: argparse.Namespace) -> tuple[Report, int]:
 
 def _elapsed_ms(start: float) -> int:
     return int((time.monotonic() - start) * 1000)
-
-
-def _catalog_dir_opt(args: argparse.Namespace) -> Path | None:
-    if args.catalog is not None:
-        return Path(args.catalog)
-    env = os.environ.get(cat.ENV_CATALOG_DIR)
-    if env:
-        return Path(env)
-    packaged = cat.packaged_catalog_dir()
-    return packaged if packaged.is_dir() else None
-
-
-def _catalog_dir_str(args: argparse.Namespace) -> str | None:
-    directory = _catalog_dir_opt(args)
-    return str(directory) if directory is not None else None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -5,21 +5,23 @@ conjugation involution acts on the weight space as the Cartan involution
 itself, and the real form admits a compact Cartan subgroup exactly when that
 action is realized by some Weyl group element.
 
-Membership is decided without enumerating the group.  A regular probe vector
-is transported to the dominant chamber from both sides; orbits meet the
-chamber once, so equality of the two dominant representatives pins down the
-unique candidate Weyl element, which is then verified entrywise.
+Membership is decided without enumerating the group.  rho is dominant and
+regular, so its Weyl orbit meets the dominant chamber once, at rho, and only
+the identity fixes it.  Chasing theta(rho) to the chamber therefore yields the
+only Weyl element that can equal theta (the inverse of the chase), and one
+integer matrix product verifies it.
 
 The extended Weyl group is generated by the Weyl group together with that
 involution.  A weight is strongly regular when its stabilizer in the extended
-group is trivial; the decision again needs only two dominant-chamber chases.
+group is trivial; the decision needs one chamber chase of the weight and one
+of its involution image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
+from . import linalg
 from .errors import HypothesisFailed
 from .realform import CartanInvolution
 from .rootdata import (
@@ -31,23 +33,6 @@ from .rootdata import (
     dominant_representative,
     stabilizer_generators,
 )
-
-_PROBE_PRIME = 10007
-
-
-def _probe_vectors(rs: RootSystem):
-    """Candidate regular probes: rho, then a deterministic perturbation.
-
-    rho is always regular, and so is its image under any validated involution;
-    the perturbed fallback (pairwise-distinct shifts of the chamber
-    coordinates) only matters for matrices that fail validation, where it
-    keeps the membership answer correct instead of crashing.
-    """
-    yield rs.rho
-    probe = rs.rho
-    for i, fw in enumerate(rs.fundamental_weights):
-        probe = probe + fw.scale(Fraction(1, _PROBE_PRIME + i))
-    yield probe
 
 
 def _theta_matrix(theta: IntMat | CartanInvolution) -> IntMat:
@@ -61,32 +46,16 @@ def theta_in_weyl(
 ) -> WeylElement | None:
     """The Weyl element acting as the involution's matrix, or None.
 
-    Works by chasing a regular probe v and its image theta(v) to the dominant
-    chamber: if the representatives differ the matrix is not in the group;
-    otherwise regularity forces a single candidate, checked exactly.
+    Chases theta(rho) to the dominant chamber with some w.  If theta = u is in
+    the group then w u fixes the regular weight rho, so w u = 1 and u is the
+    inverse of w; the matrix product w theta = 1 decides membership exactly,
+    for any integer matrix.
     """
     mat = _theta_matrix(theta)
-    n = rs.rank
-    for probe in _probe_vectors(rs):
-        image = Weight(
-            tuple(
-                Fraction(sum(mat[i][j] * probe.coords[j] for j in range(n)))
-                for i in range(n)
-            )
-        )
-        if not stabilizer_generators(rs, probe).is_regular:
-            continue
-        if not stabilizer_generators(rs, image).is_regular:
-            continue
-        dom_v, w_v = dominant_representative(rs, probe)
-        dom_u, w_u = dominant_representative(rs, image)
-        if dom_v != dom_u:
-            return None
-        candidate = w_u.inverse().compose(w_v)
-        if candidate.matrix == mat:
-            return candidate
+    _, w = dominant_representative(rs, Weight(linalg.mat_vec(mat, rs.rho.coords)))
+    if linalg.mat_mul(w.matrix, mat) != rs.identity.matrix:
         return None
-    return None
+    return WeylElement(linalg.as_int_matrix(mat), tuple(reversed(w.word)))
 
 
 @dataclass(frozen=True)
@@ -180,13 +149,20 @@ def apply_extended(inv: CartanInvolution, g: ExtendedElement, lam: Weight) -> We
 
 @dataclass(frozen=True)
 class ExtendedStabilizerReport:
-    """Stabilizer of a weight in the extended Weyl group."""
+    """Stabilizer of a weight in the extended Weyl group.
+
+    ``witness`` is the Weyl element acting as the involution, when one exists.
+    """
 
     is_regular: bool
     weyl_fixers: tuple[WeylElement, ...]
     twisted_fixer: ExtendedElement | None
-    minus_sigma_in_weyl: bool
+    witness: WeylElement | None
     is_trivial: bool
+
+    @property
+    def minus_sigma_in_weyl(self) -> bool:
+        return self.witness is not None
 
 
 def extended_stabilizer(
@@ -199,24 +175,23 @@ def extended_stabilizer(
     orbit, and in that case one is produced from the two chamber chases; it is
     a genuinely new symmetry only when the involution is outside the group.
     """
-    gens = stabilizer_generators(rs, lam)
-    regular = gens.is_regular
-    dom_l, w_l = dominant_representative(rs, lam)
+    stab = stabilizer_generators(rs, lam)
     dom_t, w_t = dominant_representative(rs, inv.act(lam))
     witness = theta_in_weyl(rs, inv)
-    in_weyl = witness is not None
     twisted: ExtendedElement | None = None
-    if dom_l == dom_t:
-        twisted = ExtendedElement(weyl=w_l.inverse().compose(w_t), twisted=True)
-    if in_weyl:
-        trivial = regular
+    if stab.dominant == dom_t:
+        twisted = ExtendedElement(
+            weyl=stab.to_dominant.inverse().compose(w_t), twisted=True
+        )
+    if witness is not None:
+        trivial = stab.is_regular
     else:
-        trivial = regular and twisted is None
+        trivial = stab.is_regular and twisted is None
     return ExtendedStabilizerReport(
-        is_regular=regular,
-        weyl_fixers=tuple(gens.gens),
+        is_regular=stab.is_regular,
+        weyl_fixers=stab.gens,
         twisted_fixer=twisted,
-        minus_sigma_in_weyl=in_weyl,
+        witness=witness,
         is_trivial=trivial,
     )
 
@@ -240,21 +215,19 @@ def sr_implies_compact_cartan(
 
     Raises HypothesisFailed when the weight's involution image is not in its
     Weyl orbit (the implication is then vacuous: such a weight cannot be a
-    discrete-series character).  ``consistent`` is False only on an internal
+    discrete-series character); that is exactly when the extended stabilizer
+    has no twisted fixer.  ``consistent`` is False only on an internal
     contradiction: a strongly regular weight satisfying the hypothesis while
     the involution stays outside the Weyl group.
     """
-    dom_l, _ = dominant_representative(rs, lam)
-    dom_t, _ = dominant_representative(rs, inv.act(lam))
-    if dom_l != dom_t:
+    report = extended_stabilizer(rs, inv, lam)
+    if report.twisted_fixer is None:
         raise HypothesisFailed(
             "involution image of the weight is not in its Weyl orbit"
         )
-    report = extended_stabilizer(rs, inv, lam)
-    consistent = (not report.is_trivial) or report.minus_sigma_in_weyl
     return StrongRegularityConsequence(
         strongly_regular=report.is_trivial,
         minus_sigma_in_weyl=report.minus_sigma_in_weyl,
-        witness=theta_in_weyl(rs, inv),
-        consistent=consistent,
+        witness=report.witness,
+        consistent=(not report.is_trivial) or report.minus_sigma_in_weyl,
     )

@@ -416,7 +416,9 @@ def _restricted_weyl_matrices(
     def pair(x, y):
         return sum(x[i] * gram[i][j] * y[j] for i in range(r) for j in range(r))
 
-    for beta in sorted(rrs.indivisible, key=lambda w: w.coords):
+    # s_beta = s_{-beta}, so the positive roots alone generate the group
+    positive = rrs.indivisible & rrs.positive_restricted
+    for beta in sorted(positive, key=lambda w: w.coords):
         b = inv.to_split_coords(beta)
         nb = pair(b, b)
         cols = []
@@ -454,8 +456,7 @@ def verify_exact_sequence(
     commutant = [
         w
         for w in group
-        if linalg.mat_mul(linalg.matrix(w.matrix), linalg.matrix(theta))
-        == linalg.mat_mul(linalg.matrix(theta), linalg.matrix(w.matrix))
+        if linalg.mat_mul(w.matrix, theta) == linalg.mat_mul(theta, w.matrix)
     ]
 
     vanishing_group: set[WeylElement] = {rs.identity}
@@ -474,8 +475,9 @@ def verify_exact_sequence(
     restricted_group = _restricted_weyl_matrices(rrs, cap)
     r = rrs.split_rank
     ident_split = linalg.identity(r) if r else ()
-    kernel = {w for w in commutant if _split_action_matrix(rrs, w) == ident_split}
-    image = {_split_action_matrix(rrs, w) for w in commutant}
+    actions = [(w, _split_action_matrix(rrs, w)) for w in commutant]
+    kernel = {w for w, action in actions if action == ident_split}
+    image = {action for _, action in actions}
     return ExactSequenceReport(
         order_commutant=len(commutant),
         order_vanishing=len(vanishing_group),

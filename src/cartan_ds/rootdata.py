@@ -106,6 +106,8 @@ class WeylElement:
 class StabilizerInfo(NamedTuple):
     gens: tuple[WeylElement, ...]
     is_regular: bool
+    dominant: Weight
+    to_dominant: WeylElement
 
 
 _FAMILY_MIN_RANK = {"A": 1, "B": 1, "C": 1, "D": 2, "E": 6, "F": 4, "G": 2}
@@ -372,22 +374,27 @@ def apply(w: WeylElement, lam: Weight) -> Weight:
 def dominant_representative(rs: RootSystem, lam: Weight) -> tuple[Weight, WeylElement]:
     """The dominant element of W.lam together with w such that w(lam) is dominant.
 
-    Deterministic: always reflects at the lowest-index negative pairing.
+    Deterministic: always reflects at the lowest-index negative pairing.  The
+    fundamental-weight coordinates are computed once and updated per step.
     """
-    if lam.rank != rs.rank:
-        raise RankMismatch("weight rank does not match root system")
-    current = lam
+    fws = list(rs.fw_coords(lam))
+    coords = list(lam.coords)
+    a = rs.cartan_matrix
     word: list[int] = []
     matrix = rs.identity.matrix
     while True:
-        fws = rs.fw_coords(current)
         i = next((j for j in range(rs.rank) if fws[j] < 0), None)
         if i is None:
             break
-        current = rs.reflect(i, current)
-        word.insert(0, i)
+        # s_i subtracts fws[i] * alpha_i, and <alpha_i, alpha_j^vee> = A[j][i]
+        c = fws[i]
+        coords[i] -= c
+        for j in range(rs.rank):
+            if a[j][i]:
+                fws[j] -= a[j][i] * c
+        word.append(i)
         matrix = _reflect_matrix_left(rs, i, matrix)
-    return current, WeylElement(matrix, tuple(word))
+    return Weight(tuple(coords)), WeylElement(matrix, tuple(reversed(word)))
 
 
 def _reflect_matrix_left(rs: RootSystem, i: int, m: IntMat) -> IntMat:
@@ -418,7 +425,7 @@ def weyl_orbit(rs: RootSystem, lam: Weight, cap: int = DEFAULT_CAP) -> frozenset
 
 
 def stabilizer_generators(rs: RootSystem, lam: Weight) -> StabilizerInfo:
-    """Reflection generators of Stab_W(lam) and a regularity flag.
+    """Reflection generators of Stab_W(lam), a regularity flag, and the chase.
 
     The stabilizer of a dominant weight is generated by the simple reflections
     orthogonal to it; a general weight's generators are those conjugated back.
@@ -431,7 +438,7 @@ def stabilizer_generators(rs: RootSystem, lam: Weight) -> StabilizerInfo:
         for i in range(rs.rank)
         if fws[i] == 0
     )
-    return StabilizerInfo(gens=gens, is_regular=not gens)
+    return StabilizerInfo(gens=gens, is_regular=not gens, dominant=dom, to_dominant=w)
 
 
 def longest_element(rs: RootSystem) -> WeylElement:

@@ -250,7 +250,7 @@ def test_criterion_7_root_datum_property_suite():
         rs = build_root_system(t)
         rng = random.Random(f"acceptance-7:{t}")
         w0 = longest_element(rs)
-        if not w0.compose(w0).is_identity:
+        if not w0.compose(w0).is_identity():
             failures.append((t, "longest element is not an involution"))
         # reflection closure: reflections in positive roots permute the roots
         all_roots = set(rs.all_roots)
@@ -265,7 +265,7 @@ def test_criterion_7_root_datum_property_suite():
             checked += 1
             dom, word = dominant_representative(rs, lam)
             dom2, word2 = dominant_representative(rs, dom)
-            if dom2 != dom or not word2.is_identity:
+            if dom2 != dom or not word2.is_identity():
                 failures.append((t, "dominant representative is not idempotent"))
                 break
             i = rng.randrange(rs.rank)

@@ -306,6 +306,25 @@ def test_flag_overrides_env_var(capsys, tiny_catalog, monkeypatch, tmp_path):
     assert [row["id"] for row in doc["results"]] == ["sp(2,R)"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("catalog",),
+        ("verify", "exact-sequence"),
+        ("inspect", "su(2,1)"),
+        ("criterion", "su(2,1)"),
+        ("strong-reg", "su(2,1)"),
+    ],
+)
+def test_missing_catalog_dir_is_a_parse_error(capsys, monkeypatch, tmp_path, argv):
+    missing = str(tmp_path / "missing")
+    rc, out, _ = run(capsys, *argv, "--catalog", missing, "--json")
+    assert rc == 2 and json.loads(out)["error"] == "ParseError"
+    monkeypatch.setenv(ENV_CATALOG_DIR, missing)
+    rc, out, _ = run(capsys, *argv, "--json")
+    assert rc == 2 and json.loads(out)["error"] == "ParseError"
+
+
 def test_unknown_form_is_an_input_error(capsys):
     rc, out, err = run(capsys, "criterion", "nonsense(", "--json")
     assert rc == 2

@@ -1,5 +1,6 @@
 """Compact-Cartan membership and the extended Weyl group."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,24 @@ def test_witness_against_exhaustive_enumeration():
         assert (witness is not None) == brute, entry.id
         if witness is not None:
             assert witness.matrix == inv.theta, entry.id
+
+
+@pytest.mark.parametrize("cartan_type", ["A2", "B2", "G2"])
+def test_raw_matrix_membership_against_enumeration(cartan_type):
+    """Every integer matrix with entries in [-3, 3], involution or not: a
+    witness exists exactly for the group elements, and its word multiplies
+    out to the matrix."""
+    rs = build_root_system(cartan_type)
+    group = {w.matrix for w in enumerate_weyl(rs)}
+    for a, b, c, d in itertools.product(range(-3, 4), repeat=4):
+        mat = ((a, b), (c, d))
+        witness = theta_in_weyl(rs, mat)
+        assert (witness is not None) == (mat in group), mat
+        if witness is not None:
+            product = rs.identity
+            for i in witness.word:
+                product = product.compose(rs.simple_reflection(i))
+            assert witness.matrix == product.matrix == mat
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +239,7 @@ def test_implication_holds_across_small_catalog():
 
 def test_user_involution_from_simple_reflection():
     # theta = s_1 on A2 is conjugate to the su(2,1) involution and the
-    # probe-based membership test must find a witness for it too
+    # chamber-chase membership test must find a witness for it too
     rs = build_root_system("A2")
     inv = validate_involution(rs, rs.simple_reflection(0).matrix)
     w = theta_in_weyl(rs, inv)

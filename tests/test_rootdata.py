@@ -266,6 +266,18 @@ def test_orbit_stabilizer_identity(cartan_type):
 # ---------------------------------------------------------------------------
 
 
+def _reference_chase(rs, lam):
+    """Chase that recomputes every pairing at each step; returns (dom, word)."""
+    word = []
+    while True:
+        fws = rs.fw_coords(lam)
+        i = next((j for j in range(rs.rank) if fws[j] < 0), None)
+        if i is None:
+            return lam, tuple(word)
+        lam = rs.reflect(i, lam)
+        word.insert(0, i)
+
+
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(st.sampled_from(SMALL_TYPES), small_weights, st.integers(0, 10**6))
 def test_dominant_representative_properties(cartan_type, coords, seed):
@@ -275,6 +287,12 @@ def test_dominant_representative_properties(cartan_type, coords, seed):
     dom, w = dominant_representative(rs, lam)
     assert apply(w, lam) == dom
     assert all(c >= 0 for c in rs.fw_coords(dom))
+    # the word multiplies out to the matrix and matches the reference chase
+    product = rs.identity
+    for i in w.word:
+        product = product.compose(rs.simple_reflection(i))
+    assert product.matrix == w.matrix
+    assert _reference_chase(rs, lam) == (dom, w.word)
     # idempotence
     dom2, w2 = dominant_representative(rs, dom)
     assert dom2 == dom and w2.matrix == rs.identity.matrix
