@@ -44,6 +44,7 @@ from . import catalog as cat
 from .catalog import CatalogEntry
 from .criterion import compact_cartan_verdict, extended_stabilizer
 from .errors import (
+    BadParameters,
     CartanDSError,
     ConsistencyError,
     InputError,
@@ -845,6 +846,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     func: Callable[[argparse.Namespace], tuple[Report, int]] = args.func
     try:
+        if args.cap < 1:
+            raise BadParameters(f"--cap must be a positive integer, got {args.cap}")
         report, code = func(args)
     except CartanDSError as exc:
         code = _error_exit_code(exc)

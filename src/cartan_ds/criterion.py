@@ -32,6 +32,7 @@ from .rootdata import (
     apply,
     dominant_representative,
     stabilizer_generators,
+    word_element,
 )
 
 
@@ -180,9 +181,8 @@ def extended_stabilizer(
     witness = theta_in_weyl(rs, inv)
     twisted: ExtendedElement | None = None
     if stab.dominant == dom_t:
-        twisted = ExtendedElement(
-            weyl=stab.to_dominant.inverse().compose(w_t), twisted=True
-        )
+        to_dom_inv = word_element(rs, stab.to_dominant.word[::-1])
+        twisted = ExtendedElement(weyl=to_dom_inv.compose(w_t), twisted=True)
     if witness is not None:
         trivial = stab.is_regular
     else:

@@ -38,6 +38,7 @@ from .rootdata import (
     apply,
     dominant_representative,
     enumerate_weyl,
+    word_element,
 )
 
 HALF = Fraction(1, 2)
@@ -170,7 +171,9 @@ def validate_involution(
 
     split_basis = _eigenbasis(theta, -1)
     compact_basis = _eigenbasis(theta, +1)
-    positive, chamber, default_ok = _compatible_positive_system(rs, probe)
+    positive, chamber, default_ok = _compatible_positive_system(
+        rs, probe, split_basis, compact_basis
+    )
     return CartanInvolution(
         root_system=rs,
         theta=theta,
@@ -185,7 +188,10 @@ def validate_involution(
 
 
 def _compatible_positive_system(
-    rs: RootSystem, inv: CartanInvolution
+    rs: RootSystem,
+    inv: CartanInvolution,
+    split_basis: tuple[Weight, ...],
+    compact_basis: tuple[Weight, ...],
 ) -> tuple[frozenset[Weight], WeylElement, bool]:
     restrictions = {root: inv.restrict(root) for root in rs.all_roots}
     default_restr = {
@@ -194,8 +200,6 @@ def _compatible_positive_system(
     if not any(-v in default_restr for v in default_restr):
         return frozenset(rs.positive_roots), rs.identity, True
 
-    split_basis = _eigenbasis(inv.theta, -1)
-    compact_basis = _eigenbasis(inv.theta, +1)
     nonzero = [v for v in set(restrictions.values()) if not v.is_zero()]
     fixed = [r for r in rs.all_roots if restrictions[r].is_zero()]
     lam_split = _regular_combination(rs, split_basis, nonzero)
@@ -219,7 +223,7 @@ def _compatible_positive_system(
     if len(positive) != len(rs.positive_roots):
         raise NotRootPreserving("failed to choose a compatible positive system")
     _, to_dominant = dominant_representative(rs, regular)
-    chamber = to_dominant.inverse()
+    chamber = word_element(rs, to_dominant.word[::-1])
     if {apply(chamber, r) for r in rs.positive_roots} != positive:
         raise NotRootPreserving("chamber transform does not match positive system")
     return positive, chamber, False
@@ -256,19 +260,17 @@ class RestrictedRootSystem:
 
 def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSystem:
     """Compute the restricted root system with multiplicities."""
+    restrictions = {root: inv.restrict(root) for root in rs.all_roots}
     mult: dict[Weight, int] = {}
     vanishing = []
-    for root in rs.all_roots:
-        v = inv.restrict(root)
+    for root, v in restrictions.items():
         if v.is_zero():
             vanishing.append(root)
         else:
             mult[v] = mult.get(v, 0) + 1
     restricted = frozenset(mult)
     positive = frozenset(
-        inv.restrict(r)
-        for r in inv.positive_roots
-        if not inv.restrict(r).is_zero()
+        restrictions[r] for r in inv.positive_roots if not restrictions[r].is_zero()
     )
     rho_r = Weight.zero(rs.rank)
     for v in positive:

@@ -1,10 +1,12 @@
-"""Root systems and Weyl groups of finite Cartan type, over exact rationals.
+"""Root systems and Weyl groups of finite Cartan type, in exact arithmetic.
 
 Weights are stored in simple-root coordinates, the canonical basis throughout
 the package; fundamental-weight coordinates are derived on demand.  With the
 row convention used here the Cartan matrix entry ``A[i][j]`` equals
 ``<alpha_j, alpha_i^vee>``, simple reflections act on coordinates through row
-``i`` only, and every Weyl-group element is an integer matrix.
+``i`` only, and every Weyl-group element is an integer matrix.  Weights are
+rational; Weyl elements, their products and inverses, and the dominant-chamber
+chase are computed on plain ints.
 
 Reducible types are direct sums: the Cartan matrix is block diagonal and all
 operations act factor-wise without special casing.
@@ -93,14 +95,14 @@ class WeylElement:
 
     def compose(self, other: "WeylElement") -> "WeylElement":
         """self applied after other."""
+        cols = tuple(zip(*other.matrix))
         return WeylElement(
-            linalg.as_int_matrix(linalg.mat_mul(self.matrix, other.matrix)),
+            tuple(
+                tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                for row in self.matrix
+            ),
             self.word + other.word,
         )
-
-    def inverse(self) -> "WeylElement":
-        inv = linalg.as_int_matrix(linalg.inverse(linalg.matrix(self.matrix)))
-        return WeylElement(inv, tuple(reversed(self.word)))
 
 
 class StabilizerInfo(NamedTuple):
@@ -229,6 +231,12 @@ class RootSystem:
                 tuple((1 if k == j else 0) - (a[i][j] if k == i else 0) for j in range(rank))
                 for k in range(rank)
             )
+            for i in range(rank)
+        )
+        # (k, A[i][k], A[k][i]) for each node k adjacent to node i; the two
+        # entries vanish together, and there are at most three neighbours
+        self._neighbours: tuple[tuple[tuple[int, int, int], ...], ...] = tuple(
+            tuple((k, a[i][k], a[k][i]) for k in range(rank) if k != i and a[i][k])
             for i in range(rank)
         )
         self.identity = WeylElement(linalg.int_identity(rank), ())
@@ -375,35 +383,57 @@ def dominant_representative(rs: RootSystem, lam: Weight) -> tuple[Weight, WeylEl
     """The dominant element of W.lam together with w such that w(lam) is dominant.
 
     Deterministic: always reflects at the lowest-index negative pairing.  The
-    fundamental-weight coordinates are computed once and updated per step.
+    chase runs on ints: lam is scaled by the lcm of its coordinate
+    denominators, which changes no pairing's sign, its fundamental-weight
+    coordinates are computed once and updated per step, and the scale is
+    divided out once at the end.
     """
-    fws = list(rs.fw_coords(lam))
-    coords = list(lam.coords)
-    a = rs.cartan_matrix
+    if lam.rank != rs.rank:
+        raise RankMismatch("weight rank does not match root system")
+    scale = math.lcm(*(c.denominator for c in lam.coords))
+    coords = [c.numerator * (scale // c.denominator) for c in lam.coords]
+    fws = [sum(x * y for x, y in zip(row, coords)) for row in rs.cartan_matrix]
     word: list[int] = []
-    matrix = rs.identity.matrix
+    rows = list(rs.identity.matrix)
     while True:
-        i = next((j for j in range(rs.rank) if fws[j] < 0), None)
+        i = next((j for j, f in enumerate(fws) if f < 0), None)
         if i is None:
             break
         # s_i subtracts fws[i] * alpha_i, and <alpha_i, alpha_j^vee> = A[j][i]
         c = fws[i]
         coords[i] -= c
-        for j in range(rs.rank):
-            if a[j][i]:
-                fws[j] -= a[j][i] * c
+        fws[i] = -c
+        for j, _, a_ji in rs._neighbours[i]:
+            fws[j] -= a_ji * c
         word.append(i)
-        matrix = _reflect_matrix_left(rs, i, matrix)
-    return Weight(tuple(coords)), WeylElement(matrix, tuple(reversed(word)))
+        _reflect_rows_left(rs, i, rows)
+    dom = Weight(tuple(Fraction(x, scale) for x in coords))
+    return dom, WeylElement(tuple(rows), tuple(reversed(word)))
 
 
-def _reflect_matrix_left(rs: RootSystem, i: int, m: IntMat) -> IntMat:
-    """Integer matrix of s_i . m; only row i changes."""
-    a = rs.cartan_matrix[i]
-    n = rs.rank
-    rows = list(m)
-    rows[i] = tuple(m[i][j] - sum(a[k] * m[k][j] for k in range(n)) for j in range(n))
-    return tuple(rows)
+def _reflect_rows_left(rs: RootSystem, i: int, rows: list[tuple[int, ...]]) -> None:
+    """Replace the integer matrix ``rows`` by s_i . rows in place.
+
+    Only row i changes, to -m[i] - sum of A[i][k] m[k] over the nodes k
+    adjacent to i.
+    """
+    row = [-x for x in rows[i]]
+    for k, a_ik, _ in rs._neighbours[i]:
+        row = [x - a_ik * y for x, y in zip(row, rows[k])]
+    rows[i] = tuple(row)
+
+
+def word_element(rs: RootSystem, word: Sequence[int]) -> WeylElement:
+    """The Weyl element s_{word[0]} ... s_{word[-1]}, built on ints.
+
+    The inverse of w is ``word_element(rs, w.word[::-1])``.
+    """
+    if any(not 0 <= i < rs.rank for i in word):
+        raise RankMismatch("word names a simple reflection outside the rank")
+    rows = list(rs.identity.matrix)
+    for i in reversed(word):
+        _reflect_rows_left(rs, i, rows)
+    return WeylElement(tuple(rows), tuple(word))
 
 
 def weyl_orbit(rs: RootSystem, lam: Weight, cap: int = DEFAULT_CAP) -> frozenset[Weight]:
@@ -431,13 +461,12 @@ def stabilizer_generators(rs: RootSystem, lam: Weight) -> StabilizerInfo:
     orthogonal to it; a general weight's generators are those conjugated back.
     """
     dom, w = dominant_representative(rs, lam)
-    winv = w.inverse()
     fws = rs.fw_coords(dom)
-    gens = tuple(
-        winv.compose(rs.simple_reflection(i)).compose(w)
-        for i in range(rs.rank)
-        if fws[i] == 0
-    )
+    walls = [i for i in range(rs.rank) if fws[i] == 0]
+    gens: tuple[WeylElement, ...] = ()
+    if walls:
+        winv = word_element(rs, w.word[::-1])
+        gens = tuple(winv.compose(rs.simple_reflection(i)).compose(w) for i in walls)
     return StabilizerInfo(gens=gens, is_regular=not gens, dominant=dom, to_dominant=w)
 
 

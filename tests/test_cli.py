@@ -346,6 +346,26 @@ def test_cap_exhaustion_is_a_resource_error(capsys):
     assert json.loads(out)["error"] == "CapExceeded"
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("catalog",),
+        ("inspect", "su(2,1)"),
+        ("criterion", "su(2,1)"),
+        ("strong-reg", "su(2,1)"),
+        ("verify", "exact-sequence"),
+        ("verify", "splitting"),
+        ("verify", "pipeline"),
+    ],
+)
+def test_non_positive_cap_is_bad_parameters(capsys, argv, cap):
+    rc, out, _ = run(capsys, *argv, "--cap", cap, "--json")
+    assert rc == 2
+    doc = json.loads(out)
+    assert doc["error"] == "BadParameters" and doc["exit_code"] == 2
+
+
 def test_stored_verdict_conflict_is_a_consistency_error(capsys, tmp_path):
     doc_in = entry_to_document(catalog_form("su(2,1)"))
     doc_in["expected_verdict"] = not doc_in["expected_verdict"]

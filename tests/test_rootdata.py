@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cartan_ds import (
     CapExceeded,
     InvalidType,
+    RankMismatch,
     Weight,
     apply,
     build_root_system,
@@ -20,7 +21,9 @@ from cartan_ds import (
     stabilizer_generators,
     weyl_orbit,
     weyl_order,
+    word_element,
 )
+from cartan_ds import linalg
 
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]
 
@@ -33,6 +36,15 @@ small_weights = st.lists(
     st.fractions(min_value=-4, max_value=4, max_denominator=4),
     min_size=1,
     max_size=3,
+)
+
+# a branch node (D4, E6) and double bonds (F4) besides the small types
+CHASE_TYPES = SMALL_TYPES + ["D4", "F4", "E6"]
+
+chase_weights = st.lists(
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    min_size=1,
+    max_size=6,
 )
 
 
@@ -278,8 +290,8 @@ def _reference_chase(rs, lam):
         word.insert(0, i)
 
 
-@settings(deadline=None, derandomize=True, max_examples=60)
-@given(st.sampled_from(SMALL_TYPES), small_weights, st.integers(0, 10**6))
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(st.sampled_from(CHASE_TYPES), chase_weights, st.integers(0, 10**6))
 def test_dominant_representative_properties(cartan_type, coords, seed):
     rs = build_root_system(cartan_type)
     coords = (coords * rs.rank)[: rs.rank]
@@ -301,6 +313,27 @@ def test_dominant_representative_properties(cartan_type, coords, seed):
     moved = apply(rs.simple_reflection(i), lam)
     dom3, _ = dominant_representative(rs, moved)
     assert dom3 == dom
+
+
+def test_dominant_representative_rejects_wrong_rank():
+    rs = build_root_system("B3")
+    for coords in [(1, 2), (1, 2, 3, 4)]:
+        with pytest.raises(RankMismatch):
+            dominant_representative(rs, W(*coords))
+
+
+@pytest.mark.parametrize("cartan_type", ["A2", "B2", "G2", "A3", "B3", "C3", "D4"])
+def test_word_built_inverse_matches_rational_inverse(cartan_type):
+    rs = build_root_system(cartan_type)
+    for w in enumerate_weyl(rs):
+        winv = word_element(rs, w.word[::-1])
+        assert winv.word == w.word[::-1]
+        assert winv.matrix == linalg.inverse(linalg.matrix(w.matrix))
+        assert w.compose(winv).matrix == rs.identity.matrix
+        assert word_element(rs, w.word).matrix == w.matrix
+    for bad in [(rs.rank,), (0, -1)]:
+        with pytest.raises(RankMismatch):
+            word_element(rs, bad)
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
