@@ -19,6 +19,7 @@ from cartan_ds import (
     NoAdmissibleDirection,
     SearchExhausted,
     TranslationConfig,
+    admissible_exponents,
     apply,
     build_default_catalog,
     dominant_representative,
@@ -49,12 +50,8 @@ def main() -> int:
         anti = apply(longest_element(rs), dom)
         exps = frozenset({inv.restrict(anti)})
         if args.worst_case:
-            from cartan_ds import orbit_plus
-
             chamber = dual_chamber(rrs)
-            plus = orbit_plus(rs, inv, rs.rho, cfg.cap, chamber)
-            if plus:
-                exps = frozenset(inv.restrict(nu) for nu in plus)
+            exps = admissible_exponents(rs, inv, chamber, rs.rho, cfg.cap) or exps
         datum = FormalDSDatum(weight=rs.rho, exponents=exps, label=entry.id)
         t0 = time.monotonic()
         try:

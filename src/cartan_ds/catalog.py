@@ -309,6 +309,13 @@ def entry_to_document(entry: CatalogEntry) -> dict:
     }
 
 
+def _field(doc: dict, key: str, kind: type):
+    """doc[key], whose type must be exactly kind (so a JSON true is no int)."""
+    if type(doc[key]) is not kind:
+        raise TypeError(f"{key} must be a JSON {kind.__name__}, got {doc[key]!r}")
+    return doc[key]
+
+
 def document_to_entry(doc: dict) -> CatalogEntry:
     try:
         rows = tuple(
@@ -317,11 +324,11 @@ def document_to_entry(doc: dict) -> CatalogEntry:
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("theta_matrix must be square")
         return CatalogEntry(
-            id=str(doc["id"]),
-            cartan_type=str(doc["cartan_type"]),
+            id=_field(doc, "id", str),
+            cartan_type=_field(doc, "cartan_type", str),
             theta_matrix=linalg.as_int_matrix(rows),
-            compact_rank=int(doc["compact_rank"]),
-            expected_verdict=bool(doc["expected_verdict"]),
+            compact_rank=_field(doc, "compact_rank", int),
+            expected_verdict=_field(doc, "expected_verdict", bool),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed catalog document: {exc}") from exc

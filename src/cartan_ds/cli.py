@@ -55,9 +55,9 @@ from .errors import (
 from .exponents import (
     FormalDSDatum,
     SignedSqrt,
+    admissible_exponents,
     cone_position,
     dual_chamber,
-    orbit_plus,
     sorted_exponents,
     validate_datum,
 )
@@ -264,7 +264,7 @@ def parse_vector_list(text: str, rank: int, what: str) -> list[Weight]:
 
 
 def resolve_form(form: str, catalog_dir: Path) -> CatalogEntry:
-    """Resolve a form argument: explicit file path, catalog id, or builder id."""
+    """Resolve a form: file path, catalog entry by canonical id, or builder entry."""
     candidate = Path(form)
     if candidate.suffix == ".json" or os.sep in form:
         if not candidate.is_file():
@@ -274,10 +274,15 @@ def resolve_form(form: str, catalog_dir: Path) -> CatalogEntry:
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read form document {form}: {exc}") from exc
         return cat.document_to_entry(document)
-    for entry in cat.load_catalog(catalog_dir):
-        if entry.id == form:
-            return entry
-    return cat.catalog_form(form)
+    try:
+        built: CatalogEntry | None = cat.catalog_form(form)
+    except InputError as exc:
+        built, error = None, exc
+    key = built.id if built is not None else form.strip()
+    entry = next((e for e in cat.load_catalog(catalog_dir) if e.id == key), built)
+    if entry is None:
+        raise error
+    return entry
 
 
 def entry_source(entry: CatalogEntry) -> str:
@@ -514,10 +519,9 @@ def cmd_strongreg(args: argparse.Namespace) -> tuple[Report, int]:
     )
     validate_datum(rs, inv, datum, cap=cfg.cap)
     if args.worst_case:
-        admissible = orbit_plus(rs, inv, datum.weight, cap=cfg.cap, chamber=chamber)
         datum = FormalDSDatum(
             weight=datum.weight,
-            exponents=frozenset(inv.restrict(nu) for nu in admissible),
+            exponents=admissible_exponents(rs, inv, chamber, datum.weight, cfg.cap),
             label=datum.label,
         )
 

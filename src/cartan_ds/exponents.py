@@ -282,6 +282,21 @@ def orbit_restrictions(
     return frozenset(inv.restrict(nu) for nu in weyl_orbit(rs, lam, cap))
 
 
+def admissible_exponents(
+    rs: RootSystem,
+    inv: CartanInvolution,
+    chamber: DualChamber,
+    lam: Weight,
+    cap: int = DEFAULT_CAP,
+) -> frozenset[Weight]:
+    """Orbit restrictions in the open negative cone: lam's admissible exponents."""
+    return frozenset(
+        e
+        for e in orbit_restrictions(rs, inv, lam, cap)
+        if cone_position(chamber, e).neg_interior
+    )
+
+
 def validate_datum(
     rs: RootSystem,
     inv: CartanInvolution,

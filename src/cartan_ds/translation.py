@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Collection
 
 from .criterion import extended_stabilizer
 from .errors import (
@@ -28,9 +29,10 @@ from .exponents import (
     DualChamber,
     FormalDSDatum,
     SignedSqrt,
+    admissible_exponents,
     cone_position,
     dual_chamber,
-    orbit_plus,
+    orbit_restrictions,
     sorted_exponents,
 )
 from .realform import CartanInvolution, RestrictedRootSystem
@@ -178,6 +180,21 @@ class TensorL2Report:
     min_margin: SignedSqrt | None
 
 
+def _cone_margin(
+    chamber: DualChamber, exponents: Collection[Weight], shifts: Collection[Weight]
+) -> tuple[bool, SignedSqrt | None]:
+    """Whether all exponent+shift sums are cone-interior, and their least margin."""
+    passed = True
+    least: SignedSqrt | None = None
+    for e in exponents:
+        for s in shifts:
+            pos = cone_position(chamber, e + s)
+            if least is None or pos.margin < least:
+                least = pos.margin
+            passed = passed and pos.neg_interior
+    return passed, least
+
+
 def tensor_l2_condition(
     chamber: DualChamber,
     inv: CartanInvolution,
@@ -199,31 +216,12 @@ def tensor_l2_condition(
     _assert_dominant_integral(rs, mu)
     exponents = sorted_exponents(datum)
     if exact:
-        shifts = sorted(
-            {inv.restrict(nu) for nu in weyl_orbit(rs, mu, cap)},
-            key=lambda w: w.coords,
-        )
-        passed = True
-        min_margin: SignedSqrt | None = None
-        count = 0
-        for e in exponents:
-            for s in shifts:
-                pos = cone_position(chamber, e + s)
-                count += 1
-                if min_margin is None or pos.margin < min_margin:
-                    min_margin = pos.margin
-                passed = passed and pos.neg_interior
-        return TensorL2Report(
-            passed=passed, mode="exact", pairs_checked=count, min_margin=min_margin
-        )
+        shifts = orbit_restrictions(rs, inv, mu, cap)
+        passed, min_margin = _cone_margin(chamber, exponents, shifts)
+        return TensorL2Report(passed, "exact", len(exponents) * len(shifts), min_margin)
     bound = SignedSqrt.sqrt_of(rs.norm_sq(mu))
-    passed = True
-    min_margin = None
-    for e in exponents:
-        margin = cone_position(chamber, e).margin
-        if min_margin is None or margin < min_margin:
-            min_margin = margin
-        passed = passed and chamber.fulldim and bound < margin
+    _, min_margin = _cone_margin(chamber, exponents, [Weight.zero(rs.rank)])
+    passed = min_margin is None or (chamber.fulldim and bound < min_margin)
     return TensorL2Report(
         passed=passed,
         mode="fast",
@@ -252,20 +250,16 @@ def translate_line(
     if k < 0:
         raise BadParameters("line parameter k must be nonnegative")
     factor = Fraction(k * cfg.integrality + 1)
-    base_plus = orbit_plus(rs, inv, datum.weight, cfg.cap, chamber)
-    base_allowed = {inv.restrict(nu) for nu in base_plus}
+    base_allowed = admissible_exponents(rs, inv, chamber, datum.weight, cfg.cap)
     for e in datum.exponents:
         if e not in base_allowed:
             raise InvalidDatum(
                 "exponent is not an admissible restriction of the weight's orbit"
             )
     new_weight = datum.weight.scale(factor)
-    scaled_allowed = {
-        inv.restrict(nu)
-        for nu in orbit_plus(rs, inv, new_weight, cfg.cap, chamber)
-    }
+    scaled_allowed = admissible_exponents(rs, inv, chamber, new_weight, cfg.cap)
     if cfg.worst_case_exponents:
-        new_exponents = frozenset(scaled_allowed)
+        new_exponents = scaled_allowed
     else:
         new_exponents = frozenset(e.scale(factor) for e in datum.exponents)
     for e in new_exponents:
@@ -366,12 +360,11 @@ def strong_regularization(
     certificates are re-verified on the result.
     """
     chamber = dual_chamber(rrs)
-    plus = orbit_plus(rs, inv, datum.weight, cfg.cap, chamber)
-    if not plus:
+    allowed = admissible_exponents(rs, inv, chamber, datum.weight, cfg.cap)
+    if not allowed:
         raise NoAdmissibleDirection(
             "no orbit element restricts into the negative cone interior"
         )
-    allowed = {inv.restrict(nu) for nu in plus}
     for e in datum.exponents:
         if e not in allowed:
             raise InvalidDatum(
@@ -389,19 +382,6 @@ def strong_regularization(
     base_dom = apply(inv.chamber, base_dom_default)
     exponents = sorted_exponents(datum)
     best: SearchBest | None = None
-
-    def cone_min_margin(factor: Fraction, shifts) -> tuple[bool, SignedSqrt | None]:
-        ok = True
-        worst: SignedSqrt | None = None
-        for e in exponents:
-            e_k = e.scale(factor)
-            for s in shifts:
-                pos = cone_position(chamber, e_k + s)
-                if worst is None or pos.margin < worst:
-                    worst = pos.margin
-                ok = ok and pos.neg_interior
-        return ok, worst
-
     for coeffs in _candidate_coefficients(rs.rank, cfg.max_mu_coeff):
         shift_default = Weight.zero(rs.rank)
         for i, c in enumerate(coeffs):
@@ -410,19 +390,15 @@ def strong_regularization(
         if not stabilizer_generators(rs, base_dom_default + shift_default).is_regular:
             continue
         shift = apply(inv.chamber, shift_default)
-        if any(coeffs):
-            shifts = sorted(
-                {inv.restrict(nu) for nu in weyl_orbit(rs, shift_default, cfg.cap)},
-                key=lambda w: w.coords,
-            )
-        else:
-            shifts = [Weight.zero(rs.rank)]
+        shifts = orbit_restrictions(rs, inv, shift_default, cfg.cap)
         k_values = range(cfg.max_k + 1) if any(coeffs) else range(1)
         for k in k_values:
             factor = Fraction(k * n + 1)
             final_weight = base_dom.scale(factor) + shift
             stab = extended_stabilizer(rs, inv, final_weight)
-            cone_ok, margin = cone_min_margin(factor, shifts)
+            cone_ok, margin = _cone_margin(
+                chamber, [e.scale(factor) for e in exponents], shifts
+            )
             candidate = SearchBest(
                 coefficients=coeffs,
                 k=k,
@@ -471,9 +447,7 @@ def _certify(
     recorded anyway as independent certificates.
     """
     scaled = [e.scale(factor) for e in exponents]
-    base_positions = [cone_position(chamber, e) for e in scaled]
-    base_margin = min((p.margin for p in base_positions), default=None)
-    cone_all = all(p.neg_interior for p in base_positions)
+    cone_all, base_margin = _cone_margin(chamber, scaled, [Weight.zero(rs.rank)])
     running = base_dom.scale(factor)
     partial = Weight.zero(rs.rank)
     steps = []
@@ -481,15 +455,8 @@ def _certify(
         partial = partial + direction
         running = running + direction
         target, _ = dominant_representative(rs, running)
-        shifts = {inv.restrict(nu) for nu in weyl_orbit(rs, partial, cfg.cap)}
-        ok = True
-        worst: SignedSqrt | None = None
-        for e in scaled:
-            for s in shifts:
-                pos = cone_position(chamber, e + s)
-                if worst is None or pos.margin < worst:
-                    worst = pos.margin
-                ok = ok and pos.neg_interior
+        shifts = orbit_restrictions(rs, inv, partial, cfg.cap)
+        ok, worst = _cone_margin(chamber, scaled, shifts)
         cone_all = cone_all and ok
         steps.append(
             TranslationStep(

@@ -153,6 +153,26 @@ def test_document_rejects_malformed_matrix():
         document_to_entry(doc)
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("expected_verdict", "false"),
+        ("expected_verdict", 0),
+        ("expected_verdict", None),
+        ("compact_rank", 1.9),
+        ("compact_rank", "1"),
+        ("compact_rank", True),
+        ("id", 7),
+        ("cartan_type", ["A1"]),
+    ],
+)
+def test_document_rejects_mistyped_fields(key, value):
+    doc = entry_to_document(catalog_form("sl(2,R)"))
+    doc[key] = value
+    with pytest.raises(ParseError):
+        document_to_entry(doc)
+
+
 def test_entry_filename_sanitizes():
     assert entry_filename("su(2,1)") == "su_2_1.json"
     assert entry_filename("split(E8)") == "split_E8.json"

@@ -380,3 +380,39 @@ def test_stored_verdict_conflict_is_a_consistency_error(capsys, tmp_path):
     )
     assert rc2 == 1
     assert doc2["results"]["consistent"] is False
+
+
+@pytest.mark.parametrize("spelling", ["su(2,1)", "su(2, 1)", " su( 2 , 1 ) "])
+def test_catalog_entry_found_under_any_spelling(capsys, tmp_path, spelling):
+    doc_in = entry_to_document(catalog_form("su(2,1)"))
+    doc_in["expected_verdict"] = False
+    bad_dir = tmp_path / "bad"
+    bad_dir.mkdir()
+    (bad_dir / "su_2_1.json").write_text(json.dumps(doc_in))
+    rc, doc, _ = run_json(capsys, "criterion", spelling, "--catalog", str(bad_dir))
+    assert rc == 1
+    assert doc["results"]["consistent"] is False
+
+
+def test_hand_named_catalog_entry_resolves(capsys, tmp_path):
+    doc_in = entry_to_document(catalog_form("su(2,1)"))
+    doc_in["id"] = "my-form"
+    directory = tmp_path / "named"
+    directory.mkdir()
+    (directory / "anything.json").write_text(json.dumps(doc_in))
+    rc, doc, _ = run_json(capsys, "criterion", " my-form ", "--catalog", str(directory))
+    assert rc == 0
+    assert doc["results"]["id"] == "my-form"
+    rc, doc, _ = run_json(capsys, "criterion", "nope", "--catalog", str(directory))
+    assert rc == 2 and doc["error"] == "UnknownForm"
+
+
+def test_string_verdict_in_catalog_is_a_parse_error(capsys, tmp_path):
+    doc_in = entry_to_document(catalog_form("split(A2)"))
+    doc_in["expected_verdict"] = "false"
+    bad_dir = tmp_path / "bad"
+    bad_dir.mkdir()
+    (bad_dir / "split_A2.json").write_text(json.dumps(doc_in))
+    rc, doc, _ = run_json(capsys, "criterion", "split(A2)", "--catalog", str(bad_dir))
+    assert rc == 2
+    assert doc["error"] == "ParseError"

@@ -1,5 +1,6 @@
 """Exact square-root margins, the dual cone, and the square-integrability check."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from cartan_ds import (
     InvalidDatum,
     SignedSqrt,
     Weight,
+    admissible_exponents,
+    build_default_catalog,
     catalog_form,
     cone_position,
     dominates,
@@ -258,9 +261,7 @@ def test_orbit_plus_selects_negative_cone_elements():
 def test_orbit_plus_nonempty_across_small_forms():
     # compact forms have no split directions at all, so their negative cone
     # is degenerate and the selection is empty; every other form must offer
-    # at least one orbit element whose restriction lies in the closed cone
-    from cartan_ds import build_default_catalog
-
+    # at least one orbit element whose restriction lies in the open cone
     for entry in build_default_catalog():
         rs = entry_root_system(entry)
         if rs.rank > 3:
@@ -272,6 +273,45 @@ def test_orbit_plus_nonempty_across_small_forms():
             assert plus, entry.id
         else:
             assert not plus, entry.id
+
+
+def test_admissible_exponents_match_orbit_plus_restrictions():
+    rng = random.Random(4)
+    checked = 0
+    for entry in build_default_catalog():
+        rs = entry_root_system(entry)
+        if rs.rank > 3:
+            continue
+        inv = entry_involution(entry, rs=rs)
+        if inv.split_rank == 0:
+            continue
+        chamber = dual_chamber(restricted_roots(rs, inv))
+        seeded = [
+            Weight.of(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rs.rank))
+            for _ in range(3)
+        ]
+        for lam in [rs.rho, *rs.fundamental_weights, *seeded]:
+            reference = {
+                inv.restrict(nu) for nu in orbit_plus(rs, inv, lam, chamber=chamber)
+            }
+            got = admissible_exponents(rs, inv, chamber, lam)
+            assert isinstance(got, frozenset)
+            assert got == reference, (entry.id, lam)
+            checked += 1
+    assert checked > 100
+
+
+def test_admissible_exponents_take_the_open_interior():
+    # in sl(3,R) the orbit of rho is the root set: -a1 and -a2 lie on the
+    # boundary of the negative cone and only -a1-a2 inside it
+    rs, inv, rrs = form("sl(3,R)")
+    chamber = dual_chamber(rrs)
+    restrictions = orbit_restrictions(rs, inv, rs.rho)
+    closed = {
+        e for e in restrictions if cone_position(chamber, e).margin >= SignedSqrt.zero()
+    }
+    assert len(closed) == 3
+    assert admissible_exponents(rs, inv, chamber, rs.rho) == {inv.restrict(-rs.rho)}
 
 
 # ---------------------------------------------------------------------------
