@@ -28,7 +28,7 @@ def main() -> int:
     bad = []
     for entry in entries:
         rs = entry_root_system(entry)
-        inv = entry_involution(entry, rs=rs, source="catalog")
+        inv = entry_involution(entry, rs=rs)
         verdict = compact_cartan_verdict(
             rs, inv, oracle_compact_rank_equal=entry.expected_verdict
         )

@@ -285,12 +285,11 @@ def entry_root_system(entry: CatalogEntry) -> RootSystem:
 def entry_involution(
     entry: CatalogEntry,
     rs: RootSystem | None = None,
-    source: str = "catalog",
 ) -> CartanInvolution:
     """Validate and return the involution of a catalog entry."""
     if rs is None:
         rs = entry_root_system(entry)
-    return validate_involution(rs, entry.theta_matrix, source=source)
+    return validate_involution(rs, entry.theta_matrix)
 
 
 # ---------------------------------------------------------------------------

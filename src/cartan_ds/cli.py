@@ -263,8 +263,15 @@ def parse_vector_list(text: str, rank: int, what: str) -> list[Weight]:
     return [parse_vector(c, rank, f"{what}[{i}]") for i, c in enumerate(chunks)]
 
 
-def resolve_form(form: str, catalog_dir: Path) -> CatalogEntry:
-    """Resolve a form: file path, catalog entry by canonical id, or builder entry."""
+def resolve_form(form: str, catalog_dir: Path) -> tuple[CatalogEntry, str]:
+    """Resolve a form (file path, catalog entry by canonical id, or builder
+    entry) and its provenance.
+
+    The provenance is "catalog" when the involution matches the builder's
+    construction of the entry's id.  Entries whose matrix differs from (or has
+    no) builder counterpart are "user": they passed algebraic validation but
+    were not derived here from a named real form.
+    """
     candidate = Path(form)
     if candidate.suffix == ".json" or os.sep in form:
         if not candidate.is_file():
@@ -273,40 +280,30 @@ def resolve_form(form: str, catalog_dir: Path) -> CatalogEntry:
             document = json.loads(candidate.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read form document {form}: {exc}") from exc
-        return cat.document_to_entry(document)
-    try:
-        built: CatalogEntry | None = cat.catalog_form(form)
-    except InputError as exc:
-        built, error = None, exc
-    key = built.id if built is not None else form.strip()
-    entry = next((e for e in cat.load_catalog(catalog_dir) if e.id == key), built)
-    if entry is None:
-        raise error
-    return entry
-
-
-def entry_source(entry: CatalogEntry) -> str:
-    """"catalog" when the involution matches the builder's construction.
-
-    Entries loaded from documents whose matrix differs from (or has no)
-    builder counterpart are tagged "user": they passed algebraic validation
-    but were not derived here from a named real form.
-    """
-    try:
-        built = cat.catalog_form(entry.id)
-    except InputError:
-        return "user"
-    return "catalog" if built.theta_matrix == entry.theta_matrix else "user"
+        entry = cat.document_to_entry(document)
+        try:
+            built: CatalogEntry | None = cat.catalog_form(entry.id)
+        except InputError:
+            built = None
+    else:
+        try:
+            built = cat.catalog_form(form)
+        except InputError as exc:
+            built, error = None, exc
+        key = built.id if built is not None else form.strip()
+        entry = next((e for e in cat.load_catalog(catalog_dir) if e.id == key), built)
+        if entry is None:
+            raise error
+    matches = built is not None and built.theta_matrix == entry.theta_matrix
+    return entry, "catalog" if matches else "user"
 
 
 def load_form(
     form: str, catalog_dir: Path
 ) -> tuple[CatalogEntry, RootSystem, CartanInvolution, str]:
-    entry = resolve_form(form, catalog_dir)
-    source = entry_source(entry)
+    entry, source = resolve_form(form, catalog_dir)
     rs = cat.entry_root_system(entry)
-    inv = cat.entry_involution(entry, rs=rs, source=source)
-    return entry, rs, inv, source
+    return entry, rs, cat.entry_involution(entry, rs=rs), source
 
 
 def _realizability_note(source: str) -> str | None:
@@ -333,7 +330,7 @@ def cmd_catalog(args: argparse.Namespace) -> tuple[Report, int]:
     all_consistent = True
     for entry in entries:
         rs = cat.entry_root_system(entry)
-        inv = cat.entry_involution(entry, rs=rs, source="catalog")
+        inv = cat.entry_involution(entry, rs=rs)
         rrs = restricted_roots(rs, inv)
         verdict = compact_cartan_verdict(
             rs, inv, oracle_compact_rank_equal=entry.expected_verdict
@@ -596,7 +593,7 @@ def suite_exact_sequence(catalog_dir: Path, cap: int) -> dict[str, Any]:
         if weyl_order(entry.cartan_type) > min(cap, EXACT_SEQUENCE_MAX_WEYL):
             continue
         rs = cat.entry_root_system(entry)
-        inv = cat.entry_involution(entry, rs=rs, source="catalog")
+        inv = cat.entry_involution(entry, rs=rs)
         report = verify_exact_sequence(rs, inv, cap=cap)
         passed = passed and report.passed
         checked.append(
@@ -641,7 +638,7 @@ def suite_pipeline(cap: int) -> dict[str, Any]:
     for form in PIPELINE_FORMS:
         entry = cat.catalog_form(form)
         rs = cat.entry_root_system(entry)
-        inv = cat.entry_involution(entry, rs=rs, source="catalog")
+        inv = cat.entry_involution(entry, rs=rs)
         rrs = restricted_roots(rs, inv)
         chamber = dual_chamber(rrs)
         lam = rs.rho

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import HypothesisFailed
+from .errors import HypothesisFailed, RankMismatch
 from .realform import CartanInvolution
 from .rootdata import (
     IntMat,
@@ -30,16 +30,11 @@ from .rootdata import (
     Weight,
     WeylElement,
     apply,
+    apply_matrix,
     dominant_representative,
     stabilizer_generators,
     word_element,
 )
-
-
-def _theta_matrix(theta: IntMat | CartanInvolution) -> IntMat:
-    if isinstance(theta, CartanInvolution):
-        return theta.theta
-    return theta
 
 
 def theta_in_weyl(
@@ -49,14 +44,22 @@ def theta_in_weyl(
 
     Chases theta(rho) to the dominant chamber with some w.  If theta = u is in
     the group then w u fixes the regular weight rho, so w u = 1 and u is the
-    inverse of w; the matrix product w theta = 1 decides membership exactly,
-    for any integer matrix.
+    inverse of w; the matrix product w theta = 1 decides membership exactly.
+    A raw matrix must be rank x rank; one with a non-integer entry is never in
+    the group.
     """
-    mat = _theta_matrix(theta)
-    _, w = dominant_representative(rs, Weight(linalg.mat_vec(mat, rs.rho.coords)))
+    if isinstance(theta, CartanInvolution):
+        mat = theta.theta
+    else:
+        if len(theta) != rs.rank or any(len(row) != rs.rank for row in theta):
+            raise RankMismatch("matrix size does not match rank")
+        if not linalg.is_integral(theta):
+            return None
+        mat = linalg.as_int_matrix(theta)
+    _, w = dominant_representative(rs, apply_matrix(mat, rs.rho))
     if linalg.mat_mul(w.matrix, mat) != rs.identity.matrix:
         return None
-    return WeylElement(linalg.as_int_matrix(mat), tuple(reversed(w.word)))
+    return WeylElement(mat, tuple(reversed(w.word)))
 
 
 @dataclass(frozen=True)

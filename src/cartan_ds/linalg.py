@@ -67,10 +67,6 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
     )
 
 
-def mat_neg(a: Mat) -> Mat:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
 def is_integral(a: Iterable[Iterable[Fraction]]) -> bool:
     return all(Fraction(x).denominator == 1 for row in a for x in row)
 

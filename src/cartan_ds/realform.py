@@ -36,6 +36,7 @@ from .rootdata import (
     Weight,
     WeylElement,
     apply,
+    apply_matrix,
     dominant_representative,
     enumerate_weyl,
     word_element,
@@ -50,22 +51,16 @@ class CartanInvolution:
 
     ``positive_roots`` is the chosen compatible positive system and ``chamber``
     the Weyl element carrying the default positive system onto it (identity
-    when the default was already compatible).  ``source`` records provenance:
-    entries built by the catalog are marked "catalog"; anything else carries a
-    realizability warning in reports, because an involution that passes the
-    algebraic checks need not come from a maximally split Cartan subalgebra of
-    a real form.
+    when the default was already compatible).
     """
 
     root_system: RootSystem
     theta: IntMat
-    sigma: IntMat
     split_basis: tuple[Weight, ...]
     compact_basis: tuple[Weight, ...]
     positive_roots: frozenset[Weight]
     chamber: WeylElement
     default_compatible: bool
-    source: str = "user"
 
     @property
     def split_rank(self) -> int:
@@ -73,19 +68,11 @@ class CartanInvolution:
 
     def act(self, lam: Weight) -> Weight:
         """theta applied to a weight."""
-        n = len(self.theta)
-        if lam.rank != n:
-            raise RankMismatch("weight rank does not match involution")
-        return Weight(
-            tuple(
-                Fraction(sum(row[j] * lam.coords[j] for j in range(n)))
-                for row in self.theta
-            )
-        )
+        return apply_matrix(self.theta, lam)
 
     def restrict(self, lam: Weight) -> Weight:
         """Projection onto the (-1)-eigenspace: (lam - theta(lam)) / 2."""
-        return (lam - self.act(lam)).scale(HALF)
+        return _restrict(self.theta, lam)
 
     def to_split_coords(self, v: Weight) -> tuple[Fraction, ...]:
         """Coordinates of a (-1)-eigenspace vector against split_basis."""
@@ -107,6 +94,10 @@ class CartanInvolution:
         for c, b in zip(vals, self.split_basis):
             out = out + b.scale(c)
         return out
+
+
+def _restrict(theta: IntMat, lam: Weight) -> Weight:
+    return (lam - apply_matrix(theta, lam)).scale(HALF)
 
 
 def _eigenbasis(theta: IntMat, sign: int) -> tuple[Weight, ...]:
@@ -132,9 +123,7 @@ def _regular_combination(rs: RootSystem, basis: tuple[Weight, ...], targets) -> 
         t += 1
 
 
-def validate_involution(
-    rs: RootSystem, theta_matrix, source: str = "user"
-) -> CartanInvolution:
+def validate_involution(rs: RootSystem, theta_matrix) -> CartanInvolution:
     """Check a candidate involution and assemble its CartanInvolution data.
 
     Raises NotInvolution, NotIsometric or NotRootPreserving in that order of
@@ -154,46 +143,33 @@ def validate_involution(
     if not linalg.is_integral(theta_rows):
         raise NotRootPreserving("matrix does not preserve the root lattice")
     theta = linalg.as_int_matrix(theta_rows)
-    probe = CartanInvolution(
-        root_system=rs,
-        theta=theta,
-        sigma=linalg.as_int_matrix(linalg.mat_neg(theta_rows)),
-        split_basis=(),
-        compact_basis=(),
-        positive_roots=frozenset(),
-        chamber=rs.identity,
-        default_compatible=True,
-        source=source,
-    )
     for root in rs.all_roots:
-        if probe.act(root) not in rs.all_roots:
+        if apply_matrix(theta, root) not in rs.all_roots:
             raise NotRootPreserving("matrix does not permute the roots")
 
     split_basis = _eigenbasis(theta, -1)
     compact_basis = _eigenbasis(theta, +1)
     positive, chamber, default_ok = _compatible_positive_system(
-        rs, probe, split_basis, compact_basis
+        rs, theta, split_basis, compact_basis
     )
     return CartanInvolution(
         root_system=rs,
         theta=theta,
-        sigma=probe.sigma,
         split_basis=split_basis,
         compact_basis=compact_basis,
         positive_roots=positive,
         chamber=chamber,
         default_compatible=default_ok,
-        source=source,
     )
 
 
 def _compatible_positive_system(
     rs: RootSystem,
-    inv: CartanInvolution,
+    theta: IntMat,
     split_basis: tuple[Weight, ...],
     compact_basis: tuple[Weight, ...],
 ) -> tuple[frozenset[Weight], WeylElement, bool]:
-    restrictions = {root: inv.restrict(root) for root in rs.all_roots}
+    restrictions = {root: _restrict(theta, root) for root in rs.all_roots}
     default_restr = {
         restrictions[r] for r in rs.positive_roots if not restrictions[r].is_zero()
     }
@@ -409,7 +385,6 @@ def _restricted_weyl_matrices(
         return {()}
     ident = linalg.identity(r)
     gens = []
-    basis_split = [inv.to_split_coords(b) for b in inv.split_basis]
     gram = tuple(
         tuple(rrs.pairing(inv.split_basis[i], inv.split_basis[j]) for j in range(r))
         for i in range(r)

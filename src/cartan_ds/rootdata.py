@@ -6,7 +6,9 @@ row convention used here the Cartan matrix entry ``A[i][j]`` equals
 ``<alpha_j, alpha_i^vee>``, simple reflections act on coordinates through row
 ``i`` only, and every Weyl-group element is an integer matrix.  Weights are
 rational; Weyl elements, their products and inverses, and the dominant-chamber
-chase are computed on plain ints.
+chase are computed on plain ints.  Every integer matrix acting on a weight (a
+Weyl element, a Cartan involution, the Cartan matrix) goes through
+:func:`apply_matrix`, which sums on ints and divides once per coordinate.
 
 Reducible types are direct sums: the Cartan matrix is block diagonal and all
 operations act factor-wise without special casing.
@@ -15,6 +17,7 @@ operations act factor-wise without special casing.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -286,13 +289,7 @@ class RootSystem:
 
     def fw_coords(self, lam: Weight) -> Coords:
         """Coordinates of lam against the fundamental weights: <lam, alpha_i^vee>."""
-        if lam.rank != self.rank:
-            raise RankMismatch("weight rank does not match root system")
-        a = self.cartan_matrix
-        return tuple(
-            Fraction(sum(a[i][j] * lam.coords[j] for j in range(self.rank)))
-            for i in range(self.rank)
-        )
+        return apply_matrix(self.cartan_matrix, lam).coords
 
     def weight_from_fw(self, values: Weight | Iterable[object]) -> Weight:
         if isinstance(values, Weight):
@@ -367,16 +364,31 @@ def build_root_system(cartan_type: str | Sequence[tuple[str, int]]) -> RootSyste
     return _build_cached(factors)
 
 
+def _scaled(lam: Weight) -> tuple[int, list[int]]:
+    """The lcm of lam's coordinate denominators, and lam times it as ints."""
+    scale = math.lcm(*(c.denominator for c in lam.coords))
+    return scale, [c.numerator * (scale // c.denominator) for c in lam.coords]
+
+
+def _int_mat_vec(mat: IntMat, v: Sequence[int]) -> list[int]:
+    return [sum(map(operator.mul, row, v)) for row in mat]
+
+
+def apply_matrix(mat: IntMat, lam: Weight) -> Weight:
+    """A square integer matrix applied to a weight.
+
+    lam is scaled to ints, the dot products are taken on ints, and the scale
+    is divided out once per coordinate.
+    """
+    if len(mat) != lam.rank:
+        raise RankMismatch("matrix and weight have different ranks")
+    scale, coords = _scaled(lam)
+    return Weight(tuple(Fraction(x, scale) for x in _int_mat_vec(mat, coords)))
+
+
 def apply(w: WeylElement, lam: Weight) -> Weight:
     """Apply a Weyl element (or any integer matrix element) to a weight."""
-    if len(w.matrix) != lam.rank:
-        raise RankMismatch("element and weight have different ranks")
-    return Weight(
-        tuple(
-            Fraction(sum(row[j] * lam.coords[j] for j in range(lam.rank)))
-            for row in w.matrix
-        )
-    )
+    return apply_matrix(w.matrix, lam)
 
 
 def dominant_representative(rs: RootSystem, lam: Weight) -> tuple[Weight, WeylElement]:
@@ -390,9 +402,8 @@ def dominant_representative(rs: RootSystem, lam: Weight) -> tuple[Weight, WeylEl
     """
     if lam.rank != rs.rank:
         raise RankMismatch("weight rank does not match root system")
-    scale = math.lcm(*(c.denominator for c in lam.coords))
-    coords = [c.numerator * (scale // c.denominator) for c in lam.coords]
-    fws = [sum(x * y for x, y in zip(row, coords)) for row in rs.cartan_matrix]
+    scale, coords = _scaled(lam)
+    fws = _int_mat_vec(rs.cartan_matrix, coords)
     word: list[int] = []
     rows = list(rs.identity.matrix)
     while True:

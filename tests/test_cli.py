@@ -394,6 +394,19 @@ def test_catalog_entry_found_under_any_spelling(capsys, tmp_path, spelling):
     assert doc["results"]["consistent"] is False
 
 
+def test_catalog_entry_with_another_involution_is_user_supplied(capsys, tmp_path):
+    doc_in = entry_to_document(catalog_form("su(2,1)"))
+    doc_in["theta_matrix"] = [[-1, 1], [0, 1]]  # the first simple reflection
+    directory = tmp_path / "other"
+    directory.mkdir()
+    (directory / "su_2_1.json").write_text(json.dumps(doc_in))
+    rc, doc, _ = run_json(capsys, "criterion", "su(2,1)", "--catalog", str(directory))
+    assert rc == 0
+    res = doc["results"]
+    assert res["source"] == "user" and res["realizability_note"] is not None
+    assert res["oracle"] is None and res["consistent"] is None
+
+
 def test_hand_named_catalog_entry_resolves(capsys, tmp_path):
     doc_in = entry_to_document(catalog_form("su(2,1)"))
     doc_in["id"] = "my-form"

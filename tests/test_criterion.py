@@ -8,6 +8,7 @@ import pytest
 from cartan_ds import (
     ExtendedElement,
     HypothesisFailed,
+    RankMismatch,
     Weight,
     apply,
     apply_extended,
@@ -69,6 +70,16 @@ def test_split_b2_witness_is_the_longest_element():
 def test_theta_in_weyl_accepts_raw_matrices():
     rs, inv = form("su(2,1)")
     assert theta_in_weyl(rs, inv.theta) is not None
+
+
+def test_raw_matrix_must_be_square_of_the_rank():
+    rs = build_root_system("A2")
+    for mat in [((1, 0, 0), (0, 1, 0)), ((1, 0), (0, 1), (0, 0)), ((1,), (0,))]:
+        with pytest.raises(RankMismatch):
+            theta_in_weyl(rs, mat)
+    # a non-integral matrix is never a Weyl element, and is not an error
+    assert theta_in_weyl(rs, ((Fraction(1, 2), 0), (0, 1))) is None
+    assert theta_in_weyl(rs, ((-1, 1), (0, Fraction(2, 2)))) is not None
 
 
 def test_witness_against_exhaustive_enumeration():
@@ -244,4 +255,3 @@ def test_user_involution_from_simple_reflection():
     inv = validate_involution(rs, rs.simple_reflection(0).matrix)
     w = theta_in_weyl(rs, inv)
     assert w is not None and w.matrix == inv.theta
-    assert inv.source == "user"

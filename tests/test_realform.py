@@ -1,5 +1,6 @@
 """Cartan involutions, restricted root systems, and the exact sequence."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,17 +12,20 @@ from cartan_ds import (
     NotRootPreserving,
     RankMismatch,
     Weight,
+    apply,
     build_default_catalog,
     build_root_system,
     catalog_form,
     classify_restricted_type,
     entry_involution,
     entry_root_system,
+    longest_element,
     multiplicity_identity_holds,
     restricted_roots,
     validate_involution,
     verify_exact_sequence,
 )
+from cartan_ds import linalg
 
 HALF = Fraction(1, 2)
 
@@ -40,8 +44,9 @@ def form(form_id):
 
 def test_validate_rejects_wrong_size():
     rs = build_root_system("A2")
-    with pytest.raises(RankMismatch):
-        validate_involution(rs, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    for mat in [((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0))]:
+        with pytest.raises(RankMismatch):
+            validate_involution(rs, mat)
 
 
 def test_validate_rejects_non_involution():
@@ -89,6 +94,28 @@ def test_restriction_is_projection_onto_split_part():
         assert inv.act(bar) == -bar
         # restricting twice changes nothing
         assert inv.restrict(bar) == bar
+
+
+def test_integer_actions_match_rational_reference_across_catalog():
+    """apply, fw_coords, act and restrict against Fraction linalg.mat_vec."""
+    rng = random.Random(2007)
+    for entry in build_default_catalog():
+        rs = entry_root_system(entry)
+        inv = entry_involution(entry, rs=rs)
+        w0 = longest_element(rs)
+        weights = [rs.rho, *rs.fundamental_weights] + [
+            Weight.of(Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(rs.rank))
+            for _ in range(3)
+        ]
+        for lam in weights:
+            theta_lam = linalg.mat_vec(inv.theta, lam.coords)
+            assert inv.act(lam).coords == theta_lam, entry.id
+            assert inv.restrict(lam).coords == tuple(
+                (c - t) * HALF for c, t in zip(lam.coords, theta_lam)
+            ), entry.id
+            assert rs.fw_coords(lam) == linalg.mat_vec(rs.cartan_matrix, lam.coords)
+            for w in (w0, inv.chamber):
+                assert apply(w, lam).coords == linalg.mat_vec(w.matrix, lam.coords)
 
 
 def test_split_coordinate_roundtrip():

@@ -24,6 +24,7 @@ from cartan_ds import (
     word_element,
 )
 from cartan_ds import linalg
+from cartan_ds.rootdata import apply_matrix
 
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]
 
@@ -318,8 +319,40 @@ def test_dominant_representative_properties(cartan_type, coords, seed):
 def test_dominant_representative_rejects_wrong_rank():
     rs = build_root_system("B3")
     for coords in [(1, 2), (1, 2, 3, 4)]:
+        for call in (
+            lambda lam: dominant_representative(rs, lam),
+            lambda lam: apply(rs.simple_reflection(0), lam),
+            rs.fw_coords,
+        ):
+            with pytest.raises(RankMismatch):
+                call(W(*coords))
+
+
+@st.composite
+def int_matrix_and_weight(draw):
+    n = draw(st.integers(1, 8))
+    row = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    mat = tuple(tuple(draw(row)) for _ in range(n))
+    coords = draw(
+        st.lists(
+            st.fractions(min_value=-20, max_value=20, max_denominator=6),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return mat, Weight(tuple(coords))
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(int_matrix_and_weight())
+def test_apply_matrix_matches_rational_mat_vec(case):
+    mat, lam = case
+    out = apply_matrix(mat, lam)
+    assert out.coords == linalg.mat_vec(mat, lam.coords)
+    assert all(type(c) is Fraction for c in out.coords)
+    for wrong in (lam.coords + (Fraction(1),), lam.coords[1:]):
         with pytest.raises(RankMismatch):
-            dominant_representative(rs, W(*coords))
+            apply_matrix(mat, Weight(wrong))
 
 
 @pytest.mark.parametrize("cartan_type", ["A2", "B2", "G2", "A3", "B3", "C3", "D4"])
