@@ -15,28 +15,28 @@ carries the default system onto the chosen one.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
 from .errors import (
-    CapExceeded,
     NotInvolution,
     NotIsometric,
     NotRootPreserving,
+    PreconditionFailed,
     RankMismatch,
 )
-from .linalg import Mat
 from .rootdata import (
     DEFAULT_CAP,
     IntMat,
     RootSystem,
     Weight,
     WeylElement,
+    _int_mat_vec,
     apply,
     apply_matrix,
+    closure,
     dominant_representative,
     enumerate_weyl,
     word_element,
@@ -73,16 +73,6 @@ class CartanInvolution:
     def restrict(self, lam: Weight) -> Weight:
         """Projection onto the (-1)-eigenspace: (lam - theta(lam)) / 2."""
         return _restrict(self.theta, lam)
-
-    def to_split_coords(self, v: Weight) -> tuple[Fraction, ...]:
-        """Coordinates of a (-1)-eigenspace vector against split_basis."""
-        cols = tuple(
-            tuple(b.coords[i] for b in self.split_basis) for i in range(v.rank)
-        )
-        sol = linalg.solve(cols, v.coords)
-        if sol is None:
-            raise RankMismatch("vector is not in the split part")
-        return sol
 
     def from_split_coords(self, values) -> Weight:
         if isinstance(values, Weight):
@@ -365,57 +355,9 @@ class ExactSequenceReport:
         return self.kernel_matches and self.image_matches and self.order_identity
 
 
-def _split_action_matrix(
-    rrs: RestrictedRootSystem, w: WeylElement
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix of w restricted to the split part, in split_basis coordinates."""
-    inv = rrs.involution
-    cols = [inv.to_split_coords(apply(w, b)) for b in inv.split_basis]
-    r = len(cols)
-    return tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
-
-
-def _restricted_weyl_matrices(
-    rrs: RestrictedRootSystem, cap: int
-) -> set[tuple[tuple[Fraction, ...], ...]]:
-    """The reflection group of the reduced restricted system, on split coords."""
-    inv = rrs.involution
-    r = rrs.split_rank
-    if r == 0:
-        return {()}
-    ident = linalg.identity(r)
-    gens = []
-    gram = tuple(
-        tuple(rrs.pairing(inv.split_basis[i], inv.split_basis[j]) for j in range(r))
-        for i in range(r)
-    )
-
-    def pair(x, y):
-        return sum(x[i] * gram[i][j] * y[j] for i in range(r) for j in range(r))
-
-    # s_beta = s_{-beta}, so the positive roots alone generate the group
-    positive = rrs.indivisible & rrs.positive_restricted
-    for beta in sorted(positive, key=lambda w: w.coords):
-        b = inv.to_split_coords(beta)
-        nb = pair(b, b)
-        cols = []
-        for j in range(r):
-            e = tuple(Fraction(1 if i == j else 0) for i in range(r))
-            c = 2 * pair(e, b) / nb
-            cols.append(tuple(e[i] - c * b[i] for i in range(r)))
-        gens.append(tuple(tuple(cols[j][i] for j in range(r)) for i in range(r)))
-    seen = {ident}
-    queue = deque([ident])
-    while queue:
-        m = queue.popleft()
-        for g in gens:
-            nxt = linalg.mat_mul(m, g)
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(f"restricted Weyl group exceeded cap {cap}")
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
+def _doubled(v: Weight) -> tuple[int, ...]:
+    """Twice a restricted root (alpha - theta alpha) / 2, an int vector."""
+    return tuple(int(2 * c) for c in v.coords)
 
 
 def verify_exact_sequence(
@@ -425,7 +367,12 @@ def verify_exact_sequence(
 
     The theta-commutant of the Weyl group restricts to the split part; the
     kernel must be exactly the reflection group of the vanishing roots and the
-    image exactly the Weyl group of the reduced restricted system.
+    image exactly the Weyl group of the reduced restricted system.  Both act
+    there by permuting the restricted roots, whose simple ones are a basis, so
+    an element is the tuple of indices of its images of the simple restricted
+    roots.  A Weyl group larger than ``cap`` is refused (CapExceeded) before
+    any enumeration, and restricted roots that are not a root system, as for
+    many theta = +-w with w in W, with PreconditionFailed.
     """
     rrs = restricted_roots(rs, inv)
     group = enumerate_weyl(rs, cap)
@@ -436,31 +383,56 @@ def verify_exact_sequence(
         if linalg.mat_mul(w.matrix, theta) == linalg.mat_mul(theta, w.matrix)
     ]
 
-    vanishing_group: set[WeylElement] = {rs.identity}
     gens = [rs.reflection_in_root(g) for g in sorted(rrs.vanishing_roots, key=lambda w: w.coords)]
-    queue = deque([rs.identity])
-    while queue:
-        w = queue.popleft()
-        for g in gens:
-            nxt = w.compose(g)
-            if nxt not in vanishing_group:
-                if len(vanishing_group) >= cap:
-                    raise CapExceeded(f"vanishing Weyl group exceeded cap {cap}")
-                vanishing_group.add(nxt)
-                queue.append(nxt)
+    vanishing_group = closure(
+        (rs.identity,), lambda w: (w.compose(g) for g in gens), cap, "vanishing Weyl group"
+    )
 
-    restricted_group = _restricted_weyl_matrices(rrs, cap)
-    r = rrs.split_rank
-    ident_split = linalg.identity(r) if r else ()
-    actions = [(w, _split_action_matrix(rrs, w)) for w in commutant]
-    kernel = {w for w, action in actions if action == ident_split}
-    image = {action for _, action in actions}
+    roots = sorted(rrs.restricted_roots, key=lambda w: w.coords)
+    index = {_doubled(v): k for k, v in enumerate(roots)}
+    doubled_roots = list(index)
+    form = linalg.as_int_matrix(rs.form)
+
+    def reflection(b: tuple[int, ...]) -> tuple[int, ...]:
+        """s_beta as a permutation of the indices, beta given doubled."""
+        pairings = _int_mat_vec(doubled_roots, _int_mat_vec(form, b))
+        nb = pairings[index[b]]
+        perm = []
+        for v, pairing in zip(doubled_roots, pairings):
+            # an integral Fraction hashes and compares equal to its int
+            c = Fraction(2 * pairing, nb)
+            image = index.get(tuple(x - c * y for x, y in zip(v, b)))
+            if image is None:
+                raise PreconditionFailed(
+                    "the restricted roots are not a root system: a reflection"
+                    " in an indivisible restricted root does not permute them"
+                )
+            perm.append(image)
+        return tuple(perm)
+
+    # s_beta = s_{-beta}, so the positive roots alone generate the group
+    reflections = [
+        reflection(_doubled(beta)) for beta in rrs.indivisible & rrs.positive_restricted
+    ]
+    simple = [_doubled(s) for s in rrs.simple_restricted]
+    identity = tuple(index[s] for s in simple)
+    restricted_group = closure(
+        (identity,),
+        lambda t: (tuple(p[k] for k in t) for p in reflections),
+        cap,
+        "restricted Weyl group",
+    )
+    images = {
+        w: tuple(index[tuple(_int_mat_vec(w.matrix, s))] for s in simple)
+        for w in commutant
+    }
+    kernel = {w for w, image in images.items() if image == identity}
     return ExactSequenceReport(
         order_commutant=len(commutant),
         order_vanishing=len(vanishing_group),
         order_restricted=len(restricted_group),
         kernel_matches=kernel == set(vanishing_group),
-        image_matches=image == restricted_group,
+        image_matches=set(images.values()) == set(restricted_group),
         order_identity=len(commutant)
         == len(vanishing_group) * len(restricted_group),
     )

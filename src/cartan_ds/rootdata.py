@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from . import linalg
 from .errors import CapExceeded, InvalidType, PreconditionFailed, RankMismatch
@@ -33,6 +33,7 @@ DEFAULT_CAP = 10**6
 
 Coords = tuple[Fraction, ...]
 IntMat = tuple[tuple[int, ...], ...]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,29 @@ class StabilizerInfo(NamedTuple):
     to_dominant: WeylElement
 
 
+def closure(
+    start: Iterable[T],
+    neighbours: Callable[[T], Iterable[T]],
+    cap: int | None = None,
+    what: str = "closure",
+) -> dict[T, None]:
+    """Breadth-first closure of ``start`` under ``neighbours``.
+
+    Elements come in the order found, the first of equal ones kept; a count
+    past ``cap`` raises CapExceeded.
+    """
+    seen = dict.fromkeys(start)
+    queue = deque(seen)
+    while queue:
+        for nxt in neighbours(queue.popleft()):
+            if nxt not in seen:
+                if cap is not None and len(seen) >= cap:
+                    raise CapExceeded(f"{what} exceeded cap {cap}")
+                seen[nxt] = None
+                queue.append(nxt)
+    return seen
+
+
 _FAMILY_MIN_RANK = {"A": 1, "B": 1, "C": 1, "D": 2, "E": 6, "F": 4, "G": 2}
 _FAMILY_MAX_RANK = {"E": 8, "F": 4, "G": 2}
 
@@ -148,6 +172,20 @@ def parse_cartan_type(text: str) -> tuple[tuple[str, int], ...]:
 
 def format_cartan_type(factors: Sequence[tuple[str, int]]) -> str:
     return "x".join(f"{fam}{n}" for fam, n in factors)
+
+
+def _factors(cartan_type: str | Sequence[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
+    """Factors of a type string, or of (family, rank) pairs read as one.
+
+    Formatting the pairs first makes a rank such as 2.7, True or -1 an
+    InvalidType instead of a truncated int.
+    """
+    if isinstance(cartan_type, str):
+        return parse_cartan_type(cartan_type)
+    factors = parse_cartan_type(format_cartan_type(cartan_type))
+    if len(factors) != len(cartan_type):
+        raise InvalidType(f"factor families must be single letters: {cartan_type!r}")
+    return factors
 
 
 def _chain_matrix(n: int) -> list[list[int]]:
@@ -258,16 +296,10 @@ class RootSystem:
         )
 
     def _generate_roots(self) -> frozenset[Weight]:
-        seen: set[Weight] = set(self.simple_roots)
-        queue = deque(seen)
-        while queue:
-            w = queue.popleft()
-            for i in range(self.rank):
-                nxt = self.reflect(i, w)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return frozenset(seen)
+        return frozenset(closure(self.simple_roots, self._simple_images))
+
+    def _simple_images(self, lam: Weight) -> list[Weight]:
+        return [self.reflect(i, lam) for i in range(self.rank)]
 
     def pairing(self, x: Weight, y: Weight) -> Fraction:
         """Invariant symmetric bilinear form in simple-root coordinates."""
@@ -356,12 +388,7 @@ def _build_cached(factors: tuple[tuple[str, int], ...]) -> RootSystem:
 
 def build_root_system(cartan_type: str | Sequence[tuple[str, int]]) -> RootSystem:
     """Construct (with caching) the root system of the given finite type."""
-    if isinstance(cartan_type, str):
-        factors = parse_cartan_type(cartan_type)
-    else:
-        factors = tuple((str(f).upper(), int(n)) for f, n in cartan_type)
-        factors = parse_cartan_type(format_cartan_type(factors))
-    return _build_cached(factors)
+    return _build_cached(_factors(cartan_type))
 
 
 def _scaled(lam: Weight) -> tuple[int, list[int]]:
@@ -451,18 +478,7 @@ def weyl_orbit(rs: RootSystem, lam: Weight, cap: int = DEFAULT_CAP) -> frozenset
     """Full W-orbit of a weight; raises CapExceeded past ``cap`` elements."""
     if lam.rank != rs.rank:
         raise RankMismatch("weight rank does not match root system")
-    seen: set[Weight] = {lam}
-    queue = deque([lam])
-    while queue:
-        w = queue.popleft()
-        for i in range(rs.rank):
-            nxt = rs.reflect(i, w)
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(f"orbit size exceeded cap {cap}")
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(seen)
+    return frozenset(closure((lam,), rs._simple_images, cap, "orbit size"))
 
 
 def stabilizer_generators(rs: RootSystem, lam: Weight) -> StabilizerInfo:
@@ -488,26 +504,28 @@ def longest_element(rs: RootSystem) -> WeylElement:
 
 
 def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> frozenset[WeylElement]:
-    """All Weyl-group elements by closure under right multiplication."""
-    seen: dict[IntMat, WeylElement] = {rs.identity.matrix: rs.identity}
-    queue = deque([rs.identity])
+    """All Weyl-group elements, breadth first under right multiplication.
+
+    Each element keeps the first (shortlex least) word that reaches it.  A
+    group whose exact :func:`weyl_order` exceeds ``cap`` is refused before
+    any work.
+    """
+    order = weyl_order(rs.cartan_type)
+    if order > cap:
+        raise CapExceeded(f"Weyl group order {order} exceeded cap {cap}")
     a = rs.cartan_matrix
     n = rs.rank
-    while queue:
-        w = queue.popleft()
+
+    def right_multiples(w: WeylElement):
         m = w.matrix
         for i in range(n):
             ai = a[i]
-            nxt = tuple(
-                tuple(m[k][j] - m[k][i] * ai[j] for j in range(n)) for k in range(n)
+            yield WeylElement(
+                tuple(tuple(m[k][j] - m[k][i] * ai[j] for j in range(n)) for k in range(n)),
+                w.word + (i,),
             )
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(f"Weyl group order exceeded cap {cap}")
-                elem = WeylElement(nxt, w.word + (i,))
-                seen[nxt] = elem
-                queue.append(elem)
-    return frozenset(seen.values())
+
+    return frozenset(closure((rs.identity,), right_multiples))
 
 
 _WEYL_ORDER_EXCEPTIONAL = {
@@ -525,13 +543,8 @@ def weyl_order(cartan_type: str | Sequence[tuple[str, int]]) -> int:
     Used to budget enumerations before starting them; cross-checked against
     actual enumeration in the test suite.
     """
-    factors = (
-        parse_cartan_type(cartan_type)
-        if isinstance(cartan_type, str)
-        else tuple((f, int(n)) for f, n in cartan_type)
-    )
     total = 1
-    for family, n in factors:
+    for family, n in _factors(cartan_type):
         if family == "A":
             total *= math.factorial(n + 1)
         elif family in ("B", "C"):

@@ -17,7 +17,6 @@ from typing import Collection
 from .criterion import extended_stabilizer
 from .errors import (
     BadParameters,
-    CapExceeded,
     ConsistencyError,
     InvalidDatum,
     NoAdmissibleDirection,
@@ -41,6 +40,7 @@ from .rootdata import (
     RootSystem,
     Weight,
     apply,
+    closure,
     dominant_representative,
     enumerate_weyl,
     stabilizer_generators,
@@ -93,22 +93,15 @@ def weight_spectrum(
     order, with no multiplicities.
     """
     _assert_dominant_integral(rs, mu)
-    seen = {mu}
-    frontier = [mu]
-    while frontier:
-        nu = frontier.pop()
+
+    def steps(nu: Weight):
         pairings = rs.fw_coords(nu)
         for i in range(rs.rank):
-            steps = [rs.reflect(i, nu)]
+            yield rs.reflect(i, nu)
             if pairings[i] > 0:
-                steps.append(nu - rs.simple_roots[i])
-            for nxt in steps:
-                if nxt not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"weight spectrum exceeded cap {cap}")
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    return frozenset(seen)
+                yield nu - rs.simple_roots[i]
+
+    return frozenset(closure((mu,), steps, cap, "weight spectrum"))
 
 
 @dataclass(frozen=True)

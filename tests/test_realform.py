@@ -7,9 +7,11 @@ import pytest
 
 from cartan_ds import (
     CapExceeded,
+    ExactSequenceReport,
     NotInvolution,
     NotIsometric,
     NotRootPreserving,
+    PreconditionFailed,
     RankMismatch,
     Weight,
     apply,
@@ -19,11 +21,13 @@ from cartan_ds import (
     classify_restricted_type,
     entry_involution,
     entry_root_system,
+    enumerate_weyl,
     longest_element,
     multiplicity_identity_holds,
     restricted_roots,
     validate_involution,
     verify_exact_sequence,
+    weyl_order,
 )
 from cartan_ds import linalg
 
@@ -118,19 +122,13 @@ def test_integer_actions_match_rational_reference_across_catalog():
                 assert apply(w, lam).coords == linalg.mat_vec(w.matrix, lam.coords)
 
 
-def test_split_coordinate_roundtrip():
+def test_from_split_coords():
     rs, inv = form("su(3,1)")
     assert inv.split_rank == 1
-    v = inv.split_basis[0].scale(Fraction(-7, 3))
-    coords = inv.to_split_coords(v)
-    assert inv.from_split_coords(coords) == v
-
-
-def test_to_split_coords_rejects_vectors_outside_split_part():
-    rs, inv = form("su(2,1)")
-    compact = inv.compact_basis[0]
+    b = inv.split_basis[0]
+    assert inv.from_split_coords([Fraction(-7, 3)]) == b.scale(Fraction(-7, 3))
     with pytest.raises(RankMismatch):
-        inv.to_split_coords(compact)
+        inv.from_split_coords([1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +241,8 @@ def test_multiplicity_identity_across_whole_catalog():
         inv = entry_involution(entry, rs=rs)
         rrs = restricted_roots(rs, inv)
         assert multiplicity_identity_holds(rrs), entry.id
-        # the involution's split rank always matches the restricted span
-        assert len(rrs.simple_restricted) <= inv.split_rank
+        # the simple restricted roots are a basis of the split part
+        assert len(rrs.simple_restricted) == inv.split_rank
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +285,111 @@ def test_exact_sequence_for_rechosen_chamber():
     ) == (2, 1, 2)
 
 
+def test_exact_sequence_refuses_restricted_roots_that_are_no_root_system():
+    # a valid involution of A3 whose three positive restricted roots have
+    # angles no root system has (classified "?2"): its restricted reflections
+    # do not permute them, so they lie outside the image of the commutant
+    rs = build_root_system("A3")
+    inv = validate_involution(rs, ((1, -1, 0), (0, -1, 0), (0, 0, -1)))
+    assert classify_restricted_type(restricted_roots(rs, inv)) == "?2"
+    with pytest.raises(PreconditionFailed, match="not a root system"):
+        verify_exact_sequence(rs, inv)
+
+
 def test_exact_sequence_cap():
     rs, inv = form("split(B3)")
     with pytest.raises(CapExceeded):
         verify_exact_sequence(rs, inv, cap=10)
+
+
+def _reference_exact_sequence(rs, inv):
+    """The exact-sequence check on Fraction split-basis coordinates.
+
+    Each theta-commuting element acts on the split part as the matrix whose
+    columns solve for the images of the split basis vectors; the restricted
+    Weyl group is closed as Fraction matrices of the reflections s_beta.
+    """
+    rrs = restricted_roots(rs, inv)
+    r = inv.split_rank
+    basis_cols = tuple(
+        tuple(b.coords[i] for b in inv.split_basis) for i in range(rs.rank)
+    )
+
+    def split_coords(v):
+        sol = linalg.solve(basis_cols, v.coords)
+        assert sol is not None
+        return sol
+
+    def action(w):
+        cols = [split_coords(apply(w, b)) for b in inv.split_basis]
+        return tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
+
+    def close(gens, ident, mul):
+        seen, frontier = {ident}, [ident]
+        while frontier:
+            nxt = [mul(x, g) for x in frontier for g in gens]
+            frontier = [y for y in dict.fromkeys(nxt) if y not in seen]
+            seen.update(frontier)
+        return seen
+
+    theta = inv.theta
+    commutant = [
+        w
+        for w in enumerate_weyl(rs)
+        if linalg.mat_mul(w.matrix, theta) == linalg.mat_mul(theta, w.matrix)
+    ]
+    vanishing = close(
+        [rs.reflection_in_root(g) for g in rrs.vanishing_roots],
+        rs.identity,
+        lambda x, g: x.compose(g),
+    )
+    gram = tuple(
+        tuple(rs.pairing(a, b) for b in inv.split_basis) for a in inv.split_basis
+    )
+
+    def pair(x, y):
+        return sum(x[i] * gram[i][j] * y[j] for i in range(r) for j in range(r))
+
+    gens = []
+    for beta in rrs.indivisible & rrs.positive_restricted:
+        b = split_coords(beta)
+        cols = []
+        for j in range(r):
+            e = tuple(Fraction(int(i == j)) for i in range(r))
+            c = 2 * pair(e, b) / pair(b, b)
+            cols.append(tuple(e[i] - c * b[i] for i in range(r)))
+        gens.append(tuple(tuple(cols[j][i] for j in range(r)) for i in range(r)))
+    restricted = close(gens, linalg.identity(r) if r else (), linalg.mat_mul)
+    actions = {w: action(w) for w in commutant}
+    ident = linalg.identity(r) if r else ()
+    return ExactSequenceReport(
+        order_commutant=len(commutant),
+        order_vanishing=len(vanishing),
+        order_restricted=len(restricted),
+        kernel_matches={w for w, a in actions.items() if a == ident} == vanishing,
+        image_matches=set(actions.values()) == restricted,
+        order_identity=len(commutant) == len(vanishing) * len(restricted),
+    )
+
+
+def _sequence_cases():
+    for entry in build_default_catalog():
+        rs = entry_root_system(entry)
+        if weyl_order(rs.cartan_type) <= 1152:
+            yield entry.id, rs, entry_involution(entry, rs=rs)
+    # theta = s_i re-chooses the chamber and leaves vanishing roots
+    for t in ("A2", "B2", "G2", "A3", "B3"):
+        rs = build_root_system(t)
+        for i in range(rs.rank):
+            yield f"{t} s_{i}", rs, validate_involution(rs, rs.simple_reflection(i).matrix)
+
+
+def test_exact_sequence_matches_fraction_matrix_reference():
+    """Index tuples on the restricted roots against split-coordinate matrices."""
+    checked = 0
+    for name, rs, inv in _sequence_cases():
+        report = verify_exact_sequence(rs, inv)
+        assert report == _reference_exact_sequence(rs, inv), name
+        assert report.passed, name
+        checked += 1
+    assert checked >= 45

@@ -1,5 +1,6 @@
 """Root systems, Weyl groups, and orbit combinatorics."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,12 +14,16 @@ from cartan_ds import (
     Weight,
     apply,
     build_root_system,
+    catalog_form,
     dominant_representative,
+    entry_involution,
+    entry_root_system,
     enumerate_weyl,
     format_cartan_type,
     longest_element,
     parse_cartan_type,
     stabilizer_generators,
+    verify_exact_sequence,
     weyl_orbit,
     weyl_order,
     word_element,
@@ -64,6 +69,25 @@ def test_parse_rejects_invalid():
     for bad in ["H3", "A0", "E9", "", "Axx", "G3", "F5"]:
         with pytest.raises(InvalidType):
             parse_cartan_type(bad)
+
+
+def test_type_sequences_follow_the_string_rules():
+    bad_types = [
+        [("A", -1)],
+        [("B", 0)],
+        [("G", 3)],
+        [("A", 2.7)],
+        [("A", True)],
+        [("A2xB", 2)],
+        [("H", 3)],
+    ]
+    for bad in bad_types:
+        for fn in (weyl_order, build_root_system):
+            with pytest.raises(InvalidType):
+                fn(bad)
+    # lower-case families are accepted, as in strings
+    assert weyl_order([("e", 6)]) == weyl_order("E6") == 51840
+    assert build_root_system([("e", 6), ("a", 1)]) is build_root_system("E6xA1")
 
 
 def test_low_rank_aliases_are_legal():
@@ -149,6 +173,23 @@ def test_weyl_order_closed_forms():
 def test_enumerate_weyl_cap():
     with pytest.raises(CapExceeded):
         enumerate_weyl(build_root_system("A3"), cap=5)
+    b3 = build_root_system("B3")
+    assert len(enumerate_weyl(b3, cap=48)) == 48
+    with pytest.raises(CapExceeded, match="order 48 exceeded cap 47"):
+        enumerate_weyl(b3, cap=47)
+    # the order is known exactly, so an oversized group is refused at once
+    e8 = build_root_system("E8")
+    start = time.monotonic()
+    with pytest.raises(CapExceeded, match="order 696729600 exceeded cap 100000"):
+        enumerate_weyl(e8, cap=100000)
+    assert time.monotonic() - start < 1.0
+    entry = catalog_form("split(E7)")
+    rs = entry_root_system(entry)
+    inv = entry_involution(entry, rs=rs)
+    start = time.monotonic()
+    with pytest.raises(CapExceeded, match="order 2903040 exceeded cap 1000000"):
+        verify_exact_sequence(rs, inv)
+    assert time.monotonic() - start < 1.0
 
 
 def test_simple_reflection_action():
@@ -229,6 +270,10 @@ def test_weyl_orbit_cap():
     rs = build_root_system("B3")
     with pytest.raises(CapExceeded):
         weyl_orbit(rs, rs.rho, cap=7)
+    # rho is regular, so its orbit has |W| = 48 elements
+    assert len(weyl_orbit(rs, rs.rho, cap=48)) == 48
+    with pytest.raises(CapExceeded, match="orbit size exceeded cap 47"):
+        weyl_orbit(rs, rs.rho, cap=47)
 
 
 def test_stabilizer_generators_fix_the_weight():

@@ -6,6 +6,7 @@ import pytest
 
 from cartan_ds import (
     BadParameters,
+    CapExceeded,
     FormalDSDatum,
     InvalidDatum,
     NoAdmissibleDirection,
@@ -61,6 +62,13 @@ def test_spectrum_counts_frozen():
     rs = build_root_system("A2")
     assert len(weight_spectrum(rs, rs.rho)) == 7
     assert len(weight_spectrum(rs, rs.fundamental_weights[0])) == 3
+
+
+def test_spectrum_cap_binds_at_the_exact_size():
+    rs = build_root_system("A2")
+    assert len(weight_spectrum(rs, rs.rho, cap=7)) == 7
+    with pytest.raises(CapExceeded, match="weight spectrum exceeded cap 6"):
+        weight_spectrum(rs, rs.rho, cap=6)
 
 
 def test_spectrum_of_minuscule_weight_is_its_orbit():
