@@ -23,7 +23,6 @@ from cartan_ds import (
     apply,
     build_default_catalog,
     dominant_representative,
-    dual_chamber,
     entry_involution,
     entry_root_system,
     longest_element,
@@ -50,8 +49,7 @@ def main() -> int:
         anti = apply(longest_element(rs), dom)
         exps = frozenset({inv.restrict(anti)})
         if args.worst_case:
-            chamber = dual_chamber(rrs)
-            exps = admissible_exponents(rs, inv, chamber, rs.rho, cfg.cap) or exps
+            exps = admissible_exponents(rs, inv, rrs, rs.rho, cfg.cap) or exps
         datum = FormalDSDatum(weight=rs.rho, exponents=exps, label=entry.id)
         t0 = time.monotonic()
         try:

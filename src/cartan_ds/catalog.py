@@ -317,9 +317,13 @@ def _field(doc: dict, key: str, kind: type):
 
 def document_to_entry(doc: dict) -> CatalogEntry:
     try:
-        rows = tuple(
-            tuple(linalg.frac(x) for x in row) for row in doc["theta_matrix"]
-        )
+        rows = doc["theta_matrix"]
+        # else a string row would be iterated, and a JSON true read as 1
+        if not all(
+            type(row) is list and all(type(x) in (int, str) for x in row) for row in rows
+        ):
+            raise TypeError("theta_matrix must be a list of lists of JSON integers or strings")
+        rows = tuple(tuple(linalg.frac(x) for x in row) for row in rows)
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("theta_matrix must be square")
         return CatalogEntry(

@@ -57,7 +57,6 @@ from .exponents import (
     SignedSqrt,
     admissible_exponents,
     cone_position,
-    dual_chamber,
     sorted_exponents,
     validate_datum,
 )
@@ -486,7 +485,6 @@ def cmd_strongreg(args: argparse.Namespace) -> tuple[Report, int]:
     directory = cat.resolve_catalog_dir(args.catalog)
     entry, rs, inv, source = load_form(args.form, directory)
     rrs = restricted_roots(rs, inv)
-    chamber = dual_chamber(rrs)
 
     datum_doc: dict[str, Any] | None = None
     if args.datum is not None:
@@ -518,7 +516,7 @@ def cmd_strongreg(args: argparse.Namespace) -> tuple[Report, int]:
     if args.worst_case:
         datum = FormalDSDatum(
             weight=datum.weight,
-            exponents=admissible_exponents(rs, inv, chamber, datum.weight, cfg.cap),
+            exponents=admissible_exponents(rs, inv, rrs, datum.weight, cfg.cap),
             label=datum.label,
         )
 
@@ -528,7 +526,7 @@ def cmd_strongreg(args: argparse.Namespace) -> tuple[Report, int]:
     stab = extended_stabilizer(rs, inv, result.final_weight)
     recheck_sr = stab.is_trivial
     recheck_cone = all(
-        cone_position(chamber, e).neg_interior
+        cone_position(rrs, e).neg_interior
         for e in sorted_exponents(result.certificates.scaled_exponents)
     )
     cert_ok = (
@@ -640,7 +638,6 @@ def suite_pipeline(cap: int) -> dict[str, Any]:
         rs = cat.entry_root_system(entry)
         inv = cat.entry_involution(entry, rs=rs)
         rrs = restricted_roots(rs, inv)
-        chamber = dual_chamber(rrs)
         lam = rs.rho
         dom, _ = dominant_representative(rs, lam)
         anti = apply(longest_element(rs), dom)
@@ -651,7 +648,7 @@ def suite_pipeline(cap: int) -> dict[str, Any]:
         result = strong_regularization(rs, inv, rrs, datum, cfg)
         stab = extended_stabilizer(rs, inv, result.final_weight)
         cone_ok = all(
-            cone_position(chamber, e).neg_interior
+            cone_position(rrs, e).neg_interior
             for e in sorted_exponents(result.certificates.scaled_exponents)
         )
         # Margin linearity along the translated line, checked exactly.
@@ -660,14 +657,14 @@ def suite_pipeline(cap: int) -> dict[str, Any]:
             weight=dom, exponents=frozenset({inv.restrict(anti)}), label=form
         )
         base_positions = [
-            cone_position(chamber, e)
+            cone_position(rrs, e)
             for e in sorted_exponents(base_datum.exponents)
         ]
         for k in range(11):
-            moved = translate_line(rs, inv, chamber, base_datum, k, cfg)
+            moved = translate_line(rs, inv, rrs, base_datum, k, cfg)
             factor = k * cfg.integrality + 1
             got = [
-                cone_position(chamber, e)
+                cone_position(rrs, e)
                 for e in sorted_exponents(moved.exponents)
             ]
             want = [p.margin.scale(Fraction(factor)) for p in base_positions]

@@ -2,10 +2,11 @@
 
 Exponents of matrix-coefficient asymptotics live in the dual of the split
 part.  The square-integrability condition places them in the negative open
-interior of the cone spanned by the positive restricted roots; this module
-computes that cone's dual description, exact positions and margins relative
-to it, the monoid partial order on exponents, and the admissible subset of a
-Weyl orbit.
+interior of the cone spanned by the positive restricted roots.  The
+restricted root system carries that cone's dual description (facet rays with
+integer covectors, built once by ``restricted_roots``); this module computes
+exact positions and margins relative to it, the monoid partial order on
+exponents, and the admissible subset of a Weyl orbit.
 
 Margins are distances of the form q·sqrt(r) with q, r rational; they are kept
 exact as a sign plus a squared magnitude, which supports all comparisons and
@@ -21,9 +22,9 @@ from functools import total_ordering
 from typing import Iterable
 
 from . import linalg
-from .errors import ConsistencyError, InvalidDatum, RankMismatch
-from .realform import CartanInvolution, RestrictedRootSystem
-from .rootdata import DEFAULT_CAP, RootSystem, Weight, weyl_orbit
+from .errors import InvalidDatum, RankMismatch
+from .realform import CartanInvolution, RestrictedRootSystem, restricted_roots
+from .rootdata import DEFAULT_CAP, RootSystem, Weight, _int_mat_vec, _scaled, weyl_orbit
 
 
 @total_ordering
@@ -95,70 +96,23 @@ class SignedSqrt:
         return f"SignedSqrt({pre}sqrt({self.square}))"
 
 
-@dataclass(frozen=True, eq=False)
-class DualChamber:
-    """The cone spanned by the positive restricted roots, with its dual
-    description.
+def dual_chamber(rrs: RestrictedRootSystem) -> RestrictedRootSystem:
+    """The restricted root system itself, which carries its dual cone.
 
-    ``facet_rays`` is the basis dual to the simple restricted roots inside
-    their span: a vector lies in the cone iff it pairs nonnegatively with
-    every ray.  ``fulldim`` records whether the restricted roots span the
-    whole split part; when they do not, the cone has empty interior there and
-    no vector counts as negative-interior.
+    The name stays because ``perfbench/workloads.py`` calls it and
+    ``perfbench/tracing.py`` traces it.
     """
-
-    restricted: RestrictedRootSystem
-    generators: tuple[Weight, ...]
-    facet_rays: tuple[Weight, ...]
-    fulldim: bool
-
-    @property
-    def root_system(self) -> RootSystem:
-        return self.restricted.root_system
+    return rrs
 
 
-def dual_chamber(rrs: RestrictedRootSystem) -> DualChamber:
-    """Build the dual description of the positive restricted cone.
-
-    The simple restricted roots are linearly independent, so the rays solve
-    the exact dual-basis equations against their Gram matrix; the builder
-    cross-checks that every positive restricted root pairs nonnegatively with
-    every ray (the primal and dual descriptions agree on the generators).
-    """
-    simple = rrs.simple_restricted
-    r = len(simple)
-    rays: tuple[Weight, ...] = ()
-    if r:
-        gram = tuple(
-            tuple(rrs.pairing(simple[i], simple[j]) for j in range(r))
-            for i in range(r)
-        )
-        try:
-            gram_inv = linalg.inverse(gram)
-        except ValueError as exc:
-            raise ConsistencyError(
-                "simple restricted roots are not linearly independent"
-            ) from exc
-        ray_list = []
-        for j in range(r):
-            ray = Weight.zero(rrs.root_system.rank)
-            for k in range(r):
-                ray = ray + simple[k].scale(gram_inv[k][j])
-            ray_list.append(ray)
-        rays = tuple(ray_list)
-    fulldim = rrs.split_rank > 0 and r == rrs.split_rank
-    chamber = DualChamber(
-        restricted=rrs, generators=tuple(sorted(
-            rrs.positive_restricted, key=lambda w: w.coords
-        )), facet_rays=rays, fulldim=fulldim
+def _ray_pairings(rrs: RestrictedRootSystem, v: Weight) -> tuple[Fraction, ...]:
+    """v's exact pairings with the facet rays: v is scaled to ints once, then
+    one int dot product and one division per ray."""
+    scale, coords = _scaled(v)
+    return tuple(
+        Fraction(x, s * scale)
+        for x, s in zip(_int_mat_vec(rrs.ray_covectors, coords), rrs.ray_scales)
     )
-    for gen in chamber.generators:
-        for ray in rays:
-            if rrs.pairing(gen, ray) < 0:
-                raise ConsistencyError(
-                    "dual description disagrees with a positive restricted root"
-                )
-    return chamber
 
 
 NEG_INTERIOR = "neg_interior"
@@ -183,19 +137,15 @@ class ConePosition:
         return self.kind == NEG_INTERIOR
 
 
-def cone_position(chamber: DualChamber, v: Weight) -> ConePosition:
+def cone_position(chamber: RestrictedRootSystem, v: Weight) -> ConePosition:
     """Locate v relative to -(positive restricted cone), with exact margin."""
-    rrs = chamber.restricted
-    if v.rank != rrs.root_system.rank:
+    if v.rank != chamber.root_system.rank:
         raise RankMismatch("vector rank does not match the root system")
-    pairings = tuple(rrs.pairing(v, ray) for ray in chamber.facet_rays)
-    margin: SignedSqrt | None = None
-    for p, ray in zip(pairings, chamber.facet_rays):
-        value = SignedSqrt.of_ratio(-p, rrs.pairing(ray, ray))
-        if margin is None or value < margin:
-            margin = value
-    if margin is None:
-        margin = SignedSqrt.zero()
+    pairings = _ray_pairings(chamber, v)
+    margin = min(
+        (SignedSqrt.of_ratio(-p, n) for p, n in zip(pairings, chamber.ray_norms)),
+        default=SignedSqrt.zero(),
+    )
     interior = chamber.fulldim and all(p < 0 for p in pairings)
     return ConePosition(
         kind=NEG_INTERIOR if interior else BOUNDARY_OR_OUTSIDE,
@@ -210,27 +160,22 @@ def monoid_member(rrs: RestrictedRootSystem, xi: Weight) -> bool:
     Every positive restricted root is itself a nonnegative-integer
     combination of the simple restricted roots (true also in the non-reduced
     case), so membership is equivalent to the coordinates of xi in the
-    simple restricted basis being nonnegative integers; those coordinates are
-    unique by linear independence.
+    simple restricted basis being nonnegative integers.  The facet rays are
+    the dual basis, so those coordinates are xi's ray pairings; rebuilding xi
+    from them rules out a vector outside the span.
     """
     simple = rrs.simple_restricted
     if xi.is_zero():
         return True
     if not simple:
         return False
-    n = rrs.root_system.rank
-    cols = tuple(
-        tuple(s.coords[i] for s in simple) for i in range(n)
-    )
-    sol = linalg.solve(cols, xi.coords)
-    if sol is None:
-        return False
-    rebuilt = Weight.zero(n)
-    for c, s in zip(sol, simple):
+    coords = _ray_pairings(rrs, xi)
+    rebuilt = Weight.zero(rrs.root_system.rank)
+    for c, s in zip(coords, simple):
         rebuilt = rebuilt + s.scale(c)
     if rebuilt != xi:
         return False
-    return all(c.denominator == 1 and c >= 0 for c in sol)
+    return all(c.denominator == 1 and c >= 0 for c in coords)
 
 
 def dominates(rrs: RestrictedRootSystem, a: Weight, b: Weight) -> bool:
@@ -285,7 +230,7 @@ def orbit_restrictions(
 def admissible_exponents(
     rs: RootSystem,
     inv: CartanInvolution,
-    chamber: DualChamber,
+    chamber: RestrictedRootSystem,
     lam: Weight,
     cap: int = DEFAULT_CAP,
 ) -> frozenset[Weight]:
@@ -330,12 +275,8 @@ class L2Report:
         return min(pos.margin for _, pos in self.positions)
 
 
-def l2_check(
-    chamber: DualChamber | RestrictedRootSystem, datum: FormalDSDatum
-) -> L2Report:
+def l2_check(chamber: RestrictedRootSystem, datum: FormalDSDatum) -> L2Report:
     """True iff every exponent lies in the negative open cone interior."""
-    if isinstance(chamber, RestrictedRootSystem):
-        chamber = dual_chamber(chamber)
     positions = tuple(
         (e, cone_position(chamber, e)) for e in sorted_exponents(datum)
     )
@@ -350,13 +291,11 @@ def orbit_plus(
     inv: CartanInvolution,
     lam: Weight,
     cap: int = DEFAULT_CAP,
-    chamber: DualChamber | None = None,
+    chamber: RestrictedRootSystem | None = None,
 ) -> frozenset[Weight]:
     """Orbit elements whose restriction lies in the negative cone interior."""
     if chamber is None:
-        from .realform import restricted_roots
-
-        chamber = dual_chamber(restricted_roots(rs, inv))
+        chamber = restricted_roots(rs, inv)
     return frozenset(
         nu
         for nu in weyl_orbit(rs, lam, cap)

@@ -5,6 +5,9 @@ invariant pairing and permuting the roots.  Its (-1)-eigenspace plays the role
 of the dual split part: restriction of a weight is (lam - theta(lam)) / 2, and
 the nonzero restrictions of roots form the (possibly non-reduced) restricted
 root system, each with a multiplicity equal to its number of preimages.
+Roots and theta are integral, so the doubled restriction alpha - theta(alpha)
+is an int vector: the restricted root system, and the dual description of its
+positive cone, are built once from those.
 
 A positive system of the ambient roots is *compatible* when its nonzero
 restrictions form a positive system of the restricted roots.  The validator
@@ -15,12 +18,15 @@ carries the default system onto the chosen one.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
 from .errors import (
+    ConsistencyError,
     NotInvolution,
     NotIsometric,
     NotRootPreserving,
@@ -34,6 +40,7 @@ from .rootdata import (
     Weight,
     WeylElement,
     _int_mat_vec,
+    _scaled,
     apply,
     apply_matrix,
     closure,
@@ -197,13 +204,23 @@ def _compatible_positive_system(
 
 @dataclass(frozen=True, eq=False)
 class RestrictedRootSystem:
-    """Restrictions of the ambient roots to the dual split part.
+    """Restrictions of the ambient roots to the dual split part, with the dual
+    description of their positive cone.
 
     Restricted roots are stored as ambient vectors lying in the
     (-1)-eigenspace.  ``positive_restricted`` is induced by the involution's
     compatible positive system; ``vanishing_roots`` are the ambient roots that
     restrict to zero; ``indivisible`` is the reduced subsystem of restricted
     roots whose half is not itself a restricted root.
+
+    ``facet_rays`` is the basis dual to the simple restricted roots inside
+    their span: a vector lies in the positive restricted cone iff it pairs
+    nonnegatively with every ray.  Ray j has the integer covector
+    ``ray_covectors[j]`` = c and scale ``ray_scales[j]`` = s, with
+    (v, ray) = c.v / s, and the squared length ``ray_norms[j]``.
+    ``fulldim`` records whether the restricted roots span the whole split
+    part; when they do not, the cone has empty interior there and no vector
+    counts as negative-interior.
     """
 
     root_system: RootSystem
@@ -215,6 +232,11 @@ class RestrictedRootSystem:
     rho_restricted: Weight
     simple_restricted: tuple[Weight, ...]
     indivisible: frozenset[Weight]
+    facet_rays: tuple[Weight, ...]
+    ray_covectors: IntMat
+    ray_scales: tuple[int, ...]
+    ray_norms: tuple[Fraction, ...]
+    fulldim: bool
 
     @property
     def split_rank(self) -> int:
@@ -225,37 +247,77 @@ class RestrictedRootSystem:
 
 
 def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSystem:
-    """Compute the restricted root system with multiplicities."""
-    restrictions = {root: inv.restrict(root) for root in rs.all_roots}
-    mult: dict[Weight, int] = {}
-    vanishing = []
-    for root, v in restrictions.items():
-        if v.is_zero():
-            vanishing.append(root)
-        else:
-            mult[v] = mult.get(v, 0) + 1
-    restricted = frozenset(mult)
-    positive = frozenset(
-        restrictions[r] for r in inv.positive_roots if not restrictions[r].is_zero()
+    """Compute the restricted root system, its multiplicities and dual cone.
+
+    Everything is found on the doubled restrictions alpha - theta(alpha),
+    which are int vectors, and one Weight is made per distinct restricted
+    root at the end.  Raises ConsistencyError when the simple restricted roots
+    are not linearly independent or a positive restricted root pairs
+    negatively with a facet ray.
+    """
+    zero = (0,) * rs.rank
+    doubled: dict[Weight, tuple[int, ...]] = {}
+    for root in rs.all_roots:
+        a = [c.numerator for c in root.coords]  # roots are integral
+        doubled[root] = tuple(map(operator.sub, a, _int_mat_vec(inv.theta, a)))
+    mult = Counter(d for d in doubled.values() if d != zero)
+    positive = {doubled[r] for r in inv.positive_roots} - {zero}
+    simple = sorted(
+        d
+        for d in positive
+        if not any(tuple(map(operator.sub, d, e)) in positive for e in positive)
     )
-    rho_r = Weight.zero(rs.rank)
-    for v in positive:
-        rho_r = rho_r + v.scale(Fraction(mult[v], 2))
-    sums = {a + b for a in positive for b in positive}
-    simple = tuple(
-        sorted((v for v in positive if v not in sums), key=lambda w: w.coords)
+    two_rho = [sum(mult[d] * d[i] for d in positive) for i in range(rs.rank)]
+
+    # the rays are the basis dual to the simple restricted roots d / 2, whose
+    # pairings are quarters of int pairings
+    form = linalg.as_int_matrix(rs.form)
+    gram = tuple(
+        tuple(Fraction(x, 4) for x in _int_mat_vec(simple, _int_mat_vec(form, d)))
+        for d in simple
     )
-    indivisible = frozenset(v for v in restricted if v.scale(HALF) not in restricted)
+    try:
+        gram_inv = linalg.inverse(gram)
+    except ValueError as exc:
+        raise ConsistencyError(
+            "simple restricted roots are not linearly independent"
+        ) from exc
+    r = len(simple)
+    rays = tuple(
+        Weight(tuple(
+            sum(simple[k][i] * gram_inv[k][j] for k in range(r)) / 2
+            for i in range(rs.rank)
+        ))
+        for j in range(r)
+    )
+    scaled = [_scaled(apply_matrix(form, ray)) for ray in rays]
+    covectors = tuple(tuple(c) for _, c in scaled)
+    if any(x < 0 for d in positive for x in _int_mat_vec(covectors, d)):
+        raise ConsistencyError(
+            "dual description disagrees with a positive restricted root"
+        )
+
+    weights = {d: Weight(tuple(Fraction(x, 2) for x in d)) for d in mult}
     return RestrictedRootSystem(
         root_system=rs,
         involution=inv,
-        restricted_roots=restricted,
-        multiplicity=mult,
-        positive_restricted=positive,
-        vanishing_roots=frozenset(vanishing),
-        rho_restricted=rho_r,
-        simple_restricted=simple,
-        indivisible=indivisible,
+        restricted_roots=frozenset(weights.values()),
+        multiplicity={weights[d]: m for d, m in mult.items()},
+        positive_restricted=frozenset(weights[d] for d in positive),
+        vanishing_roots=frozenset(r for r, d in doubled.items() if d == zero),
+        rho_restricted=Weight(tuple(Fraction(x, 4) for x in two_rho)),
+        simple_restricted=tuple(weights[d] for d in simple),
+        indivisible=frozenset(
+            weights[d]
+            for d in mult
+            if any(x % 2 for x in d) or tuple(x // 2 for x in d) not in mult
+        ),
+        facet_rays=rays,
+        ray_covectors=covectors,
+        ray_scales=tuple(scale for scale, _ in scaled),
+        # (ray_j, ray_j) = sum_k gram_inv[k][j] (simple_k, ray_j) = gram_inv[j][j]
+        ray_norms=tuple(gram_inv[j][j] for j in range(r)),
+        fulldim=inv.split_rank > 0 and r == inv.split_rank,
     )
 
 
@@ -383,7 +445,10 @@ def verify_exact_sequence(
         if linalg.mat_mul(w.matrix, theta) == linalg.mat_mul(theta, w.matrix)
     ]
 
-    gens = [rs.reflection_in_root(g) for g in sorted(rrs.vanishing_roots, key=lambda w: w.coords)]
+    # the vanishing roots are a root system, generated by its simple roots
+    fixed = rrs.vanishing_roots & inv.positive_roots
+    simple_fixed = [b for b in fixed if not any(b - a in fixed for a in fixed)]
+    gens = [rs.reflection_in_root(b) for b in sorted(simple_fixed, key=lambda w: w.coords)]
     vanishing_group = closure(
         (rs.identity,), lambda w: (w.compose(g) for g in gens), cap, "vanishing Weyl group"
     )

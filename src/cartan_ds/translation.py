@@ -25,12 +25,10 @@ from .errors import (
     SearchExhausted,
 )
 from .exponents import (
-    DualChamber,
     FormalDSDatum,
     SignedSqrt,
     admissible_exponents,
     cone_position,
-    dual_chamber,
     orbit_restrictions,
     sorted_exponents,
 )
@@ -174,7 +172,7 @@ class TensorL2Report:
 
 
 def _cone_margin(
-    chamber: DualChamber, exponents: Collection[Weight], shifts: Collection[Weight]
+    chamber: RestrictedRootSystem, exponents: Collection[Weight], shifts: Collection[Weight]
 ) -> tuple[bool, SignedSqrt | None]:
     """Whether all exponent+shift sums are cone-interior, and their least margin."""
     passed = True
@@ -189,7 +187,7 @@ def _cone_margin(
 
 
 def tensor_l2_condition(
-    chamber: DualChamber,
+    chamber: RestrictedRootSystem,
     inv: CartanInvolution,
     datum: FormalDSDatum,
     mu: Weight,
@@ -226,7 +224,7 @@ def tensor_l2_condition(
 def translate_line(
     rs: RootSystem,
     inv: CartanInvolution,
-    chamber: DualChamber,
+    chamber: RestrictedRootSystem,
     datum: FormalDSDatum,
     k: int,
     cfg: TranslationConfig,
@@ -352,8 +350,7 @@ def strong_regularization(
     weight is reported in the chamber compatible with the involution; all
     certificates are re-verified on the result.
     """
-    chamber = dual_chamber(rrs)
-    allowed = admissible_exponents(rs, inv, chamber, datum.weight, cfg.cap)
+    allowed = admissible_exponents(rs, inv, rrs, datum.weight, cfg.cap)
     if not allowed:
         raise NoAdmissibleDirection(
             "no orbit element restricts into the negative cone interior"
@@ -390,7 +387,7 @@ def strong_regularization(
             final_weight = base_dom.scale(factor) + shift
             stab = extended_stabilizer(rs, inv, final_weight)
             cone_ok, margin = _cone_margin(
-                chamber, [e.scale(factor) for e in exponents], shifts
+                rrs, [e.scale(factor) for e in exponents], shifts
             )
             candidate = SearchBest(
                 coefficients=coeffs,
@@ -412,7 +409,7 @@ def strong_regularization(
                 mus=tuple(mus),
                 final_weight=final_weight,
                 certificates=_certify(
-                    rs, inv, chamber, exponents, base_dom, factor, mus, cfg
+                    rs, inv, rrs, exponents, base_dom, factor, mus, cfg
                 ),
             )
     raise SearchExhausted(
@@ -424,7 +421,7 @@ def strong_regularization(
 def _certify(
     rs: RootSystem,
     inv: CartanInvolution,
-    chamber: DualChamber,
+    chamber: RestrictedRootSystem,
     exponents: tuple[Weight, ...],
     base_dom: Weight,
     factor: Fraction,

@@ -173,6 +173,21 @@ def test_document_rejects_mistyped_fields(key, value):
         document_to_entry(doc)
 
 
+MALFORMED_MATRICES = [
+    ("su(2,1)", ["10", "01"]),  # string rows, read as the identity
+    ("sl(2,R)", ["1"]),  # a string row, read as [[1]]
+    ("sl(2,R)", [[True]]),  # a JSON true, read as 1
+]
+
+
+@pytest.mark.parametrize("form_id,matrix", MALFORMED_MATRICES)
+def test_document_rejects_matrix_of_non_lists_or_bools(form_id, matrix):
+    doc = entry_to_document(catalog_form(form_id))
+    doc["theta_matrix"] = matrix
+    with pytest.raises(ParseError):
+        document_to_entry(doc)
+
+
 def test_entry_filename_sanitizes():
     assert entry_filename("su(2,1)") == "su_2_1.json"
     assert entry_filename("split(E8)") == "split_E8.json"

@@ -429,3 +429,18 @@ def test_string_verdict_in_catalog_is_a_parse_error(capsys, tmp_path):
     rc, doc, _ = run_json(capsys, "criterion", "split(A2)", "--catalog", str(bad_dir))
     assert rc == 2
     assert doc["error"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "form_id,matrix",
+    [("su(2,1)", ["10", "01"]), ("sl(2,R)", ["1"]), ("sl(2,R)", [[True]])],
+)
+def test_malformed_catalog_matrix_exits_2(capsys, tmp_path, form_id, matrix):
+    doc_in = entry_to_document(catalog_form(form_id))
+    doc_in["theta_matrix"] = matrix
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(doc_in))
+    rc, doc, _ = run_json(capsys, "criterion", str(path))
+    assert rc == 2 and doc["error"] == "ParseError"
+    rc, doc, _ = run_json(capsys, "criterion", form_id, "--catalog", str(tmp_path))
+    assert rc == 2 and doc["error"] == "ParseError"
