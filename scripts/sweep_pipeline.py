@@ -20,12 +20,10 @@ from cartan_ds import (
     SearchExhausted,
     TranslationConfig,
     admissible_exponents,
-    apply,
+    antidominant_restriction,
     build_default_catalog,
-    dominant_representative,
     entry_involution,
     entry_root_system,
-    longest_element,
     restricted_roots,
     strong_regularization,
 )
@@ -45,9 +43,7 @@ def main() -> int:
             continue
         inv = entry_involution(entry, rs=rs)
         rrs = restricted_roots(rs, inv)
-        dom, _ = dominant_representative(rs, rs.rho)
-        anti = apply(longest_element(rs), dom)
-        exps = frozenset({inv.restrict(anti)})
+        exps = frozenset({antidominant_restriction(rs, inv, rs.rho)})
         if args.worst_case:
             exps = admissible_exponents(rs, inv, rrs, rs.rho, cfg.cap) or exps
         datum = FormalDSDatum(weight=rs.rho, exponents=exps, label=entry.id)

@@ -11,7 +11,8 @@ forms, a product of disjoint transpositions for the special unitaries, and
 plus or minus the identity for compact and split forms.
 
 On disk a catalog is a directory of one JSON document per entry; matrix
-entries are serialized as rational strings so files round-trip exactly.
+entries are written as integer strings and read back as JSON integers or
+integer strings, and ids are unique within a directory.
 """
 
 from __future__ import annotations
@@ -315,21 +316,32 @@ def _field(doc: dict, key: str, kind: type):
     return doc[key]
 
 
+_INT_TEXT = re.compile(r"-?[0-9]+")
+
+
+def _matrix_entry(x: object) -> int:
+    """An int, or a string "-?[0-9]+" as entry_to_document writes it (a JSON
+    true is no int)."""
+    if type(x) is int:
+        return x
+    if type(x) is str and _INT_TEXT.fullmatch(x):
+        return int(x)
+    raise ValueError(f"theta_matrix entry must be a JSON integer or integer string, got {x!r}")
+
+
 def document_to_entry(doc: dict) -> CatalogEntry:
     try:
         rows = doc["theta_matrix"]
-        # else a string row would be iterated, and a JSON true read as 1
-        if not all(
-            type(row) is list and all(type(x) in (int, str) for x in row) for row in rows
-        ):
-            raise TypeError("theta_matrix must be a list of lists of JSON integers or strings")
-        rows = tuple(tuple(linalg.frac(x) for x in row) for row in rows)
-        if any(len(row) != len(rows) for row in rows):
+        # else a string row would be iterated
+        if not all(type(row) is list for row in rows):
+            raise TypeError("theta_matrix must be a list of lists")
+        theta = tuple(tuple(_matrix_entry(x) for x in row) for row in rows)
+        if any(len(row) != len(theta) for row in theta):
             raise ValueError("theta_matrix must be square")
         return CatalogEntry(
             id=_field(doc, "id", str),
             cartan_type=_field(doc, "cartan_type", str),
-            theta_matrix=linalg.as_int_matrix(rows),
+            theta_matrix=theta,
             compact_rank=_field(doc, "compact_rank", int),
             expected_verdict=_field(doc, "expected_verdict", bool),
         )
@@ -356,17 +368,25 @@ def write_catalog(directory: str | os.PathLike, entries) -> list[Path]:
 
 
 def load_catalog(directory: str | os.PathLike) -> list[CatalogEntry]:
-    """Read every *.json in a catalog directory, sorted by entry id."""
+    """Read every *.json in a catalog directory, sorted by entry id.
+
+    Two documents with the same id are a ParseError naming both files.
+    """
     root = Path(directory)
     if not root.is_dir():
         raise ParseError(f"catalog directory not found: {root}")
+    paths: dict[str, Path] = {}
     entries = []
     for path in sorted(root.glob("*.json")):
         try:
             doc = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-        entries.append(document_to_entry(doc))
+        entry = document_to_entry(doc)
+        if entry.id in paths:
+            raise ParseError(f"catalog id {entry.id!r} is in both {paths[entry.id]} and {path}")
+        paths[entry.id] = path
+        entries.append(entry)
     entries.sort(key=lambda e: e.id)
     return entries
 

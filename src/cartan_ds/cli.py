@@ -35,7 +35,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -56,6 +55,7 @@ from .exponents import (
     FormalDSDatum,
     SignedSqrt,
     admissible_exponents,
+    antidominant_restriction,
     cone_position,
     sorted_exponents,
     validate_datum,
@@ -63,6 +63,7 @@ from .exponents import (
 from .linalg import format_rational, frac
 from .realform import (
     CartanInvolution,
+    RestrictedRootSystem,
     classify_restricted_type,
     multiplicity_identity_holds,
     restricted_roots,
@@ -73,15 +74,13 @@ from .rootdata import (
     RootSystem,
     Weight,
     WeylElement,
-    apply,
     build_root_system,
-    dominant_representative,
-    longest_element,
     weyl_order,
     weyl_orbit,
 )
 from .translation import (
     TranslationConfig,
+    TranslationResult,
     strong_regularization,
     translate_line,
     verify_sum_splitting,
@@ -108,26 +107,6 @@ EXACT_SEQUENCE_MAX_WEYL = 46080
 # ---------------------------------------------------------------------------
 # Reports and serialization
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Report:
-    """Uniform result envelope for every subcommand."""
-
-    command: str
-    inputs: dict[str, Any]
-    results: Any
-    certificates: dict[str, Any]
-    timing_ms: int
-
-    def to_document(self) -> dict[str, Any]:
-        return {
-            "command": self.command,
-            "inputs": encode_value(self.inputs),
-            "results": encode_value(self.results),
-            "certificates": encode_value(self.certificates),
-            "timing_ms": self.timing_ms,
-        }
 
 
 def encode_value(value: Any) -> Any:
@@ -200,15 +179,14 @@ def _compact(value: Any) -> str:
     return str(value)
 
 
-def emit(report: Report, as_json: bool) -> None:
-    doc = report.to_document()
+def emit(doc: dict[str, Any], as_json: bool) -> None:
     if as_json:
         print(json.dumps(doc, separators=(",", ": ")))
         return
-    if report.command == "catalog":
+    if doc["command"] == "catalog":
         _print_catalog_table(doc)
         return
-    print(f"[{report.command}]")
+    print(f"[{doc['command']}]")
     for section in ("inputs", "results", "certificates"):
         print(f"{section}:")
         for line in render_human(doc[section], indent=1):
@@ -247,24 +225,25 @@ def _print_catalog_table(doc: dict[str, Any]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def parse_vector(text: str, rank: int, what: str) -> Weight:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != rank or any(not p for p in parts):
-        raise ParseError(f"{what}: expected {rank} comma-separated rationals, got {text!r}")
+def parse_vector(values: Sequence[object], rank: int, what: str) -> Weight:
+    """A weight from rank coordinates, each an int or a string holding one
+    rational: command-line text split on ",", or a datum document's list (where
+    a JSON true, a float or "1,1" is no coordinate)."""
+    if len(values) != rank:
+        raise ParseError(f"{what}: expected {rank} rationals, got {values!r}")
+    if any(type(v) not in (int, str) for v in values):
+        raise ParseError(f"{what}: coordinates must be integers or strings, got {values!r}")
     try:
-        return Weight.of(frac(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
+        return Weight.of(frac(v) for v in values)
+    except ValueError as exc:
         raise ParseError(f"{what}: {exc}") from exc
 
 
-def parse_vector_list(text: str, rank: int, what: str) -> list[Weight]:
-    chunks = [c for c in (p.strip() for p in text.split(";")) if c]
-    return [parse_vector(c, rank, f"{what}[{i}]") for i, c in enumerate(chunks)]
-
-
-def resolve_form(form: str, catalog_dir: Path) -> tuple[CatalogEntry, str]:
+def load_form(
+    form: str, catalog_dir: Path
+) -> tuple[CatalogEntry, RootSystem, CartanInvolution, str]:
     """Resolve a form (file path, catalog entry by canonical id, or builder
-    entry) and its provenance.
+    entry) to its entry, root system, validated involution and provenance.
 
     The provenance is "catalog" when the involution matches the builder's
     construction of the entry's id.  Entries whose matrix differs from (or has
@@ -294,15 +273,8 @@ def resolve_form(form: str, catalog_dir: Path) -> tuple[CatalogEntry, str]:
         if entry is None:
             raise error
     matches = built is not None and built.theta_matrix == entry.theta_matrix
-    return entry, "catalog" if matches else "user"
-
-
-def load_form(
-    form: str, catalog_dir: Path
-) -> tuple[CatalogEntry, RootSystem, CartanInvolution, str]:
-    entry, source = resolve_form(form, catalog_dir)
     rs = cat.entry_root_system(entry)
-    return entry, rs, cat.entry_involution(entry, rs=rs), source
+    return entry, rs, cat.entry_involution(entry, rs=rs), "catalog" if matches else "user"
 
 
 def _realizability_note(source: str) -> str | None:
@@ -319,9 +291,12 @@ def _realizability_note(source: str) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_catalog(args: argparse.Namespace) -> tuple[Report, int]:
-    start = time.monotonic()
-    directory = cat.resolve_catalog_dir(args.catalog)
+#: What a subcommand returns to ``main``: inputs, results, certificates and
+#: whether every certificate passed.
+Outcome = tuple[dict[str, Any], Any, dict[str, Any], bool]
+
+
+def cmd_catalog(args: argparse.Namespace, directory: Path) -> Outcome:
     entries = cat.load_catalog(directory)
     if args.filter:
         entries = [e for e in entries if fnmatch.fnmatch(e.id, args.filter)]
@@ -347,22 +322,11 @@ def cmd_catalog(args: argparse.Namespace) -> tuple[Report, int]:
                 "consistent": consistent,
             }
         )
-    report = Report(
-        command="catalog",
-        inputs={
-            "catalog_dir": str(directory),
-            "filter": args.filter,
-        },
-        results=rows,
-        certificates={"all_consistent": all_consistent},
-        timing_ms=_elapsed_ms(start),
-    )
-    return report, EXIT_OK if all_consistent else EXIT_INCONSISTENT
+    inputs = {"catalog_dir": str(directory), "filter": args.filter}
+    return inputs, rows, {"all_consistent": all_consistent}, all_consistent
 
 
-def cmd_inspect(args: argparse.Namespace) -> tuple[Report, int]:
-    start = time.monotonic()
-    directory = cat.resolve_catalog_dir(args.catalog)
+def cmd_inspect(args: argparse.Namespace, directory: Path) -> Outcome:
     entry, rs, inv, source = load_form(args.form, directory)
     rrs = restricted_roots(rs, inv)
     identity_ok = multiplicity_identity_holds(rrs)
@@ -389,19 +353,11 @@ def cmd_inspect(args: argparse.Namespace) -> tuple[Report, int]:
         "source": source,
         "realizability_note": _realizability_note(source),
     }
-    report = Report(
-        command="inspect",
-        inputs={"form": args.form, "catalog_dir": str(directory)},
-        results=results,
-        certificates={"multiplicity_identity": identity_ok},
-        timing_ms=_elapsed_ms(start),
-    )
-    return report, EXIT_OK if identity_ok else EXIT_INCONSISTENT
+    inputs = {"form": args.form, "catalog_dir": str(directory)}
+    return inputs, results, {"multiplicity_identity": identity_ok}, identity_ok
 
 
-def cmd_criterion(args: argparse.Namespace) -> tuple[Report, int]:
-    start = time.monotonic()
-    directory = cat.resolve_catalog_dir(args.catalog)
+def cmd_criterion(args: argparse.Namespace, directory: Path) -> Outcome:
     entry, rs, inv, source = load_form(args.form, directory)
     oracle = entry.expected_verdict if source == "catalog" else None
     verdict = compact_cartan_verdict(rs, inv, oracle_compact_rank_equal=oracle)
@@ -422,15 +378,8 @@ def cmd_criterion(args: argparse.Namespace) -> tuple[Report, int]:
         "witness_verified": witness_verified,
         "consistent_with_oracle": verdict.consistent,
     }
-    failed = verdict.consistent is False or witness_verified is False
-    report = Report(
-        command="criterion",
-        inputs={"form": args.form, "catalog_dir": str(directory)},
-        results=results,
-        certificates=certificates,
-        timing_ms=_elapsed_ms(start),
-    )
-    return report, EXIT_INCONSISTENT if failed else EXIT_OK
+    ok = verdict.consistent is not False and witness_verified is not False
+    return {"form": args.form, "catalog_dir": str(directory)}, results, certificates, ok
 
 
 def _strongreg_weight(
@@ -439,15 +388,15 @@ def _strongreg_weight(
     if args.weight is not None and args.weight_fw is not None:
         raise ParseError("give at most one of --lambda and --lambda-fw")
     if args.weight is not None:
-        return parse_vector(args.weight, rs.rank, "--lambda")
+        return parse_vector(args.weight.split(","), rs.rank, "--lambda")
     if args.weight_fw is not None:
-        fw = parse_vector(args.weight_fw, rs.rank, "--lambda-fw")
+        fw = parse_vector(args.weight_fw.split(","), rs.rank, "--lambda-fw")
         return rs.weight_from_fw(fw)
     if datum_doc is not None:
         coords = datum_doc.get("lambda")
         if not isinstance(coords, list):
             raise ParseError("datum document: 'lambda' must be a list")
-        return parse_vector(",".join(str(c) for c in coords), rs.rank, "datum lambda")
+        return parse_vector(coords, rs.rank, "datum lambda")
     return rs.rho
 
 
@@ -459,30 +408,38 @@ def _strongreg_exponents(
     datum_doc: dict[str, Any] | None,
 ) -> frozenset[Weight]:
     if args.exponents is not None:
-        vecs = parse_vector_list(args.exponents, inv.split_rank, "--exponents")
-        return frozenset(inv.from_split_coords(v) for v in vecs)
-    if datum_doc is not None:
+        chunks = [c for c in (p.strip() for p in args.exponents.split(";")) if c]
+        vectors = [(c.split(","), f"--exponents[{i}]") for i, c in enumerate(chunks)]
+    elif datum_doc is not None:
         raw = datum_doc.get("exponents")
-        if not isinstance(raw, list):
+        if not isinstance(raw, list) or not all(isinstance(item, list) for item in raw):
             raise ParseError("datum document: 'exponents' must be a list of lists")
-        out = []
-        for i, item in enumerate(raw):
-            if not isinstance(item, list):
-                raise ParseError(f"datum document: exponents[{i}] must be a list")
-            vec = parse_vector(
-                ",".join(str(c) for c in item), inv.split_rank, f"datum exponents[{i}]"
-            )
-            out.append(inv.from_split_coords(vec))
-        return frozenset(out)
-    # Default: the restriction of the antidominant element of the orbit.
-    dom, _ = dominant_representative(rs, lam)
-    anti = apply(longest_element(rs), dom)
-    return frozenset({inv.restrict(anti)})
+        vectors = [(item, f"datum exponents[{i}]") for i, item in enumerate(raw)]
+    else:
+        return frozenset({antidominant_restriction(rs, inv, lam)})
+    return frozenset(
+        inv.from_split_coords(parse_vector(values, inv.split_rank, what))
+        for values, what in vectors
+    )
 
 
-def cmd_strongreg(args: argparse.Namespace) -> tuple[Report, int]:
-    start = time.monotonic()
-    directory = cat.resolve_catalog_dir(args.catalog)
+def _recheck(
+    rs: RootSystem,
+    inv: CartanInvolution,
+    rrs: RestrictedRootSystem,
+    result: TranslationResult,
+) -> tuple[bool, bool]:
+    """Independent re-check of a result: is the final weight strongly regular,
+    and do the scaled exponents lie in the open negative cone?"""
+    strongly_regular = extended_stabilizer(rs, inv, result.final_weight).is_trivial
+    cone_ok = all(
+        cone_position(rrs, e).neg_interior
+        for e in sorted_exponents(result.certificates.scaled_exponents)
+    )
+    return strongly_regular, cone_ok
+
+
+def cmd_strongreg(args: argparse.Namespace, directory: Path) -> Outcome:
     entry, rs, inv, source = load_form(args.form, directory)
     rrs = restricted_roots(rs, inv)
 
@@ -522,13 +479,7 @@ def cmd_strongreg(args: argparse.Namespace) -> tuple[Report, int]:
 
     result = strong_regularization(rs, inv, rrs, datum, cfg)
 
-    # Independent re-check of the final certificates before reporting.
-    stab = extended_stabilizer(rs, inv, result.final_weight)
-    recheck_sr = stab.is_trivial
-    recheck_cone = all(
-        cone_position(rrs, e).neg_interior
-        for e in sorted_exponents(result.certificates.scaled_exponents)
-    )
+    recheck_sr, recheck_cone = _recheck(rs, inv, rrs, result)
     cert_ok = (
         result.certificates.strongly_regular
         and result.certificates.cone_condition
@@ -557,25 +508,19 @@ def cmd_strongreg(args: argparse.Namespace) -> tuple[Report, int]:
         "recheck_strongly_regular": recheck_sr,
         "recheck_cone_condition": recheck_cone,
     }
-    report = Report(
-        command="strong-reg",
-        inputs={
-            "form": args.form,
-            "catalog_dir": str(directory),
-            "lambda": datum.weight,
-            "exponents": datum.exponents,
-            "label": datum.label,
-            "integrality": cfg.integrality,
-            "max_k": cfg.max_k,
-            "max_mu_coeff": cfg.max_mu_coeff,
-            "worst_case": cfg.worst_case_exponents,
-            "cap": cfg.cap,
-        },
-        results=results,
-        certificates=certificates,
-        timing_ms=_elapsed_ms(start),
-    )
-    return report, EXIT_OK if cert_ok else EXIT_INCONSISTENT
+    inputs = {
+        "form": args.form,
+        "catalog_dir": str(directory),
+        "lambda": datum.weight,
+        "exponents": datum.exponents,
+        "label": datum.label,
+        "integrality": cfg.integrality,
+        "max_k": cfg.max_k,
+        "max_mu_coeff": cfg.max_mu_coeff,
+        "worst_case": cfg.worst_case_exponents,
+        "cap": cfg.cap,
+    }
+    return inputs, results, certificates, cert_ok
 
 
 # ---------------------------------------------------------------------------
@@ -638,30 +583,19 @@ def suite_pipeline(cap: int) -> dict[str, Any]:
         rs = cat.entry_root_system(entry)
         inv = cat.entry_involution(entry, rs=rs)
         rrs = restricted_roots(rs, inv)
-        lam = rs.rho
-        dom, _ = dominant_representative(rs, lam)
-        anti = apply(longest_element(rs), dom)
         datum = FormalDSDatum(
-            weight=lam, exponents=frozenset({inv.restrict(anti)}), label=form
+            weight=rs.rho,
+            exponents=frozenset({antidominant_restriction(rs, inv, rs.rho)}),
+            label=form,
         )
         cfg = TranslationConfig(cap=cap)
         result = strong_regularization(rs, inv, rrs, datum, cfg)
-        stab = extended_stabilizer(rs, inv, result.final_weight)
-        cone_ok = all(
-            cone_position(rrs, e).neg_interior
-            for e in sorted_exponents(result.certificates.scaled_exponents)
-        )
-        # Margin linearity along the translated line, checked exactly.
+        strongly_regular, cone_ok = _recheck(rs, inv, rrs, result)
+        # Margin linearity along the translated line (rho is dominant), exactly.
         linear = True
-        base_datum = FormalDSDatum(
-            weight=dom, exponents=frozenset({inv.restrict(anti)}), label=form
-        )
-        base_positions = [
-            cone_position(rrs, e)
-            for e in sorted_exponents(base_datum.exponents)
-        ]
+        base_positions = [cone_position(rrs, e) for e in sorted_exponents(datum)]
         for k in range(11):
-            moved = translate_line(rs, inv, rrs, base_datum, k, cfg)
+            moved = translate_line(rs, inv, rrs, datum, k, cfg)
             factor = k * cfg.integrality + 1
             got = [
                 cone_position(rrs, e)
@@ -673,7 +607,7 @@ def suite_pipeline(cap: int) -> dict[str, Any]:
         ok = (
             result.certificates.strongly_regular
             and result.certificates.cone_condition
-            and stab.is_trivial
+            and strongly_regular
             and cone_ok
             and linear
         )
@@ -692,9 +626,7 @@ def suite_pipeline(cap: int) -> dict[str, Any]:
     return {"name": "pipeline", "passed": passed, "runs": runs}
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[Report, int]:
-    start = time.monotonic()
-    directory = cat.resolve_catalog_dir(args.catalog)
+def cmd_verify(args: argparse.Namespace, directory: Path) -> Outcome:
     names = (
         ["exact-sequence", "splitting", "pipeline"]
         if args.suite == "all"
@@ -709,23 +641,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple[Report, int]:
         else:
             suites.append(suite_pipeline(cap=args.cap))
     all_passed = all(s["passed"] for s in suites)
-    report = Report(
-        command="verify",
-        inputs={"suite": args.suite, "catalog_dir": str(directory), "cap": args.cap},
-        results=suites,
-        certificates={"all_passed": all_passed},
-        timing_ms=_elapsed_ms(start),
-    )
-    return report, EXIT_OK if all_passed else EXIT_INCONSISTENT
+    inputs = {"suite": args.suite, "catalog_dir": str(directory), "cap": args.cap}
+    return inputs, suites, {"all_passed": all_passed}, all_passed
 
 
 # ---------------------------------------------------------------------------
 # Parser and dispatch
 # ---------------------------------------------------------------------------
-
-
-def _elapsed_ms(start: float) -> int:
-    return int((time.monotonic() - start) * 1000)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -840,19 +762,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one request and print its report envelope; ``timing_ms`` covers
+    the subcommand and the encoding of its outcome."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    func: Callable[[argparse.Namespace], tuple[Report, int]] = args.func
+    func: Callable[[argparse.Namespace, Path], Outcome] = args.func
+    start = time.monotonic()
     try:
         if args.cap < 1:
             raise BadParameters(f"--cap must be a positive integer, got {args.cap}")
-        report, code = func(args)
+        directory = cat.resolve_catalog_dir(args.catalog)
+        inputs, results, certificates, ok = func(args, directory)
     except CartanDSError as exc:
         code = _error_exit_code(exc)
         _emit_error(exc, code, as_json=getattr(args, "json", False))
         return code
-    emit(report, as_json=args.json)
-    return code
+    doc = {
+        "command": args.command,
+        "inputs": encode_value(inputs),
+        "results": encode_value(results),
+        "certificates": encode_value(certificates),
+        "timing_ms": int((time.monotonic() - start) * 1000),
+    }
+    emit(doc, as_json=args.json)
+    return EXIT_OK if ok else EXIT_INCONSISTENT
 
 
 def _error_exit_code(exc: CartanDSError) -> int:

@@ -24,7 +24,9 @@ from typing import Iterable
 from . import linalg
 from .errors import InvalidDatum, RankMismatch
 from .realform import CartanInvolution, RestrictedRootSystem, restricted_roots
-from .rootdata import DEFAULT_CAP, RootSystem, Weight, _int_mat_vec, _scaled, weyl_orbit
+from .rootdata import (
+    DEFAULT_CAP, RootSystem, Weight, _int_mat_vec, _scaled, dominant_representative, weyl_orbit
+)
 
 
 @total_ordering
@@ -225,6 +227,18 @@ def orbit_restrictions(
 ) -> frozenset[Weight]:
     """All restrictions of the weight's Weyl orbit to the split part."""
     return frozenset(inv.restrict(nu) for nu in weyl_orbit(rs, lam, cap))
+
+
+def antidominant_restriction(
+    rs: RootSystem, inv: CartanInvolution, lam: Weight
+) -> Weight:
+    """Restriction of the antidominant element of lam's orbit.
+
+    An orbit has exactly one antidominant element, -dom(-lam), which is
+    w0 dom(lam); this form costs one chamber chase.
+    """
+    dom, _ = dominant_representative(rs, -lam)
+    return inv.restrict(-dom)
 
 
 def admissible_exponents(

@@ -177,6 +177,8 @@ MALFORMED_MATRICES = [
     ("su(2,1)", ["10", "01"]),  # string rows, read as the identity
     ("sl(2,R)", ["1"]),  # a string row, read as [[1]]
     ("sl(2,R)", [[True]]),  # a JSON true, read as 1
+    ("sl(2,R)", [["2/2"]]),  # an integral fraction: entries are "-?[0-9]+"
+    ("sl(2,R)", [[" -1"]]),  # padded integer text
 ]
 
 

@@ -225,6 +225,22 @@ def test_strongreg_datum_file(capsys, tmp_path):
     assert doc["results"]["final_weight"] == ["4/3", "5/3"]
 
 
+@pytest.mark.parametrize(
+    "datum",
+    [
+        {"lambda": ["1,1"], "exponents": [["-1", "-1"]]},  # one string, two coordinates
+        {"lambda": ["1", "1"], "exponents": [["-1,-1"]]},  # the same in an exponent
+        {"lambda": [1.0, 1], "exponents": [["-1", "-1"]]},  # a float is no rational
+        {"lambda": [True, 1], "exponents": [["-1", "-1"]]},  # nor is a JSON true
+    ],
+)
+def test_strongreg_datum_coordinates_are_ints_or_rational_strings(capsys, tmp_path, datum):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum))
+    rc, doc, _ = run_json(capsys, "strong-reg", "sl(3,R)", "--datum", str(path))
+    assert rc == 2 and doc["error"] == "ParseError"
+
+
 def test_strongreg_worst_case_exponents(capsys):
     rc, doc, _ = run_json(capsys, "strong-reg", "su(2,1)", "--worst-case")
     assert rc == 0
@@ -444,3 +460,15 @@ def test_malformed_catalog_matrix_exits_2(capsys, tmp_path, form_id, matrix):
     assert rc == 2 and doc["error"] == "ParseError"
     rc, doc, _ = run_json(capsys, "criterion", form_id, "--catalog", str(tmp_path))
     assert rc == 2 and doc["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("argv", [("criterion", "su(2,1)"), ("catalog",)])
+def test_duplicate_catalog_id_exits_2(capsys, tmp_path, argv):
+    other = entry_to_document(catalog_form("sl(3,R)"))
+    other["id"] = "su(2,1)"
+    directory = tmp_path / "dup"
+    write_catalog(directory, [catalog_form("su(2,1)")])
+    (directory / "a_other.json").write_text(json.dumps(other))
+    rc, doc, _ = run_json(capsys, *argv, "--catalog", str(directory))
+    assert rc == 2 and doc["error"] == "ParseError"
+    assert "a_other.json" in doc["message"] and "su_2_1.json" in doc["message"]

@@ -1,5 +1,6 @@
 """Exact square-root margins, the dual cone, and the square-integrability check."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -13,15 +14,20 @@ from cartan_ds import (
     SignedSqrt,
     Weight,
     admissible_exponents,
+    antidominant_restriction,
+    apply,
     build_default_catalog,
     catalog_form,
     cone_position,
+    default_catalog_ids,
+    dominant_representative,
     dominates,
     dual_chamber,
     entry_involution,
     entry_root_system,
     l2_check,
     leading_exponents,
+    longest_element,
     monoid_member,
     orbit_plus,
     orbit_restrictions,
@@ -299,6 +305,40 @@ def test_admissible_exponents_match_orbit_plus_restrictions():
             assert got == reference, (entry.id, lam)
             checked += 1
     assert checked > 100
+
+
+def antidominant_restriction_reference(rs, inv, lam):
+    """w0 applied to the dominant representative, then restricted: two chases."""
+    return inv.restrict(apply(longest_element(rs), dominant_representative(rs, lam)[0]))
+
+
+def test_antidominant_restriction_matches_reference_on_catalog():
+    rng = random.Random(8)
+    checked = 0
+    for entry in build_default_catalog():
+        rs = entry_root_system(entry)
+        inv = entry_involution(entry, rs=rs)
+        seeded = [
+            Weight.of(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rs.rank))
+            for _ in range(10)
+        ]
+        for lam in [rs.rho, Weight.zero(rs.rank), *rs.fundamental_weights, *seeded]:
+            want = antidominant_restriction_reference(rs, inv, lam)
+            assert antidominant_restriction(rs, inv, lam) == want, (entry.id, lam)
+            checked += 1
+    assert checked > 800
+
+
+cached_form = functools.cache(form)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(form_id=st.sampled_from(default_catalog_ids()), data=st.data())
+def test_antidominant_restriction_matches_reference_on_drawn_weights(form_id, data):
+    rs, inv, _ = cached_form(form_id)
+    lam = Weight.of(data.draw(st.lists(rationals, min_size=rs.rank, max_size=rs.rank)))
+    want = antidominant_restriction_reference(rs, inv, lam)
+    assert antidominant_restriction(rs, inv, lam) == want
 
 
 def test_admissible_exponents_take_the_open_interior():
