@@ -6,7 +6,10 @@ interior of the cone spanned by the positive restricted roots.  The
 restricted root system carries that cone's dual description (facet rays with
 integer covectors, built once by ``restricted_roots``); this module computes
 exact positions and margins relative to it, the monoid partial order on
-exponents, and the admissible subset of a Weyl orbit.
+exponents, and the admissible subset of a Weyl orbit.  Orbit restrictions are
+computed on ints: each point v of the int orbit (the weight times the lcm of
+its denominators) restricts to v - theta(v), and the cone test of a
+restriction is the signs of its int covector products.
 
 Margins are distances of the form q·sqrt(r) with q, r rational; they are kept
 exact as a sign plus a squared magnitude, which supports all comparisons and
@@ -16,6 +19,7 @@ positive scalings without ever introducing floating point.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -25,7 +29,14 @@ from . import linalg
 from .errors import InvalidDatum, RankMismatch
 from .realform import CartanInvolution, RestrictedRootSystem, restricted_roots
 from .rootdata import (
-    DEFAULT_CAP, RootSystem, Weight, _int_mat_vec, _scaled, dominant_representative, weyl_orbit
+    DEFAULT_CAP,
+    RootSystem,
+    Weight,
+    _int_mat_vec,
+    _orbit_of,
+    _scaled,
+    _unscaled,
+    dominant_representative,
 )
 
 
@@ -110,6 +121,8 @@ def dual_chamber(rrs: RestrictedRootSystem) -> RestrictedRootSystem:
 def _ray_pairings(rrs: RestrictedRootSystem, v: Weight) -> tuple[Fraction, ...]:
     """v's exact pairings with the facet rays: v is scaled to ints once, then
     one int dot product and one division per ray."""
+    if v.rank != rrs.root_system.rank:
+        raise RankMismatch("vector rank does not match the root system")
     scale, coords = _scaled(v)
     return tuple(
         Fraction(x, s * scale)
@@ -141,8 +154,6 @@ class ConePosition:
 
 def cone_position(chamber: RestrictedRootSystem, v: Weight) -> ConePosition:
     """Locate v relative to -(positive restricted cone), with exact margin."""
-    if v.rank != chamber.root_system.rank:
-        raise RankMismatch("vector rank does not match the root system")
     pairings = _ray_pairings(chamber, v)
     margin = min(
         (SignedSqrt.of_ratio(-p, n) for p, n in zip(pairings, chamber.ray_norms)),
@@ -166,14 +177,9 @@ def monoid_member(rrs: RestrictedRootSystem, xi: Weight) -> bool:
     the dual basis, so those coordinates are xi's ray pairings; rebuilding xi
     from them rules out a vector outside the span.
     """
-    simple = rrs.simple_restricted
-    if xi.is_zero():
-        return True
-    if not simple:
-        return False
     coords = _ray_pairings(rrs, xi)
     rebuilt = Weight.zero(rrs.root_system.rank)
-    for c, s in zip(coords, simple):
+    for c, s in zip(coords, rrs.simple_restricted):
         rebuilt = rebuilt + s.scale(c)
     if rebuilt != xi:
         return False
@@ -222,11 +228,36 @@ def sorted_exponents(
     return tuple(sorted(items, key=lambda w: w.coords))
 
 
+def _doubled_restrictions(
+    rs: RootSystem, inv: CartanInvolution, lam: Weight, cap: int
+) -> tuple[int, dict[tuple[int, ...], tuple[int, ...]]]:
+    """lam's scale s, and each point v of s times lam's orbit with v - theta(v).
+
+    The restriction of v / s is (v - theta(v)) / (2 s).
+    """
+    scale, orbit = _orbit_of(rs, lam, cap)
+    theta = inv.theta
+    return scale, {
+        v: tuple(map(operator.sub, v, _int_mat_vec(theta, v))) for v in orbit
+    }
+
+
+def _in_neg_interior(rrs: RestrictedRootSystem, d: tuple[int, ...]) -> bool:
+    """cone_position(rrs, v).neg_interior for v a positive multiple of d: every
+    ray scale is positive, so the pairings have the signs of the int products."""
+    return rrs.fulldim and all(x < 0 for x in _int_mat_vec(rrs.ray_covectors, d))
+
+
 def orbit_restrictions(
     rs: RootSystem, inv: CartanInvolution, lam: Weight, cap: int = DEFAULT_CAP
 ) -> frozenset[Weight]:
-    """All restrictions of the weight's Weyl orbit to the split part."""
-    return frozenset(inv.restrict(nu) for nu in weyl_orbit(rs, lam, cap))
+    """All restrictions of the weight's Weyl orbit to the split part.
+
+    Each int orbit point v restricts to v - theta(v) on ints; one Weight is
+    made per distinct restriction.
+    """
+    scale, doubled = _doubled_restrictions(rs, inv, lam, cap)
+    return frozenset(_unscaled(d, 2 * scale) for d in set(doubled.values()))
 
 
 def antidominant_restriction(
@@ -248,11 +279,16 @@ def admissible_exponents(
     lam: Weight,
     cap: int = DEFAULT_CAP,
 ) -> frozenset[Weight]:
-    """Orbit restrictions in the open negative cone: lam's admissible exponents."""
+    """Orbit restrictions in the open negative cone: lam's admissible exponents.
+
+    Each distinct int restriction is tested by the signs of its covector
+    products, and a Weight made only for those inside.
+    """
+    scale, doubled = _doubled_restrictions(rs, inv, lam, cap)
     return frozenset(
-        e
-        for e in orbit_restrictions(rs, inv, lam, cap)
-        if cone_position(chamber, e).neg_interior
+        _unscaled(d, 2 * scale)
+        for d in set(doubled.values())
+        if _in_neg_interior(chamber, d)
     )
 
 
@@ -310,8 +346,7 @@ def orbit_plus(
     """Orbit elements whose restriction lies in the negative cone interior."""
     if chamber is None:
         chamber = restricted_roots(rs, inv)
+    scale, doubled = _doubled_restrictions(rs, inv, lam, cap)
     return frozenset(
-        nu
-        for nu in weyl_orbit(rs, lam, cap)
-        if cone_position(chamber, inv.restrict(nu)).neg_interior
+        _unscaled(v, scale) for v, d in doubled.items() if _in_neg_interior(chamber, d)
     )

@@ -39,6 +39,7 @@ from .rootdata import (
     RootSystem,
     Weight,
     WeylElement,
+    _int_mat_mul,
     _int_mat_vec,
     _scaled,
     apply,
@@ -440,9 +441,7 @@ def verify_exact_sequence(
     group = enumerate_weyl(rs, cap)
     theta = inv.theta
     commutant = [
-        w
-        for w in group
-        if linalg.mat_mul(w.matrix, theta) == linalg.mat_mul(theta, w.matrix)
+        w for w in group if _int_mat_mul(w.matrix, theta) == _int_mat_mul(theta, w.matrix)
     ]
 
     # the vanishing roots are a root system, generated by its simple roots

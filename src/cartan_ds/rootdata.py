@@ -5,10 +5,14 @@ the package; fundamental-weight coordinates are derived on demand.  With the
 row convention used here the Cartan matrix entry ``A[i][j]`` equals
 ``<alpha_j, alpha_i^vee>``, simple reflections act on coordinates through row
 ``i`` only, and every Weyl-group element is an integer matrix.  Weights are
-rational; Weyl elements, their products and inverses, and the dominant-chamber
-chase are computed on plain ints.  Every integer matrix acting on a weight (a
-Weyl element, a Cartan involution, the Cartan matrix) goes through
-:func:`apply_matrix`, which sums on ints and divides once per coordinate.
+rational; Weyl elements, their products and inverses, the dominant-chamber
+chase and Weyl orbits are computed on plain ints.  Every integer matrix acting
+on a weight (a Weyl element, a Cartan involution, the Cartan matrix) goes
+through :func:`apply_matrix`, which sums on ints and divides once per
+coordinate.  One int orbit kernel closes the roots and every
+:func:`weyl_orbit`: a weight is scaled by the lcm of its denominators, its
+orbit is closed under the simple reflections on ints, and each element is
+divided by the scale once.
 
 Reducible types are direct sums: the Cartan matrix is block diagonal and all
 operations act factor-wise without special casing.
@@ -99,14 +103,7 @@ class WeylElement:
 
     def compose(self, other: "WeylElement") -> "WeylElement":
         """self applied after other."""
-        cols = tuple(zip(*other.matrix))
-        return WeylElement(
-            tuple(
-                tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
-                for row in self.matrix
-            ),
-            self.word + other.word,
-        )
+        return WeylElement(_int_mat_mul(self.matrix, other.matrix), self.word + other.word)
 
 
 class StabilizerInfo(NamedTuple):
@@ -296,10 +293,8 @@ class RootSystem:
         )
 
     def _generate_roots(self) -> frozenset[Weight]:
-        return frozenset(closure(self.simple_roots, self._simple_images))
-
-    def _simple_images(self, lam: Weight) -> list[Weight]:
-        return [self.reflect(i, lam) for i in range(self.rank)]
+        # the simple roots are the unit vectors
+        return frozenset(_unscaled(v, 1) for v in _int_orbit(self, self.identity.matrix))
 
     def pairing(self, x: Weight, y: Weight) -> Fraction:
         """Invariant symmetric bilinear form in simple-root coordinates."""
@@ -397,8 +392,18 @@ def _scaled(lam: Weight) -> tuple[int, list[int]]:
     return scale, [c.numerator * (scale // c.denominator) for c in lam.coords]
 
 
+def _unscaled(coords: Iterable[int], scale: int) -> Weight:
+    """The weight with the given coordinates divided by ``scale``."""
+    return Weight(tuple(Fraction(x, scale) for x in coords))
+
+
 def _int_mat_vec(mat: IntMat, v: Sequence[int]) -> list[int]:
     return [sum(map(operator.mul, row, v)) for row in mat]
+
+
+def _int_mat_mul(a: IntMat, b: IntMat) -> IntMat:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
 
 
 def apply_matrix(mat: IntMat, lam: Weight) -> Weight:
@@ -410,7 +415,7 @@ def apply_matrix(mat: IntMat, lam: Weight) -> Weight:
     if len(mat) != lam.rank:
         raise RankMismatch("matrix and weight have different ranks")
     scale, coords = _scaled(lam)
-    return Weight(tuple(Fraction(x, scale) for x in _int_mat_vec(mat, coords)))
+    return _unscaled(_int_mat_vec(mat, coords), scale)
 
 
 def apply(w: WeylElement, lam: Weight) -> Weight:
@@ -445,8 +450,7 @@ def dominant_representative(rs: RootSystem, lam: Weight) -> tuple[Weight, WeylEl
             fws[j] -= a_ji * c
         word.append(i)
         _reflect_rows_left(rs, i, rows)
-    dom = Weight(tuple(Fraction(x, scale) for x in coords))
-    return dom, WeylElement(tuple(rows), tuple(reversed(word)))
+    return _unscaled(coords, scale), WeylElement(tuple(rows), tuple(reversed(word)))
 
 
 def _reflect_rows_left(rs: RootSystem, i: int, rows: list[tuple[int, ...]]) -> None:
@@ -474,11 +478,43 @@ def word_element(rs: RootSystem, word: Sequence[int]) -> WeylElement:
     return WeylElement(tuple(rows), tuple(word))
 
 
-def weyl_orbit(rs: RootSystem, lam: Weight, cap: int = DEFAULT_CAP) -> frozenset[Weight]:
-    """Full W-orbit of a weight; raises CapExceeded past ``cap`` elements."""
+def _int_orbit(
+    rs: RootSystem, starts: Iterable[tuple[int, ...]], cap: int | None = None
+) -> dict[tuple[int, ...], None]:
+    """The W-orbits of int coordinate tuples, in the order found.
+
+    s_i changes coordinate i only, by the pairing p = (A v)_i; a count past
+    ``cap`` raises CapExceeded.
+    """
+    rows = list(enumerate(rs.cartan_matrix))
+
+    def images(v: tuple[int, ...]):
+        for i, row in rows:
+            p = sum(map(operator.mul, row, v))
+            if p:
+                w = list(v)
+                w[i] -= p
+                yield tuple(w)
+
+    return closure(starts, images, cap, "orbit size")
+
+
+def _orbit_of(rs: RootSystem, lam: Weight, cap: int) -> tuple[int, dict[tuple[int, ...], None]]:
+    """lam's scale and its W-orbit times that scale, as int tuples."""
     if lam.rank != rs.rank:
         raise RankMismatch("weight rank does not match root system")
-    return frozenset(closure((lam,), rs._simple_images, cap, "orbit size"))
+    scale, coords = _scaled(lam)
+    return scale, _int_orbit(rs, (tuple(coords),), cap)
+
+
+def weyl_orbit(rs: RootSystem, lam: Weight, cap: int = DEFAULT_CAP) -> frozenset[Weight]:
+    """Full W-orbit of a weight; raises CapExceeded past ``cap`` elements.
+
+    The orbit is closed on ints (lam times the lcm of its denominators) and
+    each element divided by that scale once.
+    """
+    scale, orbit = _orbit_of(rs, lam, cap)
+    return frozenset(_unscaled(v, scale) for v in orbit)
 
 
 def stabilizer_generators(rs: RootSystem, lam: Weight) -> StabilizerInfo:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cartan_ds import (
     FormalDSDatum,
     InvalidDatum,
+    RankMismatch,
     SignedSqrt,
     Weight,
     admissible_exponents,
@@ -227,6 +228,18 @@ def test_dominance_and_leading_exponents():
     pair = frozenset({-a1, -a2})
     assert leading_exponents(rrs, pair) == pair
     assert leading_exponents(rrs, set()) == frozenset()
+
+
+@pytest.mark.parametrize("xi", [Weight.zero(5), Weight.of([1, 1, 7]), Weight.of([1])])
+def test_monoid_order_rejects_a_weight_of_the_wrong_rank(xi):
+    # a covector zipped with a longer or shorter vector must not truncate
+    rs, inv, rrs = form("sl(3,R)")
+    with pytest.raises(RankMismatch):
+        monoid_member(rrs, xi)
+    with pytest.raises(RankMismatch):
+        dominates(rrs, xi, Weight.zero(xi.rank))
+    with pytest.raises(RankMismatch):
+        leading_exponents(rrs, {xi, Weight.of([2] + [0] * (xi.rank - 1))})
 
 
 def test_sorted_exponents_accepts_datum_and_iterable():

@@ -1,0 +1,164 @@
+"""The int Weyl-orbit kernel against the Fraction references it replaced.
+
+``weyl_orbit`` and the root system close int coordinate tuples;
+``orbit_restrictions``, ``admissible_exponents`` and ``orbit_plus`` restrict
+each int orbit point on ints and test the open negative cone by the signs of
+int covector products.  The references below are the Fraction closure through
+``RootSystem.reflect``, ``CartanInvolution.restrict`` per orbit point and
+``cone_position(...).neg_interior`` as the filter, kept here to compare against.
+"""
+
+import functools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cartan_ds import (
+    CapExceeded,
+    RankMismatch,
+    Weight,
+    admissible_exponents,
+    build_default_catalog,
+    build_root_system,
+    catalog_form,
+    cone_position,
+    entry_involution,
+    entry_root_system,
+    orbit_plus,
+    orbit_restrictions,
+    restricted_roots,
+    weyl_orbit,
+    weyl_order,
+)
+from cartan_ds.rootdata import DEFAULT_CAP, closure
+
+CAP = 2000
+
+
+def reference_orbit(rs, lam, cap=DEFAULT_CAP):
+    return frozenset(
+        closure((lam,), lambda nu: [rs.reflect(i, nu) for i in range(rs.rank)], cap, "orbit size")
+    )
+
+
+def reference_results(rs, inv, rrs, lam, cap):
+    """The four results from the Fraction orbit, restriction and cone test."""
+    orbit = reference_orbit(rs, lam, cap)
+    restricted = {nu: inv.restrict(nu) for nu in orbit}
+    inside = {e: cone_position(rrs, e).neg_interior for e in set(restricted.values())}
+    return {
+        "weyl_orbit": orbit,
+        "orbit_restrictions": frozenset(inside),
+        "admissible_exponents": frozenset(e for e, ok in inside.items() if ok),
+        "orbit_plus": frozenset(nu for nu, e in restricted.items() if inside[e]),
+    }
+
+
+def int_results(rs, inv, rrs, lam, cap):
+    return {
+        "weyl_orbit": lambda: weyl_orbit(rs, lam, cap),
+        "orbit_restrictions": lambda: orbit_restrictions(rs, inv, lam, cap),
+        "admissible_exponents": lambda: admissible_exponents(rs, inv, rrs, lam, cap),
+        "orbit_plus": lambda: orbit_plus(rs, inv, lam, cap, chamber=rrs),
+    }
+
+
+def assert_matches_reference(rs, inv, rrs, lam, cap=CAP):
+    """Compare the four functions with the references; False if over ``cap``.
+
+    An orbit over ``cap`` must make all four raise; the reference is not run
+    then, since its closure would stop at the same count.
+    """
+    calls = int_results(rs, inv, rrs, lam, cap)
+    try:
+        calls["weyl_orbit"]()
+    except CapExceeded:
+        for name, call in calls.items():
+            with pytest.raises(CapExceeded, match=f"^orbit size exceeded cap {cap}$"):
+                call()
+        return False
+    want = reference_results(rs, inv, rrs, lam, cap)
+    for name, call in calls.items():
+        got = call()
+        assert isinstance(got, frozenset), name
+        assert got == want[name], (name, lam)
+    return True
+
+
+def form(form_id):
+    entry = catalog_form(form_id)
+    rs = entry_root_system(entry)
+    inv = entry_involution(entry, rs=rs)
+    return rs, inv, restricted_roots(rs, inv)
+
+
+def test_orbit_functions_match_reference_on_catalog():
+    rng = random.Random(9)
+    forms = compared = 0
+    for entry in build_default_catalog():
+        rs = entry_root_system(entry)
+        inv = entry_involution(entry, rs=rs)
+        rrs = restricted_roots(rs, inv)
+        seeded = [
+            Weight.of(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rs.rank))
+            for _ in range(3)
+        ]
+        for lam in [rs.rho, Weight.zero(rs.rank), *rs.fundamental_weights, *seeded]:
+            compared += assert_matches_reference(rs, inv, rrs, lam)
+        forms += 1
+    assert forms == 56
+    assert compared > 400
+
+
+cached_form = functools.cache(form)
+SMALL_FORMS = tuple(
+    entry.id
+    for entry in build_default_catalog()
+    if weyl_order(entry.cartan_type) <= CAP
+)
+coefficient = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-6, max_value=6, max_denominator=6)
+)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(form_id=st.sampled_from(SMALL_FORMS), data=st.data())
+def test_orbit_functions_match_reference_on_drawn_weights(form_id, data):
+    rs, inv, rrs = cached_form(form_id)
+    lam = Weight(tuple(data.draw(st.lists(coefficient, min_size=rs.rank, max_size=rs.rank))))
+    assert assert_matches_reference(rs, inv, rrs, lam)
+
+
+@pytest.mark.parametrize(
+    "cartan_type",
+    ["A1", "A2", "A5", "A8", "B2", "B3", "B6", "C3", "C5", "D4", "D5", "D7",
+     "E6", "E7", "E8", "F4", "G2", "A1xA1", "A2xB3xG2"],
+)
+def test_roots_match_reference_closure(cartan_type):
+    rs = build_root_system(cartan_type)
+    want = closure(rs.simple_roots, lambda nu: [rs.reflect(i, nu) for i in range(rs.rank)])
+    assert rs.all_roots == frozenset(want)
+
+
+ORBIT_FUNCTIONS = ("weyl_orbit", "orbit_restrictions", "admissible_exponents", "orbit_plus")
+
+
+@pytest.mark.parametrize("name", ORBIT_FUNCTIONS)
+def test_orbit_cap_counts_elements(name):
+    # rho is regular on split B3, so its orbit has |W| = 48 elements
+    rs, inv, rrs = cached_form("split(B3)")
+    assert len(reference_orbit(rs, rs.rho)) == 48
+    int_results(rs, inv, rrs, rs.rho, 48)[name]()
+    with pytest.raises(CapExceeded, match="^orbit size exceeded cap 47$"):
+        int_results(rs, inv, rrs, rs.rho, 47)[name]()
+
+
+@pytest.mark.parametrize("name", ORBIT_FUNCTIONS)
+def test_orbit_functions_reject_a_weight_of_the_wrong_rank(name):
+    rs, inv, rrs = cached_form("split(B3)")
+    for lam in (Weight.zero(rs.rank + 1), Weight.of([1, 1])):
+        with pytest.raises(RankMismatch):
+            int_results(rs, inv, rrs, lam, CAP)[name]()
