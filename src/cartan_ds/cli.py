@@ -761,11 +761,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser serves every request of the process
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one request and print its report envelope; ``timing_ms`` covers
     the subcommand and the encoding of its outcome."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     func: Callable[[argparse.Namespace, Path], Outcome] = args.func
     start = time.monotonic()
     try:

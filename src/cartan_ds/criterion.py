@@ -21,14 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
-from .errors import HypothesisFailed, RankMismatch
-from .realform import CartanInvolution
+from .errors import HypothesisFailed
+from .realform import CartanInvolution, _read_matrix
 from .rootdata import (
     IntMat,
     RootSystem,
     Weight,
     WeylElement,
+    _int_mat_mul,
     apply,
     apply_matrix,
     dominant_representative,
@@ -45,19 +45,17 @@ def theta_in_weyl(
     Chases theta(rho) to the dominant chamber with some w.  If theta = u is in
     the group then w u fixes the regular weight rho, so w u = 1 and u is the
     inverse of w; the matrix product w theta = 1 decides membership exactly.
-    A raw matrix must be rank x rank; one with a non-integer entry is never in
-    the group.
+    A raw matrix must be rank x rank with rational entries; one with a
+    non-integer entry is never in the group.
     """
     if isinstance(theta, CartanInvolution):
         mat = theta.theta
     else:
-        if len(theta) != rs.rank or any(len(row) != rs.rank for row in theta):
-            raise RankMismatch("matrix size does not match rank")
-        if not linalg.is_integral(theta):
+        d, mat = _read_matrix(theta, rs.rank, "matrix")
+        if d != 1:
             return None
-        mat = linalg.as_int_matrix(theta)
     _, w = dominant_representative(rs, apply_matrix(mat, rs.rho))
-    if linalg.mat_mul(w.matrix, mat) != rs.identity.matrix:
+    if _int_mat_mul(w.matrix, mat) != rs.identity.matrix:
         return None
     return WeylElement(mat, tuple(reversed(w.word)))
 

@@ -18,10 +18,11 @@ ONE = Fraction(1)
 
 
 def frac(x: object) -> Fraction:
-    """Coerce an int, string ("p/q") or Fraction to Fraction."""
+    """Coerce an int, string ("p/q") or Fraction to Fraction; a bool, like a
+    float, is refused."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -52,10 +53,6 @@ def int_identity(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def transpose(a: Mat) -> Mat:
-    return tuple(zip(*a)) if a else ()
-
-
 def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
 
@@ -65,10 +62,6 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
     return tuple(
         tuple(sum(ra[k] * cb[k] for k in range(len(ra))) for cb in bt) for ra in a
     )
-
-
-def is_integral(a: Iterable[Iterable[Fraction]]) -> bool:
-    return all(Fraction(x).denominator == 1 for row in a for x in row)
 
 
 def as_int_matrix(a: Iterable[Iterable[Fraction]]) -> tuple[tuple[int, ...], ...]:

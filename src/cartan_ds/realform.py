@@ -7,7 +7,10 @@ the nonzero restrictions of roots form the (possibly non-reduced) restricted
 root system, each with a multiplicity equal to its number of preimages.
 Roots and theta are integral, so the doubled restriction alpha - theta(alpha)
 is an int vector: the restricted root system, and the dual description of its
-positive cone, are built once from those.
+positive cone, are built once from those.  A candidate matrix is validated on
+ints too: scaled once by the lcm d of its denominators to t, it is an
+involution iff t^2 = d^2 1, an isometry of the int invariant form F iff
+t^T F t = d^2 F, and integral iff d = 1.
 
 A positive system of the ambient roots is *compatible* when its nonzero
 restrictions form a positive system of the restricted roots.  The validator
@@ -18,6 +21,7 @@ carries the default system onto the chosen one.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -30,6 +34,7 @@ from .errors import (
     NotInvolution,
     NotIsometric,
     NotRootPreserving,
+    ParseError,
     PreconditionFailed,
     RankMismatch,
 )
@@ -94,6 +99,23 @@ class CartanInvolution:
         return out
 
 
+def _read_matrix(rows, rank: int, what: str) -> tuple[int, IntMat]:
+    """The lcm d of a raw rank x rank matrix's denominators, and the matrix
+    times d on ints; a non-rational entry is a ParseError."""
+    try:
+        mat = linalg.matrix(rows)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{what}: {exc}") from exc
+    if len(mat) != rank or any(len(row) != rank for row in mat):
+        raise RankMismatch(f"{what} size does not match rank")
+    d = math.lcm(*(x.denominator for row in mat for x in row))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in mat)
+
+
+def _scaled_rows(mat: IntMat, c: int) -> IntMat:
+    return tuple(tuple(c * x for x in row) for row in mat)
+
+
 def _restrict(theta: IntMat, lam: Weight) -> Weight:
     return (lam - apply_matrix(theta, lam)).scale(HALF)
 
@@ -128,19 +150,17 @@ def validate_involution(rs: RootSystem, theta_matrix) -> CartanInvolution:
     testing.  The compatible positive system is the default one when possible,
     otherwise it is re-chosen deterministically from a regular split vector.
     """
-    theta_rows = linalg.matrix(theta_matrix)
-    n = rs.rank
-    if len(theta_rows) != n or any(len(r) != n for r in theta_rows):
-        raise RankMismatch("involution matrix size does not match rank")
-    if linalg.mat_mul(theta_rows, theta_rows) != linalg.identity(n):
+    d, theta = _read_matrix(theta_matrix, rs.rank, "involution matrix")
+    # theta / d is an involution iff theta^2 = d^2 1, and an isometry iff
+    # theta^T F theta = d^2 F; it is integral iff d = 1
+    dd = d * d
+    if _int_mat_mul(theta, theta) != _scaled_rows(rs.identity.matrix, dd):
         raise NotInvolution("matrix does not square to the identity")
-    form = rs.form
-    lhs = linalg.mat_mul(linalg.mat_mul(linalg.transpose(theta_rows), form), theta_rows)
-    if lhs != form:
+    lhs = _int_mat_mul(_int_mat_mul(tuple(zip(*theta)), rs.form), theta)
+    if lhs != _scaled_rows(rs.form, dd):
         raise NotIsometric("matrix does not preserve the invariant pairing")
-    if not linalg.is_integral(theta_rows):
+    if d != 1:
         raise NotRootPreserving("matrix does not preserve the root lattice")
-    theta = linalg.as_int_matrix(theta_rows)
     for root in rs.all_roots:
         if apply_matrix(theta, root) not in rs.all_roots:
             raise NotRootPreserving("matrix does not permute the roots")
@@ -272,9 +292,8 @@ def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSys
 
     # the rays are the basis dual to the simple restricted roots d / 2, whose
     # pairings are quarters of int pairings
-    form = linalg.as_int_matrix(rs.form)
     gram = tuple(
-        tuple(Fraction(x, 4) for x in _int_mat_vec(simple, _int_mat_vec(form, d)))
+        tuple(Fraction(x, 4) for x in _int_mat_vec(simple, _int_mat_vec(rs.form, d)))
         for d in simple
     )
     try:
@@ -291,7 +310,7 @@ def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSys
         ))
         for j in range(r)
     )
-    scaled = [_scaled(apply_matrix(form, ray)) for ray in rays]
+    scaled = [_scaled(apply_matrix(rs.form, ray)) for ray in rays]
     covectors = tuple(tuple(c) for _, c in scaled)
     if any(x < 0 for d in positive for x in _int_mat_vec(covectors, d)):
         raise ConsistencyError(
@@ -455,11 +474,10 @@ def verify_exact_sequence(
     roots = sorted(rrs.restricted_roots, key=lambda w: w.coords)
     index = {_doubled(v): k for k, v in enumerate(roots)}
     doubled_roots = list(index)
-    form = linalg.as_int_matrix(rs.form)
 
     def reflection(b: tuple[int, ...]) -> tuple[int, ...]:
         """s_beta as a permutation of the indices, beta given doubled."""
-        pairings = _int_mat_vec(doubled_roots, _int_mat_vec(form, b))
+        pairings = _int_mat_vec(doubled_roots, _int_mat_vec(rs.form, b))
         nb = pairings[index[b]]
         perm = []
         for v, pairing in zip(doubled_roots, pairings):

@@ -5,8 +5,10 @@ the package; fundamental-weight coordinates are derived on demand.  With the
 row convention used here the Cartan matrix entry ``A[i][j]`` equals
 ``<alpha_j, alpha_i^vee>``, simple reflections act on coordinates through row
 ``i`` only, and every Weyl-group element is an integer matrix.  Weights are
-rational; Weyl elements, their products and inverses, the dominant-chamber
-chase and Weyl orbits are computed on plain ints.  Every integer matrix acting
+rational; the Cartan matrix, the symmetrizer and the invariant form are ints,
+and Weyl elements, their products and inverses, root reflections (the word of
+a root walked down to a simple root, on ints), the dominant-chamber chase and
+Weyl orbits are computed on plain ints.  Every integer matrix acting
 on a weight (a Weyl element, a Cartan involution, the Cartan matrix) goes
 through :func:`apply_matrix`, which sums on ints and divides once per
 coordinate.  One int orbit kernel closes the roots and every
@@ -31,7 +33,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from . import linalg
 from .errors import CapExceeded, InvalidType, PreconditionFailed, RankMismatch
-from .linalg import Mat, frac
+from .linalg import frac
 
 DEFAULT_CAP = 10**6
 
@@ -193,21 +195,21 @@ def _chain_matrix(n: int) -> list[list[int]]:
     return a
 
 
-def _cartan_block(family: str, n: int) -> tuple[list[list[int]], list[Fraction]]:
+def _cartan_block(family: str, n: int) -> tuple[list[list[int]], list[int]]:
     """Cartan matrix rows and symmetrizer of one irreducible (or A1-like) factor."""
     if family == "A":
-        return _chain_matrix(n), [Fraction(1)] * n
+        return _chain_matrix(n), [1] * n
     if family == "B":
         a = _chain_matrix(n)
         if n >= 2:
             a[n - 1][n - 2] = -2
-        d = [Fraction(2)] * (n - 1) + [Fraction(1)]
+        d = [2] * (n - 1) + [1]
         return a, d
     if family == "C":
         a = _chain_matrix(n)
         if n >= 2:
             a[n - 2][n - 1] = -2
-        d = [Fraction(1)] * (n - 1) + [Fraction(2)]
+        d = [1] * (n - 1) + [2]
         return a, d
     if family == "D":
         a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -217,19 +219,19 @@ def _cartan_block(family: str, n: int) -> tuple[list[list[int]], list[Fraction]]
         if n >= 3:
             a[n - 3][n - 1] = -1
             a[n - 1][n - 3] = -1
-        return a, [Fraction(1)] * n
+        return a, [1] * n
     if family == "E":
         a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
         for i, j in _E_EDGES[n]:
             a[i - 1][j - 1] = -1
             a[j - 1][i - 1] = -1
-        return a, [Fraction(1)] * n
+        return a, [1] * n
     if family == "F":
         a = _chain_matrix(4)
         a[2][1] = -2
-        return a, [Fraction(2), Fraction(2), Fraction(1), Fraction(1)]
+        return a, [2, 2, 1, 1]
     if family == "G":
-        return [[2, -3], [-1, 2]], [Fraction(1), Fraction(3)]
+        return [[2, -3], [-1, 2]], [1, 3]
     raise InvalidType(f"unknown family {family!r}")
 
 
@@ -238,7 +240,8 @@ class RootSystem:
 
     Do not construct directly; use :func:`build_root_system`, which caches and
     validates.  All derived data (roots, rho, fundamental weights, reflection
-    matrices, invariant form) is exact.
+    matrices, invariant form) is exact; the Cartan matrix, the symmetrizer and
+    the invariant form are ints.
     """
 
     def __init__(self, factors: tuple[tuple[str, int], ...]):
@@ -247,7 +250,7 @@ class RootSystem:
         rank = sum(n for _, n in factors)
         self.rank = rank
         a = [[0] * rank for _ in range(rank)]
-        d: list[Fraction] = []
+        d: list[int] = []
         offset = 0
         for (block, sym), (_, n) in zip(blocks, factors):
             for i in range(n):
@@ -256,8 +259,8 @@ class RootSystem:
             d.extend(sym)
             offset += n
         self.cartan_matrix: IntMat = tuple(tuple(row) for row in a)
-        self.symmetrizer: tuple[Fraction, ...] = tuple(d)
-        self.form: Mat = tuple(
+        self.symmetrizer: tuple[int, ...] = tuple(d)
+        self.form: IntMat = tuple(
             tuple(d[i] * a[i][j] for j in range(rank)) for i in range(rank)
         )
         self.simple_roots: tuple[Weight, ...] = tuple(
@@ -310,10 +313,6 @@ class RootSystem:
     def norm_sq(self, x: Weight) -> Fraction:
         return self.pairing(x, x)
 
-    def coroot_pairing(self, lam: Weight, root: Weight) -> Fraction:
-        """<lam, root^vee> = 2 (lam, root) / (root, root)."""
-        return 2 * self.pairing(lam, root) / self.norm_sq(root)
-
     def fw_coords(self, lam: Weight) -> Coords:
         """Coordinates of lam against the fundamental weights: <lam, alpha_i^vee>."""
         return apply_matrix(self.cartan_matrix, lam).coords
@@ -346,34 +345,23 @@ class RootSystem:
         return WeylElement(self._reflections[i], (i,))
 
     def reflection_in_root(self, root: Weight) -> WeylElement:
-        """The reflection s_root as a Weyl element (matrix built exactly)."""
+        """The reflection s_root as the Weyl element of the word u^-1 s_i u,
+        where u carries root (made positive) onto the simple root alpha_i."""
+        if root.rank != self.rank:
+            raise RankMismatch("weight rank does not match root system")
         if root not in self.all_roots:
             raise PreconditionFailed("reflection requested in a non-root")
-        cols = []
-        for j in range(self.rank):
-            e = self.simple_roots[j]
-            img = e - root.scale(self.coroot_pairing(e, root))
-            cols.append(img.coords)
-        mat = tuple(tuple(cols[j][k] for j in range(self.rank)) for k in range(self.rank))
-        word = _word_for_root_reflection(self, root)
-        return WeylElement(linalg.as_int_matrix(mat), word)
-
-
-def _word_for_root_reflection(rs: RootSystem, root: Weight) -> tuple[int, ...]:
-    """Word u^-1 s_i u where u carries root (made positive) onto simple alpha_i."""
-    beta = root if all(c >= 0 for c in root.coords) else -root
-    steps: list[int] = []
-    while beta not in rs.simple_roots:
-        # a positive non-simple root pairs positively with some simple root,
-        # and reflecting there keeps it positive with smaller height
-        i = next(
-            j for j in range(rs.rank)
-            if rs.coroot_pairing(beta, rs.simple_roots[j]) > 0
-        )
-        beta = rs.reflect(i, beta)
-        steps.append(i)
-    i = rs.simple_roots.index(beta)
-    return tuple(steps) + (i,) + tuple(reversed(steps))
+        beta = [abs(c.numerator) for c in root.coords]  # roots are integral
+        steps: list[int] = []
+        while sum(beta) > 1:
+            # a positive non-simple root pairs positively with some simple
+            # coroot, and reflecting there keeps it positive with smaller height
+            p = _int_mat_vec(self.cartan_matrix, beta)
+            i = next(j for j, x in enumerate(p) if x > 0)
+            beta[i] -= p[i]
+            steps.append(i)
+        word = tuple(steps) + (beta.index(1),) + tuple(reversed(steps))
+        return word_element(self, word)
 
 
 @lru_cache(maxsize=None)
@@ -524,8 +512,8 @@ def stabilizer_generators(rs: RootSystem, lam: Weight) -> StabilizerInfo:
     orthogonal to it; a general weight's generators are those conjugated back.
     """
     dom, w = dominant_representative(rs, lam)
-    fws = rs.fw_coords(dom)
-    walls = [i for i in range(rs.rank) if fws[i] == 0]
+    _, coords = _scaled(dom)
+    walls = [i for i, p in enumerate(_int_mat_vec(rs.cartan_matrix, coords)) if p == 0]
     gens: tuple[WeylElement, ...] = ()
     if walls:
         winv = word_element(rs, w.word[::-1])

@@ -10,6 +10,7 @@ character — producing exact certificates for every claim.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection
@@ -37,6 +38,8 @@ from .rootdata import (
     DEFAULT_CAP,
     RootSystem,
     Weight,
+    _scaled,
+    _unscaled,
     apply,
     closure,
     dominant_representative,
@@ -64,6 +67,14 @@ class TranslationConfig:
     cap: int = DEFAULT_CAP
 
     def __post_init__(self) -> None:
+        for name in ("integrality", "max_k", "max_mu_coeff", "cap"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise BadParameters(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.worst_case_exponents, bool):
+            raise BadParameters(
+                f"worst_case_exponents must be a bool, got {self.worst_case_exponents!r}"
+            )
         if self.integrality < 1:
             raise BadParameters("integrality constant must be a positive integer")
         if self.max_k < 0 or self.max_mu_coeff < 0:
@@ -88,18 +99,22 @@ def weight_spectrum(
     Closure of {mu} under all simple reflections and under subtracting a
     simple root wherever the corresponding chamber coordinate is positive;
     this reaches exactly the lattice translates of mu below it in dominance
-    order, with no multiplicities.
+    order, with no multiplicities.  It runs on int tuples, mu times the lcm s
+    of its denominators: the pairing p = (A v)_i is s times chamber coordinate i.
     """
     _assert_dominant_integral(rs, mu)
+    scale, coords = _scaled(mu)
 
-    def steps(nu: Weight):
-        pairings = rs.fw_coords(nu)
-        for i in range(rs.rank):
-            yield rs.reflect(i, nu)
-            if pairings[i] > 0:
-                yield nu - rs.simple_roots[i]
+    def steps(v: tuple[int, ...]):
+        for i, row in enumerate(rs.cartan_matrix):
+            p = sum(map(operator.mul, row, v))
+            if p:
+                yield v[:i] + (v[i] - p,) + v[i + 1:]
+            if p > 0:
+                yield v[:i] + (v[i] - scale,) + v[i + 1:]
 
-    return frozenset(closure((mu,), steps, cap, "weight spectrum"))
+    spectrum = closure((tuple(coords),), steps, cap, "weight spectrum")
+    return frozenset(_unscaled(v, scale) for v in spectrum)
 
 
 @dataclass(frozen=True)

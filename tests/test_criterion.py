@@ -8,6 +8,7 @@ import pytest
 from cartan_ds import (
     ExtendedElement,
     HypothesisFailed,
+    ParseError,
     RankMismatch,
     Weight,
     apply,
@@ -80,6 +81,12 @@ def test_raw_matrix_must_be_square_of_the_rank():
     # a non-integral matrix is never a Weyl element, and is not an error
     assert theta_in_weyl(rs, ((Fraction(1, 2), 0), (0, 1))) is None
     assert theta_in_weyl(rs, ((-1, 1), (0, Fraction(2, 2)))) is not None
+
+
+@pytest.mark.parametrize("mat", [[[-1.0]], [[True]], [["-1/0"]]])
+def test_raw_matrix_entries_must_be_rationals(mat):
+    with pytest.raises(ParseError):
+        theta_in_weyl(build_root_system("A1"), mat)
 
 
 def test_witness_against_exhaustive_enumeration():

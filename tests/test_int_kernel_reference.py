@@ -1,0 +1,199 @@
+"""Root reflections, involution checks and weight spectra against the
+Fraction references they replaced.
+
+``reflection_in_root`` walks the root down on ints and builds its word with
+``word_element``; ``validate_involution`` scales a raw matrix once by the lcm
+d of its denominators and tests t^2 = d^2 1, t^T F t = d^2 F and d = 1 on
+ints; ``weight_spectrum`` closes int tuples.  The references below are the
+Fraction column build and Fraction root walk, the Fraction matrix products
+with an integrality test, and the closure through ``RootSystem.reflect``.
+
+Mutations these tests catch: d in place of d^2 in the involution or the
+isometry test, a lattice test that lets d = 2..5 through, a reflection word
+that is not mirrored (steps + (i,) + steps), a root walk at the last positive
+pairing in place of the first, ``p >= 0`` in place of ``p > 0`` in the
+spectrum step, and a spectrum step that subtracts 1 in place of the scale.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from cartan_ds import (
+    CapExceeded,
+    NotInvolution,
+    NotIsometric,
+    NotRootPreserving,
+    RankMismatch,
+    Weight,
+    build_default_catalog,
+    build_root_system,
+    validate_involution,
+    weight_spectrum,
+)
+from cartan_ds import linalg
+from cartan_ds.rootdata import apply_matrix, closure, enumerate_weyl
+
+CATALOG_TYPES = sorted({entry.cartan_type for entry in build_default_catalog()})
+
+
+def reference_reflection(rs, root):
+    """The matrix of s_root column by column, and the word of the Fraction walk."""
+    def coroot_pairing(lam, beta):
+        return 2 * rs.pairing(lam, beta) / rs.norm_sq(beta)
+
+    cols = [
+        (e - root.scale(coroot_pairing(e, root))).coords for e in rs.simple_roots
+    ]
+    mat = tuple(tuple(cols[j][k] for j in range(rs.rank)) for k in range(rs.rank))
+    beta = root if all(c >= 0 for c in root.coords) else -root
+    steps = []
+    while beta not in rs.simple_roots:
+        i = next(j for j in range(rs.rank) if coroot_pairing(beta, rs.simple_roots[j]) > 0)
+        beta = rs.reflect(i, beta)
+        steps.append(i)
+    i = rs.simple_roots.index(beta)
+    return linalg.as_int_matrix(mat), tuple(steps) + (i,) + tuple(reversed(steps))
+
+
+@pytest.mark.parametrize("cartan_type", CATALOG_TYPES + ["A1xA1", "A2xB2"])
+def test_reflection_in_root_matches_fraction_reference(cartan_type):
+    rs = build_root_system(cartan_type)
+    for root in rs.all_roots:
+        s = rs.reflection_in_root(root)
+        assert (s.matrix, s.word) == reference_reflection(rs, root), root
+        assert all(type(x) is int for row in s.matrix for x in row)
+
+
+def test_reference_covers_every_catalog_root():
+    assert len(CATALOG_TYPES) == 20
+    assert sum(len(build_root_system(t).all_roots) for t in CATALOG_TYPES) == 698
+
+
+def reference_spectrum(rs, mu, cap):
+    def steps(nu):
+        pairings = rs.fw_coords(nu)
+        for i in range(rs.rank):
+            yield rs.reflect(i, nu)
+            if pairings[i] > 0:
+                yield nu - rs.simple_roots[i]
+
+    return frozenset(closure((mu,), steps, cap, "weight spectrum"))
+
+
+@pytest.mark.parametrize(
+    "cartan_type", ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "A1xA1", "A1xG2"]
+)
+def test_weight_spectrum_matches_fraction_reference(cartan_type):
+    rs = build_root_system(cartan_type)
+    for mu in [rs.rho, rs.rho.scale(2), *rs.fundamental_weights]:
+        expected = reference_spectrum(rs, mu, 10**6)
+        assert weight_spectrum(rs, mu, cap=len(expected)) == expected
+        message = f"^weight spectrum exceeded cap {len(expected) - 1}$"
+        for spectrum in (weight_spectrum, reference_spectrum):
+            with pytest.raises(CapExceeded, match=message):
+                spectrum(rs, mu, len(expected) - 1)
+
+
+def test_weight_spectrum_of_a_fractional_weight():
+    # the fundamental weight (2/3, 1/3) of A2 is closed at scale 3
+    rs = build_root_system("A2")
+    mu = rs.fundamental_weights[0]
+    assert mu.coords == (Fraction(2, 3), Fraction(1, 3))
+    spectrum = weight_spectrum(rs, mu)
+    assert spectrum == reference_spectrum(rs, mu, 100)
+    assert len(spectrum) == 3
+
+
+def reference_checks(rs, rows):
+    """The Fraction checks of validate_involution, in the same order."""
+    theta = linalg.matrix(rows)
+    n = rs.rank
+    if len(theta) != n or any(len(r) != n for r in theta):
+        raise RankMismatch("involution matrix size does not match rank")
+    if linalg.mat_mul(theta, theta) != linalg.identity(n):
+        raise NotInvolution("matrix does not square to the identity")
+    transpose = tuple(zip(*theta))
+    if linalg.mat_mul(linalg.mat_mul(transpose, rs.form), theta) != rs.form:
+        raise NotIsometric("matrix does not preserve the invariant pairing")
+    if any(x.denominator != 1 for row in theta for x in row):
+        raise NotRootPreserving("matrix does not preserve the root lattice")
+    theta = linalg.as_int_matrix(theta)
+    for root in rs.all_roots:
+        if apply_matrix(theta, root) not in rs.all_roots:
+            raise NotRootPreserving("matrix does not permute the roots")
+    return theta
+
+
+def assert_checks_match(rs, rows):
+    """validate_involution raises what the reference raises, or accepts."""
+    try:
+        expected = reference_checks(rs, rows)
+    except (RankMismatch, NotInvolution, NotIsometric, NotRootPreserving) as exc:
+        with pytest.raises(type(exc)) as info:
+            validate_involution(rs, rows)
+        assert str(info.value) == str(exc)
+        return type(exc)
+    assert validate_involution(rs, rows).theta == expected
+    return None
+
+
+@pytest.mark.parametrize(
+    "cartan_type", CATALOG_TYPES[: CATALOG_TYPES.index("D4") + 1] + ["A1xA1", "G2"]
+)
+def test_validate_involution_matches_reference_on_signed_weyl_elements(cartan_type):
+    rs = build_root_system(cartan_type)
+    outcomes = set()
+    for w in enumerate_weyl(rs):
+        for sign in (1, -1):
+            outcomes.add(assert_checks_match(rs, [[sign * x for x in row] for row in w.matrix]))
+    # +-w passes when w is an involution; A1 and A1xA1 have no other elements
+    assert None in outcomes and outcomes <= {None, NotInvolution}
+
+
+def _random_rational(rng):
+    return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 5]))
+
+
+def _random_matrix(rng, rs):
+    """A random rational matrix, a rational reflection in the invariant form,
+    or a conjugate of a diagonal sign matrix."""
+    n = rs.rank
+    kind = rng.randrange(3)
+    if kind == 0:
+        return [[_random_rational(rng) for _ in range(n)] for _ in range(n)]
+    if kind == 1:
+        v = Weight(tuple(_random_rational(rng) for _ in range(n)))
+        if v.is_zero():
+            v = rs.simple_roots[0]
+        # s_v(e_j) = e_j - 2 (e_j, v) / (v, v) v
+        c = [2 * rs.pairing(e, v) / rs.norm_sq(v) for e in rs.simple_roots]
+        return [[(k == j) - c[j] * v.coords[k] for j in range(n)] for k in range(n)]
+    while True:
+        p = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        if linalg.rank(p) == n:
+            break
+    d = [[rng.choice((1, -1)) if i == j else 0 for j in range(n)] for i in range(n)]
+    return linalg.mat_mul(linalg.mat_mul(p, d), linalg.inverse(p))
+
+
+def test_validate_involution_matches_reference_on_random_rational_matrices():
+    rng = random.Random(20)
+    types = [build_root_system(t) for t in ["A1", "A1xA1", "A2", "B2", "G2", "A3", "B3"]]
+    outcomes = {}
+    for _ in range(2400):
+        rs = rng.choice(types)
+        outcome = assert_checks_match(rs, _random_matrix(rng, rs))
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    # every check is reached, and some matrices pass them all
+    assert set(outcomes) == {None, NotInvolution, NotIsometric, NotRootPreserving}
+    assert min(outcomes.values()) >= 20
+
+
+def test_isometric_involution_off_the_root_lattice():
+    rs = build_root_system("A1xA1")
+    theta = [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]
+    assert assert_checks_match(rs, theta) is NotRootPreserving
+    with pytest.raises(NotRootPreserving, match="^matrix does not preserve the root lattice$"):
+        validate_involution(rs, theta)

@@ -11,6 +11,7 @@ from cartan_ds import (
     NotInvolution,
     NotIsometric,
     NotRootPreserving,
+    ParseError,
     PreconditionFailed,
     RankMismatch,
     Weight,
@@ -51,6 +52,13 @@ def test_validate_rejects_wrong_size():
     for mat in [((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0))]:
         with pytest.raises(RankMismatch):
             validate_involution(rs, mat)
+
+
+@pytest.mark.parametrize("mat", [[[1.0]], [[True]], [["1,0"]], [[None]]])
+def test_validate_rejects_entries_that_are_no_rationals(mat):
+    # a float or a bool is no matrix entry, even when it equals one
+    with pytest.raises(ParseError):
+        validate_involution(build_root_system("A1"), mat)
 
 
 def test_validate_rejects_non_involution():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cartan_ds import (
     CapExceeded,
     InvalidType,
+    PreconditionFailed,
     RankMismatch,
     Weight,
     apply,
@@ -220,6 +221,8 @@ def test_reflection_in_root_is_a_true_reflection():
         assert s.matrix in matrices
         assert apply(s, beta) == -beta
         assert s.compose(s).matrix == rs.identity.matrix
+    with pytest.raises(PreconditionFailed):
+        rs.reflection_in_root(W(1, 3))
 
 
 def test_longest_element_negates_positive_system():
@@ -368,6 +371,7 @@ def test_dominant_representative_rejects_wrong_rank():
             lambda lam: dominant_representative(rs, lam),
             lambda lam: apply(rs.simple_reflection(0), lam),
             rs.fw_coords,
+            rs.reflection_in_root,
         ):
             with pytest.raises(RankMismatch):
                 call(W(*coords))

@@ -265,6 +265,18 @@ def test_config_validation():
         TranslationConfig(max_k=-1)
     with pytest.raises(BadParameters):
         TranslationConfig(cap=0)
+    # field types: ints that are not bools, and a bool switch
+    for bad in (
+        {"worst_case_exponents": "no"},
+        {"worst_case_exponents": 0},
+        {"integrality": True},
+        {"max_k": 1.5},
+        {"max_mu_coeff": 1.0},
+        {"cap": 2.5},
+        {"cap": "10"},
+    ):
+        with pytest.raises(BadParameters):
+            TranslationConfig(**bad)
     TranslationConfig(max_mu_coeff=0)  # legal: search only the ray itself
 
 
