@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HypothesisFailed
-from .realform import CartanInvolution, _read_matrix
+from .realform import CartanInvolution, _read_matrix, _require_same_root_system
 from .rootdata import (
     IntMat,
     RootSystem,
@@ -46,9 +46,11 @@ def theta_in_weyl(
     the group then w u fixes the regular weight rho, so w u = 1 and u is the
     inverse of w; the matrix product w theta = 1 decides membership exactly.
     A raw matrix must be rank x rank with rational entries; one with a
-    non-integer entry is never in the group.
+    non-integer entry is never in the group.  An involution validated on
+    another root system is a PreconditionFailed.
     """
     if isinstance(theta, CartanInvolution):
+        _require_same_root_system(rs, theta)
         mat = theta.theta
     else:
         d, mat = _read_matrix(theta, rs.rank, "matrix")
@@ -177,6 +179,7 @@ def extended_stabilizer(
     orbit, and in that case one is produced from the two chamber chases; it is
     a genuinely new symmetry only when the involution is outside the group.
     """
+    _require_same_root_system(rs, inv)
     stab = stabilizer_generators(rs, lam)
     dom_t, w_t = dominant_representative(rs, inv.act(lam))
     witness = theta_in_weyl(rs, inv)

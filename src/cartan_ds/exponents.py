@@ -27,7 +27,12 @@ from typing import Iterable
 
 from . import linalg
 from .errors import InvalidDatum, RankMismatch
-from .realform import CartanInvolution, RestrictedRootSystem, restricted_roots
+from .realform import (
+    CartanInvolution,
+    RestrictedRootSystem,
+    _require_same_root_system,
+    restricted_roots,
+)
 from .rootdata import (
     DEFAULT_CAP,
     RootSystem,
@@ -235,6 +240,7 @@ def _doubled_restrictions(
 
     The restriction of v / s is (v - theta(v)) / (2 s).
     """
+    _require_same_root_system(rs, inv)
     scale, orbit = _orbit_of(rs, lam, cap)
     theta = inv.theta
     return scale, {

@@ -6,8 +6,11 @@ of the dual split part: restriction of a weight is (lam - theta(lam)) / 2, and
 the nonzero restrictions of roots form the (possibly non-reduced) restricted
 root system, each with a multiplicity equal to its number of preimages.
 Roots and theta are integral, so the doubled restriction alpha - theta(alpha)
-is an int vector: the restricted root system, and the dual description of its
-positive cone, are built once from those.  A candidate matrix is validated on
+is an int vector.  The validator stores one table, root -> alpha - theta(alpha),
+and everything that restricts a root reads it: the compatible positive system,
+the restricted root system with the dual description of its positive cone, and
+the restricted type, whose components, supports and norm ratios are int
+pairings of the doubled restricted roots.  A candidate matrix is validated on
 ints too: scaled once by the lcm d of its denominators to t, it is an
 involution iff t^2 = d^2 1, an isometry of the int invariant form F iff
 t^T F t = d^2 F, and integral iff d = 1.
@@ -15,8 +18,8 @@ t^T F t = d^2 F, and integral iff d = 1.
 A positive system of the ambient roots is *compatible* when its nonzero
 restrictions form a positive system of the restricted roots.  The validator
 keeps the default positive system when it is already compatible and otherwise
-re-chooses one deterministically, recording the Weyl chamber transform that
-carries the default system onto the chosen one.
+re-chooses one by signs on the table, recording the Weyl chamber transform
+that carries the default system onto the chosen one.
 """
 
 from __future__ import annotations
@@ -47,11 +50,13 @@ from .rootdata import (
     _int_mat_mul,
     _int_mat_vec,
     _scaled,
+    _unscaled,
     apply,
     apply_matrix,
     closure,
     dominant_representative,
     enumerate_weyl,
+    format_cartan_type,
     word_element,
 )
 
@@ -64,7 +69,9 @@ class CartanInvolution:
 
     ``positive_roots`` is the chosen compatible positive system and ``chamber``
     the Weyl element carrying the default positive system onto it (identity
-    when the default was already compatible).
+    when the default was already compatible).  ``doubled_restrictions`` maps
+    each root alpha to alpha - theta(alpha), twice its restriction, as an int
+    tuple; the positive system and the restricted roots are read from it.
     """
 
     root_system: RootSystem
@@ -74,6 +81,7 @@ class CartanInvolution:
     positive_roots: frozenset[Weight]
     chamber: WeylElement
     default_compatible: bool
+    doubled_restrictions: Mapping[Weight, tuple[int, ...]]
 
     @property
     def split_rank(self) -> int:
@@ -85,7 +93,7 @@ class CartanInvolution:
 
     def restrict(self, lam: Weight) -> Weight:
         """Projection onto the (-1)-eigenspace: (lam - theta(lam)) / 2."""
-        return _restrict(self.theta, lam)
+        return (lam - self.act(lam)).scale(HALF)
 
     def from_split_coords(self, values) -> Weight:
         if isinstance(values, Weight):
@@ -97,6 +105,16 @@ class CartanInvolution:
         for c, b in zip(vals, self.split_basis):
             out = out + b.scale(c)
         return out
+
+
+def _require_same_root_system(rs: RootSystem, inv: CartanInvolution) -> None:
+    """PreconditionFailed unless inv was validated on a root system of rs's type."""
+    if inv.root_system.cartan_type != rs.cartan_type:
+        raise PreconditionFailed(
+            "the involution was validated on another root system:"
+            f" {format_cartan_type(inv.root_system.cartan_type)},"
+            f" not {format_cartan_type(rs.cartan_type)}"
+        )
 
 
 def _read_matrix(rows, rank: int, what: str) -> tuple[int, IntMat]:
@@ -116,10 +134,6 @@ def _scaled_rows(mat: IntMat, c: int) -> IntMat:
     return tuple(tuple(c * x for x in row) for row in mat)
 
 
-def _restrict(theta: IntMat, lam: Weight) -> Weight:
-    return (lam - apply_matrix(theta, lam)).scale(HALF)
-
-
 def _eigenbasis(theta: IntMat, sign: int) -> tuple[Weight, ...]:
     n = len(theta)
     shifted = tuple(
@@ -129,17 +143,21 @@ def _eigenbasis(theta: IntMat, sign: int) -> tuple[Weight, ...]:
     return tuple(Weight(v) for v in linalg.nullspace(shifted))
 
 
-def _regular_combination(rs: RootSystem, basis: tuple[Weight, ...], targets) -> Weight:
-    """Deterministic vector in span(basis) pairing nonzero with every target."""
-    if not targets:
-        return Weight.zero(rs.rank) if not basis else basis[0].scale(0)
+def _dot(u, v) -> int:
+    return sum(map(operator.mul, u, v))
+
+
+def _regular_covector(rs: RootSystem, basis: tuple[Weight, ...], targets) -> list[int]:
+    """F v for a deterministic v in span(basis) pairing nonzero with every int
+    target, v = sum_i t^i basis_i scaled to ints by the lcm of its denominators."""
     t = 1
     while True:
         v = Weight.zero(rs.rank)
         for i, b in enumerate(basis):
             v = v + b.scale(Fraction(t) ** i)
-        if all(rs.pairing(v, x) != 0 for x in targets):
-            return v
+        covector = _int_mat_vec(rs.form, _scaled(v)[1])
+        if all(_dot(covector, x) for x in targets):
+            return covector
         t += 1
 
 
@@ -161,14 +179,19 @@ def validate_involution(rs: RootSystem, theta_matrix) -> CartanInvolution:
         raise NotIsometric("matrix does not preserve the invariant pairing")
     if d != 1:
         raise NotRootPreserving("matrix does not preserve the root lattice")
-    for root in rs.all_roots:
-        if apply_matrix(theta, root) not in rs.all_roots:
+    # roots are integral: theta permutes them iff it permutes their int tuples
+    roots = {tuple(c.numerator for c in r.coords): r for r in rs.all_roots}
+    doubled: dict[Weight, tuple[int, ...]] = {}
+    for a, root in roots.items():
+        image = tuple(_int_mat_vec(theta, a))
+        if image not in roots:
             raise NotRootPreserving("matrix does not permute the roots")
+        doubled[root] = tuple(map(operator.sub, a, image))
 
     split_basis = _eigenbasis(theta, -1)
     compact_basis = _eigenbasis(theta, +1)
     positive, chamber, default_ok = _compatible_positive_system(
-        rs, theta, split_basis, compact_basis
+        rs, doubled, split_basis, compact_basis
     )
     return CartanInvolution(
         root_system=rs,
@@ -178,45 +201,40 @@ def validate_involution(rs: RootSystem, theta_matrix) -> CartanInvolution:
         positive_roots=positive,
         chamber=chamber,
         default_compatible=default_ok,
+        doubled_restrictions=doubled,
     )
 
 
 def _compatible_positive_system(
     rs: RootSystem,
-    theta: IntMat,
+    doubled: Mapping[Weight, tuple[int, ...]],
     split_basis: tuple[Weight, ...],
     compact_basis: tuple[Weight, ...],
 ) -> tuple[frozenset[Weight], WeylElement, bool]:
-    restrictions = {root: _restrict(theta, root) for root in rs.all_roots}
-    default_restr = {
-        restrictions[r] for r in rs.positive_roots if not restrictions[r].is_zero()
-    }
-    if not any(-v in default_restr for v in default_restr):
+    """The positive system, the chamber transform and whether it is the default.
+
+    A root is positive when its restriction pairs positively with a regular
+    split vector, or, restricting to zero, when it pairs positively with a
+    regular compact vector; the chamber is found by chasing 2 rho of that
+    system, whose chase word depends only on its chamber.
+    """
+    zero = (0,) * rs.rank
+    default = {doubled[r] for r in rs.positive_roots} - {zero}
+    if not any(tuple(-x for x in d) in default for d in default):
         return frozenset(rs.positive_roots), rs.identity, True
 
-    nonzero = [v for v in set(restrictions.values()) if not v.is_zero()]
-    fixed = [r for r in rs.all_roots if restrictions[r].is_zero()]
-    lam_split = _regular_combination(rs, split_basis, nonzero)
-    lam_compact = (
-        _regular_combination(rs, compact_basis, fixed)
-        if fixed
-        else Weight.zero(rs.rank)
+    ints = {r: [c.numerator for c in r.coords] for r in doubled}  # roots are integral
+    split = _regular_covector(rs, split_basis, set(doubled.values()) - {zero})
+    fixed = [ints[r] for r, d in doubled.items() if d == zero]
+    compact = _regular_covector(rs, compact_basis, fixed)
+    # the split sign of a root's restriction, or its compact sign where that is 0
+    positive = frozenset(
+        r for r, d in doubled.items() if (_dot(split, d) or _dot(compact, ints[r])) > 0
     )
-    # scale the split part until it dominates the compact part on every root
-    min_split = min(
-        abs(rs.pairing(restrictions[r], lam_split))
-        for r in rs.all_roots
-        if not restrictions[r].is_zero()
-    )
-    max_compact = max(
-        (abs(rs.pairing(r, lam_compact)) for r in rs.all_roots), default=Fraction(0)
-    )
-    scale = max_compact / min_split + 1
-    regular = lam_split.scale(scale) + lam_compact
-    positive = frozenset(r for r in rs.all_roots if rs.pairing(r, regular) > 0)
     if len(positive) != len(rs.positive_roots):
         raise NotRootPreserving("failed to choose a compatible positive system")
-    _, to_dominant = dominant_representative(rs, regular)
+    two_rho = [sum(col) for col in zip(*(ints[r] for r in positive))]
+    _, to_dominant = dominant_representative(rs, _unscaled(two_rho, 1))
     chamber = word_element(rs, to_dominant.word[::-1])
     if {apply(chamber, r) for r in rs.positive_roots} != positive:
         raise NotRootPreserving("chamber transform does not match positive system")
@@ -263,24 +281,20 @@ class RestrictedRootSystem:
     def split_rank(self) -> int:
         return self.involution.split_rank
 
-    def pairing(self, x: Weight, y: Weight) -> Fraction:
-        return self.root_system.pairing(x, y)
-
 
 def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSystem:
     """Compute the restricted root system, its multiplicities and dual cone.
 
-    Everything is found on the doubled restrictions alpha - theta(alpha),
-    which are int vectors, and one Weight is made per distinct restricted
-    root at the end.  Raises ConsistencyError when the simple restricted roots
-    are not linearly independent or a positive restricted root pairs
-    negatively with a facet ray.
+    Everything is found on the involution's doubled restrictions
+    alpha - theta(alpha), which are int vectors, and one Weight is made per
+    distinct restricted root at the end.  Raises PreconditionFailed for an
+    involution on another root system, and ConsistencyError when the simple
+    restricted roots are not linearly independent or a positive restricted
+    root pairs negatively with a facet ray.
     """
+    _require_same_root_system(rs, inv)
     zero = (0,) * rs.rank
-    doubled: dict[Weight, tuple[int, ...]] = {}
-    for root in rs.all_roots:
-        a = [c.numerator for c in root.coords]  # roots are integral
-        doubled[root] = tuple(map(operator.sub, a, _int_mat_vec(inv.theta, a)))
+    doubled = inv.doubled_restrictions
     mult = Counter(d for d in doubled.values() if d != zero)
     positive = {doubled[r] for r in inv.positive_roots} - {zero}
     simple = sorted(
@@ -347,47 +361,48 @@ def multiplicity_identity_holds(rrs: RestrictedRootSystem) -> bool:
     return covered + len(rrs.vanishing_roots) == len(rrs.root_system.all_roots)
 
 
-def _component_split(rrs: RestrictedRootSystem) -> list[list[Weight]]:
-    """Connected components of the simple restricted roots."""
-    comps: list[list[Weight]] = []
-    remaining = list(rrs.simple_restricted)
-    while remaining:
-        comp = [remaining.pop(0)]
-        changed = True
-        while changed:
-            changed = False
-            for v in list(remaining):
-                if any(rrs.pairing(v, u) != 0 for u in comp):
-                    comp.append(v)
-                    remaining.remove(v)
-                    changed = True
-        comps.append(comp)
-    return comps
-
-
 def classify_restricted_type(rrs: RestrictedRootSystem) -> str:
     """Cartan-type label of the restricted system, "BC_r" when non-reduced.
 
     The self-dual rank-2 case is reported as "B2".  Empty restricted systems
-    (compact forms) are labeled "0".
+    (compact forms) are labeled "0".  Components, supports and norm ratios
+    come from int pairings of the doubled restricted roots.
     """
     if not rrs.restricted_roots:
         return "0"
+    form = rrs.root_system.form
+    simple = [_doubled(s) for s in rrs.simple_restricted]
+    # each positive doubled root's pairings with the simple ones, and its norm
+    pairings = {}
+    norm = {}
+    for v in rrs.positive_restricted:
+        d = _doubled(v)
+        fd = _int_mat_vec(form, d)
+        pairings[d] = _int_mat_vec(simple, fd)
+        norm[d] = _dot(d, fd)
+    # connected components of the simple roots, as index sets
+    comps: list[set[int]] = []
+    for i, s in enumerate(simple):
+        linked = [c for c in comps if any(pairings[s][j] for j in c)]
+        merged = {i}.union(*linked)
+        comps = [c for c in comps if c not in linked] + [merged]
     labels = []
-    for comp in _component_split(rrs):
+    for comp in comps:
+        # positive roots pairing nonzero with the component and zero elsewhere
         span_pos = [
-            v
-            for v in rrs.positive_restricted
-            if _supported_on(rrs, v, comp)
+            d
+            for d, p in pairings.items()
+            if any(p[j] for j in comp)
+            and not any(x for j, x in enumerate(p) if j not in comp)
         ]
         r = len(comp)
-        doubled = any(v.scale(2) in rrs.restricted_roots for v in span_pos)
-        if doubled:
+        # twice a positive restricted root is a positive one when it is a root
+        if any(tuple(2 * x for x in d) in pairings for d in span_pos):
             labels.append(f"BC{r}")
             continue
         count = 2 * len(span_pos)
-        norms = sorted({rrs.pairing(v, v) for v in span_pos})
-        ratio = norms[-1] / norms[0]
+        norms = sorted({norm[d] for d in span_pos})
+        ratio = Fraction(norms[-1], norms[0])
         if r == 1:
             labels.append("A1")
         elif ratio == 1:
@@ -405,20 +420,13 @@ def classify_restricted_type(rrs: RestrictedRootSystem) -> str:
             elif r == 2:
                 labels.append("B2")
             else:
-                long_count = sum(1 for v in span_pos if rrs.pairing(v, v) == norms[-1])
+                long_count = sum(1 for d in span_pos if norm[d] == norms[-1])
                 labels.append(f"C{r}" if 2 * long_count == 2 * r else f"B{r}")
         elif ratio == 3:
             labels.append("G2")
         else:
             labels.append(f"?{r}")
     return "x".join(sorted(labels))
-
-
-def _supported_on(rrs: RestrictedRootSystem, v: Weight, comp: list[Weight]) -> bool:
-    others = [u for u in rrs.simple_restricted if u not in comp]
-    return all(rrs.pairing(v, u) == 0 for u in others) and any(
-        rrs.pairing(v, u) != 0 for u in comp
-    )
 
 
 @dataclass(frozen=True)

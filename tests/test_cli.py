@@ -131,6 +131,24 @@ def test_criterion_user_involution_file(capsys, tmp_path):
     assert res["minus_sigma_in_weyl"] is True  # conjugate involution, same answer
 
 
+def _rechosen_a2_document(tmp_path):
+    """A2 with the first simple reflection, whose default positive system is
+    not compatible: the restriction of alpha_1 + alpha_2 is half that of alpha_1."""
+    path = tmp_path / "a2_reflection.json"
+    path.write_text(json.dumps({
+        "id": "a2-reflection", "cartan_type": "A2", "theta_matrix": [[-1, 1], [0, 1]],
+        "compact_rank": 2, "expected_verdict": True,
+    }))
+    return str(path)
+
+
+def test_criterion_on_rechosen_chamber_document(capsys, tmp_path):
+    rc, doc, _ = run_json(capsys, "criterion", _rechosen_a2_document(tmp_path))
+    assert rc == 0
+    assert doc["results"]["witness"] == {"word": [0]}
+    assert doc["certificates"]["witness_verified"] is True
+
+
 # ---------------------------------------------------------------------------
 # catalog and inspect
 # ---------------------------------------------------------------------------
@@ -154,6 +172,16 @@ def test_catalog_filter_and_table(capsys):
     assert rc == 0
     head = out.splitlines()[0].split()
     assert head == ["id", "type", "restricted", "|roots|", "verdict", "oracle", "consistent"]
+
+
+def test_inspect_rechosen_chamber_document(capsys, tmp_path):
+    rc, doc, _ = run_json(capsys, "inspect", _rechosen_a2_document(tmp_path))
+    assert rc == 0
+    res = doc["results"]
+    assert res["default_positive_system_compatible"] is False
+    assert res["chamber_word"] == {"word": [1]}
+    assert res["restricted_type"] == "BC1"
+    assert res["source"] == "user"
 
 
 def test_inspect_frozen_so41(capsys):

@@ -1,0 +1,239 @@
+"""The compatible positive system and the restricted type against the Fraction
+references they replaced.
+
+``validate_involution`` stores one int table, root -> alpha - theta(alpha),
+and chooses the positive system by signs on it: a root is positive by its
+restriction's pairing with a regular split vector, or, restricting to zero,
+by its pairing with a regular compact vector; the chamber is the chase of
+2 rho of that system.  ``classify_restricted_type`` finds components, supports
+and norm ratios from int pairings of the doubled restricted roots.  The
+references below are the Fraction restriction dict with a scaled regular
+weight, and the component split and support test on Fraction pairings.
+
+Mutations these tests catch: the compact sign checked before the split sign,
+the chamber chased from rho in place of 2 rho of the chosen system, a
+default positive system kept without its compatibility test,
+the support test without its "pairs zero with the other components" clause,
+a long-root count taken at the shortest norm, and simple roots never merged
+into components.
+"""
+
+import dataclasses
+import random
+from fractions import Fraction
+
+from cartan_ds import (
+    CartanDSError,
+    Weight,
+    build_default_catalog,
+    build_root_system,
+    classify_restricted_type,
+    entry_involution,
+    entry_root_system,
+    restricted_roots,
+    validate_involution,
+)
+from cartan_ds.rootdata import apply, apply_matrix, dominant_representative, word_element
+from test_int_kernel_reference import _random_matrix
+from test_restricted_reference import PM_W_TYPES, pm_w_involutions
+
+HALF = Fraction(1, 2)
+
+
+def _restrict(theta, lam):
+    return (lam - apply_matrix(theta, lam)).scale(HALF)
+
+
+def _regular_combination(rs, basis, targets):
+    """Deterministic vector in span(basis) pairing nonzero with every target."""
+    if not targets:
+        return Weight.zero(rs.rank) if not basis else basis[0].scale(0)
+    t = 1
+    while True:
+        v = Weight.zero(rs.rank)
+        for i, b in enumerate(basis):
+            v = v + b.scale(Fraction(t) ** i)
+        if all(rs.pairing(v, x) != 0 for x in targets):
+            return v
+        t += 1
+
+
+def reference_positive_system(rs, inv):
+    """(positive roots, chamber, default compatible) from a scaled regular weight."""
+    theta = inv.theta
+    restrictions = {root: _restrict(theta, root) for root in rs.all_roots}
+    default_restr = {
+        restrictions[r] for r in rs.positive_roots if not restrictions[r].is_zero()
+    }
+    if not any(-v in default_restr for v in default_restr):
+        return frozenset(rs.positive_roots), rs.identity, True
+
+    nonzero = [v for v in set(restrictions.values()) if not v.is_zero()]
+    fixed = [r for r in rs.all_roots if restrictions[r].is_zero()]
+    lam_split = _regular_combination(rs, inv.split_basis, nonzero)
+    lam_compact = (
+        _regular_combination(rs, inv.compact_basis, fixed)
+        if fixed
+        else Weight.zero(rs.rank)
+    )
+    # scale the split part until it dominates the compact part on every root
+    min_split = min(
+        abs(rs.pairing(restrictions[r], lam_split))
+        for r in rs.all_roots
+        if not restrictions[r].is_zero()
+    )
+    max_compact = max(
+        (abs(rs.pairing(r, lam_compact)) for r in rs.all_roots), default=Fraction(0)
+    )
+    scale = max_compact / min_split + 1
+    regular = lam_split.scale(scale) + lam_compact
+    positive = frozenset(r for r in rs.all_roots if rs.pairing(r, regular) > 0)
+    assert len(positive) == len(rs.positive_roots)
+    _, to_dominant = dominant_representative(rs, regular)
+    chamber = word_element(rs, to_dominant.word[::-1])
+    assert {apply(chamber, r) for r in rs.positive_roots} == positive
+    return positive, chamber, False
+
+
+def _component_split(rs, simple):
+    """Connected components of the simple restricted roots."""
+    comps = []
+    remaining = list(simple)
+    while remaining:
+        comp = [remaining.pop(0)]
+        changed = True
+        while changed:
+            changed = False
+            for v in list(remaining):
+                if any(rs.pairing(v, u) != 0 for u in comp):
+                    comp.append(v)
+                    remaining.remove(v)
+                    changed = True
+        comps.append(comp)
+    return comps
+
+
+def _supported_on(rs, simple, v, comp):
+    others = [u for u in simple if u not in comp]
+    return all(rs.pairing(v, u) == 0 for u in others) and any(
+        rs.pairing(v, u) != 0 for u in comp
+    )
+
+
+def reference_restricted_type(rrs):
+    """The type label from Fraction pairings of the restricted roots."""
+    if not rrs.restricted_roots:
+        return "0"
+    rs = rrs.root_system
+    simple = rrs.simple_restricted
+    labels = []
+    for comp in _component_split(rs, simple):
+        span_pos = [
+            v for v in rrs.positive_restricted if _supported_on(rs, simple, v, comp)
+        ]
+        r = len(comp)
+        if any(v.scale(2) in rrs.restricted_roots for v in span_pos):
+            labels.append(f"BC{r}")
+            continue
+        count = 2 * len(span_pos)
+        norms = sorted({rs.pairing(v, v) for v in span_pos})
+        ratio = norms[-1] / norms[0]
+        if r == 1:
+            labels.append("A1")
+        elif ratio == 1:
+            if count == r * (r + 1):
+                labels.append(f"A{r}")
+            elif count == 2 * r * (r - 1):
+                labels.append(f"D{r}")
+            elif (r, count) in {(6, 72), (7, 126), (8, 240)}:
+                labels.append(f"E{r}")
+            else:
+                labels.append(f"?{r}")
+        elif ratio == 2:
+            if r == 4 and count == 48:
+                labels.append("F4")
+            elif r == 2:
+                labels.append("B2")
+            else:
+                long_count = sum(1 for v in span_pos if rs.pairing(v, v) == norms[-1])
+                labels.append(f"C{r}" if 2 * long_count == 2 * r else f"B{r}")
+        elif ratio == 3:
+            labels.append("G2")
+        else:
+            labels.append(f"?{r}")
+    return "x".join(sorted(labels))
+
+
+def assert_matches_reference(rs, inv, name):
+    """Compare one involution with the references; returns the restricted type."""
+    for root, d in inv.doubled_restrictions.items():
+        assert Weight.of(d) == _restrict(inv.theta, root).scale(2), name
+    assert set(inv.doubled_restrictions) == rs.all_roots, name
+    positive, chamber, default_ok = reference_positive_system(rs, inv)
+    assert inv.positive_roots == positive, name
+    assert (inv.chamber.matrix, inv.chamber.word) == (chamber.matrix, chamber.word), name
+    assert inv.default_compatible == default_ok, name
+    rrs = restricted_roots(rs, inv)
+    label = classify_restricted_type(rrs)
+    assert label == reference_restricted_type(rrs), name
+    return label
+
+
+def test_catalog_matches_reference():
+    labels = set()
+    catalog = build_default_catalog()
+    for entry in catalog:
+        rs = entry_root_system(entry)
+        labels.add(assert_matches_reference(rs, entry_involution(entry, rs=rs), entry.id))
+    assert len(catalog) == 56
+    # reduced and non-reduced, simple and reducible, every norm-ratio branch
+    assert {"0", "A1", "A1xA1", "A2", "B2", "B3", "BC1", "BC2", "C3", "D4", "E6",
+            "F4", "G2"} <= labels
+
+
+def test_pm_weyl_involutions_match_reference():
+    checked = rechosen = rechosen_with_fixed = 0
+    for t in PM_W_TYPES:
+        for rs, inv in pm_w_involutions(t):
+            assert_matches_reference(rs, inv, (t, inv.theta))
+            checked += 1
+            if not inv.default_compatible:
+                rechosen += 1
+                zero = (0,) * rs.rank
+                rechosen_with_fixed += zero in inv.doubled_restrictions.values()
+    assert checked == 252
+    # the re-choice branch, and its compact sign, stay covered
+    assert rechosen >= 150 and rechosen_with_fixed >= 140
+
+
+def test_random_involutions_match_reference():
+    # the draws of the random-matrix test of validate_involution
+    rng = random.Random(20)
+    types = [build_root_system(t) for t in ["A1", "A1xA1", "A2", "B2", "G2", "A3", "B3"]]
+    passed = rechosen = 0
+    for k in range(2400):
+        rs = rng.choice(types)
+        try:
+            inv = validate_involution(rs, _random_matrix(rng, rs))
+        except CartanDSError:
+            continue
+        assert_matches_reference(rs, inv, k)
+        passed += 1
+        rechosen += not inv.default_compatible
+    assert passed >= 600 and rechosen >= 100
+
+
+def test_root_straddling_two_components_counts_in_neither():
+    # not a root system: e1 + e2 pairs nonzero with both orthogonal simple
+    # roots, so neither A1 component takes it or its double
+    rs = build_root_system("A1xA1")
+    rrs = restricted_roots(rs, validate_involution(rs, [[-1, 0], [0, -1]]))
+    e1, e2 = rs.simple_roots
+    positive = frozenset({e1, e2, e1 + e2, (e1 + e2).scale(2)})
+    straddling = dataclasses.replace(
+        rrs,
+        restricted_roots=positive | {-v for v in positive},
+        positive_restricted=positive,
+    )
+    assert classify_restricted_type(straddling) == "A1xA1"
+    assert reference_restricted_type(straddling) == "A1xA1"

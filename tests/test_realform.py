@@ -19,13 +19,19 @@ from cartan_ds import (
     build_default_catalog,
     build_root_system,
     catalog_form,
+    admissible_exponents,
     classify_restricted_type,
+    compact_cartan_verdict,
     entry_involution,
     entry_root_system,
     enumerate_weyl,
+    extended_stabilizer,
+    extended_weyl_group,
     longest_element,
     multiplicity_identity_holds,
+    orbit_restrictions,
     restricted_roots,
+    theta_in_weyl,
     validate_involution,
     verify_exact_sequence,
     weyl_order,
@@ -401,3 +407,28 @@ def test_exact_sequence_matches_fraction_matrix_reference():
         assert report.passed, name
         checked += 1
     assert checked >= 45
+
+
+def test_involution_from_another_root_system_is_refused():
+    # B2's theta = -1 is a Weyl element there; on A2 the same matrix is not an
+    # involution of the roots at all, and answers on A2 would be wrong
+    b2, a2 = build_root_system("B2"), build_root_system("A2")
+    minus_one = validate_involution(b2, [[-1, 0], [0, -1]])
+    assert compact_cartan_verdict(b2, minus_one).compact_cartan is True
+    swap = validate_involution(build_root_system("A1xA1"), [[0, 1], [1, 0]])
+    rrs = restricted_roots(b2, minus_one)
+    calls = [
+        lambda: restricted_roots(a2, minus_one),
+        lambda: verify_exact_sequence(a2, minus_one),
+        lambda: orbit_restrictions(a2, minus_one, a2.rho),
+        lambda: admissible_exponents(a2, minus_one, rrs, a2.rho),
+        lambda: compact_cartan_verdict(a2, minus_one),
+        lambda: extended_weyl_group(a2, minus_one),
+        lambda: extended_stabilizer(b2, swap, b2.rho),
+        lambda: theta_in_weyl(a2, minus_one),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionFailed, match="validated on another root system"):
+            call()
+    # a raw matrix carries no root system and is still read on the one given
+    assert theta_in_weyl(a2, [[-1, 0], [0, -1]]) is None

@@ -71,7 +71,7 @@ def reference_chamber(rrs):
     r = len(simple)
     rays = []
     if r:
-        gram = tuple(tuple(rrs.pairing(a, b) for b in simple) for a in simple)
+        gram = tuple(tuple(rrs.root_system.pairing(a, b) for b in simple) for a in simple)
         gram_inv = linalg.inverse(gram)
         for j in range(r):
             ray = Weight.zero(rrs.root_system.rank)
@@ -79,17 +79,17 @@ def reference_chamber(rrs):
                 ray = ray + simple[k].scale(gram_inv[k][j])
             rays.append(ray)
     for gen in rrs.positive_restricted:
-        assert all(rrs.pairing(gen, ray) >= 0 for ray in rays)
+        assert all(rrs.root_system.pairing(gen, ray) >= 0 for ray in rays)
     return tuple(rays), rrs.split_rank > 0 and r == rrs.split_rank
 
 
 def reference_cone_position(rrs, v):
     """(kind, margin, ray pairings) from Fraction pairings with the rays."""
     rays, fulldim = reference_chamber(rrs)
-    pairings = tuple(rrs.pairing(v, ray) for ray in rays)
+    pairings = tuple(rrs.root_system.pairing(v, ray) for ray in rays)
     margin = None
     for p, ray in zip(pairings, rays):
-        value = SignedSqrt.of_ratio(-p, rrs.pairing(ray, ray))
+        value = SignedSqrt.of_ratio(-p, rrs.root_system.pairing(ray, ray))
         if margin is None or value < margin:
             margin = value
     interior = fulldim and all(p < 0 for p in pairings)
