@@ -26,7 +26,7 @@ from functools import total_ordering
 from typing import Iterable
 
 from . import linalg
-from .errors import InvalidDatum, RankMismatch
+from .errors import InvalidDatum, PreconditionFailed, RankMismatch
 from .realform import (
     CartanInvolution,
     RestrictedRootSystem,
@@ -43,6 +43,18 @@ from .rootdata import (
     _unscaled,
     dominant_representative,
 )
+
+
+def _require_same_chamber(
+    rs: RootSystem, inv: CartanInvolution, chamber: RestrictedRootSystem
+) -> None:
+    """PreconditionFailed unless inv was validated on rs's type and the chamber
+    built on that type from inv's theta."""
+    _require_same_root_system(rs, inv)
+    if chamber.root_system.cartan_type != rs.cartan_type or chamber.involution.theta != inv.theta:
+        raise PreconditionFailed(
+            "the chamber was validated on another root system or involution"
+        )
 
 
 @total_ordering
@@ -274,6 +286,7 @@ def antidominant_restriction(
     An orbit has exactly one antidominant element, -dom(-lam), which is
     w0 dom(lam); this form costs one chamber chase.
     """
+    _require_same_root_system(rs, inv)
     dom, _ = dominant_representative(rs, -lam)
     return inv.restrict(-dom)
 
@@ -290,6 +303,7 @@ def admissible_exponents(
     Each distinct int restriction is tested by the signs of its covector
     products, and a Weight made only for those inside.
     """
+    _require_same_chamber(rs, inv, chamber)
     scale, doubled = _doubled_restrictions(rs, inv, lam, cap)
     return frozenset(
         _unscaled(d, 2 * scale)
@@ -352,6 +366,7 @@ def orbit_plus(
     """Orbit elements whose restriction lies in the negative cone interior."""
     if chamber is None:
         chamber = restricted_roots(rs, inv)
+    _require_same_chamber(rs, inv, chamber)
     scale, doubled = _doubled_restrictions(rs, inv, lam, cap)
     return frozenset(
         _unscaled(v, scale) for v, d in doubled.items() if _in_neg_interior(chamber, d)

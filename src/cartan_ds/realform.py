@@ -8,12 +8,15 @@ root system, each with a multiplicity equal to its number of preimages.
 Roots and theta are integral, so the doubled restriction alpha - theta(alpha)
 is an int vector.  The validator stores one table, root -> alpha - theta(alpha),
 and everything that restricts a root reads it: the compatible positive system,
-the restricted root system with the dual description of its positive cone, and
-the restricted type, whose components, supports and norm ratios are int
-pairings of the doubled restricted roots.  A candidate matrix is validated on
-ints too: scaled once by the lcm d of its denominators to t, it is an
-involution iff t^2 = d^2 1, an isometry of the int invariant form F iff
-t^T F t = d^2 F, and integral iff d = 1.
+the restricted root system with the dual description of its positive cone, the
+restricted type, whose components, supports and norm ratios are int pairings
+of the doubled restricted roots, and the exact-sequence check, whose
+reflections are exact int permutations of them.  One rule picks the positive,
+simple and indivisible doubled restricted roots for the restricted root system
+and for the check.  A candidate matrix is validated on ints too: scaled once by
+the lcm d of its denominators to t, it is an involution iff t^2 = d^2 1, an
+isometry of the int invariant form F iff t^T F t = d^2 F, and integral iff
+d = 1.
 
 A positive system of the ambient roots is *compatible* when its nonzero
 restrictions form a positive system of the restricted roots.  The validator
@@ -119,8 +122,12 @@ def _require_same_root_system(rs: RootSystem, inv: CartanInvolution) -> None:
 
 def _read_matrix(rows, rank: int, what: str) -> tuple[int, IntMat]:
     """The lcm d of a raw rank x rank matrix's denominators, and the matrix
-    times d on ints; a non-rational entry is a ParseError."""
+    times d on ints; a row that is no list or tuple, or a non-rational entry,
+    is a ParseError."""
     try:
+        rows = tuple(rows)
+        if not all(isinstance(row, (list, tuple)) for row in rows):
+            raise TypeError("a matrix row must be a list or a tuple")
         mat = linalg.matrix(rows)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{what}: {exc}") from exc
@@ -282,6 +289,21 @@ class RestrictedRootSystem:
         return self.involution.split_rank
 
 
+def _positive_and_simple(inv: CartanInvolution) -> tuple[set, list]:
+    """The doubled positive restricted roots, and the sorted simple ones."""
+    positive = {d for d in map(inv.doubled_restrictions.get, inv.positive_roots) if any(d)}
+    simple = sorted(
+        d
+        for d in positive
+        if not any(tuple(map(operator.sub, d, e)) in positive for e in positive)
+    )
+    return positive, simple
+
+
+def _indivisible(d: tuple[int, ...], restricted) -> bool:
+    return any(x % 2 for x in d) or tuple(x // 2 for x in d) not in restricted
+
+
 def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSystem:
     """Compute the restricted root system, its multiplicities and dual cone.
 
@@ -293,15 +315,8 @@ def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSys
     root pairs negatively with a facet ray.
     """
     _require_same_root_system(rs, inv)
-    zero = (0,) * rs.rank
-    doubled = inv.doubled_restrictions
-    mult = Counter(d for d in doubled.values() if d != zero)
-    positive = {doubled[r] for r in inv.positive_roots} - {zero}
-    simple = sorted(
-        d
-        for d in positive
-        if not any(tuple(map(operator.sub, d, e)) in positive for e in positive)
-    )
+    mult = Counter(d for d in inv.doubled_restrictions.values() if any(d))
+    positive, simple = _positive_and_simple(inv)
     two_rho = [sum(mult[d] * d[i] for d in positive) for i in range(rs.rank)]
 
     # the rays are the basis dual to the simple restricted roots d / 2, whose
@@ -338,14 +353,10 @@ def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSys
         restricted_roots=frozenset(weights.values()),
         multiplicity={weights[d]: m for d, m in mult.items()},
         positive_restricted=frozenset(weights[d] for d in positive),
-        vanishing_roots=frozenset(r for r, d in doubled.items() if d == zero),
+        vanishing_roots=frozenset(r for r, d in inv.doubled_restrictions.items() if not any(d)),
         rho_restricted=Weight(tuple(Fraction(x, 4) for x in two_rho)),
         simple_restricted=tuple(weights[d] for d in simple),
-        indivisible=frozenset(
-            weights[d]
-            for d in mult
-            if any(x % 2 for x in d) or tuple(x // 2 for x in d) not in mult
-        ),
+        indivisible=frozenset(weights[d] for d in mult if _indivisible(d, mult)),
         facet_rays=rays,
         ray_covectors=covectors,
         ray_scales=tuple(scale for scale, _ in scaled),
@@ -365,8 +376,10 @@ def classify_restricted_type(rrs: RestrictedRootSystem) -> str:
     """Cartan-type label of the restricted system, "BC_r" when non-reduced.
 
     The self-dual rank-2 case is reported as "B2".  Empty restricted systems
-    (compact forms) are labeled "0".  Components, supports and norm ratios
-    come from int pairings of the doubled restricted roots.
+    (compact forms) are labeled "0", and a component whose root count or norm
+    ratios match no type, such as a non-reduced one without the 2r(r+1) roots
+    of BC_r, "?r".  Components, supports and norm ratios come from int
+    pairings of the doubled restricted roots.
     """
     if not rrs.restricted_roots:
         return "0"
@@ -396,11 +409,12 @@ def classify_restricted_type(rrs: RestrictedRootSystem) -> str:
             and not any(x for j, x in enumerate(p) if j not in comp)
         ]
         r = len(comp)
-        # twice a positive restricted root is a positive one when it is a root
-        if any(tuple(2 * x for x in d) in pairings for d in span_pos):
-            labels.append(f"BC{r}")
-            continue
         count = 2 * len(span_pos)
+        # twice a positive restricted root is a positive one when it is a root;
+        # BC_r has 2r(r+1) roots
+        if any(tuple(2 * x for x in d) in pairings for d in span_pos):
+            labels.append(f"BC{r}" if count == 2 * r * (r + 1) else f"?{r}")
+            continue
         norms = sorted({norm[d] for d in span_pos})
         ratio = Fraction(norms[-1], norms[0])
         if r == 1:
@@ -460,11 +474,12 @@ def verify_exact_sequence(
     image exactly the Weyl group of the reduced restricted system.  Both act
     there by permuting the restricted roots, whose simple ones are a basis, so
     an element is the tuple of indices of its images of the simple restricted
-    roots.  A Weyl group larger than ``cap`` is refused (CapExceeded) before
-    any enumeration, and restricted roots that are not a root system, as for
-    many theta = +-w with w in W, with PreconditionFailed.
+    roots, read doubled from the involution's table; reflections permute them
+    exactly on ints.  A Weyl group larger than ``cap`` is refused (CapExceeded)
+    before any enumeration, and restricted roots that are not a root system,
+    as for many theta = +-w with w in W, with PreconditionFailed.
     """
-    rrs = restricted_roots(rs, inv)
+    _require_same_root_system(rs, inv)
     group = enumerate_weyl(rs, cap)
     theta = inv.theta
     commutant = [
@@ -472,39 +487,35 @@ def verify_exact_sequence(
     ]
 
     # the vanishing roots are a root system, generated by its simple roots
-    fixed = rrs.vanishing_roots & inv.positive_roots
+    fixed = {r for r in inv.positive_roots if not any(inv.doubled_restrictions[r])}
     simple_fixed = [b for b in fixed if not any(b - a in fixed for a in fixed)]
     gens = [rs.reflection_in_root(b) for b in sorted(simple_fixed, key=lambda w: w.coords)]
     vanishing_group = closure(
         (rs.identity,), lambda w: (w.compose(g) for g in gens), cap, "vanishing Weyl group"
     )
 
-    roots = sorted(rrs.restricted_roots, key=lambda w: w.coords)
-    index = {_doubled(v): k for k, v in enumerate(roots)}
-    doubled_roots = list(index)
+    roots = sorted({d for d in inv.doubled_restrictions.values() if any(d)})
+    index = {d: k for k, d in enumerate(roots)}
 
     def reflection(b: tuple[int, ...]) -> tuple[int, ...]:
         """s_beta as a permutation of the indices, beta given doubled."""
-        pairings = _int_mat_vec(doubled_roots, _int_mat_vec(rs.form, b))
+        pairings = _int_mat_vec(roots, _int_mat_vec(rs.form, b))
         nb = pairings[index[b]]
         perm = []
-        for v, pairing in zip(doubled_roots, pairings):
-            # an integral Fraction hashes and compares equal to its int
-            c = Fraction(2 * pairing, nb)
-            image = index.get(tuple(x - c * y for x, y in zip(v, b)))
-            if image is None:
+        for v, pairing in zip(roots, pairings):
+            # v - (2 (v, b) / nb) b has an image only when nb divides it on ints
+            q, r = zip(*(divmod(nb * x - 2 * pairing * y, nb) for x, y in zip(v, b)))
+            if any(r) or q not in index:
                 raise PreconditionFailed(
                     "the restricted roots are not a root system: a reflection"
                     " in an indivisible restricted root does not permute them"
                 )
-            perm.append(image)
+            perm.append(index[q])
         return tuple(perm)
 
     # s_beta = s_{-beta}, so the positive roots alone generate the group
-    reflections = [
-        reflection(_doubled(beta)) for beta in rrs.indivisible & rrs.positive_restricted
-    ]
-    simple = [_doubled(s) for s in rrs.simple_restricted]
+    positive, simple = _positive_and_simple(inv)
+    reflections = [reflection(b) for b in positive if _indivisible(b, index)]
     identity = tuple(index[s] for s in simple)
     restricted_group = closure(
         (identity,),
@@ -523,6 +534,5 @@ def verify_exact_sequence(
         order_restricted=len(restricted_group),
         kernel_matches=kernel == set(vanishing_group),
         image_matches=set(images.values()) == set(restricted_group),
-        order_identity=len(commutant)
-        == len(vanishing_group) * len(restricted_group),
+        order_identity=len(commutant) == len(vanishing_group) * len(restricted_group),
     )

@@ -28,6 +28,7 @@ from .errors import (
 from .exponents import (
     FormalDSDatum,
     SignedSqrt,
+    _require_same_chamber,
     admissible_exponents,
     cone_position,
     orbit_restrictions,
@@ -220,6 +221,7 @@ def tensor_l2_condition(
     """
     rs = chamber.root_system
     _assert_dominant_integral(rs, mu)
+    _require_same_chamber(rs, inv, chamber)
     exponents = sorted_exponents(datum)
     if exact:
         shifts = orbit_restrictions(rs, inv, mu, cap)

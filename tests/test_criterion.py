@@ -83,7 +83,7 @@ def test_raw_matrix_must_be_square_of_the_rank():
     assert theta_in_weyl(rs, ((-1, 1), (0, Fraction(2, 2)))) is not None
 
 
-@pytest.mark.parametrize("mat", [[[-1.0]], [[True]], [["-1/0"]]])
+@pytest.mark.parametrize("mat", [[[-1.0]], [[True]], [["-1/0"]], ["1"]])
 def test_raw_matrix_entries_must_be_rationals(mat):
     with pytest.raises(ParseError):
         theta_in_weyl(build_root_system("A1"), mat)

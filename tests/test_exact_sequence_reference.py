@@ -1,0 +1,185 @@
+"""The exact-sequence check against the Fraction reference it replaced.
+
+``verify_exact_sequence`` reads the involution's int table
+alpha -> alpha - theta(alpha): the vanishing roots are the positive roots with
+a zero entry, the restricted roots are the distinct nonzero entries in sorted
+order, and a reflection s_b sends v to (nb v - 2 (v, b) b) / nb, an image only
+when nb = (b, b) divides every numerator.  The reference below is the check as
+it was before: it builds the whole restricted root system, reads its Weights
+back as ints and reflects with Fraction coefficients.
+
+Mutations these tests catch: a divisibility test on the coefficient
+2 (v, b) / nb in place of the numerators, vanishing roots taken from all roots
+in place of the positive ones, a kernel that compares only the first simple
+image, and flooring the numerators without the divisibility test.
+"""
+
+import random
+from fractions import Fraction
+
+from cartan_ds import (
+    CartanDSError,
+    ExactSequenceReport,
+    PreconditionFailed,
+    build_default_catalog,
+    build_root_system,
+    entry_involution,
+    entry_root_system,
+    restricted_roots,
+    validate_involution,
+    verify_exact_sequence,
+    weyl_order,
+)
+from cartan_ds.rootdata import DEFAULT_CAP, _int_mat_mul, _int_mat_vec, closure, enumerate_weyl
+from test_int_kernel_reference import _random_matrix
+from test_restricted_reference import PM_W_TYPES, pm_w_involutions
+
+# on G2 the restricted roots of this theta are +-v/2, +-v and +-3v/2: the
+# reflection coefficient 2 (v, b) / nb is 2/3, yet the image is integral
+G2_THETA = ((2, -3), (1, -2))
+
+
+def _doubled(v):
+    return tuple(int(2 * c) for c in v.coords)
+
+
+def reference_exact_sequence(rs, inv, cap=DEFAULT_CAP):
+    """The check through restricted_roots, with Fraction reflections."""
+    rrs = restricted_roots(rs, inv)
+    group = enumerate_weyl(rs, cap)
+    theta = inv.theta
+    commutant = [
+        w for w in group if _int_mat_mul(w.matrix, theta) == _int_mat_mul(theta, w.matrix)
+    ]
+    fixed = rrs.vanishing_roots & inv.positive_roots
+    simple_fixed = [b for b in fixed if not any(b - a in fixed for a in fixed)]
+    gens = [rs.reflection_in_root(b) for b in sorted(simple_fixed, key=lambda w: w.coords)]
+    vanishing_group = closure(
+        (rs.identity,), lambda w: (w.compose(g) for g in gens), cap, "vanishing Weyl group"
+    )
+    roots = sorted(rrs.restricted_roots, key=lambda w: w.coords)
+    index = {_doubled(v): k for k, v in enumerate(roots)}
+    doubled_roots = list(index)
+
+    def reflection(b):
+        pairings = _int_mat_vec(doubled_roots, _int_mat_vec(rs.form, b))
+        nb = pairings[index[b]]
+        perm = []
+        for v, pairing in zip(doubled_roots, pairings):
+            # an integral Fraction hashes and compares equal to its int
+            c = Fraction(2 * pairing, nb)
+            image = index.get(tuple(x - c * y for x, y in zip(v, b)))
+            if image is None:
+                raise PreconditionFailed(
+                    "the restricted roots are not a root system: a reflection"
+                    " in an indivisible restricted root does not permute them"
+                )
+            perm.append(image)
+        return tuple(perm)
+
+    reflections = [
+        reflection(_doubled(beta)) for beta in rrs.indivisible & rrs.positive_restricted
+    ]
+    simple = [_doubled(s) for s in rrs.simple_restricted]
+    identity = tuple(index[s] for s in simple)
+    restricted_group = closure(
+        (identity,),
+        lambda t: (tuple(p[k] for k in t) for p in reflections),
+        cap,
+        "restricted Weyl group",
+    )
+    images = {
+        w: tuple(index[tuple(_int_mat_vec(w.matrix, s))] for s in simple)
+        for w in commutant
+    }
+    kernel = {w for w, image in images.items() if image == identity}
+    return ExactSequenceReport(
+        order_commutant=len(commutant),
+        order_vanishing=len(vanishing_group),
+        order_restricted=len(restricted_group),
+        kernel_matches=kernel == set(vanishing_group),
+        image_matches=set(images.values()) == set(restricted_group),
+        order_identity=len(commutant) == len(vanishing_group) * len(restricted_group),
+    )
+
+
+def _outcome(check, rs, inv, cap=DEFAULT_CAP):
+    """The report, or the error's type and message."""
+    try:
+        return check(rs, inv, cap)
+    except CartanDSError as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_reference(rs, inv, name, tally):
+    outcome = _outcome(verify_exact_sequence, rs, inv)
+    assert outcome == _outcome(reference_exact_sequence, rs, inv), name
+    if isinstance(outcome, ExactSequenceReport):
+        tally["failed" if not outcome.passed else "passed"] += 1
+    else:
+        tally[outcome[0].__name__] += 1
+
+
+def _tally():
+    return {"passed": 0, "failed": 0, "PreconditionFailed": 0}
+
+
+def test_catalog_matches_reference():
+    tally = _tally()
+    for entry in build_default_catalog():
+        rs = entry_root_system(entry)
+        if weyl_order(rs.cartan_type) <= 1152:
+            assert_matches_reference(rs, entry_involution(entry, rs=rs), entry.id, tally)
+    # every catalog form is a real form, and its sequence is exact
+    assert tally == {"passed": 53, "failed": 0, "PreconditionFailed": 0}
+
+
+def test_pm_weyl_involutions_match_reference():
+    tally = _tally()
+    for t in PM_W_TYPES:
+        for rs, inv in pm_w_involutions(t):
+            assert_matches_reference(rs, inv, (t, inv.theta), tally)
+    # of the 20 or more reports that do not pass, 5 or more come from here
+    assert sum(tally.values()) == 252
+    assert tally["PreconditionFailed"] >= 50 and tally["failed"] >= 5
+
+
+def test_random_involutions_match_reference():
+    # the draws of the random-matrix test of validate_involution
+    rng = random.Random(20)
+    types = [build_root_system(t) for t in ["A1", "A1xA1", "A2", "B2", "G2", "A3", "B3"]]
+    tally = _tally()
+    for k in range(2400):
+        rs = rng.choice(types)
+        try:
+            inv = validate_involution(rs, _random_matrix(rng, rs))
+        except CartanDSError:
+            continue
+        assert_matches_reference(rs, inv, k, tally)
+    assert sum(tally.values()) >= 600 and tally["failed"] >= 15
+
+
+def test_integral_image_of_a_fractional_coefficient():
+    rs = build_root_system("G2")
+    inv = validate_involution(rs, G2_THETA)
+    report = verify_exact_sequence(rs, inv)
+    assert report == reference_exact_sequence(rs, inv)
+    assert report.passed
+    orders = (report.order_commutant, report.order_vanishing, report.order_restricted)
+    assert orders == (4, 2, 2)
+
+
+def test_errors_come_in_the_reference_order():
+    # another root system before the cap, and the cap before the reflections
+    b2, b3 = build_root_system("B2"), build_root_system("B3")
+    minus_one = validate_involution(b2, [[-1, 0], [0, -1]])
+    no_root_system = validate_involution(b3, ((1, -1, 0), (0, -1, 0), (0, 0, -1)))
+    cases = [
+        (build_root_system("A2"), minus_one, 1, "PreconditionFailed"),
+        (b3, no_root_system, 47, "CapExceeded"),
+        (b3, no_root_system, 48, "PreconditionFailed"),
+    ]
+    for rs, inv, cap, error in cases:
+        outcome = _outcome(verify_exact_sequence, rs, inv, cap)
+        assert outcome == _outcome(reference_exact_sequence, rs, inv, cap)
+        assert outcome[0].__name__ == error

@@ -8,6 +8,7 @@ import pytest
 from cartan_ds import (
     CapExceeded,
     ExactSequenceReport,
+    FormalDSDatum,
     NotInvolution,
     NotIsometric,
     NotRootPreserving,
@@ -20,6 +21,7 @@ from cartan_ds import (
     build_root_system,
     catalog_form,
     admissible_exponents,
+    antidominant_restriction,
     classify_restricted_type,
     compact_cartan_verdict,
     entry_involution,
@@ -29,8 +31,10 @@ from cartan_ds import (
     extended_weyl_group,
     longest_element,
     multiplicity_identity_holds,
+    orbit_plus,
     orbit_restrictions,
     restricted_roots,
+    tensor_l2_condition,
     theta_in_weyl,
     validate_involution,
     verify_exact_sequence,
@@ -60,9 +64,10 @@ def test_validate_rejects_wrong_size():
             validate_involution(rs, mat)
 
 
-@pytest.mark.parametrize("mat", [[[1.0]], [[True]], [["1,0"]], [[None]]])
+@pytest.mark.parametrize("mat", [[[1.0]], [[True]], [["1,0"]], [[None]], ["1"]])
 def test_validate_rejects_entries_that_are_no_rationals(mat):
-    # a float or a bool is no matrix entry, even when it equals one
+    # a float or a bool is no matrix entry, even when it equals one, and a
+    # string is no row: "1" would otherwise read as the row (1,)
     with pytest.raises(ParseError):
         validate_involution(build_root_system("A1"), mat)
 
@@ -310,6 +315,19 @@ def test_exact_sequence_refuses_restricted_roots_that_are_no_root_system():
         verify_exact_sequence(rs, inv)
 
 
+@pytest.mark.parametrize(
+    "cartan_type,theta,count,label",
+    [("G2", ((2, -3), (1, -2)), 6, "?1"), ("B3", ((1, -1, 0), (0, -1, 0), (0, 0, -1)), 10, "?2")],
+)
+def test_non_reduced_restricted_roots_short_of_bc_are_unlabeled(cartan_type, theta, count, label):
+    # twice some restricted root is one, but BC_r has 2r(r+1) roots: G2 gives
+    # +-v/2, +-v, +-3v/2
+    rs = build_root_system(cartan_type)
+    rrs = restricted_roots(rs, validate_involution(rs, theta))
+    assert len(rrs.restricted_roots) == count
+    assert classify_restricted_type(rrs) == label
+
+
 def test_exact_sequence_cap():
     rs, inv = form("split(B3)")
     with pytest.raises(CapExceeded):
@@ -417,6 +435,11 @@ def test_involution_from_another_root_system_is_refused():
     assert compact_cartan_verdict(b2, minus_one).compact_cartan is True
     swap = validate_involution(build_root_system("A1xA1"), [[0, 1], [1, 0]])
     rrs = restricted_roots(b2, minus_one)
+    # a chamber of another type, or of another involution of the same type
+    sl3_rs, sl3 = form("sl(3,R)")
+    b3_chamber = restricted_roots(*form("split(B3)"))
+    su21_chamber = restricted_roots(*form("su(2,1)"))
+    datum = FormalDSDatum(weight=sl3_rs.rho, exponents=frozenset())
     calls = [
         lambda: restricted_roots(a2, minus_one),
         lambda: verify_exact_sequence(a2, minus_one),
@@ -426,6 +449,12 @@ def test_involution_from_another_root_system_is_refused():
         lambda: extended_weyl_group(a2, minus_one),
         lambda: extended_stabilizer(b2, swap, b2.rho),
         lambda: theta_in_weyl(a2, minus_one),
+        lambda: antidominant_restriction(a2, minus_one, a2.rho),
+        lambda: admissible_exponents(sl3_rs, sl3, b3_chamber, sl3_rs.rho),
+        lambda: admissible_exponents(sl3_rs, sl3, su21_chamber, sl3_rs.rho),
+        lambda: orbit_plus(sl3_rs, sl3, sl3_rs.rho, chamber=su21_chamber),
+        lambda: tensor_l2_condition(su21_chamber, sl3, datum, sl3_rs.rho),
+        lambda: tensor_l2_condition(su21_chamber, sl3, datum, sl3_rs.rho, exact=False),
     ]
     for call in calls:
         with pytest.raises(PreconditionFailed, match="validated on another root system"):
