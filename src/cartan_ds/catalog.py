@@ -367,6 +367,15 @@ def write_catalog(directory: str | os.PathLike, entries) -> list[Path]:
     return paths
 
 
+def read_json(path: Path) -> object:
+    """The JSON document at path; a file that cannot be read, is not UTF-8 or
+    is not JSON is a ParseError naming the path."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"cannot read JSON document {path}: {exc}") from exc
+
+
 def load_catalog(directory: str | os.PathLike) -> list[CatalogEntry]:
     """Read every *.json in a catalog directory, sorted by entry id.
 
@@ -378,11 +387,7 @@ def load_catalog(directory: str | os.PathLike) -> list[CatalogEntry]:
     paths: dict[str, Path] = {}
     entries = []
     for path in sorted(root.glob("*.json")):
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-        entry = document_to_entry(doc)
+        entry = document_to_entry(read_json(path))
         if entry.id in paths:
             raise ParseError(f"catalog id {entry.id!r} is in both {paths[entry.id]} and {path}")
         paths[entry.id] = path

@@ -254,11 +254,7 @@ def load_form(
     if candidate.suffix == ".json" or os.sep in form:
         if not candidate.is_file():
             raise UnknownForm(f"form document not found: {form}")
-        try:
-            document = json.loads(candidate.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot read form document {form}: {exc}") from exc
-        entry = cat.document_to_entry(document)
+        entry = cat.document_to_entry(cat.read_json(candidate))
         try:
             built: CatalogEntry | None = cat.catalog_form(entry.id)
         except InputError:
@@ -445,13 +441,7 @@ def cmd_strongreg(args: argparse.Namespace, directory: Path) -> Outcome:
 
     datum_doc: dict[str, Any] | None = None
     if args.datum is not None:
-        path = Path(args.datum)
-        if not path.is_file():
-            raise ParseError(f"datum document not found: {args.datum}")
-        try:
-            datum_doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot read datum document: {exc}") from exc
+        datum_doc = cat.read_json(Path(args.datum))
         if not isinstance(datum_doc, dict):
             raise ParseError("datum document must be a JSON object")
 
@@ -459,7 +449,9 @@ def cmd_strongreg(args: argparse.Namespace, directory: Path) -> Outcome:
     exponents = _strongreg_exponents(args, rs, inv, lam, datum_doc)
     label = args.label
     if label is None and datum_doc is not None:
-        label = str(datum_doc.get("label", ""))
+        label = datum_doc.get("label", "")
+        if type(label) is not str:
+            raise ParseError(f"datum document: 'label' must be a string, got {label!r}")
     datum = FormalDSDatum(weight=lam, exponents=exponents, label=label or "")
 
     cfg = TranslationConfig(

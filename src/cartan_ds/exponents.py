@@ -6,7 +6,12 @@ interior of the cone spanned by the positive restricted roots.  The
 restricted root system carries that cone's dual description (facet rays with
 integer covectors, built once by ``restricted_roots``); this module computes
 exact positions and margins relative to it, the monoid partial order on
-exponents, and the admissible subset of a Weyl orbit.  Orbit restrictions are
+exponents, and the admissible subset of a Weyl orbit.  A position depends on a
+vector only through its ray pairings: it is interior when the cone is
+full-dimensional and every pairing is negative, and its margin is the least
+-p/|X| over the rays.  The exponent-cone condition after tensoring applies
+that rule once, ray by ray, to the largest exponent pairing plus the largest
+shift pairing (``translation._cone_margin``).  Orbit restrictions are
 computed on ints: each point v of the int orbit (the weight times the lcm of
 its denominators) restricts to v - theta(v), and the cone test of a
 restriction is the signs of its int covector products.
@@ -169,9 +174,10 @@ class ConePosition:
         return self.kind == NEG_INTERIOR
 
 
-def cone_position(chamber: RestrictedRootSystem, v: Weight) -> ConePosition:
-    """Locate v relative to -(positive restricted cone), with exact margin."""
-    pairings = _ray_pairings(chamber, v)
+def _position(chamber: RestrictedRootSystem, pairings: tuple[Fraction, ...]) -> ConePosition:
+    """The position of a vector with these ray pairings: interior when the cone
+    is full-dimensional and every pairing is negative; the margin is the least
+    -p/|X| over the rays, zero when there are none."""
     margin = min(
         (SignedSqrt.of_ratio(-p, n) for p, n in zip(pairings, chamber.ray_norms)),
         default=SignedSqrt.zero(),
@@ -182,6 +188,11 @@ def cone_position(chamber: RestrictedRootSystem, v: Weight) -> ConePosition:
         margin=margin,
         ray_pairings=pairings,
     )
+
+
+def cone_position(chamber: RestrictedRootSystem, v: Weight) -> ConePosition:
+    """Locate v relative to -(positive restricted cone), with exact margin."""
+    return _position(chamber, _ray_pairings(chamber, v))
 
 
 def monoid_member(rrs: RestrictedRootSystem, xi: Weight) -> bool:

@@ -28,9 +28,10 @@ from .errors import (
 from .exponents import (
     FormalDSDatum,
     SignedSqrt,
+    _position,
+    _ray_pairings,
     _require_same_chamber,
     admissible_exponents,
-    cone_position,
     orbit_restrictions,
     sorted_exponents,
 )
@@ -190,16 +191,22 @@ class TensorL2Report:
 def _cone_margin(
     chamber: RestrictedRootSystem, exponents: Collection[Weight], shifts: Collection[Weight]
 ) -> tuple[bool, SignedSqrt | None]:
-    """Whether all exponent+shift sums are cone-interior, and their least margin."""
-    passed = True
-    least: SignedSqrt | None = None
-    for e in exponents:
-        for s in shifts:
-            pos = cone_position(chamber, e + s)
-            if least is None or pos.margin < least:
-                least = pos.margin
-            passed = passed and pos.neg_interior
-    return passed, least
+    """Whether all exponent+shift sums are cone-interior, and their least margin.
+
+    Decided ray by ray: the pairing with a ray X is additive, and the ray's
+    margin -p/|X| falls as p grows, so on each ray the worst sum pairs the
+    largest exponent pairing with the largest shift pairing.  The position of
+    that one tuple of pairings has the verdict and the least margin of all
+    the sums; (True, None) when either set is empty.
+    """
+    if not exponents or not shifts:
+        return True, None
+    top_exponent, top_shift = (
+        [max(ray) for ray in zip(*(_ray_pairings(chamber, v) for v in vectors))]
+        for vectors in (exponents, shifts)
+    )
+    pos = _position(chamber, tuple(map(operator.add, top_exponent, top_shift)))
+    return pos.neg_interior, pos.margin
 
 
 def tensor_l2_condition(
@@ -214,7 +221,10 @@ def tensor_l2_condition(
 
     Exact mode shifts every exponent by the restriction of every orbit point
     of mu (the extreme points of the tensor factor's weight hull, which
-    suffice by convexity).  Fast mode is a sufficient criterion with no
+    suffice by convexity).  The sums are decided ray by ray (``_cone_margin``:
+    the largest exponent pairing plus the largest shift pairing on each facet
+    ray), with no sum built; ``pairs_checked`` counts the exponent-shift pairs
+    so decided.  Fast mode is a sufficient criterion with no
     enumeration: each margin must exceed the norm of mu, which dominates the
     norm of every restricted orbit point because restriction is an orthogonal
     projection.

@@ -269,6 +269,22 @@ def test_strongreg_datum_coordinates_are_ints_or_rational_strings(capsys, tmp_pa
     assert rc == 2 and doc["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("label", [None, 5, True, ["a"], {"a": 1}])
+def test_strongreg_datum_label_must_be_a_string(capsys, tmp_path, label):
+    datum = {"lambda": ["1", "1"], "exponents": [["-1", "-1"]], "label": label}
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum))
+    rc, doc, _ = run_json(capsys, "strong-reg", "sl(3,R)", "--datum", str(path))
+    assert rc == 2 and doc["error"] == "ParseError"
+
+
+def test_strongreg_datum_without_label_has_an_empty_label(capsys, tmp_path):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"lambda": ["1", "1"], "exponents": [["-1", "-1"]]}))
+    rc, doc, _ = run_json(capsys, "strong-reg", "sl(3,R)", "--datum", str(path))
+    assert rc == 0 and doc["results"]["label"] == ""
+
+
 def test_strongreg_worst_case_exponents(capsys):
     rc, doc, _ = run_json(capsys, "strong-reg", "su(2,1)", "--worst-case")
     assert rc == 0
@@ -500,3 +516,30 @@ def test_duplicate_catalog_id_exits_2(capsys, tmp_path, argv):
     rc, doc, _ = run_json(capsys, *argv, "--catalog", str(directory))
     assert rc == 2 and doc["error"] == "ParseError"
     assert "a_other.json" in doc["message"] and "su_2_1.json" in doc["message"]
+
+
+# every JSON reader turns an unreadable or undecodable file into a ParseError
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("catalog", "--catalog", "{dir}"),
+        ("inspect", "{dir}/bad.json"),
+        ("strong-reg", "sl(3,R)", "--datum", "{dir}/bad.json"),
+    ],
+)
+def test_undecodable_json_document_exits_2(capsys, tmp_path, argv):
+    write_catalog(tmp_path, [catalog_form("su(2,1)")])
+    (tmp_path / "bad.json").write_bytes(b"\xff{")
+    rc, doc, _ = run_json(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert rc == 2 and doc["error"] == "ParseError"
+    assert "bad.json" in doc["message"]
+
+
+def test_directory_in_catalog_exits_2(capsys, tmp_path):
+    write_catalog(tmp_path, [catalog_form("su(2,1)")])
+    (tmp_path / "x.json").mkdir()
+    rc, doc, _ = run_json(capsys, "criterion", "su(2,1)", "--catalog", str(tmp_path))
+    assert rc == 2 and doc["error"] == "ParseError"
+    assert "x.json" in doc["message"]
