@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,14 +30,6 @@ from .realform import CartanInvolution, validate_involution
 from .rootdata import IntMat, RootSystem, build_root_system, parse_cartan_type
 
 ENV_CATALOG_DIR = "CARTAN_DS_CATALOG"
-
-_SPLIT_COMPACT_RANK = {
-    "B": lambda n: n,
-    "C": lambda n: n,
-    "G": lambda n: 2,
-    "F": lambda n: 4,
-}
-
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -129,14 +121,12 @@ def catalog_form(form_id: str) -> CatalogEntry:
     if not m:
         raise UnknownForm(f"unrecognized form id: {form_id!r}")
     head, args = m.group(1), [a.strip() for a in m.group(2).split(",")]
-    if head == "sl":
-        return _entry_sl(form_id, args)
+    if head in ("sl", "sp"):
+        return _entry_split_classical(form_id, args, head)
     if head == "su":
         return _entry_su(form_id, args)
     if head == "so":
         return _entry_so(form_id, args)
-    if head == "sp":
-        return _entry_sp(form_id, args)
     if head == "compact":
         return _entry_constant(form_id, args, sign=+1)
     return _entry_constant(form_id, args, sign=-1)
@@ -148,23 +138,16 @@ def _int_args(args: list[str], count: int, form_id: str) -> list[int]:
     return [int(a) for a in args]
 
 
-def _entry_sl(form_id: str, args: list[str]) -> CatalogEntry:
+def _entry_split_classical(form_id: str, args: list[str], head: str) -> CatalogEntry:
+    """sl(n,R) and sp(n,R): the split forms, theta = -1, on A_{n-1} and C_n."""
     if len(args) != 2 or args[1] != "R":
         raise UnknownForm(f"bad parameters in form id: {form_id!r}")
     (n,) = _int_args(args[:1], 1, form_id)
-    if n < 2:
-        raise BadParameters("sl(n,R) requires n >= 2")
-    rank = n - 1
-    theta = tuple(
-        tuple(-1 if i == j else 0 for j in range(rank)) for i in range(rank)
-    )
-    return CatalogEntry(
-        id=f"sl({n},R)",
-        cartan_type=f"A{rank}",
-        theta_matrix=theta,
-        compact_rank=n // 2,
-        expected_verdict=(n // 2 == rank),
-    )
+    least = 2 if head == "sl" else 1
+    if n < least:
+        raise BadParameters(f"{head}(n,R) requires n >= {least}")
+    cartan_type = f"A{n - 1}" if head == "sl" else f"C{n}"
+    return replace(_entry_constant(form_id, [cartan_type], sign=-1), id=f"{head}({n},R)")
 
 
 def _entry_su(form_id: str, args: list[str]) -> CatalogEntry:
@@ -205,30 +188,13 @@ def _entry_so(form_id: str, args: list[str]) -> CatalogEntry:
     )
 
 
-def _entry_sp(form_id: str, args: list[str]) -> CatalogEntry:
-    if len(args) != 2 or args[1] != "R":
-        raise UnknownForm(f"bad parameters in form id: {form_id!r}")
-    (n,) = _int_args(args[:1], 1, form_id)
-    if n < 1:
-        raise BadParameters("sp(n,R) requires n >= 1")
-    theta = tuple(tuple(-1 if i == j else 0 for j in range(n)) for i in range(n))
-    return CatalogEntry(
-        id=f"sp({n},R)",
-        cartan_type=f"C{n}",
-        theta_matrix=theta,
-        compact_rank=n,
-        expected_verdict=True,
-    )
-
-
 def _split_compact_rank(family: str, rank: int) -> int:
+    """The full rank, except on A_n, odd D_n and E6, where -1 is not in W."""
     if family == "A":
         return (rank + 1) // 2
     if family == "D":
         return 2 * (rank // 2)
-    if family == "E":
-        return {6: 4, 7: 7, 8: 8}[rank]
-    return _SPLIT_COMPACT_RANK[family](rank)
+    return 4 if (family, rank) == ("E", 6) else rank
 
 
 def _entry_constant(form_id: str, args: list[str], sign: int) -> CatalogEntry:
@@ -338,11 +304,14 @@ def document_to_entry(doc: dict) -> CatalogEntry:
         theta = tuple(tuple(_matrix_entry(x) for x in row) for row in rows)
         if any(len(row) != len(theta) for row in theta):
             raise ValueError("theta_matrix must be square")
+        compact_rank = _field(doc, "compact_rank", int)
+        if not 0 <= compact_rank <= len(theta):
+            raise ValueError(f"compact_rank must lie in [0, {len(theta)}], got {compact_rank}")
         return CatalogEntry(
             id=_field(doc, "id", str),
             cartan_type=_field(doc, "cartan_type", str),
             theta_matrix=theta,
-            compact_rank=_field(doc, "compact_rank", int),
+            compact_rank=compact_rank,
             expected_verdict=_field(doc, "expected_verdict", bool),
         )
     except (KeyError, TypeError, ValueError) as exc:

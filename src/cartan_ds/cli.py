@@ -75,6 +75,7 @@ from .rootdata import (
     Weight,
     WeylElement,
     build_root_system,
+    parse_cartan_type,
     weyl_order,
     weyl_orbit,
 )
@@ -245,10 +246,11 @@ def load_form(
     """Resolve a form (file path, catalog entry by canonical id, or builder
     entry) to its entry, root system, validated involution and provenance.
 
-    The provenance is "catalog" when the involution matches the builder's
-    construction of the entry's id.  Entries whose matrix differs from (or has
-    no) builder counterpart are "user": they passed algebraic validation but
-    were not derived here from a named real form.
+    The provenance is "catalog" when the Cartan type and the involution match
+    the builder's construction of the entry's id.  Entries whose type or
+    matrix differs from (or has no) builder counterpart are "user": they
+    passed algebraic validation but were not derived here from a named real
+    form.
     """
     candidate = Path(form)
     if candidate.suffix == ".json" or os.sep in form:
@@ -268,8 +270,12 @@ def load_form(
         entry = next((e for e in cat.load_catalog(catalog_dir) if e.id == key), built)
         if entry is None:
             raise error
-    matches = built is not None and built.theta_matrix == entry.theta_matrix
     rs = cat.entry_root_system(entry)
+    matches = (
+        built is not None
+        and parse_cartan_type(built.cartan_type) == rs.cartan_type
+        and built.theta_matrix == entry.theta_matrix
+    )
     return entry, rs, cat.entry_involution(entry, rs=rs), "catalog" if matches else "user"
 
 

@@ -11,12 +11,12 @@ and everything that restricts a root reads it: the compatible positive system,
 the restricted root system with the dual description of its positive cone, the
 restricted type, whose components, supports and norm ratios are int pairings
 of the doubled restricted roots, and the exact-sequence check, whose
-reflections are exact int permutations of them.  One rule picks the positive,
-simple and indivisible doubled restricted roots for the restricted root system
-and for the check.  A candidate matrix is validated on ints too: scaled once by
-the lcm d of its denominators to t, it is an involution iff t^2 = d^2 1, an
-isometry of the int invariant form F iff t^T F t = d^2 F, and integral iff
-d = 1.
+reflections are exact int permutations of them and whose theta-commutant is
+tested on the one regular weight 2 rho.  One rule picks the positive, simple
+and indivisible doubled restricted roots for the restricted root system and
+for the check.  A candidate matrix is validated on ints too: scaled once by the
+lcm d of its denominators to t, it is an involution iff t^2 = d^2 1, an isometry
+of the int invariant form F iff t^T F t = d^2 F, and integral iff d = 1.
 
 A positive system of the ambient roots is *compatible* when its nonzero
 restrictions form a positive system of the restricted roots.  The validator
@@ -32,7 +32,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from . import linalg
 from .errors import (
@@ -384,12 +384,11 @@ def classify_restricted_type(rrs: RestrictedRootSystem) -> str:
     if not rrs.restricted_roots:
         return "0"
     form = rrs.root_system.form
-    simple = [_doubled(s) for s in rrs.simple_restricted]
+    positive, simple = _positive_and_simple(rrs.involution)
     # each positive doubled root's pairings with the simple ones, and its norm
     pairings = {}
     norm = {}
-    for v in rrs.positive_restricted:
-        d = _doubled(v)
+    for d in positive:
         fd = _int_mat_vec(form, d)
         pairings[d] = _int_mat_vec(simple, fd)
         norm[d] = _dot(d, fd)
@@ -459,9 +458,26 @@ class ExactSequenceReport:
         return self.kernel_matches and self.image_matches and self.order_identity
 
 
-def _doubled(v: Weight) -> tuple[int, ...]:
-    """Twice a restricted root (alpha - theta alpha) / 2, an int vector."""
-    return tuple(int(2 * c) for c in v.coords)
+def _theta_commutant(
+    rs: RootSystem, theta: IntMat, group: Iterable[WeylElement]
+) -> list[WeylElement]:
+    """The elements of group that commute with theta: three int matrix-vector
+    products each, on 2 rho.
+
+    theta permutes the roots, so theta s_alpha theta = s_theta(alpha) and
+    g = w^-1 theta w theta lies in W for every w in W, whether theta is inner
+    or outer.  w commutes with theta iff g = 1, and W acts simply transitively
+    on the Weyl chambers, so g = 1 iff g fixes the regular weight 2 rho:
+    theta w theta (2 rho) = w (2 rho), that is w(theta 2 rho) = theta(w 2 rho).
+    """
+    two_rho = [int(2 * c) for c in rs.rho.coords]
+    theta_two_rho = _int_mat_vec(theta, two_rho)
+    return [
+        w
+        for w in group
+        if _int_mat_vec(w.matrix, theta_two_rho)
+        == _int_mat_vec(theta, _int_mat_vec(w.matrix, two_rho))
+    ]
 
 
 def verify_exact_sequence(
@@ -469,9 +485,9 @@ def verify_exact_sequence(
 ) -> ExactSequenceReport:
     """Check kernel, image and order identity of the restriction homomorphism.
 
-    The theta-commutant of the Weyl group restricts to the split part; the
-    kernel must be exactly the reflection group of the vanishing roots and the
-    image exactly the Weyl group of the reduced restricted system.  Both act
+    The theta-commutant of the Weyl group (``_theta_commutant``) restricts to
+    the split part; the kernel must be exactly the reflection group of the
+    vanishing roots and the image exactly the Weyl group of the reduced restricted system.  Both act
     there by permuting the restricted roots, whose simple ones are a basis, so
     an element is the tuple of indices of its images of the simple restricted
     roots, read doubled from the involution's table; reflections permute them
@@ -480,11 +496,7 @@ def verify_exact_sequence(
     as for many theta = +-w with w in W, with PreconditionFailed.
     """
     _require_same_root_system(rs, inv)
-    group = enumerate_weyl(rs, cap)
-    theta = inv.theta
-    commutant = [
-        w for w in group if _int_mat_mul(w.matrix, theta) == _int_mat_mul(theta, w.matrix)
-    ]
+    commutant = _theta_commutant(rs, inv.theta, enumerate_weyl(rs, cap))
 
     # the vanishing roots are a root system, generated by its simple roots
     fixed = {r for r in inv.positive_roots if not any(inv.doubled_restrictions[r])}

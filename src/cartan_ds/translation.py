@@ -6,6 +6,10 @@ verifies the uniqueness lemma that pins down how orbit elements split across
 such a sum, checks the exponent-cone condition after tensoring, scales data
 along integral lines, and searches for a translate with strongly regular
 character — producing exact certificates for every claim.
+
+The exponent-cone condition reads only the largest exponent pairing and the
+largest shift pairing on each facet ray (``_ray_maxima``); the search and the
+certificates compute these maxima once, not again for every line parameter.
 """
 
 from __future__ import annotations
@@ -188,10 +192,21 @@ class TensorL2Report:
     min_margin: SignedSqrt | None
 
 
+Maxima = tuple[Fraction, ...]
+
+
+def _ray_maxima(chamber: RestrictedRootSystem, vectors: Collection[Weight]) -> Maxima | None:
+    """The largest pairing of the vectors with each facet ray; None for no vectors."""
+    if not vectors:
+        return None
+    return tuple(map(max, zip(*(_ray_pairings(chamber, v) for v in vectors))))
+
+
 def _cone_margin(
-    chamber: RestrictedRootSystem, exponents: Collection[Weight], shifts: Collection[Weight]
+    chamber: RestrictedRootSystem, exponent_maxima: Maxima | None, shift_maxima: Maxima | None
 ) -> tuple[bool, SignedSqrt | None]:
-    """Whether all exponent+shift sums are cone-interior, and their least margin.
+    """Whether all exponent+shift sums are cone-interior, and their least margin,
+    from the two sets' ``_ray_maxima``.
 
     Decided ray by ray: the pairing with a ray X is additive, and the ray's
     margin -p/|X| falls as p grows, so on each ray the worst sum pairs the
@@ -199,13 +214,9 @@ def _cone_margin(
     that one tuple of pairings has the verdict and the least margin of all
     the sums; (True, None) when either set is empty.
     """
-    if not exponents or not shifts:
+    if exponent_maxima is None or shift_maxima is None:
         return True, None
-    top_exponent, top_shift = (
-        [max(ray) for ray in zip(*(_ray_pairings(chamber, v) for v in vectors))]
-        for vectors in (exponents, shifts)
-    )
-    pos = _position(chamber, tuple(map(operator.add, top_exponent, top_shift)))
+    pos = _position(chamber, tuple(map(operator.add, exponent_maxima, shift_maxima)))
     return pos.neg_interior, pos.margin
 
 
@@ -235,17 +246,15 @@ def tensor_l2_condition(
     exponents = sorted_exponents(datum)
     if exact:
         shifts = orbit_restrictions(rs, inv, mu, cap)
-        passed, min_margin = _cone_margin(chamber, exponents, shifts)
+        passed, min_margin = _cone_margin(
+            chamber, _ray_maxima(chamber, exponents), _ray_maxima(chamber, shifts)
+        )
         return TensorL2Report(passed, "exact", len(exponents) * len(shifts), min_margin)
     bound = SignedSqrt.sqrt_of(rs.norm_sq(mu))
-    _, min_margin = _cone_margin(chamber, exponents, [Weight.zero(rs.rank)])
+    top = _ray_maxima(chamber, exponents)
+    min_margin = None if top is None else _position(chamber, top).margin
     passed = min_margin is None or (chamber.fulldim and bound < min_margin)
-    return TensorL2Report(
-        passed=passed,
-        mode="fast",
-        pairs_checked=len(exponents),
-        min_margin=min_margin,
-    )
+    return TensorL2Report(passed, "fast", len(exponents), min_margin)
 
 
 def translate_line(
@@ -398,23 +407,23 @@ def strong_regularization(
             )
     base_dom = apply(inv.chamber, base_dom_default)
     exponents = sorted_exponents(datum)
+    # (factor e, X) = factor (e, X) with factor > 0, so the exponent maxima of
+    # every k are factor times these; the shift maxima do not depend on k
+    top_exponent = _ray_maxima(rrs, exponents)
     best: SearchBest | None = None
     for coeffs in _candidate_coefficients(rs.rank, cfg.max_mu_coeff):
-        shift_default = Weight.zero(rs.rank)
-        for i, c in enumerate(coeffs):
-            if c:
-                shift_default = shift_default + rs.fundamental_weights[i].scale(c)
+        shift_default = rs.weight_from_fw(coeffs)
         if not stabilizer_generators(rs, base_dom_default + shift_default).is_regular:
             continue
         shift = apply(inv.chamber, shift_default)
-        shifts = orbit_restrictions(rs, inv, shift_default, cfg.cap)
+        top_shift = _ray_maxima(rrs, orbit_restrictions(rs, inv, shift_default, cfg.cap))
         k_values = range(cfg.max_k + 1) if any(coeffs) else range(1)
         for k in k_values:
             factor = Fraction(k * n + 1)
             final_weight = base_dom.scale(factor) + shift
             stab = extended_stabilizer(rs, inv, final_weight)
             cone_ok, margin = _cone_margin(
-                rrs, [e.scale(factor) for e in exponents], shifts
+                rrs, tuple(factor * p for p in top_exponent), top_shift
             )
             candidate = SearchBest(
                 coefficients=coeffs,
@@ -458,13 +467,16 @@ def _certify(
     """Re-verify the search outcome step by step, from scratch.
 
     The step ledger walks the tensoring sequence: after each direction the
-    cumulative shift's whole orbit is tested against every scaled exponent.
+    cumulative shift's whole orbit is tested against every scaled exponent,
+    whose ray maxima are taken once for all steps.
     The step checks are nested (each partial sum is dominated by the next in
     its chamber), so the last entry implies the earlier ones; all are
     recorded anyway as independent certificates.
     """
     scaled = [e.scale(factor) for e in exponents]
-    cone_all, base_margin = _cone_margin(chamber, scaled, [Weight.zero(rs.rank)])
+    top = _ray_maxima(chamber, scaled)
+    base = _position(chamber, top)
+    cone_all, base_margin = base.neg_interior, base.margin
     running = base_dom.scale(factor)
     partial = Weight.zero(rs.rank)
     steps = []
@@ -472,8 +484,9 @@ def _certify(
         partial = partial + direction
         running = running + direction
         target, _ = dominant_representative(rs, running)
-        shifts = orbit_restrictions(rs, inv, partial, cfg.cap)
-        ok, worst = _cone_margin(chamber, scaled, shifts)
+        ok, worst = _cone_margin(
+            chamber, top, _ray_maxima(chamber, orbit_restrictions(rs, inv, partial, cfg.cap))
+        )
         cone_all = cone_all and ok
         steps.append(
             TranslationStep(

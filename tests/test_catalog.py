@@ -162,6 +162,8 @@ def test_document_rejects_malformed_matrix():
         ("compact_rank", 1.9),
         ("compact_rank", "1"),
         ("compact_rank", True),
+        ("compact_rank", -5),  # sl(2,R) has rank 1
+        ("compact_rank", 99),
         ("id", 7),
         ("cartan_type", ["A1"]),
     ],

@@ -455,16 +455,37 @@ def test_catalog_entry_found_under_any_spelling(capsys, tmp_path, spelling):
 
 
 def test_catalog_entry_with_another_involution_is_user_supplied(capsys, tmp_path):
+    changes = [
+        ("theta_matrix", [[-1, 1], [0, 1]]),  # the first simple reflection
+        ("cartan_type", "A1xA1"),  # where su(2,1)'s theta is valid too
+    ]
+    for key, value in changes:
+        doc_in = entry_to_document(catalog_form("su(2,1)"))
+        doc_in[key] = value
+        directory = tmp_path / key
+        directory.mkdir()
+        path = directory / "su_2_1.json"
+        path.write_text(json.dumps(doc_in))
+        # a catalog entry, and the same document named by its path
+        for form, catalog in [("su(2,1)", directory), (path, tmp_path)]:
+            rc, doc, _ = run_json(capsys, "criterion", str(form), "--catalog", str(catalog))
+            assert rc == 0, (key, form)
+            res = doc["results"]
+            assert res["source"] == "user" and res["realizability_note"] is not None
+            assert res["oracle"] is None and res["consistent"] is None
+            rc, doc, _ = run_json(capsys, "inspect", str(form), "--catalog", str(catalog))
+            assert rc == 0 and doc["results"]["source"] == "user", (key, form)
+
+
+def test_catalog_type_is_matched_parsed(capsys, tmp_path):
     doc_in = entry_to_document(catalog_form("su(2,1)"))
-    doc_in["theta_matrix"] = [[-1, 1], [0, 1]]  # the first simple reflection
-    directory = tmp_path / "other"
-    directory.mkdir()
-    (directory / "su_2_1.json").write_text(json.dumps(doc_in))
-    rc, doc, _ = run_json(capsys, "criterion", "su(2,1)", "--catalog", str(directory))
-    assert rc == 0
-    res = doc["results"]
-    assert res["source"] == "user" and res["realizability_note"] is not None
-    assert res["oracle"] is None and res["consistent"] is None
+    doc_in["cartan_type"] = " a2 "
+    path = tmp_path / "su_2_1.json"
+    path.write_text(json.dumps(doc_in))
+    for form in ["su(2,1)", str(path)]:
+        rc, doc, _ = run_json(capsys, "criterion", form, "--catalog", str(tmp_path))
+        assert rc == 0
+        assert doc["results"]["source"] == "catalog" and doc["results"]["oracle"] is True
 
 
 def test_hand_named_catalog_entry_resolves(capsys, tmp_path):

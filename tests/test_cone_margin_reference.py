@@ -3,14 +3,25 @@
 ``translation._cone_margin`` decides whether every exponent + shift sum lies
 in the open negative cone, and finds the least margin over the sums, from one
 tuple of ray pairings: on each ray, the largest exponent pairing plus the
-largest shift pairing.  The reference below is the pair loop it replaced: one
+largest shift pairing, each set's maxima taken once by ``_ray_maxima``.  The
+search scales the exponent maxima by the line factor kN + 1 instead of
+scaling the exponents.  The reference below is the pair loop it replaced: one
 Fraction sum e + s per pair, each located on its own (``cone_position``'s rule
 written out, so that a fault in the shared rule cannot hide in the reference:
-every ray's margin -p/|X| built, the least kept).
+every ray's margin -p/|X| built, the least kept).  The search and its
+certificates are checked against the same pair loop, run on every scaled
+exponent for every line parameter k.
+
+Mutations these tests catch: min in place of max in ``_ray_maxima``, the line
+factor applied to the shift maxima too, the shift maxima hoisted above the
+search's loop over candidate shifts (taken once from the first candidate, or
+from the zero shift), and certificate maxima taken from the unscaled
+exponents.
 """
 
 import functools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,20 +29,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartan_ds import (
+    FormalDSDatum,
     RankMismatch,
+    SearchExhausted,
     SignedSqrt,
+    TranslationConfig,
     Weight,
     admissible_exponents,
     antidominant_restriction,
+    apply,
     build_default_catalog,
     catalog_form,
+    dominant_representative,
     entry_involution,
     entry_root_system,
+    extended_stabilizer,
     orbit_restrictions,
     restricted_roots,
+    stabilizer_generators,
+    strong_regularization,
 )
 from cartan_ds.exponents import _ray_pairings
-from cartan_ds.translation import _cone_margin
+from cartan_ds.translation import (
+    SearchBest,
+    _best_key,
+    _candidate_coefficients,
+    _cone_margin,
+    _ray_maxima,
+)
 
 
 def reference_position(chamber, v):
@@ -57,6 +82,11 @@ def reference_cone_margin(chamber, exponents, shifts):
     return passed, least
 
 
+def cone_margin(chamber, exponents, shifts):
+    """_cone_margin of the two sets' ray maxima."""
+    return _cone_margin(chamber, _ray_maxima(chamber, exponents), _ray_maxima(chamber, shifts))
+
+
 @functools.lru_cache(maxsize=None)
 def form(form_id):
     entry = catalog_form(form_id)
@@ -78,8 +108,8 @@ SPLIT_FORMS = [
 MAX_PAIRS = 20_000
 
 
-@pytest.mark.parametrize("form_id", SPLIT_FORMS)
-def test_catalog_exponents_and_shifts_match_the_pair_loop(form_id):
+def grid(form_id):
+    """The exponent sets and the shift sets of a form's grid."""
     rs, inv, rrs = form(form_id)
     exponent_sets = [
         [antidominant_restriction(rs, inv, rs.rho)],
@@ -89,17 +119,58 @@ def test_catalog_exponents_and_shifts_match_the_pair_loop(form_id):
         sorted(orbit_restrictions(rs, inv, mu), key=lambda w: w.coords)
         for mu in (rs.rho, *rs.fundamental_weights)
     ] + [[Weight.zero(rs.rank)]]
+    return exponent_sets, shift_sets
+
+
+@pytest.mark.parametrize("form_id", SPLIT_FORMS)
+def test_catalog_exponents_and_shifts_match_the_pair_loop(form_id):
+    rrs = form(form_id)[2]
+    exponent_sets, shift_sets = grid(form_id)
     verdicts = set()
     for exponents in exponent_sets:
         for shifts in shift_sets:
             cell = exponents
             if len(cell) * len(shifts) > MAX_PAIRS:
                 cell = random.Random(form_id).sample(cell, MAX_PAIRS // len(shifts))
-            got = _cone_margin(rrs, cell, shifts)
+            got = cone_margin(rrs, cell, shifts)
             assert got == reference_cone_margin(rrs, cell, shifts), (form_id, shifts)
             verdicts.add(got[0])
     # the grid reaches both verdicts on every form with a split part
     assert verdicts == {True, False}, form_id
+
+
+LINE_PARAMETERS = range(41)
+
+
+def extremes(chamber, vectors):
+    """For each facet ray, the first vector with the largest pairing there."""
+    pairings = [_ray_pairings(chamber, v) for v in vectors]
+    keep = {
+        max(range(len(vectors)), key=lambda i: pairings[i][j])
+        for j in range(len(chamber.ray_norms))
+    }
+    return [vectors[i] for i in sorted(keep)]
+
+
+@pytest.mark.parametrize("form_id", SPLIT_FORMS)
+def test_scaled_exponent_maxima_match_the_pair_loop(form_id):
+    # The pair loop of every cell for 41 line parameters would take minutes,
+    # so each cell keeps, for each ray, one exponent and one shift with the
+    # largest pairing: the same maxima as the whole cell.  The whole cells are
+    # checked at k = 0 above.
+    rrs = form(form_id)[2]
+    exponent_sets, shift_sets = grid(form_id)
+    for exponents in exponent_sets:
+        top_exponent = _ray_maxima(rrs, exponents)
+        exponents = extremes(rrs, exponents)
+        for shifts in shift_sets:
+            top_shift = _ray_maxima(rrs, shifts)
+            shifts = extremes(rrs, shifts)
+            for k in LINE_PARAMETERS:
+                factor = Fraction(k + 1)
+                got = _cone_margin(rrs, tuple(factor * p for p in top_exponent), top_shift)
+                scaled = [e.scale(factor) for e in exponents]
+                assert got == reference_cone_margin(rrs, scaled, shifts), (form_id, k)
 
 
 HYPOTHESIS_FORMS = ["su(2,1)", "so(4,3)", "split(B3)", "compact(A2)"]
@@ -134,8 +205,15 @@ def test_drawn_sets_match_the_pair_loop(form_id, data):
     vector_sets = st.lists(vectors(rs, rrs), min_size=0, max_size=4)
     exponents = data.draw(vector_sets, label="exponents")
     shifts = data.draw(vector_sets, label="shifts")
-    assert _cone_margin(rrs, exponents, shifts) == reference_cone_margin(
+    assert cone_margin(rrs, exponents, shifts) == reference_cone_margin(
         rrs, exponents, shifts
+    )
+    factor = Fraction(data.draw(st.sampled_from(LINE_PARAMETERS), label="k") + 1)
+    top_exponent = _ray_maxima(rrs, exponents)
+    if top_exponent is not None:
+        top_exponent = tuple(factor * p for p in top_exponent)
+    assert _cone_margin(rrs, top_exponent, _ray_maxima(rrs, shifts)) == reference_cone_margin(
+        rrs, [e.scale(factor) for e in exponents], shifts
     )
 
 
@@ -143,7 +221,7 @@ def test_a_sum_on_a_wall_is_not_interior():
     rs, _, rrs = form("so(4,3)")
     exponent = -rrs.rho_restricted
     wall = [rrs.rho_restricted - rrs.simple_restricted[0]]
-    passed, margin = _cone_margin(rrs, [exponent], wall)
+    passed, margin = cone_margin(rrs, [exponent], wall)
     assert not passed and margin == SignedSqrt.zero()
     assert reference_cone_margin(rrs, [exponent], wall) == (passed, margin)
 
@@ -151,14 +229,16 @@ def test_a_sum_on_a_wall_is_not_interior():
 def test_a_compact_cartan_has_no_interior():
     rs, _, rrs = form("compact(A2)")
     assert not rrs.fulldim and not rrs.ray_norms
-    assert _cone_margin(rrs, [-rs.rho], [Weight.zero(rs.rank)]) == (False, SignedSqrt.zero())
+    assert _ray_maxima(rrs, [-rs.rho]) == ()
+    assert cone_margin(rrs, [-rs.rho], [Weight.zero(rs.rank)]) == (False, SignedSqrt.zero())
 
 
 def test_an_empty_set_passes_with_no_margin():
     rs, inv, rrs = form("su(2,1)")
     e = antidominant_restriction(rs, inv, rs.rho)
-    assert _cone_margin(rrs, [], [e]) == (True, None)
-    assert _cone_margin(rrs, [e], []) == (True, None)
+    assert _ray_maxima(rrs, []) is None
+    assert cone_margin(rrs, [], [e]) == (True, None)
+    assert cone_margin(rrs, [e], []) == (True, None)
 
 
 @pytest.mark.parametrize("side", ["exponents", "shifts"])
@@ -168,4 +248,81 @@ def test_a_wrong_rank_vector_is_a_rank_mismatch(side):
     bad = [Weight.of([-1, -1, -1])]
     args = (bad, good) if side == "exponents" else (good, bad)
     with pytest.raises(RankMismatch):
-        _cone_margin(rrs, *args)
+        cone_margin(rrs, *args)
+
+
+def reference_search(rs, inv, rrs, datum, cfg):
+    """The search as it was: every line parameter k scales the exponents and
+    runs the pair loop against the candidate shift's restricted orbit.  The k
+    and final weight found, or the best candidate seen."""
+    base_dom_default, _ = dominant_representative(rs, datum.weight)
+    base_dom = apply(inv.chamber, base_dom_default)
+    best = None
+    for coeffs in _candidate_coefficients(rs.rank, cfg.max_mu_coeff):
+        shift_default = Weight.zero(rs.rank)
+        for c, fw in zip(coeffs, rs.fundamental_weights):
+            shift_default = shift_default + fw.scale(c)
+        if not stabilizer_generators(rs, base_dom_default + shift_default).is_regular:
+            continue
+        shift = apply(inv.chamber, shift_default)
+        shifts = orbit_restrictions(rs, inv, shift_default, cfg.cap)
+        for k in range(cfg.max_k + 1) if any(coeffs) else range(1):
+            factor = Fraction(k * cfg.integrality + 1)
+            final_weight = base_dom.scale(factor) + shift
+            strongly_regular = extended_stabilizer(rs, inv, final_weight).is_trivial
+            scaled = [e.scale(factor) for e in datum.exponents]
+            cone_ok, margin = reference_cone_margin(rrs, scaled, shifts)
+            candidate = SearchBest(coeffs, k, strongly_regular, margin)
+            if best is None or _best_key(candidate) > _best_key(best):
+                best = candidate
+            if strongly_regular and cone_ok:
+                return k, final_weight
+    return best
+
+
+def assert_certificates_match_the_pair_loop(rs, inv, rrs, certificates):
+    scaled = certificates.scaled_exponents
+    passed, base_margin = reference_cone_margin(rrs, scaled, [Weight.zero(rs.rank)])
+    assert certificates.base_margin == base_margin
+    partial = Weight.zero(rs.rank)
+    for step in certificates.steps:
+        partial = partial + step.direction
+        ok, margin = reference_cone_margin(rrs, scaled, orbit_restrictions(rs, inv, partial))
+        assert (step.cone_ok, step.min_margin) == (ok, margin)
+        passed = passed and ok
+    assert certificates.cone_condition == passed
+
+
+SEARCH_FORMS = [form_id for form_id in SPLIT_FORMS if form(form_id)[0].rank <= 3]
+
+SEARCH_CONFIGS = [
+    TranslationConfig(),
+    TranslationConfig(integrality=2, max_k=6, max_mu_coeff=2),
+    TranslationConfig(max_k=1, max_mu_coeff=1),
+    TranslationConfig(max_k=0, max_mu_coeff=0),
+]
+
+
+def test_search_matches_the_pair_loop():
+    outcomes = Counter()
+    for form_id in SEARCH_FORMS:
+        rs, inv, rrs = form(form_id)
+        data = [
+            FormalDSDatum(rs.rho, frozenset({antidominant_restriction(rs, inv, rs.rho)})),
+            FormalDSDatum(rs.rho, admissible_exponents(rs, inv, rrs, rs.rho)),
+        ]
+        for datum in data:
+            for cfg in SEARCH_CONFIGS:
+                expected = reference_search(rs, inv, rrs, datum, cfg)
+                try:
+                    result = strong_regularization(rs, inv, rrs, datum, cfg)
+                except SearchExhausted as exc:
+                    assert exc.best == expected, (form_id, datum, cfg)
+                    outcomes["exhausted"] += 1
+                    continue
+                assert (result.k, result.final_weight) == expected, (form_id, datum, cfg)
+                assert_certificates_match_the_pair_loop(rs, inv, rrs, result.certificates)
+                outcomes["k > 0" if result.k else "shifted" if result.mus else "base"] += 1
+    # every outcome is reached: the base weight, a shift at k = 0, a shift at
+    # k > 0, and an exhausted search
+    assert outcomes == {"base": 168, "shifted": 33, "k > 0": 9, "exhausted": 14}

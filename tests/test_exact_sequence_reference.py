@@ -8,13 +8,21 @@ when nb = (b, b) divides every numerator.  The reference below is the check as
 it was before: it builds the whole restricted root system, reads its Weights
 back as ints and reflects with Fraction coefficients.
 
+The theta-commutant is found by testing w(theta 2 rho) = theta(w 2 rho) on the
+one regular weight 2 rho; the reference keeps the two full matrix products
+w theta = theta w, and the commutant sets are compared on every form, outer
+theta (theta not in W) among them.
+
 Mutations these tests catch: a divisibility test on the coefficient
 2 (v, b) / nb in place of the numerators, vanishing roots taken from all roots
 in place of the positive ones, a kernel that compares only the first simple
-image, and flooring the numerators without the divisibility test.
+image, flooring the numerators without the divisibility test, theta dropped
+from either side of the commutant test, and a fundamental weight in place of
+2 rho.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from cartan_ds import (
@@ -30,6 +38,7 @@ from cartan_ds import (
     verify_exact_sequence,
     weyl_order,
 )
+from cartan_ds.realform import _theta_commutant
 from cartan_ds.rootdata import DEFAULT_CAP, _int_mat_mul, _int_mat_vec, closure, enumerate_weyl
 from test_int_kernel_reference import _random_matrix
 from test_restricted_reference import PM_W_TYPES, pm_w_involutions
@@ -43,14 +52,16 @@ def _doubled(v):
     return tuple(int(2 * c) for c in v.coords)
 
 
+def reference_commutant(theta, group):
+    """The elements of group commuting with theta, by two matrix products each."""
+    return [w for w in group if _int_mat_mul(w.matrix, theta) == _int_mat_mul(theta, w.matrix)]
+
+
 def reference_exact_sequence(rs, inv, cap=DEFAULT_CAP):
     """The check through restricted_roots, with Fraction reflections."""
     rrs = restricted_roots(rs, inv)
     group = enumerate_weyl(rs, cap)
-    theta = inv.theta
-    commutant = [
-        w for w in group if _int_mat_mul(w.matrix, theta) == _int_mat_mul(theta, w.matrix)
-    ]
+    commutant = reference_commutant(inv.theta, group)
     fixed = rrs.vanishing_roots & inv.positive_roots
     simple_fixed = [b for b in fixed if not any(b - a in fixed for a in fixed)]
     gens = [rs.reflection_in_root(b) for b in sorted(simple_fixed, key=lambda w: w.coords)]
@@ -111,13 +122,20 @@ def _outcome(check, rs, inv, cap=DEFAULT_CAP):
         return type(exc), str(exc)
 
 
-def assert_matches_reference(rs, inv, name, tally):
+def assert_matches_reference(rs, inv, name, tally, outer):
+    """The report (or error) and the commutant set match the references; outer
+    counts the involutions that are not Weyl elements."""
     outcome = _outcome(verify_exact_sequence, rs, inv)
     assert outcome == _outcome(reference_exact_sequence, rs, inv), name
     if isinstance(outcome, ExactSequenceReport):
         tally["failed" if not outcome.passed else "passed"] += 1
     else:
         tally[outcome[0].__name__] += 1
+    group = enumerate_weyl(rs)
+    commutant = _theta_commutant(rs, inv.theta, group)
+    assert len(commutant) == len(set(commutant))
+    assert set(commutant) == set(reference_commutant(inv.theta, group)), name
+    outer[inv.theta not in {w.matrix for w in group}] += 1
 
 
 def _tally():
@@ -125,22 +143,26 @@ def _tally():
 
 
 def test_catalog_matches_reference():
-    tally = _tally()
+    tally, outer = _tally(), Counter()
     for entry in build_default_catalog():
         rs = entry_root_system(entry)
-        if weyl_order(rs.cartan_type) <= 1152:
-            assert_matches_reference(rs, entry_involution(entry, rs=rs), entry.id, tally)
+        if weyl_order(rs.cartan_type) <= 46080:
+            assert_matches_reference(rs, entry_involution(entry, rs=rs), entry.id, tally, outer)
     # every catalog form is a real form, and its sequence is exact
     assert tally == {"passed": 53, "failed": 0, "PreconditionFailed": 0}
+    # theta is outer on sl(n,R) and split(A_n) for n >= 3 and on so(p,q) with p, q odd
+    assert outer == {False: 42, True: 11}
 
 
 def test_pm_weyl_involutions_match_reference():
-    tally = _tally()
+    tally, outer = _tally(), Counter()
     for t in PM_W_TYPES:
         for rs, inv in pm_w_involutions(t):
-            assert_matches_reference(rs, inv, (t, inv.theta), tally)
+            assert_matches_reference(rs, inv, (t, inv.theta), tally, outer)
     # of the 20 or more reports that do not pass, 5 or more come from here
     assert sum(tally.values()) == 252
+    # -w is outer on A2, A3 and A2xA1, where -1 is not in W
+    assert outer == {False: 230, True: 22}
     assert tally["PreconditionFailed"] >= 50 and tally["failed"] >= 5
 
 
@@ -148,15 +170,16 @@ def test_random_involutions_match_reference():
     # the draws of the random-matrix test of validate_involution
     rng = random.Random(20)
     types = [build_root_system(t) for t in ["A1", "A1xA1", "A2", "B2", "G2", "A3", "B3"]]
-    tally = _tally()
+    tally, outer = _tally(), Counter()
     for k in range(2400):
         rs = rng.choice(types)
         try:
             inv = validate_involution(rs, _random_matrix(rng, rs))
         except CartanDSError:
             continue
-        assert_matches_reference(rs, inv, k, tally)
+        assert_matches_reference(rs, inv, k, tally, outer)
     assert sum(tally.values()) >= 600 and tally["failed"] >= 15
+    assert outer == {False: 620, True: 82}
 
 
 def test_integral_image_of_a_fractional_coefficient():
