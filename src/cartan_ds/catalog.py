@@ -12,11 +12,15 @@ plus or minus the identity for compact and split forms.
 
 On disk a catalog is a directory of one JSON document per entry; matrix
 entries are written as integer strings and read back as JSON integers or
-integer strings, and ids are unique within a directory.
+integer strings, and ids are unique within a directory.  A file name is
+canonical when it is ``entry_filename(id)`` of a packaged id, and such a file
+must hold that id; so a named lookup reads the form's canonical file and every
+file whose name is not canonical, not the whole directory.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import json
 import os
 import re
@@ -345,24 +349,57 @@ def read_json(path: Path) -> object:
         raise ParseError(f"cannot read JSON document {path}: {exc}") from exc
 
 
-def load_catalog(directory: str | os.PathLike) -> list[CatalogEntry]:
-    """Read every *.json in a catalog directory, sorted by entry id.
+#: canonical file name -> the packaged id it must hold
+_CANONICAL_IDS = {entry_filename(i): i for i in default_catalog_ids()}
 
-    Two documents with the same id are a ParseError naming both files.
-    """
-    root = Path(directory)
+
+def _read_catalog(root: Path, form_id: str | None = None) -> list[CatalogEntry]:
+    """The entries of root's *.json files, read in name order; with form_id,
+    the canonical files of other ids are skipped."""
     if not root.is_dir():
         raise ParseError(f"catalog directory not found: {root}")
+    names = sorted(fnmatch.filter(os.listdir(root), "*.json"))
     paths: dict[str, Path] = {}
     entries = []
-    for path in sorted(root.glob("*.json")):
+    skipped: set[str] = set()
+    for name in names:
+        named_for = _CANONICAL_IDS.get(name)
+        if form_id is not None and named_for not in (None, form_id):
+            skipped.add(named_for)
+            continue
+        path = root / name
         entry = document_to_entry(read_json(path))
+        if named_for not in (None, entry.id):
+            raise ParseError(f"catalog file {path} is named for {named_for!r} but holds {entry.id!r}")
         if entry.id in paths:
             raise ParseError(f"catalog id {entry.id!r} is in both {paths[entry.id]} and {path}")
         paths[entry.id] = path
         entries.append(entry)
-    entries.sort(key=lambda e: e.id)
+    # a hand-named file holds the id of a skipped canonical file: the whole
+    # read raises, naming both files (or the other id the canonical one holds)
+    if not skipped.isdisjoint(paths):
+        _read_catalog(root)
     return entries
+
+
+def load_catalog(directory: str | os.PathLike) -> list[CatalogEntry]:
+    """Read every *.json in a catalog directory, sorted by entry id.
+
+    Two documents with the same id are a ParseError naming both files, and so
+    is a canonically named file (``entry_filename`` of a packaged id) that
+    holds another id.
+    """
+    return sorted(_read_catalog(Path(directory)), key=lambda e: e.id)
+
+
+def load_entry(directory: str | os.PathLike, form_id: str) -> CatalogEntry | None:
+    """The entry with id form_id in a catalog directory, or None.
+
+    Reads the canonical file of form_id and every file whose name is not
+    canonical, with load_catalog's errors; the canonical files of other ids
+    are read only when a hand-named file holds one of their ids.
+    """
+    return next((e for e in _read_catalog(Path(directory), form_id) if e.id == form_id), None)
 
 
 def packaged_catalog_dir() -> Path:
@@ -370,7 +407,12 @@ def packaged_catalog_dir() -> Path:
 
 
 def resolve_catalog_dir(explicit: str | None = None) -> Path:
-    """Catalog directory precedence: CLI flag, environment variable, packaged."""
+    """Catalog directory precedence: CLI flag, environment variable, packaged.
+
+    An empty flag is a ParseError; an empty environment variable is unset.
+    """
+    if explicit == "":
+        raise ParseError("--catalog needs a directory, got ''")
     if explicit:
         return Path(explicit)
     env = os.environ.get(ENV_CATALOG_DIR)

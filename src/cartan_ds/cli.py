@@ -267,7 +267,7 @@ def load_form(
         except InputError as exc:
             built, error = None, exc
         key = built.id if built is not None else form.strip()
-        entry = next((e for e in cat.load_catalog(catalog_dir) if e.id == key), built)
+        entry = cat.load_entry(catalog_dir, key) or built
         if entry is None:
             raise error
     rs = cat.entry_root_system(entry)

@@ -231,6 +231,13 @@ def test_resolve_catalog_dir_precedence(tmp_path, monkeypatch):
     assert resolve_catalog_dir(str(explicit)) == explicit
 
 
+def test_empty_catalog_flag_is_refused_and_empty_env_var_unset(monkeypatch):
+    monkeypatch.setenv(ENV_CATALOG_DIR, "")
+    assert resolve_catalog_dir(None) == packaged_catalog_dir()
+    with pytest.raises(ParseError):
+        resolve_catalog_dir("")
+
+
 def test_compact_rank_values():
     assert catalog_form("sl(4,R)").compact_rank == 2
     assert catalog_form("su(3,2)").compact_rank == 4

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cartan_ds import catalog_form, write_catalog
+from cartan_ds import catalog_form, packaged_catalog_dir, write_catalog
 from cartan_ds.catalog import ENV_CATALOG_DIR, entry_to_document
 from cartan_ds.cli import main
 
@@ -383,6 +383,17 @@ def test_missing_catalog_dir_is_a_parse_error(capsys, monkeypatch, tmp_path, arg
     monkeypatch.setenv(ENV_CATALOG_DIR, missing)
     rc, out, _ = run(capsys, *argv, "--json")
     assert rc == 2 and json.loads(out)["error"] == "ParseError"
+
+
+def test_empty_catalog_flag_is_a_parse_error(capsys, monkeypatch, tiny_catalog):
+    monkeypatch.setenv(ENV_CATALOG_DIR, str(tiny_catalog))
+    for argv in [("criterion", "su(2,1)"), ("catalog",)]:
+        rc, doc, _ = run_json(capsys, *argv, "--catalog", "")
+        assert rc == 2 and doc["error"] == "ParseError"
+    # an empty environment variable is unset
+    monkeypatch.setenv(ENV_CATALOG_DIR, "")
+    rc, doc, _ = run_json(capsys, "criterion", "su(2,1)")
+    assert rc == 0 and doc["inputs"]["catalog_dir"] == str(packaged_catalog_dir())
 
 
 def test_unknown_form_is_an_input_error(capsys):
