@@ -78,6 +78,7 @@ from .rootdata import (
     parse_cartan_type,
     weyl_order,
     weyl_orbit,
+    word_element,
 )
 from .translation import (
     TranslationConfig,
@@ -365,7 +366,8 @@ def cmd_criterion(args: argparse.Namespace, directory: Path) -> Outcome:
     verdict = compact_cartan_verdict(rs, inv, oracle_compact_rank_equal=oracle)
     witness_verified: bool | None = None
     if verdict.witness is not None:
-        witness_verified = verdict.witness.matrix == inv.theta
+        # the witness's matrix is theta by construction; its word is the certificate
+        witness_verified = word_element(rs, verdict.witness.word).matrix == inv.theta
     results = {
         "id": entry.id,
         "minus_sigma_in_weyl": verdict.minus_sigma_in_weyl,

@@ -9,7 +9,10 @@ Membership is decided without enumerating the group.  rho is dominant and
 regular, so its Weyl orbit meets the dominant chamber once, at rho, and only
 the identity fixes it.  Chasing theta(rho) to the chamber therefore yields the
 only Weyl element that can equal theta (the inverse of the chase), and one
-integer matrix product verifies it.
+integer matrix product verifies it.  The witness belongs to the involution:
+the chase runs once, when ``validate_involution`` builds it, and the verdict
+and the extended stabilizer read ``CartanInvolution.weyl_witness``.  Only a
+raw matrix is chased on each call.
 
 The extended Weyl group is generated by the Weyl group together with that
 involution.  A weight is strongly regular when its stabilizer in the extended
@@ -28,9 +31,8 @@ from .rootdata import (
     RootSystem,
     Weight,
     WeylElement,
-    _int_mat_mul,
+    _weyl_witness,
     apply,
-    apply_matrix,
     dominant_representative,
     stabilizer_generators,
     word_element,
@@ -42,24 +44,17 @@ def theta_in_weyl(
 ) -> WeylElement | None:
     """The Weyl element acting as the involution's matrix, or None.
 
-    Chases theta(rho) to the dominant chamber with some w.  If theta = u is in
-    the group then w u fixes the regular weight rho, so w u = 1 and u is the
-    inverse of w; the matrix product w theta = 1 decides membership exactly.
-    A raw matrix must be rank x rank with rational entries; one with a
-    non-integer entry is never in the group.  An involution validated on
-    another root system is a PreconditionFailed.
+    For a validated involution this is its ``weyl_witness``, found by the one
+    chase of theta(rho) in ``validate_involution``; a raw matrix is chased on
+    each call.  A raw matrix must be rank x rank with rational entries; one
+    with a non-integer entry is never in the group.  An involution validated
+    on another root system is a PreconditionFailed.
     """
     if isinstance(theta, CartanInvolution):
         _require_same_root_system(rs, theta)
-        mat = theta.theta
-    else:
-        d, mat = _read_matrix(theta, rs.rank, "matrix")
-        if d != 1:
-            return None
-    _, w = dominant_representative(rs, apply_matrix(mat, rs.rho))
-    if _int_mat_mul(w.matrix, mat) != rs.identity.matrix:
-        return None
-    return WeylElement(mat, tuple(reversed(w.word)))
+        return theta.weyl_witness
+    d, mat = _read_matrix(theta, rs.rank, "matrix")
+    return _weyl_witness(rs, mat) if d == 1 else None
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,7 @@ from .rootdata import (
     _int_mat_vec,
     _scaled,
     _unscaled,
+    _weyl_witness,
     apply,
     apply_matrix,
     closure,
@@ -75,6 +76,9 @@ class CartanInvolution:
     when the default was already compatible).  ``doubled_restrictions`` maps
     each root alpha to alpha - theta(alpha), twice its restriction, as an int
     tuple; the positive system and the restricted roots are read from it.
+    ``weyl_witness`` is the Weyl element whose matrix is theta, found by one
+    chamber chase of theta(rho) at validation, or None when theta is not in
+    the Weyl group.
     """
 
     root_system: RootSystem
@@ -85,6 +89,7 @@ class CartanInvolution:
     chamber: WeylElement
     default_compatible: bool
     doubled_restrictions: Mapping[Weight, tuple[int, ...]]
+    weyl_witness: WeylElement | None
 
     @property
     def split_rank(self) -> int:
@@ -209,6 +214,7 @@ def validate_involution(rs: RootSystem, theta_matrix) -> CartanInvolution:
         chamber=chamber,
         default_compatible=default_ok,
         doubled_restrictions=doubled,
+        weyl_witness=_weyl_witness(rs, theta),
     )
 
 

@@ -441,6 +441,19 @@ def dominant_representative(rs: RootSystem, lam: Weight) -> tuple[Weight, WeylEl
     return _unscaled(coords, scale), WeylElement(tuple(rows), tuple(reversed(word)))
 
 
+def _weyl_witness(rs: RootSystem, mat: IntMat) -> WeylElement | None:
+    """The Weyl element whose matrix is the int matrix mat, or None.
+
+    Chases mat(rho) to the dominant chamber with some w.  If mat = u is in the
+    group then w u fixes the regular weight rho, so w u = 1 and u is the
+    inverse of w (w's word reversed); the product w mat = 1 decides exactly.
+    """
+    _, w = dominant_representative(rs, apply_matrix(mat, rs.rho))
+    if _int_mat_mul(w.matrix, mat) != rs.identity.matrix:
+        return None
+    return WeylElement(mat, tuple(reversed(w.word)))
+
+
 def _reflect_rows_left(rs: RootSystem, i: int, rows: list[tuple[int, ...]]) -> None:
     """Replace the integer matrix ``rows`` by s_i . rows in place.
 

@@ -1,10 +1,18 @@
 """End-to-end command-line interface tests, run in-process."""
 
+import dataclasses
 import json
 
 import pytest
 
-from cartan_ds import catalog_form, packaged_catalog_dir, write_catalog
+from cartan_ds import (
+    WeylElement,
+    catalog_form,
+    cli,
+    compact_cartan_verdict,
+    packaged_catalog_dir,
+    write_catalog,
+)
 from cartan_ds.catalog import ENV_CATALOG_DIR, entry_to_document
 from cartan_ds.cli import main
 
@@ -95,6 +103,19 @@ def test_criterion_negative_case(capsys):
     res = doc["results"]
     assert res["minus_sigma_in_weyl"] is False and res["witness"] is None
     assert res["compact_cartan"] is False and res["consistent"] is True
+
+
+def test_criterion_witness_certificate_multiplies_the_word_out(capsys, monkeypatch):
+    # the witness carries theta as its matrix, so only its word can be wrong
+    def wrong_word(rs, inv, **kwargs):
+        verdict = compact_cartan_verdict(rs, inv, **kwargs)
+        return dataclasses.replace(verdict, witness=WeylElement(inv.theta, (0,)))
+
+    monkeypatch.setattr(cli, "compact_cartan_verdict", wrong_word)
+    rc, doc, _ = run_json(capsys, "criterion", "su(2,1)")
+    assert doc["results"]["witness"] == {"word": [0]}
+    assert doc["certificates"]["witness_verified"] is False
+    assert rc == 1
 
 
 def test_criterion_human_render(capsys):

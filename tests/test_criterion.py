@@ -1,16 +1,22 @@
 """Compact-Cartan membership and the extended Weyl group."""
 
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cartan_ds
 from cartan_ds import (
+    CartanInvolution,
     ExtendedElement,
     HypothesisFailed,
     ParseError,
     RankMismatch,
     Weight,
+    WeylElement,
     apply,
     apply_extended,
     build_default_catalog,
@@ -23,10 +29,13 @@ from cartan_ds import (
     enumerate_weyl,
     extended_stabilizer,
     extended_weyl_group,
+    longest_element,
     sr_implies_compact_cartan,
     theta_in_weyl,
     validate_involution,
 )
+from cartan_ds.realform import _read_matrix
+from cartan_ds.rootdata import _int_mat_mul, apply_matrix
 
 
 def form(form_id):
@@ -119,6 +128,127 @@ def test_raw_matrix_membership_against_enumeration(cartan_type):
             for i in witness.word:
                 product = product.compose(rs.simple_reflection(i))
             assert witness.matrix == product.matrix == mat
+
+
+# ---------------------------------------------------------------------------
+# the witness stored at validation against the per-call chase
+# ---------------------------------------------------------------------------
+
+
+def reference_theta_in_weyl(rs, theta):
+    """theta_in_weyl as it was before validation stored the witness: every
+    call chases theta(rho) to the chamber and checks w theta = 1."""
+    if isinstance(theta, CartanInvolution):
+        mat = theta.theta
+    else:
+        d, mat = _read_matrix(theta, rs.rank, "matrix")
+        if d != 1:
+            return None
+    _, w = dominant_representative(rs, apply_matrix(mat, rs.rho))
+    if _int_mat_mul(w.matrix, mat) != rs.identity.matrix:
+        return None
+    return WeylElement(mat, tuple(reversed(w.word)))
+
+
+def witness_key(w):
+    return None if w is None else (w.matrix, w.word)
+
+
+def assert_witness_matches_reference(rs, theta):
+    expected = witness_key(reference_theta_in_weyl(rs, theta))
+    assert witness_key(theta_in_weyl(rs, theta)) == expected
+    if isinstance(theta, CartanInvolution):
+        assert witness_key(theta.weyl_witness) == expected
+        assert witness_key(theta_in_weyl(rs, theta.theta)) == expected
+
+
+def test_stored_witness_matches_reference_on_the_catalog():
+    # catches the word not reversed, the w theta = 1 check dropped and the
+    # chase run from rho instead of theta(rho)
+    found = 0
+    for entry in build_default_catalog():
+        rs = entry_root_system(entry)
+        inv = entry_involution(entry, rs=rs)
+        assert_witness_matches_reference(rs, inv)
+        found += inv.weyl_witness is not None
+    assert 0 < found < 56
+
+
+# the raw matrices of the tests above
+RAW_MATRICES = [
+    ((-1, 0), (0, -1)),
+    ((Fraction(1, 2), 0), (0, 1)),
+    ((-1, 1), (0, Fraction(2, 2))),
+    *(((a, b), (c, d)) for a, b, c, d in itertools.product(range(-3, 4), repeat=4)),
+]
+
+
+@pytest.mark.parametrize("cartan_type", ["A2", "B2", "G2"])
+def test_raw_matrix_witness_matches_reference(cartan_type):
+    rs = build_root_system(cartan_type)
+    for mat in RAW_MATRICES:
+        assert_witness_matches_reference(rs, mat)
+
+
+SMALL_TYPES = [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2",
+    "A1xA1", "A1xA2", "A1xB3", "A2xG2", "B2xB2", "A1xA1xA1xA1",
+]
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(cartan_type=st.sampled_from(SMALL_TYPES), data=st.data())
+def test_stored_witness_matches_reference_on_drawn_involutions(cartan_type, data):
+    rs = build_root_system(cartan_type)
+    minus = tuple(tuple(-x for x in row) for row in rs.identity.matrix)
+    kind = data.draw(st.sampled_from(["reflection", "minus_one", "minus_w0"]))
+    if kind == "reflection":
+        roots = sorted(rs.all_roots, key=lambda r: r.coords)
+        root = data.draw(st.sampled_from(roots))
+        theta = rs.reflection_in_root(root).matrix
+    elif kind == "minus_one":
+        theta = minus
+    else:
+        theta = _int_mat_mul(minus, longest_element(rs).matrix)
+    assert_witness_matches_reference(rs, validate_involution(rs, theta))
+
+
+@pytest.fixture
+def chase_calls(monkeypatch):
+    """Arguments of every dominant_representative call made from then on,
+    whichever package module makes it."""
+    original = cartan_ds.rootdata.dominant_representative
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "cartan_ds" or name.startswith("cartan_ds."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("form_id", ["su(2,1)", "sl(3,R)", "so(4,3)", "split(E8)"])
+def test_a_validated_involution_is_chased_once(chase_calls, form_id):
+    rs, inv = form(form_id)
+    lam = rs.rho + rs.fundamental_weights[0]
+    chase_calls.clear()
+    again = validate_involution(rs, inv.theta)
+    assert len(chase_calls) == 1 + (not again.default_compatible)
+    chase_calls.clear()
+    compact_cartan_verdict(rs, inv, oracle_compact_rank_equal=True)
+    assert theta_in_weyl(rs, inv) is inv.weyl_witness
+    assert extended_weyl_group(rs, inv).witness is inv.weyl_witness
+    assert chase_calls == []
+    extended_stabilizer(rs, inv, lam)
+    assert len(chase_calls) == 2  # lam and theta(lam), nothing for theta
+    chase_calls.clear()
+    theta_in_weyl(rs, inv.theta)
+    assert len(chase_calls) == 1  # a raw matrix still gets its own chase
 
 
 # ---------------------------------------------------------------------------
