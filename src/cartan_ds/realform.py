@@ -12,11 +12,12 @@ the restricted root system with the dual description of its positive cone, the
 restricted type, whose components, supports and norm ratios are int pairings
 of the doubled restricted roots, and the exact-sequence check, whose
 reflections are exact int permutations of them and whose theta-commutant is
-tested on the one regular weight 2 rho.  One rule picks the positive, simple
-and indivisible doubled restricted roots for the restricted root system and
-for the check.  A candidate matrix is validated on ints too: scaled once by the
-lcm d of its denominators to t, it is an involution iff t^2 = d^2 1, an isometry
-of the int invariant form F iff t^T F t = d^2 F, and integral iff d = 1.
+tested on the one regular weight 2 rho, each element w named by w (2 rho).
+One rule picks the positive, simple and indivisible doubled restricted roots
+for the restricted root system and for the check.  A candidate matrix is
+validated on ints too: scaled once by the lcm d of its denominators to t, it is
+an involution iff t^2 = d^2 1, an isometry of the int invariant form F iff
+t^T F t = d^2 F, and integral iff d = 1.
 
 A positive system of the ambient roots is *compatible* when its nonzero
 restrictions form a positive system of the restricted roots.  The validator
@@ -466,9 +467,9 @@ class ExactSequenceReport:
 
 def _theta_commutant(
     rs: RootSystem, theta: IntMat, group: Iterable[WeylElement]
-) -> list[WeylElement]:
-    """The elements of group that commute with theta: three int matrix-vector
-    products each, on 2 rho.
+) -> dict[tuple[int, ...], WeylElement]:
+    """The elements w of group that commute with theta, keyed by w (2 rho):
+    three int matrix-vector products each.
 
     theta permutes the roots, so theta s_alpha theta = s_theta(alpha) and
     g = w^-1 theta w theta lies in W for every w in W, whether theta is inner
@@ -476,14 +477,13 @@ def _theta_commutant(
     on the Weyl chambers, so g = 1 iff g fixes the regular weight 2 rho:
     theta w theta (2 rho) = w (2 rho), that is w(theta 2 rho) = theta(w 2 rho).
     """
-    two_rho = [int(2 * c) for c in rs.rho.coords]
-    theta_two_rho = _int_mat_vec(theta, two_rho)
-    return [
-        w
-        for w in group
-        if _int_mat_vec(w.matrix, theta_two_rho)
-        == _int_mat_vec(theta, _int_mat_vec(w.matrix, two_rho))
-    ]
+    theta_two_rho = _int_mat_vec(theta, rs.two_rho)
+    commutant = {}
+    for w in group:
+        key = _int_mat_vec(w.matrix, rs.two_rho)
+        if _int_mat_vec(w.matrix, theta_two_rho) == _int_mat_vec(theta, key):
+            commutant[tuple(key)] = w
+    return commutant
 
 
 def verify_exact_sequence(
@@ -492,10 +492,14 @@ def verify_exact_sequence(
     """Check kernel, image and order identity of the restriction homomorphism.
 
     The theta-commutant of the Weyl group (``_theta_commutant``) restricts to
-    the split part; the kernel must be exactly the reflection group of the
-    vanishing roots and the image exactly the Weyl group of the reduced restricted system.  Both act
-    there by permuting the restricted roots, whose simple ones are a basis, so
-    an element is the tuple of indices of its images of the simple restricted
+    the split part; the kernel must be exactly the reflection group W_0 of the
+    vanishing roots and the image exactly the Weyl group of the reduced
+    restricted system.  An element w of W is named by the int tuple w (2 rho),
+    which is exact because only 1 fixes the regular weight 2 rho: W_0 is closed
+    as the orbit of 2 rho under the reflections in its simple roots, and the
+    kernel is compared with it on these tuples.  The restricted group acts by
+    permuting the restricted roots, whose simple ones are a basis, so an
+    element is the tuple of indices of its images of the simple restricted
     roots, read doubled from the involution's table; reflections permute them
     exactly on ints.  A Weyl group larger than ``cap`` is refused (CapExceeded)
     before any enumeration, and restricted roots that are not a root system,
@@ -504,12 +508,22 @@ def verify_exact_sequence(
     _require_same_root_system(rs, inv)
     commutant = _theta_commutant(rs, inv.theta, enumerate_weyl(rs, cap))
 
-    # the vanishing roots are a root system, generated by its simple roots
-    fixed = {r for r in inv.positive_roots if not any(inv.doubled_restrictions[r])}
-    simple_fixed = [b for b in fixed if not any(b - a in fixed for a in fixed)]
-    gens = [rs.reflection_in_root(b) for b in sorted(simple_fixed, key=lambda w: w.coords)]
+    # the vanishing roots are a root system, generated by its simple roots;
+    # roots are integral, so they are found on int tuples
+    fixed = {
+        tuple(c.numerator for c in r.coords)
+        for r in inv.positive_roots
+        if not any(inv.doubled_restrictions[r])
+    }
+    simple_fixed = sorted(
+        b for b in fixed if not any(tuple(map(operator.sub, b, a)) in fixed for a in fixed)
+    )
+    gens = [rs.reflection_in_root(_unscaled(b, 1)).matrix for b in simple_fixed]
     vanishing_group = closure(
-        (rs.identity,), lambda w: (w.compose(g) for g in gens), cap, "vanishing Weyl group"
+        (rs.two_rho,),
+        lambda v: (tuple(_int_mat_vec(g, v)) for g in gens),
+        cap,
+        "vanishing Weyl group",
     )
 
     roots = sorted({d for d in inv.doubled_restrictions.values() if any(d)})
@@ -542,10 +556,10 @@ def verify_exact_sequence(
         "restricted Weyl group",
     )
     images = {
-        w: tuple(index[tuple(_int_mat_vec(w.matrix, s))] for s in simple)
-        for w in commutant
+        key: tuple(index[tuple(_int_mat_vec(w.matrix, s))] for s in simple)
+        for key, w in commutant.items()
     }
-    kernel = {w for w, image in images.items() if image == identity}
+    kernel = {key for key, image in images.items() if image == identity}
     return ExactSequenceReport(
         order_commutant=len(commutant),
         order_vanishing=len(vanishing_group),

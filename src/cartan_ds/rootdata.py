@@ -14,7 +14,12 @@ through :func:`apply_matrix`, which sums on ints and divides once per
 coordinate.  One int orbit kernel closes the roots and every
 :func:`weyl_orbit`: a weight is scaled by the lcm of its denominators, its
 orbit is closed under the simple reflections on ints, and each element is
-divided by the scale once.
+divided by the scale once.  An orbit has |W| / |W_J| points, J the walls of
+its dominant representative, so when |W| (stored on the root system) exceeds
+the cap, an orbit predicted larger is refused before its closure.
+:func:`enumerate_weyl` keys each element w by the int tuple w^-1 (2 rho),
+exact because only 1 fixes the regular weight 2 rho, and builds a matrix only
+for a new key; words stay shortlex least.
 
 Reducible types are direct sums: the Cartan matrix is block diagonal and all
 operations act factor-wise without special casing.
@@ -25,7 +30,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -281,6 +286,7 @@ class RootSystem:
             for i in range(rank)
         )
         self.identity = WeylElement(linalg.int_identity(rank), ())
+        self.weyl_order = weyl_order(factors)
         self.all_roots: frozenset[Weight] = self._generate_roots()
         self.positive_roots: frozenset[Weight] = frozenset(
             r for r in self.all_roots if all(c >= 0 for c in r.coords)
@@ -290,6 +296,7 @@ class RootSystem:
         for r in self.positive_roots:
             rho = rho + r
         self.rho: Weight = rho.scale(half)
+        self.two_rho: tuple[int, ...] = tuple(int(c) for c in rho.coords)
         ainv = linalg.inverse(linalg.matrix(self.cartan_matrix))
         self.fundamental_weights: tuple[Weight, ...] = tuple(
             Weight(tuple(ainv[k][i] for k in range(rank))) for i in range(rank)
@@ -500,10 +507,43 @@ def _int_orbit(
     return closure(starts, images, cap, "orbit size")
 
 
+def _walls(rs: RootSystem, dom: Weight) -> list[int]:
+    """The simple walls that a dominant weight lies on, ascending."""
+    _, coords = _scaled(dom)
+    return [i for i, p in enumerate(_int_mat_vec(rs.cartan_matrix, coords)) if p == 0]
+
+
+def _wall_group_order(rs: RootSystem, walls: Iterable[int]) -> int:
+    """|W_J| for the simple walls J, from Kostant's height partition.
+
+    With n_h the positive roots of height h supported on J, exactly
+    n_h - n_{h+1} exponents of W_J equal h, and |W_J| is the product of the
+    exponents plus one.
+    """
+    off = set(range(rs.rank)).difference(walls)
+    heights = Counter(
+        int(sum(r.coords)) for r in rs.positive_roots if not any(r.coords[i] for i in off)
+    )
+    order = 1
+    for h, n in heights.items():
+        order *= (h + 1) ** (n - heights[h + 1])
+    return order
+
+
 def _orbit_of(rs: RootSystem, lam: Weight, cap: int) -> tuple[int, dict[tuple[int, ...], None]]:
-    """lam's scale and its W-orbit times that scale, as int tuples."""
+    """lam's scale and its W-orbit times that scale, as int tuples.
+
+    When |W| exceeds ``cap``, the orbit size |W| / |W_J|, J the walls of lam's
+    dominant representative, is predicted first, and an orbit larger than
+    ``cap`` is refused before the closure.
+    """
     if lam.rank != rs.rank:
         raise RankMismatch("weight rank does not match root system")
+    if rs.weyl_order > cap:
+        dom, _ = dominant_representative(rs, lam)
+        size = rs.weyl_order // _wall_group_order(rs, _walls(rs, dom))
+        if size > cap:
+            raise CapExceeded(f"orbit size exceeded cap {cap} (predicted size {size})")
     scale, coords = _scaled(lam)
     return scale, _int_orbit(rs, (tuple(coords),), cap)
 
@@ -525,8 +565,7 @@ def stabilizer_generators(rs: RootSystem, lam: Weight) -> StabilizerInfo:
     orthogonal to it; a general weight's generators are those conjugated back.
     """
     dom, w = dominant_representative(rs, lam)
-    _, coords = _scaled(dom)
-    walls = [i for i, p in enumerate(_int_mat_vec(rs.cartan_matrix, coords)) if p == 0]
+    walls = _walls(rs, dom)
     gens: tuple[WeylElement, ...] = ()
     if walls:
         winv = word_element(rs, w.word[::-1])
@@ -543,26 +582,34 @@ def longest_element(rs: RootSystem) -> WeylElement:
 def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> frozenset[WeylElement]:
     """All Weyl-group elements, breadth first under right multiplication.
 
-    Each element keeps the first (shortlex least) word that reaches it.  A
-    group whose exact :func:`weyl_order` exceeds ``cap`` is refused before
-    any work.
+    Each element w is keyed by the int tuple w^-1 (2 rho), and w s_i by its
+    simple reflection s_i(w^-1 (2 rho)), one Cartan-row pairing.  The key is
+    exact because only 1 fixes the regular weight 2 rho.  A matrix is built
+    only for a new key, in O(rank^2) from its parent's; each element keeps
+    the first (shortlex least) word that reaches it.  A group whose exact
+    :func:`weyl_order` exceeds ``cap`` is refused before any work.
     """
-    order = weyl_order(rs.cartan_type)
-    if order > cap:
-        raise CapExceeded(f"Weyl group order {order} exceeded cap {cap}")
-    a = rs.cartan_matrix
-    n = rs.rank
+    if rs.weyl_order > cap:
+        raise CapExceeded(f"Weyl group order {rs.weyl_order} exceeded cap {cap}")
+    rows = list(enumerate(rs.cartan_matrix))
+    elements = {rs.two_rho: rs.identity}
 
-    def right_multiples(w: WeylElement):
-        m = w.matrix
-        for i in range(n):
-            ai = a[i]
-            yield WeylElement(
-                tuple(tuple(m[k][j] - m[k][i] * ai[j] for j in range(n)) for k in range(n)),
-                w.word + (i,),
-            )
+    def right_multiples(v: tuple[int, ...]):
+        w = elements[v]
+        for i, row in rows:
+            u = list(v)
+            u[i] -= sum(map(operator.mul, row, v))
+            key = tuple(u)
+            if key not in elements:
+                # (m s_i)[k][j] = m[k][j] - m[k][i] A[i][j]
+                elements[key] = WeylElement(
+                    tuple(tuple(x - mk[i] * a for x, a in zip(mk, row)) for mk in w.matrix),
+                    w.word + (i,),
+                )
+                yield key
 
-    return frozenset(closure((rs.identity,), right_multiples))
+    closure((rs.two_rho,), right_multiples)
+    return frozenset(elements.values())
 
 
 _WEYL_ORDER_EXCEPTIONAL = {

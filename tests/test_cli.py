@@ -7,12 +7,14 @@ import pytest
 
 from cartan_ds import (
     WeylElement,
+    build_root_system,
     catalog_form,
     cli,
     compact_cartan_verdict,
     packaged_catalog_dir,
     write_catalog,
 )
+from cartan_ds import realform, rootdata, translation
 from cartan_ds.catalog import ENV_CATALOG_DIR, entry_to_document
 from cartan_ds.cli import main
 
@@ -436,6 +438,24 @@ def test_cap_exhaustion_is_a_resource_error(capsys):
     rc, out, _ = run(capsys, "strong-reg", "split(B3)", "--cap", "10", "--json")
     assert rc == 3
     assert json.loads(out)["error"] == "CapExceeded"
+
+
+def test_orbit_cap_refuses_an_e8_search_before_any_closure(capsys, monkeypatch):
+    # rho is regular on E8: the predicted orbit has |W| points
+    build_root_system("E8")
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("a closure ran")
+
+    for module in (rootdata, realform, translation):
+        monkeypatch.setattr(module, "closure", no_closure)
+    rc, out, _ = run(capsys, "strong-reg", "split(E8)", "--cap", "100000", "--json")
+    assert rc == 3
+    assert json.loads(out) == {
+        "error": "CapExceeded",
+        "message": "orbit size exceeded cap 100000 (predicted size 696729600)",
+        "exit_code": 3,
+    }
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

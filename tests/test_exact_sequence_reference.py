@@ -9,16 +9,22 @@ it was before: it builds the whole restricted root system, reads its Weights
 back as ints and reflects with Fraction coefficients.
 
 The theta-commutant is found by testing w(theta 2 rho) = theta(w 2 rho) on the
-one regular weight 2 rho; the reference keeps the two full matrix products
-w theta = theta w, and the commutant sets are compared on every form, outer
-theta (theta not in W) among them.
+one regular weight 2 rho, and each element is keyed by w (2 rho); the
+reference keeps the two full matrix products w theta = theta w, and the
+commutant sets are compared on every form, outer theta (theta not in W) among
+them.  The vanishing group is closed as the orbit of 2 rho, and the kernel
+compared with it on w (2 rho); the reference closes it as matrix products and
+compares Weyl elements.  The references enumerate W through
+``reference_enumerate_weyl``.
 
 Mutations these tests catch: a divisibility test on the coefficient
 2 (v, b) / nb in place of the numerators, vanishing roots taken from all roots
 in place of the positive ones, a kernel that compares only the first simple
 image, flooring the numerators without the divisibility test, theta dropped
-from either side of the commutant test, and a fundamental weight in place of
-2 rho.
+from either side of the commutant test, a fundamental weight in place of
+2 rho, the commutant keyed by w (theta 2 rho) in place of w (2 rho), the
+vanishing reflections applied transposed, and the vanishing orbit started at
+theta 2 rho in place of 2 rho.
 """
 
 import random
@@ -39,7 +45,8 @@ from cartan_ds import (
     weyl_order,
 )
 from cartan_ds.realform import _theta_commutant
-from cartan_ds.rootdata import DEFAULT_CAP, _int_mat_mul, _int_mat_vec, closure, enumerate_weyl
+from cartan_ds.rootdata import DEFAULT_CAP, _int_mat_mul, _int_mat_vec, closure
+from test_enumerate_weyl_reference import reference_enumerate_weyl
 from test_int_kernel_reference import _random_matrix
 from test_restricted_reference import PM_W_TYPES, pm_w_involutions
 
@@ -60,7 +67,7 @@ def reference_commutant(theta, group):
 def reference_exact_sequence(rs, inv, cap=DEFAULT_CAP):
     """The check through restricted_roots, with Fraction reflections."""
     rrs = restricted_roots(rs, inv)
-    group = enumerate_weyl(rs, cap)
+    group = reference_enumerate_weyl(rs, cap)
     commutant = reference_commutant(inv.theta, group)
     fixed = rrs.vanishing_roots & inv.positive_roots
     simple_fixed = [b for b in fixed if not any(b - a in fixed for a in fixed)]
@@ -131,10 +138,11 @@ def assert_matches_reference(rs, inv, name, tally, outer):
         tally["failed" if not outcome.passed else "passed"] += 1
     else:
         tally[outcome[0].__name__] += 1
-    group = enumerate_weyl(rs)
+    group = reference_enumerate_weyl(rs)
     commutant = _theta_commutant(rs, inv.theta, group)
-    assert len(commutant) == len(set(commutant))
-    assert set(commutant) == set(reference_commutant(inv.theta, group)), name
+    two_rho = [int(2 * c) for c in rs.rho.coords]
+    assert all(key == tuple(_int_mat_vec(w.matrix, two_rho)) for key, w in commutant.items())
+    assert set(commutant.values()) == set(reference_commutant(inv.theta, group)), name
     outer[inv.theta not in {w.matrix for w in group}] += 1
 
 

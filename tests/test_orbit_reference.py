@@ -6,10 +6,19 @@ each int orbit point on ints and test the open negative cone by the signs of
 int covector products.  The references below are the Fraction closure through
 ``RootSystem.reflect``, ``CartanInvolution.restrict`` per orbit point and
 ``cone_position(...).neg_interior`` as the filter, kept here to compare against.
+
+When |W| exceeds the cap, an orbit is refused before its closure if its
+predicted size |W| / |W_J| does; J is the set of walls of the dominant
+representative and |W_J| comes from the height partition of the positive
+roots supported on J.  The prediction is compared with the enumerated orbit.
+Mutations these tests catch: (h + 1) replaced by h in the product, the walls
+of lam in place of those of its dominant representative, n_h in place of
+n_h - n_{h+1} as the exponent count, and the refusal skipped.
 """
 
 import functools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,6 +30,7 @@ from cartan_ds import (
     RankMismatch,
     Weight,
     admissible_exponents,
+    apply,
     build_default_catalog,
     build_root_system,
     catalog_form,
@@ -33,7 +43,7 @@ from cartan_ds import (
     weyl_orbit,
     weyl_order,
 )
-from cartan_ds.rootdata import DEFAULT_CAP, closure
+from cartan_ds.rootdata import DEFAULT_CAP, _wall_group_order, closure
 
 CAP = 2000
 
@@ -76,9 +86,11 @@ def assert_matches_reference(rs, inv, rrs, lam, cap=CAP):
     try:
         calls["weyl_orbit"]()
     except CapExceeded:
+        pattern = rf"^orbit size exceeded cap {cap} \(predicted size ([0-9]+)\)$"
         for name, call in calls.items():
-            with pytest.raises(CapExceeded, match=f"^orbit size exceeded cap {cap}$"):
+            with pytest.raises(CapExceeded, match=pattern) as info:
                 call()
+            assert int(re.match(pattern, str(info.value))[1]) > cap
         return False
     want = reference_results(rs, inv, rrs, lam, cap)
     for name, call in calls.items():
@@ -152,7 +164,7 @@ def test_orbit_cap_counts_elements(name):
     rs, inv, rrs = cached_form("split(B3)")
     assert len(reference_orbit(rs, rs.rho)) == 48
     int_results(rs, inv, rrs, rs.rho, 48)[name]()
-    with pytest.raises(CapExceeded, match="^orbit size exceeded cap 47$"):
+    with pytest.raises(CapExceeded, match=r"^orbit size exceeded cap 47 \(predicted size 48\)$"):
         int_results(rs, inv, rrs, rs.rho, 47)[name]()
 
 
@@ -162,3 +174,32 @@ def test_orbit_functions_reject_a_weight_of_the_wrong_rank(name):
     for lam in (Weight.zero(rs.rank + 1), Weight.of([1, 1])):
         with pytest.raises(RankMismatch):
             int_results(rs, inv, rrs, lam, CAP)[name]()
+
+
+@pytest.mark.parametrize(
+    "cartan_type",
+    ["A1", "A3", "A7", "B2", "B4", "B8", "C3", "C6", "D4", "D6", "D8", "E6", "E7", "E8",
+     "F4", "G2", "A1xA1", "A2xG2", "B3xC2xA1", "D4xE6"],
+)
+def test_all_walls_give_the_group_order(cartan_type):
+    rs = build_root_system(cartan_type)
+    assert _wall_group_order(rs, range(rs.rank)) == rs.weyl_order == weyl_order(cartan_type)
+    assert _wall_group_order(rs, ()) == 1
+
+
+def test_predicted_orbit_size_matches_the_orbit_on_catalog():
+    compared = 0
+    for form_id in SMALL_FORMS:
+        rs, inv, rrs = cached_form(form_id)
+        # s_i omega_i lies on fewer walls than its dominant representative
+        moved = [apply(rs.simple_reflection(i), w) for i, w in enumerate(rs.fundamental_weights)]
+        for lam in [rs.rho, Weight.zero(rs.rank), *rs.fundamental_weights, *moved]:
+            size = len(weyl_orbit(rs, lam))
+            # a cap of the orbit size passes; one less lies below |W|, so the
+            # orbit is refused with its size predicted
+            assert len(weyl_orbit(rs, lam, cap=size)) == size
+            if size > 1:
+                with pytest.raises(CapExceeded, match=rf" \(predicted size {size}\)$"):
+                    weyl_orbit(rs, lam, cap=size - 1)
+            compared += 1
+    assert compared > 400

@@ -26,7 +26,6 @@ from cartan_ds import (
     compact_cartan_verdict,
     entry_involution,
     entry_root_system,
-    enumerate_weyl,
     extended_stabilizer,
     extended_weyl_group,
     longest_element,
@@ -41,6 +40,7 @@ from cartan_ds import (
     weyl_order,
 )
 from cartan_ds import linalg
+from test_enumerate_weyl_reference import reference_enumerate_weyl
 
 HALF = Fraction(1, 2)
 
@@ -367,7 +367,7 @@ def _reference_exact_sequence(rs, inv):
     theta = inv.theta
     commutant = [
         w
-        for w in enumerate_weyl(rs)
+        for w in reference_enumerate_weyl(rs)
         if linalg.mat_mul(w.matrix, theta) == linalg.mat_mul(theta, w.matrix)
     ]
     vanishing = close(
