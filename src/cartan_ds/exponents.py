@@ -6,19 +6,19 @@ interior of the cone spanned by the positive restricted roots.  The
 restricted root system carries that cone's dual description (facet rays with
 integer covectors, built once by ``restricted_roots``); this module computes
 exact positions and margins relative to it, the monoid partial order on
-exponents, and the admissible subset of a Weyl orbit.  A position depends on a
-vector only through its ray pairings: it is interior when the cone is
-full-dimensional and every pairing is negative, and its margin is the least
--p/|X| over the rays.  The exponent-cone condition after tensoring applies
-that rule once, ray by ray, to the largest exponent pairing plus the largest
-shift pairing (``translation._cone_margin``).  Orbit restrictions are
-computed on ints: each point v of the int orbit (the weight times the lcm of
-its denominators) restricts to v - theta(v), and the cone test of a
-restriction is the signs of its int covector products.
+exponents, and the admissible subset of a Weyl orbit.
 
-Margins are distances of the form q·sqrt(r) with q, r rational; they are kept
-exact as a sign plus a squared magnitude, which supports all comparisons and
-positive scalings without ever introducing floating point.
+Positions are decided on ints.  A vector scaled to ints has one int product
+with each ray covector; it is interior when the cone is full-dimensional and
+every product is negative, and its margin, the least -p/|X| over the rays,
+is found by sign and then by p^2 n' against p'^2 n, with one ``SignedSqrt``
+(a sign and an exact rational square, never floating point) built for it.
+Orbit restrictions are int tuples too: each point v of the int orbit (the
+weight times the lcm of its denominators) restricts to v - theta(v).  The
+admissible restrictions (``_admissible``: those with negative products), an
+exponent's membership among them (``_admits``) and each ray's largest
+pairing over an orbit (``_orbit_maxima``) are read off these tuples without
+building a Weight.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import InvalidDatum, PreconditionFailed, RankMismatch
@@ -88,16 +88,6 @@ class SignedSqrt:
         return cls(0, Fraction(0))
 
     @classmethod
-    def of_ratio(cls, numerator: Fraction, denominator_square: Fraction) -> "SignedSqrt":
-        """The value numerator / sqrt(denominator_square)."""
-        if denominator_square <= 0:
-            raise ValueError("denominator square must be positive")
-        if numerator == 0:
-            return cls.zero()
-        sign = 1 if numerator > 0 else -1
-        return cls(sign, numerator * numerator / denominator_square)
-
-    @classmethod
     def sqrt_of(cls, square: Fraction) -> "SignedSqrt":
         if square < 0:
             raise ValueError("square must be nonnegative")
@@ -140,16 +130,13 @@ def dual_chamber(rrs: RestrictedRootSystem) -> RestrictedRootSystem:
     return rrs
 
 
-def _ray_pairings(rrs: RestrictedRootSystem, v: Weight) -> tuple[Fraction, ...]:
-    """v's exact pairings with the facet rays: v is scaled to ints once, then
-    one int dot product and one division per ray."""
+def _ray_products(rrs: RestrictedRootSystem, v: Weight) -> tuple[list[int], int]:
+    """v's int covector products x and its scale S: v is scaled to ints once,
+    and its pairing with ray j is x[j] / (ray_scales[j] S)."""
     if v.rank != rrs.root_system.rank:
         raise RankMismatch("vector rank does not match the root system")
     scale, coords = _scaled(v)
-    return tuple(
-        Fraction(x, s * scale)
-        for x, s in zip(_int_mat_vec(rrs.ray_covectors, coords), rrs.ray_scales)
-    )
+    return _int_mat_vec(rrs.ray_covectors, coords), scale
 
 
 NEG_INTERIOR = "neg_interior"
@@ -174,25 +161,39 @@ class ConePosition:
         return self.kind == NEG_INTERIOR
 
 
-def _position(chamber: RestrictedRootSystem, pairings: tuple[Fraction, ...]) -> ConePosition:
-    """The position of a vector with these ray pairings: interior when the cone
-    is full-dimensional and every pairing is negative; the margin is the least
-    -p/|X| over the rays, zero when there are none."""
-    margin = min(
-        (SignedSqrt.of_ratio(-p, n) for p, n in zip(pairings, chamber.ray_norms)),
-        default=SignedSqrt.zero(),
-    )
-    interior = chamber.fulldim and all(p < 0 for p in pairings)
-    return ConePosition(
-        kind=NEG_INTERIOR if interior else BOUNDARY_OR_OUTSIDE,
-        margin=margin,
-        ray_pairings=pairings,
-    )
+def _position(
+    chamber: RestrictedRootSystem, products: Sequence[int], scale: int
+) -> tuple[bool, SignedSqrt]:
+    """Whether the vector with these int ray products at scale S is interior
+    (the cone full-dimensional, every product negative), and its margin.
+
+    Ray j's margin is -x/(S sqrt(n)), n = s^2 |X|^2 with s the ray scale.  The
+    least has the sign of -max x (zero without rays) and the largest x^2/n
+    where x > 0, else the smallest; rays compare by x^2 n' against x'^2 n on
+    ints, and one SignedSqrt is built, for the ray chosen.
+    """
+    interior = chamber.fulldim and all(x < 0 for x in products)
+    top = max(products, default=0)
+    if not top:
+        return interior, SignedSqrt.zero()
+    least = None
+    for x, s, norm in zip(products, chamber.ray_scales, chamber.ray_norms):
+        if top < 0 or x > 0:
+            a, b = x * x * norm.denominator, s * s * norm.numerator  # x^2 / n
+            if least is None or (a * least[1] - least[0] * b) * top > 0:
+                least = a, b
+    return interior, SignedSqrt(-1 if top > 0 else 1, Fraction(least[0], least[1] * scale * scale))
 
 
 def cone_position(chamber: RestrictedRootSystem, v: Weight) -> ConePosition:
     """Locate v relative to -(positive restricted cone), with exact margin."""
-    return _position(chamber, _ray_pairings(chamber, v))
+    products, scale = _ray_products(chamber, v)
+    interior, margin = _position(chamber, products, scale)
+    return ConePosition(
+        kind=NEG_INTERIOR if interior else BOUNDARY_OR_OUTSIDE,
+        margin=margin,
+        ray_pairings=tuple(Fraction(x, s * scale) for x, s in zip(products, chamber.ray_scales)),
+    )
 
 
 def monoid_member(rrs: RestrictedRootSystem, xi: Weight) -> bool:
@@ -205,7 +206,7 @@ def monoid_member(rrs: RestrictedRootSystem, xi: Weight) -> bool:
     the dual basis, so those coordinates are xi's ray pairings; rebuilding xi
     from them rules out a vector outside the span.
     """
-    coords = _ray_pairings(rrs, xi)
+    coords = cone_position(rrs, xi).ray_pairings
     rebuilt = Weight.zero(rrs.root_system.rank)
     for c, s in zip(coords, rrs.simple_restricted):
         rebuilt = rebuilt + s.scale(c)
@@ -277,6 +278,41 @@ def _in_neg_interior(rrs: RestrictedRootSystem, d: tuple[int, ...]) -> bool:
     return rrs.fulldim and all(x < 0 for x in _int_mat_vec(rrs.ray_covectors, d))
 
 
+Admissible = tuple[int, dict[tuple[int, ...], None]]
+Maxima = tuple[tuple[int, ...], int]
+
+
+def _admissible(
+    rs: RootSystem, inv: CartanInvolution, chamber: RestrictedRootSystem, lam: Weight, cap: int
+) -> Admissible:
+    """2s for lam's scale s, and the distinct doubled restrictions d of s times
+    lam's orbit in the open negative cone, as dict keys in the order found:
+    lam's admissible exponents are d / 2s."""
+    _require_same_chamber(rs, inv, chamber)
+    scale, doubled = _doubled_restrictions(rs, inv, lam, cap)
+    distinct = set(doubled.values())
+    return 2 * scale, dict.fromkeys(d for d in distinct if _in_neg_interior(chamber, d))
+
+
+def _admits(admissible: Admissible, e: Weight) -> bool:
+    """Is e an admissible exponent d / scale: e times the scale an int tuple d?"""
+    scale, doubled = admissible
+    e_scale, coords = _scaled(e)
+    return scale % e_scale == 0 and tuple(x * (scale // e_scale) for x in coords) in doubled
+
+
+def _orbit_maxima(
+    rs: RootSystem, inv: CartanInvolution, chamber: RestrictedRootSystem, lam: Weight, cap: int
+) -> tuple[Maxima, int]:
+    """The ray maxima of lam's orbit restrictions, and their number: each ray's
+    largest int product over the distinct doubled restrictions d, at the scale
+    2s that makes d / 2s the restriction."""
+    scale, doubled = _doubled_restrictions(rs, inv, lam, cap)
+    distinct = set(doubled.values())
+    products = (_int_mat_vec(chamber.ray_covectors, d) for d in distinct)
+    return (tuple(map(max, zip(*products))), 2 * scale), len(distinct)
+
+
 def orbit_restrictions(
     rs: RootSystem, inv: CartanInvolution, lam: Weight, cap: int = DEFAULT_CAP
 ) -> frozenset[Weight]:
@@ -309,18 +345,10 @@ def admissible_exponents(
     lam: Weight,
     cap: int = DEFAULT_CAP,
 ) -> frozenset[Weight]:
-    """Orbit restrictions in the open negative cone: lam's admissible exponents.
-
-    Each distinct int restriction is tested by the signs of its covector
-    products, and a Weight made only for those inside.
-    """
-    _require_same_chamber(rs, inv, chamber)
-    scale, doubled = _doubled_restrictions(rs, inv, lam, cap)
-    return frozenset(
-        _unscaled(d, 2 * scale)
-        for d in set(doubled.values())
-        if _in_neg_interior(chamber, d)
-    )
+    """Orbit restrictions in the open negative cone: lam's admissible exponents,
+    one Weight per admissible int restriction (``_admissible``)."""
+    scale, doubled = _admissible(rs, inv, chamber, lam, cap)
+    return frozenset(_unscaled(d, scale) for d in doubled)
 
 
 def validate_datum(

@@ -422,21 +422,29 @@ def dominant_representative(rs: RootSystem, lam: Weight) -> tuple[Weight, WeylEl
     """The dominant element of W.lam together with w such that w(lam) is dominant.
 
     Deterministic: always reflects at the lowest-index negative pairing.  The
-    chase runs on ints: lam is scaled by the lcm of its coordinate
-    denominators, which changes no pairing's sign, its fundamental-weight
-    coordinates are computed once and updated per step, and the scale is
+    chase runs on ints (:func:`_chase`): lam is scaled by the lcm of its
+    coordinate denominators, which changes no pairing's sign, and the scale is
     divided out once at the end.
     """
     if lam.rank != rs.rank:
         raise RankMismatch("weight rank does not match root system")
     scale, coords = _scaled(lam)
+    rows = list(rs.identity.matrix)
+    _, word = _chase(rs, coords, rows)
+    return _unscaled(coords, scale), WeylElement(tuple(rows), tuple(reversed(word)))
+
+
+def _chase(rs: RootSystem, coords: list[int], rows: list | None = None) -> tuple[list[int], list[int]]:
+    """Chase int coordinates to the dominant chamber in place, reflecting at the
+    lowest-index negative pairing (the pairings are updated per step, and
+    ``rows``, when given, replaced by s_i . rows); returns the dominant
+    fundamental-weight coordinates and the reflections in the order applied."""
     fws = _int_mat_vec(rs.cartan_matrix, coords)
     word: list[int] = []
-    rows = list(rs.identity.matrix)
     while True:
         i = next((j for j, f in enumerate(fws) if f < 0), None)
         if i is None:
-            break
+            return fws, word
         # s_i subtracts fws[i] * alpha_i, and <alpha_i, alpha_j^vee> = A[j][i]
         c = fws[i]
         coords[i] -= c
@@ -444,8 +452,8 @@ def dominant_representative(rs: RootSystem, lam: Weight) -> tuple[Weight, WeylEl
         for j, _, a_ji in rs._neighbours[i]:
             fws[j] -= a_ji * c
         word.append(i)
-        _reflect_rows_left(rs, i, rows)
-    return _unscaled(coords, scale), WeylElement(tuple(rows), tuple(reversed(word)))
+        if rows is not None:
+            _reflect_rows_left(rs, i, rows)
 
 
 def _weyl_witness(rs: RootSystem, mat: IntMat) -> WeylElement | None:

@@ -7,13 +7,20 @@ such a sum, checks the exponent-cone condition after tensoring, scales data
 along integral lines, and searches for a translate with strongly regular
 character — producing exact certificates for every claim.
 
-The exponent-cone condition reads only the largest exponent pairing and the
-largest shift pairing on each facet ray (``_ray_maxima``); the search and the
-certificates compute these maxima once, not again for every line parameter.
+The search decides on ints.  The exponent-cone condition reads only the
+largest exponent pairing and the largest shift pairing on each facet ray
+(``_cone_margin``), as int products at one scale: the exponent maxima are
+taken once and scaled by each line factor, the shift maxima once per
+candidate shift over its distinct int orbit restrictions.  Each candidate
+(kN + 1) B + sum c_i F_i is an int tuple, tested for strong regularity by
+int chamber chases (``_strongly_regular``, the verdict of
+``extended_stabilizer``).  Weights are built for the result, the exhaustion
+report and the certificates, which are re-derived from scratch.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,12 +38,15 @@ from .errors import (
 )
 from .exponents import (
     FormalDSDatum,
+    Maxima,
     SignedSqrt,
+    _admissible,
+    _admits,
+    _orbit_maxima,
     _position,
-    _ray_pairings,
+    _ray_products,
     _require_same_chamber,
     admissible_exponents,
-    orbit_restrictions,
     sorted_exponents,
 )
 from .realform import CartanInvolution, RestrictedRootSystem
@@ -44,13 +54,14 @@ from .rootdata import (
     DEFAULT_CAP,
     RootSystem,
     Weight,
+    _chase,
+    _int_mat_vec,
     _scaled,
     _unscaled,
     apply,
     closure,
     dominant_representative,
     enumerate_weyl,
-    stabilizer_generators,
     weyl_orbit,
 )
 
@@ -192,32 +203,36 @@ class TensorL2Report:
     min_margin: SignedSqrt | None
 
 
-Maxima = tuple[Fraction, ...]
-
-
 def _ray_maxima(chamber: RestrictedRootSystem, vectors: Collection[Weight]) -> Maxima | None:
-    """The largest pairing of the vectors with each facet ray; None for no vectors."""
+    """The vectors' ray maxima at one scale, the lcm of theirs; None for no vectors."""
     if not vectors:
         return None
-    return tuple(map(max, zip(*(_ray_pairings(chamber, v) for v in vectors))))
+    products = [_ray_products(chamber, v) for v in vectors]
+    scale = math.lcm(*(s for _, s in products))
+    rescaled = ([x * (scale // s) for x in xs] for xs, s in products)
+    return tuple(map(max, zip(*rescaled))), scale
 
 
 def _cone_margin(
-    chamber: RestrictedRootSystem, exponent_maxima: Maxima | None, shift_maxima: Maxima | None
+    chamber: RestrictedRootSystem,
+    exponent_maxima: Maxima | None,
+    shift_maxima: Maxima | None,
+    factor: int = 1,
 ) -> tuple[bool, SignedSqrt | None]:
-    """Whether all exponent+shift sums are cone-interior, and their least margin,
-    from the two sets' ``_ray_maxima``.
+    """Whether all sums factor * exponent + shift are cone-interior, and their
+    least margin, from the two sets' ray maxima; (True, None) for an empty set.
 
     Decided ray by ray: the pairing with a ray X is additive, and the ray's
     margin -p/|X| falls as p grows, so on each ray the worst sum pairs the
-    largest exponent pairing with the largest shift pairing.  The position of
-    that one tuple of pairings has the verdict and the least margin of all
-    the sums; (True, None) when either set is empty.
+    largest exponent pairing, times the positive factor, with the largest
+    shift pairing.  That one tuple, on one int scale, has the verdict and the
+    least margin of all the sums.
     """
     if exponent_maxima is None or shift_maxima is None:
         return True, None
-    pos = _position(chamber, tuple(map(operator.add, exponent_maxima, shift_maxima)))
-    return pos.neg_interior, pos.margin
+    (xs, xscale), (ys, yscale) = exponent_maxima, shift_maxima
+    products = [factor * yscale * x + xscale * y for x, y in zip(xs, ys)]
+    return _position(chamber, products, xscale * yscale)
 
 
 def tensor_l2_condition(
@@ -244,15 +259,13 @@ def tensor_l2_condition(
     _assert_dominant_integral(rs, mu)
     _require_same_chamber(rs, inv, chamber)
     exponents = sorted_exponents(datum)
-    if exact:
-        shifts = orbit_restrictions(rs, inv, mu, cap)
-        passed, min_margin = _cone_margin(
-            chamber, _ray_maxima(chamber, exponents), _ray_maxima(chamber, shifts)
-        )
-        return TensorL2Report(passed, "exact", len(exponents) * len(shifts), min_margin)
-    bound = SignedSqrt.sqrt_of(rs.norm_sq(mu))
     top = _ray_maxima(chamber, exponents)
-    min_margin = None if top is None else _position(chamber, top).margin
+    if exact:
+        shift_maxima, shifts = _orbit_maxima(rs, inv, chamber, mu, cap)
+        passed, min_margin = _cone_margin(chamber, top, shift_maxima)
+        return TensorL2Report(passed, "exact", len(exponents) * shifts, min_margin)
+    bound = SignedSqrt.sqrt_of(rs.norm_sq(mu))
+    min_margin = None if top is None else _position(chamber, *top)[1]
     passed = min_margin is None or (chamber.fulldim and bound < min_margin)
     return TensorL2Report(passed, "fast", len(exponents), min_margin)
 
@@ -268,29 +281,24 @@ def translate_line(
     """Scale a datum along its integral line to parameter k.
 
     The weight becomes (k*integrality + 1) times the original; exponents are
-    scaled by the same factor, or replaced by the full admissible restriction
-    set of the scaled weight in worst-case mode.  Requires every input
-    exponent to be an admissible restriction (the scaled containment
-    guarantee needs it); the output is re-verified against the scaled
-    admissible set.
+    scaled by the same factor and re-verified as admissible for the scaled
+    weight, or, in worst-case mode, replaced by all of its admissible
+    exponents.  Requires every input exponent to be admissible (the scaled
+    containment guarantee needs it).  Admissibility is tested on ints.
     """
     if k < 0:
         raise BadParameters("line parameter k must be nonnegative")
-    factor = Fraction(k * cfg.integrality + 1)
-    base_allowed = admissible_exponents(rs, inv, chamber, datum.weight, cfg.cap)
-    for e in datum.exponents:
-        if e not in base_allowed:
-            raise InvalidDatum(
-                "exponent is not an admissible restriction of the weight's orbit"
-            )
+    factor = k * cfg.integrality + 1
+    base = _admissible(rs, inv, chamber, datum.weight, cfg.cap)
+    if not all(_admits(base, e) for e in datum.exponents):
+        raise InvalidDatum("exponent is not an admissible restriction of the weight's orbit")
     new_weight = datum.weight.scale(factor)
-    scaled_allowed = admissible_exponents(rs, inv, chamber, new_weight, cfg.cap)
     if cfg.worst_case_exponents:
-        new_exponents = scaled_allowed
+        new_exponents = admissible_exponents(rs, inv, chamber, new_weight, cfg.cap)
     else:
         new_exponents = frozenset(e.scale(factor) for e in datum.exponents)
-    for e in new_exponents:
-        if e not in scaled_allowed:
+        scaled = _admissible(rs, inv, chamber, new_weight, cfg.cap)
+        if not all(_admits(scaled, e) for e in new_exponents):
             raise ConsistencyError(
                 "scaled exponent left the admissible set of the scaled weight"
             )
@@ -370,6 +378,22 @@ def _candidate_coefficients(rank: int, max_coeff: int):
         yield from rec([], rank, height)
 
 
+def _strongly_regular(rs: RootSystem, inv: CartanInvolution, v: list[int]) -> bool:
+    """``extended_stabilizer(rs, inv, lam).is_trivial`` on ints, for lam a
+    positive multiple of v: v's chase leaves no fundamental coordinate at 0
+    and, when theta is not a Weyl element, theta(v) chases to another
+    dominant tuple (no twisted fixer)."""
+    dom = list(v)
+    fws, _ = _chase(rs, dom)
+    if 0 in fws:
+        return False
+    if inv.weyl_witness is not None:
+        return True
+    image = _int_mat_vec(inv.theta, v)
+    _chase(rs, image)
+    return image != dom
+
+
 def strong_regularization(
     rs: RootSystem,
     inv: CartanInvolution,
@@ -386,64 +410,66 @@ def strong_regularization(
     weight is reported in the chamber compatible with the involution; all
     certificates are re-verified on the result.
     """
-    allowed = admissible_exponents(rs, inv, rrs, datum.weight, cfg.cap)
-    if not allowed:
+    admissible = _admissible(rs, inv, rrs, datum.weight, cfg.cap)
+    if not admissible[1]:
         raise NoAdmissibleDirection(
             "no orbit element restricts into the negative cone interior"
         )
-    for e in datum.exponents:
-        if e not in allowed:
-            raise InvalidDatum(
-                "exponent is not an admissible restriction of the weight's orbit"
-            )
+    if not all(_admits(admissible, e) for e in datum.exponents):
+        raise InvalidDatum("exponent is not an admissible restriction of the weight's orbit")
     if not datum.exponents:
         raise InvalidDatum("datum has no exponents to certify")
     n = cfg.integrality
     base_dom_default, _ = dominant_representative(rs, datum.weight)
-    for c in rs.fw_coords(base_dom_default.scale(n)):
+    base_fw = rs.fw_coords(base_dom_default.scale(n))
+    for c in base_fw:
         if c.denominator != 1:
             raise BadParameters(
                 "integrality constant does not make the weight integral"
             )
     base_dom = apply(inv.chamber, base_dom_default)
+    directions = [apply(inv.chamber, fw) for fw in rs.fundamental_weights]
+    # candidates (kN + 1) base_dom + sum c_i directions[i] are formed on ints
+    scale = math.lcm(*(c.denominator for w in (base_dom, *directions) for c in w.coords))
+    base, *units = (
+        [c.numerator * (scale // c.denominator) for c in w.coords] for w in (base_dom, *directions)
+    )
     exponents = sorted_exponents(datum)
-    # (factor e, X) = factor (e, X) with factor > 0, so the exponent maxima of
-    # every k are factor times these; the shift maxima do not depend on k
+    # the shift maxima do not depend on k, and _cone_margin scales the
+    # exponent maxima by each line factor
     top_exponent = _ray_maxima(rrs, exponents)
     best: SearchBest | None = None
     for coeffs in _candidate_coefficients(rs.rank, cfg.max_mu_coeff):
-        shift_default = rs.weight_from_fw(coeffs)
-        if not stabilizer_generators(rs, base_dom_default + shift_default).is_regular:
+        # base_dom_default + shift is dominant, so it is regular unless both
+        # have a fundamental coordinate 0 at the same node
+        if any(not f and not c for f, c in zip(base_fw, coeffs)):
             continue
-        shift = apply(inv.chamber, shift_default)
-        top_shift = _ray_maxima(rrs, orbit_restrictions(rs, inv, shift_default, cfg.cap))
+        shift_default = rs.weight_from_fw(coeffs)
+        top_shift, _ = _orbit_maxima(rs, inv, rrs, shift_default, cfg.cap)
+        shift = [sum(map(operator.mul, coeffs, col)) for col in zip(*units)]
         k_values = range(cfg.max_k + 1) if any(coeffs) else range(1)
         for k in k_values:
-            factor = Fraction(k * n + 1)
-            final_weight = base_dom.scale(factor) + shift
-            stab = extended_stabilizer(rs, inv, final_weight)
-            cone_ok, margin = _cone_margin(
-                rrs, tuple(factor * p for p in top_exponent), top_shift
-            )
+            factor = k * n + 1
+            final = [factor * b + x for b, x in zip(base, shift)]
+            strongly_regular = _strongly_regular(rs, inv, final)
+            cone_ok, margin = _cone_margin(rrs, top_exponent, top_shift, factor)
             candidate = SearchBest(
                 coefficients=coeffs,
                 k=k,
-                strongly_regular=stab.is_trivial,
+                strongly_regular=strongly_regular,
                 min_margin=margin,
             )
             if best is None or _best_key(candidate) > _best_key(best):
                 best = candidate
-            if not (stab.is_trivial and cone_ok):
+            if not (strongly_regular and cone_ok):
                 continue
-            mus = []
-            for i, c in enumerate(coeffs):
-                mus.extend([apply(inv.chamber, rs.fundamental_weights[i])] * c)
+            mus = [d for d, c in zip(directions, coeffs) for _ in range(c)]
             return TranslationResult(
                 k=k,
                 integrality=n,
                 dominant_base=base_dom,
                 mus=tuple(mus),
-                final_weight=final_weight,
+                final_weight=_unscaled(final, scale),
                 certificates=_certify(
                     rs, inv, rrs, exponents, base_dom, factor, mus, cfg
                 ),
@@ -460,7 +486,7 @@ def _certify(
     chamber: RestrictedRootSystem,
     exponents: tuple[Weight, ...],
     base_dom: Weight,
-    factor: Fraction,
+    factor: int,
     mus: list[Weight],
     cfg: TranslationConfig,
 ) -> TranslationCertificates:
@@ -475,8 +501,7 @@ def _certify(
     """
     scaled = [e.scale(factor) for e in exponents]
     top = _ray_maxima(chamber, scaled)
-    base = _position(chamber, top)
-    cone_all, base_margin = base.neg_interior, base.margin
+    cone_all, base_margin = _position(chamber, *top)
     running = base_dom.scale(factor)
     partial = Weight.zero(rs.rank)
     steps = []
@@ -484,16 +509,14 @@ def _certify(
         partial = partial + direction
         running = running + direction
         target, _ = dominant_representative(rs, running)
-        ok, worst = _cone_margin(
-            chamber, top, _ray_maxima(chamber, orbit_restrictions(rs, inv, partial, cfg.cap))
-        )
+        ok, worst = _cone_margin(chamber, top, _orbit_maxima(rs, inv, chamber, partial, cfg.cap)[0])
         cone_all = cone_all and ok
         steps.append(
             TranslationStep(
                 direction=direction,
                 partial_sum=partial,
                 target=target,
-                min_margin=worst if worst is not None else SignedSqrt.zero(),
+                min_margin=worst,
                 cone_ok=ok,
             )
         )

@@ -1,22 +1,36 @@
-"""The ray-by-ray exponent-cone condition against the pair loop it replaced.
+"""The int cone decisions of the translation search against the Fraction
+rules they replaced.
+
+``exponents._position`` finds the least margin -p/|X| over the facet rays on
+ints: by sign, then by p^2 n' against p'^2 n, with one SignedSqrt built for
+the ray chosen.  ``parent_position`` is the rule it replaced, one SignedSqrt
+per ray from the Fraction pairings, the least kept; the two are compared on
+catalog vectors and on drawn int products with zeros, ties, mixed signs, and
+forms with no rays.
 
 ``translation._cone_margin`` decides whether every exponent + shift sum lies
 in the open negative cone, and finds the least margin over the sums, from one
 tuple of ray pairings: on each ray, the largest exponent pairing plus the
-largest shift pairing, each set's maxima taken once by ``_ray_maxima``.  The
-search scales the exponent maxima by the line factor kN + 1 instead of
-scaling the exponents.  The reference below is the pair loop it replaced: one
-Fraction sum e + s per pair, each located on its own (``cone_position``'s rule
-written out, so that a fault in the shared rule cannot hide in the reference:
-every ray's margin -p/|X| built, the least kept).  The search and its
-certificates are checked against the same pair loop, run on every scaled
-exponent for every line parameter k.
+largest shift pairing, each set's maxima taken once, as int products at one
+scale (``_ray_maxima``, and ``exponents._orbit_maxima`` over a weight's
+distinct int orbit restrictions).  The search scales the exponent maxima by
+the line factor kN + 1 instead of scaling the exponents.  The reference is
+the pair loop it replaced: one Fraction sum e + s per pair, each located from
+scratch by ``reference_cone_position`` (shared with
+``tests/test_restricted_reference.py``), which reads neither the ray
+covectors nor the ray norms.  The search and its certificates are checked
+against the search as it was: ``extended_stabilizer`` on every candidate and
+the same pair loop on every scaled exponent for every line parameter k.
+``translation._strongly_regular``, the search's int test of each candidate,
+is compared with ``extended_stabilizer(...).is_trivial`` directly.
 
-Mutations these tests catch: min in place of max in ``_ray_maxima``, the line
-factor applied to the shift maxima too, the shift maxima hoisted above the
-search's loop over candidate shifts (taken once from the first candidate, or
-from the zero shift), and certificate maxima taken from the unscaled
-exponents.
+Mutations these tests catch: the sign ignored in ``_position``, p^2 n' and
+p'^2 n swapped, a tie in sign kept by the first index instead of the least
+margin; min in place of max in ``_ray_maxima``, the line factor applied to
+the shift maxima too, the shift maxima hoisted above the search's loop over
+candidate shifts (taken once from the first candidate, or from the zero
+shift), and certificate maxima taken from the unscaled exponents; the
+witness shortcut (regular is enough) applied when ``weyl_witness`` is None.
 """
 
 import functools
@@ -27,8 +41,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_restricted_reference import reference_cone_position
 
 from cartan_ds import (
+    DEFAULT_CAP,
     FormalDSDatum,
     RankMismatch,
     SearchExhausted,
@@ -40,6 +56,7 @@ from cartan_ds import (
     apply,
     build_default_catalog,
     catalog_form,
+    cone_position,
     dominant_representative,
     entry_involution,
     entry_root_system,
@@ -49,24 +66,26 @@ from cartan_ds import (
     stabilizer_generators,
     strong_regularization,
 )
-from cartan_ds.exponents import _ray_pairings
+from cartan_ds.exponents import NEG_INTERIOR, _orbit_maxima, _position, _ray_products
+from cartan_ds.rootdata import _scaled
 from cartan_ds.translation import (
     SearchBest,
     _best_key,
     _candidate_coefficients,
     _cone_margin,
     _ray_maxima,
+    _strongly_regular,
 )
 
 
-def reference_position(chamber, v):
-    """(interior, margin) of v, one SignedSqrt per facet ray."""
-    pairings = _ray_pairings(chamber, v)
-    margin = min(
-        (SignedSqrt.of_ratio(-p, n) for p, n in zip(pairings, chamber.ray_norms)),
-        default=SignedSqrt.zero(),
-    )
-    return chamber.fulldim and all(p < 0 for p in pairings), margin
+def parent_position(chamber, pairings):
+    """(interior, margin) from Fraction ray pairings: one SignedSqrt -p/|X| per
+    facet ray, the least kept."""
+    margins = [
+        SignedSqrt(-1 if p > 0 else 1, p * p / n) if p else SignedSqrt.zero()
+        for p, n in zip(pairings, chamber.ray_norms)
+    ]
+    return chamber.fulldim and all(p < 0 for p in pairings), min(margins, default=SignedSqrt.zero())
 
 
 def reference_cone_margin(chamber, exponents, shifts):
@@ -75,10 +94,10 @@ def reference_cone_margin(chamber, exponents, shifts):
     least = None
     for e in exponents:
         for s in shifts:
-            interior, margin = reference_position(chamber, e + s)
+            kind, margin, _ = reference_cone_position(chamber, e + s)
             if least is None or margin < least:
                 least = margin
-            passed = passed and interior
+            passed = passed and kind == NEG_INTERIOR
     return passed, least
 
 
@@ -102,9 +121,79 @@ SPLIT_FORMS = [
 ]
 
 
-# The pair loop makes one position per pair, about 0.1 ms each.  A larger grid
+def pairings_of(chamber, products, scale):
+    """The Fraction ray pairings x_j / (s_j S) of int products at scale S."""
+    return tuple(Fraction(x, s * scale) for x, s in zip(products, chamber.ray_scales))
+
+
+def test_position_matches_the_parent_rule_on_the_catalog():
+    for entry in build_default_catalog():
+        rs, inv, rrs = form(entry.id)
+        vectors = [rs.rho, *rs.fundamental_weights]
+        vectors += [-v for v in vectors]
+        vectors += [inv.restrict(v) for v in vectors] + [Weight.zero(rs.rank)]
+        for v in vectors:
+            products, scale = _ray_products(rrs, v)
+            got = _position(rrs, products, scale)
+            assert got == parent_position(rrs, pairings_of(rrs, products, scale)), (entry.id, v)
+            pos = cone_position(rrs, v)
+            assert (pos.kind, pos.margin, pos.ray_pairings) == reference_cone_position(rrs, v)
+
+
+# sl(3,R) and split(B3) have rays of equal norm, where equal products tie;
+# compact(A2) has no rays
+POSITION_FORMS = ["sl(3,R)", "su(2,1)", "sp(2,R)", "split(G2)", "so(4,3)", "split(B3)",
+                  "su(2,2)", "compact(A2)"]
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(form_id=st.sampled_from(POSITION_FORMS), data=st.data())
+def test_position_matches_the_parent_rule_on_drawn_products(form_id, data):
+    rrs = form(form_id)[2]
+    rays = len(rrs.ray_norms)
+    products = data.draw(st.lists(st.integers(-4, 4), min_size=rays, max_size=rays))
+    scale = data.draw(st.sampled_from([1, 2, 3, 12]))
+    want = parent_position(rrs, pairings_of(rrs, products, scale))
+    assert _position(rrs, products, scale) == want
+
+
+@pytest.mark.parametrize(
+    "products, interior, margin",
+    [
+        # the least margin is on the later ray, and ties keep their value
+        ((-3, -1), True, SignedSqrt(1, Fraction(3, 2))),
+        ((-1, -3), True, SignedSqrt(1, Fraction(3, 2))),
+        ((-2, -2), True, SignedSqrt(1, Fraction(6))),
+        ((1, 3), False, SignedSqrt(-1, Fraction(27, 2))),
+        ((2, 2), False, SignedSqrt(-1, Fraction(6))),
+        # mixed signs: a positive product makes the least margin negative
+        ((-3, 1), False, SignedSqrt(-1, Fraction(3, 2))),
+        ((0, -5), False, SignedSqrt.zero()),
+        ((0, 0), False, SignedSqrt.zero()),
+    ],
+)
+def test_position_on_the_two_equal_rays_of_sl3(products, interior, margin):
+    # both rays of sl(3,R) have |X|^2 = 2/3 and scale 1: margin^2 = 3 x^2 / 2
+    rrs = form("sl(3,R)")[2]
+    assert rrs.ray_scales == (1, 1) and rrs.ray_norms == (Fraction(2, 3),) * 2
+    assert _position(rrs, products, 1) == (interior, margin)
+    assert parent_position(rrs, pairings_of(rrs, products, 1)) == (interior, margin)
+
+
+@pytest.mark.parametrize("form_id", SPLIT_FORMS)
+def test_orbit_maxima_match_the_restricted_orbit(form_id):
+    rs, inv, rrs = form(form_id)
+    for mu in (rs.rho, *rs.fundamental_weights):
+        shifts = orbit_restrictions(rs, inv, mu)
+        (products, scale), count = _orbit_maxima(rs, inv, rrs, mu, DEFAULT_CAP)
+        assert count == len(shifts), (form_id, mu)
+        pairings = [reference_cone_position(rrs, s)[2] for s in shifts]
+        assert pairings_of(rrs, products, scale) == tuple(map(max, zip(*pairings)))
+
+
+# The pair loop makes one position per pair, about 0.13 ms each.  A larger grid
 # cell takes a seeded sample of the exponents: split(F4)'s 373 admissible
-# exponents against its 1152 restrictions of the rho orbit would take 45 s.
+# exponents against its 1152 restrictions of the rho orbit would take 56 s.
 MAX_PAIRS = 20_000
 
 
@@ -144,7 +233,7 @@ LINE_PARAMETERS = range(41)
 
 def extremes(chamber, vectors):
     """For each facet ray, the first vector with the largest pairing there."""
-    pairings = [_ray_pairings(chamber, v) for v in vectors]
+    pairings = [reference_cone_position(chamber, v)[2] for v in vectors]
     keep = {
         max(range(len(vectors)), key=lambda i: pairings[i][j])
         for j in range(len(chamber.ray_norms))
@@ -167,8 +256,8 @@ def test_scaled_exponent_maxima_match_the_pair_loop(form_id):
             top_shift = _ray_maxima(rrs, shifts)
             shifts = extremes(rrs, shifts)
             for k in LINE_PARAMETERS:
-                factor = Fraction(k + 1)
-                got = _cone_margin(rrs, tuple(factor * p for p in top_exponent), top_shift)
+                factor = k + 1
+                got = _cone_margin(rrs, top_exponent, top_shift, factor)
                 scaled = [e.scale(factor) for e in exponents]
                 assert got == reference_cone_margin(rrs, scaled, shifts), (form_id, k)
 
@@ -208,13 +297,9 @@ def test_drawn_sets_match_the_pair_loop(form_id, data):
     assert cone_margin(rrs, exponents, shifts) == reference_cone_margin(
         rrs, exponents, shifts
     )
-    factor = Fraction(data.draw(st.sampled_from(LINE_PARAMETERS), label="k") + 1)
-    top_exponent = _ray_maxima(rrs, exponents)
-    if top_exponent is not None:
-        top_exponent = tuple(factor * p for p in top_exponent)
-    assert _cone_margin(rrs, top_exponent, _ray_maxima(rrs, shifts)) == reference_cone_margin(
-        rrs, [e.scale(factor) for e in exponents], shifts
-    )
+    factor = data.draw(st.sampled_from(LINE_PARAMETERS), label="k") + 1
+    got = _cone_margin(rrs, _ray_maxima(rrs, exponents), _ray_maxima(rrs, shifts), factor)
+    assert got == reference_cone_margin(rrs, [e.scale(factor) for e in exponents], shifts)
 
 
 def test_a_sum_on_a_wall_is_not_interior():
@@ -229,7 +314,7 @@ def test_a_sum_on_a_wall_is_not_interior():
 def test_a_compact_cartan_has_no_interior():
     rs, _, rrs = form("compact(A2)")
     assert not rrs.fulldim and not rrs.ray_norms
-    assert _ray_maxima(rrs, [-rs.rho]) == ()
+    assert _ray_maxima(rrs, [-rs.rho])[0] == ()
     assert cone_margin(rrs, [-rs.rho], [Weight.zero(rs.rank)]) == (False, SignedSqrt.zero())
 
 
@@ -326,3 +411,52 @@ def test_search_matches_the_pair_loop():
     # every outcome is reached: the base weight, a shift at k = 0, a shift at
     # k > 0, and an exhausted search
     assert outcomes == {"base": 168, "shifted": 33, "k > 0": 9, "exhausted": 14}
+
+
+SMALL_FORMS = [e.id for e in build_default_catalog() if e.rank <= 4]
+NO_WITNESS_FORMS = [f for f in SMALL_FORMS if form(f)[1].weyl_witness is None]
+
+
+def assert_strong_regularity_matches(rs, inv, lam):
+    """The int predicate on lam's scaled coordinates against the extended
+    stabilizer; the verdict."""
+    _, coords = _scaled(lam)
+    want = extended_stabilizer(rs, inv, lam).is_trivial
+    assert _strongly_regular(rs, inv, coords) == want, lam
+    # any positive multiple has the same verdict
+    assert _strongly_regular(rs, inv, [3 * x for x in coords]) == want, lam
+    return want
+
+
+@pytest.mark.parametrize("form_id", SMALL_FORMS)
+def test_strong_regularity_matches_the_extended_stabilizer(form_id):
+    rs, inv, _ = form(form_id)
+    rho = rs.rho
+    for lam in (rho, -rho, apply(inv.chamber, rho), inv.act(rho) + rho.scale(2)):
+        assert_strong_regularity_matches(rs, inv, lam)
+    for fw in rs.fundamental_weights:
+        singular = not stabilizer_generators(rs, fw).is_regular
+        assert singular == (rs.rank > 1), (form_id, fw)
+        assert_strong_regularity_matches(rs, inv, fw)
+        assert_strong_regularity_matches(rs, inv, apply(inv.chamber, fw + rho))
+
+
+def test_a_regular_weight_with_a_twisted_fixer_is_not_strongly_regular():
+    # theta is not a Weyl element on these forms, so the regular rho, whose
+    # theta image chases back to rho, has a twisted fixer
+    assert "sl(3,R)" in NO_WITNESS_FORMS
+    for form_id in NO_WITNESS_FORMS:
+        rs, inv, _ = form(form_id)
+        _, coords = _scaled(rs.rho)
+        assert stabilizer_generators(rs, rs.rho).is_regular
+        assert not _strongly_regular(rs, inv, coords), form_id
+        assert not extended_stabilizer(rs, inv, rs.rho).is_trivial, form_id
+
+
+@pytest.mark.parametrize("form_id", ["sl(3,R)", "sl(4,R)", "so(3,3)", "su(2,1)", "split(B3)", "so(4,3)"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_strong_regularity_matches_on_drawn_weights(form_id, data):
+    rs, inv, _ = form(form_id)
+    lam = data.draw(st.lists(COEFFICIENTS, min_size=rs.rank, max_size=rs.rank).map(Weight.of))
+    assert_strong_regularity_matches(rs, inv, lam)

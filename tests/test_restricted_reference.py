@@ -4,9 +4,13 @@
 stores each facet ray's integer covector and squared norm; the references
 below are the Weight-sum construction, the Fraction dual chamber and the
 Fraction cone position it replaced, kept here to compare against.
+``reference_cone_position`` reads nothing of the chamber but its simple
+restricted roots; ``tests/test_cone_margin_reference.py`` uses it too.
 """
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -65,6 +69,7 @@ def reference_restricted(rs, inv):
     }
 
 
+@functools.lru_cache(maxsize=None)
 def reference_chamber(rrs):
     """Facet rays from the Fraction Gram inverse, and fulldim."""
     simple = rrs.simple_restricted
@@ -83,18 +88,28 @@ def reference_chamber(rrs):
     return tuple(rays), rrs.split_rank > 0 and r == rrs.split_rank
 
 
-def reference_cone_position(rrs, v):
-    """(kind, margin, ray pairings) from Fraction pairings with the rays."""
+@functools.lru_cache(maxsize=None)
+def reference_ray_data(rrs):
+    """Each facet ray's Fraction pairings with the simple roots, its squared
+    length, and fulldim."""
+    rs = rrs.root_system
     rays, fulldim = reference_chamber(rrs)
-    pairings = tuple(rrs.root_system.pairing(v, ray) for ray in rays)
-    margin = None
-    for p, ray in zip(pairings, rays):
-        value = SignedSqrt.of_ratio(-p, rrs.root_system.pairing(ray, ray))
-        if margin is None or value < margin:
-            margin = value
+    covectors = [tuple(rs.pairing(e, ray) for e in rs.simple_roots) for ray in rays]
+    return covectors, [rs.pairing(ray, ray) for ray in rays], fulldim
+
+
+def reference_cone_position(rrs, v):
+    """(kind, margin, ray pairings) from Fraction pairings with the rays: one
+    SignedSqrt -p/|X| per ray, the least kept."""
+    covectors, norms, fulldim = reference_ray_data(rrs)
+    pairings = tuple(sum(map(operator.mul, v.coords, f)) for f in covectors)
+    margins = [
+        SignedSqrt(-1 if p > 0 else 1, p * p / n) if p else SignedSqrt.zero()
+        for p, n in zip(pairings, norms)
+    ]
     interior = fulldim and all(p < 0 for p in pairings)
     kind = NEG_INTERIOR if interior else BOUNDARY_OR_OUTSIDE
-    return kind, margin or SignedSqrt.zero(), pairings
+    return kind, min(margins, default=SignedSqrt.zero()), pairings
 
 
 def reference_monoid_member(rrs, xi):
