@@ -8,7 +8,8 @@ maximal compact subgroup, and the expected answer of the compact-Cartan test
 Involution matrices are built from the standard orthonormal-coordinate models
 of the classical root systems: a sign pattern for the indefinite orthogonal
 forms, a product of disjoint transpositions for the special unitaries, and
-plus or minus the identity for compact and split forms.
+plus or minus the identity for compact and split forms.  The models are int
+matrices, taken to simple-root coordinates by one int elimination.
 
 On disk a catalog is a directory of one JSON document per entry; matrix
 entries are written as integer strings and read back as JSON integers or
@@ -25,13 +26,12 @@ import json
 import os
 import re
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from pathlib import Path
 
 from . import linalg
 from .errors import BadParameters, ParseError, UnknownForm
 from .realform import CartanInvolution, validate_involution
-from .rootdata import IntMat, RootSystem, build_root_system, parse_cartan_type
+from .rootdata import IntMat, RootSystem, _int_mat_vec, build_root_system, parse_cartan_type
 
 ENV_CATALOG_DIR = "CARTAN_DS_CATALOG"
 
@@ -50,22 +50,22 @@ class CatalogEntry:
         return len(self.theta_matrix)
 
 
-def _simple_roots_in_ambient(family: str, rank: int) -> list[list[Fraction]]:
+def _simple_roots_in_ambient(family: str, rank: int) -> list[list[int]]:
     """Simple roots in orthonormal ambient coordinates (classical types)."""
     dim = rank + 1 if family == "A" else rank
     rows = []
     for i in range(rank):
-        v = [Fraction(0)] * dim
+        v = [0] * dim
         if family == "A" or i < rank - 1:
-            v[i] = Fraction(1)
-            v[i + 1] = Fraction(-1)
+            v[i] = 1
+            v[i + 1] = -1
         elif family == "B":
-            v[rank - 1] = Fraction(1)
+            v[rank - 1] = 1
         elif family == "C":
-            v[rank - 1] = Fraction(2)
+            v[rank - 1] = 2
         elif family == "D":
-            v[rank - 2] = Fraction(1)
-            v[rank - 1] = Fraction(1)
+            v[rank - 2] = 1
+            v[rank - 1] = 1
         else:
             raise BadParameters(f"no ambient model for family {family}")
         rows.append(v)
@@ -73,45 +73,33 @@ def _simple_roots_in_ambient(family: str, rank: int) -> list[list[Fraction]]:
 
 
 def _theta_from_ambient_map(
-    family: str, rank: int, ambient_map: list[list[Fraction]]
+    family: str, rank: int, ambient_map: list[list[int]]
 ) -> IntMat:
     """Convert an ambient-coordinate involution to simple-root coordinates."""
     simples = _simple_roots_in_ambient(family, rank)
-    dim = len(simples[0])
-    basis_cols = tuple(
-        tuple(simples[c][r] for c in range(rank)) for r in range(dim)
-    )
-    columns = []
-    for i in range(rank):
-        image = tuple(
-            sum(ambient_map[r][k] * simples[i][k] for k in range(dim))
-            for r in range(dim)
-        )
-        sol = linalg.solve(basis_cols, image)
-        if sol is None:
-            raise BadParameters("involution image leaves the root space")
-        columns.append(sol)
-    rows = tuple(
-        tuple(columns[c][r] for c in range(rank)) for r in range(rank)
-    )
-    return linalg.as_int_matrix(rows)
+    images = [_int_mat_vec(ambient_map, s) for s in simples]
+    # columns [simple roots | images]: the simple roots are independent, so
+    # the top rank rows reduce to d [1 | theta] and the others to [0 | 0]
+    rows = [list(row) for row in zip(*simples, *images)]
+    _, d = linalg.row_reduce(rows, rank)
+    if any(any(row[rank:]) for row in rows[rank:]):
+        raise BadParameters("involution image leaves the root space")
+    if any(x % d for row in rows[:rank] for x in row[rank:]):
+        raise BadParameters("involution image leaves the root lattice")
+    return tuple(tuple(x // d for x in row[rank:]) for row in rows[:rank])
 
 
-def _diag(entries: list[int]) -> list[list[Fraction]]:
+def _diag(entries: list[int]) -> list[list[int]]:
     n = len(entries)
-    return [
-        [Fraction(entries[i] if i == j else 0) for j in range(n)] for i in range(n)
-    ]
+    return [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _transposition_product(n: int, swaps: int) -> list[list[Fraction]]:
+def _transposition_product(n: int, swaps: int) -> list[list[int]]:
     """Permutation matrix exchanging coordinate i with n+1-i for i <= swaps."""
     perm = list(range(n))
     for i in range(swaps):
         perm[i], perm[n - 1 - i] = perm[n - 1 - i], perm[i]
-    return [
-        [Fraction(1 if perm[j] == i else 0) for j in range(n)] for i in range(n)
-    ]
+    return [[1 if perm[j] == i else 0 for j in range(n)] for i in range(n)]
 
 
 _FORM_RE = re.compile(

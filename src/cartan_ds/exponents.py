@@ -295,7 +295,7 @@ def _admissible(
 
 
 def _admits(admissible: Admissible, e: Weight) -> bool:
-    """Is e an admissible exponent d / scale: e times the scale an int tuple d?"""
+    """Is e some d / scale: is e times the scale one of the int tuples d?"""
     scale, doubled = admissible
     e_scale, coords = _scaled(e)
     return scale % e_scale == 0 and tuple(x * (scale // e_scale) for x in coords) in doubled
@@ -357,14 +357,15 @@ def validate_datum(
     datum: FormalDSDatum,
     cap: int = DEFAULT_CAP,
 ) -> None:
-    """Check the orbit-restriction invariant; raise InvalidDatum on failure."""
+    """Check the orbit-restriction invariant on ints; raise InvalidDatum on failure."""
     if datum.weight.rank != rs.rank:
         raise InvalidDatum("weight rank does not match the root system")
-    allowed = orbit_restrictions(rs, inv, datum.weight, cap)
+    scale, doubled = _doubled_restrictions(rs, inv, datum.weight, cap)
+    restrictions = (2 * scale, dict.fromkeys(doubled.values()))
     for e in sorted_exponents(datum):
         if e.rank != rs.rank:
             raise InvalidDatum("exponent rank does not match the root system")
-        if e not in allowed:
+        if not _admits(restrictions, e):
             raise InvalidDatum(
                 "exponent is not the restriction of any orbit element"
             )

@@ -1,12 +1,15 @@
-"""Small exact linear algebra kit over the rationals.
+"""Small exact linear algebra kit: one int elimination kernel, rational wrappers.
 
-Matrices are tuples of row tuples, vectors are flat tuples.  Entries are
-`fractions.Fraction` (plain ints are accepted and coerced).  Everything here
-is deterministic and allocation-light; no floating point anywhere.
+Matrices are tuples of row tuples, vectors are flat tuples.  ``row_reduce``
+is fraction-free Gauss-Jordan on int rows.  ``solve``, ``nullspace``,
+``inverse`` and ``rank`` take int or `fractions.Fraction` entries, scale each
+row to ints (the reduced row echelon form stays the same) and divide once, at
+the end.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -53,10 +56,6 @@ def int_identity(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
-
-
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Mat:
     bt = list(zip(*b))
     return tuple(
@@ -64,47 +63,45 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
     )
 
 
-def as_int_matrix(a: Iterable[Iterable[Fraction]]) -> tuple[tuple[int, ...], ...]:
-    """Cast an integral rational matrix to plain ints; raises on non-integers."""
-    out = []
-    for row in a:
-        r = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError("matrix entry is not an integer")
-            r.append(f.numerator)
-        out.append(tuple(r))
-    return tuple(out)
+def row_reduce(rows: list[list[int]], width: int) -> tuple[list[int], int]:
+    """Reduce int rows in place over their first ``width`` columns; returns the
+    pivot columns and d > 0 with rows / d the reduced row echelon form.
 
-
-def _eliminate(rows: list[list[Fraction]], width: int) -> list[int]:
-    """In-place reduced row echelon form; returns pivot column indices."""
+    Pivot p maps each other row to (p row - f pivot_row) / d, f its entry in
+    p's column and d the previous pivot (at first 1): exact by Bareiss (1968).
+    """
     pivots: list[int] = []
-    r = 0
+    d = 1
     for c in range(width):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+        d = p
+    if d < 0:
+        rows[:] = [[-x for x in row] for row in rows]
+        d = -d
+    return pivots, d
+
+
+def _int_row(row: Sequence[Fraction | int]) -> list[int]:
+    """A rational row times the lcm of its denominators."""
+    m = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (m // x.denominator) for x in row]
 
 
 def rank(a: Mat) -> int:
     if not a:
         return 0
-    rows = [list(map(Fraction, row)) for row in a]
-    return len(_eliminate(rows, len(a[0])))
+    return len(row_reduce([_int_row(row) for row in a], len(a[0]))[0])
 
 
 def solve(a: Mat, b: Vec) -> Vec | None:
@@ -117,14 +114,13 @@ def solve(a: Mat, b: Vec) -> Vec | None:
     if m == 0:
         return ()
     n = len(a[0])
-    rows = [list(map(Fraction, a[i])) + [Fraction(b[i])] for i in range(m)]
-    pivots = _eliminate(rows, n)
-    for i in range(len(pivots), m):
-        if rows[i][n] != 0:
-            return None
+    rows = [_int_row([*a[i], b[i]]) for i in range(m)]
+    pivots, d = row_reduce(rows, n)
+    if any(rows[i][n] for i in range(len(pivots), m)):
+        return None
     x = [ZERO] * n
     for r, c in enumerate(pivots):
-        x[c] = rows[r][n]
+        x[c] = Fraction(rows[r][n], d)
     return tuple(x)
 
 
@@ -134,8 +130,8 @@ def nullspace(a: Mat) -> list[Vec]:
     if m == 0:
         return []
     n = len(a[0])
-    rows = [list(map(Fraction, row)) for row in a]
-    pivots = _eliminate(rows, n)
+    rows = [_int_row(row) for row in a]
+    pivots, d = row_reduce(rows, n)
     pivot_set = set(pivots)
     basis: list[Vec] = []
     for free in range(n):
@@ -144,15 +140,15 @@ def nullspace(a: Mat) -> list[Vec]:
         v = [ZERO] * n
         v[free] = ONE
         for r, c in enumerate(pivots):
-            v[c] = -rows[r][free]
+            v[c] = Fraction(-rows[r][free], d)
         basis.append(tuple(v))
     return basis
 
 
 def inverse(a: Mat) -> Mat:
     n = len(a)
-    rows = [list(map(Fraction, a[i])) + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-    pivots = _eliminate(rows, n)
+    rows = [_int_row([*a[i], *(int(i == j) for j in range(n))]) for i in range(n)]
+    pivots, d = row_reduce(rows, n)
     if len(pivots) != n:
         raise ValueError("matrix is singular")
-    return tuple(tuple(rows[i][n:]) for i in range(n))
+    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in rows)

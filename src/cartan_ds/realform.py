@@ -150,8 +150,7 @@ def _scaled_rows(mat: IntMat, c: int) -> IntMat:
 def _eigenbasis(theta: IntMat, sign: int) -> tuple[Weight, ...]:
     n = len(theta)
     shifted = tuple(
-        tuple(Fraction(theta[i][j]) - (sign if i == j else 0) for j in range(n))
-        for i in range(n)
+        tuple(theta[i][j] - (sign if i == j else 0) for j in range(n)) for i in range(n)
     )
     return tuple(Weight(v) for v in linalg.nullspace(shifted))
 
@@ -326,12 +325,10 @@ def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSys
     positive, simple = _positive_and_simple(inv)
     two_rho = [sum(mult[d] * d[i] for d in positive) for i in range(rs.rank)]
 
-    # the rays are the basis dual to the simple restricted roots d / 2, whose
-    # pairings are quarters of int pairings
-    gram = tuple(
-        tuple(Fraction(x, 4) for x in _int_mat_vec(simple, _int_mat_vec(rs.form, d)))
-        for d in simple
-    )
+    # the rays are the basis dual to the simple restricted roots d_k / 2, whose
+    # Gram matrix is a quarter of the int one: ray_j is
+    # sum_k (d_k / 2) 4 gram_inv[k][j], and (ray_j, ray_j) is 4 gram_inv[j][j]
+    gram = tuple(_int_mat_vec(simple, _int_mat_vec(rs.form, d)) for d in simple)
     try:
         gram_inv = linalg.inverse(gram)
     except ValueError as exc:
@@ -341,7 +338,7 @@ def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSys
     r = len(simple)
     rays = tuple(
         Weight(tuple(
-            sum(simple[k][i] * gram_inv[k][j] for k in range(r)) / 2
+            2 * sum(simple[k][i] * gram_inv[k][j] for k in range(r))
             for i in range(rs.rank)
         ))
         for j in range(r)
@@ -367,8 +364,7 @@ def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSys
         facet_rays=rays,
         ray_covectors=covectors,
         ray_scales=tuple(scale for scale, _ in scaled),
-        # (ray_j, ray_j) = sum_k gram_inv[k][j] (simple_k, ray_j) = gram_inv[j][j]
-        ray_norms=tuple(gram_inv[j][j] for j in range(r)),
+        ray_norms=tuple(4 * gram_inv[j][j] for j in range(r)),
         fulldim=inv.split_rank > 0 and r == inv.split_rank,
     )
 

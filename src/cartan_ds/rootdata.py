@@ -297,7 +297,7 @@ class RootSystem:
             rho = rho + r
         self.rho: Weight = rho.scale(half)
         self.two_rho: tuple[int, ...] = tuple(int(c) for c in rho.coords)
-        ainv = linalg.inverse(linalg.matrix(self.cartan_matrix))
+        ainv = linalg.inverse(self.cartan_matrix)
         self.fundamental_weights: tuple[Weight, ...] = tuple(
             Weight(tuple(ainv[k][i] for k in range(rank))) for i in range(rank)
         )
@@ -335,16 +335,6 @@ class RootSystem:
             if c:
                 out = out + fw.scale(c)
         return out
-
-    def reflect(self, i: int, lam: Weight) -> Weight:
-        """Apply the simple reflection s_i to a weight (O(rank))."""
-        a = self.cartan_matrix[i]
-        pairing = sum(a[j] * lam.coords[j] for j in range(self.rank))
-        if pairing == 0:
-            return lam
-        coords = list(lam.coords)
-        coords[i] = coords[i] - pairing
-        return Weight(tuple(coords))
 
     def simple_reflection(self, i: int) -> WeylElement:
         if not 0 <= i < self.rank:

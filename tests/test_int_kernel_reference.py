@@ -6,7 +6,8 @@ Fraction references they replaced.
 d of its denominators and tests t^2 = d^2 1, t^T F t = d^2 F and d = 1 on
 ints; ``weight_spectrum`` closes int tuples.  The references below are the
 Fraction column build and Fraction root walk, the Fraction matrix products
-with an integrality test, and the closure through ``RootSystem.reflect``.
+with an integrality test, and the closure through the Fraction simple
+reflection of ``linalg_reference``.
 
 Mutations these tests catch: d in place of d^2 in the involution or the
 isometry test, a lattice test that lets d = 2..5 through, a reflection word
@@ -34,6 +35,7 @@ from cartan_ds import (
 )
 from cartan_ds import linalg
 from cartan_ds.rootdata import apply_matrix, closure, enumerate_weyl
+import linalg_reference
 
 CATALOG_TYPES = sorted({entry.cartan_type for entry in build_default_catalog()})
 
@@ -51,10 +53,10 @@ def reference_reflection(rs, root):
     steps = []
     while beta not in rs.simple_roots:
         i = next(j for j in range(rs.rank) if coroot_pairing(beta, rs.simple_roots[j]) > 0)
-        beta = rs.reflect(i, beta)
+        beta = linalg_reference.reflect(rs, i, beta)
         steps.append(i)
     i = rs.simple_roots.index(beta)
-    return linalg.as_int_matrix(mat), tuple(steps) + (i,) + tuple(reversed(steps))
+    return linalg_reference.as_int_matrix(mat), tuple(steps) + (i,) + tuple(reversed(steps))
 
 
 @pytest.mark.parametrize("cartan_type", CATALOG_TYPES + ["A1xA1", "A2xB2"])
@@ -75,7 +77,7 @@ def reference_spectrum(rs, mu, cap):
     def steps(nu):
         pairings = rs.fw_coords(nu)
         for i in range(rs.rank):
-            yield rs.reflect(i, nu)
+            yield linalg_reference.reflect(rs, i, nu)
             if pairings[i] > 0:
                 yield nu - rs.simple_roots[i]
 
@@ -119,7 +121,7 @@ def reference_checks(rs, rows):
         raise NotIsometric("matrix does not preserve the invariant pairing")
     if any(x.denominator != 1 for row in theta for x in row):
         raise NotRootPreserving("matrix does not preserve the root lattice")
-    theta = linalg.as_int_matrix(theta)
+    theta = linalg_reference.as_int_matrix(theta)
     for root in rs.all_roots:
         if apply_matrix(theta, root) not in rs.all_roots:
             raise NotRootPreserving("matrix does not permute the roots")
@@ -172,10 +174,10 @@ def _random_matrix(rng, rs):
         return [[(k == j) - c[j] * v.coords[k] for j in range(n)] for k in range(n)]
     while True:
         p = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
-        if linalg.rank(p) == n:
+        if linalg_reference.rank(p) == n:
             break
     d = [[rng.choice((1, -1)) if i == j else 0 for j in range(n)] for i in range(n)]
-    return linalg.mat_mul(linalg.mat_mul(p, d), linalg.inverse(p))
+    return linalg.mat_mul(linalg.mat_mul(p, d), linalg_reference.inverse(p))
 
 
 def test_validate_involution_matches_reference_on_random_rational_matrices():

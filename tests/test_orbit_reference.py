@@ -4,8 +4,12 @@
 ``orbit_restrictions``, ``admissible_exponents`` and ``orbit_plus`` restrict
 each int orbit point on ints and test the open negative cone by the signs of
 int covector products.  The references below are the Fraction closure through
-``RootSystem.reflect``, ``CartanInvolution.restrict`` per orbit point and
+the Fraction simple reflection of ``linalg_reference``,
+``CartanInvolution.restrict`` per orbit point and
 ``cone_position(...).neg_interior`` as the filter, kept here to compare against.
+``validate_datum`` tests each exponent on the int restrictions (``_admits``);
+its reference tests membership among the Fraction restrictions, with the
+same errors in the same order.
 
 When |W| exceeds the cap, an orbit is refused before its closure if its
 predicted size |W| / |W_J| does; J is the set of walls of the dominant
@@ -16,7 +20,6 @@ of lam in place of those of its dominant representative, n_h in place of
 n_h - n_{h+1} as the exponent count, and the refusal skipped.
 """
 
-import functools
 import random
 import re
 from fractions import Fraction
@@ -27,30 +30,35 @@ from hypothesis import strategies as st
 
 from cartan_ds import (
     CapExceeded,
+    FormalDSDatum,
+    InvalidDatum,
     RankMismatch,
     Weight,
     admissible_exponents,
     apply,
     build_default_catalog,
     build_root_system,
-    catalog_form,
     cone_position,
     entry_involution,
     entry_root_system,
     orbit_plus,
     orbit_restrictions,
     restricted_roots,
+    sorted_exponents,
+    validate_datum,
     weyl_orbit,
     weyl_order,
 )
 from cartan_ds.rootdata import DEFAULT_CAP, _wall_group_order, closure
+from linalg_reference import reflect
+from test_cone_margin_reference import form
 
 CAP = 2000
 
 
 def reference_orbit(rs, lam, cap=DEFAULT_CAP):
     return frozenset(
-        closure((lam,), lambda nu: [rs.reflect(i, nu) for i in range(rs.rank)], cap, "orbit size")
+        closure((lam,), lambda nu: [reflect(rs, i, nu) for i in range(rs.rank)], cap, "orbit size")
     )
 
 
@@ -100,13 +108,6 @@ def assert_matches_reference(rs, inv, rrs, lam, cap=CAP):
     return True
 
 
-def form(form_id):
-    entry = catalog_form(form_id)
-    rs = entry_root_system(entry)
-    inv = entry_involution(entry, rs=rs)
-    return rs, inv, restricted_roots(rs, inv)
-
-
 def test_orbit_functions_match_reference_on_catalog():
     rng = random.Random(9)
     forms = compared = 0
@@ -125,7 +126,6 @@ def test_orbit_functions_match_reference_on_catalog():
     assert compared > 400
 
 
-cached_form = functools.cache(form)
 SMALL_FORMS = tuple(
     entry.id
     for entry in build_default_catalog()
@@ -139,7 +139,7 @@ coefficient = st.one_of(
 @settings(deadline=None, derandomize=True, max_examples=200)
 @given(form_id=st.sampled_from(SMALL_FORMS), data=st.data())
 def test_orbit_functions_match_reference_on_drawn_weights(form_id, data):
-    rs, inv, rrs = cached_form(form_id)
+    rs, inv, rrs = form(form_id)
     lam = Weight(tuple(data.draw(st.lists(coefficient, min_size=rs.rank, max_size=rs.rank))))
     assert assert_matches_reference(rs, inv, rrs, lam)
 
@@ -151,7 +151,7 @@ def test_orbit_functions_match_reference_on_drawn_weights(form_id, data):
 )
 def test_roots_match_reference_closure(cartan_type):
     rs = build_root_system(cartan_type)
-    want = closure(rs.simple_roots, lambda nu: [rs.reflect(i, nu) for i in range(rs.rank)])
+    want = closure(rs.simple_roots, lambda nu: [reflect(rs, i, nu) for i in range(rs.rank)])
     assert rs.all_roots == frozenset(want)
 
 
@@ -161,7 +161,7 @@ ORBIT_FUNCTIONS = ("weyl_orbit", "orbit_restrictions", "admissible_exponents", "
 @pytest.mark.parametrize("name", ORBIT_FUNCTIONS)
 def test_orbit_cap_counts_elements(name):
     # rho is regular on split B3, so its orbit has |W| = 48 elements
-    rs, inv, rrs = cached_form("split(B3)")
+    rs, inv, rrs = form("split(B3)")
     assert len(reference_orbit(rs, rs.rho)) == 48
     int_results(rs, inv, rrs, rs.rho, 48)[name]()
     with pytest.raises(CapExceeded, match=r"^orbit size exceeded cap 47 \(predicted size 48\)$"):
@@ -170,7 +170,7 @@ def test_orbit_cap_counts_elements(name):
 
 @pytest.mark.parametrize("name", ORBIT_FUNCTIONS)
 def test_orbit_functions_reject_a_weight_of_the_wrong_rank(name):
-    rs, inv, rrs = cached_form("split(B3)")
+    rs, inv, rrs = form("split(B3)")
     for lam in (Weight.zero(rs.rank + 1), Weight.of([1, 1])):
         with pytest.raises(RankMismatch):
             int_results(rs, inv, rrs, lam, CAP)[name]()
@@ -190,7 +190,7 @@ def test_all_walls_give_the_group_order(cartan_type):
 def test_predicted_orbit_size_matches_the_orbit_on_catalog():
     compared = 0
     for form_id in SMALL_FORMS:
-        rs, inv, rrs = cached_form(form_id)
+        rs, inv, rrs = form(form_id)
         # s_i omega_i lies on fewer walls than its dominant representative
         moved = [apply(rs.simple_reflection(i), w) for i, w in enumerate(rs.fundamental_weights)]
         for lam in [rs.rho, Weight.zero(rs.rank), *rs.fundamental_weights, *moved]:
@@ -203,3 +203,49 @@ def test_predicted_orbit_size_matches_the_orbit_on_catalog():
                     weyl_orbit(rs, lam, cap=size - 1)
             compared += 1
     assert compared > 400
+
+
+def reference_validate_datum(rs, inv, datum, cap):
+    """validate_datum as it was: each exponent, in sorted order, looked up
+    among the Fraction restrictions of the reference orbit."""
+    if datum.weight.rank != rs.rank:
+        raise InvalidDatum("weight rank does not match the root system")
+    allowed = {inv.restrict(nu) for nu in reference_orbit(rs, datum.weight, cap)}
+    for e in sorted_exponents(datum):
+        if e.rank != rs.rank:
+            raise InvalidDatum("exponent rank does not match the root system")
+        if e not in allowed:
+            raise InvalidDatum("exponent is not the restriction of any orbit element")
+
+
+def outcome(check, *args):
+    try:
+        check(*args)
+    except InvalidDatum as exc:
+        return str(exc)
+    return None
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(form_id=st.sampled_from(SMALL_FORMS), data=st.data())
+def test_validate_datum_matches_reference_on_drawn_data(form_id, data):
+    rs, inv, _ = form(form_id)
+    rank = data.draw(st.sampled_from([rs.rank] * 8 + [rs.rank + 1]))
+    lam = Weight(tuple(data.draw(st.lists(coefficient, min_size=rank, max_size=rank))))
+    restrictions = sorted(
+        {inv.restrict(nu) for nu in reference_orbit(rs, lam)} if rank == rs.rank else (),
+        key=lambda w: w.coords,
+    )
+    exponents = set()
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(["restriction", "half", "drawn", "rank"]))
+        if kind == "rank":
+            exponents.add(Weight.zero(rs.rank + 1))
+        elif kind == "drawn" or not restrictions:
+            exponents.add(Weight(tuple(data.draw(st.lists(coefficient, min_size=rs.rank, max_size=rs.rank)))))
+        else:
+            e = data.draw(st.sampled_from(restrictions))
+            exponents.add(e if kind == "restriction" else e.scale(Fraction(1, 2)))
+    datum = FormalDSDatum(weight=lam, exponents=frozenset(exponents))
+    want = outcome(reference_validate_datum, rs, inv, datum, CAP)
+    assert outcome(validate_datum, rs, inv, datum, CAP) == want

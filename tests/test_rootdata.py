@@ -29,8 +29,8 @@ from cartan_ds import (
     weyl_order,
     word_element,
 )
-from cartan_ds import linalg
 from cartan_ds.rootdata import apply_matrix
+import linalg_reference
 
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]
 
@@ -335,7 +335,7 @@ def _reference_chase(rs, lam):
         i = next((j for j in range(rs.rank) if fws[j] < 0), None)
         if i is None:
             return lam, tuple(word)
-        lam = rs.reflect(i, lam)
+        lam = linalg_reference.reflect(rs, i, lam)
         word.insert(0, i)
 
 
@@ -397,7 +397,7 @@ def int_matrix_and_weight(draw):
 def test_apply_matrix_matches_rational_mat_vec(case):
     mat, lam = case
     out = apply_matrix(mat, lam)
-    assert out.coords == linalg.mat_vec(mat, lam.coords)
+    assert out.coords == linalg_reference.mat_vec(mat, lam.coords)
     assert all(type(c) is Fraction for c in out.coords)
     for wrong in (lam.coords + (Fraction(1),), lam.coords[1:]):
         with pytest.raises(RankMismatch):
@@ -410,7 +410,7 @@ def test_word_built_inverse_matches_rational_inverse(cartan_type):
     for w in enumerate_weyl(rs):
         winv = word_element(rs, w.word[::-1])
         assert winv.word == w.word[::-1]
-        assert winv.matrix == linalg.inverse(linalg.matrix(w.matrix))
+        assert winv.matrix == linalg_reference.inverse(w.matrix)
         assert w.compose(winv).matrix == rs.identity.matrix
         assert word_element(rs, w.word).matrix == w.matrix
     for bad in [(rs.rank,), (0, -1)]:
