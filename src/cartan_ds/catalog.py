@@ -34,6 +34,7 @@ from .realform import CartanInvolution, validate_involution
 from .rootdata import IntMat, RootSystem, _int_mat_vec, build_root_system, parse_cartan_type
 
 ENV_CATALOG_DIR = "CARTAN_DS_CATALOG"
+_PACKAGED_CATALOG_DIR = Path(__file__).resolve().parent / "catalog_data"
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -391,7 +392,7 @@ def load_entry(directory: str | os.PathLike, form_id: str) -> CatalogEntry | Non
 
 
 def packaged_catalog_dir() -> Path:
-    return Path(__file__).resolve().parent / "catalog_data"
+    return _PACKAGED_CATALOG_DIR
 
 
 def resolve_catalog_dir(explicit: str | None = None) -> Path:

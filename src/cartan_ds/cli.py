@@ -319,7 +319,7 @@ def cmd_catalog(args: argparse.Namespace, directory: Path) -> Outcome:
                 "id": entry.id,
                 "cartan_type": entry.cartan_type,
                 "restricted_type": classify_restricted_type(rrs),
-                "restricted_root_count": len(rrs.restricted_roots),
+                "restricted_root_count": len(rrs.doubled_multiplicity),
                 "verdict": verdict.compact_cartan,
                 "oracle": entry.expected_verdict,
                 "consistent": consistent,
@@ -333,15 +333,16 @@ def cmd_inspect(args: argparse.Namespace, directory: Path) -> Outcome:
     entry, rs, inv, source = load_form(args.form, directory)
     rrs = restricted_roots(rs, inv)
     identity_ok = multiplicity_identity_holds(rrs)
+    mult = rrs.doubled_multiplicity
     multiplicities = [
-        {"root": root, "multiplicity": rrs.multiplicity[root]}
-        for root in sorted(rrs.positive_restricted, key=lambda w: w.coords)
+        {"root": Weight(tuple(Fraction(x, 2) for x in d)), "multiplicity": mult[d]}
+        for d in sorted(rrs.doubled_positive)
     ]
     results = {
         "id": entry.id,
         "cartan_type": entry.cartan_type,
         "rank": rs.rank,
-        "root_count": len(rs.all_roots),
+        "root_count": len(rs.roots),
         "theta_matrix": [list(row) for row in inv.theta],
         "split_rank": inv.split_rank,
         "compact_torus_dimension": rs.rank - inv.split_rank,
@@ -349,8 +350,8 @@ def cmd_inspect(args: argparse.Namespace, directory: Path) -> Outcome:
         "default_positive_system_compatible": inv.default_compatible,
         "chamber_word": inv.chamber,
         "restricted_type": classify_restricted_type(rrs),
-        "restricted_root_count": len(rrs.restricted_roots),
-        "vanishing_root_count": len(rrs.vanishing_roots),
+        "restricted_root_count": len(rrs.doubled_multiplicity),
+        "vanishing_root_count": len(rrs.vanishing_indices),
         "positive_restricted": multiplicities,
         "rho_restricted": rrs.rho_restricted,
         "source": source,

@@ -45,7 +45,7 @@ def theta_in_weyl(
     """The Weyl element acting as the involution's matrix, or None.
 
     For a validated involution this is its ``weyl_witness``, found by the one
-    chase of theta(rho) in ``validate_involution``; a raw matrix is chased on
+    chase of theta(2 rho) in ``validate_involution``; a raw matrix is chased on
     each call.  A raw matrix must be rank x rank with rational entries; one
     with a non-integer entry is never in the group.  An involution validated
     on another root system is a PreconditionFailed.

@@ -5,19 +5,13 @@ invariant pairing and permuting the roots.  Its (-1)-eigenspace plays the role
 of the dual split part: restriction of a weight is (lam - theta(lam)) / 2, and
 the nonzero restrictions of roots form the (possibly non-reduced) restricted
 root system, each with a multiplicity equal to its number of preimages.
-Roots and theta are integral, so the doubled restriction alpha - theta(alpha)
-is an int vector.  The validator stores one table, root -> alpha - theta(alpha),
-and everything that restricts a root reads it: the compatible positive system,
-the restricted root system with the dual description of its positive cone, the
-restricted type, whose components, supports and norm ratios are int pairings
-of the doubled restricted roots, and the exact-sequence check, whose
-reflections are exact int permutations of them and whose theta-commutant is
-tested on the one regular weight 2 rho, each element w named by w (2 rho).
-One rule picks the positive, simple and indivisible doubled restricted roots
-for the restricted root system and for the check.  A candidate matrix is
-validated on ints too: scaled once by the lcm d of its denominators to t, it is
-an involution iff t^2 = d^2 1, an isometry of the int invariant form F iff
-t^T F t = d^2 F, and integral iff d = 1.
+
+A root is an index into the root system's int table ``roots``.  Roots and
+theta are integral, so the doubled restriction alpha - theta(alpha) is an int
+vector.  The validator stores these in one tuple aligned with the table, and
+the compatible positive system as a set of indices; everything that restricts
+a root reads them: the restricted root system and its dual cone, the
+restricted type and the exact-sequence check.
 
 A positive system of the ambient roots is *compatible* when its nonzero
 restrictions form a positive system of the restricted roots.  The validator
@@ -56,7 +50,6 @@ from .rootdata import (
     _scaled,
     _unscaled,
     _weyl_witness,
-    apply,
     apply_matrix,
     closure,
     dominant_representative,
@@ -72,13 +65,15 @@ HALF = Fraction(1, 2)
 class CartanInvolution:
     """Validated involution data on a fixed root system.
 
-    ``positive_roots`` is the chosen compatible positive system and ``chamber``
-    the Weyl element carrying the default positive system onto it (identity
-    when the default was already compatible).  ``doubled_restrictions`` maps
-    each root alpha to alpha - theta(alpha), twice its restriction, as an int
-    tuple; the positive system and the restricted roots are read from it.
+    ``positive_indices`` is the chosen compatible positive system, as indices
+    into ``root_system.roots``, and ``chamber`` the Weyl element carrying the
+    default positive system onto it (identity when the default was already
+    compatible); ``positive_roots`` builds its weights on each read.
+    ``doubled_restrictions[k]`` is alpha - theta(alpha), twice the restriction
+    of alpha = ``root_system.roots[k]``, as an int tuple; the positive system
+    and the restricted roots are read from it.
     ``weyl_witness`` is the Weyl element whose matrix is theta, found by one
-    chamber chase of theta(rho) at validation, or None when theta is not in
+    chamber chase of theta(2 rho) at validation, or None when theta is not in
     the Weyl group.
     """
 
@@ -86,11 +81,15 @@ class CartanInvolution:
     theta: IntMat
     split_basis: tuple[Weight, ...]
     compact_basis: tuple[Weight, ...]
-    positive_roots: frozenset[Weight]
+    positive_indices: frozenset[int]
     chamber: WeylElement
     default_compatible: bool
-    doubled_restrictions: Mapping[Weight, tuple[int, ...]]
+    doubled_restrictions: IntMat
     weyl_witness: WeylElement | None
+
+    @property
+    def positive_roots(self) -> frozenset[Weight]:
+        return frozenset(Weight.of(self.root_system.roots[k]) for k in self.positive_indices)
 
     @property
     def split_rank(self) -> int:
@@ -191,14 +190,12 @@ def validate_involution(rs: RootSystem, theta_matrix) -> CartanInvolution:
         raise NotIsometric("matrix does not preserve the invariant pairing")
     if d != 1:
         raise NotRootPreserving("matrix does not preserve the root lattice")
-    # roots are integral: theta permutes them iff it permutes their int tuples
-    roots = {tuple(c.numerator for c in r.coords): r for r in rs.all_roots}
-    doubled: dict[Weight, tuple[int, ...]] = {}
-    for a, root in roots.items():
-        image = tuple(_int_mat_vec(theta, a))
-        if image not in roots:
-            raise NotRootPreserving("matrix does not permute the roots")
-        doubled[root] = tuple(map(operator.sub, a, image))
+    # theta is invertible, so it permutes the roots iff it maps each one into
+    # the root table
+    images = [tuple(_int_mat_vec(theta, a)) for a in rs.roots]
+    if not all(b in rs.root_index for b in images):
+        raise NotRootPreserving("matrix does not permute the roots")
+    doubled = tuple(tuple(map(operator.sub, a, b)) for a, b in zip(rs.roots, images))
 
     split_basis = _eigenbasis(theta, -1)
     compact_basis = _eigenbasis(theta, +1)
@@ -210,7 +207,7 @@ def validate_involution(rs: RootSystem, theta_matrix) -> CartanInvolution:
         theta=theta,
         split_basis=split_basis,
         compact_basis=compact_basis,
-        positive_roots=positive,
+        positive_indices=positive,
         chamber=chamber,
         default_compatible=default_ok,
         doubled_restrictions=doubled,
@@ -220,11 +217,12 @@ def validate_involution(rs: RootSystem, theta_matrix) -> CartanInvolution:
 
 def _compatible_positive_system(
     rs: RootSystem,
-    doubled: Mapping[Weight, tuple[int, ...]],
+    doubled: IntMat,
     split_basis: tuple[Weight, ...],
     compact_basis: tuple[Weight, ...],
-) -> tuple[frozenset[Weight], WeylElement, bool]:
-    """The positive system, the chamber transform and whether it is the default.
+) -> tuple[frozenset[int], WeylElement, bool]:
+    """The positive root indices, the chamber transform and whether they are
+    the default ones (the first half of the root table).
 
     A root is positive when its restriction pairs positively with a regular
     split vector, or, restricting to zero, when it pairs positively with a
@@ -232,24 +230,24 @@ def _compatible_positive_system(
     system, whose chase word depends only on its chamber.
     """
     zero = (0,) * rs.rank
-    default = {doubled[r] for r in rs.positive_roots} - {zero}
-    if not any(tuple(-x for x in d) in default for d in default):
-        return frozenset(rs.positive_roots), rs.identity, True
+    default = range(len(rs.roots) // 2)
+    nonzero = {doubled[k] for k in default} - {zero}
+    if not any(tuple(-x for x in d) in nonzero for d in nonzero):
+        return frozenset(default), rs.identity, True
 
-    ints = {r: [c.numerator for c in r.coords] for r in doubled}  # roots are integral
-    split = _regular_covector(rs, split_basis, set(doubled.values()) - {zero})
-    fixed = [ints[r] for r, d in doubled.items() if d == zero]
+    split = _regular_covector(rs, split_basis, set(doubled) - {zero})
+    fixed = [a for a, d in zip(rs.roots, doubled) if d == zero]
     compact = _regular_covector(rs, compact_basis, fixed)
     # the split sign of a root's restriction, or its compact sign where that is 0
-    positive = frozenset(
-        r for r, d in doubled.items() if (_dot(split, d) or _dot(compact, ints[r])) > 0
-    )
-    if len(positive) != len(rs.positive_roots):
+    signs = ((_dot(split, d) or _dot(compact, a)) for a, d in zip(rs.roots, doubled))
+    positive = frozenset(k for k, sign in enumerate(signs) if sign > 0)
+    if len(positive) != len(default):
         raise NotRootPreserving("failed to choose a compatible positive system")
-    two_rho = [sum(col) for col in zip(*(ints[r] for r in positive))]
+    two_rho = [sum(col) for col in zip(*(rs.roots[k] for k in positive))]
     _, to_dominant = dominant_representative(rs, _unscaled(two_rho, 1))
     chamber = word_element(rs, to_dominant.word[::-1])
-    if {apply(chamber, r) for r in rs.positive_roots} != positive:
+    images = (tuple(_int_mat_vec(chamber.matrix, rs.roots[k])) for k in default)
+    if {rs.root_index.get(b) for b in images} != positive:
         raise NotRootPreserving("chamber transform does not match positive system")
     return positive, chamber, False
 
@@ -259,11 +257,13 @@ class RestrictedRootSystem:
     """Restrictions of the ambient roots to the dual split part, with the dual
     description of their positive cone.
 
-    Restricted roots are stored as ambient vectors lying in the
-    (-1)-eigenspace.  ``positive_restricted`` is induced by the involution's
-    compatible positive system; ``vanishing_roots`` are the ambient roots that
-    restrict to zero; ``indivisible`` is the reduced subsystem of restricted
-    roots whose half is not itself a restricted root.
+    Restricted roots lie in the (-1)-eigenspace and are stored doubled, as the
+    nonzero int tuples d = alpha - theta(alpha): ``doubled_multiplicity`` maps
+    each d to its number of roots alpha, and ``doubled_positive`` holds the d
+    of the involution's positive roots; ``vanishing_indices`` index the roots
+    with d = 0.  ``restricted_roots``, ``multiplicity``, ``positive_restricted``,
+    ``vanishing_roots`` and ``indivisible`` (the restricted roots whose half is
+    not one) are weights built from these on each read.
 
     ``facet_rays`` is the basis dual to the simple restricted roots inside
     their span: a vector lies in the positive restricted cone iff it pairs
@@ -277,13 +277,11 @@ class RestrictedRootSystem:
 
     root_system: RootSystem
     involution: CartanInvolution
-    restricted_roots: frozenset[Weight]
-    multiplicity: Mapping[Weight, int]
-    positive_restricted: frozenset[Weight]
-    vanishing_roots: frozenset[Weight]
+    doubled_multiplicity: Mapping[tuple[int, ...], int]
+    doubled_positive: frozenset[tuple[int, ...]]
+    vanishing_indices: frozenset[int]
     rho_restricted: Weight
     simple_restricted: tuple[Weight, ...]
-    indivisible: frozenset[Weight]
     facet_rays: tuple[Weight, ...]
     ray_covectors: IntMat
     ray_scales: tuple[int, ...]
@@ -294,10 +292,32 @@ class RestrictedRootSystem:
     def split_rank(self) -> int:
         return self.involution.split_rank
 
+    @property
+    def restricted_roots(self) -> frozenset[Weight]:
+        return frozenset(_unscaled(d, 2) for d in self.doubled_multiplicity)
+
+    @property
+    def multiplicity(self) -> dict[Weight, int]:
+        return {_unscaled(d, 2): m for d, m in self.doubled_multiplicity.items()}
+
+    @property
+    def positive_restricted(self) -> frozenset[Weight]:
+        return frozenset(_unscaled(d, 2) for d in self.doubled_positive)
+
+    @property
+    def vanishing_roots(self) -> frozenset[Weight]:
+        return frozenset(Weight.of(self.root_system.roots[k]) for k in self.vanishing_indices)
+
+    @property
+    def indivisible(self) -> frozenset[Weight]:
+        mult = self.doubled_multiplicity
+        return frozenset(_unscaled(d, 2) for d in mult if _indivisible(d, mult))
+
 
 def _positive_and_simple(inv: CartanInvolution) -> tuple[set, list]:
     """The doubled positive restricted roots, and the sorted simple ones."""
-    positive = {d for d in map(inv.doubled_restrictions.get, inv.positive_roots) if any(d)}
+    doubled = inv.doubled_restrictions
+    positive = {doubled[k] for k in inv.positive_indices if any(doubled[k])}
     simple = sorted(
         d
         for d in positive
@@ -314,65 +334,58 @@ def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSys
     """Compute the restricted root system, its multiplicities and dual cone.
 
     Everything is found on the involution's doubled restrictions
-    alpha - theta(alpha), which are int vectors, and one Weight is made per
-    distinct restricted root at the end.  Raises PreconditionFailed for an
+    alpha - theta(alpha), which are int vectors; only rho, the simple roots
+    and the facet rays are stored as weights.  Raises PreconditionFailed for an
     involution on another root system, and ConsistencyError when the simple
     restricted roots are not linearly independent or a positive restricted
     root pairs negatively with a facet ray.
     """
     _require_same_root_system(rs, inv)
-    mult = Counter(d for d in inv.doubled_restrictions.values() if any(d))
+    doubled = inv.doubled_restrictions
+    mult = Counter(d for d in doubled if any(d))
     positive, simple = _positive_and_simple(inv)
     two_rho = [sum(mult[d] * d[i] for d in positive) for i in range(rs.rank)]
 
     # the rays are the basis dual to the simple restricted roots d_k / 2, whose
-    # Gram matrix is a quarter of the int one: ray_j is
-    # sum_k (d_k / 2) 4 gram_inv[k][j], and (ray_j, ray_j) is 4 gram_inv[j][j]
-    gram = tuple(_int_mat_vec(simple, _int_mat_vec(rs.form, d)) for d in simple)
-    try:
-        gram_inv = linalg.inverse(gram)
-    except ValueError as exc:
-        raise ConsistencyError(
-            "simple restricted roots are not linearly independent"
-        ) from exc
+    # Gram matrix is a quarter of the int one G.  row_reduce turns [G | 1] into
+    # [det 1 | adj] with adj / det = G^-1, symmetric, so ray_j times det is
+    # sum_k 2 adj[j][k] d_k, and (ray_j, ray_j) is 4 adj[j][j] / det
     r = len(simple)
-    rays = tuple(
-        Weight(tuple(
-            2 * sum(simple[k][i] * gram_inv[k][j] for k in range(r))
-            for i in range(rs.rank)
-        ))
-        for j in range(r)
-    )
-    scaled = [_scaled(apply_matrix(rs.form, ray)) for ray in rays]
-    covectors = tuple(tuple(c) for _, c in scaled)
+    rows = [
+        [*_int_mat_vec(simple, _int_mat_vec(rs.form, d)), *(int(i == j) for j in range(r))]
+        for i, d in enumerate(simple)
+    ]
+    pivots, det = linalg.row_reduce(rows, r)
+    if len(pivots) != r:
+        raise ConsistencyError("simple restricted roots are not linearly independent")
+    adj = [row[r:] for row in rows]
+    rays = [_int_mat_vec(tuple(zip(*simple)), [2 * x for x in row]) for row in adj]
+    # (v, ray_j) = c.v / s with c = F ray_j det / g, s = det / g, g their gcd
+    forms = [_int_mat_vec(rs.form, ray) for ray in rays]
+    gcds = [math.gcd(det, *f) for f in forms]
+    covectors = tuple(tuple(x // g for x in f) for f, g in zip(forms, gcds))
     if any(x < 0 for d in positive for x in _int_mat_vec(covectors, d)):
-        raise ConsistencyError(
-            "dual description disagrees with a positive restricted root"
-        )
-
-    weights = {d: Weight(tuple(Fraction(x, 2) for x in d)) for d in mult}
+        raise ConsistencyError("dual description disagrees with a positive restricted root")
     return RestrictedRootSystem(
         root_system=rs,
         involution=inv,
-        restricted_roots=frozenset(weights.values()),
-        multiplicity={weights[d]: m for d, m in mult.items()},
-        positive_restricted=frozenset(weights[d] for d in positive),
-        vanishing_roots=frozenset(r for r, d in inv.doubled_restrictions.items() if not any(d)),
-        rho_restricted=Weight(tuple(Fraction(x, 4) for x in two_rho)),
-        simple_restricted=tuple(weights[d] for d in simple),
-        indivisible=frozenset(weights[d] for d in mult if _indivisible(d, mult)),
-        facet_rays=rays,
+        doubled_multiplicity=mult,
+        doubled_positive=frozenset(positive),
+        vanishing_indices=frozenset(k for k, d in enumerate(doubled) if not any(d)),
+        rho_restricted=_unscaled(two_rho, 4),
+        simple_restricted=tuple(_unscaled(d, 2) for d in simple),
+        facet_rays=tuple(_unscaled(ray, det) for ray in rays),
         ray_covectors=covectors,
-        ray_scales=tuple(scale for scale, _ in scaled),
-        ray_norms=tuple(4 * gram_inv[j][j] for j in range(r)),
+        ray_scales=tuple(det // g for g in gcds),
+        ray_norms=tuple(Fraction(4 * adj[j][j], det) for j in range(r)),
         fulldim=inv.split_rank > 0 and r == inv.split_rank,
     )
 
 
 def multiplicity_identity_holds(rrs: RestrictedRootSystem) -> bool:
     """2 * (number of positive restricted preimages) + |vanishing| = |roots|."""
-    covered = 2 * sum(rrs.multiplicity[v] for v in rrs.positive_restricted)
-    return covered + len(rrs.vanishing_roots) == len(rrs.root_system.all_roots)
+    covered = 2 * sum(rrs.doubled_multiplicity[d] for d in rrs.doubled_positive)
+    return covered + len(rrs.vanishing_indices) == len(rrs.root_system.roots)
 
 
 def classify_restricted_type(rrs: RestrictedRootSystem) -> str:
@@ -384,7 +397,7 @@ def classify_restricted_type(rrs: RestrictedRootSystem) -> str:
     of BC_r, "?r".  Components, supports and norm ratios come from int
     pairings of the doubled restricted roots.
     """
-    if not rrs.restricted_roots:
+    if not rrs.doubled_multiplicity:
         return "0"
     form = rrs.root_system.form
     positive, simple = _positive_and_simple(rrs.involution)
@@ -504,25 +517,25 @@ def verify_exact_sequence(
     _require_same_root_system(rs, inv)
     commutant = _theta_commutant(rs, inv.theta, enumerate_weyl(rs, cap))
 
-    # the vanishing roots are a root system, generated by its simple roots;
-    # roots are integral, so they are found on int tuples
-    fixed = {
-        tuple(c.numerator for c in r.coords)
-        for r in inv.positive_roots
-        if not any(inv.doubled_restrictions[r])
-    }
+    # the vanishing roots are a root system, generated by the reflections in
+    # its simple roots b: s_b(v) = v - (c . v) b, c the int coroot 2 F b / (b, b)
+    doubled = inv.doubled_restrictions
+    fixed = {rs.roots[k] for k in inv.positive_indices if not any(doubled[k])}
     simple_fixed = sorted(
         b for b in fixed if not any(tuple(map(operator.sub, b, a)) in fixed for a in fixed)
     )
-    gens = [rs.reflection_in_root(_unscaled(b, 1)).matrix for b in simple_fixed]
+    gens = []
+    for b in simple_fixed:
+        fb = _int_mat_vec(rs.form, b)
+        gens.append((b, [2 * x // _dot(b, fb) for x in fb]))
     vanishing_group = closure(
         (rs.two_rho,),
-        lambda v: (tuple(_int_mat_vec(g, v)) for g in gens),
+        lambda v: (tuple(x - _dot(c, v) * y for x, y in zip(v, b)) for b, c in gens),
         cap,
         "vanishing Weyl group",
     )
 
-    roots = sorted({d for d in inv.doubled_restrictions.values() if any(d)})
+    roots = sorted({d for d in doubled if any(d)})
     index = {d: k for k, d in enumerate(roots)}
 
     def reflection(b: tuple[int, ...]) -> tuple[int, ...]:

@@ -5,21 +5,17 @@ the package; fundamental-weight coordinates are derived on demand.  With the
 row convention used here the Cartan matrix entry ``A[i][j]`` equals
 ``<alpha_j, alpha_i^vee>``, simple reflections act on coordinates through row
 ``i`` only, and every Weyl-group element is an integer matrix.  Weights are
-rational; the Cartan matrix, the symmetrizer and the invariant form are ints,
-and Weyl elements, their products and inverses, root reflections (the word of
-a root walked down to a simple root, on ints), the dominant-chamber chase and
-Weyl orbits are computed on plain ints.  Every integer matrix acting
-on a weight (a Weyl element, a Cartan involution, the Cartan matrix) goes
-through :func:`apply_matrix`, which sums on ints and divides once per
-coordinate.  One int orbit kernel closes the roots and every
-:func:`weyl_orbit`: a weight is scaled by the lcm of its denominators, its
-orbit is closed under the simple reflections on ints, and each element is
-divided by the scale once.  An orbit has |W| / |W_J| points, J the walls of
-its dominant representative, so when |W| (stored on the root system) exceeds
-the cap, an orbit predicted larger is refused before its closure.
-:func:`enumerate_weyl` keys each element w by the int tuple w^-1 (2 rho),
-exact because only 1 fixes the regular weight 2 rho, and builds a matrix only
-for a new key; words stay shortlex least.
+rational; everything else is computed on plain ints: the Cartan matrix, the
+symmetrizer and the invariant form, Weyl elements, root reflections, the
+dominant-chamber chase, Weyl orbits (one int orbit kernel, which also closes
+the roots) and :func:`apply_matrix`, through which every integer matrix acts
+on a weight.
+
+A root is an index into ``RootSystem.roots``, one table of int tuples built
+with the root system: the positive roots in ascending order, then their
+negatives in the same order; ``root_index`` maps each tuple to its index.
+rho, root heights and root membership read the table, and the ``Weight`` sets
+``all_roots`` and ``positive_roots`` are built from it once.
 
 Reducible types are direct sums: the Cartan matrix is block diagonal and all
 operations act factor-wise without special casing.
@@ -244,9 +240,9 @@ class RootSystem:
     """Immutable root-system data generated from a Cartan matrix.
 
     Do not construct directly; use :func:`build_root_system`, which caches and
-    validates.  All derived data (roots, rho, fundamental weights, reflection
-    matrices, invariant form) is exact; the Cartan matrix, the symmetrizer and
-    the invariant form are ints.
+    validates.  All derived data (roots, rho, fundamental weights, invariant
+    form) is exact; the Cartan matrix, the symmetrizer, the invariant form and
+    the root table ``roots`` are ints.
     """
 
     def __init__(self, factors: tuple[tuple[str, int], ...]):
@@ -268,17 +264,7 @@ class RootSystem:
         self.form: IntMat = tuple(
             tuple(d[i] * a[i][j] for j in range(rank)) for i in range(rank)
         )
-        self.simple_roots: tuple[Weight, ...] = tuple(
-            Weight(tuple(Fraction(1 if j == i else 0) for j in range(rank)))
-            for i in range(rank)
-        )
-        self._reflections: tuple[IntMat, ...] = tuple(
-            tuple(
-                tuple((1 if k == j else 0) - (a[i][j] if k == i else 0) for j in range(rank))
-                for k in range(rank)
-            )
-            for i in range(rank)
-        )
+        self.simple_roots = tuple(_unscaled(e, 1) for e in linalg.int_identity(rank))
         # (k, A[i][k], A[k][i]) for each node k adjacent to node i; the two
         # entries vanish together, and there are at most three neighbours
         self._neighbours: tuple[tuple[tuple[int, int, int], ...], ...] = tuple(
@@ -287,24 +273,19 @@ class RootSystem:
         )
         self.identity = WeylElement(linalg.int_identity(rank), ())
         self.weyl_order = weyl_order(factors)
-        self.all_roots: frozenset[Weight] = self._generate_roots()
-        self.positive_roots: frozenset[Weight] = frozenset(
-            r for r in self.all_roots if all(c >= 0 for c in r.coords)
-        )
-        half = Fraction(1, 2)
-        rho = Weight.zero(rank)
-        for r in self.positive_roots:
-            rho = rho + r
-        self.rho: Weight = rho.scale(half)
-        self.two_rho: tuple[int, ...] = tuple(int(c) for c in rho.coords)
+        # the positive roots in ascending order, then their negatives in the
+        # same order; the simple roots are the unit vectors
+        positive = sorted(a for a in _int_orbit(self, self.identity.matrix) if min(a) >= 0)
+        self.roots: IntMat = tuple(positive) + tuple(tuple(-x for x in a) for a in positive)
+        self.root_index: dict[tuple[int, ...], int] = {a: k for k, a in enumerate(self.roots)}
+        self.all_roots: frozenset[Weight] = frozenset(_unscaled(a, 1) for a in self.roots)
+        self.positive_roots: frozenset[Weight] = frozenset(_unscaled(a, 1) for a in positive)
+        self.two_rho: tuple[int, ...] = tuple(map(sum, zip(*positive)))
+        self.rho: Weight = _unscaled(self.two_rho, 2)
         ainv = linalg.inverse(self.cartan_matrix)
         self.fundamental_weights: tuple[Weight, ...] = tuple(
             Weight(tuple(ainv[k][i] for k in range(rank))) for i in range(rank)
         )
-
-    def _generate_roots(self) -> frozenset[Weight]:
-        # the simple roots are the unit vectors
-        return frozenset(_unscaled(v, 1) for v in _int_orbit(self, self.identity.matrix))
 
     def pairing(self, x: Weight, y: Weight) -> Fraction:
         """Invariant symmetric bilinear form in simple-root coordinates."""
@@ -339,16 +320,17 @@ class RootSystem:
     def simple_reflection(self, i: int) -> WeylElement:
         if not 0 <= i < self.rank:
             raise RankMismatch(f"no simple reflection with index {i}")
-        return WeylElement(self._reflections[i], (i,))
+        return word_element(self, (i,))
 
     def reflection_in_root(self, root: Weight) -> WeylElement:
         """The reflection s_root as the Weyl element of the word u^-1 s_i u,
         where u carries root (made positive) onto the simple root alpha_i."""
         if root.rank != self.rank:
             raise RankMismatch("weight rank does not match root system")
-        if root not in self.all_roots:
+        scale, beta = _scaled(root)
+        if scale != 1 or tuple(beta) not in self.root_index:
             raise PreconditionFailed("reflection requested in a non-root")
-        beta = [abs(c.numerator) for c in root.coords]  # roots are integral
+        beta = [abs(x) for x in beta]  # a root's coordinates share one sign
         steps: list[int] = []
         while sum(beta) > 1:
             # a positive non-simple root pairs positively with some simple
@@ -449,11 +431,12 @@ def _chase(rs: RootSystem, coords: list[int], rows: list | None = None) -> tuple
 def _weyl_witness(rs: RootSystem, mat: IntMat) -> WeylElement | None:
     """The Weyl element whose matrix is the int matrix mat, or None.
 
-    Chases mat(rho) to the dominant chamber with some w.  If mat = u is in the
-    group then w u fixes the regular weight rho, so w u = 1 and u is the
-    inverse of w (w's word reversed); the product w mat = 1 decides exactly.
+    Chases mat(2 rho), taken on ints, to the dominant chamber with some w.  If
+    mat = u is in the group then w u fixes the regular weight 2 rho, so w u = 1
+    and u is the inverse of w (w's word reversed); the product w mat = 1
+    decides exactly.
     """
-    _, w = dominant_representative(rs, apply_matrix(mat, rs.rho))
+    _, w = dominant_representative(rs, _unscaled(_int_mat_vec(mat, rs.two_rho), 1))
     if _int_mat_mul(w.matrix, mat) != rs.identity.matrix:
         return None
     return WeylElement(mat, tuple(reversed(w.word)))
@@ -519,9 +502,8 @@ def _wall_group_order(rs: RootSystem, walls: Iterable[int]) -> int:
     exponents plus one.
     """
     off = set(range(rs.rank)).difference(walls)
-    heights = Counter(
-        int(sum(r.coords)) for r in rs.positive_roots if not any(r.coords[i] for i in off)
-    )
+    positive = rs.roots[: len(rs.roots) // 2]
+    heights = Counter(sum(a) for a in positive if not any(a[i] for i in off))
     order = 1
     for h, n in heights.items():
         order *= (h + 1) ** (n - heights[h + 1])

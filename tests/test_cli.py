@@ -1,12 +1,14 @@
 """End-to-end command-line interface tests, run in-process."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from cartan_ds import (
     WeylElement,
+    build_default_catalog,
     build_root_system,
     catalog_form,
     cli,
@@ -35,6 +37,39 @@ def tiny_catalog(tmp_path):
     entries = [catalog_form("sl(2,R)"), catalog_form("su(2,1)")]
     write_catalog(tmp_path / "cat", entries)
     return tmp_path / "cat"
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+# ---------------------------------------------------------------------------
+
+#: SHA-256 of the reports of ``test_reports_match_pinned_digest``.  A change
+#: that alters any of these outputs on purpose updates it and says so.
+REPORT_DIGEST = "bd9c59fe4327e0fe4ba2ce31086284d8bc04d1023929ddb58aa1058021802c90"
+
+
+def report_digest(capsys):
+    """One SHA-256 over ``verify all --json`` and, on the catalog forms, over
+    ``inspect`` and ``criterion`` (rank <= 6) and ``strong-reg`` (rank <= 4)
+    with ``--json``: the exit codes and the reports without ``timing_ms`` and
+    the ``catalog_dir`` input, which name no output of the library."""
+    requests = [("verify", "all")]
+    for entry in build_default_catalog():
+        if entry.rank <= 6:
+            requests += [("inspect", entry.id), ("criterion", entry.id)]
+        if entry.rank <= 4:
+            requests.append(("strong-reg", entry.id))
+    digest = hashlib.sha256()
+    for argv in requests:
+        rc, doc, _ = run_json(capsys, *argv)
+        doc.pop("timing_ms", None)
+        doc.get("inputs", {}).pop("catalog_dir", None)
+        digest.update(json.dumps([argv, rc, doc]).encode())
+    return digest.hexdigest()
+
+
+def test_reports_match_pinned_digest(capsys):
+    assert report_digest(capsys) == REPORT_DIGEST
 
 
 # ---------------------------------------------------------------------------

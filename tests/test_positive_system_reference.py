@@ -1,14 +1,17 @@
-"""The compatible positive system and the restricted type against the Fraction
+"""The compatible positive system and the restricted type against the
 references they replaced.
 
-``validate_involution`` stores one int table, root -> alpha - theta(alpha),
-and chooses the positive system by signs on it: a root is positive by its
-restriction's pairing with a regular split vector, or, restricting to zero,
-by its pairing with a regular compact vector; the chamber is the chase of
-2 rho of that system.  ``classify_restricted_type`` finds components, supports
-and norm ratios from int pairings of the doubled restricted roots.  The
-references below are the Fraction restriction dict with a scaled regular
-weight, and the component split and support test on Fraction pairings.
+``validate_involution`` stores one int table aligned with the root table
+``rs.roots``, alpha - theta(alpha) at the index of alpha, and chooses the
+positive system, a set of root indices, by signs on it: a root is positive by
+its restriction's pairing with a regular split vector, or, restricting to
+zero, by its pairing with a regular compact vector; the chamber is the chase
+of 2 rho of that system.  ``classify_restricted_type`` finds components,
+supports and norm ratios from int pairings of the doubled restricted roots.
+The references below are the same table and positive system keyed by
+``Weight`` (``reference_weight_table``, ``reference_weight_positive_system``),
+the Fraction restriction dict with a scaled regular weight, and the component
+split and support test on Fraction pairings.
 
 The one intended difference: a component that the reference labels BC_r
 without the 2r(r+1) roots of BC_r is labeled "?r".  Only 12 involutions
@@ -16,19 +19,25 @@ without the 2r(r+1) roots of BC_r is labeled "?r".  Only 12 involutions
 
 Mutations these tests catch: the compact sign checked before the split sign,
 the chamber chased from rho in place of 2 rho of the chosen system, a
-default positive system kept without its compatibility test,
+default positive system kept without its compatibility test, the doubled
+table shifted by one index against the root table, the vanishing test
+inverted, a root image missing from ``root_index`` accepted as a root,
 the support test without its "pairs zero with the other components" clause,
 a long-root count taken at the shortest norm, and simple roots never merged
 into components.
 """
 
 import dataclasses
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from cartan_ds import (
     CartanDSError,
+    NotRootPreserving,
     Weight,
     build_default_catalog,
     build_root_system,
@@ -38,21 +47,57 @@ from cartan_ds import (
     restricted_roots,
     validate_involution,
 )
+from cartan_ds.realform import _dot, _regular_covector
 from cartan_ds.rootdata import (
+    _int_mat_vec,
     apply,
     apply_matrix,
     dominant_representative,
     format_cartan_type,
     word_element,
 )
-from test_int_kernel_reference import _random_matrix
-from test_restricted_reference import PM_W_TYPES, pm_w_involutions
+from test_int_kernel_reference import _random_matrix, assert_checks_match
+from test_restricted_reference import PM_W_TYPES, pm_w_involutions, reference_vanishing
 
 HALF = Fraction(1, 2)
 
 
 def _restrict(theta, lam):
     return (lam - apply_matrix(theta, lam)).scale(HALF)
+
+
+def reference_weight_table(rs, theta):
+    """The doubled restrictions keyed by Weight: root -> alpha - theta(alpha)."""
+    roots = {tuple(c.numerator for c in r.coords): r for r in rs.all_roots}
+    doubled = {}
+    for a, root in roots.items():
+        image = tuple(_int_mat_vec(theta, a))
+        if image not in roots:
+            raise NotRootPreserving("matrix does not permute the roots")
+        doubled[root] = tuple(map(operator.sub, a, image))
+    return doubled
+
+
+def reference_weight_positive_system(rs, doubled, split_basis, compact_basis):
+    """(positive roots, chamber, default compatible) chosen on the Weight-keyed
+    table by the same signs as ``validate_involution``."""
+    zero = (0,) * rs.rank
+    default = {doubled[r] for r in rs.positive_roots} - {zero}
+    if not any(tuple(-x for x in d) in default for d in default):
+        return frozenset(rs.positive_roots), rs.identity, True
+    ints = {r: [c.numerator for c in r.coords] for r in doubled}
+    split = _regular_covector(rs, split_basis, set(doubled.values()) - {zero})
+    fixed = [ints[r] for r, d in doubled.items() if d == zero]
+    compact = _regular_covector(rs, compact_basis, fixed)
+    positive = frozenset(
+        r for r, d in doubled.items() if (_dot(split, d) or _dot(compact, ints[r])) > 0
+    )
+    assert len(positive) == len(rs.positive_roots)
+    two_rho = [sum(col) for col in zip(*(ints[r] for r in positive))]
+    _, to_dominant = dominant_representative(rs, Weight.of(two_rho))
+    chamber = word_element(rs, to_dominant.word[::-1])
+    assert {apply(chamber, r) for r in rs.positive_roots} == positive
+    return positive, chamber, False
 
 
 def _regular_combination(rs, basis, targets):
@@ -178,14 +223,19 @@ def reference_restricted_type(rrs):
 def assert_matches_reference(rs, inv, name, relabels):
     """Compare one involution with the references; returns the restricted type
     and counts, by Cartan type, the BC_r components relabeled "?r"."""
-    for root, d in inv.doubled_restrictions.items():
-        assert Weight.of(d) == _restrict(inv.theta, root).scale(2), name
-    assert set(inv.doubled_restrictions) == rs.all_roots, name
-    positive, chamber, default_ok = reference_positive_system(rs, inv)
-    assert inv.positive_roots == positive, name
-    assert (inv.chamber.matrix, inv.chamber.word) == (chamber.matrix, chamber.word), name
-    assert inv.default_compatible == default_ok, name
+    assert len(inv.doubled_restrictions) == len(rs.roots), name
+    table = reference_weight_table(rs, inv.theta)
+    for a, d in zip(rs.roots, inv.doubled_restrictions):
+        assert table[Weight.of(a)] == d, name
+        assert Weight.of(d) == _restrict(inv.theta, Weight.of(a)).scale(2), name
+    assert {Weight.of(a) for a in rs.roots} == rs.all_roots, name
+    by_weight = reference_weight_positive_system(rs, table, inv.split_basis, inv.compact_basis)
+    for positive, chamber, default_ok in (by_weight, reference_positive_system(rs, inv)):
+        assert inv.positive_roots == positive, name
+        assert (inv.chamber.matrix, inv.chamber.word) == (chamber.matrix, chamber.word), name
+        assert inv.default_compatible == default_ok, name
     rrs = restricted_roots(rs, inv)
+    assert rrs.vanishing_roots == reference_vanishing(table), name
     label = classify_restricted_type(rrs)
     expected = reference_restricted_type(rrs)
     if label != expected:
@@ -218,7 +268,7 @@ def test_pm_weyl_involutions_match_reference():
             if not inv.default_compatible:
                 rechosen += 1
                 zero = (0,) * rs.rank
-                rechosen_with_fixed += zero in inv.doubled_restrictions.values()
+                rechosen_with_fixed += zero in inv.doubled_restrictions
     assert checked == 252 and relabels == {"B3": 12, "G2": 6}
     # the re-choice branch, and its compact sign, stay covered
     assert rechosen >= 150 and rechosen_with_fixed >= 140
@@ -242,17 +292,28 @@ def test_random_involutions_match_reference():
     assert passed >= 600 and rechosen >= 100 and relabels == {"G2": 19}
 
 
+def test_isometric_involution_that_does_not_permute_the_roots():
+    # on B2xA1 (short roots +-e1, +-e2, long +-e1 +- e2, and +-e3 of the same
+    # length as the short ones) swapping e1 and e3 is an integral isometric
+    # involution that maps the long root e1 + e2 to e3 + e2, which is no root
+    rs = build_root_system("B2xA1")
+    theta = [[0, 0, 1], [-1, 1, 1], [1, 0, 0]]
+    assert assert_checks_match(rs, theta) is NotRootPreserving
+    with pytest.raises(NotRootPreserving, match="^matrix does not permute the roots$"):
+        reference_weight_table(rs, theta)
+
+
 def test_root_straddling_two_components_counts_in_neither():
     # not a root system: e1 + e2 pairs nonzero with both orthogonal simple
     # roots, so neither A1 component takes it or its double
     rs = build_root_system("A1xA1")
     rrs = restricted_roots(rs, validate_involution(rs, [[-1, 0], [0, -1]]))
-    e1, e2 = rs.simple_roots
-    positive = frozenset({e1, e2, e1 + e2, (e1 + e2).scale(2)})
+    # e1, e2, e1 + e2 and 2 (e1 + e2), doubled
+    positive = frozenset({(2, 0), (0, 2), (2, 2), (4, 4)})
     straddling = dataclasses.replace(
         rrs,
-        restricted_roots=positive | {-v for v in positive},
-        positive_restricted=positive,
+        doubled_multiplicity=dict.fromkeys(positive | {(-x, -y) for x, y in positive}, 1),
+        doubled_positive=positive,
     )
     assert classify_restricted_type(straddling) == "A1xA1"
     assert reference_restricted_type(straddling) == "A1xA1"

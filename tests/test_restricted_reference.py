@@ -1,9 +1,13 @@
 """The restricted root system and its dual cone against Fraction references.
 
-``restricted_roots`` finds everything on the doubled int restrictions and
-stores each facet ray's integer covector and squared norm; the references
-below are the Weight-sum construction, the Fraction dual chamber and the
-Fraction cone position it replaced, kept here to compare against.
+``restricted_roots`` finds everything on the doubled int restrictions, keeps
+the vanishing roots as root indices, and reads each facet ray's integer
+covector, scale and squared norm from the int adjugate of the Gram matrix;
+the references below are the Weight-sum construction, the Fraction dual
+chamber and the Fraction cone position it replaced, kept here to compare
+against, and the vanishing set read off the Weight-keyed table
+(``reference_vanishing``, compared in ``tests/test_positive_system_reference.py``
+on the catalog, the +-w involutions and the seeded matrices).
 ``reference_cone_position`` reads nothing of the chamber but its simple
 restricted roots; ``tests/test_cone_margin_reference.py`` uses it too.
 """
@@ -67,6 +71,11 @@ def reference_restricted(rs, inv):
         "simple_restricted": simple,
         "indivisible": frozenset(v for v in restricted if v.scale(HALF) not in restricted),
     }
+
+
+def reference_vanishing(table):
+    """The roots whose doubled restriction vanishes, from a Weight-keyed table."""
+    return frozenset(root for root, d in table.items() if not any(d))
 
 
 @functools.lru_cache(maxsize=None)

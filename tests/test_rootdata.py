@@ -123,6 +123,11 @@ def test_root_counts():
         rs = build_root_system(t)
         assert len(rs.all_roots) == n
         assert len(rs.positive_roots) == n // 2
+        # the root table: the positive roots ascending, then their negatives
+        positive = rs.roots[: n // 2]
+        assert list(positive) == sorted(a.coords for a in rs.positive_roots)
+        assert rs.roots[n // 2 :] == tuple(tuple(-x for x in a) for a in positive)
+        assert rs.root_index == {a: k for k, a in enumerate(rs.roots)}
 
 
 def test_rho_is_half_sum_of_positive_roots():
