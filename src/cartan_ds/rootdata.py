@@ -14,8 +14,8 @@ on a weight.
 A root is an index into ``RootSystem.roots``, one table of int tuples built
 with the root system: the positive roots in ascending order, then their
 negatives in the same order; ``root_index`` maps each tuple to its index.
-rho, root heights and root membership read the table, and the ``Weight`` sets
-``all_roots`` and ``positive_roots`` are built from it once.
+rho, root heights and root membership read the table; the ``Weight`` sets
+``all_roots`` and ``positive_roots`` are built from it on each read.
 
 Reducible types are direct sums: the Cartan matrix is block diagonal and all
 operations act factor-wise without special casing.
@@ -278,14 +278,20 @@ class RootSystem:
         positive = sorted(a for a in _int_orbit(self, self.identity.matrix) if min(a) >= 0)
         self.roots: IntMat = tuple(positive) + tuple(tuple(-x for x in a) for a in positive)
         self.root_index: dict[tuple[int, ...], int] = {a: k for k, a in enumerate(self.roots)}
-        self.all_roots: frozenset[Weight] = frozenset(_unscaled(a, 1) for a in self.roots)
-        self.positive_roots: frozenset[Weight] = frozenset(_unscaled(a, 1) for a in positive)
         self.two_rho: tuple[int, ...] = tuple(map(sum, zip(*positive)))
         self.rho: Weight = _unscaled(self.two_rho, 2)
         ainv = linalg.inverse(self.cartan_matrix)
         self.fundamental_weights: tuple[Weight, ...] = tuple(
             Weight(tuple(ainv[k][i] for k in range(rank))) for i in range(rank)
         )
+
+    @property
+    def all_roots(self) -> frozenset[Weight]:
+        return frozenset(_unscaled(a, 1) for a in self.roots)
+
+    @property
+    def positive_roots(self) -> frozenset[Weight]:
+        return frozenset(_unscaled(a, 1) for a in self.roots[: len(self.roots) // 2])
 
     def pairing(self, x: Weight, y: Weight) -> Fraction:
         """Invariant symmetric bilinear form in simple-root coordinates."""
@@ -325,9 +331,7 @@ class RootSystem:
     def reflection_in_root(self, root: Weight) -> WeylElement:
         """The reflection s_root as the Weyl element of the word u^-1 s_i u,
         where u carries root (made positive) onto the simple root alpha_i."""
-        if root.rank != self.rank:
-            raise RankMismatch("weight rank does not match root system")
-        scale, beta = _scaled(root)
+        scale, beta = _scaled_on(self, root)
         if scale != 1 or tuple(beta) not in self.root_index:
             raise PreconditionFailed("reflection requested in a non-root")
         beta = [abs(x) for x in beta]  # a root's coordinates share one sign
@@ -357,6 +361,13 @@ def _scaled(lam: Weight) -> tuple[int, list[int]]:
     """The lcm of lam's coordinate denominators, and lam times it as ints."""
     scale = math.lcm(*(c.denominator for c in lam.coords))
     return scale, [c.numerator * (scale // c.denominator) for c in lam.coords]
+
+
+def _scaled_on(rs: RootSystem, lam: Weight) -> tuple[int, list[int]]:
+    """:func:`_scaled` of a weight checked to live on rs."""
+    if lam.rank != rs.rank:
+        raise RankMismatch("weight rank does not match root system")
+    return _scaled(lam)
 
 
 def _unscaled(coords: Iterable[int], scale: int) -> Weight:
@@ -396,21 +407,18 @@ def dominant_representative(rs: RootSystem, lam: Weight) -> tuple[Weight, WeylEl
     Deterministic: always reflects at the lowest-index negative pairing.  The
     chase runs on ints (:func:`_chase`): lam is scaled by the lcm of its
     coordinate denominators, which changes no pairing's sign, and the scale is
-    divided out once at the end.
+    divided out once at the end.  w is built from the chase word.
     """
-    if lam.rank != rs.rank:
-        raise RankMismatch("weight rank does not match root system")
-    scale, coords = _scaled(lam)
-    rows = list(rs.identity.matrix)
-    _, word = _chase(rs, coords, rows)
-    return _unscaled(coords, scale), WeylElement(tuple(rows), tuple(reversed(word)))
+    scale, coords = _scaled_on(rs, lam)
+    _, word = _chase(rs, coords)
+    return _unscaled(coords, scale), word_element(rs, word[::-1])
 
 
-def _chase(rs: RootSystem, coords: list[int], rows: list | None = None) -> tuple[list[int], list[int]]:
+def _chase(rs: RootSystem, coords: list[int]) -> tuple[list[int], list[int]]:
     """Chase int coordinates to the dominant chamber in place, reflecting at the
-    lowest-index negative pairing (the pairings are updated per step, and
-    ``rows``, when given, replaced by s_i . rows); returns the dominant
-    fundamental-weight coordinates and the reflections in the order applied."""
+    lowest-index negative pairing (the pairings are updated per step); returns
+    the dominant fundamental-weight coordinates and the reflections in the
+    order applied."""
     fws = _int_mat_vec(rs.cartan_matrix, coords)
     word: list[int] = []
     while True:
@@ -424,8 +432,6 @@ def _chase(rs: RootSystem, coords: list[int], rows: list | None = None) -> tuple
         for j, _, a_ji in rs._neighbours[i]:
             fws[j] -= a_ji * c
         word.append(i)
-        if rows is not None:
-            _reflect_rows_left(rs, i, rows)
 
 
 def _weyl_witness(rs: RootSystem, mat: IntMat) -> WeylElement | None:
@@ -442,18 +448,6 @@ def _weyl_witness(rs: RootSystem, mat: IntMat) -> WeylElement | None:
     return WeylElement(mat, tuple(reversed(w.word)))
 
 
-def _reflect_rows_left(rs: RootSystem, i: int, rows: list[tuple[int, ...]]) -> None:
-    """Replace the integer matrix ``rows`` by s_i . rows in place.
-
-    Only row i changes, to -m[i] - sum of A[i][k] m[k] over the nodes k
-    adjacent to i.
-    """
-    row = [-x for x in rows[i]]
-    for k, a_ik, _ in rs._neighbours[i]:
-        row = [x - a_ik * y for x, y in zip(row, rows[k])]
-    rows[i] = tuple(row)
-
-
 def word_element(rs: RootSystem, word: Sequence[int]) -> WeylElement:
     """The Weyl element s_{word[0]} ... s_{word[-1]}, built on ints.
 
@@ -463,7 +457,11 @@ def word_element(rs: RootSystem, word: Sequence[int]) -> WeylElement:
         raise RankMismatch("word names a simple reflection outside the rank")
     rows = list(rs.identity.matrix)
     for i in reversed(word):
-        _reflect_rows_left(rs, i, rows)
+        # s_i . m changes row i only, to -m[i] - sum of A[i][k] m[k], k adjacent to i
+        row = [-x for x in rows[i]]
+        for k, a_ik, _ in rs._neighbours[i]:
+            row = [x - a_ik * y for x, y in zip(row, rows[k])]
+        rows[i] = tuple(row)
     return WeylElement(tuple(rows), tuple(word))
 
 
@@ -486,12 +484,6 @@ def _int_orbit(
                 yield tuple(w)
 
     return closure(starts, images, cap, "orbit size")
-
-
-def _walls(rs: RootSystem, dom: Weight) -> list[int]:
-    """The simple walls that a dominant weight lies on, ascending."""
-    _, coords = _scaled(dom)
-    return [i for i, p in enumerate(_int_mat_vec(rs.cartan_matrix, coords)) if p == 0]
 
 
 def _wall_group_order(rs: RootSystem, walls: Iterable[int]) -> int:
@@ -517,14 +509,12 @@ def _orbit_of(rs: RootSystem, lam: Weight, cap: int) -> tuple[int, dict[tuple[in
     dominant representative, is predicted first, and an orbit larger than
     ``cap`` is refused before the closure.
     """
-    if lam.rank != rs.rank:
-        raise RankMismatch("weight rank does not match root system")
+    scale, coords = _scaled_on(rs, lam)
     if rs.weyl_order > cap:
-        dom, _ = dominant_representative(rs, lam)
-        size = rs.weyl_order // _wall_group_order(rs, _walls(rs, dom))
+        fws, _ = _chase(rs, list(coords))
+        size = rs.weyl_order // _wall_group_order(rs, [i for i, f in enumerate(fws) if not f])
         if size > cap:
             raise CapExceeded(f"orbit size exceeded cap {cap} (predicted size {size})")
-    scale, coords = _scaled(lam)
     return scale, _int_orbit(rs, (tuple(coords),), cap)
 
 
@@ -544,13 +534,21 @@ def stabilizer_generators(rs: RootSystem, lam: Weight) -> StabilizerInfo:
     The stabilizer of a dominant weight is generated by the simple reflections
     orthogonal to it; a general weight's generators are those conjugated back.
     """
-    dom, w = dominant_representative(rs, lam)
-    walls = _walls(rs, dom)
-    gens: tuple[WeylElement, ...] = ()
-    if walls:
-        winv = word_element(rs, w.word[::-1])
-        gens = tuple(winv.compose(rs.simple_reflection(i)).compose(w) for i in walls)
+    scale, coords = _scaled_on(rs, lam)
+    _, word, gens = _stabilizer_chase(rs, coords)
+    dom, w = _unscaled(coords, scale), word_element(rs, word[::-1])
     return StabilizerInfo(gens=gens, is_regular=not gens, dominant=dom, to_dominant=w)
+
+
+def _stabilizer_chase(rs: RootSystem, coords: list[int]) -> tuple[list[int], list[int], tuple]:
+    """:func:`_chase` of int coordinates, and their stabilizer's generators:
+    for each wall i (a zero of the dominant fundamental coordinates), s_i
+    conjugated back by the chase word u, the Weyl element of u + [i] + u
+    reversed.  No matrix is built when there is no wall."""
+    fws, word = _chase(rs, coords)
+    back = word[::-1]
+    gens = tuple(word_element(rs, word + [i] + back) for i, f in enumerate(fws) if not f)
+    return fws, word, gens
 
 
 def longest_element(rs: RootSystem) -> WeylElement:

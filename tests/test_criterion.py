@@ -215,9 +215,9 @@ def test_stored_witness_matches_reference_on_drawn_involutions(cartan_type, data
 
 @pytest.fixture
 def chase_calls(monkeypatch):
-    """Arguments of every dominant_representative call made from then on,
-    whichever package module makes it."""
-    original = cartan_ds.rootdata.dominant_representative
+    """Arguments of every chamber chase (``rootdata._chase``) made from then
+    on, whichever package module or wrapper makes it."""
+    original = cartan_ds.rootdata._chase
     calls = []
 
     def counted(*args, **kwargs):

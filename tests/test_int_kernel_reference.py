@@ -122,8 +122,9 @@ def reference_checks(rs, rows):
     if any(x.denominator != 1 for row in theta for x in row):
         raise NotRootPreserving("matrix does not preserve the root lattice")
     theta = linalg_reference.as_int_matrix(theta)
-    for root in rs.all_roots:
-        if apply_matrix(theta, root) not in rs.all_roots:
+    all_roots = rs.all_roots
+    for root in all_roots:
+        if apply_matrix(theta, root) not in all_roots:
             raise NotRootPreserving("matrix does not permute the roots")
     return theta
 
