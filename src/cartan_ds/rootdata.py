@@ -15,7 +15,8 @@ A root is an index into ``RootSystem.roots``, one table of int tuples built
 with the root system: the positive roots in ascending order, then their
 negatives in the same order; ``root_index`` maps each tuple to its index.
 rho, root heights and root membership read the table; the ``Weight`` sets
-``all_roots`` and ``positive_roots`` are built from it on each read.
+``all_roots`` and ``positive_roots`` are built from it on each read.  Weyl
+elements are built on root indices, through the permutations ``reflections``.
 
 Reducible types are direct sums: the Cartan matrix is block diagonal and all
 operations act factor-wise without special casing.
@@ -242,7 +243,8 @@ class RootSystem:
     Do not construct directly; use :func:`build_root_system`, which caches and
     validates.  All derived data (roots, rho, fundamental weights, invariant
     form) is exact; the Cartan matrix, the symmetrizer, the invariant form and
-    the root table ``roots`` are ints.
+    the root table ``roots`` are ints; ``reflections[i][k]`` is the index of
+    s_i(``roots[k]``), through which Weyl elements are built on root indices.
     """
 
     def __init__(self, factors: tuple[tuple[str, int], ...]):
@@ -265,11 +267,9 @@ class RootSystem:
             tuple(d[i] * a[i][j] for j in range(rank)) for i in range(rank)
         )
         self.simple_roots = tuple(_unscaled(e, 1) for e in linalg.int_identity(rank))
-        # (k, A[i][k], A[k][i]) for each node k adjacent to node i; the two
-        # entries vanish together, and there are at most three neighbours
-        self._neighbours: tuple[tuple[tuple[int, int, int], ...], ...] = tuple(
-            tuple((k, a[i][k], a[k][i]) for k in range(rank) if k != i and a[i][k])
-            for i in range(rank)
+        # (k, A[k][i]) for node i itself and each of its at most three neighbours k
+        self._neighbours: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+            tuple((k, a[k][i]) for k in range(rank) if a[k][i]) for i in range(rank)
         )
         self.identity = WeylElement(linalg.int_identity(rank), ())
         self.weyl_order = weyl_order(factors)
@@ -278,6 +278,14 @@ class RootSystem:
         positive = sorted(a for a in _int_orbit(self, self.identity.matrix) if min(a) >= 0)
         self.roots: IntMat = tuple(positive) + tuple(tuple(-x for x in a) for a in positive)
         self.root_index: dict[tuple[int, ...], int] = {a: k for k, a in enumerate(self.roots)}
+        # s_i changes coordinate i of a root r by the pairing (A r)_i
+        self.reflections: IntMat = tuple(
+            tuple(
+                self.root_index[r[:i] + (r[i] - sum(map(operator.mul, row, r)),) + r[i + 1 :]]
+                for r in self.roots
+            )
+            for i, row in enumerate(self.cartan_matrix)
+        )
         self.two_rho: tuple[int, ...] = tuple(map(sum, zip(*positive)))
         self.rho: Weight = _unscaled(self.two_rho, 2)
         ainv = linalg.inverse(self.cartan_matrix)
@@ -422,14 +430,14 @@ def _chase(rs: RootSystem, coords: list[int]) -> tuple[list[int], list[int]]:
     fws = _int_mat_vec(rs.cartan_matrix, coords)
     word: list[int] = []
     while True:
-        i = next((j for j, f in enumerate(fws) if f < 0), None)
-        if i is None:
+        for i, c in enumerate(fws):
+            if c < 0:
+                break
+        else:
             return fws, word
-        # s_i subtracts fws[i] * alpha_i, and <alpha_i, alpha_j^vee> = A[j][i]
-        c = fws[i]
+        # s_i subtracts c * alpha_i, so pairing j drops by A[j][i] * c (fws[i] becomes -c)
         coords[i] -= c
-        fws[i] = -c
-        for j, _, a_ji in rs._neighbours[i]:
+        for j, a_ji in rs._neighbours[i]:
             fws[j] -= a_ji * c
         word.append(i)
 
@@ -449,20 +457,22 @@ def _weyl_witness(rs: RootSystem, mat: IntMat) -> WeylElement | None:
 
 
 def word_element(rs: RootSystem, word: Sequence[int]) -> WeylElement:
-    """The Weyl element s_{word[0]} ... s_{word[-1]}, built on ints.
+    """The Weyl element s_{word[0]} ... s_{word[-1]}, built on root indices.
 
-    The inverse of w is ``word_element(rs, w.word[::-1])``.
+    Column j is the root w(alpha_j): alpha_j's index walked through
+    ``rs.reflections``, last letter first.  The inverse of w is
+    ``word_element(rs, w.word[::-1])``.
     """
     if any(not 0 <= i < rs.rank for i in word):
         raise RankMismatch("word names a simple reflection outside the rank")
-    rows = list(rs.identity.matrix)
-    for i in reversed(word):
-        # s_i . m changes row i only, to -m[i] - sum of A[i][k] m[k], k adjacent to i
-        row = [-x for x in rows[i]]
-        for k, a_ik, _ in rs._neighbours[i]:
-            row = [x - a_ik * y for x, y in zip(row, rows[k])]
-        rows[i] = tuple(row)
-    return WeylElement(tuple(rows), tuple(word))
+    tables = [rs.reflections[i] for i in reversed(word)]
+    columns = []
+    for e in rs.identity.matrix:
+        k = rs.root_index[e]
+        for table in tables:
+            k = table[k]
+        columns.append(rs.roots[k])
+    return WeylElement(tuple(zip(*columns)), tuple(word))
 
 
 def _int_orbit(

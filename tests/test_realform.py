@@ -1,5 +1,6 @@
 """Cartan involutions, restricted root systems, and the exact sequence."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ from cartan_ds import (
     weyl_order,
 )
 from cartan_ds import linalg
+from cartan_ds.realform import _read_matrix
 import linalg_reference
 from test_enumerate_weyl_reference import reference_enumerate_weyl
 
@@ -71,6 +73,62 @@ def test_validate_rejects_entries_that_are_no_rationals(mat):
     # string is no row: "1" would otherwise read as the row (1,)
     with pytest.raises(ParseError):
         validate_involution(build_root_system("A1"), mat)
+
+
+def reference_read_matrix(rows, rank, what):
+    """_read_matrix through Fraction for every matrix, int ones included."""
+    try:
+        rows = tuple(rows)
+        if not all(isinstance(row, (list, tuple)) for row in rows):
+            raise TypeError("a matrix row must be a list or a tuple")
+        mat = linalg.matrix(rows)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{what}: {exc}") from exc
+    if len(mat) != rank or any(len(row) != rank for row in mat):
+        raise RankMismatch(f"{what} size does not match rank")
+    d = math.lcm(*(x.denominator for row in mat for x in row))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in mat)
+
+
+def read_both(rows, rank=2):
+    """_read_matrix and its Fraction reference: the same result, or the same
+    error with the same message; returns the result or the error type."""
+    try:
+        expected = reference_read_matrix(rows, rank, "matrix")
+    except (ParseError, RankMismatch) as exc:
+        with pytest.raises(type(exc)) as info:
+            _read_matrix(rows, rank, "matrix")
+        assert str(info.value) == str(exc)
+        return type(exc)
+    d, mat = _read_matrix(rows, rank, "matrix")
+    assert (d, mat) == expected
+    assert all(type(x) is int for row in mat for x in row) and type(d) is int
+    return d, mat
+
+
+def test_read_matrix_takes_an_int_matrix_as_it_is():
+    assert read_both([[0, -1], [-1, 0]]) == (1, ((0, -1), (-1, 0)))
+    assert read_both(((2, 0), (0, 2))) == (1, ((2, 0), (0, 2)))
+
+
+def test_read_matrix_refuses_a_bool_in_an_int_matrix():
+    assert read_both([[1, 0], [0, True]]) is ParseError
+
+
+def test_read_matrix_reads_a_rational_string_among_ints():
+    assert read_both([[1, "1/2"], [0, 1]]) == (2, ((2, 1), (0, 2)))
+    assert read_both([[1, "1/0"], [0, 1]]) is ParseError
+
+
+def test_read_matrix_refuses_a_ragged_int_matrix():
+    assert read_both([[1, 0], [0]]) is RankMismatch
+    assert read_both([[1, 0, 0], [0, 1, 0]]) is RankMismatch
+
+
+def test_read_matrix_refuses_a_row_that_is_no_list():
+    assert read_both([[1, 0], 5]) is ParseError
+    assert read_both([[1, 0], "01"]) is ParseError
+    assert read_both(7) is ParseError
 
 
 def test_validate_rejects_non_involution():

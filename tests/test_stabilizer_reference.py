@@ -59,8 +59,9 @@ CATALOG_IDS = [e.id for e in build_default_catalog()]
 def reference_dominant_representative(rs, lam):
     """The chase that builds its element's matrix by row updates at every step."""
     scale, coords = _scaled(lam)
+    a = rs.cartan_matrix
     rows = list(rs.identity.matrix)
-    fws = [sum(a * x for a, x in zip(row, coords)) for row in rs.cartan_matrix]
+    fws = [sum(x * y for x, y in zip(row, coords)) for row in a]
     word = []
     while True:
         i = next((j for j, f in enumerate(fws) if f < 0), None)
@@ -69,12 +70,14 @@ def reference_dominant_representative(rs, lam):
         c = fws[i]
         coords[i] -= c
         fws[i] = -c
-        for j, _, a_ji in rs._neighbours[i]:
-            fws[j] -= a_ji * c
+        for j in range(rs.rank):
+            if j != i:
+                fws[j] -= a[j][i] * c
         word.append(i)
         row = [-x for x in rows[i]]
-        for k, a_ik, _ in rs._neighbours[i]:
-            row = [x - a_ik * y for x, y in zip(row, rows[k])]
+        for k in range(rs.rank):
+            if k != i and a[i][k]:
+                row = [x - a[i][k] * y for x, y in zip(row, rows[k])]
         rows[i] = tuple(row)
 
 
