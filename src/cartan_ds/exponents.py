@@ -14,11 +14,12 @@ every product is negative, and its margin, the least -p/|X| over the rays,
 is found by sign and then by p^2 n' against p'^2 n, with one ``SignedSqrt``
 (a sign and an exact rational square, never floating point) built for it.
 Orbit restrictions are int tuples too: each point v of the int orbit (the
-weight times the lcm of its denominators) restricts to v - theta(v).  The
-admissible restrictions (``_admissible``: those with negative products), an
-exponent's membership among them (``_admits``) and each ray's largest
-pairing over an orbit (``_orbit_maxima``) are read off these tuples without
-building a Weight.
+weight times the lcm of its denominators) restricts to v - theta(v), read
+by ``_admissible`` and ``_admits`` without building a Weight.  A ray's
+largest pairing over an orbit's restrictions (``_orbit_maxima``) closes no
+orbit: a ray covector c has c.(v - theta v) = 2 c.v, and the largest (wx, y)
+over W for dominant x, y is (x, y) (Humphreys, *Introduction to Lie Algebras
+and Representation Theory*, 13.2): one chase and one product per ray.
 """
 
 from __future__ import annotations
@@ -42,11 +43,13 @@ from .rootdata import (
     DEFAULT_CAP,
     RootSystem,
     Weight,
+    _chase,
+    _chase_within_cap,
     _int_mat_vec,
     _orbit_of,
     _scaled,
+    _scaled_on,
     _unscaled,
-    dominant_representative,
 )
 
 
@@ -279,7 +282,7 @@ def _in_neg_interior(rrs: RestrictedRootSystem, d: tuple[int, ...]) -> bool:
 
 
 Admissible = tuple[int, dict[tuple[int, ...], None]]
-Maxima = tuple[tuple[int, ...], int]
+Maxima = tuple[Sequence[int], int]
 
 
 def _admissible(
@@ -301,16 +304,12 @@ def _admits(admissible: Admissible, e: Weight) -> bool:
     return scale % e_scale == 0 and tuple(x * (scale // e_scale) for x in coords) in doubled
 
 
-def _orbit_maxima(
-    rs: RootSystem, inv: CartanInvolution, chamber: RestrictedRootSystem, lam: Weight, cap: int
-) -> tuple[Maxima, int]:
-    """The ray maxima of lam's orbit restrictions, and their number: each ray's
-    largest int product over the distinct doubled restrictions d, at the scale
-    2s that makes d / 2s the restriction."""
-    scale, doubled = _doubled_restrictions(rs, inv, lam, cap)
-    distinct = set(doubled.values())
-    products = (_int_mat_vec(chamber.ray_covectors, d) for d in distinct)
-    return (tuple(map(max, zip(*products))), 2 * scale), len(distinct)
+def _orbit_maxima(chamber: RestrictedRootSystem, coords: list[int], cap: int) -> list[int]:
+    """Each ray's largest product c.u over the orbit restrictions u of the int
+    coordinates, at their scale: the ray's dominant covector times the
+    coordinates chased in place.  CapExceeded as in ``_orbit_of``."""
+    _chase_within_cap(chamber.root_system, coords, cap)
+    return _int_mat_vec(chamber.dominant_covectors, coords)
 
 
 def orbit_restrictions(
@@ -331,11 +330,12 @@ def antidominant_restriction(
     """Restriction of the antidominant element of lam's orbit.
 
     An orbit has exactly one antidominant element, -dom(-lam), which is
-    w0 dom(lam); this form costs one chamber chase.
+    w0 dom(lam); this form costs one chamber chase, on ints.
     """
     _require_same_root_system(rs, inv)
-    dom, _ = dominant_representative(rs, -lam)
-    return inv.restrict(-dom)
+    scale, coords = _scaled_on(rs, -lam)
+    _chase(rs, coords)
+    return inv.restrict(_unscaled(coords, -scale))
 
 
 def admissible_exponents(

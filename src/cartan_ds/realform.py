@@ -263,8 +263,9 @@ class RestrictedRootSystem:
 
     Restricted roots lie in the (-1)-eigenspace and are stored doubled, as the
     nonzero int tuples d = alpha - theta(alpha): ``doubled_multiplicity`` maps
-    each d to its number of roots alpha, and ``doubled_positive`` holds the d
-    of the involution's positive roots; ``vanishing_indices`` index the roots
+    each d to its number of roots alpha, ``doubled_positive`` holds the d
+    of the involution's positive roots and ``doubled_simple`` the simple ones,
+    sorted; ``vanishing_indices`` index the roots
     with d = 0.  ``restricted_roots``, ``multiplicity``, ``positive_restricted``,
     ``vanishing_roots`` and ``indivisible`` (the restricted roots whose half is
     not one) are weights built from these on each read.
@@ -274,6 +275,8 @@ class RestrictedRootSystem:
     nonnegatively with every ray.  Ray j has the integer covector
     ``ray_covectors[j]`` = c and scale ``ray_scales[j]`` = s, with
     (v, ray) = c.v / s, and the squared length ``ray_norms[j]``.
+    ``dominant_covectors[j]`` is c for the dominant point of ray j's orbit:
+    the largest c.v over an orbit is its product with the dominant point.
     ``fulldim`` records whether the restricted roots span the whole split
     part; when they do not, the cone has empty interior there and no vector
     counts as negative-interior.
@@ -283,11 +286,13 @@ class RestrictedRootSystem:
     involution: CartanInvolution
     doubled_multiplicity: Mapping[tuple[int, ...], int]
     doubled_positive: frozenset[tuple[int, ...]]
+    doubled_simple: IntMat
     vanishing_indices: frozenset[int]
     rho_restricted: Weight
     simple_restricted: tuple[Weight, ...]
     facet_rays: tuple[Weight, ...]
     ray_covectors: IntMat
+    dominant_covectors: IntMat
     ray_scales: tuple[int, ...]
     ray_norms: tuple[Fraction, ...]
     fulldim: bool
@@ -370,16 +375,22 @@ def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSys
     covectors = tuple(tuple(x // g for x in f) for f, g in zip(forms, gcds))
     if any(x < 0 for d in positive for x in _int_mat_vec(covectors, d)):
         raise ConsistencyError("dual description disagrees with a positive restricted root")
+    # F dom(ray) = symmetrizer * fws of dom(ray), divisible by g (F is W-invariant)
+    dominant = [_chase(rs, list(ray))[0] for ray in rays]
     return RestrictedRootSystem(
         root_system=rs,
         involution=inv,
         doubled_multiplicity=mult,
         doubled_positive=frozenset(positive),
+        doubled_simple=tuple(simple),
         vanishing_indices=frozenset(k for k, d in enumerate(doubled) if not any(d)),
         rho_restricted=_unscaled(two_rho, 4),
         simple_restricted=tuple(_unscaled(d, 2) for d in simple),
         facet_rays=tuple(_unscaled(ray, det) for ray in rays),
         ray_covectors=covectors,
+        dominant_covectors=tuple(
+            tuple(s * f // g for s, f in zip(rs.symmetrizer, fws)) for fws, g in zip(dominant, gcds)
+        ),
         ray_scales=tuple(det // g for g in gcds),
         ray_norms=tuple(Fraction(4 * adj[j][j], det) for j in range(r)),
         fulldim=inv.split_rank > 0 and r == inv.split_rank,
@@ -404,11 +415,11 @@ def classify_restricted_type(rrs: RestrictedRootSystem) -> str:
     if not rrs.doubled_multiplicity:
         return "0"
     form = rrs.root_system.form
-    positive, simple = _positive_and_simple(rrs.involution)
+    simple = rrs.doubled_simple
     # each positive doubled root's pairings with the simple ones, and its norm
     pairings = {}
     norm = {}
-    for d in positive:
+    for d in rrs.doubled_positive:
         fd = _int_mat_vec(form, d)
         pairings[d] = _int_mat_vec(simple, fd)
         norm[d] = _dot(d, fd)

@@ -245,6 +245,7 @@ class RootSystem:
     form) is exact; the Cartan matrix, the symmetrizer, the invariant form and
     the root table ``roots`` are ints; ``reflections[i][k]`` is the index of
     s_i(``roots[k]``), through which Weyl elements are built on root indices.
+    Fundamental weight i is ``fw_numerators[i]`` over ``fw_denominator``.
     """
 
     def __init__(self, factors: tuple[tuple[str, int], ...]):
@@ -288,9 +289,14 @@ class RootSystem:
         )
         self.two_rho: tuple[int, ...] = tuple(map(sum, zip(*positive)))
         self.rho: Weight = _unscaled(self.two_rho, 2)
+        # fundamental weight i, column i of A^-1, over one least denominator
         ainv = linalg.inverse(self.cartan_matrix)
+        self.fw_denominator = math.lcm(*(x.denominator for row in ainv for x in row))
+        self.fw_numerators: IntMat = tuple(
+            zip(*(tuple(int(x * self.fw_denominator) for x in row) for row in ainv))
+        )
         self.fundamental_weights: tuple[Weight, ...] = tuple(
-            Weight(tuple(ainv[k][i] for k in range(rank))) for i in range(rank)
+            _unscaled(row, self.fw_denominator) for row in self.fw_numerators
         )
 
     @property
@@ -325,11 +331,8 @@ class RootSystem:
         vals = [frac(v) for v in values]
         if len(vals) != self.rank:
             raise RankMismatch("coordinate length does not match rank")
-        out = Weight.zero(self.rank)
-        for c, fw in zip(vals, self.fundamental_weights):
-            if c:
-                out = out + fw.scale(c)
-        return out
+        d, columns = self.fw_denominator, zip(*self.fw_numerators)
+        return Weight(tuple(sum(map(operator.mul, vals, col)) / d for col in columns))
 
     def simple_reflection(self, i: int) -> WeylElement:
         if not 0 <= i < self.rank:
@@ -512,19 +515,26 @@ def _wall_group_order(rs: RootSystem, walls: Iterable[int]) -> int:
     return order
 
 
-def _orbit_of(rs: RootSystem, lam: Weight, cap: int) -> tuple[int, dict[tuple[int, ...], None]]:
-    """lam's scale and its W-orbit times that scale, as int tuples.
-
-    When |W| exceeds ``cap``, the orbit size |W| / |W_J|, J the walls of lam's
-    dominant representative, is predicted first, and an orbit larger than
-    ``cap`` is refused before the closure.
-    """
-    scale, coords = _scaled_on(rs, lam)
+def _chase_within_cap(rs: RootSystem, coords: list[int], cap: int) -> list[int]:
+    """:func:`_chase` of int coordinates in place, returning the fundamental
+    coordinates; CapExceeded when |W| exceeds ``cap`` and so does the orbit
+    size |W| / |W_J|, J the walls (zeros) of the dominant point."""
+    fws, _ = _chase(rs, coords)
     if rs.weyl_order > cap:
-        fws, _ = _chase(rs, list(coords))
         size = rs.weyl_order // _wall_group_order(rs, [i for i, f in enumerate(fws) if not f])
         if size > cap:
             raise CapExceeded(f"orbit size exceeded cap {cap} (predicted size {size})")
+    return fws
+
+
+def _orbit_of(rs: RootSystem, lam: Weight, cap: int) -> tuple[int, dict[tuple[int, ...], None]]:
+    """lam's scale and its W-orbit times that scale, as int tuples.
+
+    An orbit larger than ``cap`` is refused from a chase, before the closure
+    (:func:`_chase_within_cap`).
+    """
+    scale, coords = _scaled_on(rs, lam)
+    _chase_within_cap(rs, list(coords), cap)
     return scale, _int_orbit(rs, (tuple(coords),), cap)
 
 

@@ -11,11 +11,14 @@ The search decides on ints.  The exponent-cone condition reads only the
 largest exponent pairing and the largest shift pairing on each facet ray
 (``_cone_margin``), as int products at one scale: the exponent maxima are
 taken once and scaled by each line factor, the shift maxima once per
-candidate shift over its distinct int orbit restrictions.  Each candidate
-(kN + 1) B + sum c_i F_i is an int tuple, tested for strong regularity by
-int chamber chases (``_strongly_regular``, the verdict of
-``extended_stabilizer``).  Weights are built for the result, the exhaustion
-report and the certificates, which are re-derived from scratch.
+candidate shift from one chase (``exponents._orbit_maxima``).  The base B is
+one int chase of the weight and the F_i are the root system's int table of
+fundamental weights.  Each candidate (kN + 1) B + sum c_i F_i is an int tuple
+in the default chamber, tested for strong regularity by int chamber chases
+(``_strongly_regular``, the verdict of ``extended_stabilizer``, which is
+W-invariant); theta's compatible chamber is applied to the one returned.
+Weights are built for the result, the exhaustion report and the
+certificates, which are re-derived from scratch.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .exponents import (
     SignedSqrt,
     _admissible,
     _admits,
+    _doubled_restrictions,
     _orbit_maxima,
     _position,
     _ray_products,
@@ -57,10 +61,11 @@ from .rootdata import (
     _chase,
     _int_mat_vec,
     _scaled,
+    _scaled_on,
     _unscaled,
     apply,
     closure,
-    dominant_representative,
+    dominant_representative,  # unused here; the benchmark's tracer test looks it up
     enumerate_weyl,
     weyl_orbit,
 )
@@ -173,8 +178,9 @@ def verify_sum_splitting(
         raise PreconditionFailed(
             "weight must be a positive rational multiple of the direction"
         )
-    mu_dom, _ = dominant_representative(rs, mu0)
-    spectrum = weight_spectrum(rs, mu_dom, cap)
+    scale, coords = _scaled_on(rs, mu0)
+    _chase(rs, coords)
+    spectrum = weight_spectrum(rs, _unscaled(coords, scale), cap)
     orbit = weyl_orbit(rs, lam, cap)
     checked = 0
     violations = []
@@ -261,9 +267,11 @@ def tensor_l2_condition(
     exponents = sorted_exponents(datum)
     top = _ray_maxima(chamber, exponents)
     if exact:
-        shift_maxima, shifts = _orbit_maxima(rs, inv, chamber, mu, cap)
+        scale, doubled = _doubled_restrictions(rs, inv, mu, cap)
+        shift_maxima = _orbit_maxima(chamber, _scaled(mu)[1], cap), scale
         passed, min_margin = _cone_margin(chamber, top, shift_maxima)
-        return TensorL2Report(passed, "exact", len(exponents) * shifts, min_margin)
+        pairs = len(exponents) * len(set(doubled.values()))
+        return TensorL2Report(passed, "exact", pairs, min_margin)
     bound = SignedSqrt.sqrt_of(rs.norm_sq(mu))
     min_margin = None if top is None else _position(chamber, *top)[1]
     passed = min_margin is None or (chamber.fulldim and bound < min_margin)
@@ -420,33 +428,28 @@ def strong_regularization(
     if not datum.exponents:
         raise InvalidDatum("datum has no exponents to certify")
     n = cfg.integrality
-    base_dom_default, _ = dominant_representative(rs, datum.weight)
-    base_fw = rs.fw_coords(base_dom_default.scale(n))
-    for c in base_fw:
-        if c.denominator != 1:
-            raise BadParameters(
-                "integrality constant does not make the weight integral"
-            )
-    base_dom = apply(inv.chamber, base_dom_default)
-    directions = [apply(inv.chamber, fw) for fw in rs.fundamental_weights]
-    # candidates (kN + 1) base_dom + sum c_i directions[i] are formed on ints
-    scale = math.lcm(*(c.denominator for w in (base_dom, *directions) for c in w.coords))
-    base, *units = (
-        [c.numerator * (scale // c.denominator) for c in w.coords] for w in (base_dom, *directions)
-    )
+    # the dominant base and its fundamental coordinates, times lam's scale s
+    scale, base = _scaled(datum.weight)
+    base_fw, _ = _chase(rs, base)
+    if any(n * f % scale for f in base_fw):
+        raise BadParameters("integrality constant does not make the weight integral")
+    # candidates (kN + 1) base + sum c_i F_i are formed on ints, at one scale
+    d = rs.fw_denominator
+    common = math.lcm(scale, d)
+    base = [x * (common // scale) for x in base]
+    units = [[x * (common // d) for x in row] for row in rs.fw_numerators]
     exponents = sorted_exponents(datum)
     # the shift maxima do not depend on k, and _cone_margin scales the
     # exponent maxima by each line factor
     top_exponent = _ray_maxima(rrs, exponents)
     best: SearchBest | None = None
     for coeffs in _candidate_coefficients(rs.rank, cfg.max_mu_coeff):
-        # base_dom_default + shift is dominant, so it is regular unless both
-        # have a fundamental coordinate 0 at the same node
+        # base + shift is dominant, so it is regular unless both have a
+        # fundamental coordinate 0 at the same node
         if any(not f and not c for f, c in zip(base_fw, coeffs)):
             continue
-        shift_default = rs.weight_from_fw(coeffs)
-        top_shift, _ = _orbit_maxima(rs, inv, rrs, shift_default, cfg.cap)
         shift = [sum(map(operator.mul, coeffs, col)) for col in zip(*units)]
+        top_shift = _orbit_maxima(rrs, list(shift), cfg.cap), common
         k_values = range(cfg.max_k + 1) if any(coeffs) else range(1)
         for k in k_values:
             factor = k * n + 1
@@ -463,13 +466,16 @@ def strong_regularization(
                 best = candidate
             if not (strongly_regular and cone_ok):
                 continue
-            mus = [d for d, c in zip(directions, coeffs) for _ in range(c)]
+            chamber = inv.chamber.matrix
+            base_dom = _unscaled(_int_mat_vec(chamber, base), common)
+            directions = [_unscaled(_int_mat_vec(chamber, row), d) for row in rs.fw_numerators]
+            mus = [u for u, c in zip(directions, coeffs) for _ in range(c)]
             return TranslationResult(
                 k=k,
                 integrality=n,
                 dominant_base=base_dom,
                 mus=tuple(mus),
-                final_weight=_unscaled(final, scale),
+                final_weight=_unscaled(_int_mat_vec(chamber, final), common),
                 certificates=_certify(
                     rs, inv, rrs, exponents, base_dom, factor, mus, cfg
                 ),
@@ -508,14 +514,16 @@ def _certify(
     for direction in mus:
         partial = partial + direction
         running = running + direction
-        target, _ = dominant_representative(rs, running)
-        ok, worst = _cone_margin(chamber, top, _orbit_maxima(rs, inv, chamber, partial, cfg.cap)[0])
+        scale, target = _scaled(running)
+        _chase(rs, target)
+        scale_p, coords = _scaled(partial)
+        ok, worst = _cone_margin(chamber, top, (_orbit_maxima(chamber, coords, cfg.cap), scale_p))
         cone_all = cone_all and ok
         steps.append(
             TranslationStep(
                 direction=direction,
                 partial_sum=partial,
-                target=target,
+                target=_unscaled(target, scale),
                 min_margin=worst,
                 cone_ok=ok,
             )

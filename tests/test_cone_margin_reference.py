@@ -13,9 +13,9 @@ in the open negative cone, and finds the least margin over the sums, from one
 tuple of ray pairings: on each ray, the largest exponent pairing plus the
 largest shift pairing, each set's maxima taken once, as int products at one
 scale (``_ray_maxima``, and ``exponents._orbit_maxima`` over a weight's
-distinct int orbit restrictions).  The search scales the exponent maxima by
-the line factor kN + 1 instead of scaling the exponents.  The reference is
-the pair loop it replaced: one Fraction sum e + s per pair, each located from
+orbit restrictions).  The search scales the exponent maxima by the line
+factor kN + 1 instead of scaling the exponents.  The reference is the
+pair loop it replaced: one Fraction sum e + s per pair, each located from
 scratch by ``reference_cone_position`` (shared with
 ``tests/test_restricted_reference.py``), which reads neither the ray
 covectors nor the ray norms.  The search and its certificates are checked
@@ -24,27 +24,47 @@ the same pair loop on every scaled exponent for every line parameter k.
 ``translation._strongly_regular``, the search's int test of each candidate,
 is compared with ``extended_stabilizer(...).is_trivial`` directly.
 
+``exponents._orbit_maxima`` closes no orbit: it chases the weight once and
+pairs its dominant point with each ray's dominant covector, stored by
+``restricted_roots``.  ``reference_orbit_maxima`` is the closure it replaced,
+each ray's largest product over the distinct doubled restrictions of the
+whole int orbit.  The two are compared on every catalog form with
+|W| <= 1152, for rho, the fundamental weights and seeded rationals, on
+drawn weights, and on the +-w involutions whose chamber is re-chosen (where
+the rays are not dominant); so are their refusals of an orbit past ``cap``,
+message included, and the search's refusal of a shift orbit past ``cap``.
+The search is also run from a weight off the dominant chamber, on catalog
+forms and on those involutions.
+
 Mutations these tests catch: the sign ignored in ``_position``, p^2 n' and
 p'^2 n swapped, a tie in sign kept by the first index instead of the least
 margin; min in place of max in ``_ray_maxima``, the line factor applied to
 the shift maxima too, the shift maxima hoisted above the search's loop over
 candidate shifts (taken once from the first candidate, or from the zero
 shift), and certificate maxima taken from the unscaled exponents; the
-witness shortcut (regular is enough) applied when ``weyl_witness`` is None.
+witness shortcut (regular is enough) applied when ``weyl_witness`` is None;
+in ``_orbit_maxima``, the undominated ray covectors in place of the dominant
+ones, the weight not chased, and the cap check dropped; in
+``restricted_roots``, the antidominant covectors (each ray's least product
+in place of its largest); in the search, the base not chased, the
+fundamental-weight table read by rows of A^-1 instead of columns, and the
+step targets of ``_certify`` not chased.
 """
 
 import functools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_restricted_reference import reference_cone_position
+from test_restricted_reference import pm_w_involutions, reference_cone_position
 
 from cartan_ds import (
     DEFAULT_CAP,
+    CapExceeded,
     FormalDSDatum,
     RankMismatch,
     SearchExhausted,
@@ -65,9 +85,16 @@ from cartan_ds import (
     restricted_roots,
     stabilizer_generators,
     strong_regularization,
+    weyl_order,
 )
-from cartan_ds.exponents import NEG_INTERIOR, _orbit_maxima, _position, _ray_products
-from cartan_ds.rootdata import _scaled
+from cartan_ds.exponents import (
+    NEG_INTERIOR,
+    _doubled_restrictions,
+    _orbit_maxima,
+    _position,
+    _ray_products,
+)
+from cartan_ds.rootdata import _int_mat_vec, _scaled
 from cartan_ds.translation import (
     SearchBest,
     _best_key,
@@ -180,15 +207,125 @@ def test_position_on_the_two_equal_rays_of_sl3(products, interior, margin):
     assert parent_position(rrs, pairings_of(rrs, products, 1)) == (interior, margin)
 
 
+def reference_orbit_maxima(rs, inv, chamber, lam, cap=DEFAULT_CAP):
+    """The ray maxima of lam's orbit restrictions, and their number: each ray's
+    largest int product over the distinct doubled restrictions d of the closed
+    int orbit, at the scale 2s that makes d / 2s the restriction."""
+    scale, doubled = _doubled_restrictions(rs, inv, lam, cap)
+    distinct = set(doubled.values())
+    products = (_int_mat_vec(chamber.ray_covectors, d) for d in distinct)
+    return (tuple(map(max, zip(*products))), 2 * scale), len(distinct)
+
+
+def orbit_maxima(chamber, lam, cap=DEFAULT_CAP):
+    """``_orbit_maxima`` of lam scaled to ints, with that scale."""
+    scale, coords = _scaled(lam)
+    return _orbit_maxima(chamber, coords, cap), scale
+
+
+def as_fractions(maxima):
+    products, scale = maxima
+    return tuple(Fraction(x, scale) for x in products)
+
+
 @pytest.mark.parametrize("form_id", SPLIT_FORMS)
 def test_orbit_maxima_match_the_restricted_orbit(form_id):
     rs, inv, rrs = form(form_id)
     for mu in (rs.rho, *rs.fundamental_weights):
         shifts = orbit_restrictions(rs, inv, mu)
-        (products, scale), count = _orbit_maxima(rs, inv, rrs, mu, DEFAULT_CAP)
-        assert count == len(shifts), (form_id, mu)
+        products, scale = orbit_maxima(rrs, mu)
         pairings = [reference_cone_position(rrs, s)[2] for s in shifts]
         assert pairings_of(rrs, products, scale) == tuple(map(max, zip(*pairings)))
+
+
+# every +-w involution of these types whose compatible chamber is re-chosen
+RECHOSEN = [
+    (rs, inv, restricted_roots(rs, inv))
+    for t in ("A2", "B2", "G2", "A3", "B3")
+    for rs, inv in pm_w_involutions(t)
+    if not inv.default_compatible
+]
+
+# split(F4) and the other rank-4 forms up to |W| = 1152; E6 and up close
+# orbits of tens of thousands of points
+MAXIMA_FORMS = [e.id for e in build_default_catalog() if weyl_order(e.cartan_type) <= 1152]
+
+
+def seeded_weights(rs, seed, count=6):
+    rng = random.Random(seed)
+    return [
+        Weight.of(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(rs.rank))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("form_id", MAXIMA_FORMS)
+def test_orbit_maxima_match_the_closure_on_the_catalog(form_id):
+    rs, inv, rrs = form(form_id)
+    weights = [rs.rho, *rs.fundamental_weights, *seeded_weights(rs, form_id)]
+    for lam in weights + [-lam for lam in weights] + [Weight.zero(rs.rank)]:
+        want, _ = reference_orbit_maxima(rs, inv, rrs, lam)
+        assert as_fractions(orbit_maxima(rrs, lam)) == as_fractions(want), (form_id, lam)
+
+
+@pytest.mark.parametrize("form_id", MAXIMA_FORMS)
+def test_orbit_maxima_refuse_an_orbit_past_the_cap_as_the_closure(form_id):
+    # at caps just below, at and above each orbit's size, and below |W|
+    rs, inv, rrs = form(form_id)
+    for lam in (rs.rho, *rs.fundamental_weights):
+        size = len(_doubled_restrictions(rs, inv, lam, DEFAULT_CAP)[1])
+        for cap in {size - 1, size, size + 1, rs.weyl_order - 1} - {0}:
+            try:
+                want = reference_orbit_maxima(rs, inv, rrs, lam, cap)[0]
+            except CapExceeded as exc:
+                with pytest.raises(CapExceeded, match=f"^{re.escape(str(exc))}$"):
+                    orbit_maxima(rrs, lam, cap)
+                assert cap < size
+                continue
+            assert cap >= size
+            assert as_fractions(orbit_maxima(rrs, lam, cap)) == as_fractions(want)
+
+
+DRAWN_MAXIMA_FORMS = ["sl(3,R)", "su(2,1)", "split(G2)", "so(4,3)", "su(2,2)", "sp(2,R)",
+                      "split(F4)", "compact(A2)"]
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(form_id=st.sampled_from(DRAWN_MAXIMA_FORMS), data=st.data())
+def test_orbit_maxima_match_the_closure_on_drawn_weights(form_id, data):
+    rs, inv, rrs = form(form_id)
+    lam = data.draw(st.lists(COEFFICIENTS, min_size=rs.rank, max_size=rs.rank).map(Weight.of))
+    want, _ = reference_orbit_maxima(rs, inv, rrs, lam)
+    assert as_fractions(orbit_maxima(rrs, lam)) == as_fractions(want)
+
+
+def test_orbit_maxima_match_the_closure_on_rechosen_chambers():
+    # every catalog form keeps the default positive system, whose facet rays
+    # are already dominant; on the +-w involutions with a re-chosen chamber
+    # restricted_roots chases each ray to its dominant point
+    moved = 0
+    for rs, inv, rrs in RECHOSEN:
+        moved += rrs.dominant_covectors != rrs.ray_covectors
+        for lam in [rs.rho, *rs.fundamental_weights, *seeded_weights(rs, repr(inv.theta), 3)]:
+            want, _ = reference_orbit_maxima(rs, inv, rrs, lam)
+            assert as_fractions(orbit_maxima(rrs, lam)) == as_fractions(want), (inv.theta, lam)
+    assert moved == len(RECHOSEN) >= 50
+
+
+def test_a_shift_orbit_past_the_cap_stops_the_search():
+    # lam = F_1 on sl(4,R) has an orbit of 4, but the first shift the search
+    # takes, F_2 + F_3, has one of 24 / 2 = 12
+    rs, inv, rrs = form("sl(4,R)")
+    lam = rs.fundamental_weights[0]
+    datum = FormalDSDatum(lam, admissible_exponents(rs, inv, rrs, lam, cap=4))
+    shift = rs.fundamental_weights[1] + rs.fundamental_weights[2]
+    message = r"^orbit size exceeded cap 11 \(predicted size 12\)$"
+    with pytest.raises(CapExceeded, match=message):
+        reference_orbit_maxima(rs, inv, rrs, shift, cap=11)
+    with pytest.raises(CapExceeded, match=message):
+        strong_regularization(rs, inv, rrs, datum, TranslationConfig(cap=11))
+    result = strong_regularization(rs, inv, rrs, datum, TranslationConfig(cap=12))
+    assert result.mus and result.certificates.strongly_regular
 
 
 # The pair loop makes one position per pair, about 0.13 ms each.  A larger grid
@@ -411,6 +548,46 @@ def test_search_matches_the_pair_loop():
     # every outcome is reached: the base weight, a shift at k = 0, a shift at
     # k > 0, and an exhausted search
     assert outcomes == {"base": 168, "shifted": 33, "k > 0": 9, "exhausted": 14}
+
+
+def assert_steps_are_chased(rs, result):
+    """The final weight is (kN + 1) B + sum mus, and each step's target the
+    dominant point of the running sum."""
+    factor = result.k * result.integrality + 1
+    running = result.dominant_base.scale(factor)
+    for mu, step in zip(result.mus, result.certificates.steps):
+        running = running + mu
+        assert step.target == dominant_representative(rs, running)[0]
+    assert running == result.final_weight
+
+
+def test_search_matches_the_pair_loop_from_other_chambers():
+    # a weight off the dominant chamber, whose base the search chases, on the
+    # catalog and on +-w involutions whose compatible chamber is re-chosen
+    cases = [form(form_id) for form_id in SEARCH_FORMS] + RECHOSEN
+    outcomes = Counter()
+    for rs, inv, rrs in cases:
+        weight = apply(rs.simple_reflection(0), -rs.rho)
+        admissible = sorted(admissible_exponents(rs, inv, rrs, weight), key=lambda w: w.coords)
+        if not admissible:
+            outcomes["no direction"] += 1
+            continue
+        for exponents in (admissible[:1], admissible):
+            datum = FormalDSDatum(weight, frozenset(exponents))
+            for cfg in SEARCH_CONFIGS[:3]:
+                expected = reference_search(rs, inv, rrs, datum, cfg)
+                try:
+                    result = strong_regularization(rs, inv, rrs, datum, cfg)
+                except SearchExhausted as exc:
+                    assert exc.best == expected, (inv.theta, datum, cfg)
+                    outcomes["exhausted"] += 1
+                    continue
+                assert (result.k, result.final_weight) == expected, (inv.theta, datum, cfg)
+                assert_certificates_match_the_pair_loop(rs, inv, rrs, result.certificates)
+                assert_steps_are_chased(rs, result)
+                key = "default" if inv.default_compatible else "rechosen"
+                outcomes[(key, "shifted" if result.mus else "base")] += 1
+    assert set(outcomes) == {(c, r) for c in ("default", "rechosen") for r in ("base", "shifted")}
 
 
 SMALL_FORMS = [e.id for e in build_default_catalog() if e.rank <= 4]

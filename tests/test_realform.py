@@ -41,7 +41,7 @@ from cartan_ds import (
     weyl_order,
 )
 from cartan_ds import linalg
-from cartan_ds.realform import _read_matrix
+from cartan_ds.realform import _positive_and_simple, _read_matrix
 import linalg_reference
 from test_enumerate_weyl_reference import reference_enumerate_weyl
 
@@ -321,6 +321,19 @@ def test_multiplicity_identity_across_whole_catalog():
         assert multiplicity_identity_holds(rrs), entry.id
         # the simple restricted roots are a basis of the split part
         assert len(rrs.simple_restricted) == inv.split_rank
+
+
+def test_stored_simple_restricted_roots_match_the_difference_test():
+    # classify_restricted_type reads doubled_simple and doubled_positive
+    # instead of running _positive_and_simple again
+    for entry in build_default_catalog():
+        rs = entry_root_system(entry)
+        inv = entry_involution(entry, rs=rs)
+        rrs = restricted_roots(rs, inv)
+        positive, simple = _positive_and_simple(inv)
+        assert rrs.doubled_simple == tuple(simple), entry.id
+        assert rrs.doubled_positive == positive, entry.id
+        assert rrs.simple_restricted == tuple(Weight.of(d).scale(HALF) for d in simple)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Root systems, Weyl groups, and orbit combinatorics."""
 
+import math
 import time
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from cartan_ds import (
     RankMismatch,
     Weight,
     apply,
+    build_default_catalog,
     build_root_system,
     catalog_form,
     dominant_representative,
@@ -147,6 +149,48 @@ def test_fundamental_weights_are_dual_to_coroots():
             assert all(
                 coords[j] == (1 if j == i else 0) for j in range(rs.rank)
             )
+
+
+CATALOG_TYPES = sorted({e.cartan_type for e in build_default_catalog()})
+
+
+@pytest.mark.parametrize("cartan_type", CATALOG_TYPES)
+def test_fundamental_weight_table_is_the_inverse_cartan_matrix(cartan_type):
+    rs = build_root_system(cartan_type)
+    ainv = linalg_reference.inverse(rs.cartan_matrix)
+    d = rs.fw_denominator
+    assert d == math.lcm(*(x.denominator for row in ainv for x in row))
+    assert len(rs.fw_numerators) == rs.rank
+    for i, row in enumerate(rs.fw_numerators):
+        column = tuple(ainv[k][i] for k in range(rs.rank))
+        assert tuple(Fraction(x, d) for x in row) == column == rs.fundamental_weights[i].coords
+
+
+def reference_weight_from_fw(rs, values):
+    """The sum of the fundamental weights scaled by the values."""
+    out = Weight.zero(rs.rank)
+    for c, fw in zip(values, rs.fundamental_weights):
+        out = out + fw.scale(c)
+    return out
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(st.sampled_from(CATALOG_TYPES), st.data())
+def test_weight_from_fw_matches_the_fundamental_weight_sum(cartan_type, data):
+    rs = build_root_system(cartan_type)
+    rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    values = data.draw(st.lists(rationals, min_size=rs.rank, max_size=rs.rank))
+    lam = rs.weight_from_fw(values)
+    assert lam == reference_weight_from_fw(rs, values)
+    assert rs.weight_from_fw(Weight(tuple(values))) == lam
+    assert rs.fw_coords(lam) == tuple(values)
+
+
+def test_weight_from_fw_refuses_a_wrong_length():
+    rs = build_root_system("B3")
+    for values in ([1, 0], [1, 0, 0, 0]):
+        with pytest.raises(RankMismatch):
+            rs.weight_from_fw(values)
 
 
 def test_product_type_combines_blocks():

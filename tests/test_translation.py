@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cartan_ds import criterion, rootdata
 from cartan_ds import (
     BadParameters,
     CapExceeded,
@@ -16,6 +17,7 @@ from cartan_ds import (
     SignedSqrt,
     TranslationConfig,
     Weight,
+    antidominant_restriction,
     apply,
     build_root_system,
     catalog_form,
@@ -316,6 +318,24 @@ def test_pipeline_sl3_needs_one_shift():
     assert step.target == result.final_weight
     assert step.min_margin == SignedSqrt.sqrt_of(F(1, 6))
     assert step.cone_ok
+
+
+def test_the_translation_callers_build_no_weyl_element(monkeypatch):
+    """The default exponent, the splitting check's dominant direction, the
+    search and its step targets come from int chases: no Weyl element is
+    built from a chase word."""
+    rs, inv, rrs = form("sl(3,R)")
+    datum = default_datum(rs, inv, "sl3")
+
+    def refuse(*_):
+        raise AssertionError("a Weyl element was built from a word")
+
+    for module in (rootdata, criterion):
+        monkeypatch.setattr(module, "word_element", refuse)
+    assert antidominant_restriction(rs, inv, rs.rho) == inv.restrict(-rs.rho)
+    assert verify_sum_splitting(rs, -rs.rho, -rs.rho).passed
+    result = strong_regularization(rs, inv, rrs, datum)
+    assert result.certificates.steps and result.certificates.strongly_regular
 
 
 def test_pipeline_output_satisfies_the_asserted_properties():
