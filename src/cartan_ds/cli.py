@@ -335,7 +335,7 @@ def cmd_inspect(args: argparse.Namespace, directory: Path) -> Outcome:
     identity_ok = multiplicity_identity_holds(rrs)
     mult = rrs.doubled_multiplicity
     multiplicities = [
-        {"root": Weight(tuple(Fraction(x, 2) for x in d)), "multiplicity": mult[d]}
+        {"root": Weight(d).scale(Fraction(1, 2)), "multiplicity": mult[d]}
         for d in sorted(rrs.doubled_positive)
     ]
     results = {

@@ -33,7 +33,7 @@ from .rootdata import (
     WeylElement,
     _chase,
     _int_mat_vec,
-    _scaled_on,
+    _nums_on,
     _stabilizer_chase,
     _weyl_witness,
     apply,
@@ -172,7 +172,7 @@ def extended_stabilizer(
 ) -> ExtendedStabilizerReport:
     """Decide triviality of the extended stabilizer of a weight.
 
-    The weight, scaled to ints once, and its involution image are chased to
+    The weight's int numerators and their involution image are chased to
     the dominant chamber on ints, with no matrix.  The untwisted part is
     trivial exactly when the weight is regular (no wall).  A twisted fixer
     exists exactly when both chases end at the same fundamental coordinates;
@@ -181,7 +181,7 @@ def extended_stabilizer(
     outside the group.  Weyl elements are built only for the fixers returned.
     """
     _require_same_root_system(rs, inv)
-    _, coords = _scaled_on(rs, lam)
+    coords = _nums_on(rs, lam)
     image = _int_mat_vec(inv.theta, coords)
     fws, word, gens = _stabilizer_chase(rs, coords)
     fws_t, word_t = _chase(rs, image)

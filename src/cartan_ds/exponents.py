@@ -8,14 +8,14 @@ integer covectors, built once by ``restricted_roots``); this module computes
 exact positions and margins relative to it, the monoid partial order on
 exponents, and the admissible subset of a Weyl orbit.
 
-Positions are decided on ints.  A vector scaled to ints has one int product
-with each ray covector; it is interior when the cone is full-dimensional and
-every product is negative, and its margin, the least -p/|X| over the rays,
-is found by sign and then by p^2 n' against p'^2 n, with one ``SignedSqrt``
-(a sign and an exact rational square, never floating point) built for it.
-Orbit restrictions are int tuples too: each point v of the int orbit (the
-weight times the lcm of its denominators) restricts to v - theta(v), read
-by ``_admissible`` and ``_admits`` without building a Weight.  A ray's
+Positions are decided on ints.  A vector's int numerators have one int
+product with each ray covector; it is interior when the cone is
+full-dimensional and every product is negative, and its margin, the least
+-p/|X| over the rays, is found by sign and then by p^2 n' against p'^2 n,
+with one ``SignedSqrt`` (a sign and an exact rational square, never floating
+point) built for it.  Orbit restrictions are int tuples too: each point v of
+the int orbit (the weight times its denominator) restricts to v - theta(v),
+read by ``_admissible`` and ``_admits`` without building a Weight.  A ray's
 largest pairing over an orbit's restrictions (``_orbit_maxima``) closes no
 orbit: a ray covector c has c.(v - theta v) = 2 c.v, and the largest (wx, y)
 over W for dominant x, y is (x, y) (Humphreys, *Introduction to Lie Algebras
@@ -46,10 +46,9 @@ from .rootdata import (
     _chase,
     _chase_within_cap,
     _int_mat_vec,
+    _nums_on,
     _orbit_of,
-    _scaled,
-    _scaled_on,
-    _unscaled,
+    _weight,
 )
 
 
@@ -134,12 +133,11 @@ def dual_chamber(rrs: RestrictedRootSystem) -> RestrictedRootSystem:
 
 
 def _ray_products(rrs: RestrictedRootSystem, v: Weight) -> tuple[list[int], int]:
-    """v's int covector products x and its scale S: v is scaled to ints once,
-    and its pairing with ray j is x[j] / (ray_scales[j] S)."""
+    """The int covector products x of v's numerators, and v's denominator S:
+    v's pairing with ray j is x[j] / (ray_scales[j] S)."""
     if v.rank != rrs.root_system.rank:
         raise RankMismatch("vector rank does not match the root system")
-    scale, coords = _scaled(v)
-    return _int_mat_vec(rrs.ray_covectors, coords), scale
+    return _int_mat_vec(rrs.ray_covectors, v.nums), v.den
 
 
 NEG_INTERIOR = "neg_interior"
@@ -263,7 +261,8 @@ def sorted_exponents(
 def _doubled_restrictions(
     rs: RootSystem, inv: CartanInvolution, lam: Weight, cap: int
 ) -> tuple[int, dict[tuple[int, ...], tuple[int, ...]]]:
-    """lam's scale s, and each point v of s times lam's orbit with v - theta(v).
+    """lam's denominator s, and each point v of s times lam's orbit with
+    v - theta(v).
 
     The restriction of v / s is (v - theta(v)) / (2 s).
     """
@@ -288,9 +287,9 @@ Maxima = tuple[Sequence[int], int]
 def _admissible(
     rs: RootSystem, inv: CartanInvolution, chamber: RestrictedRootSystem, lam: Weight, cap: int
 ) -> Admissible:
-    """2s for lam's scale s, and the distinct doubled restrictions d of s times
-    lam's orbit in the open negative cone, as dict keys in the order found:
-    lam's admissible exponents are d / 2s."""
+    """2s for lam's denominator s, and the distinct doubled restrictions d of
+    s times lam's orbit in the open negative cone, as dict keys in the order
+    found: lam's admissible exponents are d / 2s."""
     _require_same_chamber(rs, inv, chamber)
     scale, doubled = _doubled_restrictions(rs, inv, lam, cap)
     distinct = set(doubled.values())
@@ -300,8 +299,8 @@ def _admissible(
 def _admits(admissible: Admissible, e: Weight) -> bool:
     """Is e some d / scale: is e times the scale one of the int tuples d?"""
     scale, doubled = admissible
-    e_scale, coords = _scaled(e)
-    return scale % e_scale == 0 and tuple(x * (scale // e_scale) for x in coords) in doubled
+    q, r = divmod(scale, e.den)
+    return not r and tuple(x * q for x in e.nums) in doubled
 
 
 def _orbit_maxima(chamber: RestrictedRootSystem, coords: list[int], cap: int) -> list[int]:
@@ -321,7 +320,7 @@ def orbit_restrictions(
     made per distinct restriction.
     """
     scale, doubled = _doubled_restrictions(rs, inv, lam, cap)
-    return frozenset(_unscaled(d, 2 * scale) for d in set(doubled.values()))
+    return frozenset(_weight(d, 2 * scale) for d in set(doubled.values()))
 
 
 def antidominant_restriction(
@@ -333,9 +332,9 @@ def antidominant_restriction(
     w0 dom(lam); this form costs one chamber chase, on ints.
     """
     _require_same_root_system(rs, inv)
-    scale, coords = _scaled_on(rs, -lam)
+    coords = _nums_on(rs, -lam)
     _chase(rs, coords)
-    return inv.restrict(_unscaled(coords, -scale))
+    return inv.restrict(_weight(coords, -lam.den))
 
 
 def admissible_exponents(
@@ -348,7 +347,7 @@ def admissible_exponents(
     """Orbit restrictions in the open negative cone: lam's admissible exponents,
     one Weight per admissible int restriction (``_admissible``)."""
     scale, doubled = _admissible(rs, inv, chamber, lam, cap)
-    return frozenset(_unscaled(d, scale) for d in doubled)
+    return frozenset(_weight(d, scale) for d in doubled)
 
 
 def validate_datum(
@@ -409,5 +408,5 @@ def orbit_plus(
     _require_same_chamber(rs, inv, chamber)
     scale, doubled = _doubled_restrictions(rs, inv, lam, cap)
     return frozenset(
-        _unscaled(v, scale) for v, d in doubled.items() if _in_neg_interior(chamber, d)
+        _weight(v, scale) for v, d in doubled.items() if _in_neg_interior(chamber, d)
     )

@@ -4,7 +4,8 @@ Matrices are tuples of row tuples, vectors are flat tuples.  ``row_reduce``
 is fraction-free Gauss-Jordan on int rows.  ``solve``, ``nullspace``,
 ``inverse`` and ``rank`` take int or `fractions.Fraction` entries, scale each
 row to ints (the reduced row echelon form stays the same) and divide once, at
-the end.  No floating point anywhere.
+the end; ``int_nullspace`` leaves its basis on ints over one denominator.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -124,25 +125,28 @@ def solve(a: Mat, b: Vec) -> Vec | None:
     return tuple(x)
 
 
-def nullspace(a: Mat) -> list[Vec]:
-    """Deterministic basis of the kernel of A (RREF free-variable basis)."""
-    m = len(a)
-    if m == 0:
-        return []
+def int_nullspace(a: Mat) -> tuple[list[list[int]], int]:
+    """Deterministic basis of the kernel of A (RREF free-variable basis), as
+    int vectors over one denominator d > 0."""
+    if not a:
+        return [], 1
     n = len(a[0])
     rows = [_int_row(row) for row in a]
     pivots, d = row_reduce(rows, n)
-    pivot_set = set(pivots)
-    basis: list[Vec] = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * n
-        v[free] = ONE
+    basis = []
+    for free in sorted(set(range(n)).difference(pivots)):
+        v = [0] * n
+        v[free] = d
         for r, c in enumerate(pivots):
-            v[c] = Fraction(-rows[r][free], d)
-        basis.append(tuple(v))
-    return basis
+            v[c] = -rows[r][free]
+        basis.append(v)
+    return basis, d
+
+
+def nullspace(a: Mat) -> list[Vec]:
+    """:func:`int_nullspace` as Fraction vectors."""
+    basis, d = int_nullspace(a)
+    return [tuple(Fraction(x, d) for x in v) for v in basis]
 
 
 def inverse(a: Mat) -> Mat:

@@ -48,8 +48,7 @@ from .rootdata import (
     _chase,
     _int_mat_mul,
     _int_mat_vec,
-    _scaled,
-    _unscaled,
+    _weight,
     _weyl_witness,
     apply_matrix,
     closure,
@@ -90,7 +89,7 @@ class CartanInvolution:
 
     @property
     def positive_roots(self) -> frozenset[Weight]:
-        return frozenset(Weight.of(self.root_system.roots[k]) for k in self.positive_indices)
+        return frozenset(_weight(self.root_system.roots[k]) for k in self.positive_indices)
 
     @property
     def split_rank(self) -> int:
@@ -155,7 +154,8 @@ def _eigenbasis(theta: IntMat, sign: int) -> tuple[Weight, ...]:
     shifted = tuple(
         tuple(theta[i][j] - (sign if i == j else 0) for j in range(n)) for i in range(n)
     )
-    return tuple(Weight(v) for v in linalg.nullspace(shifted))
+    basis, d = linalg.int_nullspace(shifted)
+    return tuple(_weight(v, d) for v in basis)
 
 
 def _dot(u, v) -> int:
@@ -163,14 +163,14 @@ def _dot(u, v) -> int:
 
 
 def _regular_covector(rs: RootSystem, basis: tuple[Weight, ...], targets) -> list[int]:
-    """F v for a deterministic v in span(basis) pairing nonzero with every int
-    target, v = sum_i t^i basis_i scaled to ints by the lcm of its denominators."""
+    """F v, taken on v's int numerators, for a deterministic v in span(basis)
+    pairing nonzero with every int target: v = sum_i t^i basis_i."""
     t = 1
     while True:
         v = Weight.zero(rs.rank)
         for i, b in enumerate(basis):
-            v = v + b.scale(Fraction(t) ** i)
-        covector = _int_mat_vec(rs.form, _scaled(v)[1])
+            v = v + b.scale(t**i)
+        covector = _int_mat_vec(rs.form, v.nums)
         if all(_dot(covector, x) for x in targets):
             return covector
         t += 1
@@ -266,9 +266,7 @@ class RestrictedRootSystem:
     each d to its number of roots alpha, ``doubled_positive`` holds the d
     of the involution's positive roots and ``doubled_simple`` the simple ones,
     sorted; ``vanishing_indices`` index the roots
-    with d = 0.  ``restricted_roots``, ``multiplicity``, ``positive_restricted``,
-    ``vanishing_roots`` and ``indivisible`` (the restricted roots whose half is
-    not one) are weights built from these on each read.
+    with d = 0.  ``restricted_roots`` builds their weights d / 2 on each read.
 
     ``facet_rays`` is the basis dual to the simple restricted roots inside
     their span: a vector lies in the positive restricted cone iff it pairs
@@ -303,24 +301,7 @@ class RestrictedRootSystem:
 
     @property
     def restricted_roots(self) -> frozenset[Weight]:
-        return frozenset(_unscaled(d, 2) for d in self.doubled_multiplicity)
-
-    @property
-    def multiplicity(self) -> dict[Weight, int]:
-        return {_unscaled(d, 2): m for d, m in self.doubled_multiplicity.items()}
-
-    @property
-    def positive_restricted(self) -> frozenset[Weight]:
-        return frozenset(_unscaled(d, 2) for d in self.doubled_positive)
-
-    @property
-    def vanishing_roots(self) -> frozenset[Weight]:
-        return frozenset(Weight.of(self.root_system.roots[k]) for k in self.vanishing_indices)
-
-    @property
-    def indivisible(self) -> frozenset[Weight]:
-        mult = self.doubled_multiplicity
-        return frozenset(_unscaled(d, 2) for d in mult if _indivisible(d, mult))
+        return frozenset(_weight(d, 2) for d in self.doubled_multiplicity)
 
 
 def _positive_and_simple(inv: CartanInvolution) -> tuple[set, list]:
@@ -384,9 +365,9 @@ def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSys
         doubled_positive=frozenset(positive),
         doubled_simple=tuple(simple),
         vanishing_indices=frozenset(k for k, d in enumerate(doubled) if not any(d)),
-        rho_restricted=_unscaled(two_rho, 4),
-        simple_restricted=tuple(_unscaled(d, 2) for d in simple),
-        facet_rays=tuple(_unscaled(ray, det) for ray in rays),
+        rho_restricted=_weight(two_rho, 4),
+        simple_restricted=tuple(_weight(d, 2) for d in simple),
+        facet_rays=tuple(_weight(ray, det) for ray in rays),
         ray_covectors=covectors,
         dominant_covectors=tuple(
             tuple(s * f // g for s, f in zip(rs.symmetrizer, fws)) for fws, g in zip(dominant, gcds)

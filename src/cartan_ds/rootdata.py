@@ -4,12 +4,15 @@ Weights are stored in simple-root coordinates, the canonical basis throughout
 the package; fundamental-weight coordinates are derived on demand.  With the
 row convention used here the Cartan matrix entry ``A[i][j]`` equals
 ``<alpha_j, alpha_i^vee>``, simple reflections act on coordinates through row
-``i`` only, and every Weyl-group element is an integer matrix.  Weights are
-rational; everything else is computed on plain ints: the Cartan matrix, the
-symmetrizer and the invariant form, Weyl elements, root reflections, the
-dominant-chamber chase, Weyl orbits (one int orbit kernel, which also closes
-the roots) and :func:`apply_matrix`, through which every integer matrix acts
-on a weight.
+``i`` only, and every Weyl-group element is an integer matrix.  A weight is
+int numerators over one positive denominator, in lowest terms, and everything
+is computed on plain ints: weight arithmetic and the invariant pairing, the
+Cartan matrix, the symmetrizer and the invariant form, Weyl elements, root
+reflections, the dominant-chamber chase, Weyl orbits (one int orbit kernel,
+which also closes the roots) and :func:`apply_matrix`, through which every
+integer matrix acts on a weight's numerators.  Kernels read ``Weight.nums``
+and ``Weight.den`` and build their result with :func:`_weight`; Fractions
+appear only in ``Weight.coords``, for reports.
 
 A root is an index into ``RootSystem.roots``, one table of int tuples built
 with the root system: the positive roots in ascending order, then their
@@ -44,43 +47,86 @@ IntMat = tuple[tuple[int, ...], ...]
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class Weight:
-    """Weight-space vector in simple-root coordinates."""
+    """Weight-space vector in simple-root coordinates, stored as the int
+    numerators ``nums`` over one denominator ``den`` > 0, in lowest terms
+    (gcd(nums..., den) = 1), so equal weights have equal pairs.
 
-    coords: Coords
+    ``Weight(coords)`` takes int or Fraction coordinates; ``coords`` builds
+    them back as Fractions.  Arithmetic, equality and hashing are on ints.
+    """
+
+    nums: tuple[int, ...]
+    den: int
+
+    def __new__(cls, coords: Iterable[int | Fraction]) -> "Weight":
+        coords = tuple(coords)
+        for c in coords:
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                raise TypeError(f"weight coordinates are ints or Fractions, not {type(c).__name__}")
+        # reduced coordinates over the lcm of their denominators share no factor with it
+        den = math.lcm(*(c.denominator for c in coords))
+        return _weight([c.numerator * (den // c.denominator) for c in coords], den)
 
     @staticmethod
     def of(values: Iterable[object]) -> "Weight":
-        return Weight(tuple(frac(v) for v in values))
+        return Weight(frac(v) for v in values)
 
     @staticmethod
     def zero(rank: int) -> "Weight":
-        return Weight((Fraction(0),) * rank)
+        return _weight((0,) * rank)
+
+    @property
+    def coords(self) -> Coords:
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     @property
     def rank(self) -> int:
-        return len(self.coords)
+        return len(self.nums)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
+
+    def __repr__(self) -> str:
+        return f"Weight(coords={self.coords!r})"
+
+    def __reduce__(self):
+        return _weight, (self.nums, self.den)
+
+    def _combine(self, other: "Weight", op: Callable[[int, int], int]) -> "Weight":
+        if len(self.nums) != len(other.nums):
+            raise RankMismatch("weights live in different weight spaces")
+        d, e = self.den, other.den
+        return _weight([op(a * e, b * d) for a, b in zip(self.nums, other.nums)], d * e)
 
     def __add__(self, other: "Weight") -> "Weight":
-        if len(self.coords) != len(other.coords):
-            raise RankMismatch("weights live in different weight spaces")
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "Weight") -> "Weight":
-        if len(self.coords) != len(other.coords):
-            raise RankMismatch("weights live in different weight spaces")
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
+        return _weight([-a for a in self.nums], self.den)
 
     def scale(self, t: object) -> "Weight":
         f = frac(t)
-        return Weight(tuple(f * a for a in self.coords))
+        return _weight([f.numerator * a for a in self.nums], f.denominator * self.den)
+
+
+def _weight(nums: Iterable[int], den: int = 1) -> Weight:
+    """The weight with int coordinates nums / den, den nonzero, brought to
+    lowest terms with a positive denominator by one gcd."""
+    nums = tuple(nums)
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums, den = tuple(x // g for x in nums), den // g
+    w = object.__new__(Weight)
+    object.__setattr__(w, "nums", nums)
+    object.__setattr__(w, "den", den)
+    return w
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,7 +313,7 @@ class RootSystem:
         self.form: IntMat = tuple(
             tuple(d[i] * a[i][j] for j in range(rank)) for i in range(rank)
         )
-        self.simple_roots = tuple(_unscaled(e, 1) for e in linalg.int_identity(rank))
+        self.simple_roots = tuple(map(_weight, linalg.int_identity(rank)))
         # (k, A[k][i]) for node i itself and each of its at most three neighbours k
         self._neighbours: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             tuple((k, a[k][i]) for k in range(rank) if a[k][i]) for i in range(rank)
@@ -288,7 +334,7 @@ class RootSystem:
             for i, row in enumerate(self.cartan_matrix)
         )
         self.two_rho: tuple[int, ...] = tuple(map(sum, zip(*positive)))
-        self.rho: Weight = _unscaled(self.two_rho, 2)
+        self.rho: Weight = _weight(self.two_rho, 2)
         # fundamental weight i, column i of A^-1, over one least denominator
         ainv = linalg.inverse(self.cartan_matrix)
         self.fw_denominator = math.lcm(*(x.denominator for row in ainv for x in row))
@@ -296,27 +342,23 @@ class RootSystem:
             zip(*(tuple(int(x * self.fw_denominator) for x in row) for row in ainv))
         )
         self.fundamental_weights: tuple[Weight, ...] = tuple(
-            _unscaled(row, self.fw_denominator) for row in self.fw_numerators
+            _weight(row, self.fw_denominator) for row in self.fw_numerators
         )
 
     @property
     def all_roots(self) -> frozenset[Weight]:
-        return frozenset(_unscaled(a, 1) for a in self.roots)
+        return frozenset(map(_weight, self.roots))
 
     @property
     def positive_roots(self) -> frozenset[Weight]:
-        return frozenset(_unscaled(a, 1) for a in self.roots[: len(self.roots) // 2])
+        return frozenset(map(_weight, self.roots[: len(self.roots) // 2]))
 
     def pairing(self, x: Weight, y: Weight) -> Fraction:
         """Invariant symmetric bilinear form in simple-root coordinates."""
         if x.rank != self.rank or y.rank != self.rank:
             raise RankMismatch("weight rank does not match root system")
-        total = Fraction(0)
-        for i, xi in enumerate(x.coords):
-            if xi:
-                row = self.form[i]
-                total += xi * sum(row[j] * y.coords[j] for j in range(self.rank) if y.coords[j])
-        return total
+        total = sum(map(operator.mul, x.nums, _int_mat_vec(self.form, y.nums)))
+        return Fraction(total, x.den * y.den)
 
     def norm_sq(self, x: Weight) -> Fraction:
         return self.pairing(x, x)
@@ -326,13 +368,11 @@ class RootSystem:
         return apply_matrix(self.cartan_matrix, lam).coords
 
     def weight_from_fw(self, values: Weight | Iterable[object]) -> Weight:
-        if isinstance(values, Weight):
-            values = values.coords
-        vals = [frac(v) for v in values]
-        if len(vals) != self.rank:
+        lam = values if isinstance(values, Weight) else Weight.of(values)
+        if lam.rank != self.rank:
             raise RankMismatch("coordinate length does not match rank")
-        d, columns = self.fw_denominator, zip(*self.fw_numerators)
-        return Weight(tuple(sum(map(operator.mul, vals, col)) / d for col in columns))
+        columns = tuple(zip(*self.fw_numerators))
+        return _weight(_int_mat_vec(columns, lam.nums), lam.den * self.fw_denominator)
 
     def simple_reflection(self, i: int) -> WeylElement:
         if not 0 <= i < self.rank:
@@ -342,8 +382,8 @@ class RootSystem:
     def reflection_in_root(self, root: Weight) -> WeylElement:
         """The reflection s_root as the Weyl element of the word u^-1 s_i u,
         where u carries root (made positive) onto the simple root alpha_i."""
-        scale, beta = _scaled_on(self, root)
-        if scale != 1 or tuple(beta) not in self.root_index:
+        beta = _nums_on(self, root)
+        if root.den != 1 or root.nums not in self.root_index:
             raise PreconditionFailed("reflection requested in a non-root")
         beta = [abs(x) for x in beta]  # a root's coordinates share one sign
         steps: list[int] = []
@@ -368,22 +408,11 @@ def build_root_system(cartan_type: str | Sequence[tuple[str, int]]) -> RootSyste
     return _build_cached(_factors(cartan_type))
 
 
-def _scaled(lam: Weight) -> tuple[int, list[int]]:
-    """The lcm of lam's coordinate denominators, and lam times it as ints."""
-    scale = math.lcm(*(c.denominator for c in lam.coords))
-    return scale, [c.numerator * (scale // c.denominator) for c in lam.coords]
-
-
-def _scaled_on(rs: RootSystem, lam: Weight) -> tuple[int, list[int]]:
-    """:func:`_scaled` of a weight checked to live on rs."""
+def _nums_on(rs: RootSystem, lam: Weight) -> list[int]:
+    """lam's int numerators as a new list, lam checked to live on rs."""
     if lam.rank != rs.rank:
         raise RankMismatch("weight rank does not match root system")
-    return _scaled(lam)
-
-
-def _unscaled(coords: Iterable[int], scale: int) -> Weight:
-    """The weight with the given coordinates divided by ``scale``."""
-    return Weight(tuple(Fraction(x, scale) for x in coords))
+    return list(lam.nums)
 
 
 def _int_mat_vec(mat: IntMat, v: Sequence[int]) -> list[int]:
@@ -396,15 +425,11 @@ def _int_mat_mul(a: IntMat, b: IntMat) -> IntMat:
 
 
 def apply_matrix(mat: IntMat, lam: Weight) -> Weight:
-    """A square integer matrix applied to a weight.
-
-    lam is scaled to ints, the dot products are taken on ints, and the scale
-    is divided out once per coordinate.
-    """
+    """A square integer matrix applied to a weight: to its int numerators,
+    over the same denominator."""
     if len(mat) != lam.rank:
         raise RankMismatch("matrix and weight have different ranks")
-    scale, coords = _scaled(lam)
-    return _unscaled(_int_mat_vec(mat, coords), scale)
+    return _weight(_int_mat_vec(mat, lam.nums), lam.den)
 
 
 def apply(w: WeylElement, lam: Weight) -> Weight:
@@ -416,13 +441,12 @@ def dominant_representative(rs: RootSystem, lam: Weight) -> tuple[Weight, WeylEl
     """The dominant element of W.lam together with w such that w(lam) is dominant.
 
     Deterministic: always reflects at the lowest-index negative pairing.  The
-    chase runs on ints (:func:`_chase`): lam is scaled by the lcm of its
-    coordinate denominators, which changes no pairing's sign, and the scale is
-    divided out once at the end.  w is built from the chase word.
+    chase runs on lam's int numerators (:func:`_chase`), whose pairings have
+    the signs of lam's.  w is built from the chase word.
     """
-    scale, coords = _scaled_on(rs, lam)
+    coords = _nums_on(rs, lam)
     _, word = _chase(rs, coords)
-    return _unscaled(coords, scale), word_element(rs, word[::-1])
+    return _weight(coords, lam.den), word_element(rs, word[::-1])
 
 
 def _chase(rs: RootSystem, coords: list[int]) -> tuple[list[int], list[int]]:
@@ -453,7 +477,7 @@ def _weyl_witness(rs: RootSystem, mat: IntMat) -> WeylElement | None:
     and u is the inverse of w (w's word reversed); the product w mat = 1
     decides exactly.
     """
-    _, w = dominant_representative(rs, _unscaled(_int_mat_vec(mat, rs.two_rho), 1))
+    _, w = dominant_representative(rs, _weight(_int_mat_vec(mat, rs.two_rho)))
     if _int_mat_mul(w.matrix, mat) != rs.identity.matrix:
         return None
     return WeylElement(mat, tuple(reversed(w.word)))
@@ -528,24 +552,22 @@ def _chase_within_cap(rs: RootSystem, coords: list[int], cap: int) -> list[int]:
 
 
 def _orbit_of(rs: RootSystem, lam: Weight, cap: int) -> tuple[int, dict[tuple[int, ...], None]]:
-    """lam's scale and its W-orbit times that scale, as int tuples.
+    """lam's denominator and the W-orbit of its numerators, as int tuples.
 
     An orbit larger than ``cap`` is refused from a chase, before the closure
     (:func:`_chase_within_cap`).
     """
-    scale, coords = _scaled_on(rs, lam)
-    _chase_within_cap(rs, list(coords), cap)
-    return scale, _int_orbit(rs, (tuple(coords),), cap)
+    _chase_within_cap(rs, _nums_on(rs, lam), cap)
+    return lam.den, _int_orbit(rs, (lam.nums,), cap)
 
 
 def weyl_orbit(rs: RootSystem, lam: Weight, cap: int = DEFAULT_CAP) -> frozenset[Weight]:
     """Full W-orbit of a weight; raises CapExceeded past ``cap`` elements.
 
-    The orbit is closed on ints (lam times the lcm of its denominators) and
-    each element divided by that scale once.
+    The orbit is closed on lam's int numerators, over lam's denominator.
     """
-    scale, orbit = _orbit_of(rs, lam, cap)
-    return frozenset(_unscaled(v, scale) for v in orbit)
+    den, orbit = _orbit_of(rs, lam, cap)
+    return frozenset(_weight(v, den) for v in orbit)
 
 
 def stabilizer_generators(rs: RootSystem, lam: Weight) -> StabilizerInfo:
@@ -554,9 +576,9 @@ def stabilizer_generators(rs: RootSystem, lam: Weight) -> StabilizerInfo:
     The stabilizer of a dominant weight is generated by the simple reflections
     orthogonal to it; a general weight's generators are those conjugated back.
     """
-    scale, coords = _scaled_on(rs, lam)
+    coords = _nums_on(rs, lam)
     _, word, gens = _stabilizer_chase(rs, coords)
-    dom, w = _unscaled(coords, scale), word_element(rs, word[::-1])
+    dom, w = _weight(coords, lam.den), word_element(rs, word[::-1])
     return StabilizerInfo(gens=gens, is_regular=not gens, dominant=dom, to_dominant=w)
 
 

@@ -60,9 +60,8 @@ from .rootdata import (
     Weight,
     _chase,
     _int_mat_vec,
-    _scaled,
-    _scaled_on,
-    _unscaled,
+    _nums_on,
+    _weight,
     apply,
     closure,
     dominant_representative,  # unused here; the benchmark's tracer test looks it up
@@ -106,11 +105,8 @@ class TranslationConfig:
 
 
 def _assert_dominant_integral(rs: RootSystem, mu: Weight) -> None:
-    for c in rs.fw_coords(mu):
-        if c < 0 or c.denominator != 1:
-            raise NotDominantIntegral(
-                "weight is not dominant integral in the default chamber"
-            )
+    if any(x < 0 or x % mu.den for x in _int_mat_vec(rs.cartan_matrix, _nums_on(rs, mu))):
+        raise NotDominantIntegral("weight is not dominant integral in the default chamber")
 
 
 def weight_spectrum(
@@ -121,11 +117,11 @@ def weight_spectrum(
     Closure of {mu} under all simple reflections and under subtracting a
     simple root wherever the corresponding chamber coordinate is positive;
     this reaches exactly the lattice translates of mu below it in dominance
-    order, with no multiplicities.  It runs on int tuples, mu times the lcm s
-    of its denominators: the pairing p = (A v)_i is s times chamber coordinate i.
+    order, with no multiplicities.  It runs on int tuples, mu times its
+    denominator s: the pairing p = (A v)_i is s times chamber coordinate i.
     """
     _assert_dominant_integral(rs, mu)
-    scale, coords = _scaled(mu)
+    scale = mu.den
 
     def steps(v: tuple[int, ...]):
         for i, row in enumerate(rs.cartan_matrix):
@@ -135,8 +131,8 @@ def weight_spectrum(
             if p > 0:
                 yield v[:i] + (v[i] - scale,) + v[i + 1:]
 
-    spectrum = closure((tuple(coords),), steps, cap, "weight spectrum")
-    return frozenset(_unscaled(v, scale) for v in spectrum)
+    spectrum = closure((mu.nums,), steps, cap, "weight spectrum")
+    return frozenset(_weight(v, scale) for v in spectrum)
 
 
 @dataclass(frozen=True)
@@ -169,18 +165,15 @@ def verify_sum_splitting(
     """
     if mu0.is_zero():
         raise PreconditionFailed("direction weight must be nonzero")
-    t: Fraction | None = None
-    for a, b in zip(lam.coords, mu0.coords):
-        if b != 0:
-            t = a / b
-            break
+    ratios = (Fraction(a * mu0.den, b * lam.den) for a, b in zip(lam.nums, mu0.nums) if b)
+    t = next(ratios, None)
     if t is None or t <= 0 or mu0.scale(t) != lam:
         raise PreconditionFailed(
             "weight must be a positive rational multiple of the direction"
         )
-    scale, coords = _scaled_on(rs, mu0)
+    coords = _nums_on(rs, mu0)
     _chase(rs, coords)
-    spectrum = weight_spectrum(rs, _unscaled(coords, scale), cap)
+    spectrum = weight_spectrum(rs, _weight(coords, mu0.den), cap)
     orbit = weyl_orbit(rs, lam, cap)
     checked = 0
     violations = []
@@ -268,7 +261,7 @@ def tensor_l2_condition(
     top = _ray_maxima(chamber, exponents)
     if exact:
         scale, doubled = _doubled_restrictions(rs, inv, mu, cap)
-        shift_maxima = _orbit_maxima(chamber, _scaled(mu)[1], cap), scale
+        shift_maxima = _orbit_maxima(chamber, list(mu.nums), cap), scale
         passed, min_margin = _cone_margin(chamber, top, shift_maxima)
         pairs = len(exponents) * len(set(doubled.values()))
         return TensorL2Report(passed, "exact", pairs, min_margin)
@@ -428,8 +421,8 @@ def strong_regularization(
     if not datum.exponents:
         raise InvalidDatum("datum has no exponents to certify")
     n = cfg.integrality
-    # the dominant base and its fundamental coordinates, times lam's scale s
-    scale, base = _scaled(datum.weight)
+    # the dominant base and its fundamental coordinates, times lam's denominator
+    scale, base = datum.weight.den, list(datum.weight.nums)
     base_fw, _ = _chase(rs, base)
     if any(n * f % scale for f in base_fw):
         raise BadParameters("integrality constant does not make the weight integral")
@@ -467,15 +460,15 @@ def strong_regularization(
             if not (strongly_regular and cone_ok):
                 continue
             chamber = inv.chamber.matrix
-            base_dom = _unscaled(_int_mat_vec(chamber, base), common)
-            directions = [_unscaled(_int_mat_vec(chamber, row), d) for row in rs.fw_numerators]
+            base_dom = _weight(_int_mat_vec(chamber, base), common)
+            directions = [_weight(_int_mat_vec(chamber, row), d) for row in rs.fw_numerators]
             mus = [u for u, c in zip(directions, coeffs) for _ in range(c)]
             return TranslationResult(
                 k=k,
                 integrality=n,
                 dominant_base=base_dom,
                 mus=tuple(mus),
-                final_weight=_unscaled(_int_mat_vec(chamber, final), common),
+                final_weight=_weight(_int_mat_vec(chamber, final), common),
                 certificates=_certify(
                     rs, inv, rrs, exponents, base_dom, factor, mus, cfg
                 ),
@@ -514,16 +507,16 @@ def _certify(
     for direction in mus:
         partial = partial + direction
         running = running + direction
-        scale, target = _scaled(running)
+        target = list(running.nums)
         _chase(rs, target)
-        scale_p, coords = _scaled(partial)
-        ok, worst = _cone_margin(chamber, top, (_orbit_maxima(chamber, coords, cfg.cap), scale_p))
+        shift = _orbit_maxima(chamber, list(partial.nums), cfg.cap), partial.den
+        ok, worst = _cone_margin(chamber, top, shift)
         cone_all = cone_all and ok
         steps.append(
             TranslationStep(
                 direction=direction,
                 partial_sum=partial,
-                target=_unscaled(target, scale),
+                target=_weight(target, running.den),
                 min_margin=worst,
                 cone_ok=ok,
             )

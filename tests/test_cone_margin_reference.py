@@ -94,7 +94,7 @@ from cartan_ds.exponents import (
     _position,
     _ray_products,
 )
-from cartan_ds.rootdata import _int_mat_vec, _scaled
+from cartan_ds.rootdata import _int_mat_vec
 from cartan_ds.translation import (
     SearchBest,
     _best_key,
@@ -218,9 +218,8 @@ def reference_orbit_maxima(rs, inv, chamber, lam, cap=DEFAULT_CAP):
 
 
 def orbit_maxima(chamber, lam, cap=DEFAULT_CAP):
-    """``_orbit_maxima`` of lam scaled to ints, with that scale."""
-    scale, coords = _scaled(lam)
-    return _orbit_maxima(chamber, coords, cap), scale
+    """``_orbit_maxima`` of lam's int numerators, with its denominator."""
+    return _orbit_maxima(chamber, list(lam.nums), cap), lam.den
 
 
 def as_fractions(maxima):
@@ -595,9 +594,9 @@ NO_WITNESS_FORMS = [f for f in SMALL_FORMS if form(f)[1].weyl_witness is None]
 
 
 def assert_strong_regularity_matches(rs, inv, lam):
-    """The int predicate on lam's scaled coordinates against the extended
+    """The int predicate on lam's int numerators against the extended
     stabilizer; the verdict."""
-    _, coords = _scaled(lam)
+    coords = list(lam.nums)
     want = extended_stabilizer(rs, inv, lam).is_trivial
     assert _strongly_regular(rs, inv, coords) == want, lam
     # any positive multiple has the same verdict
@@ -624,7 +623,7 @@ def test_a_regular_weight_with_a_twisted_fixer_is_not_strongly_regular():
     assert "sl(3,R)" in NO_WITNESS_FORMS
     for form_id in NO_WITNESS_FORMS:
         rs, inv, _ = form(form_id)
-        _, coords = _scaled(rs.rho)
+        coords = list(rs.rho.nums)
         assert stabilizer_generators(rs, rs.rho).is_regular
         assert not _strongly_regular(rs, inv, coords), form_id
         assert not extended_stabilizer(rs, inv, rs.rho).is_trivial, form_id

@@ -49,6 +49,7 @@ from cartan_ds.rootdata import DEFAULT_CAP, _int_mat_mul, _int_mat_vec, closure
 from test_enumerate_weyl_reference import reference_enumerate_weyl
 from test_int_kernel_reference import _random_matrix
 from test_restricted_reference import PM_W_TYPES, pm_w_involutions
+from weight_reference import restricted_weights
 
 # on G2 the restricted roots of this theta are +-v/2, +-v and +-3v/2: the
 # reflection coefficient 2 (v, b) / nb is 2/3, yet the image is integral
@@ -67,9 +68,10 @@ def reference_commutant(theta, group):
 def reference_exact_sequence(rs, inv, cap=DEFAULT_CAP):
     """The check through restricted_roots, with Fraction reflections."""
     rrs = restricted_roots(rs, inv)
+    views = restricted_weights(rrs)
     group = reference_enumerate_weyl(rs, cap)
     commutant = reference_commutant(inv.theta, group)
-    fixed = rrs.vanishing_roots & inv.positive_roots
+    fixed = views.vanishing_roots & inv.positive_roots
     simple_fixed = [b for b in fixed if not any(b - a in fixed for a in fixed)]
     gens = [rs.reflection_in_root(b) for b in sorted(simple_fixed, key=lambda w: w.coords)]
     vanishing_group = closure(
@@ -96,7 +98,7 @@ def reference_exact_sequence(rs, inv, cap=DEFAULT_CAP):
         return tuple(perm)
 
     reflections = [
-        reflection(_doubled(beta)) for beta in rrs.indivisible & rrs.positive_restricted
+        reflection(_doubled(beta)) for beta in views.indivisible & views.positive_restricted
     ]
     simple = [_doubled(s) for s in rrs.simple_restricted]
     identity = tuple(index[s] for s in simple)

@@ -38,6 +38,7 @@ from cartan_ds import (
 )
 from cartan_ds.exponents import BOUNDARY_OR_OUTSIDE, NEG_INTERIOR
 import linalg_reference
+from weight_reference import restricted_weights
 
 F = Fraction
 
@@ -170,7 +171,7 @@ def test_compact_form_has_degenerate_chamber():
     rs, inv, rrs = form("compact(A2)")
     ch = dual_chamber(rrs)
     assert not ch.fulldim
-    assert ch.facet_rays == () and ch.positive_restricted == frozenset()
+    assert ch.facet_rays == () and restricted_weights(ch).positive_restricted == frozenset()
     pos = cone_position(ch, Weight.zero(2))
     assert pos.kind == BOUNDARY_OR_OUTSIDE and pos.margin == SignedSqrt.zero()
 
@@ -293,7 +294,7 @@ def test_orbit_plus_nonempty_across_small_forms():
         inv = entry_involution(entry, rs=rs)
         rrs = restricted_roots(rs, inv)
         plus = orbit_plus(rs, inv, rs.rho)
-        if rrs.positive_restricted:
+        if restricted_weights(rrs).positive_restricted:
             assert plus, entry.id
         else:
             assert not plus, entry.id

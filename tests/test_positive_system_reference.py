@@ -58,6 +58,7 @@ from cartan_ds.rootdata import (
 )
 from test_int_kernel_reference import _random_matrix, assert_checks_match
 from test_restricted_reference import PM_W_TYPES, pm_w_involutions, reference_vanishing
+from weight_reference import restricted_weights
 
 HALF = Fraction(1, 2)
 
@@ -185,7 +186,9 @@ def reference_restricted_type(rrs):
     labels = []
     for comp in _component_split(rs, simple):
         span_pos = [
-            v for v in rrs.positive_restricted if _supported_on(rs, simple, v, comp)
+            v
+            for v in restricted_weights(rrs).positive_restricted
+            if _supported_on(rs, simple, v, comp)
         ]
         r = len(comp)
         if any(v.scale(2) in rrs.restricted_roots for v in span_pos):
@@ -235,7 +238,7 @@ def assert_matches_reference(rs, inv, name, relabels):
         assert (inv.chamber.matrix, inv.chamber.word) == (chamber.matrix, chamber.word), name
         assert inv.default_compatible == default_ok, name
     rrs = restricted_roots(rs, inv)
-    assert rrs.vanishing_roots == reference_vanishing(table), name
+    assert restricted_weights(rrs).vanishing_roots == reference_vanishing(table), name
     label = classify_restricted_type(rrs)
     expected = reference_restricted_type(rrs)
     if label != expected:

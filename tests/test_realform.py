@@ -44,6 +44,7 @@ from cartan_ds import linalg
 from cartan_ds.realform import _positive_and_simple, _read_matrix
 import linalg_reference
 from test_enumerate_weyl_reference import reference_enumerate_weyl
+from weight_reference import restricted_weights
 
 HALF = Fraction(1, 2)
 
@@ -229,10 +230,11 @@ def test_positive_system_rechosen_for_simple_reflection_involution():
     assert not inv.default_compatible
     assert inv.chamber.matrix == rs.simple_reflection(1).matrix
     rrs = restricted_roots(rs, inv)
+    views = restricted_weights(rrs)
     alpha1 = rs.simple_roots[0]
-    assert rrs.positive_restricted == frozenset({alpha1, alpha1.scale(HALF)})
-    assert rrs.multiplicity[alpha1.scale(HALF)] == 2
-    assert rrs.multiplicity[alpha1] == 1
+    assert views.positive_restricted == frozenset({alpha1, alpha1.scale(HALF)})
+    assert views.multiplicity[alpha1.scale(HALF)] == 2
+    assert views.multiplicity[alpha1] == 1
     assert classify_restricted_type(rrs) == "BC1"
 
 
@@ -244,14 +246,15 @@ def test_positive_system_rechosen_for_simple_reflection_involution():
 def test_su21_restricted_data():
     rs, inv = form("su(2,1)")
     rrs = restricted_roots(rs, inv)
+    views = restricted_weights(rrs)
     half_rho = rs.rho.scale(HALF)
-    assert rrs.positive_restricted == frozenset({half_rho, rs.rho})
-    assert rrs.multiplicity[half_rho] == 2
-    assert rrs.multiplicity[rs.rho] == 1
-    assert rrs.vanishing_roots == frozenset()
+    assert views.positive_restricted == frozenset({half_rho, rs.rho})
+    assert views.multiplicity[half_rho] == 2
+    assert views.multiplicity[rs.rho] == 1
+    assert views.vanishing_roots == frozenset()
     assert rrs.simple_restricted == (half_rho,)
     # indivisible = roots whose half is not itself a restricted root
-    assert rrs.indivisible == frozenset({half_rho, -half_rho})
+    assert views.indivisible == frozenset({half_rho, -half_rho})
     assert classify_restricted_type(rrs) == "BC1"
     assert multiplicity_identity_holds(rrs)
     # rho_a = (2 * rho/2 + 1 * rho) / 2 = rho
@@ -261,11 +264,12 @@ def test_su21_restricted_data():
 def test_so41_restricted_data():
     rs, inv = form("so(4,1)")
     rrs = restricted_roots(rs, inv)
+    views = restricted_weights(rrs)
     assert inv.split_rank == 1
-    assert len(rrs.vanishing_roots) == 2
-    pos = list(rrs.positive_restricted)
+    assert len(views.vanishing_roots) == 2
+    pos = list(views.positive_restricted)
     assert len(pos) == 1
-    assert rrs.multiplicity[pos[0]] == 3
+    assert views.multiplicity[pos[0]] == 3
     assert classify_restricted_type(rrs) == "A1"
 
 
@@ -273,7 +277,7 @@ def test_compact_form_has_no_restricted_roots():
     rs, inv = form("compact(A2)")
     rrs = restricted_roots(rs, inv)
     assert rrs.restricted_roots == frozenset()
-    assert rrs.vanishing_roots == frozenset(rs.all_roots)
+    assert restricted_weights(rrs).vanishing_roots == frozenset(rs.all_roots)
     assert classify_restricted_type(rrs) == "0"
 
 
@@ -281,8 +285,9 @@ def test_split_form_restricted_system_is_the_full_system():
     rs, inv = form("split(G2)")
     rrs = restricted_roots(rs, inv)
     assert rrs.restricted_roots == frozenset(rs.all_roots)
-    assert all(m == 1 for m in rrs.multiplicity.values())
-    assert rrs.vanishing_roots == frozenset()
+    views = restricted_weights(rrs)
+    assert all(m == 1 for m in views.multiplicity.values())
+    assert views.vanishing_roots == frozenset()
     assert classify_restricted_type(rrs) == "G2"
     assert rrs.rho_restricted == rs.rho
 
@@ -413,7 +418,7 @@ def _reference_exact_sequence(rs, inv):
     columns solve for the images of the split basis vectors; the restricted
     Weyl group is closed as Fraction matrices of the reflections s_beta.
     """
-    rrs = restricted_roots(rs, inv)
+    views = restricted_weights(restricted_roots(rs, inv))
     r = inv.split_rank
     basis_cols = tuple(
         tuple(b.coords[i] for b in inv.split_basis) for i in range(rs.rank)
@@ -443,7 +448,7 @@ def _reference_exact_sequence(rs, inv):
         if linalg.mat_mul(w.matrix, theta) == linalg.mat_mul(theta, w.matrix)
     ]
     vanishing = close(
-        [rs.reflection_in_root(g) for g in rrs.vanishing_roots],
+        [rs.reflection_in_root(g) for g in views.vanishing_roots],
         rs.identity,
         lambda x, g: x.compose(g),
     )
@@ -455,7 +460,7 @@ def _reference_exact_sequence(rs, inv):
         return sum(x[i] * gram[i][j] * y[j] for i in range(r) for j in range(r))
 
     gens = []
-    for beta in rrs.indivisible & rrs.positive_restricted:
+    for beta in views.indivisible & views.positive_restricted:
         b = split_coords(beta)
         cols = []
         for j in range(r):

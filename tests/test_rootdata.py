@@ -1,6 +1,7 @@
 """Root systems, Weyl groups, and orbit combinatorics."""
 
 import math
+import pickle
 import time
 from fractions import Fraction
 
@@ -497,3 +498,27 @@ def test_weight_arithmetic():
     assert a.scale(Fraction(2)).coords == (Fraction(2), Fraction(4))
     assert Weight.zero(2).coords == (Fraction(0), Fraction(0))
     assert a != b and hash(W(1, 2)) == hash(a)
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [(True, False), (1, False), (0.5, 0), (1, 2.0), ("1", 0), (Fraction(1, 2), None)],
+)
+def test_weight_refuses_non_rational_coordinates(coords):
+    # a bool is no coordinate, though True == 1; a float or a string is none either
+    with pytest.raises(TypeError):
+        Weight(coords)
+
+
+@pytest.mark.parametrize("values", [(True, False), (0.5, 0)])
+def test_weight_of_refuses_bool_and_float(values):
+    with pytest.raises(TypeError):
+        Weight.of(values)
+
+
+def test_weight_is_immutable_and_pickles():
+    lam = W("1/2", -3)
+    with pytest.raises(AttributeError):
+        lam.den = 1
+    assert lam == W("1/2", -3)
+    assert pickle.loads(pickle.dumps(lam)) == lam

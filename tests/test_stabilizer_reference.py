@@ -48,7 +48,7 @@ from cartan_ds import (
     stabilizer_generators,
     word_element,
 )
-from cartan_ds.rootdata import _scaled, _unscaled
+from cartan_ds.rootdata import _weight
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.workloads import MembershipStream, load_entries
@@ -58,7 +58,7 @@ CATALOG_IDS = [e.id for e in build_default_catalog()]
 
 def reference_dominant_representative(rs, lam):
     """The chase that builds its element's matrix by row updates at every step."""
-    scale, coords = _scaled(lam)
+    coords = list(lam.nums)
     a = rs.cartan_matrix
     rows = list(rs.identity.matrix)
     fws = [sum(x * y for x, y in zip(row, coords)) for row in a]
@@ -66,7 +66,7 @@ def reference_dominant_representative(rs, lam):
     while True:
         i = next((j for j, f in enumerate(fws) if f < 0), None)
         if i is None:
-            return _unscaled(coords, scale), WeylElement(tuple(rows), tuple(reversed(word)))
+            return _weight(coords, lam.den), WeylElement(tuple(rows), tuple(reversed(word)))
         c = fws[i]
         coords[i] -= c
         fws[i] = -c
@@ -84,7 +84,7 @@ def reference_dominant_representative(rs, lam):
 def reference_stabilizer_generators(rs, lam):
     """Walls of the Fraction dominant weight; fixers w^-1 s_i w as matrix products."""
     dom, w = reference_dominant_representative(rs, lam)
-    _, coords = _scaled(dom)
+    coords = dom.nums
     walls = [
         i for i, row in enumerate(rs.cartan_matrix)
         if sum(a * x for a, x in zip(row, coords)) == 0
