@@ -132,12 +132,9 @@ def encode_value(value: Any) -> Any:
     if isinstance(value, dict):
         return {str(k): encode_value(v) for k, v in value.items()}
     if isinstance(value, (frozenset, set)):
-        items = list(value)
-        if all(isinstance(x, Weight) for x in items):
-            items.sort(key=lambda w: w.coords)
-        else:
-            items.sort(key=repr)
-        return [encode_value(v) for v in items]
+        if all(isinstance(x, Weight) for x in value):
+            return [encode_value(v) for v in sorted_exponents(value)]
+        return [encode_value(v) for v in sorted(value, key=repr)]
     if isinstance(value, (list, tuple)):
         return [encode_value(v) for v in value]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -300,8 +297,10 @@ Outcome = tuple[dict[str, Any], Any, dict[str, Any], bool]
 
 
 def cmd_catalog(args: argparse.Namespace, directory: Path) -> Outcome:
+    if args.filter == "":
+        raise ParseError("--filter needs a glob, got ''")
     entries = cat.load_catalog(directory)
-    if args.filter:
+    if args.filter is not None:
         entries = [e for e in entries if fnmatch.fnmatch(e.id, args.filter)]
     rows: list[dict[str, Any]] = []
     all_consistent = True
@@ -560,7 +559,7 @@ def suite_splitting(cap: int) -> dict[str, Any]:
         rs = build_root_system(ct)
         seeds = list(rs.fundamental_weights) + [rs.rho]
         for mu in seeds:
-            for mu0 in sorted(weyl_orbit(rs, mu, cap=cap), key=lambda w: w.coords):
+            for mu0 in sorted_exponents(weyl_orbit(rs, mu, cap=cap)):
                 for t in SPLITTING_SCALES:
                     lam = mu0.scale(t)
                     rep = verify_sum_splitting(rs, lam, mu0, cap=cap)

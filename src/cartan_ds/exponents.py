@@ -251,11 +251,14 @@ class FormalDSDatum:
 def sorted_exponents(
     exponents: FormalDSDatum | Iterable[Weight],
 ) -> tuple[Weight, ...]:
-    """Exponent set in a deterministic (coordinate-lexicographic) order."""
-    items = (
+    """Exponent set, or any set of weights, in coordinate-lexicographic order:
+    compared on ints, each weight's numerators at the set's common
+    denominator."""
+    items = tuple(
         exponents.exponents if isinstance(exponents, FormalDSDatum) else exponents
     )
-    return tuple(sorted(items, key=lambda w: w.coords))
+    den = math.lcm(*(w.den for w in items))
+    return tuple(sorted(items, key=lambda w: [x * (den // w.den) for x in w.nums]))
 
 
 def _doubled_restrictions(

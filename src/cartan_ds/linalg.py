@@ -1,11 +1,11 @@
 """Small exact linear algebra kit: one int elimination kernel, rational wrappers.
 
 Matrices are tuples of row tuples, vectors are flat tuples.  ``row_reduce``
-is fraction-free Gauss-Jordan on int rows.  ``solve``, ``nullspace``,
-``inverse`` and ``rank`` take int or `fractions.Fraction` entries, scale each
-row to ints (the reduced row echelon form stays the same) and divide once, at
-the end; ``int_nullspace`` leaves its basis on ints over one denominator.  No
-floating point anywhere.
+is fraction-free Gauss-Jordan on int rows.  ``solve``, ``inverse`` and
+``int_nullspace`` take int or `fractions.Fraction` entries and scale each row
+to ints (the reduced row echelon form stays the same); ``solve`` and
+``inverse`` divide once, at the end, and ``int_nullspace`` leaves its basis on
+ints over one denominator.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def frac(x: object) -> Fraction:
@@ -47,10 +46,6 @@ def vector(values: Iterable[object]) -> Vec:
 
 def matrix(rows: Iterable[Iterable[object]]) -> Mat:
     return tuple(vector(r) for r in rows)
-
-
-def identity(n: int) -> Mat:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
 def int_identity(n: int) -> tuple[tuple[int, ...], ...]:
@@ -99,12 +94,6 @@ def _int_row(row: Sequence[Fraction | int]) -> list[int]:
     return [x.numerator * (m // x.denominator) for x in row]
 
 
-def rank(a: Mat) -> int:
-    if not a:
-        return 0
-    return len(row_reduce([_int_row(row) for row in a], len(a[0]))[0])
-
-
 def solve(a: Mat, b: Vec) -> Vec | None:
     """One exact solution x of A x = b, or None when inconsistent.
 
@@ -141,12 +130,6 @@ def int_nullspace(a: Mat) -> tuple[list[list[int]], int]:
             v[c] = -rows[r][free]
         basis.append(v)
     return basis, d
-
-
-def nullspace(a: Mat) -> list[Vec]:
-    """:func:`int_nullspace` as Fraction vectors."""
-    basis, d = int_nullspace(a)
-    return [tuple(Fraction(x, d) for x in v) for v in basis]
 
 
 def inverse(a: Mat) -> Mat:

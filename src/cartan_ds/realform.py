@@ -304,16 +304,21 @@ class RestrictedRootSystem:
         return frozenset(_weight(d, 2) for d in self.doubled_multiplicity)
 
 
-def _positive_and_simple(inv: CartanInvolution) -> tuple[set, list]:
-    """The doubled positive restricted roots, and the sorted simple ones."""
-    doubled = inv.doubled_restrictions
-    positive = {doubled[k] for k in inv.positive_indices if any(doubled[k])}
-    simple = sorted(
+def _simple(positive: set) -> list:
+    """The simple elements of a positive set of int tuples, sorted: those
+    that are no element plus another."""
+    return sorted(
         d
         for d in positive
         if not any(tuple(map(operator.sub, d, e)) in positive for e in positive)
     )
-    return positive, simple
+
+
+def _positive_and_simple(inv: CartanInvolution) -> tuple[set, list]:
+    """The doubled positive restricted roots, and the sorted simple ones."""
+    doubled = inv.doubled_restrictions
+    positive = {doubled[k] for k in inv.positive_indices if any(doubled[k])}
+    return positive, _simple(positive)
 
 
 def _indivisible(d: tuple[int, ...], restricted) -> bool:
@@ -517,11 +522,8 @@ def verify_exact_sequence(
     # its simple roots b: s_b(v) = v - (c . v) b, c the int coroot 2 F b / (b, b)
     doubled = inv.doubled_restrictions
     fixed = {rs.roots[k] for k in inv.positive_indices if not any(doubled[k])}
-    simple_fixed = sorted(
-        b for b in fixed if not any(tuple(map(operator.sub, b, a)) in fixed for a in fixed)
-    )
     gens = []
-    for b in simple_fixed:
+    for b in _simple(fixed):
         fb = _int_mat_vec(rs.form, b)
         gens.append((b, [2 * x // _dot(b, fb) for x in fb]))
     vanishing_group = closure(

@@ -528,5 +528,5 @@ def _certify(
         cone_condition=cone_all,
         steps=tuple(steps),
         base_margin=base_margin,
-        scaled_exponents=tuple(sorted(scaled, key=lambda w: w.coords)),
+        scaled_exponents=sorted_exponents(scaled),
     )

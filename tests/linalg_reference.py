@@ -1,9 +1,10 @@
 """Fraction linear algebra kept as the reference for the int kernels.
 
-``linalg.row_reduce`` replaced the Fraction Gauss-Jordan elimination below,
-and ``solve``, ``nullspace``, ``inverse`` and ``rank`` became rational
-wrappers over it; the Fraction versions stay here so that tests compare the
-library with an independent computation, never with itself.  ``mat_vec``,
+``linalg.row_reduce`` replaced the Fraction Gauss-Jordan elimination below:
+``solve`` and ``inverse`` are rational wrappers over it, ``int_nullspace``
+gives its kernel basis on ints, and the rank is its number of pivots.  The
+Fraction versions stay here so that tests compare the library with an
+independent computation, never with itself.  ``mat_vec``,
 ``as_int_matrix`` and ``reflect`` (the simple reflection on Fraction
 coordinates) are read only by tests and live here too.
 """

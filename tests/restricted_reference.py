@@ -1,0 +1,72 @@
+"""The restricted root system's vanishing set, dual chamber and cone
+position as Fraction references.
+
+``reference_vanishing`` reads the vanishing roots off a Weight-keyed table.
+``reference_chamber`` finds the facet rays from the Fraction inverse of the
+Gram matrix of the simple restricted roots, and ``reference_cone_position``
+locates a vector from its Fraction pairings with those rays; it reads nothing
+of the chamber but its simple restricted roots.  ``reference_margin`` is the
+one Fraction margin rule: one SignedSqrt -p/|X| per facet ray, the least
+kept.
+"""
+
+import functools
+import operator
+
+from cartan_ds import SignedSqrt, Weight
+from cartan_ds.exponents import BOUNDARY_OR_OUTSIDE, NEG_INTERIOR
+import linalg_reference
+from weight_reference import restricted_weights
+
+
+def reference_vanishing(table):
+    """The roots whose doubled restriction vanishes, from a Weight-keyed table."""
+    return frozenset(root for root, d in table.items() if not any(d))
+
+
+@functools.lru_cache(maxsize=None)
+def reference_chamber(rrs):
+    """Facet rays from the Fraction Gram inverse, and fulldim."""
+    simple = rrs.simple_restricted
+    r = len(simple)
+    rays = []
+    if r:
+        gram = tuple(tuple(rrs.root_system.pairing(a, b) for b in simple) for a in simple)
+        gram_inv = linalg_reference.inverse(gram)
+        for j in range(r):
+            ray = Weight.zero(rrs.root_system.rank)
+            for k in range(r):
+                ray = ray + simple[k].scale(gram_inv[k][j])
+            rays.append(ray)
+    for gen in restricted_weights(rrs).positive_restricted:
+        assert all(rrs.root_system.pairing(gen, ray) >= 0 for ray in rays)
+    return tuple(rays), rrs.split_rank > 0 and r == rrs.split_rank
+
+
+@functools.lru_cache(maxsize=None)
+def reference_ray_data(rrs):
+    """Each facet ray's Fraction pairings with the simple roots, its squared
+    length, and fulldim."""
+    rs = rrs.root_system
+    rays, fulldim = reference_chamber(rrs)
+    covectors = [tuple(rs.pairing(e, ray) for e in rs.simple_roots) for ray in rays]
+    return covectors, [rs.pairing(ray, ray) for ray in rays], fulldim
+
+
+def reference_margin(pairings, norms, fulldim):
+    """(interior, margin) from Fraction ray pairings p and squared ray norms n:
+    interior when the chamber is full-dimensional and every p < 0, and the
+    least of the margins -p/sqrt(n)."""
+    margins = [
+        SignedSqrt(-1 if p > 0 else 1, p * p / n) if p else SignedSqrt.zero()
+        for p, n in zip(pairings, norms)
+    ]
+    return fulldim and all(p < 0 for p in pairings), min(margins, default=SignedSqrt.zero())
+
+
+def reference_cone_position(rrs, v):
+    """(kind, margin, ray pairings) from Fraction pairings with the rays."""
+    covectors, norms, fulldim = reference_ray_data(rrs)
+    pairings = tuple(sum(map(operator.mul, v.coords, f)) for f in covectors)
+    interior, margin = reference_margin(pairings, norms, fulldim)
+    return (NEG_INTERIOR if interior else BOUNDARY_OR_OUTSIDE), margin, pairings

@@ -13,6 +13,7 @@ from cartan_ds import (
     catalog_form,
     cli,
     compact_cartan_verdict,
+    entry_involution,
     packaged_catalog_dir,
     write_catalog,
 )
@@ -48,17 +49,14 @@ def tiny_catalog(tmp_path):
 REPORT_DIGEST = "bd9c59fe4327e0fe4ba2ce31086284d8bc04d1023929ddb58aa1058021802c90"
 
 
-def report_digest(capsys):
-    """One SHA-256 over ``verify all --json`` and, on the catalog forms, over
-    ``inspect`` and ``criterion`` (rank <= 6) and ``strong-reg`` (rank <= 4)
-    with ``--json``: the exit codes and the reports without ``timing_ms`` and
-    the ``catalog_dir`` input, which name no output of the library."""
-    requests = [("verify", "all")]
-    for entry in build_default_catalog():
-        if entry.rank <= 6:
-            requests += [("inspect", entry.id), ("criterion", entry.id)]
-        if entry.rank <= 4:
-            requests.append(("strong-reg", entry.id))
+#: SHA-256 of the reports of ``test_worst_case_reports_match_pinned_digest``.
+WORST_CASE_DIGEST = "6d1a8021c48f4f6b7b5d8213268ee848d28a84b43746dafade6296518fd09fb3"
+
+
+def requests_digest(capsys, requests):
+    """One SHA-256 over the ``--json`` reports of requests: the exit codes and
+    the reports without ``timing_ms`` and the ``catalog_dir`` input, which
+    name no output of the library."""
     digest = hashlib.sha256()
     for argv in requests:
         rc, doc, _ = run_json(capsys, *argv)
@@ -68,8 +66,34 @@ def report_digest(capsys):
     return digest.hexdigest()
 
 
+def report_digest(capsys):
+    """The digest of ``verify all`` and, on the catalog forms, of ``inspect``
+    and ``criterion`` (rank <= 6) and ``strong-reg`` (rank <= 4)."""
+    requests = [("verify", "all")]
+    for entry in build_default_catalog():
+        if entry.rank <= 6:
+            requests += [("inspect", entry.id), ("criterion", entry.id)]
+        if entry.rank <= 4:
+            requests.append(("strong-reg", entry.id))
+    return requests_digest(capsys, requests)
+
+
 def test_reports_match_pinned_digest(capsys):
     assert report_digest(capsys) == REPORT_DIGEST
+
+
+def worst_case_requests():
+    """``strong-reg --worst-case`` on every catalog form of rank <= 3 with a
+    split part: reports that list many exponents, in the one weight order."""
+    return [
+        ("strong-reg", entry.id, "--worst-case")
+        for entry in build_default_catalog()
+        if entry.rank <= 3 and entry_involution(entry).split_rank > 0
+    ]
+
+
+def test_worst_case_reports_match_pinned_digest(capsys):
+    assert requests_digest(capsys, worst_case_requests()) == WORST_CASE_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +242,15 @@ def test_catalog_full_sweep_consistent(capsys):
     assert len(doc["results"]) == 56
     assert doc["certificates"] == {"all_consistent": True}
     assert all(row["consistent"] for row in doc["results"])
+
+
+def test_empty_filter_is_a_parse_error(capsys):
+    # an empty glob matches no id; it is bad input, not "no filter"
+    rc, doc, _ = run_json(capsys, "catalog", "--filter", "")
+    assert rc == 2
+    assert doc["error"] == "ParseError" and doc["message"] == "--filter needs a glob, got ''"
+    rc, out, err = run(capsys, "catalog", "--filter", "")
+    assert rc == 2 and out == "" and "ParseError" in err
 
 
 def test_catalog_filter_and_table(capsys):

@@ -3,7 +3,7 @@ rules they replaced.
 
 ``exponents._position`` finds the least margin -p/|X| over the facet rays on
 ints: by sign, then by p^2 n' against p'^2 n, with one SignedSqrt built for
-the ray chosen.  ``parent_position`` is the rule it replaced, one SignedSqrt
+the ray chosen.  ``reference_margin`` is the rule it replaced, one SignedSqrt
 per ray from the Fraction pairings, the least kept; the two are compared on
 catalog vectors and on drawn int products with zeros, ties, mixed signs, and
 forms with no rays.
@@ -16,9 +16,9 @@ scale (``_ray_maxima``, and ``exponents._orbit_maxima`` over a weight's
 orbit restrictions).  The search scales the exponent maxima by the line
 factor kN + 1 instead of scaling the exponents.  The reference is the
 pair loop it replaced: one Fraction sum e + s per pair, each located from
-scratch by ``reference_cone_position`` (shared with
-``tests/test_restricted_reference.py``), which reads neither the ray
-covectors nor the ray norms.  The search and its certificates are checked
+scratch by ``reference_cone_position`` (``tests/restricted_reference.py``,
+the same margin rule), which reads neither the ray covectors nor the ray
+norms.  The search and its certificates are checked
 against the search as it was: ``extended_stabilizer`` on every candidate and
 the same pair loop on every scaled exponent for every line parameter k.
 ``translation._strongly_regular``, the search's int test of each candidate,
@@ -51,7 +51,6 @@ fundamental-weight table read by rows of A^-1 instead of columns, and the
 step targets of ``_certify`` not chased.
 """
 
-import functools
 import random
 import re
 from collections import Counter
@@ -60,7 +59,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_restricted_reference import pm_w_involutions, reference_cone_position
 
 from cartan_ds import (
     DEFAULT_CAP,
@@ -75,11 +73,8 @@ from cartan_ds import (
     antidominant_restriction,
     apply,
     build_default_catalog,
-    catalog_form,
     cone_position,
     dominant_representative,
-    entry_involution,
-    entry_root_system,
     extended_stabilizer,
     orbit_restrictions,
     restricted_roots,
@@ -103,16 +98,8 @@ from cartan_ds.translation import (
     _ray_maxima,
     _strongly_regular,
 )
-
-
-def parent_position(chamber, pairings):
-    """(interior, margin) from Fraction ray pairings: one SignedSqrt -p/|X| per
-    facet ray, the least kept."""
-    margins = [
-        SignedSqrt(-1 if p > 0 else 1, p * p / n) if p else SignedSqrt.zero()
-        for p, n in zip(pairings, chamber.ray_norms)
-    ]
-    return chamber.fulldim and all(p < 0 for p in pairings), min(margins, default=SignedSqrt.zero())
+from forms import form, pm_w_involutions
+from restricted_reference import reference_cone_position, reference_margin
 
 
 def reference_cone_margin(chamber, exponents, shifts):
@@ -131,14 +118,6 @@ def reference_cone_margin(chamber, exponents, shifts):
 def cone_margin(chamber, exponents, shifts):
     """_cone_margin of the two sets' ray maxima."""
     return _cone_margin(chamber, _ray_maxima(chamber, exponents), _ray_maxima(chamber, shifts))
-
-
-@functools.lru_cache(maxsize=None)
-def form(form_id):
-    entry = catalog_form(form_id)
-    rs = entry_root_system(entry)
-    inv = entry_involution(entry, rs=rs)
-    return rs, inv, restricted_roots(rs, inv)
 
 
 SPLIT_FORMS = [
@@ -162,7 +141,9 @@ def test_position_matches_the_parent_rule_on_the_catalog():
         for v in vectors:
             products, scale = _ray_products(rrs, v)
             got = _position(rrs, products, scale)
-            assert got == parent_position(rrs, pairings_of(rrs, products, scale)), (entry.id, v)
+            pairings = pairings_of(rrs, products, scale)
+            want = reference_margin(pairings, rrs.ray_norms, rrs.fulldim)
+            assert got == want, (entry.id, v)
             pos = cone_position(rrs, v)
             assert (pos.kind, pos.margin, pos.ray_pairings) == reference_cone_position(rrs, v)
 
@@ -180,7 +161,8 @@ def test_position_matches_the_parent_rule_on_drawn_products(form_id, data):
     rays = len(rrs.ray_norms)
     products = data.draw(st.lists(st.integers(-4, 4), min_size=rays, max_size=rays))
     scale = data.draw(st.sampled_from([1, 2, 3, 12]))
-    want = parent_position(rrs, pairings_of(rrs, products, scale))
+    pairings = pairings_of(rrs, products, scale)
+    want = reference_margin(pairings, rrs.ray_norms, rrs.fulldim)
     assert _position(rrs, products, scale) == want
 
 
@@ -204,7 +186,8 @@ def test_position_on_the_two_equal_rays_of_sl3(products, interior, margin):
     rrs = form("sl(3,R)")[2]
     assert rrs.ray_scales == (1, 1) and rrs.ray_norms == (Fraction(2, 3),) * 2
     assert _position(rrs, products, 1) == (interior, margin)
-    assert parent_position(rrs, pairings_of(rrs, products, 1)) == (interior, margin)
+    pairings = pairings_of(rrs, products, 1)
+    assert reference_margin(pairings, rrs.ray_norms, rrs.fulldim) == (interior, margin)
 
 
 def reference_orbit_maxima(rs, inv, chamber, lam, cap=DEFAULT_CAP):

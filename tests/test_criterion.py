@@ -15,13 +15,11 @@ from cartan_ds import (
     HypothesisFailed,
     ParseError,
     RankMismatch,
-    Weight,
     WeylElement,
     apply,
     apply_extended,
     build_default_catalog,
     build_root_system,
-    catalog_form,
     compact_cartan_verdict,
     dominant_representative,
     entry_involution,
@@ -36,12 +34,7 @@ from cartan_ds import (
 )
 from cartan_ds.realform import _read_matrix
 from cartan_ds.rootdata import _int_mat_mul, apply_matrix
-
-
-def form(form_id):
-    entry = catalog_form(form_id)
-    rs = entry_root_system(entry)
-    return rs, entry_involution(entry, rs=rs)
+from forms import form
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +43,7 @@ def form(form_id):
 
 
 def test_su21_witness_is_the_rho_reflection():
-    rs, inv = form("su(2,1)")
+    rs, inv, _ = form("su(2,1)")
     w = theta_in_weyl(rs, inv)
     assert w is not None
     assert w.matrix == inv.theta
@@ -58,18 +51,18 @@ def test_su21_witness_is_the_rho_reflection():
 
 
 def test_sl3_minus_identity_is_not_in_the_weyl_group():
-    rs, inv = form("sl(3,R)")
+    rs, inv, _ = form("sl(3,R)")
     assert theta_in_weyl(rs, inv) is None
 
 
 def test_compact_form_witness_is_the_identity():
-    rs, inv = form("compact(B2)")
+    rs, inv, _ = form("compact(B2)")
     w = theta_in_weyl(rs, inv)
     assert w is not None and w.matrix == rs.identity.matrix
 
 
 def test_split_b2_witness_is_the_longest_element():
-    rs, inv = form("split(B2)")
+    rs, inv, _ = form("split(B2)")
     w = theta_in_weyl(rs, inv)
     assert w is not None
     assert all(
@@ -78,7 +71,7 @@ def test_split_b2_witness_is_the_longest_element():
 
 
 def test_theta_in_weyl_accepts_raw_matrices():
-    rs, inv = form("su(2,1)")
+    rs, inv, _ = form("su(2,1)")
     assert theta_in_weyl(rs, inv.theta) is not None
 
 
@@ -167,8 +160,7 @@ def test_stored_witness_matches_reference_on_the_catalog():
     # chase run from rho instead of theta(rho)
     found = 0
     for entry in build_default_catalog():
-        rs = entry_root_system(entry)
-        inv = entry_involution(entry, rs=rs)
+        rs, inv, _ = form(entry.id)
         assert_witness_matches_reference(rs, inv)
         found += inv.weyl_witness is not None
     assert 0 < found < 56
@@ -234,7 +226,7 @@ def chase_calls(monkeypatch):
 
 @pytest.mark.parametrize("form_id", ["su(2,1)", "sl(3,R)", "so(4,3)", "split(E8)"])
 def test_a_validated_involution_is_chased_once(chase_calls, form_id):
-    rs, inv = form(form_id)
+    rs, inv, _ = form(form_id)
     lam = rs.rho + rs.fundamental_weights[0]
     chase_calls.clear()
     again = validate_involution(rs, inv.theta)
@@ -257,7 +249,7 @@ def test_a_validated_involution_is_chased_once(chase_calls, form_id):
 
 
 def test_verdict_consistency_fields():
-    rs, inv = form("su(2,1)")
+    rs, inv, _ = form("su(2,1)")
     v = compact_cartan_verdict(rs, inv, oracle_compact_rank_equal=True)
     assert v.minus_sigma_in_weyl and v.compact_cartan
     assert v.oracle_compact_rank_equal is True and v.consistent is True
@@ -266,17 +258,17 @@ def test_verdict_consistency_fields():
 
 
 def test_extended_weyl_group_coset_structure():
-    rs, inv = form("su(2,1)")
+    rs, inv, _ = form("su(2,1)")
     ext = extended_weyl_group(rs, inv)
     assert ext.coset_structure == "W" and ext.is_plain_weyl
-    rs3, inv3 = form("sl(3,R)")
+    rs3, inv3, _ = form("sl(3,R)")
     ext3 = extended_weyl_group(rs3, inv3)
     assert ext3.coset_structure == "W + twisted" and not ext3.is_plain_weyl
     assert ext3.minus_sigma == inv3.theta
 
 
 def test_apply_extended_semantics():
-    rs, inv = form("sl(3,R)")
+    rs, inv, _ = form("sl(3,R)")
     lam = rs.rho + rs.fundamental_weights[0]
     plain = ExtendedElement(weyl=rs.simple_reflection(0), twisted=False)
     assert apply_extended(inv, plain, lam) == apply(rs.simple_reflection(0), lam)
@@ -285,7 +277,7 @@ def test_apply_extended_semantics():
 
 
 def test_extended_element_identity_map():
-    rs, inv = form("su(2,1)")
+    rs, inv, _ = form("su(2,1)")
     assert ExtendedElement(rs.identity, twisted=False).is_identity_map(inv)
     witness = theta_in_weyl(rs, inv)
     assert ExtendedElement(witness, twisted=True).is_identity_map(inv)
@@ -298,7 +290,7 @@ def test_extended_element_identity_map():
 
 
 def test_stabilizer_trivial_for_regular_weight_when_theta_inner():
-    rs, inv = form("su(2,1)")
+    rs, inv, _ = form("su(2,1)")
     report = extended_stabilizer(rs, inv, rs.rho)
     assert report.is_regular and report.minus_sigma_in_weyl
     assert report.is_trivial
@@ -308,7 +300,7 @@ def test_stabilizer_trivial_for_regular_weight_when_theta_inner():
 def test_stabilizer_sees_twisted_fixer_on_symmetric_weight():
     # on sl(3,R), rho is symmetric under the diagram flip, so the twisted
     # coset contains a fixer even though rho is regular
-    rs, inv = form("sl(3,R)")
+    rs, inv, _ = form("sl(3,R)")
     report = extended_stabilizer(rs, inv, rs.rho)
     assert report.is_regular
     assert not report.minus_sigma_in_weyl
@@ -320,7 +312,7 @@ def test_stabilizer_sees_twisted_fixer_on_symmetric_weight():
 
 
 def test_stabilizer_trivial_for_asymmetric_regular_weight():
-    rs, inv = form("sl(3,R)")
+    rs, inv, _ = form("sl(3,R)")
     lam = rs.rho + rs.fundamental_weights[1]  # fw coords (1, 2)
     report = extended_stabilizer(rs, inv, lam)
     assert report.is_regular
@@ -329,7 +321,7 @@ def test_stabilizer_trivial_for_asymmetric_regular_weight():
 
 
 def test_stabilizer_nontrivial_for_singular_weight():
-    rs, inv = form("sl(3,R)")
+    rs, inv, _ = form("sl(3,R)")
     report = extended_stabilizer(rs, inv, rs.fundamental_weights[0])
     assert not report.is_regular
     assert report.weyl_fixers
@@ -344,14 +336,14 @@ def test_stabilizer_nontrivial_for_singular_weight():
 
 
 def test_consequence_on_strongly_regular_weight():
-    rs, inv = form("su(2,1)")
+    rs, inv, _ = form("su(2,1)")
     out = sr_implies_compact_cartan(rs, inv, rs.rho)
     assert out.strongly_regular and out.minus_sigma_in_weyl and out.consistent
     assert out.witness is not None
 
 
 def test_consequence_vacuous_when_not_strongly_regular():
-    rs, inv = form("sl(3,R)")
+    rs, inv, _ = form("sl(3,R)")
     out = sr_implies_compact_cartan(rs, inv, rs.rho)
     assert not out.strongly_regular
     assert not out.minus_sigma_in_weyl
@@ -361,7 +353,7 @@ def test_consequence_vacuous_when_not_strongly_regular():
 def test_consequence_requires_orbit_symmetry():
     # when -sigma(lam) is not in the orbit of lam the hypothesis of the
     # implication cannot be satisfied at all
-    rs, inv = form("sl(3,R)")
+    rs, inv, _ = form("sl(3,R)")
     lam = rs.rho + rs.fundamental_weights[1]
     with pytest.raises(HypothesisFailed):
         sr_implies_compact_cartan(rs, inv, lam)

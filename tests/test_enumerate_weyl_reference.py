@@ -2,11 +2,10 @@
 
 ``enumerate_weyl`` keys each element w by the int tuple w^-1 (2 rho) and the
 right multiple w s_i by s_i(w^-1 (2 rho)), building a matrix only for a new
-key.  The reference below is the closure as it was before: every right
-multiple is built as a ``WeylElement`` and deduplicated by its matrix.  Both
-return (matrix, word) sets, and the words are compared too, since reports
-print them.  The exact-sequence references enumerate through this reference,
-so none of them shares the kernel under test.
+key.  The reference is the closure as it was before,
+``weyl_reference.reference_enumerate_weyl``: every right multiple is built as
+a ``WeylElement`` and deduplicated by its matrix.  Both return (matrix, word)
+sets, and the words are compared too, since reports print them.
 
 Mutations these tests catch: the key of w s_i taken as s_i(w (2 rho)) in
 place of s_i(w^-1 (2 rho)), the generators tried in descending order (words
@@ -20,33 +19,12 @@ from hypothesis import strategies as st
 
 from cartan_ds import CapExceeded, build_root_system, enumerate_weyl, weyl_order
 from cartan_ds import rootdata
-from cartan_ds.rootdata import DEFAULT_CAP, WeylElement, closure
+from weyl_reference import reference_enumerate_weyl
 
 IRREDUCIBLE_TYPES = (
     ["A1", "A2", "A3", "A4", "A5", "B1", "B2", "B3", "B4", "B5", "C1", "C2", "C3", "C4"]
     + ["C5", "D2", "D3", "D4", "D5", "F4", "G2"]
 )
-
-
-def reference_enumerate_weyl(rs, cap=DEFAULT_CAP):
-    """All Weyl-group elements, breadth first under right multiplication,
-    each right multiple built and deduplicated by its matrix."""
-    order = weyl_order(rs.cartan_type)
-    if order > cap:
-        raise CapExceeded(f"Weyl group order {order} exceeded cap {cap}")
-    a = rs.cartan_matrix
-    n = rs.rank
-
-    def right_multiples(w):
-        m = w.matrix
-        for i in range(n):
-            ai = a[i]
-            yield WeylElement(
-                tuple(tuple(m[k][j] - m[k][i] * ai[j] for j in range(n)) for k in range(n)),
-                w.word + (i,),
-            )
-
-    return frozenset(closure((rs.identity,), right_multiples))
 
 
 def _pairs(group):

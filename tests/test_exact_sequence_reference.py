@@ -15,7 +15,11 @@ commutant sets are compared on every form, outer theta (theta not in W) among
 them.  The vanishing group is closed as the orbit of 2 rho, and the kernel
 compared with it on w (2 rho); the reference closes it as matrix products and
 compares Weyl elements.  The references enumerate W through
-``reference_enumerate_weyl``.
+``reference_enumerate_weyl``.  This is the one exact-sequence reference: it
+also reproduces the order of the errors (``PreconditionFailed``,
+``CapExceeded``).  Its inputs are the catalog forms with |W| <= 46080, every
+theta = +-w on ``PM_W_TYPES`` (theta = s_i among them, which re-chooses the
+chamber and leaves vanishing roots) and the seeded random involutions.
 
 Mutations these tests catch: a divisibility test on the coefficient
 2 (v, b) / nb in place of the numerators, vanishing roots taken from all roots
@@ -37,8 +41,6 @@ from cartan_ds import (
     PreconditionFailed,
     build_default_catalog,
     build_root_system,
-    entry_involution,
-    entry_root_system,
     restricted_roots,
     validate_involution,
     verify_exact_sequence,
@@ -46,10 +48,9 @@ from cartan_ds import (
 )
 from cartan_ds.realform import _theta_commutant
 from cartan_ds.rootdata import DEFAULT_CAP, _int_mat_mul, _int_mat_vec, closure
-from test_enumerate_weyl_reference import reference_enumerate_weyl
-from test_int_kernel_reference import _random_matrix
-from test_restricted_reference import PM_W_TYPES, pm_w_involutions
+from forms import PM_W_TYPES, form, pm_w_involutions, random_matrix
 from weight_reference import restricted_weights
+from weyl_reference import reference_enumerate_weyl
 
 # on G2 the restricted roots of this theta are +-v/2, +-v and +-3v/2: the
 # reflection coefficient 2 (v, b) / nb is 2/3, yet the image is integral
@@ -155,9 +156,8 @@ def _tally():
 def test_catalog_matches_reference():
     tally, outer = _tally(), Counter()
     for entry in build_default_catalog():
-        rs = entry_root_system(entry)
-        if weyl_order(rs.cartan_type) <= 46080:
-            assert_matches_reference(rs, entry_involution(entry, rs=rs), entry.id, tally, outer)
+        if weyl_order(entry.cartan_type) <= 46080:
+            assert_matches_reference(*form(entry.id)[:2], entry.id, tally, outer)
     # every catalog form is a real form, and its sequence is exact
     assert tally == {"passed": 53, "failed": 0, "PreconditionFailed": 0}
     # theta is outer on sl(n,R) and split(A_n) for n >= 3 and on so(p,q) with p, q odd
@@ -176,6 +176,16 @@ def test_pm_weyl_involutions_match_reference():
     assert tally["PreconditionFailed"] >= 50 and tally["failed"] >= 5
 
 
+def test_simple_reflection_involutions_pass():
+    # theta = s_i re-chooses the chamber and leaves vanishing roots; each is
+    # compared with the reference among the +-w involutions above
+    for t in ("A2", "B2", "G2", "A3", "B3"):
+        rs = build_root_system(t)
+        for i in range(rs.rank):
+            inv = validate_involution(rs, rs.simple_reflection(i).matrix)
+            assert verify_exact_sequence(rs, inv).passed, (t, i)
+
+
 def test_random_involutions_match_reference():
     # the draws of the random-matrix test of validate_involution
     rng = random.Random(20)
@@ -184,7 +194,7 @@ def test_random_involutions_match_reference():
     for k in range(2400):
         rs = rng.choice(types)
         try:
-            inv = validate_involution(rs, _random_matrix(rng, rs))
+            inv = validate_involution(rs, random_matrix(rng, rs))
         except CartanDSError:
             continue
         assert_matches_reference(rs, inv, k, tally, outer)

@@ -1,6 +1,5 @@
 """Exact square-root margins, the dual cone, and the square-integrability check."""
 
-import functools
 import random
 from fractions import Fraction
 
@@ -18,36 +17,26 @@ from cartan_ds import (
     antidominant_restriction,
     apply,
     build_default_catalog,
-    catalog_form,
     cone_position,
     default_catalog_ids,
     dominant_representative,
     dominates,
     dual_chamber,
-    entry_involution,
-    entry_root_system,
     l2_check,
     leading_exponents,
     longest_element,
     monoid_member,
     orbit_plus,
     orbit_restrictions,
-    restricted_roots,
     sorted_exponents,
     validate_datum,
 )
 from cartan_ds.exponents import BOUNDARY_OR_OUTSIDE, NEG_INTERIOR
+from forms import form
 import linalg_reference
 from weight_reference import restricted_weights
 
 F = Fraction
-
-
-def form(form_id):
-    entry = catalog_form(form_id)
-    rs = entry_root_system(entry)
-    inv = entry_involution(entry, rs=rs)
-    return rs, inv, restricted_roots(rs, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +277,9 @@ def test_orbit_plus_nonempty_across_small_forms():
     # is degenerate and the selection is empty; every other form must offer
     # at least one orbit element whose restriction lies in the open cone
     for entry in build_default_catalog():
-        rs = entry_root_system(entry)
-        if rs.rank > 3:
+        if entry.rank > 3:
             continue
-        inv = entry_involution(entry, rs=rs)
-        rrs = restricted_roots(rs, inv)
+        rs, inv, rrs = form(entry.id)
         plus = orbit_plus(rs, inv, rs.rho)
         if restricted_weights(rrs).positive_restricted:
             assert plus, entry.id
@@ -304,13 +291,12 @@ def test_admissible_exponents_match_orbit_plus_restrictions():
     rng = random.Random(4)
     checked = 0
     for entry in build_default_catalog():
-        rs = entry_root_system(entry)
-        if rs.rank > 3:
+        if entry.rank > 3:
             continue
-        inv = entry_involution(entry, rs=rs)
+        rs, inv, rrs = form(entry.id)
         if inv.split_rank == 0:
             continue
-        chamber = dual_chamber(restricted_roots(rs, inv))
+        chamber = dual_chamber(rrs)
         seeded = [
             Weight.of(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rs.rank))
             for _ in range(3)
@@ -335,8 +321,7 @@ def test_antidominant_restriction_matches_reference_on_catalog():
     rng = random.Random(8)
     checked = 0
     for entry in build_default_catalog():
-        rs = entry_root_system(entry)
-        inv = entry_involution(entry, rs=rs)
+        rs, inv, _ = form(entry.id)
         seeded = [
             Weight.of(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rs.rank))
             for _ in range(10)
@@ -348,13 +333,10 @@ def test_antidominant_restriction_matches_reference_on_catalog():
     assert checked > 800
 
 
-cached_form = functools.cache(form)
-
-
 @settings(deadline=None, derandomize=True, max_examples=200)
 @given(form_id=st.sampled_from(default_catalog_ids()), data=st.data())
 def test_antidominant_restriction_matches_reference_on_drawn_weights(form_id, data):
-    rs, inv, _ = cached_form(form_id)
+    rs, inv, _ = form(form_id)
     lam = Weight.of(data.draw(st.lists(rationals, min_size=rs.rank, max_size=rs.rank)))
     want = antidominant_restriction_reference(rs, inv, lam)
     assert antidominant_restriction(rs, inv, lam) == want

@@ -23,8 +23,8 @@ highest negative pairing.
 d of its denominators and tests t^2 = d^2 1, t^T F t = d^2 F and d = 1 on
 ints; ``weight_spectrum`` closes int tuples.  The references below are the
 Fraction column build and Fraction root walk, the Fraction matrix products
-with an integrality test, and the closure through the Fraction simple
-reflection of ``linalg_reference``.
+with an integrality test (``weyl_reference.reference_checks``), and the
+closure through the Fraction simple reflection of ``linalg_reference``.
 
 Mutations these tests catch: d in place of d^2 in the involution or the
 isometry test, a lattice test that lets d = 2..5 through, a reflection word
@@ -55,9 +55,10 @@ from cartan_ds import (
     weight_spectrum,
     word_element,
 )
-from cartan_ds import linalg
 from cartan_ds.rootdata import WeylElement, _chase, apply_matrix, closure, enumerate_weyl
+from forms import random_matrix
 import linalg_reference
+from weyl_reference import assert_checks_match
 
 CATALOG_TYPES = sorted({entry.cartan_type for entry in build_default_catalog()})
 
@@ -267,40 +268,6 @@ def test_weight_spectrum_of_a_fractional_weight():
     assert len(spectrum) == 3
 
 
-def reference_checks(rs, rows):
-    """The Fraction checks of validate_involution, in the same order."""
-    theta = linalg.matrix(rows)
-    n = rs.rank
-    if len(theta) != n or any(len(r) != n for r in theta):
-        raise RankMismatch("involution matrix size does not match rank")
-    if linalg.mat_mul(theta, theta) != linalg.identity(n):
-        raise NotInvolution("matrix does not square to the identity")
-    transpose = tuple(zip(*theta))
-    if linalg.mat_mul(linalg.mat_mul(transpose, rs.form), theta) != rs.form:
-        raise NotIsometric("matrix does not preserve the invariant pairing")
-    if any(x.denominator != 1 for row in theta for x in row):
-        raise NotRootPreserving("matrix does not preserve the root lattice")
-    theta = linalg_reference.as_int_matrix(theta)
-    all_roots = rs.all_roots
-    for root in all_roots:
-        if apply_matrix(theta, root) not in all_roots:
-            raise NotRootPreserving("matrix does not permute the roots")
-    return theta
-
-
-def assert_checks_match(rs, rows):
-    """validate_involution raises what the reference raises, or accepts."""
-    try:
-        expected = reference_checks(rs, rows)
-    except (RankMismatch, NotInvolution, NotIsometric, NotRootPreserving) as exc:
-        with pytest.raises(type(exc)) as info:
-            validate_involution(rs, rows)
-        assert str(info.value) == str(exc)
-        return type(exc)
-    assert validate_involution(rs, rows).theta == expected
-    return None
-
-
 @pytest.mark.parametrize(
     "cartan_type", CATALOG_TYPES[: CATALOG_TYPES.index("D4") + 1] + ["A1xA1", "G2"]
 )
@@ -314,39 +281,13 @@ def test_validate_involution_matches_reference_on_signed_weyl_elements(cartan_ty
     assert None in outcomes and outcomes <= {None, NotInvolution}
 
 
-def _random_rational(rng):
-    return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 5]))
-
-
-def _random_matrix(rng, rs):
-    """A random rational matrix, a rational reflection in the invariant form,
-    or a conjugate of a diagonal sign matrix."""
-    n = rs.rank
-    kind = rng.randrange(3)
-    if kind == 0:
-        return [[_random_rational(rng) for _ in range(n)] for _ in range(n)]
-    if kind == 1:
-        v = Weight(tuple(_random_rational(rng) for _ in range(n)))
-        if v.is_zero():
-            v = rs.simple_roots[0]
-        # s_v(e_j) = e_j - 2 (e_j, v) / (v, v) v
-        c = [2 * rs.pairing(e, v) / rs.norm_sq(v) for e in rs.simple_roots]
-        return [[(k == j) - c[j] * v.coords[k] for j in range(n)] for k in range(n)]
-    while True:
-        p = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
-        if linalg_reference.rank(p) == n:
-            break
-    d = [[rng.choice((1, -1)) if i == j else 0 for j in range(n)] for i in range(n)]
-    return linalg.mat_mul(linalg.mat_mul(p, d), linalg_reference.inverse(p))
-
-
 def test_validate_involution_matches_reference_on_random_rational_matrices():
     rng = random.Random(20)
     types = [build_root_system(t) for t in ["A1", "A1xA1", "A2", "B2", "G2", "A3", "B3"]]
     outcomes = {}
     for _ in range(2400):
         rs = rng.choice(types)
-        outcome = assert_checks_match(rs, _random_matrix(rng, rs))
+        outcome = assert_checks_match(rs, random_matrix(rng, rs))
         outcomes[outcome] = outcomes.get(outcome, 0) + 1
     # every check is reached, and some matrices pass them all
     assert set(outcomes) == {None, NotInvolution, NotIsometric, NotRootPreserving}

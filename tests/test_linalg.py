@@ -59,8 +59,8 @@ def test_mat_mul_against_hand_product():
 
 
 def test_rank_of_singular_matrix():
-    assert linalg.rank(linalg.matrix([[1, 2], [2, 4]])) == 1
-    assert linalg.rank(linalg.identity(3)) == 3
+    assert linalg.row_reduce([[1, 2], [2, 4]], 2)[0] == [0]
+    assert linalg.row_reduce([list(row) for row in linalg.int_identity(3)], 3)[0] == [0, 1, 2]
 
 
 def test_solve_exact_system():
@@ -84,19 +84,19 @@ def test_solve_underdetermined_is_deterministic():
 
 def test_nullspace_of_projection():
     a = linalg.matrix([[1, -1], [-1, 1]])
-    basis = linalg.nullspace(a)
-    assert len(basis) == 1
+    basis, d = linalg.int_nullspace(a)
+    assert len(basis) == 1 and d > 0
     assert linalg_reference.mat_vec(a, basis[0]) == (F(0), F(0))
 
 
 def test_nullspace_of_invertible_is_empty():
-    assert linalg.nullspace(linalg.matrix([[2, 1], [1, 1]])) == []
+    assert linalg.int_nullspace(linalg.matrix([[2, 1], [1, 1]]))[0] == []
 
 
 def test_inverse_hand_case():
     a = linalg.matrix([[2, 1], [1, 1]])
     inv = linalg.inverse(a)
-    assert linalg.mat_mul(a, inv) == linalg.identity(2)
+    assert linalg.mat_mul(a, inv) == linalg.int_identity(2)
 
 
 def test_inverse_rejects_singular():
@@ -122,18 +122,18 @@ def test_solve_solution_satisfies_system(a, b):
 @settings(deadline=None, derandomize=True)
 @given(square_matrices(3))
 def test_nullspace_vectors_are_annihilated(a):
-    basis = linalg.nullspace(a)
+    basis, _ = linalg.int_nullspace(a)
     zero = (F(0),) * 3
     for v in basis:
         assert linalg_reference.mat_vec(a, v) == zero
-    assert linalg.rank(a) + len(basis) == 3
+    assert linalg_reference.rank(a) + len(basis) == 3
 
 
 @settings(deadline=None, derandomize=True)
 @given(square_matrices(3))
 def test_inverse_roundtrip_when_regular(a):
-    if linalg.rank(a) < 3:
+    if linalg_reference.rank(a) < 3:
         return
     inv = linalg.inverse(a)
-    assert linalg.mat_mul(a, inv) == linalg.identity(3)
-    assert linalg.mat_mul(inv, a) == linalg.identity(3)
+    assert linalg.mat_mul(a, inv) == linalg.int_identity(3)
+    assert linalg.mat_mul(inv, a) == linalg.int_identity(3)

@@ -39,19 +39,16 @@ from cartan_ds import (
     build_default_catalog,
     build_root_system,
     cone_position,
-    entry_involution,
-    entry_root_system,
     orbit_plus,
     orbit_restrictions,
-    restricted_roots,
     sorted_exponents,
     validate_datum,
     weyl_orbit,
     weyl_order,
 )
 from cartan_ds.rootdata import DEFAULT_CAP, _wall_group_order, closure
+from forms import form
 from linalg_reference import reflect
-from test_cone_margin_reference import form
 
 CAP = 2000
 
@@ -112,9 +109,7 @@ def test_orbit_functions_match_reference_on_catalog():
     rng = random.Random(9)
     forms = compared = 0
     for entry in build_default_catalog():
-        rs = entry_root_system(entry)
-        inv = entry_involution(entry, rs=rs)
-        rrs = restricted_roots(rs, inv)
+        rs, inv, rrs = form(entry.id)
         seeded = [
             Weight.of(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rs.rank))
             for _ in range(3)

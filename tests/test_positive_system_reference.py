@@ -56,9 +56,10 @@ from cartan_ds.rootdata import (
     format_cartan_type,
     word_element,
 )
-from test_int_kernel_reference import _random_matrix, assert_checks_match
-from test_restricted_reference import PM_W_TYPES, pm_w_involutions, reference_vanishing
+from forms import PM_W_TYPES, pm_w_involutions, random_matrix
+from restricted_reference import reference_vanishing
 from weight_reference import restricted_weights
+from weyl_reference import assert_checks_match
 
 HALF = Fraction(1, 2)
 
@@ -286,7 +287,7 @@ def test_random_involutions_match_reference():
     for k in range(2400):
         rs = rng.choice(types)
         try:
-            inv = validate_involution(rs, _random_matrix(rng, rs))
+            inv = validate_involution(rs, random_matrix(rng, rs))
         except CartanDSError:
             continue
         assert_matches_reference(rs, inv, k, relabels)

@@ -8,7 +8,6 @@ import pytest
 
 from cartan_ds import (
     CapExceeded,
-    ExactSequenceReport,
     FormalDSDatum,
     NotInvolution,
     NotIsometric,
@@ -20,13 +19,10 @@ from cartan_ds import (
     apply,
     build_default_catalog,
     build_root_system,
-    catalog_form,
     admissible_exponents,
     antidominant_restriction,
     classify_restricted_type,
     compact_cartan_verdict,
-    entry_involution,
-    entry_root_system,
     extended_stabilizer,
     extended_weyl_group,
     longest_element,
@@ -38,22 +34,14 @@ from cartan_ds import (
     theta_in_weyl,
     validate_involution,
     verify_exact_sequence,
-    weyl_order,
 )
 from cartan_ds import linalg
 from cartan_ds.realform import _positive_and_simple, _read_matrix
+from forms import form
 import linalg_reference
-from test_enumerate_weyl_reference import reference_enumerate_weyl
 from weight_reference import restricted_weights
 
 HALF = Fraction(1, 2)
-
-
-def form(form_id):
-    entry = catalog_form(form_id)
-    rs = entry_root_system(entry)
-    inv = entry_involution(entry, rs=rs)
-    return rs, inv
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +158,7 @@ def test_validate_accepts_identity_and_minus_identity():
 
 
 def test_restriction_is_projection_onto_split_part():
-    rs, inv = form("su(2,1)")
+    rs, inv, _ = form("su(2,1)")
     for lam in list(rs.all_roots) + [rs.rho, rs.fundamental_weights[0]]:
         bar = inv.restrict(lam)
         # theta acts by -1 on the restriction
@@ -183,8 +171,7 @@ def test_integer_actions_match_rational_reference_across_catalog():
     """apply, fw_coords, act and restrict against Fraction linalg_reference.mat_vec."""
     rng = random.Random(2007)
     for entry in build_default_catalog():
-        rs = entry_root_system(entry)
-        inv = entry_involution(entry, rs=rs)
+        rs, inv, _ = form(entry.id)
         w0 = longest_element(rs)
         weights = [rs.rho, *rs.fundamental_weights] + [
             Weight.of(Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(rs.rank))
@@ -202,7 +189,7 @@ def test_integer_actions_match_rational_reference_across_catalog():
 
 
 def test_from_split_coords():
-    rs, inv = form("su(3,1)")
+    rs, inv, _ = form("su(3,1)")
     assert inv.split_rank == 1
     b = inv.split_basis[0]
     assert inv.from_split_coords([Fraction(-7, 3)]) == b.scale(Fraction(-7, 3))
@@ -216,7 +203,7 @@ def test_from_split_coords():
 
 
 def test_default_positive_system_kept_when_compatible():
-    _, inv = form("su(2,1)")
+    _, inv, _ = form("su(2,1)")
     assert inv.default_compatible
     assert inv.chamber.word == ()
 
@@ -244,8 +231,7 @@ def test_positive_system_rechosen_for_simple_reflection_involution():
 
 
 def test_su21_restricted_data():
-    rs, inv = form("su(2,1)")
-    rrs = restricted_roots(rs, inv)
+    rs, inv, rrs = form("su(2,1)")
     views = restricted_weights(rrs)
     half_rho = rs.rho.scale(HALF)
     assert views.positive_restricted == frozenset({half_rho, rs.rho})
@@ -262,8 +248,7 @@ def test_su21_restricted_data():
 
 
 def test_so41_restricted_data():
-    rs, inv = form("so(4,1)")
-    rrs = restricted_roots(rs, inv)
+    rs, inv, rrs = form("so(4,1)")
     views = restricted_weights(rrs)
     assert inv.split_rank == 1
     assert len(views.vanishing_roots) == 2
@@ -274,16 +259,14 @@ def test_so41_restricted_data():
 
 
 def test_compact_form_has_no_restricted_roots():
-    rs, inv = form("compact(A2)")
-    rrs = restricted_roots(rs, inv)
+    rs, inv, rrs = form("compact(A2)")
     assert rrs.restricted_roots == frozenset()
     assert restricted_weights(rrs).vanishing_roots == frozenset(rs.all_roots)
     assert classify_restricted_type(rrs) == "0"
 
 
 def test_split_form_restricted_system_is_the_full_system():
-    rs, inv = form("split(G2)")
-    rrs = restricted_roots(rs, inv)
+    rs, inv, rrs = form("split(G2)")
     assert rrs.restricted_roots == frozenset(rs.all_roots)
     views = restricted_weights(rrs)
     assert all(m == 1 for m in views.multiplicity.values())
@@ -313,16 +296,13 @@ def test_split_form_restricted_system_is_the_full_system():
     ],
 )
 def test_restricted_type_classification(form_id, label):
-    rs, inv = form(form_id)
-    rrs = restricted_roots(rs, inv)
+    rs, inv, rrs = form(form_id)
     assert classify_restricted_type(rrs) == label
 
 
 def test_multiplicity_identity_across_whole_catalog():
     for entry in build_default_catalog():
-        rs = entry_root_system(entry)
-        inv = entry_involution(entry, rs=rs)
-        rrs = restricted_roots(rs, inv)
+        rs, inv, rrs = form(entry.id)
         assert multiplicity_identity_holds(rrs), entry.id
         # the simple restricted roots are a basis of the split part
         assert len(rrs.simple_restricted) == inv.split_rank
@@ -332,9 +312,7 @@ def test_stored_simple_restricted_roots_match_the_difference_test():
     # classify_restricted_type reads doubled_simple and doubled_positive
     # instead of running _positive_and_simple again
     for entry in build_default_catalog():
-        rs = entry_root_system(entry)
-        inv = entry_involution(entry, rs=rs)
-        rrs = restricted_roots(rs, inv)
+        rs, inv, rrs = form(entry.id)
         positive, simple = _positive_and_simple(inv)
         assert rrs.doubled_simple == tuple(simple), entry.id
         assert rrs.doubled_positive == positive, entry.id
@@ -357,7 +335,7 @@ def test_stored_simple_restricted_roots_match_the_difference_test():
     ],
 )
 def test_exact_sequence_orders(form_id, orders):
-    rs, inv = form(form_id)
+    rs, inv, _ = form(form_id)
     report = verify_exact_sequence(rs, inv)
     assert report.passed
     assert (
@@ -406,102 +384,9 @@ def test_non_reduced_restricted_roots_short_of_bc_are_unlabeled(cartan_type, the
 
 
 def test_exact_sequence_cap():
-    rs, inv = form("split(B3)")
+    rs, inv, _ = form("split(B3)")
     with pytest.raises(CapExceeded):
         verify_exact_sequence(rs, inv, cap=10)
-
-
-def _reference_exact_sequence(rs, inv):
-    """The exact-sequence check on Fraction split-basis coordinates.
-
-    Each theta-commuting element acts on the split part as the matrix whose
-    columns solve for the images of the split basis vectors; the restricted
-    Weyl group is closed as Fraction matrices of the reflections s_beta.
-    """
-    views = restricted_weights(restricted_roots(rs, inv))
-    r = inv.split_rank
-    basis_cols = tuple(
-        tuple(b.coords[i] for b in inv.split_basis) for i in range(rs.rank)
-    )
-
-    def split_coords(v):
-        sol = linalg_reference.solve(basis_cols, v.coords)
-        assert sol is not None
-        return sol
-
-    def action(w):
-        cols = [split_coords(apply(w, b)) for b in inv.split_basis]
-        return tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
-
-    def close(gens, ident, mul):
-        seen, frontier = {ident}, [ident]
-        while frontier:
-            nxt = [mul(x, g) for x in frontier for g in gens]
-            frontier = [y for y in dict.fromkeys(nxt) if y not in seen]
-            seen.update(frontier)
-        return seen
-
-    theta = inv.theta
-    commutant = [
-        w
-        for w in reference_enumerate_weyl(rs)
-        if linalg.mat_mul(w.matrix, theta) == linalg.mat_mul(theta, w.matrix)
-    ]
-    vanishing = close(
-        [rs.reflection_in_root(g) for g in views.vanishing_roots],
-        rs.identity,
-        lambda x, g: x.compose(g),
-    )
-    gram = tuple(
-        tuple(rs.pairing(a, b) for b in inv.split_basis) for a in inv.split_basis
-    )
-
-    def pair(x, y):
-        return sum(x[i] * gram[i][j] * y[j] for i in range(r) for j in range(r))
-
-    gens = []
-    for beta in views.indivisible & views.positive_restricted:
-        b = split_coords(beta)
-        cols = []
-        for j in range(r):
-            e = tuple(Fraction(int(i == j)) for i in range(r))
-            c = 2 * pair(e, b) / pair(b, b)
-            cols.append(tuple(e[i] - c * b[i] for i in range(r)))
-        gens.append(tuple(tuple(cols[j][i] for j in range(r)) for i in range(r)))
-    restricted = close(gens, linalg.identity(r) if r else (), linalg.mat_mul)
-    actions = {w: action(w) for w in commutant}
-    ident = linalg.identity(r) if r else ()
-    return ExactSequenceReport(
-        order_commutant=len(commutant),
-        order_vanishing=len(vanishing),
-        order_restricted=len(restricted),
-        kernel_matches={w for w, a in actions.items() if a == ident} == vanishing,
-        image_matches=set(actions.values()) == restricted,
-        order_identity=len(commutant) == len(vanishing) * len(restricted),
-    )
-
-
-def _sequence_cases():
-    for entry in build_default_catalog():
-        rs = entry_root_system(entry)
-        if weyl_order(rs.cartan_type) <= 1152:
-            yield entry.id, rs, entry_involution(entry, rs=rs)
-    # theta = s_i re-chooses the chamber and leaves vanishing roots
-    for t in ("A2", "B2", "G2", "A3", "B3"):
-        rs = build_root_system(t)
-        for i in range(rs.rank):
-            yield f"{t} s_{i}", rs, validate_involution(rs, rs.simple_reflection(i).matrix)
-
-
-def test_exact_sequence_matches_fraction_matrix_reference():
-    """Index tuples on the restricted roots against split-coordinate matrices."""
-    checked = 0
-    for name, rs, inv in _sequence_cases():
-        report = verify_exact_sequence(rs, inv)
-        assert report == _reference_exact_sequence(rs, inv), name
-        assert report.passed, name
-        checked += 1
-    assert checked >= 45
 
 
 def test_involution_from_another_root_system_is_refused():
@@ -513,9 +398,9 @@ def test_involution_from_another_root_system_is_refused():
     swap = validate_involution(build_root_system("A1xA1"), [[0, 1], [1, 0]])
     rrs = restricted_roots(b2, minus_one)
     # a chamber of another type, or of another involution of the same type
-    sl3_rs, sl3 = form("sl(3,R)")
-    b3_chamber = restricted_roots(*form("split(B3)"))
-    su21_chamber = restricted_roots(*form("su(2,1)"))
+    sl3_rs, sl3, _ = form("sl(3,R)")
+    b3_chamber = form("split(B3)")[2]
+    su21_chamber = form("su(2,1)")[2]
     datum = FormalDSDatum(weight=sl3_rs.rho, exponents=frozenset())
     calls = [
         lambda: restricted_roots(a2, minus_one),

@@ -3,45 +3,31 @@
 ``restricted_roots`` finds everything on the doubled int restrictions, keeps
 the vanishing roots as root indices, and reads each facet ray's integer
 covector, scale and squared norm from the int adjugate of the Gram matrix;
-the references below are the Weight-sum construction, the Fraction dual
-chamber and the Fraction cone position it replaced, kept here to compare
-against, and the vanishing set read off the Weight-keyed table
-(``reference_vanishing``, compared in ``tests/test_positive_system_reference.py``
-on the catalog, the +-w involutions and the seeded matrices).
-``reference_cone_position`` reads nothing of the chamber but its simple
-restricted roots; ``tests/test_cone_margin_reference.py`` uses it too.
+the reference below is the Weight-sum construction it replaced, and the
+Fraction dual chamber and cone position are those of
+``tests/restricted_reference.py``.
 """
 
-import functools
 import math
-import operator
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartan_ds import (
-    CartanDSError,
-    SignedSqrt,
     Weight,
     build_default_catalog,
-    build_root_system,
-    catalog_form,
     cone_position,
-    entry_involution,
-    entry_root_system,
-    enumerate_weyl,
     monoid_member,
     restricted_roots,
-    validate_involution,
 )
-from cartan_ds.exponents import BOUNDARY_OR_OUTSIDE, NEG_INTERIOR
 from cartan_ds.rootdata import closure
+from forms import PM_W_TYPES, form, pm_w_involutions
 import linalg_reference
+from restricted_reference import reference_chamber, reference_cone_position
 from weight_reference import restricted_weights
 
 HALF = Fraction(1, 2)
-PM_W_TYPES = ("A1", "A2", "B2", "G2", "A3", "B3", "C3", "A1xA1", "A2xA1", "D4")
 
 
 def reference_restricted(rs, inv):
@@ -72,54 +58,6 @@ def reference_restricted(rs, inv):
         "simple_restricted": simple,
         "indivisible": frozenset(v for v in restricted if v.scale(HALF) not in restricted),
     }
-
-
-def reference_vanishing(table):
-    """The roots whose doubled restriction vanishes, from a Weight-keyed table."""
-    return frozenset(root for root, d in table.items() if not any(d))
-
-
-@functools.lru_cache(maxsize=None)
-def reference_chamber(rrs):
-    """Facet rays from the Fraction Gram inverse, and fulldim."""
-    simple = rrs.simple_restricted
-    r = len(simple)
-    rays = []
-    if r:
-        gram = tuple(tuple(rrs.root_system.pairing(a, b) for b in simple) for a in simple)
-        gram_inv = linalg_reference.inverse(gram)
-        for j in range(r):
-            ray = Weight.zero(rrs.root_system.rank)
-            for k in range(r):
-                ray = ray + simple[k].scale(gram_inv[k][j])
-            rays.append(ray)
-    for gen in restricted_weights(rrs).positive_restricted:
-        assert all(rrs.root_system.pairing(gen, ray) >= 0 for ray in rays)
-    return tuple(rays), rrs.split_rank > 0 and r == rrs.split_rank
-
-
-@functools.lru_cache(maxsize=None)
-def reference_ray_data(rrs):
-    """Each facet ray's Fraction pairings with the simple roots, its squared
-    length, and fulldim."""
-    rs = rrs.root_system
-    rays, fulldim = reference_chamber(rrs)
-    covectors = [tuple(rs.pairing(e, ray) for e in rs.simple_roots) for ray in rays]
-    return covectors, [rs.pairing(ray, ray) for ray in rays], fulldim
-
-
-def reference_cone_position(rrs, v):
-    """(kind, margin, ray pairings) from Fraction pairings with the rays: one
-    SignedSqrt -p/|X| per ray, the least kept."""
-    covectors, norms, fulldim = reference_ray_data(rrs)
-    pairings = tuple(sum(map(operator.mul, v.coords, f)) for f in covectors)
-    margins = [
-        SignedSqrt(-1 if p > 0 else 1, p * p / n) if p else SignedSqrt.zero()
-        for p, n in zip(pairings, norms)
-    ]
-    interior = fulldim and all(p < 0 for p in pairings)
-    kind = NEG_INTERIOR if interior else BOUNDARY_OR_OUTSIDE
-    return kind, min(margins, default=SignedSqrt.zero()), pairings
 
 
 def reference_monoid_member(rrs, xi):
@@ -159,22 +97,9 @@ def assert_matches_reference(rs, inv, name):
     return rrs
 
 
-def pm_w_involutions(cartan_type):
-    """Every theta = +-w, w in W, that validates as an involution."""
-    rs = build_root_system(cartan_type)
-    for w in sorted(enumerate_weyl(rs), key=lambda w: w.matrix):
-        for sign in (1, -1):
-            theta = tuple(tuple(sign * x for x in row) for row in w.matrix)
-            try:
-                yield rs, validate_involution(rs, theta)
-            except CartanDSError:
-                continue
-
-
 def test_restricted_roots_match_reference_on_catalog():
     for entry in build_default_catalog():
-        rs = entry_root_system(entry)
-        assert_matches_reference(rs, entry_involution(entry, rs=rs), entry.id)
+        assert_matches_reference(*form(entry.id)[:2], entry.id)
 
 
 def test_restricted_roots_match_reference_on_pm_weyl_involutions():
@@ -205,10 +130,7 @@ coefficient = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 @settings(deadline=None, derandomize=True, max_examples=200)
 @given(form_id=st.sampled_from(CONE_FORMS), data=st.data())
 def test_cone_position_matches_fraction_reference(form_id, data):
-    entry = catalog_form(form_id)
-    rs = entry_root_system(entry)
-    inv = entry_involution(entry, rs=rs)
-    rrs = restricted_roots(rs, inv)
+    rs, inv, rrs = form(form_id)
     lam = Weight(tuple(data.draw(coefficient) for _ in range(rs.rank)))
     for v in (lam, inv.restrict(lam)):
         pos = cone_position(rrs, v)
@@ -218,10 +140,7 @@ def test_cone_position_matches_fraction_reference(form_id, data):
 @settings(deadline=None, derandomize=True, max_examples=200)
 @given(form_id=st.sampled_from(CONE_FORMS), data=st.data())
 def test_monoid_member_matches_solve_reference(form_id, data):
-    entry = catalog_form(form_id)
-    rs = entry_root_system(entry)
-    inv = entry_involution(entry, rs=rs)
-    rrs = restricted_roots(rs, inv)
+    rs, inv, rrs = form(form_id)
     positive = sorted(restricted_weights(rrs).positive_restricted, key=lambda w: w.coords)
     xi = Weight.zero(rs.rank)
     for beta in positive:

@@ -37,7 +37,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_cone_margin_reference import form
 
 from cartan_ds import (
     Weight,
@@ -49,6 +48,7 @@ from cartan_ds import (
     word_element,
 )
 from cartan_ds.rootdata import _weight
+from forms import form
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.workloads import MembershipStream, load_entries

@@ -20,15 +20,11 @@ from cartan_ds import (
     antidominant_restriction,
     apply,
     build_root_system,
-    catalog_form,
     cone_position,
     dominant_representative,
     dual_chamber,
-    entry_involution,
-    entry_root_system,
     extended_stabilizer,
     longest_element,
-    restricted_roots,
     strong_regularization,
     tensor_l2_condition,
     translate_line,
@@ -36,16 +32,9 @@ from cartan_ds import (
     weight_spectrum,
     weyl_orbit,
 )
+from forms import form
 
 F = Fraction
-
-
-def form(form_id):
-    entry = catalog_form(form_id)
-    rs = entry_root_system(entry)
-    inv = entry_involution(entry, rs=rs)
-    rrs = restricted_roots(rs, inv)
-    return rs, inv, rrs
 
 
 def default_datum(rs, inv, label):
