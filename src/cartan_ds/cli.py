@@ -669,8 +669,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _UsageError(Exception):
+    """A usage error found by argparse: the (sub)command parser and the message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, raising its usage errors for ``main`` to report;
+    subcommand parsers are built with the same class."""
+
+    def error(self, message: str):
+        raise _UsageError(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cartan-ds",
         description="Exact combinatorics of the compact-Cartan / strong-regularity "
         "criterion for real reductive Lie algebras.",
@@ -767,8 +779,17 @@ _PARSER = build_parser()
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one request and print its report envelope; ``timing_ms`` covers
-    the subcommand and the encoding of its outcome."""
-    args = _PARSER.parse_args(argv)
+    the subcommand and the encoding of its outcome.  With --json, a usage
+    error is a ParseError envelope; otherwise argparse reports it."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except _UsageError as exc:
+        parser, message = exc.args
+        if "--json" not in argv:
+            argparse.ArgumentParser.error(parser, message)
+        _emit_error(ParseError(f"{parser.prog}: {message}"), EXIT_INPUT, as_json=True)
+        return EXIT_INPUT
     func: Callable[[argparse.Namespace, Path], Outcome] = args.func
     start = time.monotonic()
     try:

@@ -1,25 +1,27 @@
-"""Formal exponent calculus on the split part: cones, margins, orderings.
+"""Formal exponent calculus on the split part: cones, margins, admissible sets.
 
 Exponents of matrix-coefficient asymptotics live in the dual of the split
 part.  The square-integrability condition places them in the negative open
 interior of the cone spanned by the positive restricted roots.  The
 restricted root system carries that cone's dual description (facet rays with
 integer covectors, built once by ``restricted_roots``); this module computes
-exact positions and margins relative to it, the monoid partial order on
-exponents, and the admissible subset of a Weyl orbit.
+exact positions and margins relative to it, and the admissible part of a
+Weyl orbit: the points whose restriction lies in the open negative cone.
 
 Positions are decided on ints.  A vector's int numerators have one int
 product with each ray covector; it is interior when the cone is
 full-dimensional and every product is negative, and its margin, the least
 -p/|X| over the rays, is found by sign and then by p^2 n' against p'^2 n,
 with one ``SignedSqrt`` (a sign and an exact rational square, never floating
-point) built for it.  Orbit restrictions are int tuples too: each point v of
-the int orbit (the weight times its denominator) restricts to v - theta(v),
-read by ``_admissible`` and ``_admits`` without building a Weight.  A ray's
-largest pairing over an orbit's restrictions (``_orbit_maxima``) closes no
-orbit: a ray covector c has c.(v - theta v) = 2 c.v, and the largest (wx, y)
-over W for dominant x, y is (x, y) (Humphreys, *Introduction to Lie Algebras
-and Representation Theory*, 13.2): one chase and one product per ray.
+point) built for it.  A ray covector c has c.(v - theta v) = 2 c.v, so an
+orbit point v restricts into the open cone exactly when every c.v < 0.  The
+admissible points are walked up from the orbit's antidominant point
+(``_walk``); ``validate_datum`` and ``orbit_restrictions``, which need every
+restriction, close the int orbit.  A ray's largest pairing over
+an orbit's restrictions (``_orbit_maxima``) closes no orbit either: the
+largest (wx, y) over W for dominant x, y is (x, y) (Humphreys, *Introduction
+to Lie Algebras and Representation Theory*, 13.2), one chase and one product
+per ray.
 """
 
 from __future__ import annotations
@@ -197,43 +199,6 @@ def cone_position(chamber: RestrictedRootSystem, v: Weight) -> ConePosition:
     )
 
 
-def monoid_member(rrs: RestrictedRootSystem, xi: Weight) -> bool:
-    """Is xi a nonnegative-integer combination of positive restricted roots?
-
-    Every positive restricted root is itself a nonnegative-integer
-    combination of the simple restricted roots (true also in the non-reduced
-    case), so membership is equivalent to the coordinates of xi in the
-    simple restricted basis being nonnegative integers.  The facet rays are
-    the dual basis, so those coordinates are xi's ray pairings; rebuilding xi
-    from them rules out a vector outside the span.
-    """
-    coords = cone_position(rrs, xi).ray_pairings
-    rebuilt = Weight.zero(rrs.root_system.rank)
-    for c, s in zip(coords, rrs.simple_restricted):
-        rebuilt = rebuilt + s.scale(c)
-    if rebuilt != xi:
-        return False
-    return all(c.denominator == 1 and c >= 0 for c in coords)
-
-
-def dominates(rrs: RestrictedRootSystem, a: Weight, b: Weight) -> bool:
-    """a is at least b in the monoid order: a - b lies in the monoid."""
-    return monoid_member(rrs, a - b)
-
-
-def leading_exponents(
-    rrs: RestrictedRootSystem, values: frozenset[Weight] | set[Weight]
-) -> frozenset[Weight]:
-    """The maximal elements of a finite set under the monoid order."""
-    items = list(values)
-    keep = []
-    for v in items:
-        if any(w != v and dominates(rrs, w, v) for w in items):
-            continue
-        keep.append(v)
-    return frozenset(keep)
-
-
 @dataclass(frozen=True)
 class FormalDSDatum:
     """Formal discrete-series datum: a character weight and exponent set.
@@ -277,14 +242,51 @@ def _doubled_restrictions(
     }
 
 
-def _in_neg_interior(rrs: RestrictedRootSystem, d: tuple[int, ...]) -> bool:
-    """cone_position(rrs, v).neg_interior for v a positive multiple of d: every
-    ray scale is positive, so the pairings have the signs of the int products."""
-    return rrs.fulldim and all(x < 0 for x in _int_mat_vec(rrs.ray_covectors, d))
-
-
 Admissible = tuple[int, dict[tuple[int, ...], None]]
 Maxima = tuple[Sequence[int], int]
+
+
+def _walk(chamber: RestrictedRootSystem, lam: Weight, cap: int) -> list[tuple[int, ...]]:
+    """The points u of lam's orbit times its denominator, in the coordinates
+    of theta's chamber transform (the orbit point is v = chamber u), whose
+    restriction lies in the open negative cone: every c' u = c v < 0, for c'
+    the ray's ``chamber_covectors`` row, whose entries are >= 0.
+
+    Reflecting u at a node i where q = (A u)_i < 0 raises each product by
+    -q c'[i] >= 0, so the products are least at the antidominant point
+    -dom(-lam), and every admissible point is reached from it by such steps
+    through admissible points: its chase down, reversed (Humphreys, 10.3 and
+    13.2).  An orbit past ``cap`` is refused from one chase first.
+    """
+    rs = chamber.root_system
+    coords = _nums_on(rs, -lam)
+    fws = _chase_within_cap(rs, coords, cap)
+    if not chamber.fulldim:
+        return []
+    start = tuple(-x for x in coords)
+    products = _int_mat_vec(chamber.chamber_covectors, start)
+    if max(products) >= 0:
+        return []
+    columns = tuple(zip(*chamber.chamber_covectors))
+    walked, seen = [start], {start}
+    stack = [(start, [-f for f in fws], products)]
+    while stack:
+        u, pairings, products = stack.pop()
+        for i, q in enumerate(pairings):
+            if q >= 0:
+                continue
+            raised = [x - q * c for x, c in zip(products, columns[i])]
+            v = u[:i] + (u[i] - q,) + u[i + 1 :]
+            if max(raised) >= 0 or v in seen:
+                continue
+            seen.add(v)
+            walked.append(v)
+            # s_i subtracts q alpha_i, so pairing j drops by A[j][i] q
+            moved = list(pairings)
+            for j, a_ji in rs._neighbours[i]:
+                moved[j] -= a_ji * q
+            stack.append((v, moved, raised))
+    return walked
 
 
 def _admissible(
@@ -292,11 +294,12 @@ def _admissible(
 ) -> Admissible:
     """2s for lam's denominator s, and the distinct doubled restrictions d of
     s times lam's orbit in the open negative cone, as dict keys in the order
-    found: lam's admissible exponents are d / 2s."""
+    walked (``_walk``): lam's admissible exponents are d / 2s."""
     _require_same_chamber(rs, inv, chamber)
-    scale, doubled = _doubled_restrictions(rs, inv, lam, cap)
-    distinct = set(doubled.values())
-    return 2 * scale, dict.fromkeys(d for d in distinct if _in_neg_interior(chamber, d))
+    restriction = chamber.chamber_restriction
+    return 2 * lam.den, dict.fromkeys(
+        tuple(_int_mat_vec(restriction, u)) for u in _walk(chamber, lam, cap)
+    )
 
 
 def _admits(admissible: Admissible, e: Weight) -> bool:
@@ -373,31 +376,6 @@ def validate_datum(
             )
 
 
-@dataclass(frozen=True)
-class L2Report:
-    """Outcome of the square-integrability test on a datum's exponents."""
-
-    passed: bool
-    positions: tuple[tuple[Weight, ConePosition], ...]
-
-    @property
-    def min_margin(self) -> SignedSqrt | None:
-        if not self.positions:
-            return None
-        return min(pos.margin for _, pos in self.positions)
-
-
-def l2_check(chamber: RestrictedRootSystem, datum: FormalDSDatum) -> L2Report:
-    """True iff every exponent lies in the negative open cone interior."""
-    positions = tuple(
-        (e, cone_position(chamber, e)) for e in sorted_exponents(datum)
-    )
-    return L2Report(
-        passed=all(pos.neg_interior for _, pos in positions),
-        positions=positions,
-    )
-
-
 def orbit_plus(
     rs: RootSystem,
     inv: CartanInvolution,
@@ -405,11 +383,10 @@ def orbit_plus(
     cap: int = DEFAULT_CAP,
     chamber: RestrictedRootSystem | None = None,
 ) -> frozenset[Weight]:
-    """Orbit elements whose restriction lies in the negative cone interior."""
+    """Orbit elements whose restriction lies in the negative cone interior:
+    chamber u for each point u walked (``_walk``)."""
     if chamber is None:
         chamber = restricted_roots(rs, inv)
     _require_same_chamber(rs, inv, chamber)
-    scale, doubled = _doubled_restrictions(rs, inv, lam, cap)
-    return frozenset(
-        _weight(v, scale) for v, d in doubled.items() if _in_neg_interior(chamber, d)
-    )
+    transform = inv.chamber.matrix
+    return frozenset(_weight(_int_mat_vec(transform, u), lam.den) for u in _walk(chamber, lam, cap))

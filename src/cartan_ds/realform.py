@@ -275,6 +275,9 @@ class RestrictedRootSystem:
     (v, ray) = c.v / s, and the squared length ``ray_norms[j]``.
     ``dominant_covectors[j]`` is c for the dominant point of ray j's orbit:
     the largest c.v over an orbit is its product with the dominant point.
+    In u = chamber^-1 v, the coordinates of theta's chamber transform, c.v is
+    ``chamber_covectors[j]`` . u (c's products with the compatible simple
+    roots, all >= 0) and v - theta(v) is ``chamber_restriction`` u.
     ``fulldim`` records whether the restricted roots span the whole split
     part; when they do not, the cone has empty interior there and no vector
     counts as negative-interior.
@@ -291,6 +294,8 @@ class RestrictedRootSystem:
     facet_rays: tuple[Weight, ...]
     ray_covectors: IntMat
     dominant_covectors: IntMat
+    chamber_covectors: IntMat
+    chamber_restriction: IntMat
     ray_scales: tuple[int, ...]
     ray_norms: tuple[Fraction, ...]
     fulldim: bool
@@ -333,7 +338,7 @@ def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSys
     and the facet rays are stored as weights.  Raises PreconditionFailed for an
     involution on another root system, and ConsistencyError when the simple
     restricted roots are not linearly independent or a positive restricted
-    root pairs negatively with a facet ray.
+    root, or a compatible simple root, pairs negatively with a facet ray.
     """
     _require_same_root_system(rs, inv)
     doubled = inv.doubled_restrictions
@@ -363,6 +368,10 @@ def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSys
         raise ConsistencyError("dual description disagrees with a positive restricted root")
     # F dom(ray) = symmetrizer * fws of dom(ray), divisible by g (F is W-invariant)
     dominant = [_chase(rs, list(ray))[0] for ray in rays]
+    chamber = inv.chamber.matrix
+    chamber_covectors = _int_mat_mul(covectors, chamber)
+    if any(x < 0 for row in chamber_covectors for x in row):
+        raise ConsistencyError("dual description disagrees with a compatible simple root")
     return RestrictedRootSystem(
         root_system=rs,
         involution=inv,
@@ -377,6 +386,9 @@ def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSys
         dominant_covectors=tuple(
             tuple(s * f // g for s, f in zip(rs.symmetrizer, fws)) for fws, g in zip(dominant, gcds)
         ),
+        chamber_covectors=chamber_covectors,
+        # column i: the doubled restriction of the compatible simple root chamber e_i
+        chamber_restriction=tuple(zip(*(doubled[rs.root_index[b]] for b in zip(*chamber)))),
         ray_scales=tuple(det // g for g in gcds),
         ray_norms=tuple(Fraction(4 * adj[j][j], det) for j in range(r)),
         fulldim=inv.split_rank > 0 and r == inv.split_rank,

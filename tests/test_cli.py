@@ -53,6 +53,10 @@ REPORT_DIGEST = "bd9c59fe4327e0fe4ba2ce31086284d8bc04d1023929ddb58aa1058021802c9
 WORST_CASE_DIGEST = "6d1a8021c48f4f6b7b5d8213268ee848d28a84b43746dafade6296518fd09fb3"
 
 
+#: SHA-256 of the reports of ``test_fw_shift_reports_match_pinned_digest``.
+FW_SHIFT_DIGEST = "ba9d8c367de9c24823e2ad927a64713f6a473dcd1894d52f988a1e8123c14752"
+
+
 def requests_digest(capsys, requests):
     """One SHA-256 over the ``--json`` reports of requests: the exit codes and
     the reports without ``timing_ms`` and the ``catalog_dir`` input, which
@@ -94,6 +98,25 @@ def worst_case_requests():
 
 def test_worst_case_reports_match_pinned_digest(capsys):
     assert requests_digest(capsys, worst_case_requests()) == WORST_CASE_DIGEST
+
+
+def fw_shift_requests():
+    """``strong-reg --lambda-fw e_i`` for each fundamental weight e_i of every
+    catalog form of rank <= 4: singular weights, whose admissible sets lie on
+    walls and whose searches shift on the fundamental-weight table, which is
+    not symmetric on B, C, F and G.  A transposed table changes 15 reports."""
+    return [
+        ("strong-reg", entry.id, "--lambda-fw", ",".join(str(int(j == i)) for j in range(entry.rank)))
+        for entry in build_default_catalog()
+        if entry.rank <= 4
+        for i in range(entry.rank)
+    ]
+
+
+def test_fw_shift_reports_match_pinned_digest(capsys):
+    requests = fw_shift_requests()
+    assert len(requests) == 152
+    assert requests_digest(capsys, requests) == FW_SHIFT_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +508,40 @@ def test_empty_catalog_flag_is_a_parse_error(capsys, monkeypatch, tiny_catalog):
     monkeypatch.setenv(ENV_CATALOG_DIR, "")
     rc, doc, _ = run_json(capsys, "criterion", "su(2,1)")
     assert rc == 0 and doc["inputs"]["catalog_dir"] == str(packaged_catalog_dir())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("criterion",), "cartan-ds criterion: the following arguments are required: form"),
+        (
+            ("strong-reg", "sl(3,R)", "--max-k", "x"),
+            "cartan-ds strong-reg: argument --max-k: invalid int value: 'x'",
+        ),
+        (("nonsense",), "cartan-ds: argument command: invalid choice: 'nonsense'"),
+    ],
+)
+def test_usage_error_is_a_parse_error(capsys, argv, message):
+    rc, out, err = run(capsys, *argv, "--json")
+    assert rc == 2 and err == ""
+    doc = json.loads(out)
+    assert list(doc) == ["error", "message", "exit_code"]
+    assert doc["error"] == "ParseError" and doc["exit_code"] == 2
+    assert doc["message"].startswith(message)
+    # human mode prints argparse's usage and message and exits 2
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: cartan-ds")
+    assert message.replace(": ", ": error: ", 1) in captured.err
+
+
+def test_help_is_unchanged_with_json(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["criterion", "-h", "--json"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cartan-ds criterion")
 
 
 def test_unknown_form_is_an_input_error(capsys):

@@ -1,4 +1,4 @@
-"""Exact square-root margins, the dual cone, and the square-integrability check."""
+"""Exact square-root margins, the dual cone, cone positions and admissible sets."""
 
 import random
 from fractions import Fraction
@@ -20,12 +20,8 @@ from cartan_ds import (
     cone_position,
     default_catalog_ids,
     dominant_representative,
-    dominates,
     dual_chamber,
-    l2_check,
-    leading_exponents,
     longest_element,
-    monoid_member,
     orbit_plus,
     orbit_restrictions,
     sorted_exponents,
@@ -33,7 +29,6 @@ from cartan_ds import (
 )
 from cartan_ds.exponents import BOUNDARY_OR_OUTSIDE, NEG_INTERIOR
 from forms import form
-import linalg_reference
 from weight_reference import restricted_weights
 
 F = Fraction
@@ -136,6 +131,7 @@ def test_rank_one_chamber_and_margin():
     assert pos.kind == NEG_INTERIOR
     assert pos.margin == SignedSqrt.sqrt_of(F(2))
     assert pos.ray_pairings == (F(-2),)
+    assert cone_position(ch, rs.rho).kind == BOUNDARY_OR_OUTSIDE
 
 
 def test_split_rank_two_margins():
@@ -178,63 +174,12 @@ def test_margin_scales_linearly_along_rays(t, c1, c2):
     assert cone_position(ch, v.scale(t)).margin == cone_position(ch, v).margin.scale(t)
 
 
-# ---------------------------------------------------------------------------
-# shift monoid and leading exponents
-# ---------------------------------------------------------------------------
-
-
-def test_monoid_membership_basics():
-    rs, inv, rrs = form("sl(3,R)")
-    assert monoid_member(rrs, rs.rho)
-    assert monoid_member(rrs, Weight.of([1, 0]))
-    assert monoid_member(rrs, Weight.zero(2))
-    assert not monoid_member(rrs, Weight.of([-1, 0]))
-    assert not monoid_member(rrs, rs.fundamental_weights[0])  # (2/3, 1/3)
-
-
-def test_monoid_against_linear_solve_oracle():
-    """Membership must agree with exact coordinates in the simple restricted
-    basis: member iff all coefficients are nonnegative integers."""
-    rs, inv, rrs = form("sl(3,R)")
-    basis = [list(r.coords) for r in rrs.simple_restricted]
-    mat = [[basis[j][i] for j in range(len(basis))] for i in range(rs.rank)]
-    candidates = [
-        Weight.of([F(a, d), F(b, d)])
-        for a in range(-4, 5)
-        for b in range(-4, 5)
-        for d in (1, 2, 3)
-    ]
-    for v in candidates:
-        sol = linalg_reference.solve(mat, list(v.coords))
-        expected = sol is not None and all(
-            c.denominator == 1 and c >= 0 for c in sol
-        )
-        assert monoid_member(rrs, v) == expected, v.coords
-
-
-def test_dominance_and_leading_exponents():
-    rs, inv, rrs = form("sl(3,R)")
-    a1 = Weight.of([1, 0])
-    a2 = Weight.of([0, 1])
-    assert dominates(rrs, -rs.rho, -rs.rho - a1)
-    assert not dominates(rrs, -rs.rho - a1, -rs.rho)
-    assert leading_exponents(rrs, {-rs.rho, -rs.rho - a1}) == frozenset({-rs.rho})
-    # an incomparable pair survives intact
-    pair = frozenset({-a1, -a2})
-    assert leading_exponents(rrs, pair) == pair
-    assert leading_exponents(rrs, set()) == frozenset()
-
-
 @pytest.mark.parametrize("xi", [Weight.zero(5), Weight.of([1, 1, 7]), Weight.of([1])])
-def test_monoid_order_rejects_a_weight_of_the_wrong_rank(xi):
+def test_cone_position_rejects_a_weight_of_the_wrong_rank(xi):
     # a covector zipped with a longer or shorter vector must not truncate
     rs, inv, rrs = form("sl(3,R)")
     with pytest.raises(RankMismatch):
-        monoid_member(rrs, xi)
-    with pytest.raises(RankMismatch):
-        dominates(rrs, xi, Weight.zero(xi.rank))
-    with pytest.raises(RankMismatch):
-        leading_exponents(rrs, {xi, Weight.of([2] + [0] * (xi.rank - 1))})
+        cone_position(rrs, xi)
 
 
 def test_sorted_exponents_accepts_datum_and_iterable():
@@ -356,7 +301,7 @@ def test_admissible_exponents_take_the_open_interior():
 
 
 # ---------------------------------------------------------------------------
-# datum validation and the square-integrability report
+# datum validation
 # ---------------------------------------------------------------------------
 
 
@@ -384,33 +329,3 @@ def test_validate_datum_accepts_orbit_restriction():
         weight=rs.rho, exponents=frozenset({inv.restrict(-rs.rho)}), label="ok"
     )
     assert validate_datum(rs, inv, ok) is None
-
-
-def test_l2_check_passes_on_interior_exponent():
-    rs, inv, rrs = form("su(2,1)")
-    datum = FormalDSDatum(weight=rs.rho, exponents=frozenset({-rs.rho}), label="t")
-    report = l2_check(rrs, datum)
-    assert report.passed
-    (pair,) = report.positions
-    exp, pos = pair
-    assert exp == -rs.rho
-    assert pos.kind == NEG_INTERIOR and pos.margin == SignedSqrt.sqrt_of(F(2))
-
-
-def test_l2_check_fails_when_any_exponent_escapes():
-    rs, inv, rrs = form("su(2,1)")
-    datum = FormalDSDatum(
-        weight=rs.rho, exponents=frozenset({rs.rho, -rs.rho}), label="t"
-    )
-    report = l2_check(rrs, datum)
-    assert not report.passed
-    kinds = {exp.coords: pos.kind for exp, pos in report.positions}
-    assert kinds[(F(-1), F(-1))] == NEG_INTERIOR
-    assert kinds[(F(1), F(1))] == BOUNDARY_OR_OUTSIDE
-
-
-def test_l2_check_vacuous_on_empty_exponent_set():
-    rs, inv, rrs = form("su(2,1)")
-    datum = FormalDSDatum(weight=rs.rho, exponents=frozenset(), label="empty")
-    report = l2_check(rrs, datum)
-    assert report.passed and report.positions == ()

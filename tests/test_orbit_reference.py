@@ -11,6 +11,19 @@ the Fraction simple reflection of ``linalg_reference``,
 its reference tests membership among the Fraction restrictions, with the
 same errors in the same order.
 
+``admissible_exponents`` and ``orbit_plus`` read the admissible points off
+one walk (``exponents._walk``): up from the antidominant point, in the
+coordinates of theta's chamber transform, through admissible points only.
+It is compared with the reference on the catalog, on drawn weights, and on
+catalog involutions conjugated by drawn Weyl words, w theta w^-1, whose
+default positive system is not compatible; no catalog form re-chooses its
+positive system, so only these reach the chamber transform.  Each admissible
+point is walked once, and ``strong_regularization`` refuses a weight with
+NoAdmissibleDirection exactly when the reference admissible set is empty.
+Mutations these tests catch: the walk without the chamber transform (the
+ray covectors and v - theta(v) read in default coordinates), without its
+seen-set, and with ``<= 0`` in place of ``< 0`` as the cone test.
+
 When |W| exceeds the cap, an orbit is refused before its closure if its
 predicted size |W| / |W_J| does; J is the set of walls of the dominant
 representative and |W_J| comes from the height partition of the positive
@@ -29,10 +42,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartan_ds import (
+    BadParameters,
     CapExceeded,
     FormalDSDatum,
     InvalidDatum,
+    NoAdmissibleDirection,
     RankMismatch,
+    SearchExhausted,
+    TranslationConfig,
     Weight,
     admissible_exponents,
     apply,
@@ -41,12 +58,17 @@ from cartan_ds import (
     cone_position,
     orbit_plus,
     orbit_restrictions,
+    restricted_roots,
     sorted_exponents,
+    strong_regularization,
     validate_datum,
+    validate_involution,
     weyl_orbit,
     weyl_order,
+    word_element,
 )
-from cartan_ds.rootdata import DEFAULT_CAP, _wall_group_order, closure
+from cartan_ds.exponents import _walk
+from cartan_ds.rootdata import DEFAULT_CAP, _int_mat_mul, _wall_group_order, closure
 from forms import form
 from linalg_reference import reflect
 
@@ -119,6 +141,84 @@ def test_orbit_functions_match_reference_on_catalog():
         forms += 1
     assert forms == 56
     assert compared > 400
+
+
+def conjugated_involutions(seed, per_form=10):
+    """The distinct conjugates w theta w^-1 of catalog involutions with a
+    split part and |W| <= CAP by drawn Weyl words w, where the conjugate's
+    default positive system is not compatible, so that its chamber transform
+    is not 1."""
+    rng = random.Random(seed)
+    seen = set()
+    for entry in build_default_catalog():
+        rs, inv, _ = form(entry.id)
+        if inv.split_rank == 0 or rs.weyl_order > CAP:
+            continue
+        for _ in range(per_form):
+            word = [rng.randrange(rs.rank) for _ in range(rng.randint(1, 2 * rs.rank))]
+            w, w_inv = word_element(rs, word), word_element(rs, word[::-1])
+            theta = _int_mat_mul(_int_mat_mul(w.matrix, inv.theta), w_inv.matrix)
+            conjugate = validate_involution(rs, theta)
+            if not conjugate.default_compatible and (rs.cartan_type, theta) not in seen:
+                seen.add((rs.cartan_type, theta))
+                yield rs, conjugate, restricted_roots(rs, conjugate)
+
+
+def refuses_for_no_direction(rs, inv, rrs, lam, admissible):
+    """Does the search refuse lam with NoAdmissibleDirection?  Its datum
+    takes one reference admissible exponent, when there is one."""
+    exponents = frozenset(sorted(admissible, key=lambda w: w.coords)[:1])
+    try:
+        strong_regularization(
+            rs, inv, rrs, FormalDSDatum(lam, exponents), TranslationConfig(max_k=0, max_mu_coeff=0)
+        )
+    except NoAdmissibleDirection:
+        return True
+    except (SearchExhausted, BadParameters):
+        pass
+    return False
+
+
+def assert_walk_matches_reference(rs, inv, rrs, lam):
+    """The walk visits each admissible orbit point once, the reference's
+    ``orbit_plus``, and the search refuses lam when there is none."""
+    want = reference_results(rs, inv, rrs, lam, CAP)
+    walked = _walk(rrs, lam, CAP)
+    assert len(set(walked)) == len(walked), lam
+    points = {apply(inv.chamber, Weight(Fraction(x, lam.den) for x in u)) for u in walked}
+    assert points == want["orbit_plus"], lam
+    admissible = want["admissible_exponents"]
+    assert refuses_for_no_direction(rs, inv, rrs, lam, admissible) == (not admissible), lam
+    return len(walked)
+
+
+def test_walk_matches_reference_on_rechosen_chambers():
+    rng = random.Random(26)
+    involutions = compared = walked = 0
+    for rs, inv, rrs in conjugated_involutions(seed=26):
+        assert not inv.chamber.is_identity()
+        seeded = [
+            Weight.of(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rs.rank))
+            for _ in range(3)
+        ]
+        for lam in [rs.rho, -rs.rho, Weight.zero(rs.rank), *rs.fundamental_weights, *seeded]:
+            assert assert_matches_reference(rs, inv, rrs, lam)
+            walked += assert_walk_matches_reference(rs, inv, rrs, lam)
+            compared += 1
+        involutions += 1
+    assert involutions >= 35 and compared >= 300 and walked >= 5000
+
+
+def test_walk_matches_reference_on_catalog():
+    refused = walked = 0
+    for form_id in SMALL_FORMS:
+        rs, inv, rrs = form(form_id)
+        moved = [apply(rs.simple_reflection(i), w) for i, w in enumerate(rs.fundamental_weights)]
+        for lam in [rs.rho, Weight.zero(rs.rank), *rs.fundamental_weights, *moved]:
+            count = assert_walk_matches_reference(rs, inv, rrs, lam)
+            walked += count
+            refused += not count
+    assert refused > 100 and walked > 1500
 
 
 SMALL_FORMS = tuple(
