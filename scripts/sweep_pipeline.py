@@ -57,7 +57,7 @@ def main() -> int:
                     entry.cartan_type,
                     str(res.k),
                     str(len(res.mus)),
-                    f"{float(margin):.4f}" if margin is not None else "-",
+                    f"{float(margin):.4f}",
                     f"{(time.monotonic() - t0) * 1000:.0f}ms",
                 )
             )
@@ -67,7 +67,7 @@ def main() -> int:
             best = exc.best
             note = "exhausted" + (
                 f" (best margin {float(best.min_margin):.4f})"
-                if best is not None and best.min_margin is not None
+                if best is not None
                 else ""
             )
             rows.append((entry.id, entry.cartan_type, "-", "-", note, ""))

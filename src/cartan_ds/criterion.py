@@ -18,13 +18,15 @@ The extended Weyl group is generated by the Weyl group and the involution.  A
 weight is strongly regular when its stabilizer there is trivial: one int chase
 of the weight and one of its involution image decide it, with no matrix, and
 Weyl elements are built from the chase words only for the fixers returned.
+The two chases end at the same point exactly when theta(lam) lies in lam's
+Weyl orbit; a strongly regular lam for which they do forces theta to be a
+Weyl element, the implication behind the compact-Cartan criterion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import HypothesisFailed
 from .realform import CartanInvolution, _read_matrix, _require_same_root_system
 from .rootdata import (
     IntMat,
@@ -58,35 +60,6 @@ def theta_in_weyl(
         return theta.weyl_witness
     d, mat = _read_matrix(theta, rs.rank, "matrix")
     return _weyl_witness(rs, mat) if d == 1 else None
-
-
-@dataclass(frozen=True)
-class ExtendedWeylGroup:
-    """The group generated by the Weyl group and the involution's action.
-
-    When the involution acts by a Weyl element the extension is trivial
-    (coset_structure "W"); otherwise the group is the disjoint union of the
-    Weyl group and one twisted coset (coset_structure "W + twisted").
-    """
-
-    root_system: RootSystem
-    minus_sigma: IntMat
-    witness: WeylElement | None
-    coset_structure: str
-
-    @property
-    def is_plain_weyl(self) -> bool:
-        return self.witness is not None
-
-
-def extended_weyl_group(rs: RootSystem, inv: CartanInvolution) -> ExtendedWeylGroup:
-    witness = theta_in_weyl(rs, inv)
-    return ExtendedWeylGroup(
-        root_system=rs,
-        minus_sigma=inv.theta,
-        witness=witness,
-        coset_structure="W" if witness is not None else "W + twisted",
-    )
 
 
 @dataclass(frozen=True)
@@ -137,11 +110,6 @@ class ExtendedElement:
 
     weyl: WeylElement
     twisted: bool
-
-    def is_identity_map(self, inv: CartanInvolution) -> bool:
-        if not self.twisted:
-            return self.weyl.is_identity()
-        return self.weyl.matrix == inv.theta
 
 
 def apply_extended(inv: CartanInvolution, g: ExtendedElement, lam: Weight) -> Weight:
@@ -194,41 +162,4 @@ def extended_stabilizer(
         twisted_fixer=twisted,
         witness=inv.weyl_witness,
         is_trivial=not gens and (inv.weyl_witness is not None or twisted is None),
-    )
-
-
-@dataclass(frozen=True)
-class StrongRegularityConsequence:
-    """Outcome of the implication check: strong regularity forces the
-    compact-Cartan property whenever the involution image of the weight stays
-    in its Weyl orbit."""
-
-    strongly_regular: bool
-    minus_sigma_in_weyl: bool
-    witness: WeylElement | None
-    consistent: bool
-
-
-def sr_implies_compact_cartan(
-    rs: RootSystem, inv: CartanInvolution, lam: Weight
-) -> StrongRegularityConsequence:
-    """Check the implication on a concrete weight.
-
-    Raises HypothesisFailed when the weight's involution image is not in its
-    Weyl orbit (the implication is then vacuous: such a weight cannot be a
-    discrete-series character); that is exactly when the extended stabilizer
-    has no twisted fixer.  ``consistent`` is False only on an internal
-    contradiction: a strongly regular weight satisfying the hypothesis while
-    the involution stays outside the Weyl group.
-    """
-    report = extended_stabilizer(rs, inv, lam)
-    if report.twisted_fixer is None:
-        raise HypothesisFailed(
-            "involution image of the weight is not in its Weyl orbit"
-        )
-    return StrongRegularityConsequence(
-        strongly_regular=report.is_trivial,
-        minus_sigma_in_weyl=report.minus_sigma_in_weyl,
-        witness=report.witness,
-        consistent=(not report.is_trivial) or report.minus_sigma_in_weyl,
     )

@@ -68,10 +68,6 @@ class PreconditionFailed(InputError):
     """An operation's stated precondition does not hold for the input."""
 
 
-class HypothesisFailed(InputError):
-    """The hypothesis of a conditional statement fails; not a bug."""
-
-
 class InvalidDatum(InputError):
     """Formal datum violates its orbit-restriction constraint."""
 

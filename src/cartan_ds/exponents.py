@@ -16,12 +16,11 @@ with one ``SignedSqrt`` (a sign and an exact rational square, never floating
 point) built for it.  A ray covector c has c.(v - theta v) = 2 c.v, so an
 orbit point v restricts into the open cone exactly when every c.v < 0.  The
 admissible points are walked up from the orbit's antidominant point
-(``_walk``); ``validate_datum`` and ``orbit_restrictions``, which need every
-restriction, close the int orbit.  A ray's largest pairing over
-an orbit's restrictions (``_orbit_maxima``) closes no orbit either: the
-largest (wx, y) over W for dominant x, y is (x, y) (Humphreys, *Introduction
-to Lie Algebras and Representation Theory*, 13.2), one chase and one product
-per ray.
+(``_walk``); ``validate_datum``, which needs every restriction, closes the
+int orbit.  A ray's largest pairing over an orbit's restrictions
+(``_orbit_maxima``) closes no orbit either: the largest (wx, y) over W for
+dominant x, y is (x, y) (Humphreys, *Introduction to Lie Algebras and
+Representation Theory*, 13.2), one chase and one product per ray.
 """
 
 from __future__ import annotations
@@ -315,18 +314,6 @@ def _orbit_maxima(chamber: RestrictedRootSystem, coords: list[int], cap: int) ->
     coordinates chased in place.  CapExceeded as in ``_orbit_of``."""
     _chase_within_cap(chamber.root_system, coords, cap)
     return _int_mat_vec(chamber.dominant_covectors, coords)
-
-
-def orbit_restrictions(
-    rs: RootSystem, inv: CartanInvolution, lam: Weight, cap: int = DEFAULT_CAP
-) -> frozenset[Weight]:
-    """All restrictions of the weight's Weyl orbit to the split part.
-
-    Each int orbit point v restricts to v - theta(v) on ints; one Weight is
-    made per distinct restriction.
-    """
-    scale, doubled = _doubled_restrictions(rs, inv, lam, cap)
-    return frozenset(_weight(d, 2 * scale) for d in set(doubled.values()))
 
 
 def antidominant_restriction(

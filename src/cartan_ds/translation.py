@@ -45,11 +45,9 @@ from .exponents import (
     SignedSqrt,
     _admissible,
     _admits,
-    _doubled_restrictions,
     _orbit_maxima,
     _position,
     _ray_products,
-    _require_same_chamber,
     admissible_exponents,
     sorted_exponents,
 )
@@ -192,20 +190,8 @@ def verify_sum_splitting(
     )
 
 
-@dataclass(frozen=True)
-class TensorL2Report:
-    """Margin report for the exponent-cone condition after tensoring."""
-
-    passed: bool
-    mode: str
-    pairs_checked: int
-    min_margin: SignedSqrt | None
-
-
-def _ray_maxima(chamber: RestrictedRootSystem, vectors: Collection[Weight]) -> Maxima | None:
-    """The vectors' ray maxima at one scale, the lcm of theirs; None for no vectors."""
-    if not vectors:
-        return None
+def _ray_maxima(chamber: RestrictedRootSystem, vectors: Collection[Weight]) -> Maxima:
+    """The ray maxima of a nonempty set of vectors, at one scale, the lcm of theirs."""
     products = [_ray_products(chamber, v) for v in vectors]
     scale = math.lcm(*(s for _, s in products))
     rescaled = ([x * (scale // s) for x in xs] for xs, s in products)
@@ -214,12 +200,12 @@ def _ray_maxima(chamber: RestrictedRootSystem, vectors: Collection[Weight]) -> M
 
 def _cone_margin(
     chamber: RestrictedRootSystem,
-    exponent_maxima: Maxima | None,
-    shift_maxima: Maxima | None,
+    exponent_maxima: Maxima,
+    shift_maxima: Maxima,
     factor: int = 1,
-) -> tuple[bool, SignedSqrt | None]:
+) -> tuple[bool, SignedSqrt]:
     """Whether all sums factor * exponent + shift are cone-interior, and their
-    least margin, from the two sets' ray maxima; (True, None) for an empty set.
+    least margin, from the two sets' ray maxima.
 
     Decided ray by ray: the pairing with a ray X is additive, and the ray's
     margin -p/|X| falls as p grows, so on each ray the worst sum pairs the
@@ -227,48 +213,9 @@ def _cone_margin(
     shift pairing.  That one tuple, on one int scale, has the verdict and the
     least margin of all the sums.
     """
-    if exponent_maxima is None or shift_maxima is None:
-        return True, None
     (xs, xscale), (ys, yscale) = exponent_maxima, shift_maxima
     products = [factor * yscale * x + xscale * y for x, y in zip(xs, ys)]
     return _position(chamber, products, xscale * yscale)
-
-
-def tensor_l2_condition(
-    chamber: RestrictedRootSystem,
-    inv: CartanInvolution,
-    datum: FormalDSDatum,
-    mu: Weight,
-    exact: bool = True,
-    cap: int = DEFAULT_CAP,
-) -> TensorL2Report:
-    """Do all exponents stay in the negative cone interior after tensoring?
-
-    Exact mode shifts every exponent by the restriction of every orbit point
-    of mu (the extreme points of the tensor factor's weight hull, which
-    suffice by convexity).  The sums are decided ray by ray (``_cone_margin``:
-    the largest exponent pairing plus the largest shift pairing on each facet
-    ray), with no sum built; ``pairs_checked`` counts the exponent-shift pairs
-    so decided.  Fast mode is a sufficient criterion with no
-    enumeration: each margin must exceed the norm of mu, which dominates the
-    norm of every restricted orbit point because restriction is an orthogonal
-    projection.
-    """
-    rs = chamber.root_system
-    _assert_dominant_integral(rs, mu)
-    _require_same_chamber(rs, inv, chamber)
-    exponents = sorted_exponents(datum)
-    top = _ray_maxima(chamber, exponents)
-    if exact:
-        scale, doubled = _doubled_restrictions(rs, inv, mu, cap)
-        shift_maxima = _orbit_maxima(chamber, list(mu.nums), cap), scale
-        passed, min_margin = _cone_margin(chamber, top, shift_maxima)
-        pairs = len(exponents) * len(set(doubled.values()))
-        return TensorL2Report(passed, "exact", pairs, min_margin)
-    bound = SignedSqrt.sqrt_of(rs.norm_sq(mu))
-    min_margin = None if top is None else _position(chamber, *top)[1]
-    passed = min_margin is None or (chamber.fulldim and bound < min_margin)
-    return TensorL2Report(passed, "fast", len(exponents), min_margin)
 
 
 def translate_line(
@@ -327,7 +274,7 @@ class TranslationCertificates:
     strongly_regular: bool
     cone_condition: bool
     steps: tuple[TranslationStep, ...]
-    base_margin: SignedSqrt | None
+    base_margin: SignedSqrt
     scaled_exponents: tuple[Weight, ...]
 
 
@@ -356,11 +303,11 @@ class SearchBest:
     coefficients: tuple[int, ...]
     k: int
     strongly_regular: bool
-    min_margin: SignedSqrt | None
+    min_margin: SignedSqrt
 
 
 def _best_key(entry: SearchBest) -> tuple[bool, SignedSqrt]:
-    return (entry.strongly_regular, entry.min_margin or SignedSqrt.zero())
+    return entry.strongly_regular, entry.min_margin
 
 
 def _candidate_coefficients(rank: int, max_coeff: int):

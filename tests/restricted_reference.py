@@ -2,6 +2,9 @@
 position as Fraction references.
 
 ``reference_vanishing`` reads the vanishing roots off a Weight-keyed table.
+``doubled_orbit_restrictions`` and ``orbit_restrictions`` close a weight's
+int orbit and restrict each point on ints (``exponents._doubled_restrictions``,
+with its CapExceeded); they give the references their shift sets.
 ``reference_chamber`` finds the facet rays from the Fraction inverse of the
 Gram matrix of the simple restricted roots, and ``reference_cone_position``
 locates a vector from its Fraction pairings with those rays; it reads nothing
@@ -13,8 +16,9 @@ kept.
 import functools
 import operator
 
-from cartan_ds import SignedSqrt, Weight
-from cartan_ds.exponents import BOUNDARY_OR_OUTSIDE, NEG_INTERIOR
+from cartan_ds import DEFAULT_CAP, SignedSqrt, Weight
+from cartan_ds.exponents import BOUNDARY_OR_OUTSIDE, NEG_INTERIOR, _doubled_restrictions
+from cartan_ds.rootdata import _weight
 import linalg_reference
 from weight_reference import restricted_weights
 
@@ -22,6 +26,20 @@ from weight_reference import restricted_weights
 def reference_vanishing(table):
     """The roots whose doubled restriction vanishes, from a Weight-keyed table."""
     return frozenset(root for root, d in table.items() if not any(d))
+
+
+def doubled_orbit_restrictions(rs, inv, lam, cap=DEFAULT_CAP):
+    """2s for lam's denominator s, and the distinct doubled restrictions
+    v - theta(v) of the points v of s times lam's closed int orbit: the
+    restrictions of lam's orbit are d / 2s."""
+    scale, doubled = _doubled_restrictions(rs, inv, lam, cap)
+    return 2 * scale, set(doubled.values())
+
+
+def orbit_restrictions(rs, inv, lam, cap=DEFAULT_CAP):
+    """The restrictions of lam's Weyl orbit to the split part."""
+    scale, doubled = doubled_orbit_restrictions(rs, inv, lam, cap)
+    return frozenset(_weight(d, scale) for d in doubled)
 
 
 @functools.lru_cache(maxsize=None)

@@ -18,7 +18,11 @@ factor kN + 1 instead of scaling the exponents.  The reference is the
 pair loop it replaced: one Fraction sum e + s per pair, each located from
 scratch by ``reference_cone_position`` (``tests/restricted_reference.py``,
 the same margin rule), which reads neither the ray covectors nor the ray
-norms.  The search and its certificates are checked
+norms.  Its shift sets are the restrictions of the closed int orbit
+(``restricted_reference.orbit_restrictions``), which
+``test_orbit_reference.py`` compares with the Fraction closure.  Every set
+the search and its certificates decide on is nonempty: the search refuses a
+datum with no exponents, and a shift orbit always has a point.  The search and its certificates are checked
 against the search as it was: ``extended_stabilizer`` on every candidate and
 the same pair loop on every scaled exponent for every line parameter k.
 ``translation._strongly_regular``, the search's int test of each candidate,
@@ -28,7 +32,7 @@ is compared with ``extended_stabilizer(...).is_trivial`` directly.
 pairs its dominant point with each ray's dominant covector, stored by
 ``restricted_roots``.  ``reference_orbit_maxima`` is the closure it replaced,
 each ray's largest product over the distinct doubled restrictions of the
-whole int orbit.  The two are compared on every catalog form with
+whole int orbit (``restricted_reference.doubled_orbit_restrictions``).  The two are compared on every catalog form with
 |W| <= 1152, for rho, the fundamental weights and seeded rationals, on
 drawn weights, and on the +-w involutions whose chamber is re-chosen (where
 the rays are not dominant); so are their refusals of an orbit past ``cap``,
@@ -78,7 +82,6 @@ from cartan_ds import (
     cone_position,
     dominant_representative,
     extended_stabilizer,
-    orbit_restrictions,
     restricted_roots,
     stabilizer_generators,
     strong_regularization,
@@ -101,7 +104,12 @@ from cartan_ds.translation import (
     _strongly_regular,
 )
 from forms import form, pm_w_involutions
-from restricted_reference import reference_cone_position, reference_margin
+from restricted_reference import (
+    doubled_orbit_restrictions,
+    orbit_restrictions,
+    reference_cone_position,
+    reference_margin,
+)
 
 
 def reference_cone_margin(chamber, exponents, shifts):
@@ -196,10 +204,9 @@ def reference_orbit_maxima(rs, inv, chamber, lam, cap=DEFAULT_CAP):
     """The ray maxima of lam's orbit restrictions, and their number: each ray's
     largest int product over the distinct doubled restrictions d of the closed
     int orbit, at the scale 2s that makes d / 2s the restriction."""
-    scale, doubled = _doubled_restrictions(rs, inv, lam, cap)
-    distinct = set(doubled.values())
+    scale, distinct = doubled_orbit_restrictions(rs, inv, lam, cap)
     products = (_int_mat_vec(chamber.ray_covectors, d) for d in distinct)
-    return (tuple(map(max, zip(*products))), 2 * scale), len(distinct)
+    return (tuple(map(max, zip(*products))), scale), len(distinct)
 
 
 def orbit_maxima(chamber, lam, cap=DEFAULT_CAP):
@@ -412,7 +419,7 @@ def vectors(rs, rrs):
 @given(data=st.data())
 def test_drawn_sets_match_the_pair_loop(form_id, data):
     rs, _, rrs = form(form_id)
-    vector_sets = st.lists(vectors(rs, rrs), min_size=0, max_size=4)
+    vector_sets = st.lists(vectors(rs, rrs), min_size=1, max_size=4)
     exponents = data.draw(vector_sets, label="exponents")
     shifts = data.draw(vector_sets, label="shifts")
     assert cone_margin(rrs, exponents, shifts) == reference_cone_margin(
@@ -437,14 +444,6 @@ def test_a_compact_cartan_has_no_interior():
     assert not rrs.fulldim and not rrs.ray_norms
     assert _ray_maxima(rrs, [-rs.rho])[0] == ()
     assert cone_margin(rrs, [-rs.rho], [Weight.zero(rs.rank)]) == (False, SignedSqrt.zero())
-
-
-def test_an_empty_set_passes_with_no_margin():
-    rs, inv, rrs = form("su(2,1)")
-    e = antidominant_restriction(rs, inv, rs.rho)
-    assert _ray_maxima(rrs, []) is None
-    assert cone_margin(rrs, [], [e]) == (True, None)
-    assert cone_margin(rrs, [e], []) == (True, None)
 
 
 @pytest.mark.parametrize("side", ["exponents", "shifts"])

@@ -12,9 +12,9 @@ import cartan_ds
 from cartan_ds import (
     CartanInvolution,
     ExtendedElement,
-    HypothesisFailed,
     ParseError,
     RankMismatch,
+    Weight,
     WeylElement,
     apply,
     apply_extended,
@@ -26,11 +26,10 @@ from cartan_ds import (
     entry_root_system,
     enumerate_weyl,
     extended_stabilizer,
-    extended_weyl_group,
     longest_element,
-    sr_implies_compact_cartan,
     theta_in_weyl,
     validate_involution,
+    word_element,
 )
 from cartan_ds.realform import _read_matrix
 from cartan_ds.rootdata import _int_mat_mul, apply_matrix
@@ -234,7 +233,6 @@ def test_a_validated_involution_is_chased_once(chase_calls, form_id):
     chase_calls.clear()
     compact_cartan_verdict(rs, inv, oracle_compact_rank_equal=True)
     assert theta_in_weyl(rs, inv) is inv.weyl_witness
-    assert extended_weyl_group(rs, inv).witness is inv.weyl_witness
     assert chase_calls == []
     extended_stabilizer(rs, inv, lam)
     assert len(chase_calls) == 2  # lam and theta(lam), nothing for theta
@@ -244,7 +242,7 @@ def test_a_validated_involution_is_chased_once(chase_calls, form_id):
 
 
 # ---------------------------------------------------------------------------
-# verdicts and the extended group
+# verdicts and extended elements
 # ---------------------------------------------------------------------------
 
 
@@ -257,16 +255,6 @@ def test_verdict_consistency_fields():
     assert v2.oracle_compact_rank_equal is None and v2.consistent is None
 
 
-def test_extended_weyl_group_coset_structure():
-    rs, inv, _ = form("su(2,1)")
-    ext = extended_weyl_group(rs, inv)
-    assert ext.coset_structure == "W" and ext.is_plain_weyl
-    rs3, inv3, _ = form("sl(3,R)")
-    ext3 = extended_weyl_group(rs3, inv3)
-    assert ext3.coset_structure == "W + twisted" and not ext3.is_plain_weyl
-    assert ext3.minus_sigma == inv3.theta
-
-
 def test_apply_extended_semantics():
     rs, inv, _ = form("sl(3,R)")
     lam = rs.rho + rs.fundamental_weights[0]
@@ -276,12 +264,15 @@ def test_apply_extended_semantics():
     assert apply_extended(inv, twisted, lam) == inv.act(lam) == -lam
 
 
-def test_extended_element_identity_map():
+def test_the_twisted_witness_acts_as_the_identity():
+    # the witness w has matrix theta, so w composed with theta fixes every weight
     rs, inv, _ = form("su(2,1)")
-    assert ExtendedElement(rs.identity, twisted=False).is_identity_map(inv)
-    witness = theta_in_weyl(rs, inv)
-    assert ExtendedElement(witness, twisted=True).is_identity_map(inv)
-    assert not ExtendedElement(rs.simple_reflection(0), twisted=False).is_identity_map(inv)
+    witness = ExtendedElement(theta_in_weyl(rs, inv), twisted=True)
+    reflection = ExtendedElement(rs.simple_reflection(0), twisted=False)
+    for lam in (rs.rho, *rs.fundamental_weights, Weight.of([Fraction(1, 2), -3])):
+        assert apply_extended(inv, witness, lam) == lam
+        assert apply_extended(inv, ExtendedElement(rs.identity, twisted=False), lam) == lam
+    assert apply_extended(inv, reflection, rs.rho) != rs.rho
 
 
 # ---------------------------------------------------------------------------
@@ -335,34 +326,60 @@ def test_stabilizer_nontrivial_for_singular_weight():
 # ---------------------------------------------------------------------------
 
 
+def orbit_symmetric(rs, inv, lam):
+    """Whether theta(lam) lies in lam's Weyl orbit."""
+    return dominant_representative(rs, lam)[0] == dominant_representative(rs, inv.act(lam))[0]
+
+
 def test_consequence_on_strongly_regular_weight():
+    # rho on su(2,1) meets the hypothesis, and the witness's word is theta
     rs, inv, _ = form("su(2,1)")
-    out = sr_implies_compact_cartan(rs, inv, rs.rho)
-    assert out.strongly_regular and out.minus_sigma_in_weyl and out.consistent
-    assert out.witness is not None
+    assert extended_stabilizer(rs, inv, rs.rho).is_trivial
+    assert orbit_symmetric(rs, inv, rs.rho)
+    witness = theta_in_weyl(rs, inv)
+    assert witness is not None
+    assert word_element(rs, witness.word).matrix == inv.theta
 
 
 def test_consequence_vacuous_when_not_strongly_regular():
+    # rho on sl(3,R) is symmetric but has a twisted fixer, and theta is not
+    # a Weyl element: the implication holds because its hypothesis fails
     rs, inv, _ = form("sl(3,R)")
-    out = sr_implies_compact_cartan(rs, inv, rs.rho)
-    assert not out.strongly_regular
-    assert not out.minus_sigma_in_weyl
-    assert out.consistent  # the implication has a false antecedent
+    assert orbit_symmetric(rs, inv, rs.rho)
+    assert not extended_stabilizer(rs, inv, rs.rho).is_trivial
+    assert theta_in_weyl(rs, inv) is None
 
 
 def test_consequence_requires_orbit_symmetry():
-    # when -sigma(lam) is not in the orbit of lam the hypothesis of the
-    # implication cannot be satisfied at all
+    # a strongly regular weight whose theta-image leaves its orbit forces
+    # nothing: theta on sl(3,R) is not a Weyl element
     rs, inv, _ = form("sl(3,R)")
     lam = rs.rho + rs.fundamental_weights[1]
-    with pytest.raises(HypothesisFailed):
-        sr_implies_compact_cartan(rs, inv, lam)
+    assert extended_stabilizer(rs, inv, lam).is_trivial
+    assert not orbit_symmetric(rs, inv, lam)
+    assert theta_in_weyl(rs, inv) is None
+
+
+def test_theta_in_weyl_decides_the_coset_structure():
+    # theta is a Weyl element on su(2,1), so the extended group is W; on
+    # sl(3,R) it is not, and the twisted coset acts by theta itself
+    rs, inv, _ = form("su(2,1)")
+    assert theta_in_weyl(rs, inv).matrix == inv.theta
+    rs3, inv3, _ = form("sl(3,R)")
+    assert theta_in_weyl(rs3, inv3) is None
+    twisted = ExtendedElement(rs3.identity, twisted=True)
+    assert inv3.theta not in {w.matrix for w in enumerate_weyl(rs3)}
+    for lam in (rs3.rho, *rs3.fundamental_weights):
+        assert apply_extended(inv3, twisted, lam) == inv3.act(lam) == -lam
 
 
 def test_implication_holds_across_small_catalog():
     """For every rank <= 2 form and a grid of weights: trivial extended
-    stabilizer plus orbit symmetry forces a Weyl witness for theta."""
+    stabilizer plus orbit symmetry forces a Weyl witness for theta, whose
+    word multiplies out to theta.  A twisted fixer exists exactly when
+    theta(lam) lies in lam's orbit."""
     grid = [(1, 1), (2, 1), (1, 0), (Fraction(1, 2), Fraction(3, 2))]
+    implied = 0
     for entry in build_default_catalog():
         rs = entry_root_system(entry)
         if rs.rank > 2:
@@ -373,8 +390,13 @@ def test_implication_holds_across_small_catalog():
             report = extended_stabilizer(rs, inv, lam)
             dom_l, _ = dominant_representative(rs, lam)
             dom_t, _ = dominant_representative(rs, inv.act(lam))
+            assert (report.twisted_fixer is not None) == (dom_l == dom_t), (entry.id, coords)
             if report.is_trivial and dom_l == dom_t:
-                assert theta_in_weyl(rs, inv) is not None, (entry.id, coords)
+                witness = theta_in_weyl(rs, inv)
+                assert witness is not None, (entry.id, coords)
+                assert word_element(rs, witness.word).matrix == inv.theta, (entry.id, coords)
+                implied += 1
+    assert implied > 0
 
 
 def test_user_involution_from_simple_reflection():

@@ -23,9 +23,9 @@ from cartan_ds import (
     dual_chamber,
     longest_element,
     orbit_plus,
-    orbit_restrictions,
     sorted_exponents,
     validate_datum,
+    weyl_orbit,
 )
 from cartan_ds.exponents import BOUNDARY_OR_OUTSIDE, NEG_INTERIOR
 from forms import form
@@ -196,15 +196,17 @@ def test_sorted_exponents_accepts_datum_and_iterable():
 # ---------------------------------------------------------------------------
 
 
-def test_orbit_restrictions_frozen_rank_one():
+def test_validate_datum_takes_the_orbit_restrictions_rank_one():
+    # the restrictions of su(2,1)'s rho orbit are +-(1, 1) and +-(1/2, 1/2),
+    # and the two negative ones are its admissible exponents
     rs, inv, rrs = form("su(2,1)")
-    got = {w.coords for w in orbit_restrictions(rs, inv, rs.rho)}
-    assert got == {
-        (F(1), F(1)),
-        (F(-1), F(-1)),
-        (F(1, 2), F(1, 2)),
-        (F(-1, 2), F(-1, 2)),
-    }
+    restrictions = {Weight.of([c, c]) for c in (F(1), F(-1), F(1, 2), F(-1, 2))}
+    validate_datum(rs, inv, FormalDSDatum(weight=rs.rho, exponents=frozenset(restrictions)))
+    for e in (Weight.zero(2), Weight.of([F(3, 2), F(3, 2)]), Weight.of([1, 0])):
+        with pytest.raises(InvalidDatum):
+            validate_datum(rs, inv, FormalDSDatum(weight=rs.rho, exponents=frozenset({e})))
+    negative = {e for e in restrictions if e.coords[0] < 0}
+    assert admissible_exponents(rs, inv, rrs, rs.rho) == negative
 
 
 def test_orbit_plus_selects_negative_cone_elements():
@@ -292,7 +294,7 @@ def test_admissible_exponents_take_the_open_interior():
     # boundary of the negative cone and only -a1-a2 inside it
     rs, inv, rrs = form("sl(3,R)")
     chamber = dual_chamber(rrs)
-    restrictions = orbit_restrictions(rs, inv, rs.rho)
+    restrictions = {inv.restrict(nu) for nu in weyl_orbit(rs, rs.rho)}
     closed = {
         e for e in restrictions if cone_position(chamber, e).margin >= SignedSqrt.zero()
     }

@@ -1,11 +1,21 @@
 """Test modules share references and inputs through helper modules
 (``forms``, ``linalg_reference``, ``restricted_reference``,
-``weight_reference``, ``weyl_reference``), never by importing each other."""
+``weight_reference``, ``weyl_reference``), never by importing each other.
+
+Every name that ``cartan_ds`` exports has a reader outside the tests: the
+package's own modules other than ``__init__.py``, ``scripts/`` or
+``perfbench/``.  A reader is a name or attribute reference in the code, not
+a docstring and not the name's own ``def`` or ``class`` line; in
+``perfbench/`` a string constant counts too, because the tracer looks up each
+traced name with ``getattr``."""
 
 import ast
 from pathlib import Path
 
+import cartan_ds
+
 TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
 
 
 def imported_test_modules(source):
@@ -40,3 +50,65 @@ def test_no_test_module_imports_another():
     assert len(paths) > 20
     offenders = {p.name: imported_test_modules(p.read_text()) for p in paths}
     assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def referenced_names(source, strings=False):
+    """The names and attribute names that source's code reads, and with
+    ``strings`` its string constants other than docstrings."""
+    tree = ast.parse(source)
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                docstrings.add(id(first.value))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif (
+            strings
+            and isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ):
+            found.add(node.value)
+    return found
+
+
+def read_names(root):
+    """Every name that the package's modules other than ``__init__.py``,
+    ``scripts/`` and ``perfbench/`` read."""
+    package = [p for p in (root / "src" / "cartan_ds").rglob("*.py") if p.name != "__init__.py"]
+    found = set()
+    for path in package + list((root / "scripts").rglob("*.py")):
+        found |= referenced_names(path.read_text())
+    for path in (root / "perfbench").rglob("*.py"):
+        found |= referenced_names(path.read_text(), strings=True)
+    return found
+
+
+def test_the_reader_check_sees_code_not_docstrings():
+    source = '''
+"""unread_a"""
+import mod
+def unread_b():
+    """unread_c"""
+    return mod.read_a(read_b, "read_c")
+class unread_d:
+    x: read_d = "read_e"
+'''
+    found = referenced_names(source)
+    assert {"mod", "read_a", "read_b", "read_d"} <= found
+    assert not {"read_c", "read_e"} & found
+    assert {"read_c", "read_e"} <= referenced_names(source, strings=True)
+    for strings in (False, True):
+        assert not {"unread_a", "unread_b", "unread_c", "unread_d"} & referenced_names(source, strings)
+
+
+def test_every_exported_name_has_a_reader():
+    assert len(cartan_ds.__all__) > 50
+    unread = sorted(set(cartan_ds.__all__) - read_names(ROOT))
+    assert not unread, f"exported and read by nothing: {unread}"

@@ -1,15 +1,18 @@
 """The int Weyl-orbit kernel against the Fraction references it replaced.
 
 ``weyl_orbit`` and the root system close int coordinate tuples;
-``orbit_restrictions``, ``admissible_exponents`` and ``orbit_plus`` restrict
-each int orbit point on ints and test the open negative cone by the signs of
-int covector products.  The references below are the Fraction closure through
-the Fraction simple reflection of ``linalg_reference``,
-``CartanInvolution.restrict`` per orbit point and
-``cone_position(...).neg_interior`` as the filter, kept here to compare against.
-``validate_datum`` tests each exponent on the int restrictions (``_admits``);
-its reference tests membership among the Fraction restrictions, with the
-same errors in the same order.
+``admissible_exponents`` and ``orbit_plus`` restrict int orbit points on ints
+and test the open negative cone by the signs of int covector products.  The
+references below are the Fraction closure through the Fraction simple
+reflection of ``linalg_reference``, ``CartanInvolution.restrict`` per orbit
+point and ``cone_position(...).neg_interior`` as the filter, kept here to
+compare against.  ``validate_datum`` tests each exponent on the int
+restrictions of the closed int orbit (``_admits``); its reference tests
+membership among the Fraction restrictions, with the same errors in the same
+order, and the int closure refuses an orbit past ``cap`` as ``weyl_orbit``
+does.  ``restricted_reference.orbit_restrictions``, the same int closure and
+restriction, gives the cone-margin references their shift sets; it is
+compared with the Fraction restrictions here, with the orbit functions.
 
 ``admissible_exponents`` and ``orbit_plus`` read the admissible points off
 one walk (``exponents._walk``): up from the antidominant point, in the
@@ -57,7 +60,6 @@ from cartan_ds import (
     build_root_system,
     cone_position,
     orbit_plus,
-    orbit_restrictions,
     restricted_roots,
     sorted_exponents,
     strong_regularization,
@@ -71,6 +73,7 @@ from cartan_ds.exponents import _walk
 from cartan_ds.rootdata import DEFAULT_CAP, _int_mat_mul, _wall_group_order, closure
 from forms import form
 from linalg_reference import reflect
+from restricted_reference import orbit_restrictions
 
 CAP = 2000
 
@@ -298,6 +301,15 @@ def test_predicted_orbit_size_matches_the_orbit_on_catalog():
                     weyl_orbit(rs, lam, cap=size - 1)
             compared += 1
     assert compared > 400
+
+
+def test_validate_datum_refuses_an_orbit_past_the_cap():
+    # rho is regular on split B3, so its orbit has |W| = 48 elements
+    rs, inv, _ = form("split(B3)")
+    datum = FormalDSDatum(rs.rho, frozenset({inv.restrict(-rs.rho)}))
+    validate_datum(rs, inv, datum, 48)
+    with pytest.raises(CapExceeded, match=r"^orbit size exceeded cap 47 \(predicted size 48\)$"):
+        validate_datum(rs, inv, datum, 47)
 
 
 def reference_validate_datum(rs, inv, datum, cap):

@@ -24,14 +24,12 @@ from cartan_ds import (
     classify_restricted_type,
     compact_cartan_verdict,
     extended_stabilizer,
-    extended_weyl_group,
     longest_element,
     multiplicity_identity_holds,
     orbit_plus,
-    orbit_restrictions,
     restricted_roots,
-    tensor_l2_condition,
     theta_in_weyl,
+    validate_datum,
     validate_involution,
     verify_exact_sequence,
 )
@@ -401,22 +399,19 @@ def test_involution_from_another_root_system_is_refused():
     sl3_rs, sl3, _ = form("sl(3,R)")
     b3_chamber = form("split(B3)")[2]
     su21_chamber = form("su(2,1)")[2]
-    datum = FormalDSDatum(weight=sl3_rs.rho, exponents=frozenset())
+    datum = FormalDSDatum(weight=a2.rho, exponents=frozenset())
     calls = [
         lambda: restricted_roots(a2, minus_one),
         lambda: verify_exact_sequence(a2, minus_one),
-        lambda: orbit_restrictions(a2, minus_one, a2.rho),
+        lambda: validate_datum(a2, minus_one, datum),
         lambda: admissible_exponents(a2, minus_one, rrs, a2.rho),
         lambda: compact_cartan_verdict(a2, minus_one),
-        lambda: extended_weyl_group(a2, minus_one),
         lambda: extended_stabilizer(b2, swap, b2.rho),
         lambda: theta_in_weyl(a2, minus_one),
         lambda: antidominant_restriction(a2, minus_one, a2.rho),
         lambda: admissible_exponents(sl3_rs, sl3, b3_chamber, sl3_rs.rho),
         lambda: admissible_exponents(sl3_rs, sl3, su21_chamber, sl3_rs.rho),
         lambda: orbit_plus(sl3_rs, sl3, sl3_rs.rho, chamber=su21_chamber),
-        lambda: tensor_l2_condition(su21_chamber, sl3, datum, sl3_rs.rho),
-        lambda: tensor_l2_condition(su21_chamber, sl3, datum, sl3_rs.rho, exact=False),
     ]
     for call in calls:
         with pytest.raises(PreconditionFailed, match="validated on another root system"):

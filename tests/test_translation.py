@@ -6,6 +6,7 @@ import pytest
 
 from cartan_ds import criterion, rootdata
 from cartan_ds import (
+    DEFAULT_CAP,
     BadParameters,
     CapExceeded,
     FormalDSDatum,
@@ -26,12 +27,13 @@ from cartan_ds import (
     extended_stabilizer,
     longest_element,
     strong_regularization,
-    tensor_l2_condition,
     translate_line,
     verify_sum_splitting,
     weight_spectrum,
     weyl_orbit,
 )
+from cartan_ds.exponents import _orbit_maxima
+from cartan_ds.translation import _cone_margin, _ray_maxima
 from forms import form
 
 F = Fraction
@@ -139,59 +141,25 @@ def test_splitting_preconditions():
 # ---------------------------------------------------------------------------
 
 
-def test_tensor_condition_exact_and_fast_agree_when_fast_passes():
+def tensor_margin(rrs, exponents, mu):
+    """Whether every exponent shifted by every restriction of mu's orbit lies
+    in the open negative cone, and the least margin: the search's
+    ``_cone_margin`` of the exponents' ray maxima and mu's orbit maxima."""
+    shift = _orbit_maxima(rrs, list(mu.nums), DEFAULT_CAP), mu.den
+    return _cone_margin(rrs, _ray_maxima(rrs, exponents), shift)
+
+
+def test_tensor_condition_margin_on_su21():
     rs, inv, rrs = form("su(2,1)")
-    ch = dual_chamber(rrs)
-    datum = FormalDSDatum(weight=rs.rho, exponents=frozenset({-rs.rho}), label="d")
-    fast = tensor_l2_condition(ch, inv, datum, rs.fundamental_weights[0], exact=False)
-    exact = tensor_l2_condition(ch, inv, datum, rs.fundamental_weights[0], exact=True)
-    assert fast.passed and fast.mode == "fast"
-    assert fast.min_margin == SignedSqrt.sqrt_of(F(2))
-    assert exact.passed and exact.mode == "exact"
-    assert exact.pairs_checked == 3
-    assert exact.min_margin == SignedSqrt.sqrt_of(F(1, 2))
+    margin = SignedSqrt.sqrt_of(F(1, 2))
+    assert tensor_margin(rrs, [-rs.rho], rs.fundamental_weights[0]) == (True, margin)
 
 
 def test_tensor_condition_detects_escape():
     rs, inv, rrs = form("su(2,1)")
-    ch = dual_chamber(rrs)
-    thin = FormalDSDatum(
-        weight=rs.rho,
-        exponents=frozenset({inv.restrict(Weight.of([-1, 0]))}),
-        label="thin",
-    )
-    fast = tensor_l2_condition(ch, inv, thin, rs.rho, exact=False)
-    exact = tensor_l2_condition(ch, inv, thin, rs.rho, exact=True)
-    assert not fast.passed
-    assert not exact.passed
-    assert exact.min_margin == SignedSqrt.sqrt_of(F(1, 2)).scale(F(-1))
-
-
-def test_fast_mode_is_sound_for_exact_mode():
-    """The no-enumeration criterion may only ever be more conservative."""
-    rs, inv, rrs = form("su(2,1)")
-    ch = dual_chamber(rrs)
-    exponent_sets = [
-        frozenset({-rs.rho}),
-        frozenset({inv.restrict(Weight.of([-1, 0]))}),
-        frozenset({-rs.rho, inv.restrict(Weight.of([-1, 0]))}),
-        frozenset({-rs.rho.scale(F(3))}),
-    ]
-    shifts = [rs.fundamental_weights[0], rs.fundamental_weights[1], rs.rho]
-    for exps in exponent_sets:
-        datum = FormalDSDatum(weight=rs.rho, exponents=exps, label="p")
-        for mu in shifts:
-            fast = tensor_l2_condition(ch, inv, datum, mu, exact=False)
-            if fast.passed:
-                assert tensor_l2_condition(ch, inv, datum, mu, exact=True).passed
-
-
-def test_tensor_condition_requires_dominant_integral_shift():
-    rs, inv, rrs = form("su(2,1)")
-    ch = dual_chamber(rrs)
-    datum = FormalDSDatum(weight=rs.rho, exponents=frozenset({-rs.rho}), label="d")
-    with pytest.raises(NotDominantIntegral):
-        tensor_l2_condition(ch, inv, datum, -rs.rho)
+    thin = [inv.restrict(Weight.of([-1, 0]))]
+    margin = SignedSqrt.sqrt_of(F(1, 2)).scale(F(-1))
+    assert tensor_margin(rrs, thin, rs.rho) == (False, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +326,14 @@ def test_pipeline_rejects_non_integral_line():
     )
     with pytest.raises(BadParameters):
         strong_regularization(rs, inv, rrs, half)
+
+
+def test_pipeline_refuses_a_datum_with_no_exponents():
+    # the search and its certificates never see an empty exponent set
+    rs, inv, rrs = form("su(2,1)")
+    empty = FormalDSDatum(weight=rs.rho, exponents=frozenset(), label="empty")
+    with pytest.raises(InvalidDatum, match="no exponents"):
+        strong_regularization(rs, inv, rrs, empty)
 
 
 def test_pipeline_compact_form_has_no_direction():
