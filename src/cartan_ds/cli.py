@@ -58,7 +58,6 @@ from .exponents import (
     antidominant_restriction,
     cone_position,
     sorted_exponents,
-    validate_datum,
 )
 from .linalg import format_rational, frac
 from .realform import (
@@ -406,11 +405,10 @@ def _strongreg_weight(
 
 def _strongreg_exponents(
     args: argparse.Namespace,
-    rs: RootSystem,
     inv: CartanInvolution,
-    lam: Weight,
     datum_doc: dict[str, Any] | None,
-) -> frozenset[Weight]:
+) -> frozenset[Weight] | None:
+    """The exponents given by --exponents or the datum document, or None."""
     if args.exponents is not None:
         chunks = [c for c in (p.strip() for p in args.exponents.split(";")) if c]
         vectors = [(c.split(","), f"--exponents[{i}]") for i, c in enumerate(chunks)]
@@ -420,7 +418,7 @@ def _strongreg_exponents(
             raise ParseError("datum document: 'exponents' must be a list of lists")
         vectors = [(item, f"datum exponents[{i}]") for i, item in enumerate(raw)]
     else:
-        return frozenset({antidominant_restriction(rs, inv, lam)})
+        return None
     return frozenset(
         inv.from_split_coords(parse_vector(values, inv.split_rank, what))
         for values, what in vectors
@@ -454,13 +452,12 @@ def cmd_strongreg(args: argparse.Namespace, directory: Path) -> Outcome:
             raise ParseError("datum document must be a JSON object")
 
     lam = _strongreg_weight(args, rs, datum_doc)
-    exponents = _strongreg_exponents(args, rs, inv, lam, datum_doc)
+    exponents = _strongreg_exponents(args, inv, datum_doc)
     label = args.label
     if label is None and datum_doc is not None:
         label = datum_doc.get("label", "")
         if type(label) is not str:
             raise ParseError(f"datum document: 'label' must be a string, got {label!r}")
-    datum = FormalDSDatum(weight=lam, exponents=exponents, label=label or "")
 
     cfg = TranslationConfig(
         integrality=args.integrality,
@@ -469,13 +466,12 @@ def cmd_strongreg(args: argparse.Namespace, directory: Path) -> Outcome:
         worst_case_exponents=args.worst_case,
         cap=args.cap,
     )
-    validate_datum(rs, inv, datum, cap=cfg.cap)
     if args.worst_case:
-        datum = FormalDSDatum(
-            weight=datum.weight,
-            exponents=admissible_exponents(rs, inv, rrs, datum.weight, cfg.cap),
-            label=datum.label,
-        )
+        # strong_regularization refuses any given exponent that is not admissible
+        exponents = (exponents or frozenset()) | admissible_exponents(rs, inv, rrs, lam, cfg.cap)
+    elif exponents is None:
+        exponents = frozenset({antidominant_restriction(rs, inv, lam)})
+    datum = FormalDSDatum(weight=lam, exponents=exponents, label=label or "")
 
     result = strong_regularization(rs, inv, rrs, datum, cfg)
 

@@ -16,24 +16,24 @@ with one ``SignedSqrt`` (a sign and an exact rational square, never floating
 point) built for it.  A ray covector c has c.(v - theta v) = 2 c.v, so an
 orbit point v restricts into the open cone exactly when every c.v < 0.  The
 admissible points are walked up from the orbit's antidominant point
-(``_walk``); ``validate_datum``, which needs every restriction, closes the
-int orbit.  A ray's largest pairing over an orbit's restrictions
-(``_orbit_maxima``) closes no orbit either: the largest (wx, y) over W for
-dominant x, y is (x, y) (Humphreys, *Introduction to Lie Algebras and
-Representation Theory*, 13.2), one chase and one product per ray.
+(``_walk``), without closing the orbit.  A datum's exponents obey one rule:
+each is admissible, and ``strong_regularization`` and ``translate_line`` check
+it on the walked set (``_admits``).  A ray's largest pairing over an orbit's
+restrictions (``_orbit_maxima``) closes no orbit either: the largest (wx, y)
+over W for dominant x, y is (x, y) (Humphreys, *Introduction to Lie Algebras
+and Representation Theory*, 13.2), one chase and one product per ray.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Sequence
 
 from . import linalg
-from .errors import InvalidDatum, PreconditionFailed, RankMismatch
+from .errors import PreconditionFailed, RankMismatch
 from .realform import (
     CartanInvolution,
     RestrictedRootSystem,
@@ -48,7 +48,6 @@ from .rootdata import (
     _chase_within_cap,
     _int_mat_vec,
     _nums_on,
-    _orbit_of,
     _weight,
 )
 
@@ -156,7 +155,6 @@ class ConePosition:
 
     kind: str
     margin: SignedSqrt
-    ray_pairings: tuple[Fraction, ...]
 
     @property
     def neg_interior(self) -> bool:
@@ -191,20 +189,18 @@ def cone_position(chamber: RestrictedRootSystem, v: Weight) -> ConePosition:
     """Locate v relative to -(positive restricted cone), with exact margin."""
     products, scale = _ray_products(chamber, v)
     interior, margin = _position(chamber, products, scale)
-    return ConePosition(
-        kind=NEG_INTERIOR if interior else BOUNDARY_OR_OUTSIDE,
-        margin=margin,
-        ray_pairings=tuple(Fraction(x, s * scale) for x, s in zip(products, chamber.ray_scales)),
-    )
+    return ConePosition(kind=NEG_INTERIOR if interior else BOUNDARY_OR_OUTSIDE, margin=margin)
 
 
 @dataclass(frozen=True)
 class FormalDSDatum:
     """Formal discrete-series datum: a character weight and exponent set.
 
-    The exponents model leading asymptotic exponents on the split part; the
-    intended invariant (checked by validate_datum, not by construction) is
-    that each one is the restriction of some element of the weight's orbit.
+    The exponents model leading asymptotic exponents on the split part.  The
+    one invariant, checked by ``strong_regularization`` and
+    ``translate_line`` and not by construction, is that each exponent is
+    admissible: an orbit element's restriction that lies in the open
+    negative cone.
     """
 
     weight: Weight
@@ -223,22 +219,6 @@ def sorted_exponents(
     )
     den = math.lcm(*(w.den for w in items))
     return tuple(sorted(items, key=lambda w: [x * (den // w.den) for x in w.nums]))
-
-
-def _doubled_restrictions(
-    rs: RootSystem, inv: CartanInvolution, lam: Weight, cap: int
-) -> tuple[int, dict[tuple[int, ...], tuple[int, ...]]]:
-    """lam's denominator s, and each point v of s times lam's orbit with
-    v - theta(v).
-
-    The restriction of v / s is (v - theta(v)) / (2 s).
-    """
-    _require_same_root_system(rs, inv)
-    scale, orbit = _orbit_of(rs, lam, cap)
-    theta = inv.theta
-    return scale, {
-        v: tuple(map(operator.sub, v, _int_mat_vec(theta, v))) for v in orbit
-    }
 
 
 Admissible = tuple[int, dict[tuple[int, ...], None]]
@@ -311,7 +291,7 @@ def _admits(admissible: Admissible, e: Weight) -> bool:
 def _orbit_maxima(chamber: RestrictedRootSystem, coords: list[int], cap: int) -> list[int]:
     """Each ray's largest product c.u over the orbit restrictions u of the int
     coordinates, at their scale: the ray's dominant covector times the
-    coordinates chased in place.  CapExceeded as in ``_orbit_of``."""
+    coordinates chased in place.  CapExceeded as in ``weyl_orbit``."""
     _chase_within_cap(chamber.root_system, coords, cap)
     return _int_mat_vec(chamber.dominant_covectors, coords)
 
@@ -341,26 +321,6 @@ def admissible_exponents(
     one Weight per admissible int restriction (``_admissible``)."""
     scale, doubled = _admissible(rs, inv, chamber, lam, cap)
     return frozenset(_weight(d, scale) for d in doubled)
-
-
-def validate_datum(
-    rs: RootSystem,
-    inv: CartanInvolution,
-    datum: FormalDSDatum,
-    cap: int = DEFAULT_CAP,
-) -> None:
-    """Check the orbit-restriction invariant on ints; raise InvalidDatum on failure."""
-    if datum.weight.rank != rs.rank:
-        raise InvalidDatum("weight rank does not match the root system")
-    scale, doubled = _doubled_restrictions(rs, inv, datum.weight, cap)
-    restrictions = (2 * scale, dict.fromkeys(doubled.values()))
-    for e in sorted_exponents(datum):
-        if e.rank != rs.rank:
-            raise InvalidDatum("exponent rank does not match the root system")
-        if not _admits(restrictions, e):
-            raise InvalidDatum(
-                "exponent is not the restriction of any orbit element"
-            )
 
 
 def orbit_plus(

@@ -80,7 +80,6 @@ class CartanInvolution:
     root_system: RootSystem
     theta: IntMat
     split_basis: tuple[Weight, ...]
-    compact_basis: tuple[Weight, ...]
     positive_indices: frozenset[int]
     chamber: WeylElement
     default_compatible: bool
@@ -202,15 +201,11 @@ def validate_involution(rs: RootSystem, theta_matrix) -> CartanInvolution:
     doubled = tuple(tuple(map(operator.sub, a, b)) for a, b in zip(rs.roots, images))
 
     split_basis = _eigenbasis(theta, -1)
-    compact_basis = _eigenbasis(theta, +1)
-    positive, chamber, default_ok = _compatible_positive_system(
-        rs, doubled, split_basis, compact_basis
-    )
+    positive, chamber, default_ok = _compatible_positive_system(rs, theta, doubled, split_basis)
     return CartanInvolution(
         root_system=rs,
         theta=theta,
         split_basis=split_basis,
-        compact_basis=compact_basis,
         positive_indices=positive,
         chamber=chamber,
         default_compatible=default_ok,
@@ -220,18 +215,16 @@ def validate_involution(rs: RootSystem, theta_matrix) -> CartanInvolution:
 
 
 def _compatible_positive_system(
-    rs: RootSystem,
-    doubled: IntMat,
-    split_basis: tuple[Weight, ...],
-    compact_basis: tuple[Weight, ...],
+    rs: RootSystem, theta: IntMat, doubled: IntMat, split_basis: tuple[Weight, ...]
 ) -> tuple[frozenset[int], WeylElement, bool]:
     """The positive root indices, the chamber transform and whether they are
     the default ones (the first half of the root table).
 
     A root is positive when its restriction pairs positively with a regular
     split vector, or, restricting to zero, when it pairs positively with a
-    regular compact vector; the chamber is found by chasing 2 rho of that
-    system, whose chase word depends only on its chamber.
+    regular compact vector, taken from theta's +1 eigenbasis, which only this
+    re-choice needs; the chamber is found by chasing 2 rho of that system,
+    whose chase word depends only on its chamber.
     """
     zero = (0,) * rs.rank
     default = range(len(rs.roots) // 2)
@@ -241,7 +234,7 @@ def _compatible_positive_system(
 
     split = _regular_covector(rs, split_basis, set(doubled) - {zero})
     fixed = [a for a, d in zip(rs.roots, doubled) if d == zero]
-    compact = _regular_covector(rs, compact_basis, fixed)
+    compact = _regular_covector(rs, _eigenbasis(theta, +1), fixed)
     # the split sign of a root's restriction, or its compact sign where that is 0
     signs = ((_dot(split, d) or _dot(compact, a)) for a, d in zip(rs.roots, doubled))
     positive = frozenset(k for k, sign in enumerate(signs) if sign > 0)
@@ -268,11 +261,11 @@ class RestrictedRootSystem:
     sorted; ``vanishing_indices`` index the roots
     with d = 0.  ``restricted_roots`` builds their weights d / 2 on each read.
 
-    ``facet_rays`` is the basis dual to the simple restricted roots inside
+    The facet rays are the basis dual to the simple restricted roots inside
     their span: a vector lies in the positive restricted cone iff it pairs
-    nonnegatively with every ray.  Ray j has the integer covector
+    nonnegatively with every ray.  Ray j is stored by its integer covector
     ``ray_covectors[j]`` = c and scale ``ray_scales[j]`` = s, with
-    (v, ray) = c.v / s, and the squared length ``ray_norms[j]``.
+    (v, ray) = c.v / s, and its squared length ``ray_norms[j]``.
     ``dominant_covectors[j]`` is c for the dominant point of ray j's orbit:
     the largest c.v over an orbit is its product with the dominant point.
     In u = chamber^-1 v, the coordinates of theta's chamber transform, c.v is
@@ -290,8 +283,6 @@ class RestrictedRootSystem:
     doubled_simple: IntMat
     vanishing_indices: frozenset[int]
     rho_restricted: Weight
-    simple_restricted: tuple[Weight, ...]
-    facet_rays: tuple[Weight, ...]
     ray_covectors: IntMat
     dominant_covectors: IntMat
     chamber_covectors: IntMat
@@ -334,11 +325,11 @@ def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSys
     """Compute the restricted root system, its multiplicities and dual cone.
 
     Everything is found on the involution's doubled restrictions
-    alpha - theta(alpha), which are int vectors; only rho, the simple roots
-    and the facet rays are stored as weights.  Raises PreconditionFailed for an
-    involution on another root system, and ConsistencyError when the simple
-    restricted roots are not linearly independent or a positive restricted
-    root, or a compatible simple root, pairs negatively with a facet ray.
+    alpha - theta(alpha), which are int vectors; only rho is stored as a
+    weight.  Raises PreconditionFailed for an involution on another root
+    system, and ConsistencyError when the simple restricted roots are not
+    linearly independent or a positive restricted root, or a compatible simple
+    root, pairs negatively with a facet ray.
     """
     _require_same_root_system(rs, inv)
     doubled = inv.doubled_restrictions
@@ -380,8 +371,6 @@ def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSys
         doubled_simple=tuple(simple),
         vanishing_indices=frozenset(k for k, d in enumerate(doubled) if not any(d)),
         rho_restricted=_weight(two_rho, 4),
-        simple_restricted=tuple(_weight(d, 2) for d in simple),
-        facet_rays=tuple(_weight(ray, det) for ray in rays),
         ray_covectors=covectors,
         dominant_covectors=tuple(
             tuple(s * f // g for s, f in zip(rs.symmetrizer, fws)) for fws, g in zip(dominant, gcds)

@@ -551,23 +551,15 @@ def _chase_within_cap(rs: RootSystem, coords: list[int], cap: int) -> list[int]:
     return fws
 
 
-def _orbit_of(rs: RootSystem, lam: Weight, cap: int) -> tuple[int, dict[tuple[int, ...], None]]:
-    """lam's denominator and the W-orbit of its numerators, as int tuples.
-
-    An orbit larger than ``cap`` is refused from a chase, before the closure
-    (:func:`_chase_within_cap`).
-    """
-    _chase_within_cap(rs, _nums_on(rs, lam), cap)
-    return lam.den, _int_orbit(rs, (lam.nums,), cap)
-
-
 def weyl_orbit(rs: RootSystem, lam: Weight, cap: int = DEFAULT_CAP) -> frozenset[Weight]:
     """Full W-orbit of a weight; raises CapExceeded past ``cap`` elements.
 
-    The orbit is closed on lam's int numerators, over lam's denominator.
+    The orbit is closed on lam's int numerators, over lam's denominator.  An
+    orbit larger than ``cap`` is refused from a chase, before the closure
+    (:func:`_chase_within_cap`).
     """
-    den, orbit = _orbit_of(rs, lam, cap)
-    return frozenset(_weight(v, den) for v in orbit)
+    _chase_within_cap(rs, _nums_on(rs, lam), cap)
+    return frozenset(_weight(v, lam.den) for v in _int_orbit(rs, (lam.nums,), cap))
 
 
 def stabilizer_generators(rs: RootSystem, lam: Weight) -> StabilizerInfo:

@@ -76,7 +76,9 @@ class TranslationConfig:
     (the caller knows the relevant lattice); scaling steps move along
     (k*integrality + 1) times the weight.  ``worst_case_exponents`` switches
     translate_line from canonical scaling to the full admissible restriction
-    set of the scaled weight.
+    set of the scaled weight.  ``strong_regularization`` does not read it: its
+    callers pass the admissible set (``admissible_exponents``) as the datum's
+    exponents themselves.
     """
 
     integrality: int = 1
@@ -356,7 +358,9 @@ def strong_regularization(
     tie-break) and then the least line parameter k whose combined move keeps
     every shifted exponent strictly inside the negative cone.  The final
     weight is reported in the chamber compatible with the involution; all
-    certificates are re-verified on the result.
+    certificates are re-verified on the result.  Every exponent must be
+    admissible: NoAdmissibleDirection when the weight has no admissible
+    exponent, else InvalidDatum for one that is not.
     """
     admissible = _admissible(rs, inv, rrs, datum.weight, cfg.cap)
     if not admissible[1]:

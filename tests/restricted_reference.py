@@ -3,8 +3,8 @@ position as Fraction references.
 
 ``reference_vanishing`` reads the vanishing roots off a Weight-keyed table.
 ``doubled_orbit_restrictions`` and ``orbit_restrictions`` close a weight's
-int orbit and restrict each point on ints (``exponents._doubled_restrictions``,
-with its CapExceeded); they give the references their shift sets.
+orbit with ``weyl_orbit`` (and its CapExceeded) and restrict each point on
+ints, v - theta(v); they give the references their shift sets.
 ``reference_chamber`` finds the facet rays from the Fraction inverse of the
 Gram matrix of the simple restricted roots, and ``reference_cone_position``
 locates a vector from its Fraction pairings with those rays; it reads nothing
@@ -16,9 +16,9 @@ kept.
 import functools
 import operator
 
-from cartan_ds import DEFAULT_CAP, SignedSqrt, Weight
-from cartan_ds.exponents import BOUNDARY_OR_OUTSIDE, NEG_INTERIOR, _doubled_restrictions
-from cartan_ds.rootdata import _weight
+from cartan_ds import DEFAULT_CAP, SignedSqrt, Weight, weyl_orbit
+from cartan_ds.exponents import BOUNDARY_OR_OUTSIDE, NEG_INTERIOR
+from cartan_ds.rootdata import _int_mat_vec, _weight
 import linalg_reference
 from weight_reference import restricted_weights
 
@@ -32,8 +32,11 @@ def doubled_orbit_restrictions(rs, inv, lam, cap=DEFAULT_CAP):
     """2s for lam's denominator s, and the distinct doubled restrictions
     v - theta(v) of the points v of s times lam's closed int orbit: the
     restrictions of lam's orbit are d / 2s."""
-    scale, doubled = _doubled_restrictions(rs, inv, lam, cap)
-    return 2 * scale, set(doubled.values())
+    doubled = set()
+    for w in weyl_orbit(rs, lam, cap):
+        v = [x * (lam.den // w.den) for x in w.nums]
+        doubled.add(tuple(map(operator.sub, v, _int_mat_vec(inv.theta, v))))
+    return 2 * lam.den, doubled
 
 
 def orbit_restrictions(rs, inv, lam, cap=DEFAULT_CAP):
@@ -45,7 +48,7 @@ def orbit_restrictions(rs, inv, lam, cap=DEFAULT_CAP):
 @functools.lru_cache(maxsize=None)
 def reference_chamber(rrs):
     """Facet rays from the Fraction Gram inverse, and fulldim."""
-    simple = rrs.simple_restricted
+    simple = restricted_weights(rrs).simple_restricted
     r = len(simple)
     rays = []
     if r:

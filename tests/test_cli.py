@@ -407,6 +407,38 @@ def test_strongreg_worst_case_exponents(capsys):
     assert doc["certificates"]["strongly_regular"]
 
 
+NOT_ADMISSIBLE = "exponent is not an admissible restriction of the weight's orbit"
+RECHOSEN_A2 = object()
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code,want",
+    [
+        # a restriction of rho's orbit that is not admissible is refused in
+        # both modes, not dropped from the worst-case set
+        (("su(3,2)", "--exponents=-2,-3"), 2, {"error": "InvalidDatum", "message": NOT_ADMISSIBLE}),
+        (("su(2,1)", "--worst-case", "--exponents=1"), 2,
+         {"error": "InvalidDatum", "message": NOT_ADMISSIBLE}),
+        # the zero weight has no admissible exponent, which is reported first
+        (("sl(3,R)", "--lambda", "0,0", "--exponents=5,5"), 2, {"error": "NoAdmissibleDirection"}),
+        # an admissible exponent joins the admissible set it belongs to
+        (("su(2,1)", "--worst-case", "--exponents=-1"), 0,
+         {"exponents": [["-1", "-1"], ["-1/2", "-1/2"]]}),
+        # with no exponent given, --worst-case takes the admissible set alone:
+        # the default antidominant restriction, 0 here, is not admissible
+        ((RECHOSEN_A2, "--lambda-fw", "1,0", "--worst-case"), 0, {"exponents": [["-1/2", "0"]]}),
+    ],
+)
+def test_strongreg_applies_one_exponent_rule(capsys, tmp_path, argv, exit_code, want):
+    argv = [_rechosen_a2_document(tmp_path) if a is RECHOSEN_A2 else a for a in argv]
+    rc, doc, _ = run_json(capsys, "strong-reg", *argv)
+    assert rc == exit_code
+    found = doc if exit_code else doc["results"]
+    assert {key: found[key] for key in want} == want
+    if exit_code:
+        assert doc["exit_code"] == exit_code
+
+
 def test_strongreg_search_exhausted_reports_best(capsys):
     rc, out, err = run(
         capsys, "strong-reg", "sl(3,R)", "--max-mu-coeff", "0", "--json"

@@ -85,11 +85,11 @@ from cartan_ds import (
     restricted_roots,
     stabilizer_generators,
     strong_regularization,
+    weyl_orbit,
     weyl_order,
 )
 from cartan_ds.exponents import (
     NEG_INTERIOR,
-    _doubled_restrictions,
     _orbit_maxima,
     _position,
     _ray_products,
@@ -110,6 +110,7 @@ from restricted_reference import (
     reference_cone_position,
     reference_margin,
 )
+from weight_reference import pairings_of, restricted_weights
 
 
 def reference_cone_margin(chamber, exponents, shifts):
@@ -137,11 +138,6 @@ SPLIT_FORMS = [
 ]
 
 
-def pairings_of(chamber, products, scale):
-    """The Fraction ray pairings x_j / (s_j S) of int products at scale S."""
-    return tuple(Fraction(x, s * scale) for x, s in zip(products, chamber.ray_scales))
-
-
 def test_position_matches_the_parent_rule_on_the_catalog():
     for entry in build_default_catalog():
         rs, inv, rrs = form(entry.id)
@@ -155,7 +151,7 @@ def test_position_matches_the_parent_rule_on_the_catalog():
             want = reference_margin(pairings, rrs.ray_norms, rrs.fulldim)
             assert got == want, (entry.id, v)
             pos = cone_position(rrs, v)
-            assert (pos.kind, pos.margin, pos.ray_pairings) == reference_cone_position(rrs, v)
+            assert (pos.kind, pos.margin, pairings) == reference_cone_position(rrs, v)
 
 
 # sl(3,R) and split(B3) have rays of equal norm, where equal products tie;
@@ -264,7 +260,7 @@ def test_orbit_maxima_refuse_an_orbit_past_the_cap_as_the_closure(form_id):
     # at caps just below, at and above each orbit's size, and below |W|
     rs, inv, rrs = form(form_id)
     for lam in (rs.rho, *rs.fundamental_weights):
-        size = len(_doubled_restrictions(rs, inv, lam, DEFAULT_CAP)[1])
+        size = len(weyl_orbit(rs, lam))
         for cap in {size - 1, size, size + 1, rs.weyl_order - 1} - {0}:
             try:
                 want = reference_orbit_maxima(rs, inv, rrs, lam, cap)[0]
@@ -400,7 +396,7 @@ def vectors(rs, rrs):
     """Weights anywhere in the weight space, and combinations of the simple
     restricted roots (whose coefficients are the ray pairings)."""
     anywhere = st.lists(COEFFICIENTS, min_size=rs.rank, max_size=rs.rank).map(Weight.of)
-    simple = rrs.simple_restricted
+    simple = restricted_weights(rrs).simple_restricted
     if not simple:
         return anywhere
 
@@ -433,7 +429,7 @@ def test_drawn_sets_match_the_pair_loop(form_id, data):
 def test_a_sum_on_a_wall_is_not_interior():
     rs, _, rrs = form("so(4,3)")
     exponent = -rrs.rho_restricted
-    wall = [rrs.rho_restricted - rrs.simple_restricted[0]]
+    wall = [rrs.rho_restricted - restricted_weights(rrs).simple_restricted[0]]
     passed, margin = cone_margin(rrs, [exponent], wall)
     assert not passed and margin == SignedSqrt.zero()
     assert reference_cone_margin(rrs, [exponent], wall) == (passed, margin)

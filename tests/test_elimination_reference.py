@@ -39,7 +39,7 @@ from cartan_ds.catalog import (
     _theta_from_ambient_map,
     _transposition_product,
 )
-from cartan_ds.realform import _positive_and_simple
+from cartan_ds.realform import _eigenbasis, _positive_and_simple
 from cartan_ds.rootdata import _int_mat_vec
 from forms import PM_W_TYPES, form, pm_w_involutions, random_matrix
 import linalg_reference
@@ -117,7 +117,7 @@ def test_catalog_eigenspaces_match_reference():
         rs, inv, _ = form(entry.id)
         theta = entry.theta_matrix
         n = len(theta)
-        for sign, basis in ((-1, inv.split_basis), (1, inv.compact_basis)):
+        for sign, basis in ((-1, inv.split_basis), (1, _eigenbasis(inv.theta, +1))):
             shifted = tuple(
                 tuple(theta[i][j] - (sign if i == j else 0) for j in range(n)) for i in range(n)
             )

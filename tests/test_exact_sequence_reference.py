@@ -111,7 +111,7 @@ def reference_exact_sequence(rs, inv, cap=DEFAULT_CAP):
     reflections = [
         reflection(_doubled(beta)) for beta in views.indivisible & views.positive_restricted
     ]
-    simple = [_doubled(s) for s in rrs.simple_restricted]
+    simple = [_doubled(s) for s in views.simple_restricted]
     identity = tuple(index[s] for s in simple)
     restricted_group = closure(
         (identity,),

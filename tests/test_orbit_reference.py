@@ -6,13 +6,10 @@ and test the open negative cone by the signs of int covector products.  The
 references below are the Fraction closure through the Fraction simple
 reflection of ``linalg_reference``, ``CartanInvolution.restrict`` per orbit
 point and ``cone_position(...).neg_interior`` as the filter, kept here to
-compare against.  ``validate_datum`` tests each exponent on the int
-restrictions of the closed int orbit (``_admits``); its reference tests
-membership among the Fraction restrictions, with the same errors in the same
-order, and the int closure refuses an orbit past ``cap`` as ``weyl_orbit``
-does.  ``restricted_reference.orbit_restrictions``, the same int closure and
-restriction, gives the cone-margin references their shift sets; it is
-compared with the Fraction restrictions here, with the orbit functions.
+compare against.  ``restricted_reference.orbit_restrictions``, the
+``weyl_orbit`` closure restricted on ints, gives the cone-margin references
+their shift sets; it is compared with the Fraction restrictions here, with
+the orbit functions.
 
 ``admissible_exponents`` and ``orbit_plus`` read the admissible points off
 one walk (``exponents._walk``): up from the antidominant point, in the
@@ -22,10 +19,14 @@ catalog involutions conjugated by drawn Weyl words, w theta w^-1, whose
 default positive system is not compatible; no catalog form re-chooses its
 positive system, so only these reach the chamber transform.  Each admissible
 point is walked once, and ``strong_regularization`` refuses a weight with
-NoAdmissibleDirection exactly when the reference admissible set is empty.
+NoAdmissibleDirection exactly when the reference admissible set is empty;
+on drawn data it then refuses, with InvalidDatum, exactly the exponents
+outside that set, the one exponent rule of the library.
 Mutations these tests catch: the walk without the chamber transform (the
 ray covectors and v - theta(v) read in default coordinates), without its
-seen-set, and with ``<= 0`` in place of ``< 0`` as the cone test.
+seen-set, and with ``<= 0`` in place of ``< 0`` as the cone test; the
+search's exponent check dropped, and its NoAdmissibleDirection test moved
+after that check.
 
 When |W| exceeds the cap, an orbit is refused before its closure if its
 predicted size |W| / |W_J| does; J is the set of walls of the dominant
@@ -61,9 +62,7 @@ from cartan_ds import (
     cone_position,
     orbit_plus,
     restricted_roots,
-    sorted_exponents,
     strong_regularization,
-    validate_datum,
     validate_involution,
     weyl_orbit,
     weyl_order,
@@ -242,6 +241,52 @@ def test_orbit_functions_match_reference_on_drawn_weights(form_id, data):
     assert assert_matches_reference(rs, inv, rrs, lam)
 
 
+def search_outcome(rs, inv, rrs, datum):
+    """The search's refusal of a datum: its error's name and message, or None."""
+    try:
+        strong_regularization(rs, inv, rrs, datum, TranslationConfig(max_k=0, max_mu_coeff=0))
+    except (NoAdmissibleDirection, InvalidDatum) as exc:
+        return type(exc).__name__, str(exc)
+    except (SearchExhausted, BadParameters):
+        pass
+    return None
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(form_id=st.sampled_from(SMALL_FORMS), data=st.data())
+def test_search_refuses_exactly_the_exponents_outside_the_reference_set(form_id, data):
+    # the one exponent rule: each exponent must be in the reference admissible
+    # set, checked after the weight is found to have one
+    rs, inv, rrs = form(form_id)
+    vector = st.lists(coefficient, min_size=rs.rank, max_size=rs.rank)
+    lam = Weight(tuple(data.draw(vector)))
+    reference = reference_results(rs, inv, rrs, lam, CAP)
+    admissible = reference["admissible_exponents"]
+    kinds = st.sampled_from(["admissible"] * 3 + ["restriction", "half", "drawn", "rank"])
+    exponents = set()
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(kinds)
+        if kind == "rank":
+            exponents.add(Weight.zero(rs.rank + 1))
+        elif kind == "drawn":
+            exponents.add(Weight(tuple(data.draw(vector))))
+        else:
+            pool = reference["orbit_restrictions"]
+            if kind == "admissible" and admissible:
+                pool = admissible
+            e = data.draw(st.sampled_from(sorted(pool, key=lambda w: w.coords)))
+            exponents.add(e.scale(Fraction(1, 2)) if kind == "half" else e)
+    if not admissible:
+        want = "NoAdmissibleDirection", "no orbit element restricts into the negative cone interior"
+    elif not exponents <= admissible:
+        want = "InvalidDatum", "exponent is not an admissible restriction of the weight's orbit"
+    elif not exponents:
+        want = "InvalidDatum", "datum has no exponents to certify"
+    else:
+        want = None
+    assert search_outcome(rs, inv, rrs, FormalDSDatum(lam, frozenset(exponents))) == want
+
+
 @pytest.mark.parametrize(
     "cartan_type",
     ["A1", "A2", "A5", "A8", "B2", "B3", "B6", "C3", "C5", "D4", "D5", "D7",
@@ -301,58 +346,3 @@ def test_predicted_orbit_size_matches_the_orbit_on_catalog():
                     weyl_orbit(rs, lam, cap=size - 1)
             compared += 1
     assert compared > 400
-
-
-def test_validate_datum_refuses_an_orbit_past_the_cap():
-    # rho is regular on split B3, so its orbit has |W| = 48 elements
-    rs, inv, _ = form("split(B3)")
-    datum = FormalDSDatum(rs.rho, frozenset({inv.restrict(-rs.rho)}))
-    validate_datum(rs, inv, datum, 48)
-    with pytest.raises(CapExceeded, match=r"^orbit size exceeded cap 47 \(predicted size 48\)$"):
-        validate_datum(rs, inv, datum, 47)
-
-
-def reference_validate_datum(rs, inv, datum, cap):
-    """validate_datum as it was: each exponent, in sorted order, looked up
-    among the Fraction restrictions of the reference orbit."""
-    if datum.weight.rank != rs.rank:
-        raise InvalidDatum("weight rank does not match the root system")
-    allowed = {inv.restrict(nu) for nu in reference_orbit(rs, datum.weight, cap)}
-    for e in sorted_exponents(datum):
-        if e.rank != rs.rank:
-            raise InvalidDatum("exponent rank does not match the root system")
-        if e not in allowed:
-            raise InvalidDatum("exponent is not the restriction of any orbit element")
-
-
-def outcome(check, *args):
-    try:
-        check(*args)
-    except InvalidDatum as exc:
-        return str(exc)
-    return None
-
-
-@settings(deadline=None, derandomize=True, max_examples=300)
-@given(form_id=st.sampled_from(SMALL_FORMS), data=st.data())
-def test_validate_datum_matches_reference_on_drawn_data(form_id, data):
-    rs, inv, _ = form(form_id)
-    rank = data.draw(st.sampled_from([rs.rank] * 8 + [rs.rank + 1]))
-    lam = Weight(tuple(data.draw(st.lists(coefficient, min_size=rank, max_size=rank))))
-    restrictions = sorted(
-        {inv.restrict(nu) for nu in reference_orbit(rs, lam)} if rank == rs.rank else (),
-        key=lambda w: w.coords,
-    )
-    exponents = set()
-    for _ in range(data.draw(st.integers(0, 3))):
-        kind = data.draw(st.sampled_from(["restriction", "half", "drawn", "rank"]))
-        if kind == "rank":
-            exponents.add(Weight.zero(rs.rank + 1))
-        elif kind == "drawn" or not restrictions:
-            exponents.add(Weight(tuple(data.draw(st.lists(coefficient, min_size=rs.rank, max_size=rs.rank)))))
-        else:
-            e = data.draw(st.sampled_from(restrictions))
-            exponents.add(e if kind == "restriction" else e.scale(Fraction(1, 2)))
-    datum = FormalDSDatum(weight=lam, exponents=frozenset(exponents))
-    want = outcome(reference_validate_datum, rs, inv, datum, CAP)
-    assert outcome(validate_datum, rs, inv, datum, CAP) == want

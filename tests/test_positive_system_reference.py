@@ -57,6 +57,7 @@ from cartan_ds.rootdata import (
     word_element,
 )
 from forms import PM_W_TYPES, pm_w_involutions, random_matrix
+import linalg_reference
 from restricted_reference import reference_vanishing
 from weight_reference import restricted_weights
 from weyl_reference import assert_checks_match
@@ -80,7 +81,13 @@ def reference_weight_table(rs, theta):
     return doubled
 
 
-def reference_weight_positive_system(rs, doubled, split_basis, compact_basis):
+def reference_compact_basis(theta):
+    """The +1 eigenbasis of theta: the Fraction kernel basis of theta - 1."""
+    shifted = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(theta)]
+    return tuple(Weight(v) for v in linalg_reference.nullspace(shifted))
+
+
+def reference_weight_positive_system(rs, theta, doubled, split_basis):
     """(positive roots, chamber, default compatible) chosen on the Weight-keyed
     table by the same signs as ``validate_involution``."""
     zero = (0,) * rs.rank
@@ -90,7 +97,7 @@ def reference_weight_positive_system(rs, doubled, split_basis, compact_basis):
     ints = {r: [c.numerator for c in r.coords] for r in doubled}
     split = _regular_covector(rs, split_basis, set(doubled.values()) - {zero})
     fixed = [ints[r] for r, d in doubled.items() if d == zero]
-    compact = _regular_covector(rs, compact_basis, fixed)
+    compact = _regular_covector(rs, reference_compact_basis(theta), fixed)
     positive = frozenset(
         r for r, d in doubled.items() if (_dot(split, d) or _dot(compact, ints[r])) > 0
     )
@@ -130,7 +137,7 @@ def reference_positive_system(rs, inv):
     fixed = [r for r in rs.all_roots if restrictions[r].is_zero()]
     lam_split = _regular_combination(rs, inv.split_basis, nonzero)
     lam_compact = (
-        _regular_combination(rs, inv.compact_basis, fixed)
+        _regular_combination(rs, reference_compact_basis(theta), fixed)
         if fixed
         else Weight.zero(rs.rank)
     )
@@ -183,7 +190,7 @@ def reference_restricted_type(rrs):
     if not rrs.restricted_roots:
         return "0"
     rs = rrs.root_system
-    simple = rrs.simple_restricted
+    simple = restricted_weights(rrs).simple_restricted
     labels = []
     for comp in _component_split(rs, simple):
         span_pos = [
@@ -233,7 +240,7 @@ def assert_matches_reference(rs, inv, name, relabels):
         assert table[Weight.of(a)] == d, name
         assert Weight.of(d) == _restrict(inv.theta, Weight.of(a)).scale(2), name
     assert {Weight.of(a) for a in rs.roots} == rs.all_roots, name
-    by_weight = reference_weight_positive_system(rs, table, inv.split_basis, inv.compact_basis)
+    by_weight = reference_weight_positive_system(rs, inv.theta, table, inv.split_basis)
     for positive, chamber, default_ok in (by_weight, reference_positive_system(rs, inv)):
         assert inv.positive_roots == positive, name
         assert (inv.chamber.matrix, inv.chamber.word) == (chamber.matrix, chamber.word), name

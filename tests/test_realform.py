@@ -28,13 +28,13 @@ from cartan_ds import (
     multiplicity_identity_holds,
     orbit_plus,
     restricted_roots,
+    strong_regularization,
     theta_in_weyl,
-    validate_datum,
     validate_involution,
     verify_exact_sequence,
 )
 from cartan_ds import linalg
-from cartan_ds.realform import _positive_and_simple, _read_matrix
+from cartan_ds.realform import _eigenbasis, _positive_and_simple, _read_matrix
 from forms import form
 import linalg_reference
 from weight_reference import restricted_weights
@@ -146,8 +146,8 @@ def test_validate_accepts_identity_and_minus_identity():
     rs = build_root_system("B2")
     plus = validate_involution(rs, ((1, 0), (0, 1)))
     minus = validate_involution(rs, ((-1, 0), (0, -1)))
-    assert plus.split_rank == 0 and len(plus.compact_basis) == 2
-    assert minus.split_rank == 2 and len(minus.compact_basis) == 0
+    assert plus.split_rank == 0 and len(_eigenbasis(plus.theta, +1)) == 2
+    assert minus.split_rank == 2 and len(_eigenbasis(minus.theta, +1)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,7 @@ def test_su21_restricted_data():
     assert views.multiplicity[half_rho] == 2
     assert views.multiplicity[rs.rho] == 1
     assert views.vanishing_roots == frozenset()
-    assert rrs.simple_restricted == (half_rho,)
+    assert views.simple_restricted == (half_rho,)
     # indivisible = roots whose half is not itself a restricted root
     assert views.indivisible == frozenset({half_rho, -half_rho})
     assert classify_restricted_type(rrs) == "BC1"
@@ -303,7 +303,7 @@ def test_multiplicity_identity_across_whole_catalog():
         rs, inv, rrs = form(entry.id)
         assert multiplicity_identity_holds(rrs), entry.id
         # the simple restricted roots are a basis of the split part
-        assert len(rrs.simple_restricted) == inv.split_rank
+        assert len(rrs.doubled_simple) == inv.split_rank
 
 
 def test_stored_simple_restricted_roots_match_the_difference_test():
@@ -314,7 +314,9 @@ def test_stored_simple_restricted_roots_match_the_difference_test():
         positive, simple = _positive_and_simple(inv)
         assert rrs.doubled_simple == tuple(simple), entry.id
         assert rrs.doubled_positive == positive, entry.id
-        assert rrs.simple_restricted == tuple(Weight.of(d).scale(HALF) for d in simple)
+        assert restricted_weights(rrs).simple_restricted == tuple(
+            Weight.of(d).scale(HALF) for d in simple
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +405,7 @@ def test_involution_from_another_root_system_is_refused():
     calls = [
         lambda: restricted_roots(a2, minus_one),
         lambda: verify_exact_sequence(a2, minus_one),
-        lambda: validate_datum(a2, minus_one, datum),
+        lambda: strong_regularization(a2, minus_one, rrs, datum),
         lambda: admissible_exponents(a2, minus_one, rrs, a2.rho),
         lambda: compact_cartan_verdict(a2, minus_one),
         lambda: extended_stabilizer(b2, swap, b2.rho),

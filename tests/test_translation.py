@@ -328,6 +328,22 @@ def test_pipeline_rejects_non_integral_line():
         strong_regularization(rs, inv, rrs, half)
 
 
+@pytest.mark.parametrize(
+    "exponent",
+    [
+        Weight.of([1, 0, 0]),  # of another rank
+        Weight.of([1, 0]),  # no orbit restriction
+        Weight.zero(2),  # the apex of the cone
+        Weight.of([1, 1]),  # the restriction of rho, outside the cone
+    ],
+)
+def test_pipeline_refuses_an_exponent_that_is_not_admissible(exponent):
+    rs, inv, rrs = form("su(2,1)")
+    datum = FormalDSDatum(weight=rs.rho, exponents=frozenset({inv.restrict(-rs.rho), exponent}))
+    with pytest.raises(InvalidDatum, match="not an admissible restriction"):
+        strong_regularization(rs, inv, rrs, datum)
+
+
 def test_pipeline_refuses_a_datum_with_no_exponents():
     # the search and its certificates never see an empty exponent set
     rs, inv, rrs = form("su(2,1)")

@@ -8,7 +8,11 @@ work on Fraction coordinates.
 
 ``restricted_weights`` maps a restricted root system's int data to the
 weights that tests compare: each doubled restricted root d is the weight
-d / 2, and a vanishing index names the root itself.
+d / 2, a vanishing index names the root itself, and the facet ray with int
+covector c and scale s is F^-1 c / s, F the invariant form.  ``ray_pairings``
+gives a vector's Fraction pairings with those rays, c.v / s, from the int
+products the library takes (``exponents._ray_products``); ``pairings_of``
+gives them for any int products at a scale.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from types import SimpleNamespace
 import linalg_reference
 
 from cartan_ds import Weight
+from cartan_ds.exponents import _ray_products
 from cartan_ds.linalg import frac
 from cartan_ds.realform import _indivisible
 
@@ -80,10 +85,11 @@ def weight_from_fw(rs, values) -> FractionWeight:
 
 def restricted_weights(rrs) -> SimpleNamespace:
     """The weights of rrs's int data: ``multiplicity``, ``positive_restricted``,
-    ``vanishing_roots`` and ``indivisible`` (restricted roots whose half is
-    not one)."""
+    ``vanishing_roots``, ``indivisible`` (restricted roots whose half is
+    not one), ``simple_restricted`` in the stored order, and ``facet_rays``."""
     mult = rrs.doubled_multiplicity
     half = {d: Weight(d).scale(HALF) for d in mult}
+    form_inverse = linalg_reference.inverse(rrs.root_system.form)
     return SimpleNamespace(
         multiplicity={half[d]: m for d, m in mult.items()},
         positive_restricted=frozenset(half[d] for d in rrs.doubled_positive),
@@ -91,4 +97,19 @@ def restricted_weights(rrs) -> SimpleNamespace:
             Weight(rrs.root_system.roots[k]) for k in rrs.vanishing_indices
         ),
         indivisible=frozenset(half[d] for d in mult if _indivisible(d, mult)),
+        simple_restricted=tuple(half[d] for d in rrs.doubled_simple),
+        facet_rays=tuple(
+            Weight(linalg_reference.mat_vec(form_inverse, c)).scale(Fraction(1, s))
+            for c, s in zip(rrs.ray_covectors, rrs.ray_scales)
+        ),
     )
+
+
+def pairings_of(rrs, products, scale) -> tuple[Fraction, ...]:
+    """The Fraction ray pairings x_j / (s_j S) of int products at scale S."""
+    return tuple(Fraction(x, s * scale) for x, s in zip(products, rrs.ray_scales))
+
+
+def ray_pairings(rrs, v: Weight) -> tuple[Fraction, ...]:
+    """v's pairing with each facet ray, c.v / s."""
+    return pairings_of(rrs, *_ray_products(rrs, v))
