@@ -21,7 +21,6 @@ file whose name is not canonical, not the whole directory.
 
 from __future__ import annotations
 
-import fnmatch
 import json
 import os
 import re
@@ -338,8 +337,9 @@ def read_json(path: Path) -> object:
         raise ParseError(f"cannot read JSON document {path}: {exc}") from exc
 
 
-#: canonical file name -> the packaged id it must hold
-_CANONICAL_IDS = {entry_filename(i): i for i in default_catalog_ids()}
+#: packaged id -> its canonical file name, and canonical file name -> the id it must hold
+_CANONICAL_NAMES = {i: entry_filename(i) for i in default_catalog_ids()}
+_CANONICAL_IDS = {name: i for i, name in _CANONICAL_NAMES.items()}
 
 
 def _read_catalog(root: Path, form_id: str | None = None) -> list[CatalogEntry]:
@@ -347,15 +347,13 @@ def _read_catalog(root: Path, form_id: str | None = None) -> list[CatalogEntry]:
     the canonical files of other ids are skipped."""
     if not root.is_dir():
         raise ParseError(f"catalog directory not found: {root}")
-    names = sorted(fnmatch.filter(os.listdir(root), "*.json"))
+    listing = set(os.listdir(root))
+    skipped = set() if form_id is None else listing.intersection(_CANONICAL_IDS)
+    skipped.discard(_CANONICAL_NAMES.get(form_id))
     paths: dict[str, Path] = {}
     entries = []
-    skipped: set[str] = set()
-    for name in names:
+    for name in sorted(n for n in listing - skipped if n.endswith(".json")):
         named_for = _CANONICAL_IDS.get(name)
-        if form_id is not None and named_for not in (None, form_id):
-            skipped.add(named_for)
-            continue
         path = root / name
         entry = document_to_entry(read_json(path))
         if named_for not in (None, entry.id):
@@ -366,7 +364,7 @@ def _read_catalog(root: Path, form_id: str | None = None) -> list[CatalogEntry]:
         entries.append(entry)
     # a hand-named file holds the id of a skipped canonical file: the whole
     # read raises, naming both files (or the other id the canonical one holds)
-    if not skipped.isdisjoint(paths):
+    if any(_CANONICAL_NAMES.get(i) in skipped for i in paths):
         _read_catalog(root)
     return entries
 

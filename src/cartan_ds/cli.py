@@ -36,6 +36,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -59,7 +60,7 @@ from .exponents import (
     cone_position,
     sorted_exponents,
 )
-from .linalg import format_rational, frac
+from .linalg import frac
 from .realform import (
     CartanInvolution,
     RestrictedRootSystem,
@@ -73,6 +74,7 @@ from .rootdata import (
     RootSystem,
     Weight,
     WeylElement,
+    _weight,
     build_root_system,
     parse_cartan_type,
     weyl_order,
@@ -121,13 +123,15 @@ def encode_value(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, Fraction):
-        return format_rational(value)
+        return str(value)
     if isinstance(value, Weight):
-        return [format_rational(c) for c in value.coords]
+        # as str(Fraction): "p/q" reduced by one gcd per coordinate, "p" when integral
+        d = value.den
+        return [str(x // g) if (g := gcd(x, d)) == d else f"{x // g}/{d // g}" for x in value.nums]
     if isinstance(value, WeylElement):
         return {"word": list(value.word)}
     if isinstance(value, SignedSqrt):
-        return {"sign": value.sign, "square": format_rational(value.square)}
+        return {"sign": value.sign, "square": str(value.square)}
     if isinstance(value, dict):
         return {str(k): encode_value(v) for k, v in value.items()}
     if isinstance(value, (frozenset, set)):
@@ -333,7 +337,7 @@ def cmd_inspect(args: argparse.Namespace, directory: Path) -> Outcome:
     identity_ok = multiplicity_identity_holds(rrs)
     mult = rrs.doubled_multiplicity
     multiplicities = [
-        {"root": Weight(d).scale(Fraction(1, 2)), "multiplicity": mult[d]}
+        {"root": _weight(d, 2), "multiplicity": mult[d]}
         for d in sorted(rrs.doubled_positive)
     ]
     results = {

@@ -299,15 +299,14 @@ def _orbit_maxima(chamber: RestrictedRootSystem, coords: list[int], cap: int) ->
 def antidominant_restriction(
     rs: RootSystem, inv: CartanInvolution, lam: Weight
 ) -> Weight:
-    """Restriction of the antidominant element of lam's orbit.
-
-    An orbit has exactly one antidominant element, -dom(-lam), which is
-    w0 dom(lam); this form costs one chamber chase, on ints.
-    """
+    """Restriction of chamber (-dom(-lam)), the orbit's antidominant point in
+    theta's chamber and the start of ``_walk``: it is admissible exactly when
+    lam has an admissible exponent, as the ray products are least there.  This
+    costs one chamber chase, on ints."""
     _require_same_root_system(rs, inv)
     coords = _nums_on(rs, -lam)
     _chase(rs, coords)
-    return inv.restrict(_weight(coords, -lam.den))
+    return inv.restrict(_weight(_int_mat_vec(inv.chamber.matrix, coords), -lam.den))
 
 
 def admissible_exponents(

@@ -8,16 +8,21 @@ root system, each with a multiplicity equal to its number of preimages.
 
 A root is an index into the root system's int table ``roots``.  Roots and
 theta are integral, so the doubled restriction alpha - theta(alpha) is an int
-vector.  The validator stores these in one tuple aligned with the table, and
-the compatible positive system as a set of indices; everything that restricts
-a root reads them: the restricted root system and its dual cone, the
-restricted type and the exact-sequence check.
+vector, one (1 - theta) product per root.  The validator stores these in one
+tuple aligned with the table, and the compatible positive system as a set of
+indices; everything that restricts a root reads them: the restricted root
+system and its dual cone, the restricted type and the exact-sequence check.
+An isometry that maps each simple root to a root permutes the roots
+(Humphreys 10.3), so only theta's columns are looked up in the table.
 
 A positive system of the ambient roots is *compatible* when its nonzero
 restrictions form a positive system of the restricted roots.  The validator
 keeps the default positive system when it is already compatible and otherwise
 re-chooses one by signs on the table, recording the Weyl chamber transform
-that carries the default system onto the chosen one.
+that carries the default system onto the chosen one.  Its columns are the
+compatible simple roots, whose distinct nonzero restrictions are the simple
+restricted roots (Araki 1962, section 2; Knapp, *Lie Groups Beyond an
+Introduction*, ch. VI) and whose zero ones the simple vanishing roots.
 """
 
 from __future__ import annotations
@@ -193,12 +198,11 @@ def validate_involution(rs: RootSystem, theta_matrix) -> CartanInvolution:
         raise NotIsometric("matrix does not preserve the invariant pairing")
     if d != 1:
         raise NotRootPreserving("matrix does not preserve the root lattice")
-    # theta is invertible, so it permutes the roots iff it maps each one into
-    # the root table
-    images = [tuple(_int_mat_vec(theta, a)) for a in rs.roots]
-    if not all(b in rs.root_index for b in images):
+    # an isometry that maps each simple root to a root permutes the roots
+    if not all(col in rs.root_index for col in zip(*theta)):
         raise NotRootPreserving("matrix does not permute the roots")
-    doubled = tuple(tuple(map(operator.sub, a, b)) for a, b in zip(rs.roots, images))
+    one_minus = tuple(tuple(map(operator.sub, e, row)) for e, row in zip(rs.identity.matrix, theta))
+    doubled = tuple(tuple(_int_mat_vec(one_minus, a)) for a in rs.roots)
 
     split_basis = _eigenbasis(theta, -1)
     positive, chamber, default_ok = _compatible_positive_system(rs, theta, doubled, split_basis)
@@ -300,21 +304,16 @@ class RestrictedRootSystem:
         return frozenset(_weight(d, 2) for d in self.doubled_multiplicity)
 
 
-def _simple(positive: set) -> list:
-    """The simple elements of a positive set of int tuples, sorted: those
-    that are no element plus another."""
-    return sorted(
-        d
-        for d in positive
-        if not any(tuple(map(operator.sub, d, e)) in positive for e in positive)
-    )
-
-
-def _positive_and_simple(inv: CartanInvolution) -> tuple[set, list]:
-    """The doubled positive restricted roots, and the sorted simple ones."""
+def _positive_and_simple(inv: CartanInvolution) -> tuple[set, list, list]:
+    """The doubled positive restricted roots, the sorted simple ones and the
+    simple vanishing roots, read off the compatible simple roots: the columns
+    of theta's chamber transform."""
+    rs = inv.root_system
     doubled = inv.doubled_restrictions
     positive = {doubled[k] for k in inv.positive_indices if any(doubled[k])}
-    return positive, _simple(positive)
+    simple = [rs.root_index[b] for b in zip(*inv.chamber.matrix)]
+    restricted = sorted({doubled[k] for k in simple if any(doubled[k])})
+    return positive, restricted, [rs.roots[k] for k in simple if not any(doubled[k])]
 
 
 def _indivisible(d: tuple[int, ...], restricted) -> bool:
@@ -334,7 +333,7 @@ def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSys
     _require_same_root_system(rs, inv)
     doubled = inv.doubled_restrictions
     mult = Counter(d for d in doubled if any(d))
-    positive, simple = _positive_and_simple(inv)
+    positive, simple, _ = _positive_and_simple(inv)
     two_rho = [sum(mult[d] * d[i] for d in positive) for i in range(rs.rank)]
 
     # the rays are the basis dual to the simple restricted roots d_k / 2, whose
@@ -521,10 +520,9 @@ def verify_exact_sequence(
 
     # the vanishing roots are a root system, generated by the reflections in
     # its simple roots b: s_b(v) = v - (c . v) b, c the int coroot 2 F b / (b, b)
-    doubled = inv.doubled_restrictions
-    fixed = {rs.roots[k] for k in inv.positive_indices if not any(doubled[k])}
+    positive, simple, vanishing = _positive_and_simple(inv)
     gens = []
-    for b in _simple(fixed):
+    for b in vanishing:
         fb = _int_mat_vec(rs.form, b)
         gens.append((b, [2 * x // _dot(b, fb) for x in fb]))
     vanishing_group = closure(
@@ -534,7 +532,7 @@ def verify_exact_sequence(
         "vanishing Weyl group",
     )
 
-    roots = sorted({d for d in doubled if any(d)})
+    roots = sorted({d for d in inv.doubled_restrictions if any(d)})
     index = {d: k for k, d in enumerate(roots)}
 
     def reflection(b: tuple[int, ...]) -> tuple[int, ...]:
@@ -554,7 +552,6 @@ def verify_exact_sequence(
         return tuple(perm)
 
     # s_beta = s_{-beta}, so the positive roots alone generate the group
-    positive, simple = _positive_and_simple(inv)
     reflections = [reflection(b) for b in positive if _indivisible(b, index)]
     identity = tuple(index[s] for s in simple)
     restricted_group = closure(

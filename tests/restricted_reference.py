@@ -1,7 +1,10 @@
 """The restricted root system's vanishing set, dual chamber and cone
 position as Fraction references.
 
-``reference_vanishing`` reads the vanishing roots off a Weight-keyed table.
+``reference_simple`` is the difference search that found the simple
+elements of a positive set before they were read off theta's chamber
+transform.  ``reference_vanishing`` reads the vanishing roots off a
+Weight-keyed table.
 ``doubled_orbit_restrictions`` and ``orbit_restrictions`` close a weight's
 orbit with ``weyl_orbit`` (and its CapExceeded) and restrict each point on
 ints, v - theta(v); they give the references their shift sets.
@@ -21,6 +24,16 @@ from cartan_ds.exponents import BOUNDARY_OR_OUTSIDE, NEG_INTERIOR
 from cartan_ds.rootdata import _int_mat_vec, _weight
 import linalg_reference
 from weight_reference import restricted_weights
+
+
+def reference_simple(positive):
+    """The simple elements of a positive set of int tuples, sorted: those
+    that are no element plus another."""
+    return sorted(
+        d
+        for d in positive
+        if not any(tuple(map(operator.sub, d, e)) in positive for e in positive)
+    )
 
 
 def reference_vanishing(table):

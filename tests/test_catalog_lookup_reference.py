@@ -119,7 +119,7 @@ def test_duplicate_ids_match_reference(monkeypatch, tmp_path, hand_named):
         lambda d: (d / "bad.json").write_bytes(b"\xff{"),
         lambda d: write_doc(d / "form.json", "su(2,1)", theta_matrix=["10", "01"]),
         lambda d: write_doc(d / "form.json", "su(2,1)", expected_verdict="false"),
-        lambda d: (d / "x.json").mkdir(),
+        lambda d: (d / "x.json").mkdir(),  # listed with the .json names, unreadable
     ],
 )
 def test_malformed_hand_named_files_match_reference(monkeypatch, tmp_path, make_bad):
@@ -128,6 +128,27 @@ def test_malformed_hand_named_files_match_reference(monkeypatch, tmp_path, make_
     assert_same_lookup(monkeypatch, tmp_path, FORMS)
     for form in FORMS:
         assert resolved(monkeypatch, load_entry, form, tmp_path)[0] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "make_layout",
+    [
+        # not read by either lookup: no .json suffix, or an upper-case one
+        lambda d: (d / "notes.txt").write_text("{not json"),
+        lambda d: (d / "su_2_1.json.bak").write_text("{not json"),
+        lambda d: (d / "X.JSON").write_text("{not json"),
+        lambda d: write_doc(d / "Y.JSON", "su(3,1)", id="my-form"),
+        # a hand-named file holding the id of a packaged form whose canonical
+        # file is skipped (present) or absent
+        lambda d: write_doc(d / "mine.json", "sl(2,R)"),
+        lambda d: write_doc(d / "mine.json", "split(G2)"),
+        lambda d: write_doc(d / "mine.json", "so(4,3)", id="su(2,1)"),
+    ],
+)
+def test_listing_edge_cases_match_reference(monkeypatch, tmp_path, make_layout):
+    write_catalog(tmp_path, [catalog_form("su(2,1)"), catalog_form("sl(2,R)")])
+    make_layout(tmp_path)
+    assert_same_lookup(monkeypatch, tmp_path, FORMS)
 
 
 def test_canonical_file_holding_another_id_is_refused(monkeypatch, tmp_path):

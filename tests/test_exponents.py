@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartan_ds import (
+    CartanDSError,
     FormalDSDatum,
     RankMismatch,
     SignedSqrt,
@@ -22,11 +23,12 @@ from cartan_ds import (
     dual_chamber,
     longest_element,
     orbit_plus,
+    restricted_roots,
     sorted_exponents,
     weyl_orbit,
 )
 from cartan_ds.exponents import BOUNDARY_OR_OUTSIDE, NEG_INTERIOR
-from forms import form
+from forms import PM_W_TYPES, form, pm_w_involutions
 from weight_reference import ray_pairings, restricted_weights
 
 F = Fraction
@@ -246,8 +248,10 @@ def test_admissible_exponents_match_orbit_plus_restrictions():
 
 
 def antidominant_restriction_reference(rs, inv, lam):
-    """w0 applied to the dominant representative, then restricted: two chases."""
-    return inv.restrict(apply(longest_element(rs), dominant_representative(rs, lam)[0]))
+    """w0 applied to the dominant representative, then carried into theta's
+    chamber and restricted: two chases."""
+    antidominant = apply(longest_element(rs), dominant_representative(rs, lam)[0])
+    return inv.restrict(apply(inv.chamber, antidominant))
 
 
 def test_antidominant_restriction_matches_reference_on_catalog():
@@ -273,6 +277,32 @@ def test_antidominant_restriction_matches_reference_on_drawn_weights(form_id, da
     lam = Weight.of(data.draw(st.lists(rationals, min_size=rs.rank, max_size=rs.rank)))
     want = antidominant_restriction_reference(rs, inv, lam)
     assert antidominant_restriction(rs, inv, lam) == want
+
+
+def test_antidominant_restriction_is_admissible_when_any_exponent_is():
+    # on the +-w involutions the positive system is often re-chosen, and the
+    # default exponent is then restricted in theta's chamber, where _walk starts
+    rng = random.Random(29)
+    rechosen = admitted = 0
+    for t in PM_W_TYPES:
+        for rs, inv in pm_w_involutions(t):
+            try:
+                rrs = restricted_roots(rs, inv)
+            except CartanDSError:
+                continue
+            rechosen += not inv.default_compatible
+            seeded = [
+                Weight.of(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rs.rank))
+                for _ in range(4)
+            ]
+            for lam in [rs.rho, *rs.fundamental_weights, *seeded]:
+                exponent = antidominant_restriction(rs, inv, lam)
+                assert exponent == antidominant_restriction_reference(rs, inv, lam)
+                admissible = admissible_exponents(rs, inv, rrs, lam)
+                assert (exponent in admissible) == bool(admissible), (inv.theta, lam)
+                admitted += bool(admissible) and not inv.default_compatible
+    # 153 re-chosen chambers, 1262 weights with admissible exponents among them
+    assert rechosen >= 150 and admitted >= 1200, (rechosen, admitted)
 
 
 def test_admissible_exponents_take_the_open_interior():

@@ -306,12 +306,12 @@ def test_multiplicity_identity_across_whole_catalog():
         assert len(rrs.doubled_simple) == inv.split_rank
 
 
-def test_stored_simple_restricted_roots_match_the_difference_test():
+def test_stored_simple_restricted_roots_match_the_chamber_read():
     # classify_restricted_type reads doubled_simple and doubled_positive
     # instead of running _positive_and_simple again
     for entry in build_default_catalog():
         rs, inv, rrs = form(entry.id)
-        positive, simple = _positive_and_simple(inv)
+        positive, simple, _ = _positive_and_simple(inv)
         assert rrs.doubled_simple == tuple(simple), entry.id
         assert rrs.doubled_positive == positive, entry.id
         assert restricted_weights(rrs).simple_restricted == tuple(
