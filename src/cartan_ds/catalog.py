@@ -344,10 +344,14 @@ _CANONICAL_IDS = {name: i for i, name in _CANONICAL_NAMES.items()}
 
 def _read_catalog(root: Path, form_id: str | None = None) -> list[CatalogEntry]:
     """The entries of root's *.json files, read in name order; with form_id,
-    the canonical files of other ids are skipped."""
-    if not root.is_dir():
-        raise ParseError(f"catalog directory not found: {root}")
-    listing = set(os.listdir(root))
+    the canonical files of other ids are skipped.  A root that cannot be
+    listed is a ParseError."""
+    try:
+        listing = set(os.listdir(root))
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise ParseError(f"catalog directory not found: {root}") from exc
+    except OSError as exc:
+        raise ParseError(f"cannot list catalog directory {root}: {exc.strerror}") from exc
     skipped = set() if form_id is None else listing.intersection(_CANONICAL_IDS)
     skipped.discard(_CANONICAL_NAMES.get(form_id))
     paths: dict[str, Path] = {}

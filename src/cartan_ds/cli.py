@@ -113,15 +113,15 @@ EXACT_SEQUENCE_MAX_WEYL = 46080
 
 
 def encode_value(value: Any) -> Any:
-    """Recursively convert library objects to JSON-safe structures.
+    """The ``default`` hook of ``json.dumps``: a JSON-writable stand-in for a
+    library value that ``json`` cannot write, which ``json`` then writes.
 
     Rationals become ``"p/q"`` strings, weights become coordinate lists,
-    Weyl elements become reduced words, and exact margins become
-    ``{"sign", "square"}`` pairs.  Field order is the declaration order of
-    the source dataclass, so serialized output is stable.
+    Weyl elements become reduced words, exact margins become
+    ``{"sign", "square"}`` pairs, and sets become sorted lists.  Field order
+    is the declaration order of the source dataclass, so serialized output is
+    stable.
     """
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, Weight):
@@ -132,22 +132,18 @@ def encode_value(value: Any) -> Any:
         return {"word": list(value.word)}
     if isinstance(value, SignedSqrt):
         return {"sign": value.sign, "square": str(value.square)}
-    if isinstance(value, dict):
-        return {str(k): encode_value(v) for k, v in value.items()}
     if isinstance(value, (frozenset, set)):
         if all(isinstance(x, Weight) for x in value):
-            return [encode_value(v) for v in sorted_exponents(value)]
-        return [encode_value(v) for v in sorted(value, key=repr)]
-    if isinstance(value, (list, tuple)):
-        return [encode_value(v) for v in value]
+            return sorted_exponents(value)
+        return sorted(value, key=repr)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        out: dict[str, Any] = {}
-        for f in dataclasses.fields(value):
-            if f.name.startswith("_"):
-                continue
-            out[f.name] = encode_value(getattr(value, f.name))
-        return out
+        fields = dataclasses.fields(value)
+        return {f.name: getattr(value, f.name) for f in fields if not f.name.startswith("_")}
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _dumps(value: Any) -> str:
+    return json.dumps(value, default=encode_value, separators=(",", ": "))
 
 
 def render_human(value: Any, indent: int = 0) -> list[str]:
@@ -181,10 +177,12 @@ def _compact(value: Any) -> str:
     return str(value)
 
 
-def emit(doc: dict[str, Any], as_json: bool) -> None:
+def emit(text: str, as_json: bool) -> None:
+    """Print a report envelope, encoded as JSON text, as it is or rendered."""
     if as_json:
-        print(json.dumps(doc, separators=(",", ": ")))
+        print(text)
         return
+    doc = json.loads(text)
     if doc["command"] == "catalog":
         _print_catalog_table(doc)
         return
@@ -255,7 +253,11 @@ def load_form(
     """
     candidate = Path(form)
     if candidate.suffix == ".json" or os.sep in form:
-        if not candidate.is_file():
+        try:
+            found = candidate.is_file()
+        except OSError:  # a path the file system refuses, such as an over-long one
+            found = False
+        if not found:
             raise UnknownForm(f"form document not found: {form}")
         entry = cat.document_to_entry(cat.read_json(candidate))
         try:
@@ -801,14 +803,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = _error_exit_code(exc)
         _emit_error(exc, code, as_json=getattr(args, "json", False))
         return code
-    doc = {
-        "command": args.command,
-        "inputs": encode_value(inputs),
-        "results": encode_value(results),
-        "certificates": encode_value(certificates),
-        "timing_ms": int((time.monotonic() - start) * 1000),
-    }
-    emit(doc, as_json=args.json)
+    text = _dumps(
+        {"command": args.command, "inputs": inputs, "results": results, "certificates": certificates}
+    )
+    # timing_ms takes the place of the closing brace, so it covers the encoding
+    timing_ms = int((time.monotonic() - start) * 1000)
+    emit(f'{text[:-1]},"timing_ms": {timing_ms}}}', as_json=args.json)
     return EXIT_OK if ok else EXIT_INCONSISTENT
 
 
@@ -831,8 +831,8 @@ def _emit_error(exc: CartanDSError, code: int, as_json: bool) -> None:
         }
         best = getattr(exc, "best", None)
         if best is not None:
-            payload["best"] = encode_value(best)
-        print(json.dumps(payload, separators=(",", ": ")))
+            payload["best"] = best
+        print(_dumps(payload))
     else:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
 

@@ -89,12 +89,6 @@ class SignedSqrt:
     def zero(cls) -> "SignedSqrt":
         return cls(0, Fraction(0))
 
-    @classmethod
-    def sqrt_of(cls, square: Fraction) -> "SignedSqrt":
-        if square < 0:
-            raise ValueError("square must be nonnegative")
-        return cls(0 if square == 0 else 1, Fraction(square))
-
     def scale(self, t) -> "SignedSqrt":
         t = linalg.frac(t)
         if t == 0 or self.sign == 0:

@@ -73,7 +73,7 @@ class CartanInvolution:
     ``positive_indices`` is the chosen compatible positive system, as indices
     into ``root_system.roots``, and ``chamber`` the Weyl element carrying the
     default positive system onto it (identity when the default was already
-    compatible); ``positive_roots`` builds its weights on each read.
+    compatible).
     ``doubled_restrictions[k]`` is alpha - theta(alpha), twice the restriction
     of alpha = ``root_system.roots[k]``, as an int tuple; the positive system
     and the restricted roots are read from it.
@@ -90,10 +90,6 @@ class CartanInvolution:
     default_compatible: bool
     doubled_restrictions: IntMat
     weyl_witness: WeylElement | None
-
-    @property
-    def positive_roots(self) -> frozenset[Weight]:
-        return frozenset(_weight(self.root_system.roots[k]) for k in self.positive_indices)
 
     @property
     def split_rank(self) -> int:
@@ -262,8 +258,7 @@ class RestrictedRootSystem:
     nonzero int tuples d = alpha - theta(alpha): ``doubled_multiplicity`` maps
     each d to its number of roots alpha, ``doubled_positive`` holds the d
     of the involution's positive roots and ``doubled_simple`` the simple ones,
-    sorted; ``vanishing_indices`` index the roots
-    with d = 0.  ``restricted_roots`` builds their weights d / 2 on each read.
+    sorted; ``vanishing_indices`` index the roots with d = 0.
 
     The facet rays are the basis dual to the simple restricted roots inside
     their span: a vector lies in the positive restricted cone iff it pairs
@@ -294,14 +289,6 @@ class RestrictedRootSystem:
     ray_scales: tuple[int, ...]
     ray_norms: tuple[Fraction, ...]
     fulldim: bool
-
-    @property
-    def split_rank(self) -> int:
-        return self.involution.split_rank
-
-    @property
-    def restricted_roots(self) -> frozenset[Weight]:
-        return frozenset(_weight(d, 2) for d in self.doubled_multiplicity)
 
 
 def _positive_and_simple(inv: CartanInvolution) -> tuple[set, list, list]:

@@ -6,9 +6,9 @@ row convention used here the Cartan matrix entry ``A[i][j]`` equals
 ``<alpha_j, alpha_i^vee>``, simple reflections act on coordinates through row
 ``i`` only, and every Weyl-group element is an integer matrix.  A weight is
 int numerators over one positive denominator, in lowest terms, and everything
-is computed on plain ints: weight arithmetic and the invariant pairing, the
-Cartan matrix, the symmetrizer and the invariant form, Weyl elements, root
-reflections, the dominant-chamber chase, Weyl orbits (one int orbit kernel,
+is computed on plain ints: weight arithmetic, the Cartan matrix, the
+symmetrizer and the invariant form, Weyl elements, the simple reflections of
+the roots, the dominant-chamber chase, Weyl orbits (one int orbit kernel,
 which also closes the roots) and :func:`apply_matrix`, through which every
 integer matrix acts on a weight's numerators.  Kernels read ``Weight.nums``
 and ``Weight.den`` and build their result with :func:`_weight`; Fractions
@@ -17,9 +17,9 @@ appear only in ``Weight.coords``, for reports.
 A root is an index into ``RootSystem.roots``, one table of int tuples built
 with the root system: the positive roots in ascending order, then their
 negatives in the same order; ``root_index`` maps each tuple to its index.
-rho, root heights and root membership read the table; the ``Weight`` sets
-``all_roots`` and ``positive_roots`` are built from it on each read.  Weyl
-elements are built on root indices, through the permutations ``reflections``.
+rho, root heights and root membership read the table.  Weyl elements are
+built on root indices, through the permutations ``reflections``, by
+:func:`word_element`.
 
 Reducible types are direct sums: the Cartan matrix is block diagonal and all
 operations act factor-wise without special casing.
@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from . import linalg
-from .errors import CapExceeded, InvalidType, PreconditionFailed, RankMismatch
+from .errors import CapExceeded, InvalidType, RankMismatch
 from .linalg import frac
 
 DEFAULT_CAP = 10**6
@@ -146,14 +146,6 @@ class WeylElement:
 
     def __hash__(self) -> int:
         return hash(self.matrix)
-
-    def is_identity(self) -> bool:
-        n = len(self.matrix)
-        return self.matrix == linalg.int_identity(n)
-
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        """self applied after other."""
-        return WeylElement(_int_mat_mul(self.matrix, other.matrix), self.word + other.word)
 
 
 class StabilizerInfo(NamedTuple):
@@ -313,7 +305,6 @@ class RootSystem:
         self.form: IntMat = tuple(
             tuple(d[i] * a[i][j] for j in range(rank)) for i in range(rank)
         )
-        self.simple_roots = tuple(map(_weight, linalg.int_identity(rank)))
         # (k, A[k][i]) for node i itself and each of its at most three neighbours k
         self._neighbours: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             tuple((k, a[k][i]) for k in range(rank) if a[k][i]) for i in range(rank)
@@ -335,37 +326,18 @@ class RootSystem:
         )
         self.two_rho: tuple[int, ...] = tuple(map(sum, zip(*positive)))
         self.rho: Weight = _weight(self.two_rho, 2)
-        # fundamental weight i, column i of A^-1, over one least denominator
-        ainv = linalg.inverse(self.cartan_matrix)
-        self.fw_denominator = math.lcm(*(x.denominator for row in ainv for x in row))
+        # fundamental weight i is column i of A^-1: row_reduce turns [A | 1]
+        # into [det 1 | adj] with A^-1 = adj / det, brought to lowest terms
+        rows = [[*row, *(int(i == j) for j in range(rank))] for i, row in enumerate(a)]
+        _, det = linalg.row_reduce(rows, rank)
+        g = math.gcd(det, *(x for row in rows for x in row[rank:]))
+        self.fw_denominator = det // g
         self.fw_numerators: IntMat = tuple(
-            zip(*(tuple(int(x * self.fw_denominator) for x in row) for row in ainv))
+            tuple(x // g for x in col) for col in zip(*(row[rank:] for row in rows))
         )
         self.fundamental_weights: tuple[Weight, ...] = tuple(
             _weight(row, self.fw_denominator) for row in self.fw_numerators
         )
-
-    @property
-    def all_roots(self) -> frozenset[Weight]:
-        return frozenset(map(_weight, self.roots))
-
-    @property
-    def positive_roots(self) -> frozenset[Weight]:
-        return frozenset(map(_weight, self.roots[: len(self.roots) // 2]))
-
-    def pairing(self, x: Weight, y: Weight) -> Fraction:
-        """Invariant symmetric bilinear form in simple-root coordinates."""
-        if x.rank != self.rank or y.rank != self.rank:
-            raise RankMismatch("weight rank does not match root system")
-        total = sum(map(operator.mul, x.nums, _int_mat_vec(self.form, y.nums)))
-        return Fraction(total, x.den * y.den)
-
-    def norm_sq(self, x: Weight) -> Fraction:
-        return self.pairing(x, x)
-
-    def fw_coords(self, lam: Weight) -> Coords:
-        """Coordinates of lam against the fundamental weights: <lam, alpha_i^vee>."""
-        return apply_matrix(self.cartan_matrix, lam).coords
 
     def weight_from_fw(self, values: Weight | Iterable[object]) -> Weight:
         lam = values if isinstance(values, Weight) else Weight.of(values)
@@ -373,29 +345,6 @@ class RootSystem:
             raise RankMismatch("coordinate length does not match rank")
         columns = tuple(zip(*self.fw_numerators))
         return _weight(_int_mat_vec(columns, lam.nums), lam.den * self.fw_denominator)
-
-    def simple_reflection(self, i: int) -> WeylElement:
-        if not 0 <= i < self.rank:
-            raise RankMismatch(f"no simple reflection with index {i}")
-        return word_element(self, (i,))
-
-    def reflection_in_root(self, root: Weight) -> WeylElement:
-        """The reflection s_root as the Weyl element of the word u^-1 s_i u,
-        where u carries root (made positive) onto the simple root alpha_i."""
-        beta = _nums_on(self, root)
-        if root.den != 1 or root.nums not in self.root_index:
-            raise PreconditionFailed("reflection requested in a non-root")
-        beta = [abs(x) for x in beta]  # a root's coordinates share one sign
-        steps: list[int] = []
-        while sum(beta) > 1:
-            # a positive non-simple root pairs positively with some simple
-            # coroot, and reflecting there keeps it positive with smaller height
-            p = _int_mat_vec(self.cartan_matrix, beta)
-            i = next(j for j, x in enumerate(p) if x > 0)
-            beta[i] -= p[i]
-            steps.append(i)
-        word = tuple(steps) + (beta.index(1),) + tuple(reversed(steps))
-        return word_element(self, word)
 
 
 @lru_cache(maxsize=None)

@@ -25,6 +25,7 @@ from cartan_ds import (
 )
 from cartan_ds import linalg
 import linalg_reference
+from weight_reference import pairing
 
 PM_W_TYPES = ("A1", "A2", "B2", "G2", "A3", "B3", "C3", "A1xA1", "A2xA1", "D4")
 
@@ -64,9 +65,9 @@ def random_matrix(rng, rs):
     if kind == 1:
         v = Weight(tuple(_random_rational(rng) for _ in range(n)))
         if v.is_zero():
-            v = rs.simple_roots[0]
+            v = Weight(rs.identity.matrix[0])
         # s_v(e_j) = e_j - 2 (e_j, v) / (v, v) v
-        c = [2 * rs.pairing(e, v) / rs.norm_sq(v) for e in rs.simple_roots]
+        c = [2 * pairing(rs, Weight(e), v) / pairing(rs, v, v) for e in rs.identity.matrix]
         return [[(k == j) - c[j] * v.coords[k] for j in range(n)] for k in range(n)]
     while True:
         p = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]

@@ -23,7 +23,7 @@ from cartan_ds import DEFAULT_CAP, SignedSqrt, Weight, weyl_orbit
 from cartan_ds.exponents import BOUNDARY_OR_OUTSIDE, NEG_INTERIOR
 from cartan_ds.rootdata import _int_mat_vec, _weight
 import linalg_reference
-from weight_reference import restricted_weights
+from weight_reference import pairing, restricted_weights
 
 
 def reference_simple(positive):
@@ -65,7 +65,7 @@ def reference_chamber(rrs):
     r = len(simple)
     rays = []
     if r:
-        gram = tuple(tuple(rrs.root_system.pairing(a, b) for b in simple) for a in simple)
+        gram = tuple(tuple(pairing(rrs.root_system, a, b) for b in simple) for a in simple)
         gram_inv = linalg_reference.inverse(gram)
         for j in range(r):
             ray = Weight.zero(rrs.root_system.rank)
@@ -73,8 +73,9 @@ def reference_chamber(rrs):
                 ray = ray + simple[k].scale(gram_inv[k][j])
             rays.append(ray)
     for gen in restricted_weights(rrs).positive_restricted:
-        assert all(rrs.root_system.pairing(gen, ray) >= 0 for ray in rays)
-    return tuple(rays), rrs.split_rank > 0 and r == rrs.split_rank
+        assert all(pairing(rrs.root_system, gen, ray) >= 0 for ray in rays)
+    split_rank = rrs.involution.split_rank
+    return tuple(rays), split_rank > 0 and r == split_rank
 
 
 @functools.lru_cache(maxsize=None)
@@ -83,8 +84,8 @@ def reference_ray_data(rrs):
     length, and fulldim."""
     rs = rrs.root_system
     rays, fulldim = reference_chamber(rrs)
-    covectors = [tuple(rs.pairing(e, ray) for e in rs.simple_roots) for ray in rays]
-    return covectors, [rs.pairing(ray, ray) for ray in rays], fulldim
+    covectors = [tuple(pairing(rs, Weight(e), ray) for e in rs.identity.matrix) for ray in rays]
+    return covectors, [pairing(rs, ray, ray) for ray in rays], fulldim
 
 
 def reference_margin(pairings, norms, fulldim):

@@ -210,6 +210,17 @@ def test_criterion_human_render(capsys):
     assert "timing_ms:" in out
 
 
+def test_strongreg_human_render_of_sets_steps_and_margins(capsys):
+    rc, out, _ = run(capsys, "strong-reg", "sl(3,R)", "--worst-case")
+    assert rc == 0 and out.startswith("[strong-reg]\n")
+    _, doc, _ = run_json(capsys, "strong-reg", "sl(3,R)", "--worst-case")
+    assert doc["results"]["exponents"] == [["-1", "-1"]]
+    assert '  exponents:\n    - ["-1","-1"]\n' in out
+    assert "  base_margin:\n    sign: 1\n    square: 3/2\n" in out
+    assert "      min_margin:\n        sign: 1\n        square: 1/6\n" in out
+    assert "timing_ms:" in out
+
+
 def test_criterion_accepts_whitespace_and_file_paths(capsys, tmp_path):
     rc, doc, _ = run_json(capsys, "criterion", " su( 2 , 1 ) ")
     assert rc == 0 and doc["results"]["id"] == "su(2,1)"
@@ -529,6 +540,27 @@ def test_missing_catalog_dir_is_a_parse_error(capsys, monkeypatch, tmp_path, arg
     monkeypatch.setenv(ENV_CATALOG_DIR, missing)
     rc, out, _ = run(capsys, *argv, "--json")
     assert rc == 2 and json.loads(out)["error"] == "ParseError"
+
+
+#: a path name longer than a file system takes: stat and listdir raise
+#: OSError (ENAMETOOLONG), not FileNotFoundError
+LONG_NAME = "a" * 5000
+
+
+@pytest.mark.parametrize("argv", [("catalog",), ("criterion", "su(2,1)")])
+def test_over_long_catalog_dir_is_a_parse_error(capsys, monkeypatch, argv):
+    rc, doc, _ = run_json(capsys, *argv, "--catalog", LONG_NAME)
+    assert rc == 2 and doc["error"] == "ParseError"
+    assert doc["message"].startswith(f"cannot list catalog directory {LONG_NAME}: ")
+    monkeypatch.setenv(ENV_CATALOG_DIR, LONG_NAME)
+    assert run_json(capsys, *argv)[:2] == (rc, doc)
+
+
+@pytest.mark.parametrize("form", [LONG_NAME + ".json", f"dir/{LONG_NAME}"], ids=["json", "dir"])
+def test_over_long_form_path_is_an_unknown_form(capsys, form):
+    rc, doc, _ = run_json(capsys, "criterion", form)
+    assert rc == 2 and doc["error"] == "UnknownForm"
+    assert doc["message"] == f"form document not found: {form}"
 
 
 def test_empty_catalog_flag_is_a_parse_error(capsys, monkeypatch, tiny_catalog):

@@ -87,6 +87,7 @@ from cartan_ds import (
     strong_regularization,
     weyl_orbit,
     weyl_order,
+    word_element,
 )
 from cartan_ds.exponents import (
     NEG_INTERIOR,
@@ -546,7 +547,7 @@ def test_search_matches_the_pair_loop_from_other_chambers():
     cases = [form(form_id) for form_id in SEARCH_FORMS] + RECHOSEN
     outcomes = Counter()
     for rs, inv, rrs in cases:
-        weight = apply(rs.simple_reflection(0), -rs.rho)
+        weight = apply(word_element(rs, (0,)), -rs.rho)
         admissible = sorted(admissible_exponents(rs, inv, rrs, weight), key=lambda w: w.coords)
         if not admissible:
             outcomes["no direction"] += 1

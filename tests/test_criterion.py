@@ -34,6 +34,7 @@ from cartan_ds import (
 from cartan_ds.realform import _read_matrix
 from cartan_ds.rootdata import _int_mat_mul, apply_matrix
 from forms import form
+from weyl_reference import reference_reflection
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +117,10 @@ def test_raw_matrix_membership_against_enumeration(cartan_type):
         witness = theta_in_weyl(rs, mat)
         assert (witness is not None) == (mat in group), mat
         if witness is not None:
-            product = rs.identity
+            product = rs.identity.matrix
             for i in witness.word:
-                product = product.compose(rs.simple_reflection(i))
-            assert witness.matrix == product.matrix == mat
+                product = _int_mat_mul(product, word_element(rs, (i,)).matrix)
+            assert witness.matrix == product == mat
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +195,8 @@ def test_stored_witness_matches_reference_on_drawn_involutions(cartan_type, data
     minus = tuple(tuple(-x for x in row) for row in rs.identity.matrix)
     kind = data.draw(st.sampled_from(["reflection", "minus_one", "minus_w0"]))
     if kind == "reflection":
-        roots = sorted(rs.all_roots, key=lambda r: r.coords)
-        root = data.draw(st.sampled_from(roots))
-        theta = rs.reflection_in_root(root).matrix
+        root = data.draw(st.sampled_from(sorted(rs.roots)))
+        theta, _ = reference_reflection(rs, Weight(root))
     elif kind == "minus_one":
         theta = minus
     else:
@@ -258,8 +258,8 @@ def test_verdict_consistency_fields():
 def test_apply_extended_semantics():
     rs, inv, _ = form("sl(3,R)")
     lam = rs.rho + rs.fundamental_weights[0]
-    plain = ExtendedElement(weyl=rs.simple_reflection(0), twisted=False)
-    assert apply_extended(inv, plain, lam) == apply(rs.simple_reflection(0), lam)
+    plain = ExtendedElement(weyl=word_element(rs, (0,)), twisted=False)
+    assert apply_extended(inv, plain, lam) == apply(word_element(rs, (0,)), lam)
     twisted = ExtendedElement(weyl=rs.identity, twisted=True)
     assert apply_extended(inv, twisted, lam) == inv.act(lam) == -lam
 
@@ -268,7 +268,7 @@ def test_the_twisted_witness_acts_as_the_identity():
     # the witness w has matrix theta, so w composed with theta fixes every weight
     rs, inv, _ = form("su(2,1)")
     witness = ExtendedElement(theta_in_weyl(rs, inv), twisted=True)
-    reflection = ExtendedElement(rs.simple_reflection(0), twisted=False)
+    reflection = ExtendedElement(word_element(rs, (0,)), twisted=False)
     for lam in (rs.rho, *rs.fundamental_weights, Weight.of([Fraction(1, 2), -3])):
         assert apply_extended(inv, witness, lam) == lam
         assert apply_extended(inv, ExtendedElement(rs.identity, twisted=False), lam) == lam
@@ -403,6 +403,6 @@ def test_user_involution_from_simple_reflection():
     # theta = s_1 on A2 is conjugate to the su(2,1) involution and the
     # chamber-chase membership test must find a witness for it too
     rs = build_root_system("A2")
-    inv = validate_involution(rs, rs.simple_reflection(0).matrix)
+    inv = validate_involution(rs, word_element(rs, (0,)).matrix)
     w = theta_in_weyl(rs, inv)
     assert w is not None and w.matrix == inv.theta

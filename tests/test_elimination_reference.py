@@ -43,6 +43,7 @@ from cartan_ds.realform import _eigenbasis, _positive_and_simple
 from cartan_ds.rootdata import _int_mat_vec
 from forms import PM_W_TYPES, form, pm_w_involutions, random_matrix
 import linalg_reference
+from weight_reference import pairing
 
 CATALOG = build_default_catalog()
 
@@ -150,7 +151,7 @@ def assert_gram_matches(rs, inv):
     gram = tuple(_int_mat_vec(simple, _int_mat_vec(rs.form, d)) for d in simple)
     assert_wrappers_match(gram)
     halves = [Weight(tuple(Fraction(x, 2) for x in d)) for d in simple]
-    assert_wrappers_match(tuple(tuple(rs.pairing(a, b) for b in halves) for a in halves))
+    assert_wrappers_match(tuple(tuple(pairing(rs, a, b) for b in halves) for a in halves))
     return len(simple)
 
 

@@ -49,18 +49,20 @@ from cartan_ds import (
     CartanDSError,
     ExactSequenceReport,
     PreconditionFailed,
+    Weight,
     build_default_catalog,
     build_root_system,
     restricted_roots,
     validate_involution,
     verify_exact_sequence,
     weyl_order,
+    word_element,
 )
 from cartan_ds.realform import _theta_commutant
 from cartan_ds.rootdata import DEFAULT_CAP, _int_mat_mul, _int_mat_vec, closure
 from forms import PM_W_TYPES, form, pm_w_involutions, random_matrix
 from weight_reference import restricted_weights
-from weyl_reference import reference_enumerate_weyl
+from weyl_reference import reference_enumerate_weyl, reference_reflection
 
 # on G2 the restricted roots of this theta are +-v/2, +-v and +-3v/2: the
 # reflection coefficient 2 (v, b) / nb is 2/3, yet the image is integral
@@ -82,13 +84,19 @@ def reference_exact_sequence(rs, inv, cap=DEFAULT_CAP):
     views = restricted_weights(rrs)
     group = reference_enumerate_weyl(rs, cap)
     commutant = reference_commutant(inv.theta, group)
-    fixed = views.vanishing_roots & inv.positive_roots
+    fixed = views.vanishing_roots & {Weight(rs.roots[k]) for k in inv.positive_indices}
     simple_fixed = [b for b in fixed if not any(b - a in fixed for a in fixed)]
-    gens = [rs.reflection_in_root(b) for b in sorted(simple_fixed, key=lambda w: w.coords)]
+    gens = [
+        word_element(rs, reference_reflection(rs, b)[1])
+        for b in sorted(simple_fixed, key=lambda w: w.coords)
+    ]
     vanishing_group = closure(
-        (rs.identity,), lambda w: (w.compose(g) for g in gens), cap, "vanishing Weyl group"
+        (rs.identity,),
+        lambda w: (word_element(rs, w.word + g.word) for g in gens),
+        cap,
+        "vanishing Weyl group",
     )
-    roots = sorted(rrs.restricted_roots, key=lambda w: w.coords)
+    roots = sorted(views.multiplicity, key=lambda w: w.coords)
     index = {_doubled(v): k for k, v in enumerate(roots)}
     doubled_roots = list(index)
 
@@ -192,7 +200,7 @@ def test_simple_reflection_involutions_pass():
     for t in ("A2", "B2", "G2", "A3", "B3"):
         rs = build_root_system(t)
         for i in range(rs.rank):
-            inv = validate_involution(rs, rs.simple_reflection(i).matrix)
+            inv = validate_involution(rs, word_element(rs, (i,)).matrix)
             assert verify_exact_sequence(rs, inv).passed, (t, i)
 
 

@@ -54,28 +54,28 @@ def test_signed_sqrt_invariants():
     with pytest.raises(ValueError):
         SignedSqrt(sign=0, square=F(2))
     with pytest.raises(ValueError):
-        SignedSqrt.sqrt_of(F(-1))
+        SignedSqrt(1, F(-1))
 
 
 def test_signed_sqrt_equality_and_normalisation():
     # 2 / sqrt(2) equals sqrt(2)
-    assert ratio(F(2), F(2)) == SignedSqrt.sqrt_of(F(2))
-    assert ratio(F(-1), F(2)) == SignedSqrt.sqrt_of(F(1, 2)).scale(F(-1))
+    assert ratio(F(2), F(2)) == SignedSqrt(1, F(2))
+    assert ratio(F(-1), F(2)) == SignedSqrt(1, F(1, 2)).scale(F(-1))
 
 
 def test_signed_sqrt_scaling():
     s = ratio(F(-1), F(2))  # -1/sqrt(2)
-    assert s.scale(F(-3)) == SignedSqrt.sqrt_of(F(9, 2))
+    assert s.scale(F(-3)) == SignedSqrt(1, F(9, 2))
     assert s.scale(F(0)) == SignedSqrt.zero()
     assert s.scale(F(2)).square == F(2) and s.scale(F(2)).sign == -1
 
 
 def test_signed_sqrt_total_order():
     values = [
-        SignedSqrt.sqrt_of(F(2)),
+        SignedSqrt(1, F(2)),
         SignedSqrt.zero(),
         ratio(F(-1), F(2)),
-        SignedSqrt.sqrt_of(F(1, 2)),
+        SignedSqrt(1, F(1, 2)),
         ratio(F(-2), F(1)),
     ]
     got = sorted(values)
@@ -83,8 +83,8 @@ def test_signed_sqrt_total_order():
         ratio(F(-2), F(1)),  # -2
         ratio(F(-1), F(2)),  # -1/sqrt(2)
         SignedSqrt.zero(),
-        SignedSqrt.sqrt_of(F(1, 2)),
-        SignedSqrt.sqrt_of(F(2)),
+        SignedSqrt(1, F(1, 2)),
+        SignedSqrt(1, F(2)),
     ]
     assert got == want
 
@@ -97,7 +97,7 @@ rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 def test_signed_sqrt_order_matches_squaring_oracle(a, b):
     """sign-aware comparison of a and sqrt(b) agrees with comparing a*|a| to b."""
     x = ratio(a, F(2)) if a else SignedSqrt.zero()
-    y = SignedSqrt.sqrt_of(b)
+    y = SignedSqrt(1, b) if b else SignedSqrt.zero()
     lhs = a * abs(a) / 2  # signed square of a/sqrt(2)
     assert (x < y) == (lhs < b)
     assert (x == y) == (lhs == b)
@@ -129,7 +129,7 @@ def test_rank_one_chamber_and_margin():
     assert [r.coords for r in restricted_weights(ch).facet_rays] == [(F(1), F(1))]
     pos = cone_position(ch, -rs.rho)
     assert pos.kind == NEG_INTERIOR
-    assert pos.margin == SignedSqrt.sqrt_of(F(2))
+    assert pos.margin == SignedSqrt(1, F(2))
     assert ray_pairings(ch, -rs.rho) == (F(-2),)
     assert cone_position(ch, rs.rho).kind == BOUNDARY_OR_OUTSIDE
 
@@ -141,7 +141,7 @@ def test_split_rank_two_margins():
         (F(1, 3), F(2, 3)),
         (F(2, 3), F(1, 3)),
     }
-    assert cone_position(ch, -rs.rho).margin == SignedSqrt.sqrt_of(F(3, 2))
+    assert cone_position(ch, -rs.rho).margin == SignedSqrt(1, F(3, 2))
     assert cone_position(ch, -rs.rho).kind == NEG_INTERIOR
     # a negated simple root sits on a wall of the cone
     wall = cone_position(ch, Weight.of([-1, 0]))
@@ -149,7 +149,7 @@ def test_split_rank_two_margins():
     # the dominant weight itself is strictly outside: negative margin
     outside = cone_position(ch, rs.rho)
     assert outside.kind == BOUNDARY_OR_OUTSIDE
-    assert outside.margin == SignedSqrt.sqrt_of(F(3, 2)).scale(F(-1))
+    assert outside.margin == SignedSqrt(1, F(3, 2)).scale(F(-1))
 
 
 def test_compact_form_has_degenerate_chamber():

@@ -18,19 +18,23 @@ check dropped from ``word_element`` (the word (0, -1) would then read the last
 table row in place of raising RankMismatch), and a chase that reflects at the
 highest negative pairing.
 
-``reflection_in_root`` walks the root down on ints and builds its word with
-``word_element``; ``validate_involution`` scales a raw matrix once by the lcm
-d of its denominators and tests t^2 = d^2 1, t^T F t = d^2 F and d = 1 on
-ints; ``weight_spectrum`` closes int tuples.  The references below are the
-Fraction column build and Fraction root walk, the Fraction matrix products
-with an integrality test (``weyl_reference.reference_checks``), and the
-closure through the Fraction simple reflection of ``linalg_reference``.
+``word_element`` of the word u^-1 s_i u, u the walk of a root down to a
+simple root alpha_i, is the reflection in that root; the reference is the
+Fraction column build of ``weyl_reference.reference_reflection``.
+``validate_involution`` scales a raw matrix once by the lcm d of its
+denominators and tests t^2 = d^2 1, t^T F t = d^2 F and d = 1 on ints;
+``weight_spectrum`` closes int tuples.  The references below are the
+Fraction matrix products with an integrality test
+(``weyl_reference.reference_checks``), and the closure through the Fraction
+simple reflection of ``linalg_reference``.
 
 Mutations these tests catch: d in place of d^2 in the involution or the
-isometry test, a lattice test that lets d = 2..5 through, a reflection word
-that is not mirrored (steps + (i,) + steps), a root walk at the last positive
-pairing in place of the first, ``p >= 0`` in place of ``p > 0`` in the
-spectrum step, and a spectrum step that subtracts 1 in place of the scale.
+isometry test, a lattice test that lets d = 2..5 through, ``p >= 0`` in
+place of ``p > 0`` in the spectrum step, and a spectrum step that subtracts 1
+in place of the scale.  The two root-walk mutations listed here before (a
+reflection word that is not mirrored, and a walk at the last positive pairing
+in place of the first) were mutations of ``RootSystem.reflection_in_root``,
+which is deleted; the walk is now the reference's own.
 """
 
 import math
@@ -58,7 +62,8 @@ from cartan_ds import (
 from cartan_ds.rootdata import WeylElement, _chase, apply_matrix, closure, enumerate_weyl
 from forms import random_matrix
 import linalg_reference
-from weyl_reference import assert_checks_match
+from weight_reference import fw_coords
+from weyl_reference import assert_checks_match, reference_reflection
 
 CATALOG_TYPES = sorted({entry.cartan_type for entry in build_default_catalog()})
 
@@ -200,46 +205,26 @@ def test_chase_matches_generator_scan_on_drawn_vectors(case):
         assert 0 in fws
 
 
-def reference_reflection(rs, root):
-    """The matrix of s_root column by column, and the word of the Fraction walk."""
-    def coroot_pairing(lam, beta):
-        return 2 * rs.pairing(lam, beta) / rs.norm_sq(beta)
-
-    cols = [
-        (e - root.scale(coroot_pairing(e, root))).coords for e in rs.simple_roots
-    ]
-    mat = tuple(tuple(cols[j][k] for j in range(rs.rank)) for k in range(rs.rank))
-    beta = root if all(c >= 0 for c in root.coords) else -root
-    steps = []
-    while beta not in rs.simple_roots:
-        i = next(j for j in range(rs.rank) if coroot_pairing(beta, rs.simple_roots[j]) > 0)
-        beta = linalg_reference.reflect(rs, i, beta)
-        steps.append(i)
-    i = rs.simple_roots.index(beta)
-    return linalg_reference.as_int_matrix(mat), tuple(steps) + (i,) + tuple(reversed(steps))
-
-
 @pytest.mark.parametrize("cartan_type", CATALOG_TYPES + ["A1xA1", "A2xB2"])
-def test_reflection_in_root_matches_fraction_reference(cartan_type):
+def test_word_element_of_a_root_walk_is_the_reflection_in_the_root(cartan_type):
     rs = build_root_system(cartan_type)
-    for root in rs.all_roots:
-        s = rs.reflection_in_root(root)
-        assert (s.matrix, s.word) == reference_reflection(rs, root), root
-        assert all(type(x) is int for row in s.matrix for x in row)
+    for root in rs.roots:
+        matrix, word = reference_reflection(rs, Weight(root))
+        assert word_element(rs, word).matrix == matrix, root
 
 
 def test_reference_covers_every_catalog_root():
     assert len(CATALOG_TYPES) == 20
-    assert sum(len(build_root_system(t).all_roots) for t in CATALOG_TYPES) == 698
+    assert sum(len(build_root_system(t).roots) for t in CATALOG_TYPES) == 698
 
 
 def reference_spectrum(rs, mu, cap):
     def steps(nu):
-        pairings = rs.fw_coords(nu)
+        pairings = fw_coords(rs, nu)
         for i in range(rs.rank):
             yield linalg_reference.reflect(rs, i, nu)
             if pairings[i] > 0:
-                yield nu - rs.simple_roots[i]
+                yield nu - Weight(rs.identity.matrix[i])
 
     return frozenset(closure((mu,), steps, cap, "weight spectrum"))
 

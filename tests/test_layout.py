@@ -2,17 +2,23 @@
 (``forms``, ``linalg_reference``, ``restricted_reference``,
 ``weight_reference``, ``weyl_reference``), never by importing each other.
 
-Every name that ``cartan_ds`` exports, and every field of an exported
-dataclass, has a reader outside the tests: the package's own modules other
-than ``__init__.py``, ``scripts/`` or ``perfbench/``.  A reader is a name or
-attribute reference in the code, not a docstring, not the name's own ``def``
-or ``class`` line and not a field's annotation in its class body; in
+Every name that ``cartan_ds`` exports, every field of an exported dataclass
+and every member of an exported class has a reader outside the tests: the
+package's own modules other than ``__init__.py``, ``scripts/`` or
+``perfbench/``.  A reader is a name or attribute reference in the code, not a
+docstring, not the name's own ``def`` or ``class`` line, not a field's
+annotation in its class body and not an assignment to an attribute; in
 ``perfbench/`` a string constant counts too, because the tracer looks up each
 traced name with ``getattr``.  ``cli.encode_value`` serialises the dataclasses
-of ``SERIALISED_WHOLE`` field by field, which reads every field of theirs."""
+of ``SERIALISED_WHOLE`` field by field, which reads every field of theirs.
+A class's members are the public methods, properties, class and static
+methods of its body and the public ``self.`` attributes its ``__init__`` sets.
+The checks are by name, so a member that shares its name with something read
+passes them."""
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import cartan_ds
@@ -61,6 +67,7 @@ def referenced_names(source, strings=False):
     tree = ast.parse(source)
     docstrings = set()
     annotated = set()
+    augmented = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             first = node.body[0] if node.body else None
@@ -68,11 +75,15 @@ def referenced_names(source, strings=False):
                 docstrings.add(id(first.value))
         if isinstance(node, ast.ClassDef):
             annotated |= {id(s.target) for s in node.body if isinstance(s, ast.AnnAssign)}
+        if isinstance(node, ast.AugAssign):
+            augmented.add(id(node.target))
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and id(node) not in annotated:
             found.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and (
+            not isinstance(node.ctx, ast.Store) or id(node) in augmented
+        ):
             found.add(node.attr)
         elif (
             strings
@@ -140,3 +151,96 @@ def test_every_exported_dataclass_field_has_a_reader():
         if f.name not in read
     )
     assert not unread, f"dataclass fields read by nothing: {unread}"
+
+
+def class_members(source):
+    """The public methods, properties, class and static methods defined in the
+    body of the class that source defines, and the public ``self.``
+    attributes that its ``__init__`` assigns."""
+    (cls,) = ast.parse(source).body
+    members = set()
+    for node in cls.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name != "__init__":
+            members.add(node.name)
+            continue
+        members |= {
+            t.attr
+            for t in ast.walk(node)
+            if isinstance(t, ast.Attribute)
+            and isinstance(t.ctx, ast.Store)
+            and isinstance(t.value, ast.Name)
+            and t.value.id == "self"
+        }
+    return {name for name in members if not name.startswith("_")}
+
+
+def unread_members(sources, read):
+    """``Class.member`` for each member of the named class sources not in read."""
+    return sorted(
+        f"{name}.{member}"
+        for name, source in sources.items()
+        for member in class_members(source)
+        if member not in read
+    )
+
+
+def test_the_member_check_sees_methods_properties_and_init_attributes():
+    source = '''
+class Thing:
+    """unread_doc"""
+    size: int
+
+    def __init__(self, n):
+        self.read_attr = n
+        self.unread_attr: int = n
+        self._private = n
+        other.not_self = n
+
+    def read_method(self):
+        return self.read_attr
+
+    def unread_method(self):
+        self.unread_attr += 1
+
+    @property
+    def unread_property(self):
+        return 1
+
+    @classmethod
+    def read_factory(cls):
+        return cls(0)
+
+    @staticmethod
+    def _hidden():
+        pass
+'''
+    members = class_members(source)
+    assert members == {
+        "read_attr", "unread_attr", "read_method", "unread_method", "unread_property",
+        "read_factory",
+    }
+    reader = """
+t = Thing.read_factory()
+t.read_method()
+t.unread_attr = 2
+"""
+    read = referenced_names(source) | referenced_names(reader)
+    assert unread_members({"Thing": source}, read) == [
+        "Thing.unread_method", "Thing.unread_property",
+    ]
+    # the augmented assignment in unread_method reads unread_attr; a plain one does not
+    plain = source.replace("self.unread_attr += 1", "self.unread_attr = 1")
+    read = referenced_names(plain) | referenced_names(reader)
+    assert unread_members({"Thing": plain}, read) == [
+        "Thing.unread_attr", "Thing.unread_method", "Thing.unread_property",
+    ]
+
+
+def test_every_member_of_an_exported_class_has_a_reader():
+    classes = [getattr(cartan_ds, name) for name in cartan_ds.__all__]
+    sources = {c.__name__: inspect.getsource(c) for c in classes if isinstance(c, type)}
+    assert len(sources) > 30 and {"RootSystem", "WeylElement", "SignedSqrt"} <= set(sources)
+    unread = unread_members(sources, read_names(ROOT))
+    assert not unread, f"class members read by nothing: {unread}"

@@ -59,7 +59,7 @@ from cartan_ds.rootdata import (
 from forms import PM_W_TYPES, pm_w_involutions, random_matrix
 import linalg_reference
 from restricted_reference import reference_vanishing
-from weight_reference import restricted_weights
+from weight_reference import pairing, restricted_weights
 from weyl_reference import assert_checks_match
 
 HALF = Fraction(1, 2)
@@ -71,7 +71,7 @@ def _restrict(theta, lam):
 
 def reference_weight_table(rs, theta):
     """The doubled restrictions keyed by Weight: root -> alpha - theta(alpha)."""
-    roots = {tuple(c.numerator for c in r.coords): r for r in rs.all_roots}
+    roots = {a: Weight(a) for a in rs.roots}
     doubled = {}
     for a, root in roots.items():
         image = tuple(_int_mat_vec(theta, a))
@@ -91,9 +91,10 @@ def reference_weight_positive_system(rs, theta, doubled, split_basis):
     """(positive roots, chamber, default compatible) chosen on the Weight-keyed
     table by the same signs as ``validate_involution``."""
     zero = (0,) * rs.rank
-    default = {doubled[r] for r in rs.positive_roots} - {zero}
+    positive_roots = frozenset(Weight(a) for a in rs.roots[: len(rs.roots) // 2])
+    default = {doubled[r] for r in positive_roots} - {zero}
     if not any(tuple(-x for x in d) in default for d in default):
-        return frozenset(rs.positive_roots), rs.identity, True
+        return positive_roots, rs.identity, True
     ints = {r: [c.numerator for c in r.coords] for r in doubled}
     split = _regular_covector(rs, split_basis, set(doubled.values()) - {zero})
     fixed = [ints[r] for r, d in doubled.items() if d == zero]
@@ -101,11 +102,11 @@ def reference_weight_positive_system(rs, theta, doubled, split_basis):
     positive = frozenset(
         r for r, d in doubled.items() if (_dot(split, d) or _dot(compact, ints[r])) > 0
     )
-    assert len(positive) == len(rs.positive_roots)
+    assert len(positive) == len(positive_roots)
     two_rho = [sum(col) for col in zip(*(ints[r] for r in positive))]
     _, to_dominant = dominant_representative(rs, Weight.of(two_rho))
     chamber = word_element(rs, to_dominant.word[::-1])
-    assert {apply(chamber, r) for r in rs.positive_roots} == positive
+    assert {apply(chamber, r) for r in positive_roots} == positive
     return positive, chamber, False
 
 
@@ -118,7 +119,7 @@ def _regular_combination(rs, basis, targets):
         v = Weight.zero(rs.rank)
         for i, b in enumerate(basis):
             v = v + b.scale(Fraction(t) ** i)
-        if all(rs.pairing(v, x) != 0 for x in targets):
+        if all(pairing(rs, v, x) != 0 for x in targets):
             return v
         t += 1
 
@@ -126,15 +127,17 @@ def _regular_combination(rs, basis, targets):
 def reference_positive_system(rs, inv):
     """(positive roots, chamber, default compatible) from a scaled regular weight."""
     theta = inv.theta
-    restrictions = {root: _restrict(theta, root) for root in rs.all_roots}
+    all_roots = frozenset(Weight(a) for a in rs.roots)
+    positive_roots = frozenset(Weight(a) for a in rs.roots[: len(rs.roots) // 2])
+    restrictions = {root: _restrict(theta, root) for root in all_roots}
     default_restr = {
-        restrictions[r] for r in rs.positive_roots if not restrictions[r].is_zero()
+        restrictions[r] for r in positive_roots if not restrictions[r].is_zero()
     }
     if not any(-v in default_restr for v in default_restr):
-        return frozenset(rs.positive_roots), rs.identity, True
+        return positive_roots, rs.identity, True
 
     nonzero = [v for v in set(restrictions.values()) if not v.is_zero()]
-    fixed = [r for r in rs.all_roots if restrictions[r].is_zero()]
+    fixed = [r for r in all_roots if restrictions[r].is_zero()]
     lam_split = _regular_combination(rs, inv.split_basis, nonzero)
     lam_compact = (
         _regular_combination(rs, reference_compact_basis(theta), fixed)
@@ -143,20 +146,20 @@ def reference_positive_system(rs, inv):
     )
     # scale the split part until it dominates the compact part on every root
     min_split = min(
-        abs(rs.pairing(restrictions[r], lam_split))
-        for r in rs.all_roots
+        abs(pairing(rs, restrictions[r], lam_split))
+        for r in all_roots
         if not restrictions[r].is_zero()
     )
     max_compact = max(
-        (abs(rs.pairing(r, lam_compact)) for r in rs.all_roots), default=Fraction(0)
+        (abs(pairing(rs, r, lam_compact)) for r in all_roots), default=Fraction(0)
     )
     scale = max_compact / min_split + 1
     regular = lam_split.scale(scale) + lam_compact
-    positive = frozenset(r for r in rs.all_roots if rs.pairing(r, regular) > 0)
-    assert len(positive) == len(rs.positive_roots)
+    positive = frozenset(r for r in all_roots if pairing(rs, r, regular) > 0)
+    assert len(positive) == len(positive_roots)
     _, to_dominant = dominant_representative(rs, regular)
     chamber = word_element(rs, to_dominant.word[::-1])
-    assert {apply(chamber, r) for r in rs.positive_roots} == positive
+    assert {apply(chamber, r) for r in positive_roots} == positive
     return positive, chamber, False
 
 
@@ -170,7 +173,7 @@ def _component_split(rs, simple):
         while changed:
             changed = False
             for v in list(remaining):
-                if any(rs.pairing(v, u) != 0 for u in comp):
+                if any(pairing(rs, v, u) != 0 for u in comp):
                     comp.append(v)
                     remaining.remove(v)
                     changed = True
@@ -180,14 +183,15 @@ def _component_split(rs, simple):
 
 def _supported_on(rs, simple, v, comp):
     others = [u for u in simple if u not in comp]
-    return all(rs.pairing(v, u) == 0 for u in others) and any(
-        rs.pairing(v, u) != 0 for u in comp
+    return all(pairing(rs, v, u) == 0 for u in others) and any(
+        pairing(rs, v, u) != 0 for u in comp
     )
 
 
 def reference_restricted_type(rrs):
     """The type label from Fraction pairings of the restricted roots."""
-    if not rrs.restricted_roots:
+    restricted = frozenset(restricted_weights(rrs).multiplicity)
+    if not restricted:
         return "0"
     rs = rrs.root_system
     simple = restricted_weights(rrs).simple_restricted
@@ -199,11 +203,11 @@ def reference_restricted_type(rrs):
             if _supported_on(rs, simple, v, comp)
         ]
         r = len(comp)
-        if any(v.scale(2) in rrs.restricted_roots for v in span_pos):
+        if any(v.scale(2) in restricted for v in span_pos):
             labels.append(f"BC{r}")
             continue
         count = 2 * len(span_pos)
-        norms = sorted({rs.pairing(v, v) for v in span_pos})
+        norms = sorted({pairing(rs, v, v) for v in span_pos})
         ratio = norms[-1] / norms[0]
         if r == 1:
             labels.append("A1")
@@ -222,7 +226,7 @@ def reference_restricted_type(rrs):
             elif r == 2:
                 labels.append("B2")
             else:
-                long_count = sum(1 for v in span_pos if rs.pairing(v, v) == norms[-1])
+                long_count = sum(1 for v in span_pos if pairing(rs, v, v) == norms[-1])
                 labels.append(f"C{r}" if 2 * long_count == 2 * r else f"B{r}")
         elif ratio == 3:
             labels.append("G2")
@@ -239,10 +243,9 @@ def assert_matches_reference(rs, inv, name, relabels):
     for a, d in zip(rs.roots, inv.doubled_restrictions):
         assert table[Weight.of(a)] == d, name
         assert Weight.of(d) == _restrict(inv.theta, Weight.of(a)).scale(2), name
-    assert {Weight.of(a) for a in rs.roots} == rs.all_roots, name
     by_weight = reference_weight_positive_system(rs, inv.theta, table, inv.split_basis)
     for positive, chamber, default_ok in (by_weight, reference_positive_system(rs, inv)):
-        assert inv.positive_roots == positive, name
+        assert {Weight(rs.roots[k]) for k in inv.positive_indices} == positive, name
         assert (inv.chamber.matrix, inv.chamber.word) == (chamber.matrix, chamber.word), name
         assert inv.default_compatible == default_ok, name
     rrs = restricted_roots(rs, inv)

@@ -17,9 +17,10 @@ the roots, so the matrices drawn there compare the order of the other
 checks; the reflection of C4 in e1 + e2 + e3 + e4 (orthonormal coordinates)
 fixes the first three simple roots and sends the fourth to no root.
 
-``encode_value`` writes a Weight from its numerators and denominator with
-one gcd per coordinate, and a Fraction with ``str``; ``format_rational`` of
-each Fraction coordinate is the reference.
+``encode_value``, the ``default`` hook of ``json.dumps``, writes a Weight
+from its numerators and denominator with one gcd per coordinate, and a
+Fraction with ``str``; ``format_rational`` of each Fraction coordinate is the
+reference.
 
 Mutations these tests catch: zero restrictions kept among the simple ones,
 rows of the chamber instead of its columns, only the first column checked,
@@ -28,6 +29,7 @@ over 1.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -153,15 +155,19 @@ def test_root_check_reads_every_column():
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=30)
 
 
+def encoded(value):
+    return json.loads(json.dumps(value, default=encode_value))
+
+
 @settings(deadline=None, derandomize=True, max_examples=150)
 @given(coords=st.lists(rationals, min_size=1, max_size=6))
 def test_weight_encoding_matches_format_rational(coords):
     w = Weight(coords)
-    assert encode_value(w) == [format_rational(c) for c in w.coords]
-    assert [encode_value(c) for c in coords] == [format_rational(c) for c in coords]
+    assert encoded(w) == [format_rational(c) for c in w.coords]
+    assert encoded(coords) == [format_rational(c) for c in coords]
 
 
 def test_encoding_of_integral_and_reducible_coordinates():
     w = Weight([Fraction(0), Fraction(-3), Fraction(2, 4), Fraction(-5, 6), Fraction(9, 3)])
-    assert encode_value(w) == ["0", "-3", "1/2", "-5/6", "3"]
-    assert encode_value(SignedSqrt(-1, Fraction(6, 4))) == {"sign": -1, "square": "3/2"}
+    assert encoded(w) == ["0", "-3", "1/2", "-5/6", "3"]
+    assert encoded(SignedSqrt(-1, Fraction(6, 4))) == {"sign": -1, "square": "3/2"}

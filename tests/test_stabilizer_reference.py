@@ -13,8 +13,8 @@ element from the chase word.
 
 The references below are those functions as they were: a chase that updates
 the rows of its element's matrix at every step, walls read back from the
-Fraction dominant weight, fixers composed as matrices, and θλ taken on the
-Fraction weight and chased again.  They are compared on every catalog form
+Fraction dominant weight, fixers built by ``word_element`` from the words of
+the reference chase, and θλ taken on the Fraction weight and chased again.  They are compared on every catalog form
 with drawn weights (many of them singular), on the membership_stream inputs
 of two seeds and on hypothesis-drawn weights: the fixers' matrices and
 words, the twisted fixer's matrix, word and flag, ``is_regular``,
@@ -82,7 +82,7 @@ def reference_dominant_representative(rs, lam):
 
 
 def reference_stabilizer_generators(rs, lam):
-    """Walls of the Fraction dominant weight; fixers w^-1 s_i w as matrix products."""
+    """Walls of the Fraction dominant weight; fixers w^-1 s_i w from their words."""
     dom, w = reference_dominant_representative(rs, lam)
     coords = dom.nums
     walls = [
@@ -91,8 +91,7 @@ def reference_stabilizer_generators(rs, lam):
     ]
     gens = ()
     if walls:
-        winv = word_element(rs, w.word[::-1])
-        gens = tuple(winv.compose(rs.simple_reflection(i)).compose(w) for i in walls)
+        gens = tuple(word_element(rs, w.word[::-1] + (i,) + w.word) for i in walls)
     return gens, not gens, dom, w
 
 
@@ -103,7 +102,7 @@ def reference_extended_stabilizer(rs, inv, lam):
     witness = inv.weyl_witness
     twisted = None
     if dom == dom_t:
-        twisted = word_element(rs, w.word[::-1]).compose(w_t)
+        twisted = word_element(rs, w.word[::-1] + w_t.word)
     trivial = is_regular if witness is not None else is_regular and twisted is None
     return gens, is_regular, twisted, witness, trivial
 

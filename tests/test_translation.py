@@ -31,6 +31,7 @@ from cartan_ds import (
     verify_sum_splitting,
     weight_spectrum,
     weyl_orbit,
+    word_element,
 )
 from cartan_ds.exponents import _orbit_maxima
 from cartan_ds.translation import _cone_margin, _ray_maxima
@@ -95,7 +96,7 @@ def test_spectrum_is_weyl_invariant():
     rs = build_root_system("B2")
     spectrum = weight_spectrum(rs, rs.rho)
     for i in range(rs.rank):
-        assert {apply(rs.simple_reflection(i), nu) for nu in spectrum} == spectrum
+        assert {apply(word_element(rs, (i,)), nu) for nu in spectrum} == spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +152,14 @@ def tensor_margin(rrs, exponents, mu):
 
 def test_tensor_condition_margin_on_su21():
     rs, inv, rrs = form("su(2,1)")
-    margin = SignedSqrt.sqrt_of(F(1, 2))
+    margin = SignedSqrt(1, F(1, 2))
     assert tensor_margin(rrs, [-rs.rho], rs.fundamental_weights[0]) == (True, margin)
 
 
 def test_tensor_condition_detects_escape():
     rs, inv, rrs = form("su(2,1)")
     thin = [inv.restrict(Weight.of([-1, 0]))]
-    margin = SignedSqrt.sqrt_of(F(1, 2)).scale(F(-1))
+    margin = SignedSqrt(1, F(1, 2)).scale(F(-1))
     assert tensor_margin(rrs, thin, rs.rho) == (False, margin)
 
 
@@ -258,7 +259,7 @@ def test_pipeline_needs_no_shift_when_theta_is_inner(form_id):
 def test_pipeline_su21_frozen_certificates():
     rs, inv, rrs = form("su(2,1)")
     result = strong_regularization(rs, inv, rrs, default_datum(rs, inv, "su21"))
-    assert result.certificates.base_margin == SignedSqrt.sqrt_of(F(2))
+    assert result.certificates.base_margin == SignedSqrt(1, F(2))
     assert [w.coords for w in result.certificates.scaled_exponents] == [(F(-1), F(-1))]
 
 
@@ -269,11 +270,11 @@ def test_pipeline_sl3_needs_one_shift():
     assert [m.coords for m in result.mus] == [(F(1, 3), F(2, 3))]
     assert result.final_weight.coords == (F(4, 3), F(5, 3))
     assert result.certificates.strongly_regular
-    assert result.certificates.base_margin == SignedSqrt.sqrt_of(F(3, 2))
+    assert result.certificates.base_margin == SignedSqrt(1, F(3, 2))
     (step,) = result.certificates.steps
     assert step.direction.coords == (F(1, 3), F(2, 3))
     assert step.target == result.final_weight
-    assert step.min_margin == SignedSqrt.sqrt_of(F(1, 6))
+    assert step.min_margin == SignedSqrt(1, F(1, 6))
     assert step.cone_ok
 
 
@@ -368,4 +369,4 @@ def test_pipeline_reports_best_attempt_when_search_space_empty():
     assert best.coefficients == (0, 0)
     assert best.k == 0
     assert not best.strongly_regular
-    assert best.min_margin == SignedSqrt.sqrt_of(F(3, 2))
+    assert best.min_margin == SignedSqrt(1, F(3, 2))

@@ -64,8 +64,9 @@ class FractionWeight:
 
 def pairing(rs, x: FractionWeight, y: FractionWeight) -> Fraction:
     """The invariant form on Fraction coordinates."""
+    xs, ys = x.coords, y.coords
     return sum(
-        (x.coords[i] * rs.form[i][j] * y.coords[j] for i in range(rs.rank) for j in range(rs.rank)),
+        (xs[i] * f * ys[j] for i, row in enumerate(rs.form) for j, f in enumerate(row) if f),
         Fraction(0),
     )
 
