@@ -11,7 +11,9 @@ theta are integral, so the doubled restriction alpha - theta(alpha) is an int
 vector, one (1 - theta) product per root.  The validator stores these in one
 tuple aligned with the table, and the compatible positive system as a set of
 indices; everything that restricts a root reads them: the restricted root
-system and its dual cone, the restricted type and the exact-sequence check.
+system and its dual cone, the restricted type and the exact-sequence check,
+which also reads theta off them as a permutation of the root indices and
+names each Weyl element by root indices, with no matrix.
 An isometry that maps each simple root to a root permutes the roots
 (Humphreys 10.3), so only theta's columns are looked up in the table.
 
@@ -32,10 +34,11 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from . import linalg
 from .errors import (
+    CapExceeded,
     ConsistencyError,
     NotInvolution,
     NotIsometric,
@@ -58,7 +61,6 @@ from .rootdata import (
     apply_matrix,
     closure,
     dominant_representative,  # unused here; the benchmark's tracer test looks it up
-    enumerate_weyl,
     format_cartan_type,
     word_element,
 )
@@ -462,25 +464,25 @@ class ExactSequenceReport:
         return self.kernel_matches and self.image_matches and self.order_identity
 
 
-def _theta_commutant(
-    rs: RootSystem, theta: IntMat, group: Iterable[WeylElement]
-) -> dict[tuple[int, ...], WeylElement]:
-    """The elements w of group that commute with theta, keyed by w (2 rho):
-    three int matrix-vector products each.
+def _theta_commuting(rs: RootSystem, inv: CartanInvolution, cap: int) -> tuple[tuple, list]:
+    """The tracked roots, and the elements w of W that commute with theta,
+    each the tuple of indices of w applied to the tracked roots: the
+    compatible simple roots beta_j, a basis, then their images theta beta_j.
 
-    theta permutes the roots, so theta s_alpha theta = s_theta(alpha) and
-    g = w^-1 theta w theta lies in W for every w in W, whether theta is inner
-    or outer.  w commutes with theta iff g = 1, and W acts simply transitively
-    on the Weyl chambers, so g = 1 iff g fixes the regular weight 2 rho:
-    theta w theta (2 rho) = w (2 rho), that is w(theta 2 rho) = theta(w 2 rho).
+    s_i w sends an entry k to ``reflections[i][k]`` (Humphreys 10.3), so W is
+    closed on these tuples from the identity's.  theta permutes the roots,
+    theta alpha = alpha - d with d the doubled restriction, and w commutes
+    with theta iff theta (w beta_j) = w (theta beta_j) for every j.
     """
-    theta_two_rho = _int_mat_vec(theta, rs.two_rho)
-    commutant = {}
-    for w in group:
-        key = _int_mat_vec(w.matrix, rs.two_rho)
-        if _int_mat_vec(w.matrix, theta_two_rho) == _int_mat_vec(theta, key):
-            commutant[tuple(key)] = w
-    return commutant
+    if rs.weyl_order > cap:
+        raise CapExceeded(f"Weyl group order {rs.weyl_order} exceeded cap {cap}")
+    pairs = zip(rs.roots, inv.doubled_restrictions)
+    theta = [rs.root_index[tuple(map(operator.sub, a, d))] for a, d in pairs]
+    simple = [rs.root_index[b] for b in zip(*inv.chamber.matrix)]
+    tracked = (*simple, *(theta[k] for k in simple))
+    group = closure((tracked,), lambda t: map(operator.itemgetter(*t), rs.reflections))
+    r = rs.rank
+    return tracked, [t for t in group if tuple(map(theta.__getitem__, t[:r])) == t[r:]]
 
 
 def verify_exact_sequence(
@@ -488,38 +490,37 @@ def verify_exact_sequence(
 ) -> ExactSequenceReport:
     """Check kernel, image and order identity of the restriction homomorphism.
 
-    The theta-commutant of the Weyl group (``_theta_commutant``) restricts to
-    the split part; the kernel must be exactly the reflection group W_0 of the
-    vanishing roots and the image exactly the Weyl group of the reduced
-    restricted system.  An element w of W is named by the int tuple w (2 rho),
-    which is exact because only 1 fixes the regular weight 2 rho: W_0 is closed
-    as the orbit of 2 rho under the reflections in its simple roots, and the
-    kernel is compared with it on these tuples.  The restricted group acts by
-    permuting the restricted roots, whose simple ones are a basis, so an
-    element is the tuple of indices of its images of the simple restricted
-    roots, read doubled from the involution's table; reflections permute them
-    exactly on ints.  A Weyl group larger than ``cap`` is refused (CapExceeded)
-    before any enumeration, and restricted roots that are not a root system,
-    as for many theta = +-w with w in W, with PreconditionFailed.
+    The theta-commutant of the Weyl group restricts to the split part; the
+    kernel must be exactly the reflection group W_0 of the vanishing roots and
+    the image exactly the Weyl group of the reduced restricted system.  W and
+    W_0 are closed on the same tuples of root indices (``_theta_commuting``),
+    W_0 under the reflections in its simple roots as root permutations.  The
+    restricted group permutes the restricted roots, whose simple ones are a
+    basis and generate it (Humphreys 1.5), so an element is the tuple of
+    indices of its images of the simple restricted roots, read doubled from
+    the involution's table; reflections permute them exactly on ints.  A Weyl
+    group larger than ``cap`` is refused (CapExceeded) before any enumeration,
+    and restricted roots that are not a root system, as for many
+    theta = +-w with w in W, with PreconditionFailed.
     """
     _require_same_root_system(rs, inv)
-    commutant = _theta_commutant(rs, inv.theta, enumerate_weyl(rs, cap))
+    tracked, commutant = _theta_commuting(rs, inv, cap)
 
     # the vanishing roots are a root system, generated by the reflections in
-    # its simple roots b: s_b(v) = v - (c . v) b, c the int coroot 2 F b / (b, b)
-    positive, simple, vanishing = _positive_and_simple(inv)
+    # its simple roots b: s_b(a) = a - (c . a) b, c the int coroot 2 F b / (b, b)
+    positive, _, vanishing = _positive_and_simple(inv)
     gens = []
     for b in vanishing:
         fb = _int_mat_vec(rs.form, b)
-        gens.append((b, [2 * x // _dot(b, fb) for x in fb]))
+        c = [2 * x // _dot(b, fb) for x in fb]
+        reflected = (tuple(x - _dot(c, a) * y for x, y in zip(a, b)) for a in rs.roots)
+        gens.append([rs.root_index[a] for a in reflected])
     vanishing_group = closure(
-        (rs.two_rho,),
-        lambda v: (tuple(x - _dot(c, v) * y for x, y in zip(v, b)) for b, c in gens),
-        cap,
-        "vanishing Weyl group",
+        (tracked,), lambda t: map(operator.itemgetter(*t), gens), cap, "vanishing Weyl group"
     )
 
-    roots = sorted({d for d in inv.doubled_restrictions if any(d)})
+    doubled = inv.doubled_restrictions
+    roots = sorted({d for d in doubled if any(d)})
     index = {d: k for k, d in enumerate(roots)}
 
     def reflection(b: tuple[int, ...]) -> tuple[int, ...]:
@@ -538,20 +539,23 @@ def verify_exact_sequence(
             perm.append(index[q])
         return tuple(perm)
 
-    # s_beta = s_{-beta}, so the positive roots alone generate the group
-    reflections = [reflection(b) for b in positive if _indivisible(b, index)]
+    # each simple restricted root, and a j whose beta_j restricts to it
+    simple = {doubled[k]: j for j, k in enumerate(tracked[: rs.rank]) if any(doubled[k])}
+    # s_beta = s_{-beta} = s_{2 beta}: every positive indivisible root is
+    # checked, and the simple ones generate the group
+    reflections = {b: reflection(b) for b in positive if b in simple or _indivisible(b, index)}
+    generators = [reflections[s] for s in simple]
     identity = tuple(index[s] for s in simple)
     restricted_group = closure(
         (identity,),
-        lambda t: (tuple(p[k] for k in t) for p in reflections),
+        lambda t: (tuple(p[k] for k in t) for p in generators),
         cap,
         "restricted Weyl group",
     )
-    images = {
-        key: tuple(index[tuple(_int_mat_vec(w.matrix, s))] for s in simple)
-        for key, w in commutant.items()
-    }
-    kernel = {key for key, image in images.items() if image == identity}
+    # w beta_j - theta (w beta_j) = w (beta_j - theta beta_j) for w in the
+    # commutant, so w's image of beta_j's simple restricted root is doubled[w beta_j]
+    images = {t: tuple(index[doubled[t[j]]] for j in simple.values()) for t in commutant}
+    kernel = {t for t, image in images.items() if image == identity}
     return ExactSequenceReport(
         order_commutant=len(commutant),
         order_vanishing=len(vanishing_group),

@@ -148,10 +148,6 @@ class SplittingReport:
     solutions_checked: int
     violations: tuple[tuple[tuple[int, ...], Weight, Weight], ...]
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
 
 def verify_sum_splitting(
     rs: RootSystem, lam: Weight, mu0: Weight, cap: int = DEFAULT_CAP

@@ -57,6 +57,10 @@ WORST_CASE_DIGEST = "6d1a8021c48f4f6b7b5d8213268ee848d28a84b43746dafade6296518fd
 FW_SHIFT_DIGEST = "ba9d8c367de9c24823e2ad927a64713f6a473dcd1894d52f988a1e8123c14752"
 
 
+#: SHA-256 of the report of ``test_exact_sequence_report_matches_pinned_digest``.
+EXACT_SEQUENCE_DIGEST = "68777f45082f65042bc4be1dfdeda84c8d7a0123d8009dfcbd4be22beae46190"
+
+
 def requests_digest(capsys, requests):
     """One SHA-256 over the ``--json`` reports of requests: the exit codes and
     the reports without ``timing_ms`` and the ``catalog_dir`` input, which
@@ -117,6 +121,12 @@ def test_fw_shift_reports_match_pinned_digest(capsys):
     requests = fw_shift_requests()
     assert len(requests) == 152
     assert requests_digest(capsys, requests) == FW_SHIFT_DIGEST
+
+
+def test_exact_sequence_report_matches_pinned_digest(capsys):
+    # the orders of W^theta, W_0 and the restricted group for every catalog
+    # form with |W| <= 46080, and whether each sequence is exact
+    assert requests_digest(capsys, [("verify", "exact-sequence")]) == EXACT_SEQUENCE_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -8,26 +8,38 @@ when nb = (b, b) divides every numerator.  The reference below is the check as
 it was before: it builds the whole restricted root system, reads its Weights
 back as ints and reflects with Fraction coefficients.
 
-The theta-commutant is found by testing w(theta 2 rho) = theta(w 2 rho) on the
-one regular weight 2 rho, and each element is keyed by w (2 rho); the
-reference keeps the two full matrix products w theta = theta w, and the
-commutant sets are compared on every form, outer theta (theta not in W) among
-them.  The vanishing group is closed as the orbit of 2 rho, and the kernel
-compared with it on w (2 rho); the reference closes it as matrix products and
-compares Weyl elements.  The references enumerate W through
-``reference_enumerate_weyl``.  This is the one exact-sequence reference: it
-also reproduces the order of the errors (``PreconditionFailed``,
-``CapExceeded``).  Its inputs are the catalog forms with |W| <= 46080, every
-theta = +-w on ``PM_W_TYPES`` (theta = s_i among them, which re-chooses the
-chamber and leaves vanishing roots) and the seeded random involutions.
+The kernel names each w in W by the root indices of w applied to the
+compatible simple roots and their theta images, and finds the theta-commutant
+by comparing indices; the reference keeps the two full matrix products
+w theta = theta w.  Both commutants are compared on every form, outer theta
+(theta not in W) among them: the reference's matrices are mapped to the same
+index tuples by matrix-vector products.  The vanishing group is closed on
+these tuples under root permutations, and the kernel compared with it; the
+reference closes it as matrix products and compares Weyl elements.  The
+references enumerate W through ``reference_enumerate_weyl``.  This is the one
+exact-sequence reference: it also reproduces the order of the errors
+(``PreconditionFailed``, ``CapExceeded``).  Its inputs are the catalog forms
+with |W| <= 46080, every theta = +-w on ``PM_W_TYPES`` (theta = s_i among
+them, which re-chooses the chamber and leaves vanishing roots), the seeded
+random involutions and drawn conjugates w theta w^-1 of the catalog forms
+with |W| <= 192.
 
-Mutations these tests catch: a divisibility test on the coefficient
-2 (v, b) / nb in place of the numerators, vanishing roots taken from all roots
-in place of the positive ones, a kernel that compares only the first simple
-image, theta dropped from either side of the commutant test, a fundamental
-weight in place of 2 rho, the commutant keyed by w (theta 2 rho) in place of
-w (2 rho), the vanishing reflections applied transposed, and the vanishing
-orbit started at theta 2 rho in place of 2 rho.
+Mutations these tests catch, each run by ``scripts/mutants.py``: a
+divisibility test on the coefficient 2 (v, b) / nb in place of the
+numerators, a kernel that compares only the first simple image, theta dropped
+from either side of the commutant test, the commutant test reading theta
+beta_j in place of w (theta beta_j), theta alpha built as alpha + d, the
+tracked roots taken from the default simple roots in place of the chamber's
+columns, the vanishing reflections applied transposed, the images read from
+the theta block, and one simple restricted reflection left out of the
+restricted closure.
+
+Retired from this list, because their target is gone: a fundamental weight in
+place of 2 rho, the commutant keyed by w (theta 2 rho) and the vanishing
+orbit started at theta 2 rho, since no element is keyed by a weight any more;
+and vanishing roots taken from all roots in place of the positive ones, since
+the simple vanishing roots are read off the chamber's columns, with no
+difference search over positive roots.
 
 Flooring the numerators without the divisibility test (``any(r)`` dropped
 from the reflection's guard) is not caught, and no known input catches it.
@@ -45,6 +57,9 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cartan_ds import (
     CartanDSError,
     ExactSequenceReport,
@@ -58,7 +73,7 @@ from cartan_ds import (
     weyl_order,
     word_element,
 )
-from cartan_ds.realform import _theta_commutant
+from cartan_ds.realform import _theta_commuting
 from cartan_ds.rootdata import DEFAULT_CAP, _int_mat_mul, _int_mat_vec, closure
 from forms import PM_W_TYPES, form, pm_w_involutions, random_matrix
 from weight_reference import restricted_weights
@@ -160,10 +175,17 @@ def assert_matches_reference(rs, inv, name, tally, outer):
     else:
         tally[outcome[0].__name__] += 1
     group = reference_enumerate_weyl(rs)
-    commutant = _theta_commutant(rs, inv.theta, group)
-    two_rho = [int(2 * c) for c in rs.rho.coords]
-    assert all(key == tuple(_int_mat_vec(w.matrix, two_rho)) for key, w in commutant.items())
-    assert set(commutant.values()) == set(reference_commutant(inv.theta, group)), name
+    tracked, commutant = _theta_commuting(rs, inv, DEFAULT_CAP)
+    # the compatible simple roots, then their theta images, by matrix products
+    simple = list(zip(*inv.chamber.matrix))
+    roots = simple + [tuple(_int_mat_vec(inv.theta, b)) for b in simple]
+    assert [rs.roots[k] for k in tracked] == roots, name
+    # each commuting w is named by the indices of w applied to those roots
+    expected = {
+        tuple(rs.root_index[tuple(_int_mat_vec(w.matrix, b))] for b in roots)
+        for w in reference_commutant(inv.theta, group)
+    }
+    assert len(set(commutant)) == len(commutant) and set(commutant) == expected, name
     outer[inv.theta not in {w.matrix for w in group}] += 1
 
 
@@ -244,3 +266,32 @@ def test_errors_come_in_the_reference_order():
         outcome = _outcome(verify_exact_sequence, rs, inv, cap)
         assert outcome == _outcome(reference_exact_sequence, rs, inv, cap)
         assert outcome[0].__name__ == error
+
+
+def _scalar(theta):
+    """Whether theta is +1 or -1, which every conjugation fixes."""
+    c = theta[0][0]
+    return all(x == (i == j) * c for i, row in enumerate(theta) for j, x in enumerate(row))
+
+
+# the catalog forms with |W| <= 192 whose conjugates may differ from theta
+SMALL_FORMS = sorted(
+    e.id
+    for e in build_default_catalog()
+    if weyl_order(e.cartan_type) <= 192 and not _scalar(e.theta_matrix)
+)
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(form_id=st.sampled_from(SMALL_FORMS), data=st.data())
+def test_conjugate_involutions_match_reference(form_id, data):
+    # w theta w^-1 is the same real form: its sequence has the same orders,
+    # though its chamber transform and tracked roots are other ones
+    rs, inv, _ = form(form_id)
+    word = data.draw(st.lists(st.integers(0, rs.rank - 1), max_size=12))
+    w, w_inv = word_element(rs, word), word_element(rs, word[::-1])
+    conjugate = _int_mat_mul(_int_mat_mul(w.matrix, inv.theta), w_inv.matrix)
+    conjugate = validate_involution(rs, conjugate)
+    report = verify_exact_sequence(rs, conjugate)
+    assert report == reference_exact_sequence(rs, conjugate)
+    assert report == verify_exact_sequence(rs, inv)

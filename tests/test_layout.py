@@ -14,11 +14,13 @@ of ``SERIALISED_WHOLE`` field by field, which reads every field of theirs.
 A class's members are the public methods, properties, class and static
 methods of its body and the public ``self.`` attributes its ``__init__`` sets.
 The checks are by name, so a member that shares its name with something read
-passes them."""
+passes them; ``NAME_COLLISIONS`` pins every name that may pass that way."""
 
 import ast
 import dataclasses
 import inspect
+import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import cartan_ds
@@ -95,15 +97,21 @@ def referenced_names(source, strings=False):
     return found
 
 
-def read_names(root):
-    """Every name that the package's modules other than ``__init__.py``,
-    ``scripts/`` and ``perfbench/`` read."""
+def reader_sources(root):
+    """(source, whether its strings count as reads) of the package's modules
+    other than ``__init__.py``, of ``scripts/`` and of ``perfbench/``."""
     package = [p for p in (root / "src" / "cartan_ds").rglob("*.py") if p.name != "__init__.py"]
-    found = set()
     for path in package + list((root / "scripts").rglob("*.py")):
-        found |= referenced_names(path.read_text())
+        yield path.read_text(), False
     for path in (root / "perfbench").rglob("*.py"):
-        found |= referenced_names(path.read_text(), strings=True)
+        yield path.read_text(), True
+
+
+def read_names(root):
+    """Every name that the readers of ``reader_sources`` read."""
+    found = set()
+    for source, strings in reader_sources(root):
+        found |= referenced_names(source, strings)
     return found
 
 
@@ -244,3 +252,115 @@ def test_every_member_of_an_exported_class_has_a_reader():
     assert len(sources) > 30 and {"RootSystem", "WeylElement", "SignedSqrt"} <= set(sources)
     unread = unread_members(sources, read_names(ROOT))
     assert not unread, f"class members read by nothing: {unread}"
+
+
+
+def resolved_reads(source, strings=False):
+    """The names that source reads as the package's, and the attribute names
+    that it reads on any object.
+
+    A name is read as the package's when an import from the package
+    (absolute or relative) or a definition at the top of source binds it and
+    source reads that binding, or an attribute of it (``cd.load_entry``,
+    ``Weight.zero``).  An attribute of one of the package's modules is no
+    attribute of an object.  With ``strings``, string constants other than
+    docstrings count as the package's names, since the tracer looks them up
+    on its modules."""
+    modules = {"cartan_ds", *(m.name for m in pkgutil.iter_modules(cartan_ds.__path__))}
+    tree = ast.parse(source)
+    defined = (ast.FunctionDef, ast.ClassDef)
+    bound = {node.name: node.name for node in tree.body if isinstance(node, defined)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("cartan_ds")):
+            bound |= {a.asname or a.name: a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            ours = [a for a in node.names if a.name.startswith("cartan_ds")]
+            bound |= {a.asname or a.name: a.name for a in ours}
+    resolved, attributes = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in bound:
+            resolved.add(bound[node.id])
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            owner = bound.get(node.value.id) if isinstance(node.value, ast.Name) else None
+            if owner is not None:
+                resolved.add(node.attr)
+            if owner not in modules:
+                attributes.add(node.attr)
+    if strings:
+        resolved |= referenced_names(source, strings=True) - referenced_names(source)
+    return resolved, attributes
+
+
+def test_the_collision_check_resolves_package_bindings():
+    source = """
+from cartan_ds import read_a
+from . import mod
+import cartan_ds as cd
+def own():
+    pass
+def f(unresolved):
+    read_a(own(), mod.read_b, cd.read_c)
+    return unresolved.attribute_only
+"""
+    resolved, attributes = resolved_reads(source)
+    assert {"read_a", "read_b", "read_c", "own"} <= resolved
+    assert not {"f", "unresolved", "attribute_only"} & resolved
+    # mod might be a module; cartan_ds is one, so read_c is no object's attribute
+    assert "attribute_only" in attributes and "read_c" not in attributes
+    assert "lit" in resolved_reads('x = "lit"', strings=True)[0]
+
+
+def name_collisions(root):
+    """The names that a reader gate may pass only by name: exported names
+    that no reader reads as the package's, and members of exported classes
+    (with the fields of dataclasses not serialised whole) that no reader reads
+    as an attribute or that another exported class also has."""
+    read, resolved, attributes = read_names(root), set(), set()
+    for source, strings in reader_sources(root):
+        names, attrs = resolved_reads(source, strings)
+        resolved |= names
+        attributes |= attrs
+    members = {}
+    for name in cartan_ds.__all__:
+        c = getattr(cartan_ds, name)
+        if isinstance(c, type):
+            members[name] = class_members(inspect.getsource(c))
+            if dataclasses.is_dataclass(c) and name not in SERIALISED_WHOLE:
+                members[name] |= {f.name for f in dataclasses.fields(c)}
+    owners = Counter(m for names in members.values() for m in names)
+    found = [n for n in cartan_ds.__all__ if n in read and n not in resolved]
+    found += [
+        f"{c}.{m}"
+        for c, names in members.items()
+        for m in names
+        if m in read and (m not in attributes or owners[m] > 1)
+    ]
+    return sorted(found)
+
+
+#: Each name that ``name_collisions`` finds, with where it is read as itself.
+#: A new name fails ``test_name_collisions_are_pinned`` until it is added here
+#: with its readers, or its reader is made unambiguous, or it is deleted.
+NAME_COLLISIONS = (
+    ("CartanInvolution.root_system", "inv.root_system in realform"),
+    ("CatalogEntry.cartan_type", "entry.cartan_type in catalog, cli and sweep_pipeline"),
+    ("CatalogEntry.rank", "entry.rank and e.rank in perfbench/workloads.py"),
+    ("CriterionVerdict.minus_sigma_in_weyl", "verdict.minus_sigma_in_weyl in cli and workloads"),
+    ("CriterionVerdict.witness", "verdict.witness in cli and workloads"),
+    ("ExtendedStabilizerReport.minus_sigma_in_weyl", "stab.minus_sigma_in_weyl in workloads"),
+    ("ExtendedStabilizerReport.witness", "self.witness in its own minus_sigma_in_weyl"),
+    ("RestrictedRootSystem.root_system", "rrs.root_system in realform and exponents"),
+    ("RootSystem.cartan_type", "rs.cartan_type in realform and cli"),
+    ("RootSystem.rank", "rs.rank throughout the package"),
+    ("SignedSqrt.scale", "p.margin.scale in cli"),
+    ("SignedSqrt.zero", "SignedSqrt.zero() in exponents"),
+    ("TranslationConfig.integrality", "cfg.integrality in translation and cli"),
+    ("TranslationResult.integrality", "result.integrality in cli and workloads"),
+    ("Weight.rank", "lam.rank in rootdata"),
+    ("Weight.scale", "datum.weight.scale and e.scale in translation"),
+    ("Weight.zero", "Weight.zero in realform and translation"),
+)
+
+
+def test_name_collisions_are_pinned():
+    assert name_collisions(ROOT) == [name for name, _ in NAME_COLLISIONS]
