@@ -2,7 +2,8 @@
 """Run the mutations that the tests claim to catch, and fail on a survivor.
 
 Each mutation is data: the file it edits, the exact old text (which must
-occur there once), the new text and the test modules that should catch it.
+occur there once), the new text and the test modules, or test ids, that
+should catch it.
 The script copies the checkout to a temporary directory, runs the test
 modules once unmutated (they must pass), then applies each mutation in turn
 and runs its modules with ``-x``.  A mutant is caught when the run fails.
@@ -39,14 +40,44 @@ class Mutation(NamedTuple):
 
 
 REALFORM = "src/cartan_ds/realform.py"
+EXPONENTS = "src/cartan_ds/exponents.py"
+ROOTDATA = "src/cartan_ds/rootdata.py"
+TRANSLATION = "src/cartan_ds/translation.py"
 EXACT_SEQUENCE_TESTS = (
     "tests/test_exact_sequence_reference.py",
     "tests/test_realform.py",
     "tests/test_acceptance.py",
 )
+CONE_MARGIN_TESTS = ("tests/test_cone_margin_reference.py",)
+ORBIT_TESTS = ("tests/test_orbit_reference.py",)
+WORST_CASE_TESTS = ("tests/test_translation.py", "tests/test_cli.py")
 
-# The mutations of tests/test_exact_sequence_reference.py's docstring.
+NO_DIRECTION = (
+    "    if not doubled:\n"
+    "        raise NoAdmissibleDirection(\n"
+    "            \"no orbit element restricts into the negative cone interior\"\n"
+    "        )\n"
+)
+EXPONENT_CHECK = (
+    "    keys = [_key(admissible, e) for e in datum.exponents]\n"
+    "    if None in keys:\n"
+    "        raise InvalidDatum(\"exponent is not an admissible restriction"
+    " of the weight's orbit\")\n"
+)
+WALK_COVECTORS = (
+    "    products = _int_mat_vec(chamber.chamber_covectors, start)\n"
+    "    if max(products) >= 0:\n"
+    "        return []\n"
+    "    columns = tuple(zip(*chamber.chamber_covectors))\n"
+)
+WALL_ORDER = (
+    "        size = rs.weyl_order // _wall_group_order(rs, [i for i, f in enumerate(fws)"
+    " if not f])\n"
+)
+WORST_CASE_KEYS = "    keys = sorted(doubled if cfg.worst_case_exponents else keys)\n"
+
 MUTATIONS = (
+    # the exact-sequence kernel of realform.py
     Mutation(
         "restricted reflection tests divisibility of the coefficient 2 (v, b) / nb",
         REALFORM,
@@ -121,6 +152,218 @@ MUTATIONS = (
         "generators = [reflections[s] for s in simple]",
         "generators = [reflections[s] for s in list(simple)[1:]]",
         EXACT_SEQUENCE_TESTS,
+    ),
+    # the int cone decisions of the translation search
+    Mutation(
+        "the sign of the largest product ignored when the least margin is chosen",
+        EXPONENTS,
+        "(a * least[1] - least[0] * b) * top > 0",
+        "(a * least[1] - least[0] * b) > 0",
+        CONE_MARGIN_TESTS,
+    ),
+    Mutation(
+        "x^2 n' and x'^2 n swapped in the margin comparison",
+        EXPONENTS,
+        "(a * least[1] - least[0] * b) * top > 0",
+        "(least[0] * b - a * least[1]) * top > 0",
+        CONE_MARGIN_TESTS,
+    ),
+    Mutation(
+        "the first ray of the right sign kept in place of the least margin",
+        EXPONENTS,
+        "if least is None or (a * least[1] - least[0] * b) * top > 0:",
+        "if least is None:",
+        CONE_MARGIN_TESTS,
+    ),
+    Mutation(
+        "min in place of max in _ray_maxima",
+        TRANSLATION,
+        "return list(map(max, zip(",
+        "return list(map(min, zip(",
+        CONE_MARGIN_TESTS,
+    ),
+    Mutation(
+        "the line factor applied to the shift maxima too",
+        TRANSLATION,
+        "products = [factor * yscale * x + xscale * y for x, y in zip(xs, ys)]",
+        "products = [factor * yscale * x + factor * xscale * y for x, y in zip(xs, ys)]",
+        CONE_MARGIN_TESTS,
+    ),
+    Mutation(
+        "the shift maxima taken once, from the first candidate shift",
+        TRANSLATION,
+        "        top_shift = _orbit_maxima(rrs, list(shift), cfg.cap), common\n",
+        "        top_shift = locals().get(\"top_shift\")"
+        " or (_orbit_maxima(rrs, list(shift), cfg.cap), common)\n",
+        CONE_MARGIN_TESTS,
+    ),
+    Mutation(
+        "the shift maxima taken from the zero shift",
+        TRANSLATION,
+        "        top_shift = _orbit_maxima(rrs, list(shift), cfg.cap), common\n",
+        "        top_shift = _orbit_maxima(rrs, [0] * rs.rank, cfg.cap), common\n",
+        CONE_MARGIN_TESTS,
+    ),
+    Mutation(
+        "certificate maxima taken from the unscaled exponents",
+        TRANSLATION,
+        "    top = _ray_maxima(chamber, scaled), exponent_scale\n",
+        "    top = _ray_maxima(chamber, keys), exponent_scale\n",
+        CONE_MARGIN_TESTS,
+    ),
+    Mutation(
+        "regular is enough, also when theta is not a Weyl element",
+        TRANSLATION,
+        "    if inv.weyl_witness is not None:\n",
+        "    if True:\n",
+        CONE_MARGIN_TESTS,
+    ),
+    Mutation(
+        "orbit maxima read with the undominated ray covectors",
+        EXPONENTS,
+        "    return _int_mat_vec(chamber.dominant_covectors, coords)\n",
+        "    return _int_mat_vec(chamber.ray_covectors, coords)\n",
+        CONE_MARGIN_TESTS,
+    ),
+    Mutation(
+        "orbit maxima of the weight not chased",
+        EXPONENTS,
+        "    _chase_within_cap(chamber.root_system, coords, cap)\n",
+        "    _chase_within_cap(chamber.root_system, list(coords), cap)\n",
+        CONE_MARGIN_TESTS,
+    ),
+    Mutation(
+        "orbit maxima with no cap check",
+        EXPONENTS,
+        "    _chase_within_cap(chamber.root_system, coords, cap)\n",
+        "    _chase(chamber.root_system, coords)\n",
+        CONE_MARGIN_TESTS,
+    ),
+    Mutation(
+        "restricted_roots stores the antidominant covectors, each ray's least product",
+        REALFORM,
+        "    dominant = [_chase(rs, list(ray))[0] for ray in rays]\n",
+        "    dominant = [[-f for f in _chase(rs, [-x for x in ray])[0]] for ray in rays]\n",
+        CONE_MARGIN_TESTS,
+    ),
+    Mutation(
+        "the search's base not chased",
+        TRANSLATION,
+        "    base_fw, _ = _chase(rs, base)\n",
+        "    base_fw, _ = _chase(rs, list(base))\n",
+        CONE_MARGIN_TESTS,
+    ),
+    Mutation(
+        "the step targets of _certify not chased",
+        TRANSLATION,
+        "        _chase(rs, target)\n",
+        "        _chase(rs, list(target))\n",
+        CONE_MARGIN_TESTS,
+    ),
+    # the shift table is symmetric on the forms the cone-margin tests shift
+    # on, so only the pinned fundamental-weight reports see this one
+    Mutation(
+        "the shift read by rows of the fundamental-weight table, not columns",
+        TRANSLATION,
+        "for col in zip(*units)]",
+        "for col in units]",
+        ("tests/test_cli.py::test_fw_shift_reports_match_pinned_digest",),
+    ),
+    # the admissible walk, the search's exponent rule and the predicted orbit size
+    Mutation(
+        "the walk reads the ray covectors in default coordinates",
+        EXPONENTS,
+        WALK_COVECTORS,
+        WALK_COVECTORS.replace("chamber.chamber_covectors", "chamber.ray_covectors"),
+        ORBIT_TESTS,
+    ),
+    Mutation(
+        "the walked points restricted as v - theta(v) in default coordinates",
+        EXPONENTS,
+        "    restriction = chamber.chamber_restriction\n",
+        "    restriction = [[int(i == j) - t for j, t in enumerate(row)]"
+        " for i, row in enumerate(inv.theta)]\n",
+        ORBIT_TESTS,
+    ),
+    Mutation(
+        "the walk without its seen-set",
+        EXPONENTS,
+        "            if max(raised) >= 0 or v in seen:\n",
+        "            if max(raised) >= 0:\n",
+        ORBIT_TESTS,
+    ),
+    Mutation(
+        "<= 0 in place of < 0 as the walk's cone test",
+        EXPONENTS,
+        "            if max(raised) >= 0 or v in seen:\n",
+        "            if max(raised) > 0 or v in seen:\n",
+        ORBIT_TESTS,
+    ),
+    Mutation(
+        "the search's exponent check dropped",
+        TRANSLATION,
+        "    if None in keys:\n",
+        "    if False:\n",
+        ORBIT_TESTS,
+    ),
+    Mutation(
+        "the search's NoAdmissibleDirection test moved after the exponent check",
+        TRANSLATION,
+        NO_DIRECTION + EXPONENT_CHECK,
+        EXPONENT_CHECK + NO_DIRECTION,
+        ORBIT_TESTS,
+    ),
+    Mutation(
+        "h in place of h + 1 in the wall group order",
+        ROOTDATA,
+        "        order *= (h + 1) ** (n - heights[h + 1])\n",
+        "        order *= h ** (n - heights[h + 1])\n",
+        ORBIT_TESTS,
+    ),
+    Mutation(
+        "n_h in place of n_h - n_{h+1} as the exponent count",
+        ROOTDATA,
+        "        order *= (h + 1) ** (n - heights[h + 1])\n",
+        "        order *= (h + 1) ** n\n",
+        ORBIT_TESTS,
+    ),
+    Mutation(
+        "the walls of lam in place of those of its dominant point",
+        ROOTDATA,
+        "    fws, _ = _chase(rs, coords)\n    if rs.weyl_order > cap:\n" + WALL_ORDER,
+        "    walls = _int_mat_vec(rs.cartan_matrix, coords)\n"
+        "    fws, _ = _chase(rs, coords)\n    if rs.weyl_order > cap:\n"
+        + WALL_ORDER.replace("enumerate(fws)", "enumerate(walls)"),
+        ORBIT_TESTS,
+    ),
+    Mutation(
+        "the predicted orbit size never refused",
+        ROOTDATA,
+        "        if size > cap:\n",
+        "        if False:\n",
+        ORBIT_TESTS,
+    ),
+    # the worst case owned by the search
+    Mutation(
+        "the worst-case flag ignored by the search",
+        TRANSLATION,
+        WORST_CASE_KEYS,
+        "    keys = sorted(keys)\n",
+        WORST_CASE_TESTS,
+    ),
+    Mutation(
+        "given exponents not checked under the worst-case flag",
+        TRANSLATION,
+        "    if None in keys:\n",
+        "    if None in keys and not cfg.worst_case_exponents:\n",
+        WORST_CASE_TESTS,
+    ),
+    Mutation(
+        "the certified keys left unsorted",
+        TRANSLATION,
+        WORST_CASE_KEYS,
+        WORST_CASE_KEYS.replace("sorted(", "list("),
+        WORST_CASE_TESTS,
     ),
 )
 

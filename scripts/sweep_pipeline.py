@@ -19,7 +19,6 @@ from cartan_ds import (
     NoAdmissibleDirection,
     SearchExhausted,
     TranslationConfig,
-    admissible_exponents,
     antidominant_restriction,
     build_default_catalog,
     entry_involution,
@@ -44,8 +43,6 @@ def main() -> int:
         inv = entry_involution(entry, rs=rs)
         rrs = restricted_roots(rs, inv)
         exps = frozenset({antidominant_restriction(rs, inv, rs.rho)})
-        if args.worst_case:
-            exps = admissible_exponents(rs, inv, rrs, rs.rho, cfg.cap) or exps
         datum = FormalDSDatum(weight=rs.rho, exponents=exps, label=entry.id)
         t0 = time.monotonic()
         try:

@@ -55,7 +55,6 @@ from .errors import (
 from .exponents import (
     FormalDSDatum,
     SignedSqrt,
-    admissible_exponents,
     antidominant_restriction,
     cone_position,
     sorted_exponents,
@@ -472,12 +471,9 @@ def cmd_strongreg(args: argparse.Namespace, directory: Path) -> Outcome:
         worst_case_exponents=args.worst_case,
         cap=args.cap,
     )
-    if args.worst_case:
-        # strong_regularization refuses any given exponent that is not admissible
-        exponents = (exponents or frozenset()) | admissible_exponents(rs, inv, rrs, lam, cfg.cap)
-    elif exponents is None:
+    if exponents is None and not args.worst_case:
         exponents = frozenset({antidominant_restriction(rs, inv, lam)})
-    datum = FormalDSDatum(weight=lam, exponents=exponents, label=label or "")
+    datum = FormalDSDatum(weight=lam, exponents=exponents or frozenset(), label=label or "")
 
     result = strong_regularization(rs, inv, rrs, datum, cfg)
 
@@ -492,7 +488,7 @@ def cmd_strongreg(args: argparse.Namespace, directory: Path) -> Outcome:
         "id": entry.id,
         "label": datum.label,
         "lambda": datum.weight,
-        "exponents": datum.exponents,
+        "exponents": result.certified_exponents,
         "k": result.k,
         "integrality": result.integrality,
         "scale_factor": result.k * result.integrality + 1,
@@ -514,7 +510,7 @@ def cmd_strongreg(args: argparse.Namespace, directory: Path) -> Outcome:
         "form": args.form,
         "catalog_dir": str(directory),
         "lambda": datum.weight,
-        "exponents": datum.exponents,
+        "exponents": result.certified_exponents,
         "label": datum.label,
         "integrality": cfg.integrality,
         "max_k": cfg.max_k,

@@ -18,7 +18,7 @@ orbit point v restricts into the open cone exactly when every c.v < 0.  The
 admissible points are walked up from the orbit's antidominant point
 (``_walk``), without closing the orbit.  A datum's exponents obey one rule:
 each is admissible, and ``strong_regularization`` and ``translate_line`` check
-it on the walked set (``_admits``).  A ray's largest pairing over an orbit's
+it on the walked set (``_key``).  A ray's largest pairing over an orbit's
 restrictions (``_orbit_maxima``) closes no orbit either: the largest (wx, y)
 over W for dominant x, y is (x, y) (Humphreys, *Introduction to Lie Algebras
 and Representation Theory*, 13.2), one chase and one product per ray.
@@ -275,11 +275,12 @@ def _admissible(
     )
 
 
-def _admits(admissible: Admissible, e: Weight) -> bool:
-    """Is e some d / scale: is e times the scale one of the int tuples d?"""
+def _key(admissible: Admissible, e: Weight) -> tuple[int, ...] | None:
+    """e times the scale, the int tuple d with e = d / scale, if d is a walked key; else None."""
     scale, doubled = admissible
     q, r = divmod(scale, e.den)
-    return not r and tuple(x * q for x in e.nums) in doubled
+    d = tuple(x * q for x in e.nums)
+    return d if not r and d in doubled else None
 
 
 def _orbit_maxima(chamber: RestrictedRootSystem, coords: list[int], cap: int) -> list[int]:

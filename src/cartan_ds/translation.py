@@ -27,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection
+from typing import Collection, Sequence
 
 from .criterion import extended_stabilizer
 from .errors import (
@@ -44,12 +44,10 @@ from .exponents import (
     Maxima,
     SignedSqrt,
     _admissible,
-    _admits,
+    _key,
     _orbit_maxima,
     _position,
-    _ray_products,
     admissible_exponents,
-    sorted_exponents,
 )
 from .realform import CartanInvolution, RestrictedRootSystem
 from .rootdata import (
@@ -74,11 +72,9 @@ class TranslationConfig:
 
     ``integrality`` is the positive integer making the base weight integral
     (the caller knows the relevant lattice); scaling steps move along
-    (k*integrality + 1) times the weight.  ``worst_case_exponents`` switches
-    translate_line from canonical scaling to the full admissible restriction
-    set of the scaled weight.  ``strong_regularization`` does not read it: its
-    callers pass the admissible set (``admissible_exponents``) as the datum's
-    exponents themselves.
+    (k*integrality + 1) times the weight.  ``worst_case_exponents`` puts the
+    weight's whole admissible set in place of the datum's exponents, in
+    ``strong_regularization`` and, for the scaled weight, ``translate_line``.
     """
 
     integrality: int = 1
@@ -188,12 +184,9 @@ def verify_sum_splitting(
     )
 
 
-def _ray_maxima(chamber: RestrictedRootSystem, vectors: Collection[Weight]) -> Maxima:
-    """The ray maxima of a nonempty set of vectors, at one scale, the lcm of theirs."""
-    products = [_ray_products(chamber, v) for v in vectors]
-    scale = math.lcm(*(s for _, s in products))
-    rescaled = ([x * (scale // s) for x in xs] for xs, s in products)
-    return tuple(map(max, zip(*rescaled))), scale
+def _ray_maxima(chamber: RestrictedRootSystem, vectors: Collection[Sequence[int]]) -> list[int]:
+    """Each ray's largest product over a nonempty set of int tuples at one scale."""
+    return list(map(max, zip(*(_int_mat_vec(chamber.ray_covectors, v) for v in vectors))))
 
 
 def _cone_margin(
@@ -232,11 +225,13 @@ def translate_line(
     exponents.  Requires every input exponent to be admissible (the scaled
     containment guarantee needs it).  Admissibility is tested on ints.
     """
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise BadParameters(f"line parameter k must be an integer, got {k!r}")
     if k < 0:
         raise BadParameters("line parameter k must be nonnegative")
     factor = k * cfg.integrality + 1
     base = _admissible(rs, inv, chamber, datum.weight, cfg.cap)
-    if not all(_admits(base, e) for e in datum.exponents):
+    if any(_key(base, e) is None for e in datum.exponents):
         raise InvalidDatum("exponent is not an admissible restriction of the weight's orbit")
     new_weight = datum.weight.scale(factor)
     if cfg.worst_case_exponents:
@@ -244,7 +239,7 @@ def translate_line(
     else:
         new_exponents = frozenset(e.scale(factor) for e in datum.exponents)
         scaled = _admissible(rs, inv, chamber, new_weight, cfg.cap)
-        if not all(_admits(scaled, e) for e in new_exponents):
+        if any(_key(scaled, e) is None for e in new_exponents):
             raise ConsistencyError(
                 "scaled exponent left the admissible set of the scaled weight"
             )
@@ -281,9 +276,9 @@ class TranslationResult:
     """Outcome of the strong-regularization search.
 
     ``final_weight`` equals (k*integrality + 1) times the chamber-dominant
-    base weight plus the sum of ``mus``; the certificates are produced by
-    re-running the stabilizer and cone checks on the final data, not copied
-    from the search loop.
+    base weight plus the sum of ``mus``; ``certified_exponents`` are the
+    exponents certified, unscaled, in ``sorted_exponents`` order.  The
+    certificates re-run the stabilizer and cone checks on the final data.
     """
 
     k: int
@@ -291,6 +286,7 @@ class TranslationResult:
     dominant_base: Weight
     mus: tuple[Weight, ...]
     final_weight: Weight
+    certified_exponents: tuple[Weight, ...]
     certificates: TranslationCertificates
 
 
@@ -354,18 +350,23 @@ def strong_regularization(
     tie-break) and then the least line parameter k whose combined move keeps
     every shifted exponent strictly inside the negative cone.  The final
     weight is reported in the chamber compatible with the involution; all
-    certificates are re-verified on the result.  Every exponent must be
-    admissible: NoAdmissibleDirection when the weight has no admissible
-    exponent, else InvalidDatum for one that is not.
+    certificates are re-verified on the result.  It certifies the datum's
+    exponents or, with ``cfg.worst_case_exponents``, the weight's whole
+    admissible set (the keys of ``exponents._admissible``), as int tuples at
+    the walk's scale.  NoAdmissibleDirection when the weight has no
+    admissible exponent, else InvalidDatum for a given exponent, in either
+    mode, that is not admissible, else InvalidDatum for none to certify.
     """
-    admissible = _admissible(rs, inv, rrs, datum.weight, cfg.cap)
-    if not admissible[1]:
+    exponent_scale, doubled = admissible = _admissible(rs, inv, rrs, datum.weight, cfg.cap)
+    if not doubled:
         raise NoAdmissibleDirection(
             "no orbit element restricts into the negative cone interior"
         )
-    if not all(_admits(admissible, e) for e in datum.exponents):
+    keys = [_key(admissible, e) for e in datum.exponents]
+    if None in keys:
         raise InvalidDatum("exponent is not an admissible restriction of the weight's orbit")
-    if not datum.exponents:
+    keys = sorted(doubled if cfg.worst_case_exponents else keys)
+    if not keys:
         raise InvalidDatum("datum has no exponents to certify")
     n = cfg.integrality
     # the dominant base and its fundamental coordinates, times lam's denominator
@@ -378,10 +379,9 @@ def strong_regularization(
     common = math.lcm(scale, d)
     base = [x * (common // scale) for x in base]
     units = [[x * (common // d) for x in row] for row in rs.fw_numerators]
-    exponents = sorted_exponents(datum)
     # the shift maxima do not depend on k, and _cone_margin scales the
     # exponent maxima by each line factor
-    top_exponent = _ray_maxima(rrs, exponents)
+    top_exponent = _ray_maxima(rrs, keys), exponent_scale
     best: SearchBest | None = None
     for coeffs in _candidate_coefficients(rs.rank, cfg.max_mu_coeff):
         # base + shift is dominant, so it is regular unless both have a
@@ -416,8 +416,9 @@ def strong_regularization(
                 dominant_base=base_dom,
                 mus=tuple(mus),
                 final_weight=_weight(_int_mat_vec(chamber, final), common),
+                certified_exponents=tuple(_weight(e, exponent_scale) for e in keys),
                 certificates=_certify(
-                    rs, inv, rrs, exponents, base_dom, factor, mus, cfg
+                    rs, inv, rrs, keys, exponent_scale, base_dom, factor, mus, cfg
                 ),
             )
     raise SearchExhausted(
@@ -430,7 +431,8 @@ def _certify(
     rs: RootSystem,
     inv: CartanInvolution,
     chamber: RestrictedRootSystem,
-    exponents: tuple[Weight, ...],
+    keys: list[tuple[int, ...]],
+    exponent_scale: int,
     base_dom: Weight,
     factor: int,
     mus: list[Weight],
@@ -439,14 +441,14 @@ def _certify(
     """Re-verify the search outcome step by step, from scratch.
 
     The step ledger walks the tensoring sequence: after each direction the
-    cumulative shift's whole orbit is tested against every scaled exponent,
-    whose ray maxima are taken once for all steps.
+    cumulative shift's whole orbit is tested against every exponent tuple
+    scaled by the line factor, whose ray maxima are taken once for all steps.
     The step checks are nested (each partial sum is dominated by the next in
     its chamber), so the last entry implies the earlier ones; all are
     recorded anyway as independent certificates.
     """
-    scaled = [e.scale(factor) for e in exponents]
-    top = _ray_maxima(chamber, scaled)
+    scaled = [[factor * x for x in e] for e in keys]
+    top = _ray_maxima(chamber, scaled), exponent_scale
     cone_all, base_margin = _position(chamber, *top)
     running = base_dom.scale(factor)
     partial = Weight.zero(rs.rank)
@@ -475,5 +477,5 @@ def _certify(
         cone_condition=cone_all,
         steps=tuple(steps),
         base_margin=base_margin,
-        scaled_exponents=sorted_exponents(scaled),
+        scaled_exponents=tuple(_weight(e, exponent_scale) for e in scaled),
     )

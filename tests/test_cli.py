@@ -17,7 +17,7 @@ from cartan_ds import (
     packaged_catalog_dir,
     write_catalog,
 )
-from cartan_ds import realform, rootdata, translation
+from cartan_ds import exponents, realform, rootdata, translation
 from cartan_ds.catalog import ENV_CATALOG_DIR, entry_to_document
 from cartan_ds.cli import main
 
@@ -426,6 +426,23 @@ def test_strongreg_worst_case_exponents(capsys):
     assert doc["results"]["exponents"] == [["-1", "-1"], ["-1/2", "-1/2"]]
     assert doc["results"]["k"] == 0
     assert doc["certificates"]["strongly_regular"]
+
+
+@pytest.mark.parametrize("flags", [(), ("--worst-case",)])
+def test_strongreg_walks_the_admissible_points_once(capsys, monkeypatch, flags):
+    # the search certifies the keys of its own walk: the command builds no
+    # worst-case set of its own
+    walks = []
+    walk = exponents._walk
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(exponents, "_walk", counted)
+    rc, doc, _ = run_json(capsys, "strong-reg", "split(F4)", *flags)
+    assert rc == 0 and len(walks) == 1
+    assert len(doc["results"]["exponents"]) == (373 if flags else 1)
 
 
 NOT_ADMISSIBLE = "exponent is not an admissible restriction of the weight's orbit"

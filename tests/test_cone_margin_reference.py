@@ -12,19 +12,22 @@ forms with no rays.
 in the open negative cone, and finds the least margin over the sums, from one
 tuple of ray pairings: on each ray, the largest exponent pairing plus the
 largest shift pairing, each set's maxima taken once, as int products at one
-scale (``_ray_maxima``, and ``exponents._orbit_maxima`` over a weight's
-orbit restrictions).  The search scales the exponent maxima by the line
-factor kN + 1 instead of scaling the exponents.  The reference is the
-pair loop it replaced: one Fraction sum e + s per pair, each located from
+scale (``_ray_maxima`` of int tuples, and ``exponents._orbit_maxima`` over a
+weight's orbit restrictions).  The search holds its exponents as int tuples
+at the admissible walk's scale; the tests put their weight sets at one scale
+with ``weight_reference.ray_maxima``.  The search scales the exponent maxima
+by the line factor kN + 1 instead of scaling the exponents.  The reference is
+the pair loop it replaced: one Fraction sum e + s per pair, each located from
 scratch by ``reference_cone_position`` (``tests/restricted_reference.py``,
 the same margin rule), which reads neither the ray covectors nor the ray
 norms.  Its shift sets are the restrictions of the closed int orbit
 (``restricted_reference.orbit_restrictions``), which
 ``test_orbit_reference.py`` compares with the Fraction closure.  Every set
 the search and its certificates decide on is nonempty: the search refuses a
-datum with no exponents, and a shift orbit always has a point.  The search and its certificates are checked
-against the search as it was: ``extended_stabilizer`` on every candidate and
-the same pair loop on every scaled exponent for every line parameter k.
+datum with no exponents, and a shift orbit always has a point.  The search
+and its certificates are checked against the search as it was:
+``extended_stabilizer`` on every candidate and the same pair loop on every
+scaled exponent for every line parameter k.
 ``translation._strongly_regular``, the search's int test of each candidate,
 is compared with ``extended_stabilizer(...).is_trivial`` directly.
 
@@ -40,21 +43,8 @@ message included, and the search's refusal of a shift orbit past ``cap``.
 The search is also run from a weight off the dominant chamber, on catalog
 forms and on those involutions.
 
-Mutations these tests catch: the sign ignored in ``_position``, p^2 n' and
-p'^2 n swapped, a tie in sign kept by the first index instead of the least
-margin; min in place of max in ``_ray_maxima``, the line factor applied to
-the shift maxima too, the shift maxima hoisted above the search's loop over
-candidate shifts (taken once from the first candidate, or from the zero
-shift), and certificate maxima taken from the unscaled exponents; the
-witness shortcut (regular is enough) applied when ``weyl_witness`` is None;
-in ``_orbit_maxima``, the undominated ray covectors in place of the dominant
-ones, the weight not chased, and the cap check dropped; in
-``restricted_roots``, the antidominant covectors (each ray's least product
-in place of its largest); in the search, the base not chased and the
-step targets of ``_certify`` not chased.  The fundamental-weight table read
-by rows of A^-1 instead of columns (``zip(*rs.fw_numerators)``) survives
-these tests, whose searches shift only where the table is symmetric; it
-changes 15 reports of ``FW_SHIFT_DIGEST`` in ``tests/test_cli.py``.
+The mutations these tests catch are listed, and run, in
+``scripts/mutants.py``.
 """
 
 import random
@@ -70,7 +60,6 @@ from cartan_ds import (
     DEFAULT_CAP,
     CapExceeded,
     FormalDSDatum,
-    RankMismatch,
     SearchExhausted,
     SignedSqrt,
     TranslationConfig,
@@ -101,7 +90,6 @@ from cartan_ds.translation import (
     _best_key,
     _candidate_coefficients,
     _cone_margin,
-    _ray_maxima,
     _strongly_regular,
 )
 from forms import form, pm_w_involutions
@@ -111,7 +99,7 @@ from restricted_reference import (
     reference_cone_position,
     reference_margin,
 )
-from weight_reference import pairings_of, restricted_weights
+from weight_reference import pairings_of, ray_maxima, restricted_weights
 
 
 def reference_cone_margin(chamber, exponents, shifts):
@@ -129,7 +117,7 @@ def reference_cone_margin(chamber, exponents, shifts):
 
 def cone_margin(chamber, exponents, shifts):
     """_cone_margin of the two sets' ray maxima."""
-    return _cone_margin(chamber, _ray_maxima(chamber, exponents), _ray_maxima(chamber, shifts))
+    return _cone_margin(chamber, ray_maxima(chamber, exponents), ray_maxima(chamber, shifts))
 
 
 SPLIT_FORMS = [
@@ -375,10 +363,10 @@ def test_scaled_exponent_maxima_match_the_pair_loop(form_id):
     rrs = form(form_id)[2]
     exponent_sets, shift_sets = grid(form_id)
     for exponents in exponent_sets:
-        top_exponent = _ray_maxima(rrs, exponents)
+        top_exponent = ray_maxima(rrs, exponents)
         exponents = extremes(rrs, exponents)
         for shifts in shift_sets:
-            top_shift = _ray_maxima(rrs, shifts)
+            top_shift = ray_maxima(rrs, shifts)
             shifts = extremes(rrs, shifts)
             for k in LINE_PARAMETERS:
                 factor = k + 1
@@ -423,7 +411,7 @@ def test_drawn_sets_match_the_pair_loop(form_id, data):
         rrs, exponents, shifts
     )
     factor = data.draw(st.sampled_from(LINE_PARAMETERS), label="k") + 1
-    got = _cone_margin(rrs, _ray_maxima(rrs, exponents), _ray_maxima(rrs, shifts), factor)
+    got = _cone_margin(rrs, ray_maxima(rrs, exponents), ray_maxima(rrs, shifts), factor)
     assert got == reference_cone_margin(rrs, [e.scale(factor) for e in exponents], shifts)
 
 
@@ -439,18 +427,8 @@ def test_a_sum_on_a_wall_is_not_interior():
 def test_a_compact_cartan_has_no_interior():
     rs, _, rrs = form("compact(A2)")
     assert not rrs.fulldim and not rrs.ray_norms
-    assert _ray_maxima(rrs, [-rs.rho])[0] == ()
+    assert ray_maxima(rrs, [-rs.rho]) == ([], 1)
     assert cone_margin(rrs, [-rs.rho], [Weight.zero(rs.rank)]) == (False, SignedSqrt.zero())
-
-
-@pytest.mark.parametrize("side", ["exponents", "shifts"])
-def test_a_wrong_rank_vector_is_a_rank_mismatch(side):
-    rs, inv, rrs = form("su(2,1)")
-    good = [antidominant_restriction(rs, inv, rs.rho)]
-    bad = [Weight.of([-1, -1, -1])]
-    args = (bad, good) if side == "exponents" else (good, bad)
-    with pytest.raises(RankMismatch):
-        cone_margin(rrs, *args)
 
 
 def reference_search(rs, inv, rrs, datum, cfg):

@@ -22,19 +22,14 @@ point is walked once, and ``strong_regularization`` refuses a weight with
 NoAdmissibleDirection exactly when the reference admissible set is empty;
 on drawn data it then refuses, with InvalidDatum, exactly the exponents
 outside that set, the one exponent rule of the library.
-Mutations these tests catch: the walk without the chamber transform (the
-ray covectors and v - theta(v) read in default coordinates), without its
-seen-set, and with ``<= 0`` in place of ``< 0`` as the cone test; the
-search's exponent check dropped, and its NoAdmissibleDirection test moved
-after that check.
 
 When |W| exceeds the cap, an orbit is refused before its closure if its
 predicted size |W| / |W_J| does; J is the set of walls of the dominant
 representative and |W_J| comes from the height partition of the positive
 roots supported on J.  The prediction is compared with the enumerated orbit.
-Mutations these tests catch: (h + 1) replaced by h in the product, the walls
-of lam in place of those of its dominant representative, n_h in place of
-n_h - n_{h+1} as the exponent count, and the refusal skipped.
+
+The mutations these tests catch are listed, and run, in
+``scripts/mutants.py``.
 """
 
 import random

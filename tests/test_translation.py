@@ -18,6 +18,7 @@ from cartan_ds import (
     SignedSqrt,
     TranslationConfig,
     Weight,
+    admissible_exponents,
     antidominant_restriction,
     apply,
     build_root_system,
@@ -26,6 +27,7 @@ from cartan_ds import (
     dual_chamber,
     extended_stabilizer,
     longest_element,
+    sorted_exponents,
     strong_regularization,
     translate_line,
     verify_sum_splitting,
@@ -34,8 +36,9 @@ from cartan_ds import (
     word_element,
 )
 from cartan_ds.exponents import _orbit_maxima
-from cartan_ds.translation import _cone_margin, _ray_maxima
+from cartan_ds.translation import _cone_margin
 from forms import form
+from weight_reference import ray_maxima
 
 F = Fraction
 
@@ -146,7 +149,7 @@ def tensor_margin(rrs, exponents, mu):
     in the open negative cone, and the least margin: the search's
     ``_cone_margin`` of the exponents' ray maxima and mu's orbit maxima."""
     shift = _orbit_maxima(rrs, list(mu.nums), DEFAULT_CAP), mu.den
-    return _cone_margin(rrs, _ray_maxima(rrs, exponents), shift)
+    return _cone_margin(rrs, ray_maxima(rrs, exponents), shift)
 
 
 def test_tensor_condition_margin_on_su21():
@@ -213,8 +216,10 @@ def test_translate_line_rejects_bad_inputs():
     )
     with pytest.raises(InvalidDatum):
         translate_line(rs, inv, ch, bad, 1, cfg)
-    with pytest.raises(BadParameters):
-        translate_line(rs, inv, ch, default_datum(rs, inv, "x"), -1, cfg)
+    # k is an int that is not a bool, and nonnegative
+    for k in (-1, True, 1.5, "2", None):
+        with pytest.raises(BadParameters, match="line parameter k"):
+            translate_line(rs, inv, ch, default_datum(rs, inv, "x"), k, cfg)
 
 
 def test_config_validation():
@@ -338,10 +343,34 @@ def test_pipeline_rejects_non_integral_line():
     ],
 )
 def test_pipeline_refuses_an_exponent_that_is_not_admissible(exponent):
+    # in both modes: the worst case certifies the whole admissible set, but
+    # a given exponent outside it is refused, not dropped
     rs, inv, rrs = form("su(2,1)")
     datum = FormalDSDatum(weight=rs.rho, exponents=frozenset({inv.restrict(-rs.rho), exponent}))
-    with pytest.raises(InvalidDatum, match="not an admissible restriction"):
-        strong_regularization(rs, inv, rrs, datum)
+    for worst in (False, True):
+        with pytest.raises(InvalidDatum, match="not an admissible restriction"):
+            strong_regularization(rs, inv, rrs, datum, TranslationConfig(worst_case_exponents=worst))
+
+
+@pytest.mark.parametrize("form_id", ["su(2,1)", "so(4,3)", "sp(3,R)"])
+def test_the_worst_case_search_certifies_the_whole_admissible_set(form_id):
+    rs, inv, rrs = form(form_id)
+    worst = TranslationConfig(worst_case_exponents=True)
+    admissible = admissible_exponents(rs, inv, rrs, rs.rho)
+    datum = default_datum(rs, inv, form_id)
+    result = strong_regularization(rs, inv, rrs, datum, worst)
+    assert result.certified_exponents == sorted_exponents(admissible)
+    factor = result.k * result.integrality + 1
+    assert result.certificates.scaled_exponents == tuple(
+        e.scale(factor) for e in sorted_exponents(admissible)
+    )
+    # the same search from no exponents, and without the flag from the whole set
+    empty = FormalDSDatum(rs.rho, frozenset(), form_id)
+    assert strong_regularization(rs, inv, rrs, empty, worst) == result
+    assert strong_regularization(rs, inv, rrs, FormalDSDatum(rs.rho, admissible, form_id)) == result
+    # without the flag the search certifies the datum's own exponents
+    own = strong_regularization(rs, inv, rrs, datum)
+    assert own.certified_exponents == sorted_exponents(datum) != result.certified_exponents
 
 
 def test_pipeline_refuses_a_datum_with_no_exponents():

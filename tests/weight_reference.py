@@ -12,11 +12,14 @@ d / 2, a vanishing index names the root itself, and the facet ray with int
 covector c and scale s is F^-1 c / s, F the invariant form.  ``ray_pairings``
 gives a vector's Fraction pairings with those rays, c.v / s, from the int
 products the library takes (``exponents._ray_products``); ``pairings_of``
-gives them for any int products at a scale.
+gives them for any int products at a scale.  ``ray_maxima`` puts a set of
+weights on the search's int kernel, ``translation._ray_maxima``: their
+numerators at one scale, the lcm of their denominators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -27,6 +30,7 @@ from cartan_ds import Weight
 from cartan_ds.exponents import _ray_products
 from cartan_ds.linalg import frac
 from cartan_ds.realform import _indivisible
+from cartan_ds.translation import _ray_maxima
 
 HALF = Fraction(1, 2)
 
@@ -114,3 +118,10 @@ def pairings_of(rrs, products, scale) -> tuple[Fraction, ...]:
 def ray_pairings(rrs, v: Weight) -> tuple[Fraction, ...]:
     """v's pairing with each facet ray, c.v / s."""
     return pairings_of(rrs, *_ray_products(rrs, v))
+
+
+def ray_maxima(rrs, vectors):
+    """``_ray_maxima`` of a nonempty set of weights, with the scale it is at:
+    each weight's numerators times lcm(denominators) / its denominator."""
+    scale = math.lcm(*(v.den for v in vectors))
+    return _ray_maxima(rrs, [[x * (scale // v.den) for x in v.nums] for v in vectors]), scale
