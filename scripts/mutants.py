@@ -51,6 +51,8 @@ EXACT_SEQUENCE_TESTS = (
 CONE_MARGIN_TESTS = ("tests/test_cone_margin_reference.py",)
 ORBIT_TESTS = ("tests/test_orbit_reference.py",)
 WORST_CASE_TESTS = ("tests/test_translation.py", "tests/test_cli.py")
+CRITERION = "src/cartan_ds/criterion.py"
+STABILIZER_TESTS = ("tests/test_stabilizer_reference.py", "tests/test_criterion.py")
 
 NO_DIRECTION = (
     "    if not doubled:\n"
@@ -75,6 +77,15 @@ WALL_ORDER = (
     " if not f])\n"
 )
 WORST_CASE_KEYS = "    keys = sorted(doubled if cfg.worst_case_exponents else keys)\n"
+STABILIZER_CHASE = (
+    "    fws, word = _chase(rs, coords)\n"
+    "    back = word[::-1]\n"
+    "    gens = tuple(word_element(rs, word + [i] + back) for i, f in enumerate(fws) if not f)\n"
+)
+IMAGE_THEN_CHASE = (
+    "    image = _int_mat_vec(inv.theta, coords) if witness is None else None\n"
+    "    fws, word, gens = _stabilizer_chase(rs, coords)\n"
+)
 
 MUTATIONS = (
     # the exact-sequence kernel of realform.py
@@ -364,6 +375,72 @@ MUTATIONS = (
         WORST_CASE_KEYS,
         WORST_CASE_KEYS.replace("sorted(", "list("),
         WORST_CASE_TESTS,
+    ),
+    # the extended stabilizer: the twisted word and theta(lam) only matter
+    # where theta has no witness (sl(3,R), split(E6) among the catalog forms)
+    Mutation(
+        "the wall fixer's word not mirrored (u + [i] + u)",
+        ROOTDATA,
+        STABILIZER_CHASE,
+        STABILIZER_CHASE.replace("word + [i] + back", "word + [i] + word"),
+        STABILIZER_TESTS,
+    ),
+    Mutation(
+        "the twisted word with v not reversed (u + v)",
+        CRITERION,
+        "word + word_t[::-1]",
+        "word + word_t",
+        STABILIZER_TESTS,
+    ),
+    Mutation(
+        "the walls read from the weight's pairings before the chase",
+        ROOTDATA,
+        STABILIZER_CHASE,
+        "    walls = _int_mat_vec(rs.cartan_matrix, coords)\n"
+        + STABILIZER_CHASE.replace("enumerate(fws)", "enumerate(walls)"),
+        STABILIZER_TESTS,
+    ),
+    Mutation(
+        "theta(lam) taken from the chased (dominant) coordinates",
+        CRITERION,
+        IMAGE_THEN_CHASE,
+        "".join(reversed(IMAGE_THEN_CHASE.splitlines(keepends=True))),
+        STABILIZER_TESTS,
+    ),
+    Mutation(
+        "the two chases compared as sorted coordinate lists",
+        CRITERION,
+        "        if fws == fws_t:\n",
+        "        if sorted(fws) == sorted(fws_t):\n",
+        STABILIZER_TESTS,
+    ),
+    Mutation(
+        "the witness ignored in is_trivial",
+        CRITERION,
+        "is_trivial=not gens and (witness is not None or twisted is None),",
+        "is_trivial=not gens and twisted is None,",
+        STABILIZER_TESTS,
+    ),
+    Mutation(
+        "dominant_representative built from the chase word unreversed",
+        ROOTDATA,
+        "    return _weight(coords, lam.den), word_element(rs, word[::-1])\n",
+        "    return _weight(coords, lam.den), word_element(rs, word)\n",
+        STABILIZER_TESTS,
+    ),
+    Mutation(
+        "the witness returned as an untwisted fixer",
+        CRITERION,
+        "ExtendedElement(weyl=witness, twisted=True)",
+        "ExtendedElement(weyl=witness, twisted=False)",
+        STABILIZER_TESTS,
+    ),
+    Mutation(
+        "the witness shortcut dropped: theta(lam) chased on every form",
+        CRITERION,
+        IMAGE_THEN_CHASE,
+        IMAGE_THEN_CHASE.replace(" if witness is None else None", ""),
+        STABILIZER_TESTS,
     ),
 )
 

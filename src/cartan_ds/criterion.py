@@ -15,18 +15,22 @@ and the extended stabilizer read ``CartanInvolution.weyl_witness``.  Only a
 raw matrix is chased on each call.
 
 The extended Weyl group is generated by the Weyl group and the involution.  A
-weight is strongly regular when its stabilizer there is trivial: one int chase
-of the weight and one of its involution image decide it, with no matrix, and
-Weyl elements are built from the chase words only for the fixers returned.
-The two chases end at the same point exactly when theta(lam) lies in lam's
-Weyl orbit; a strongly regular lam for which they do forces theta to be a
-Weyl element, the implication behind the compact-Cartan criterion.
+weight is strongly regular when its stabilizer there is trivial, decided by
+int chases with no matrix.  When theta is a Weyl element the witness
+composed with theta is the identity, the twisted fixer of every weight, and
+one chase of the weight decides the rest.  Otherwise the weight and its
+involution image are both chased; they end at the same point exactly when
+theta(lam) lies in lam's Weyl orbit, and a strongly regular lam for which
+they do forces theta to be a Weyl element, the implication behind the
+compact-Cartan criterion.  Weyl elements are built from the chase words only
+for the fixers returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import BadParameters
 from .realform import CartanInvolution, _read_matrix, _require_same_root_system
 from .rootdata import (
     IntMat,
@@ -87,8 +91,13 @@ def compact_cartan_verdict(
 
     The conjugation involution is minus the Cartan involution, so its negative
     acts by the Cartan involution's matrix; the verdict is Weyl membership of
-    that matrix, cross-checked against the oracle when one is given.
+    that matrix, cross-checked against the oracle when one is given.  An
+    oracle that is neither a bool nor None is a BadParameters.
     """
+    if oracle_compact_rank_equal is not None and not isinstance(oracle_compact_rank_equal, bool):
+        raise BadParameters(
+            f"oracle_compact_rank_equal must be a bool or None, not {oracle_compact_rank_equal!r}"
+        )
     witness = theta_in_weyl(rs, inv)
     found = witness is not None
     consistent = None
@@ -122,6 +131,8 @@ class ExtendedStabilizerReport:
     """Stabilizer of a weight in the extended Weyl group.
 
     ``witness`` is the Weyl element acting as the involution, when one exists.
+    ``twisted_fixer`` is then that witness, twisted; without one it comes
+    from the chases of the weight and its image, or is None.
     """
 
     is_regular: bool
@@ -140,26 +151,31 @@ def extended_stabilizer(
 ) -> ExtendedStabilizerReport:
     """Decide triviality of the extended stabilizer of a weight.
 
-    The weight's int numerators and their involution image are chased to
-    the dominant chamber on ints, with no matrix.  The untwisted part is
-    trivial exactly when the weight is regular (no wall).  A twisted fixer
-    exists exactly when both chases end at the same fundamental coordinates;
-    with chase words u and v it is u + v reversed, composed with the
-    involution, and a genuinely new symmetry only when the involution is
-    outside the group.  Weyl elements are built only for the fixers returned.
+    The weight's int numerators are chased to the dominant chamber, with no
+    matrix; the untwisted part is trivial exactly when the weight is regular
+    (no wall).  A Weyl witness has theta's matrix, so composed with theta it
+    fixes every weight: it is the twisted fixer, and that one chase decides.
+    Without a witness the involution image is chased too, and a twisted
+    fixer exists exactly when both chases end at the same fundamental
+    coordinates; with chase words u and v it is u + v reversed, composed with
+    the involution.  Weyl elements are built only for the fixers returned.
     """
     _require_same_root_system(rs, inv)
+    witness = inv.weyl_witness
     coords = _nums_on(rs, lam)
-    image = _int_mat_vec(inv.theta, coords)
+    image = _int_mat_vec(inv.theta, coords) if witness is None else None
     fws, word, gens = _stabilizer_chase(rs, coords)
-    fws_t, word_t = _chase(rs, image)
     twisted: ExtendedElement | None = None
-    if fws == fws_t:
-        twisted = ExtendedElement(weyl=word_element(rs, word + word_t[::-1]), twisted=True)
+    if image is None:
+        twisted = ExtendedElement(weyl=witness, twisted=True)
+    else:
+        fws_t, word_t = _chase(rs, image)
+        if fws == fws_t:
+            twisted = ExtendedElement(weyl=word_element(rs, word + word_t[::-1]), twisted=True)
     return ExtendedStabilizerReport(
         is_regular=not gens,
         weyl_fixers=gens,
         twisted_fixer=twisted,
-        witness=inv.weyl_witness,
-        is_trivial=not gens and (inv.weyl_witness is not None or twisted is None),
+        witness=witness,
+        is_trivial=not gens and (witness is not None or twisted is None),
     )

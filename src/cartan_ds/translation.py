@@ -324,7 +324,8 @@ def _strongly_regular(rs: RootSystem, inv: CartanInvolution, v: list[int]) -> bo
     """``extended_stabilizer(rs, inv, lam).is_trivial`` on ints, for lam a
     positive multiple of v: v's chase leaves no fundamental coordinate at 0
     and, when theta is not a Weyl element, theta(v) chases to another
-    dominant tuple (no twisted fixer)."""
+    dominant tuple (no twisted fixer).  This is ``extended_stabilizer``'s
+    rule: one chase when theta has a Weyl witness, two otherwise."""
     dom = list(v)
     fws, _ = _chase(rs, dom)
     if 0 in fws:

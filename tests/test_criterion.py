@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import cartan_ds
 from cartan_ds import (
+    BadParameters,
     CartanInvolution,
     ExtendedElement,
     ParseError,
@@ -223,7 +224,12 @@ def chase_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("form_id", ["su(2,1)", "sl(3,R)", "so(4,3)", "split(E8)"])
+# chases per extended_stabilizer call: lam only when theta has a Weyl witness,
+# lam and theta(lam) on sl(3,R), where it has none
+STABILIZER_CHASES = {"su(2,1)": 1, "sl(3,R)": 2, "so(4,3)": 1, "split(E8)": 1}
+
+
+@pytest.mark.parametrize("form_id", list(STABILIZER_CHASES))
 def test_a_validated_involution_is_chased_once(chase_calls, form_id):
     rs, inv, _ = form(form_id)
     lam = rs.rho + rs.fundamental_weights[0]
@@ -235,7 +241,7 @@ def test_a_validated_involution_is_chased_once(chase_calls, form_id):
     assert theta_in_weyl(rs, inv) is inv.weyl_witness
     assert chase_calls == []
     extended_stabilizer(rs, inv, lam)
-    assert len(chase_calls) == 2  # lam and theta(lam), nothing for theta
+    assert len(chase_calls) == STABILIZER_CHASES[form_id]  # nothing for theta
     chase_calls.clear()
     theta_in_weyl(rs, inv.theta)
     assert len(chase_calls) == 1  # a raw matrix still gets its own chase
@@ -253,6 +259,20 @@ def test_verdict_consistency_fields():
     assert v.oracle_compact_rank_equal is True and v.consistent is True
     v2 = compact_cartan_verdict(rs, inv)
     assert v2.oracle_compact_rank_equal is None and v2.consistent is None
+
+
+def test_verdict_takes_a_bool_or_none_as_oracle():
+    rs, inv, _ = form("su(2,1)")
+    assert compact_cartan_verdict(rs, inv, False).consistent is False
+    assert compact_cartan_verdict(rs, inv, True).consistent is True
+    assert compact_cartan_verdict(rs, inv, None).consistent is None
+
+
+@pytest.mark.parametrize("oracle", ["false", 1, 0])
+def test_verdict_refuses_an_oracle_that_is_not_a_bool(oracle):
+    rs, inv, _ = form("su(2,1)")
+    with pytest.raises(BadParameters):
+        compact_cartan_verdict(rs, inv, oracle_compact_rank_equal=oracle)
 
 
 def test_apply_extended_semantics():

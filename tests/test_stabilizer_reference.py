@@ -1,32 +1,34 @@
 """The int stabilizer chases against the matrix-building chases they replaced.
 
-``extended_stabilizer`` scales the weight to ints once, takes its involution
-image on ints and chases both to the dominant chamber with no matrix
-(``rootdata._chase``).  The walls are the zeros of the weight's dominant
-fundamental coordinates, and the image lies in the weight's Weyl orbit when
-both chases end at the same fundamental coordinates.  Weyl elements are
-built from the chase words only for the fixers returned: with chase words u
-and v, the fixer of wall i is u + [i] + u reversed and the twisted fixer is
-u + v reversed.  ``stabilizer_generators`` shares that kernel
+``extended_stabilizer`` scales the weight to ints once and chases it to the
+dominant chamber with no matrix (``rootdata._chase``); the walls are the
+zeros of its dominant fundamental coordinates.  When theta has a Weyl
+witness, that witness, twisted, is the twisted fixer of every weight and no
+second chase runs.  Otherwise it takes the involution image on ints and
+chases it too, and the image lies in the weight's Weyl orbit when both
+chases end at the same fundamental coordinates.  Weyl elements are built
+from the chase words only for the fixers returned: with chase words u and v,
+the fixer of wall i is u + [i] + u reversed and the twisted fixer is u + v
+reversed.  ``stabilizer_generators`` shares that kernel
 (``rootdata._stabilizer_chase``), and ``dominant_representative`` builds its
 element from the chase word.
 
 The references below are those functions as they were: a chase that updates
 the rows of its element's matrix at every step, walls read back from the
 Fraction dominant weight, fixers built by ``word_element`` from the words of
-the reference chase, and θλ taken on the Fraction weight and chased again.  They are compared on every catalog form
+the reference chase, and θλ taken on the Fraction weight and chased again,
+also when theta has a witness.  They are compared on every catalog form
 with drawn weights (many of them singular), on the membership_stream inputs
 of two seeds and on hypothesis-drawn weights: the fixers' matrices and
-words, the twisted fixer's matrix, word and flag, ``is_regular``,
-``is_trivial`` and ``witness``, and ``stabilizer_generators``' ``gens``,
-``dominant`` and ``to_dominant``.
+words, ``is_regular``, ``is_trivial`` and ``witness``, and
+``stabilizer_generators``' ``gens``, ``dominant`` and ``to_dominant``.  The
+twisted fixer's matrix, word and flag are compared when theta has no
+witness; when it has one, the fixer is the witness, twisted, the reference
+finds a fixer too, and for a regular weight the reference's has theta's
+matrix.  Every twisted fixer returned fixes the weight.
 
-Mutations these tests catch: a fixer word that is not mirrored (u + [i] + u),
-the twisted word with v not reversed (u + v), walls read from the weight's
-pairings before the chase, θλ taken from the chased (dominant) coordinates,
-the two chases compared as sorted coordinate lists, the witness ignored in
-``is_trivial``, and ``dominant_representative`` built from the chase word
-unreversed.
+The mutations these tests catch are the ``STABILIZER`` group of
+``scripts/mutants.py``.
 """
 
 import random
@@ -41,6 +43,7 @@ from hypothesis import strategies as st
 from cartan_ds import (
     Weight,
     WeylElement,
+    apply_extended,
     build_default_catalog,
     dominant_representative,
     extended_stabilizer,
@@ -113,7 +116,8 @@ def elements(ws):
 
 def assert_matches_reference(rs, inv, lam):
     """Compare both functions with their references; return whether lam is
-    singular and whether it has a twisted fixer."""
+    singular and whether the reference chases find it a twisted fixer while
+    theta has no witness."""
     gens, is_regular, dom, w = reference_stabilizer_generators(rs, lam)
     info = stabilizer_generators(rs, lam)
     assert elements(info.gens) == elements(gens), lam
@@ -126,12 +130,21 @@ def assert_matches_reference(rs, inv, lam):
     assert elements(report.weyl_fixers) == elements(gens), lam
     assert (report.is_regular, report.is_trivial) == (is_regular, trivial), lam
     assert report.witness is witness
-    if twisted is None:
-        assert report.twisted_fixer is None, lam
+    fixer = report.twisted_fixer
+    if witness is not None:
+        # theta is the witness's matrix, so the twisted witness fixes lam
+        assert twisted is not None, lam
+        assert fixer.weyl is witness and fixer.twisted is True, lam
+        if is_regular:
+            assert twisted.matrix == inv.theta, lam
+    elif twisted is None:
+        assert fixer is None, lam
     else:
-        assert report.twisted_fixer.twisted is True
-        assert elements([report.twisted_fixer.weyl]) == elements([twisted]), lam
-    return not is_regular, twisted is not None
+        assert fixer.twisted is True
+        assert elements([fixer.weyl]) == elements([twisted]), lam
+    if fixer is not None:
+        assert apply_extended(inv, fixer, lam) == lam, lam
+    return not is_regular, twisted is not None and witness is None
 
 
 def drawn_weights(rank, rng, count=30):
@@ -153,8 +166,25 @@ def test_catalog_weights_match_reference():
             twisted += t
             total += 1
     assert total == 30 * len(CATALOG_IDS)
-    # both kinds of fixer are exercised, and regular weights too
+    # both kinds of fixer are exercised, the twisted one where theta has no
+    # witness, and regular weights too
     assert 0 < singular < total and 0 < twisted < total
+
+
+@pytest.mark.parametrize("form_id", ["sl(3,R)", "split(E6)"])
+def test_twisted_fixers_without_a_witness_match_reference(form_id):
+    # theta is no Weyl element here, so the twisted fixer comes from the two
+    # chases.  theta maps the dominant chamber onto one chamber, so for mu
+    # dominant, lam = mu + dom(theta mu) has dom(theta lam) = lam: lam and
+    # theta(lam) each have a twisted fixer, singular or regular
+    rs, inv, _ = form(form_id)
+    assert inv.weyl_witness is None
+    rng = random.Random(34)
+    for _ in range(10):
+        mu = rs.weight_from_fw([Fraction(rng.randint(0, 2)) for _ in range(rs.rank)])
+        lam = mu + dominant_representative(rs, inv.act(mu))[0]
+        for weight in (lam, inv.act(lam)):
+            assert assert_matches_reference(rs, inv, weight)[1], weight
 
 
 @pytest.mark.parametrize("seed", [1, 2])
