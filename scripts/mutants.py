@@ -53,6 +53,8 @@ ORBIT_TESTS = ("tests/test_orbit_reference.py",)
 WORST_CASE_TESTS = ("tests/test_translation.py", "tests/test_cli.py")
 CRITERION = "src/cartan_ds/criterion.py"
 STABILIZER_TESTS = ("tests/test_stabilizer_reference.py", "tests/test_criterion.py")
+ENUMERATE_WEYL_TESTS = ("tests/test_enumerate_weyl_reference.py",)
+INT_KERNEL_TESTS = ("tests/test_int_kernel_reference.py",)
 
 NO_DIRECTION = (
     "    if not doubled:\n"
@@ -81,6 +83,15 @@ STABILIZER_CHASE = (
     "    fws, word = _chase(rs, coords)\n"
     "    back = word[::-1]\n"
     "    gens = tuple(word_element(rs, word + [i] + back) for i, f in enumerate(fws) if not f)\n"
+)
+OUTSIDE_ORBIT = "        if index[b] not in orbit and _indivisible(b, index):\n"
+RIGHT_MULTIPLE_KEY = (
+    "            u = list(v)\n"
+    "            u[i] -= sum(map(operator.mul, row, v))\n"
+)
+WORD_BOUNDS = (
+    "    if any(not 0 <= i < rs.rank for i in word):\n"
+    "        raise RankMismatch(\"word names a simple reflection outside the rank\")\n"
 )
 IMAGE_THEN_CHASE = (
     "    image = _int_mat_vec(inv.theta, coords) if witness is None else None\n"
@@ -153,15 +164,33 @@ MUTATIONS = (
     Mutation(
         "images read from the theta block",
         REALFORM,
-        "tuple(index[doubled[t[j]]] for j in simple.values())",
-        "tuple(index[doubled[t[rs.rank + j]]] for j in simple.values())",
+        "columns = list(simple.values())",
+        "columns = [rs.rank + j for j in simple.values()]",
         EXACT_SEQUENCE_TESTS,
     ),
     Mutation(
         "one simple restricted reflection left out of the closure",
         REALFORM,
-        "generators = [reflections[s] for s in simple]",
-        "generators = [reflections[s] for s in list(simple)[1:]]",
+        "generators = [reflection(s) for s in simple]",
+        "generators = [reflection(s) for s in list(simple)[1:]]",
+        EXACT_SEQUENCE_TESTS,
+    ),
+    # of the involutions tried, only some with a G2 factor have a positive
+    # indivisible restricted root outside the simple roots' orbit
+    Mutation(
+        "a root outside the orbit refused outright",
+        REALFORM,
+        OUTSIDE_ORBIT + "            reflection(b)\n",
+        OUTSIDE_ORBIT + "            raise PreconditionFailed(\"outside the orbit\")\n",
+        EXACT_SEQUENCE_TESTS,
+    ),
+    # its reflection permutes the roots on every input tried, so no outcome
+    # differs: only the reflection count tells
+    Mutation(
+        "roots outside the orbit not reflected",
+        REALFORM,
+        OUTSIDE_ORBIT,
+        "        if False:\n",
         EXACT_SEQUENCE_TESTS,
     ),
     # the int cone decisions of the translation search
@@ -441,6 +470,94 @@ MUTATIONS = (
         IMAGE_THEN_CHASE,
         IMAGE_THEN_CHASE.replace(" if witness is None else None", ""),
         STABILIZER_TESTS,
+    ),
+    # the Weyl-group enumeration
+    Mutation(
+        "the key of w s_i taken as s_i(w (2 rho)), not s_i(w^-1 (2 rho))",
+        ROOTDATA,
+        RIGHT_MULTIPLE_KEY,
+        "            u = _int_mat_vec(w.matrix, rs.two_rho)\n"
+        "            u[i] -= sum(map(operator.mul, row, u))\n",
+        ENUMERATE_WEYL_TESTS,
+    ),
+    Mutation(
+        "the generators tried in descending order",
+        ROOTDATA,
+        "    rows = list(enumerate(rs.cartan_matrix))\n    elements = ",
+        "    rows = list(enumerate(rs.cartan_matrix))[::-1]\n    elements = ",
+        ENUMERATE_WEYL_TESTS,
+    ),
+    Mutation(
+        "the matrix of w s_i built from the start element, not its parent w",
+        ROOTDATA,
+        "for mk in w.matrix),",
+        "for mk in rs.identity.matrix),",
+        ENUMERATE_WEYL_TESTS,
+    ),
+    # Weyl elements, chases and root reflections on ints
+    Mutation(
+        "the word's letters walked first to last",
+        ROOTDATA,
+        "tables = [rs.reflections[i] for i in reversed(word)]",
+        "tables = [rs.reflections[i] for i in word]",
+        INT_KERNEL_TESTS,
+    ),
+    Mutation(
+        "the reflection table built from column i of the Cartan matrix, not row i",
+        ROOTDATA,
+        "for i, row in enumerate(self.cartan_matrix)",
+        "for i, row in enumerate(zip(*self.cartan_matrix))",
+        INT_KERNEL_TESTS,
+    ),
+    Mutation(
+        "the bounds check dropped from word_element",
+        ROOTDATA,
+        WORD_BOUNDS,
+        "",
+        INT_KERNEL_TESTS,
+    ),
+    Mutation(
+        "the chase reflects at the highest negative pairing",
+        ROOTDATA,
+        "        for i, c in enumerate(fws):\n",
+        "        for i, c in reversed(list(enumerate(fws))):\n",
+        INT_KERNEL_TESTS,
+    ),
+    # the involution checks and the weight spectrum
+    Mutation(
+        "d in place of d^2 in the involution test",
+        REALFORM,
+        "_scaled_rows(rs.identity.matrix, dd)",
+        "_scaled_rows(rs.identity.matrix, d)",
+        INT_KERNEL_TESTS,
+    ),
+    Mutation(
+        "d in place of d^2 in the isometry test",
+        REALFORM,
+        "_scaled_rows(rs.form, dd)",
+        "_scaled_rows(rs.form, d)",
+        INT_KERNEL_TESTS,
+    ),
+    Mutation(
+        "a lattice test that lets d = 2..5 through",
+        REALFORM,
+        "    if d != 1:\n",
+        "    if d > 5:\n",
+        INT_KERNEL_TESTS,
+    ),
+    Mutation(
+        "p >= 0 in place of p > 0 in the spectrum step",
+        TRANSLATION,
+        "            if p > 0:\n",
+        "            if p >= 0:\n",
+        INT_KERNEL_TESTS,
+    ),
+    Mutation(
+        "a spectrum step that subtracts 1 in place of the scale",
+        TRANSLATION,
+        "(v[i] - scale,)",
+        "(v[i] - 1,)",
+        INT_KERNEL_TESTS,
     ),
 )
 

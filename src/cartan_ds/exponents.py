@@ -46,6 +46,7 @@ from .rootdata import (
     Weight,
     _chase,
     _chase_within_cap,
+    _check_cap,
     _int_mat_vec,
     _nums_on,
     _weight,
@@ -313,6 +314,7 @@ def admissible_exponents(
 ) -> frozenset[Weight]:
     """Orbit restrictions in the open negative cone: lam's admissible exponents,
     one Weight per admissible int restriction (``_admissible``)."""
+    _check_cap(cap)
     scale, doubled = _admissible(rs, inv, chamber, lam, cap)
     return frozenset(_weight(d, scale) for d in doubled)
 
@@ -326,6 +328,7 @@ def orbit_plus(
 ) -> frozenset[Weight]:
     """Orbit elements whose restriction lies in the negative cone interior:
     chamber u for each point u walked (``_walk``)."""
+    _check_cap(cap)
     if chamber is None:
         chamber = restricted_roots(rs, inv)
     _require_same_chamber(rs, inv, chamber)

@@ -15,7 +15,9 @@ system and its dual cone, the restricted type and the exact-sequence check,
 which also reads theta off them as a permutation of the root indices and
 names each Weyl element by root indices, with no matrix.
 An isometry that maps each simple root to a root permutes the roots
-(Humphreys 10.3), so only theta's columns are looked up in the table.
+(Humphreys 10.3), so only theta's columns are looked up in the table.  The
+exact-sequence check likewise reflects in the simple restricted roots and in
+no other root of their orbit, since s_(w b) = w s_b w^-1 (Humphreys 9.2).
 
 A positive system of the ambient roots is *compatible* when its nonzero
 restrictions form a positive system of the restricted roots.  The validator
@@ -54,6 +56,7 @@ from .rootdata import (
     Weight,
     WeylElement,
     _chase,
+    _check_cap,
     _int_mat_mul,
     _int_mat_vec,
     _weight,
@@ -501,8 +504,13 @@ def verify_exact_sequence(
     the involution's table; reflections permute them exactly on ints.  A Weyl
     group larger than ``cap`` is refused (CapExceeded) before any enumeration,
     and restricted roots that are not a root system, as for many
-    theta = +-w with w in W, with PreconditionFailed.
+    theta = +-w with w in W, with PreconditionFailed.  That guard builds the
+    simple reflections, closes the simple roots' indices under them and
+    reflects only in a positive indivisible root outside that orbit: if s_b
+    and w permute the roots, so does s_(w b) = w s_b w^-1 (Humphreys 9.2).
+    A cap that is not an int of at least 1 is BadParameters.
     """
+    _check_cap(cap)
     _require_same_root_system(rs, inv)
     tracked, commutant = _theta_commuting(rs, inv, cap)
 
@@ -541,20 +549,26 @@ def verify_exact_sequence(
 
     # each simple restricted root, and a j whose beta_j restricts to it
     simple = {doubled[k]: j for j, k in enumerate(tracked[: rs.rank]) if any(doubled[k])}
-    # s_beta = s_{-beta} = s_{2 beta}: every positive indivisible root is
-    # checked, and the simple ones generate the group
-    reflections = {b: reflection(b) for b in positive if b in simple or _indivisible(b, index)}
-    generators = [reflections[s] for s in simple]
+    # the simple reflections generate the group; s_(w b) = w s_b w^-1 permutes
+    # the roots when s_b and w do, and s_beta = s_{-beta} = s_{2 beta}, so only
+    # a positive indivisible root outside the simple roots' orbit is checked
+    generators = [reflection(s) for s in simple]
     identity = tuple(index[s] for s in simple)
+    orbit = closure(identity, lambda k: [p[k] for p in generators])
+    for b in positive:
+        if index[b] not in orbit and _indivisible(b, index):
+            reflection(b)
     restricted_group = closure(
         (identity,),
-        lambda t: (tuple(p[k] for k in t) for p in generators),
+        lambda t: [tuple(map(p.__getitem__, t)) for p in generators],
         cap,
         "restricted Weyl group",
     )
     # w beta_j - theta (w beta_j) = w (beta_j - theta beta_j) for w in the
     # commutant, so w's image of beta_j's simple restricted root is doubled[w beta_j]
-    images = {t: tuple(index[doubled[t[j]]] for j in simple.values()) for t in commutant}
+    restriction = [index.get(d) for d in doubled]
+    columns = list(simple.values())
+    images = {t: tuple(map(restriction.__getitem__, map(t.__getitem__, columns))) for t in commutant}
     kernel = {t for t, image in images.items() if image == identity}
     return ExactSequenceReport(
         order_commutant=len(commutant),

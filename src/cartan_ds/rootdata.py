@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from . import linalg
-from .errors import CapExceeded, InvalidType, RankMismatch
+from .errors import BadParameters, CapExceeded, InvalidType, RankMismatch
 from .linalg import frac
 
 DEFAULT_CAP = 10**6
@@ -45,6 +45,14 @@ DEFAULT_CAP = 10**6
 Coords = tuple[Fraction, ...]
 IntMat = tuple[tuple[int, ...], ...]
 T = TypeVar("T")
+
+
+def _check_cap(cap: object) -> None:
+    """BadParameters unless an enumeration cap is an int, not a bool, and >= 1."""
+    if not isinstance(cap, int) or isinstance(cap, bool):
+        raise BadParameters(f"cap must be an integer, got {cap!r}")
+    if cap < 1:
+        raise BadParameters("enumeration cap must be positive")
 
 
 @dataclass(frozen=True, init=False, repr=False, slots=True)
@@ -507,6 +515,7 @@ def weyl_orbit(rs: RootSystem, lam: Weight, cap: int = DEFAULT_CAP) -> frozenset
     orbit larger than ``cap`` is refused from a chase, before the closure
     (:func:`_chase_within_cap`).
     """
+    _check_cap(cap)
     _chase_within_cap(rs, _nums_on(rs, lam), cap)
     return frozenset(_weight(v, lam.den) for v in _int_orbit(rs, (lam.nums,), cap))
 
@@ -550,6 +559,7 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> frozenset[WeylElem
     the first (shortlex least) word that reaches it.  A group whose exact
     :func:`weyl_order` exceeds ``cap`` is refused before any work.
     """
+    _check_cap(cap)
     if rs.weyl_order > cap:
         raise CapExceeded(f"Weyl group order {rs.weyl_order} exceeded cap {cap}")
     rows = list(enumerate(rs.cartan_matrix))

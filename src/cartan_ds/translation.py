@@ -55,6 +55,7 @@ from .rootdata import (
     RootSystem,
     Weight,
     _chase,
+    _check_cap,
     _int_mat_vec,
     _nums_on,
     _weight,
@@ -96,8 +97,7 @@ class TranslationConfig:
             raise BadParameters("integrality constant must be a positive integer")
         if self.max_k < 0 or self.max_mu_coeff < 0:
             raise BadParameters("search bounds must be nonnegative")
-        if self.cap < 1:
-            raise BadParameters("enumeration cap must be positive")
+        _check_cap(self.cap)
 
 
 def _assert_dominant_integral(rs: RootSystem, mu: Weight) -> None:
@@ -116,6 +116,7 @@ def weight_spectrum(
     order, with no multiplicities.  It runs on int tuples, mu times its
     denominator s: the pairing p = (A v)_i is s times chamber coordinate i.
     """
+    _check_cap(cap)
     _assert_dominant_integral(rs, mu)
     scale = mu.den
 
@@ -155,6 +156,7 @@ def verify_sum_splitting(
     spectrum exactly; every accidental coincidence w(lam+mu0) = nu + sigma is
     tested against nu = w(lam), sigma = w(mu0).
     """
+    _check_cap(cap)
     if mu0.is_zero():
         raise PreconditionFailed("direction weight must be nonzero")
     ratios = (Fraction(a * mu0.den, b * lam.den) for a, b in zip(lam.nums, mu0.nums) if b)

@@ -7,10 +7,8 @@ key.  The reference is the closure as it was before,
 a ``WeylElement`` and deduplicated by its matrix.  Both return (matrix, word)
 sets, and the words are compared too, since reports print them.
 
-Mutations these tests catch: the key of w s_i taken as s_i(w (2 rho)) in
-place of s_i(w^-1 (2 rho)), the generators tried in descending order (words
-no longer shortlex least), and the matrix of w s_i built from the start
-element in place of its parent w.
+The mutations these tests catch are listed, and run, in
+``scripts/mutants.py``: the Weyl-group enumeration group there.
 """
 
 import pytest

@@ -24,15 +24,22 @@ them, which re-chooses the chamber and leaves vanishing roots), the seeded
 random involutions and drawn conjugates w theta w^-1 of the catalog forms
 with |W| <= 192.
 
-Mutations these tests catch, each run by ``scripts/mutants.py``: a
-divisibility test on the coefficient 2 (v, b) / nb in place of the
-numerators, a kernel that compares only the first simple image, theta dropped
-from either side of the commutant test, the commutant test reading theta
-beta_j in place of w (theta beta_j), theta alpha built as alpha + d, the
-tracked roots taken from the default simple roots in place of the chamber's
-columns, the vanishing reflections applied transposed, the images read from
-the theta block, and one simple restricted reflection left out of the
-restricted closure.
+The check that the restricted roots are a root system goes by conjugacy:
+``verify_exact_sequence`` reflects in the simple restricted roots, closes
+their indices under those reflections and reflects in a positive
+indivisible root only outside that orbit, since s_(w b) = w s_b w^-1
+permutes the roots when s_b and w do.  The reference reflects in every
+positive indivisible root.  Two tests count the reflections built: one per
+simple restricted root on every catalog form, and on three G2 thetas among
+the +-w involutions one more, in the root 3v/2 outside the orbit +-v/2.
+
+The mutations these tests catch are listed, and run, in
+``scripts/mutants.py``: the exact-sequence group there.  One of them, the
+roots outside the orbit not reflected, changes no outcome on any input
+tried: of the 8,438 involutive automorphisms named below, 48 reach that
+branch (3 on G2, 6 on A1xG2, 39 on G2xG2) and in every one the outside
+root's reflection permutes the restricted roots.  Only the reflection count
+catches it.
 
 Retired from this list, because their target is gone: a fundamental weight in
 place of 2 rho, the commutant keyed by w (theta 2 rho) and the vanishing
@@ -47,13 +54,13 @@ The guard stays as an input check, but on every involution tried the floor
 alone refuses the same involutions with the same error.  That is every
 involutive automorphism of the simple root systems of rank <= 6 and of ten
 products of rank <= 4 (A1xA1, A2xA1, A1xA1xA1, A2xA2, B2xB2, A1xG2, A1xB2,
-A3xA1, A1xA1xA1xA1, G2xG2): 8,438 involutions.  In 4,979 of them a
-reflection meets a root with a nonzero remainder whose floored quotient is a
-restricted root, and each of those 4,979 also has a root whose floored
-quotient is not one.
+A3xA1, A1xA1xA1xA1, G2xG2): 8,438 involutions.  With the guard by
+conjugacy, the floor alone refuses the same 5,554 of them and builds the
+same simple reflections on the other 2,884.
 """
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -73,7 +80,8 @@ from cartan_ds import (
     weyl_order,
     word_element,
 )
-from cartan_ds.realform import _theta_commuting
+from cartan_ds import realform
+from cartan_ds.realform import _positive_and_simple, _theta_commuting
 from cartan_ds.rootdata import DEFAULT_CAP, _int_mat_mul, _int_mat_vec, closure
 from forms import PM_W_TYPES, form, pm_w_involutions, random_matrix
 from weight_reference import restricted_weights
@@ -82,6 +90,16 @@ from weyl_reference import reference_enumerate_weyl, reference_reflection
 # on G2 the restricted roots of this theta are +-v/2, +-v and +-3v/2: the
 # reflection coefficient 2 (v, b) / nb is 2/3, yet the image is integral
 G2_THETA = ((2, -3), (1, -2))
+# the G2 thetas with those restricted roots: 3v/2 is indivisible and lies
+# outside the orbit +-v/2 of the simple restricted root
+G2_OUTSIDE_ORBIT = (G2_THETA, ((-1, 0), (-1, 1)), ((-1, 3), (0, 1)))
+
+# the restricted reflection nested in verify_exact_sequence
+REFLECTION = next(
+    c
+    for c in realform.verify_exact_sequence.__code__.co_consts
+    if getattr(c, "co_name", None) == "reflection"
+)
 
 
 def _doubled(v):
@@ -165,6 +183,24 @@ def _outcome(check, rs, inv, cap=DEFAULT_CAP):
         return type(exc), str(exc)
 
 
+def reflected_roots(rs, inv):
+    """The outcome of verify_exact_sequence, and the doubled roots it builds a
+    restricted reflection in, one entry per reflection."""
+    roots = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is REFLECTION:
+            roots.append(frame.f_locals["b"])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        outcome = _outcome(verify_exact_sequence, rs, inv)
+    finally:
+        sys.setprofile(previous)
+    return outcome, roots
+
+
 def assert_matches_reference(rs, inv, name, tally, outer):
     """The report (or error) and the commutant set match the references; outer
     counts the involutions that are not Weyl elements."""
@@ -214,6 +250,32 @@ def test_pm_weyl_involutions_match_reference():
     # -w is outer on A2, A3 and A2xA1, where -1 is not in W
     assert outer == {False: 230, True: 22}
     assert tally["PreconditionFailed"] >= 50 and tally["failed"] >= 5
+
+
+def test_one_restricted_reflection_per_simple_restricted_root():
+    # the restricted roots of a real form are a root system, where every root
+    # is conjugate to a simple one: no other root is reflected
+    for entry in build_default_catalog():
+        if weyl_order(entry.cartan_type) <= 46080:
+            rs, inv, rrs = form(entry.id)
+            report, roots = reflected_roots(rs, inv)
+            assert report.passed and sorted(roots) == list(rrs.doubled_simple), entry.id
+
+
+def test_a_root_outside_the_simple_orbit_is_reflected_too():
+    # of the +-w involutions only three G2 thetas, each reached as w and as
+    # -w', reflect a root past the simple ones: 3v/2, three times the simple one
+    reached = Counter()
+    for t in PM_W_TYPES:
+        for rs, inv in pm_w_involutions(t):
+            outcome, roots = reflected_roots(rs, inv)
+            simple = _positive_and_simple(inv)[1]
+            if len(roots) > len(simple):
+                reached[t, inv.theta] += 1
+                assert outcome == reference_exact_sequence(rs, inv) and outcome.passed
+                (s,) = simple
+                assert roots == [s, tuple(3 * x for x in s)]
+    assert reached == {("G2", theta): 2 for theta in G2_OUTSIDE_ORBIT}
 
 
 def test_simple_reflection_involutions_pass():

@@ -12,12 +12,6 @@ words over all catalog types (empty, repeated letters, non-reduced, up to
 2|positive roots| letters) and on drawn int vectors, zero and singular ones
 among them.
 
-Mutations these tests catch: letters walked first to last, the reflection
-table built from column i of the Cartan matrix in place of row i, the bounds
-check dropped from ``word_element`` (the word (0, -1) would then read the last
-table row in place of raising RankMismatch), and a chase that reflects at the
-highest negative pairing.
-
 ``word_element`` of the word u^-1 s_i u, u the walk of a root down to a
 simple root alpha_i, is the reflection in that root; the reference is the
 Fraction column build of ``weyl_reference.reference_reflection``.
@@ -28,13 +22,15 @@ Fraction matrix products with an integrality test
 (``weyl_reference.reference_checks``), and the closure through the Fraction
 simple reflection of ``linalg_reference``.
 
-Mutations these tests catch: d in place of d^2 in the involution or the
-isometry test, a lattice test that lets d = 2..5 through, ``p >= 0`` in
-place of ``p > 0`` in the spectrum step, and a spectrum step that subtracts 1
-in place of the scale.  The two root-walk mutations listed here before (a
-reflection word that is not mirrored, and a walk at the last positive pairing
-in place of the first) were mutations of ``RootSystem.reflection_in_root``,
-which is deleted; the walk is now the reference's own.
+The mutations these tests catch are listed, and run, in
+``scripts/mutants.py``: its groups of Weyl elements, chases and root
+reflections, and of the involution checks and the weight spectrum.  Without
+its bounds check ``word_element`` would read the last table row for the
+word (0, -1) in place of raising RankMismatch.  The two root-walk
+mutations listed here before (a reflection word that is not mirrored, and a
+walk at the last positive pairing in place of the first) were mutations of
+``RootSystem.reflection_in_root``, which is deleted; the walk is now the
+reference's own.
 """
 
 import math

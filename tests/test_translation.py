@@ -25,11 +25,14 @@ from cartan_ds import (
     cone_position,
     dominant_representative,
     dual_chamber,
+    enumerate_weyl,
     extended_stabilizer,
     longest_element,
+    orbit_plus,
     sorted_exponents,
     strong_regularization,
     translate_line,
+    verify_exact_sequence,
     verify_sum_splitting,
     weight_spectrum,
     weyl_orbit,
@@ -242,6 +245,28 @@ def test_config_validation():
         with pytest.raises(BadParameters):
             TranslationConfig(**bad)
     TranslationConfig(max_mu_coeff=0)  # legal: search only the ray itself
+
+
+@pytest.mark.parametrize("cap", [True, False, 6.5, "10", None, 0, -1])
+def test_every_cap_argument_follows_the_config_rule(cap):
+    # an int, not a bool, at least 1: True once ran as a cap of 1, 6.5 was
+    # taken, and "10" and None raised a bare TypeError
+    with pytest.raises(BadParameters) as expected:
+        TranslationConfig(cap=cap)
+    rs, inv, ch = form("su(2,1)")
+    calls = (
+        lambda: enumerate_weyl(rs, cap),
+        lambda: weyl_orbit(rs, rs.rho, cap),
+        lambda: weight_spectrum(rs, rs.rho, cap),
+        lambda: verify_sum_splitting(rs, rs.rho, rs.rho, cap),
+        lambda: verify_exact_sequence(rs, inv, cap),
+        lambda: admissible_exponents(rs, inv, ch, rs.rho, cap),
+        lambda: orbit_plus(rs, inv, rs.rho, cap, chamber=ch),
+    )
+    for call in calls:
+        with pytest.raises(BadParameters) as got:
+            call()
+        assert str(got.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------
