@@ -51,6 +51,7 @@ EXACT_SEQUENCE_TESTS = (
 CONE_MARGIN_TESTS = ("tests/test_cone_margin_reference.py",)
 ORBIT_TESTS = ("tests/test_orbit_reference.py",)
 WORST_CASE_TESTS = ("tests/test_translation.py", "tests/test_cli.py")
+TRANSLATE_LINE_TESTS = ("tests/test_translate_line_reference.py",)
 CRITERION = "src/cartan_ds/criterion.py"
 STABILIZER_TESTS = ("tests/test_stabilizer_reference.py", "tests/test_criterion.py")
 ENUMERATE_WEYL_TESTS = ("tests/test_enumerate_weyl_reference.py",)
@@ -155,10 +156,17 @@ MUTATIONS = (
         EXACT_SEQUENCE_TESTS,
     ),
     Mutation(
-        "vanishing reflections applied transposed",
+        "vanishing reflections walked as s_j, with theta's chamber transform dropped",
         REALFORM,
-        "tuple(x - _dot(c, a) * y for x, y in zip(a, b))",
-        "tuple(x - _dot(b, a) * y for x, y in zip(a, c))",
+        "for i in (*word, j, *reversed(word)):",
+        "for i in (j,):",
+        EXACT_SEQUENCE_TESTS,
+    ),
+    Mutation(
+        "vanishing reflections walked as u s_j u, the inverse left unreversed",
+        REALFORM,
+        "for i in (*word, j, *reversed(word)):",
+        "for i in (*word, j, *word):",
         EXACT_SEQUENCE_TESTS,
     ),
     Mutation(
@@ -382,6 +390,22 @@ MUTATIONS = (
         "        if size > cap:\n",
         "        if False:\n",
         ORBIT_TESTS,
+    ),
+    # the single walk of translate_line
+    Mutation(
+        "the worst-case set of translate_line returned unscaled",
+        TRANSLATION,
+        "        exponents=frozenset(e.scale(factor) for e in exponents),\n",
+        "        exponents=allowed if cfg.worst_case_exponents"
+        " else frozenset(e.scale(factor) for e in exponents),\n",
+        TRANSLATE_LINE_TESTS,
+    ),
+    Mutation(
+        "the datum's exponents not checked by translate_line",
+        TRANSLATION,
+        "    if not allowed.issuperset(datum.exponents):\n",
+        "    if False:\n",
+        TRANSLATE_LINE_TESTS,
     ),
     # the worst case owned by the search
     Mutation(

@@ -17,8 +17,11 @@ point) built for it.  A ray covector c has c.(v - theta v) = 2 c.v, so an
 orbit point v restricts into the open cone exactly when every c.v < 0.  The
 admissible points are walked up from the orbit's antidominant point
 (``_walk``), without closing the orbit.  A datum's exponents obey one rule:
-each is admissible, and ``strong_regularization`` and ``translate_line`` check
-it on the walked set (``_key``).  A ray's largest pairing over an orbit's
+each is admissible.  ``strong_regularization`` checks it on the walked int set
+(``_key``), and ``translate_line`` on ``admissible_exponents``: W acts
+linearly and the open cone is closed under positive scaling, so the
+admissible set of f lam, f a positive int, is f times lam's, and one walk
+serves the whole line.  A ray's largest pairing over an orbit's
 restrictions (``_orbit_maxima``) closes no orbit either: the largest (wx, y)
 over W for dominant x, y is (x, y) (Humphreys, *Introduction to Lie Algebras
 and Representation Theory*, 13.2), one chase and one product per ray.

@@ -296,16 +296,15 @@ class RestrictedRootSystem:
     fulldim: bool
 
 
-def _positive_and_simple(inv: CartanInvolution) -> tuple[set, list, list]:
-    """The doubled positive restricted roots, the sorted simple ones and the
-    simple vanishing roots, read off the compatible simple roots: the columns
-    of theta's chamber transform."""
+def _positive_and_simple(inv: CartanInvolution) -> tuple[set, list]:
+    """The doubled positive restricted roots and the sorted simple ones, read
+    off the compatible simple roots: the columns of theta's chamber
+    transform."""
     rs = inv.root_system
     doubled = inv.doubled_restrictions
     positive = {doubled[k] for k in inv.positive_indices if any(doubled[k])}
     simple = [rs.root_index[b] for b in zip(*inv.chamber.matrix)]
-    restricted = sorted({doubled[k] for k in simple if any(doubled[k])})
-    return positive, restricted, [rs.roots[k] for k in simple if not any(doubled[k])]
+    return positive, sorted({doubled[k] for k in simple if any(doubled[k])})
 
 
 def _indivisible(d: tuple[int, ...], restricted) -> bool:
@@ -325,7 +324,7 @@ def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSys
     _require_same_root_system(rs, inv)
     doubled = inv.doubled_restrictions
     mult = Counter(d for d in doubled if any(d))
-    positive, simple, _ = _positive_and_simple(inv)
+    positive, simple = _positive_and_simple(inv)
     two_rho = [sum(mult[d] * d[i] for d in positive) for i in range(rs.rank)]
 
     # the rays are the basis dual to the simple restricted roots d_k / 2, whose
@@ -497,7 +496,9 @@ def verify_exact_sequence(
     kernel must be exactly the reflection group W_0 of the vanishing roots and
     the image exactly the Weyl group of the reduced restricted system.  W and
     W_0 are closed on the same tuples of root indices (``_theta_commuting``),
-    W_0 under the reflections in its simple roots as root permutations.  The
+    W_0 under the reflections in its simple roots u(alpha_j), u theta's
+    chamber transform: u s_j u^-1, as a root permutation, walks each root
+    index through ``RootSystem.reflections`` along the word u j u^-1.  The
     restricted group permutes the restricted roots, whose simple ones are a
     basis and generate it (Humphreys 1.5), so an element is the tuple of
     indices of its images of the simple restricted roots, read doubled from
@@ -515,19 +516,22 @@ def verify_exact_sequence(
     tracked, commutant = _theta_commuting(rs, inv, cap)
 
     # the vanishing roots are a root system, generated by the reflections in
-    # its simple roots b: s_b(a) = a - (c . a) b, c the int coroot 2 F b / (b, b)
-    positive, _, vanishing = _positive_and_simple(inv)
+    # its simple roots u(alpha_j), the compatible simple roots that restrict
+    # to 0; u s_j u^-1 walks each root index through u^-1, s_j and u
+    doubled = inv.doubled_restrictions
+    word = inv.chamber.word
     gens = []
-    for b in vanishing:
-        fb = _int_mat_vec(rs.form, b)
-        c = [2 * x // _dot(b, fb) for x in fb]
-        reflected = (tuple(x - _dot(c, a) * y for x, y in zip(a, b)) for a in rs.roots)
-        gens.append([rs.root_index[a] for a in reflected])
+    for j, k in enumerate(tracked[: rs.rank]):
+        if not any(doubled[k]):
+            perm = range(len(rs.roots))
+            for i in (*word, j, *reversed(word)):
+                perm = list(map(rs.reflections[i].__getitem__, perm))
+            gens.append(perm)
     vanishing_group = closure(
         (tracked,), lambda t: map(operator.itemgetter(*t), gens), cap, "vanishing Weyl group"
     )
 
-    doubled = inv.doubled_restrictions
+    positive, _ = _positive_and_simple(inv)
     roots = sorted({d for d in doubled if any(d)})
     index = {d: k for k, d in enumerate(roots)}
 

@@ -32,7 +32,6 @@ from typing import Collection, Sequence
 from .criterion import extended_stabilizer
 from .errors import (
     BadParameters,
-    ConsistencyError,
     InvalidDatum,
     NoAdmissibleDirection,
     NotDominantIntegral,
@@ -75,7 +74,7 @@ class TranslationConfig:
     (the caller knows the relevant lattice); scaling steps move along
     (k*integrality + 1) times the weight.  ``worst_case_exponents`` puts the
     weight's whole admissible set in place of the datum's exponents, in
-    ``strong_regularization`` and, for the scaled weight, ``translate_line``.
+    ``strong_regularization`` and, scaled with the weight, in ``translate_line``.
     """
 
     integrality: int = 1
@@ -221,34 +220,26 @@ def translate_line(
 ) -> FormalDSDatum:
     """Scale a datum along its integral line to parameter k.
 
-    The weight becomes (k*integrality + 1) times the original; exponents are
-    scaled by the same factor and re-verified as admissible for the scaled
-    weight, or, in worst-case mode, replaced by all of its admissible
-    exponents.  Requires every input exponent to be admissible (the scaled
-    containment guarantee needs it).  Admissibility is tested on ints.
+    The weight becomes f = (k*integrality + 1) times the original, and the
+    exponents are scaled by f: the datum's own or, in worst-case mode, the
+    weight's whole admissible set.  Every input exponent must be admissible
+    (InvalidDatum otherwise).  W acts linearly and the open negative cone is
+    closed under positive scaling, so the admissible set of f times the weight
+    is f times the weight's: the weight's orbit is walked once.
     """
     if not isinstance(k, int) or isinstance(k, bool):
         raise BadParameters(f"line parameter k must be an integer, got {k!r}")
     if k < 0:
         raise BadParameters("line parameter k must be nonnegative")
     factor = k * cfg.integrality + 1
-    base = _admissible(rs, inv, chamber, datum.weight, cfg.cap)
-    if any(_key(base, e) is None for e in datum.exponents):
+    allowed = admissible_exponents(rs, inv, chamber, datum.weight, cfg.cap)
+    if not allowed.issuperset(datum.exponents):
         raise InvalidDatum("exponent is not an admissible restriction of the weight's orbit")
-    new_weight = datum.weight.scale(factor)
-    if cfg.worst_case_exponents:
-        new_exponents = admissible_exponents(rs, inv, chamber, new_weight, cfg.cap)
-    else:
-        new_exponents = frozenset(e.scale(factor) for e in datum.exponents)
-        scaled = _admissible(rs, inv, chamber, new_weight, cfg.cap)
-        if any(_key(scaled, e) is None for e in new_exponents):
-            raise ConsistencyError(
-                "scaled exponent left the admissible set of the scaled weight"
-            )
+    exponents = allowed if cfg.worst_case_exponents else datum.exponents
     label = datum.label or "datum"
     return FormalDSDatum(
-        weight=new_weight,
-        exponents=new_exponents,
+        weight=datum.weight.scale(factor),
+        exponents=frozenset(e.scale(factor) for e in exponents),
         label=f"{label} (line k={k})",
     )
 

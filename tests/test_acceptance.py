@@ -12,34 +12,25 @@ from fractions import Fraction
 from conftest import ACCEPTANCE_LINES
 
 from cartan_ds import (
-    FormalDSDatum,
-    SignedSqrt,
-    TranslationConfig,
+    DEFAULT_CAP,
     Weight,
     apply,
     build_default_catalog,
     build_root_system,
     compact_cartan_verdict,
-    cone_position,
     dominant_representative,
-    dual_chamber,
     entry_involution,
     entry_root_system,
     extended_stabilizer,
     longest_element,
-    restricted_roots,
-    sorted_exponents,
+    packaged_catalog_dir,
     stabilizer_generators,
-    strong_regularization,
     theta_in_weyl,
-    translate_line,
-    verify_exact_sequence,
-    verify_sum_splitting,
-    weight_spectrum,
     weyl_orbit,
     weyl_order,
     word_element,
 )
+from cartan_ds import cli
 from cartan_ds.linalg import mat_mul
 from weyl_reference import reference_reflection
 
@@ -109,36 +100,21 @@ def test_criterion_2_full_catalog_against_stored_oracle():
 
 def test_criterion_3_exact_sequence_across_catalog():
     start = time.monotonic()
-    checked = 0
-    failures = []
-    for entry in build_default_catalog():
-        rs = entry_root_system(entry)
-        if weyl_order(rs.cartan_type) > 46080:
-            continue
-        inv = entry_involution(entry, rs=rs)
-        rep = verify_exact_sequence(rs, inv)
-        checked += 1
-        if not (rep.kernel_matches and rep.image_matches and rep.order_identity):
-            failures.append(entry.id)
+    suite = cli.suite_exact_sequence(packaged_catalog_dir(), DEFAULT_CAP)
+    checked = sorted(f["id"] for f in suite["forms"])
+    failures = [f["id"] for f in suite["forms"] if not f["passed"]]
     elapsed = time.monotonic() - start
-    report(3, "restriction exact sequence", not failures, elapsed, 60.0,
-           detail=f"{checked} forms" + (f"; failures: {failures}" if failures else ""))
+    expected = sorted(e.id for e in build_default_catalog() if weyl_order(e.cartan_type) <= 46080)
+    ok = not failures and checked == expected
+    report(3, "restriction exact sequence", ok, elapsed, 60.0,
+           detail=f"{len(checked)} forms" + (f"; failures: {failures}" if failures else ""))
 
 
 def test_criterion_4_sum_splitting_has_no_violations():
     start = time.monotonic()
-    cases = 0
-    solutions = 0
-    violations = 0
-    for t in ("A2", "B2", "G2"):
-        rs = build_root_system(t)
-        for mu in (rs.fundamental_weights[0], rs.fundamental_weights[1], rs.rho):
-            for mu0 in weyl_orbit(rs, mu):
-                for scale in (F(1, 2), F(1), F(2)):
-                    repo = verify_sum_splitting(rs, mu0.scale(scale), mu0)
-                    cases += 1
-                    solutions += repo.solutions_checked
-                    violations += len(repo.violations)
+    suite = cli.suite_splitting(DEFAULT_CAP)
+    cases, solutions = suite["cases"], suite["solutions_checked"]
+    violations = suite["violations"]
     elapsed = time.monotonic() - start
     ok = violations == 0 and cases == 156 and solutions == 1464
     report(4, "componentwise splitting of orbit+spectrum sums", ok, elapsed, 30.0,
@@ -147,46 +123,20 @@ def test_criterion_4_sum_splitting_has_no_violations():
 
 def test_criterion_5_pipeline_certificates_reverify():
     start = time.monotonic()
-    failures = []
-    for form_id in ("sl(2,R)", "su(2,1)", "sp(2,R)"):
-        entry = next(e for e in build_default_catalog() if e.id == form_id)
-        rs, inv = catalog_pair(entry)
-        rrs = restricted_roots(rs, inv)
-        anti = apply(longest_element(rs), rs.rho)
-        datum = FormalDSDatum(
-            weight=rs.rho,
-            exponents=frozenset({inv.restrict(anti)}),
-            label=form_id,
-        )
-        result = strong_regularization(rs, inv, rrs, datum)
-
-        # re-verify strong regularity through the membership module
-        stab = extended_stabilizer(rs, inv, result.final_weight)
-        if not (stab.is_trivial and result.certificates.strongly_regular):
-            failures.append((form_id, "strong regularity"))
-        # re-verify the cone condition through the exponent module
-        chamber = dual_chamber(rrs)
-        for e in result.certificates.scaled_exponents:
-            if not cone_position(chamber, e).margin > SignedSqrt.zero():
-                failures.append((form_id, "cone condition"))
-        # exact margin linearity along the line for k <= 10
-        cfg = TranslationConfig()
-        base = [
-            cone_position(chamber, e).margin
-            for e in sorted_exponents(datum.exponents)
-        ]
-        for k in range(11):
-            factor = F(k * cfg.integrality + 1)
-            moved = translate_line(rs, inv, chamber, datum, k, cfg)
-            got = [
-                cone_position(chamber, e).margin
-                for e in sorted_exponents(moved.exponents)
-            ]
-            if got != [m.scale(factor) for m in base]:
-                failures.append((form_id, f"margin linearity at k={k}"))
+    suite = cli.suite_pipeline(DEFAULT_CAP)
+    # a run passes when its certificates, the re-check of strong regularity
+    # and of the cone condition, and the margin linearity for k <= 10 hold
+    checks = ("strongly_regular", "cone_condition", "margin_linearity")
+    failures = [
+        (run["form"], [c for c in checks if not run[c]] or "re-check")
+        for run in suite["runs"]
+        if not run["passed"]
+    ]
+    forms = [run["form"] for run in suite["runs"]]
     elapsed = time.monotonic() - start
-    report(5, "pipeline certificates re-verify", not failures, elapsed, 30.0,
-           detail="3 forms, k<=10" + (f"; failures: {failures}" if failures else ""))
+    ok = not failures and forms == ["sl(2,R)", "su(2,1)", "sp(2,R)"]
+    report(5, "pipeline certificates re-verify", ok, elapsed, 30.0,
+           detail=f"{len(forms)} forms, k<=10" + (f"; failures: {failures}" if failures else ""))
 
 
 def test_criterion_6_randomized_membership_implication():

@@ -147,7 +147,7 @@ def test_catalog_cartan_matrices_match_reference():
 def assert_gram_matches(rs, inv):
     """The int Gram matrix of the doubled simple restricted roots, and the
     Fraction one of the simple restricted roots, against the reference."""
-    _, simple, _ = _positive_and_simple(inv)
+    _, simple = _positive_and_simple(inv)
     gram = tuple(_int_mat_vec(simple, _int_mat_vec(rs.form, d)) for d in simple)
     assert_wrappers_match(gram)
     halves = [Weight(tuple(Fraction(x, 2) for x in d)) for d in simple]

@@ -14,8 +14,10 @@ by comparing indices; the reference keeps the two full matrix products
 w theta = theta w.  Both commutants are compared on every form, outer theta
 (theta not in W) among them: the reference's matrices are mapped to the same
 index tuples by matrix-vector products.  The vanishing group is closed on
-these tuples under root permutations, and the kernel compared with it; the
-reference closes it as matrix products and compares Weyl elements.  The
+these tuples under the reflections in its simple roots u(alpha_j), u theta's
+chamber transform, each the root permutation u s_j u^-1 walked through the
+simple reflections' tables, and the kernel compared with it; the reference
+closes it as matrix products and compares Weyl elements.  The
 references enumerate W through ``reference_enumerate_weyl``.  This is the one
 exact-sequence reference: it also reproduces the order of the errors
 (``PreconditionFailed``, ``CapExceeded``).  Its inputs are the catalog forms

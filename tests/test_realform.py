@@ -312,7 +312,7 @@ def test_stored_simple_restricted_roots_match_the_chamber_read():
     # instead of running _positive_and_simple again
     for entry in build_default_catalog():
         rs, inv, rrs = form(entry.id)
-        positive, simple, _ = _positive_and_simple(inv)
+        positive, simple = _positive_and_simple(inv)
         assert rrs.doubled_simple == tuple(simple), entry.id
         assert rrs.doubled_positive == positive, entry.id
         assert restricted_weights(rrs).simple_restricted == tuple(

@@ -3,8 +3,8 @@ and ``cli.encode_value`` against the references they replaced.
 
 ``realform._positive_and_simple`` reads the simple restricted roots off the
 compatible simple roots, the columns of theta's chamber transform: their
-distinct nonzero restrictions, and the simple vanishing roots as those that
-restrict to 0.  ``reference_simple`` is the difference search it replaced,
+distinct nonzero restrictions.  ``verify_exact_sequence`` reads the simple
+vanishing roots off the same columns, as those that restrict to 0.  ``reference_simple`` is the difference search it replaced,
 run on the positive restricted roots and on the positive vanishing roots.
 The inputs are the catalog, drawn conjugates w theta w^-1 (which re-choose
 the positive system) and every involutive automorphism w sigma, sigma a
@@ -63,8 +63,10 @@ def assert_simple_match(rs, inv):
     """The chamber-read simple restricted and vanishing roots equal the
     difference search's; returns whether the positive system was re-chosen."""
     doubled = inv.doubled_restrictions
-    positive, simple, vanishing = _positive_and_simple(inv)
+    positive, simple = _positive_and_simple(inv)
     assert simple == reference_simple(positive)
+    columns = zip(*inv.chamber.matrix)
+    vanishing = [b for b in columns if not any(doubled[rs.root_index[b]])]
     fixed = {rs.roots[k] for k in inv.positive_indices if not any(doubled[k])}
     assert sorted(vanishing) == reference_simple(fixed)
     return not inv.default_compatible
