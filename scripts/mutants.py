@@ -40,6 +40,8 @@ class Mutation(NamedTuple):
 
 
 REALFORM = "src/cartan_ds/realform.py"
+LINALG = "src/cartan_ds/linalg.py"
+CLI = "src/cartan_ds/cli.py"
 EXPONENTS = "src/cartan_ds/exponents.py"
 ROOTDATA = "src/cartan_ds/rootdata.py"
 TRANSLATION = "src/cartan_ds/translation.py"
@@ -56,6 +58,10 @@ CRITERION = "src/cartan_ds/criterion.py"
 STABILIZER_TESTS = ("tests/test_stabilizer_reference.py", "tests/test_criterion.py")
 ENUMERATE_WEYL_TESTS = ("tests/test_enumerate_weyl_reference.py",)
 INT_KERNEL_TESTS = ("tests/test_int_kernel_reference.py",)
+POSITIVE_SYSTEM_TESTS = ("tests/test_positive_system_reference.py",)
+RESTRICTED_TYPE_TESTS = ("tests/test_restricted_type_reference.py",)
+ELIMINATION_TESTS = ("tests/test_elimination_reference.py",)
+REQUEST_KERNEL_TESTS = ("tests/test_request_kernels_reference.py",)
 
 NO_DIRECTION = (
     "    if not doubled:\n"
@@ -94,6 +100,8 @@ WORD_BOUNDS = (
     "    if any(not 0 <= i < rs.rank for i in word):\n"
     "        raise RankMismatch(\"word names a simple reflection outside the rank\")\n"
 )
+ROOT_CHECK = "    if not all(col in rs.root_index for col in zip(*theta)):\n"
+ENCODED_COORDINATE = 'str(x // g) if (g := gcd(x, d)) == d else f"{x // g}/{d // g}"'
 IMAGE_THEN_CHASE = (
     "    image = _int_mat_vec(inv.theta, coords) if witness is None else None\n"
     "    fws, word, gens = _stabilizer_chase(rs, coords)\n"
@@ -200,6 +208,180 @@ MUTATIONS = (
         OUTSIDE_ORBIT,
         "        if False:\n",
         EXACT_SEQUENCE_TESTS,
+    ),
+    # the positive system: the compatible chamber and the components of the
+    # restricted type
+    Mutation(
+        "the compact sign checked before the split sign",
+        REALFORM,
+        "(_dot(split, d) or _dot(compact, a))",
+        "(_dot(compact, a) or _dot(split, d))",
+        POSITIVE_SYSTEM_TESTS,
+    ),
+    Mutation(
+        "the chamber chased from the default 2 rho in place of 2 rho of the chosen system",
+        REALFORM,
+        "    _, word = _chase(rs, two_rho)\n",
+        "    _, word = _chase(rs, list(rs.two_rho))\n",
+        POSITIVE_SYSTEM_TESTS,
+    ),
+    Mutation(
+        "a default positive system kept without its compatibility test",
+        REALFORM,
+        "    if not any(tuple(-x for x in d) in nonzero for d in nonzero):\n",
+        "    if True:\n",
+        POSITIVE_SYSTEM_TESTS,
+    ),
+    Mutation(
+        "the doubled table shifted by one index against the root table",
+        REALFORM,
+        "for a in rs.roots)\n",
+        "for a in rs.roots[1:] + rs.roots[:1])\n",
+        POSITIVE_SYSTEM_TESTS,
+    ),
+    Mutation(
+        "the vanishing test inverted",
+        REALFORM,
+        "enumerate(doubled) if not any(d)),",
+        "enumerate(doubled) if any(d)),",
+        POSITIVE_SYSTEM_TESTS,
+    ),
+    Mutation(
+        "a theta column missing from root_index accepted as a root",
+        REALFORM,
+        ROOT_CHECK,
+        "    if False:\n",
+        POSITIVE_SYSTEM_TESTS,
+    ),
+    # in a restricted root system no positive root straddles two components,
+    # so only the hand-made set of the straddling test sees this one
+    Mutation(
+        "the support test without its \"pairs zero with the other components\" clause",
+        REALFORM,
+        "            and not any(x for j, x in enumerate(p) if j not in comp)\n",
+        "",
+        POSITIVE_SYSTEM_TESTS,
+    ),
+    Mutation(
+        "simple roots never merged into components",
+        REALFORM,
+        "        linked = [c for c in comps if any(pairings[s][j] for j in c)]\n",
+        "        linked = []\n",
+        POSITIVE_SYSTEM_TESTS,
+    ),
+    # the restricted type: the rule that names a component.  Retired, because its
+    # target is gone: a long-root count taken at the shortest norm, which told
+    # B_r from C_r before the symmetrizers were compared
+    Mutation(
+        "C tried before B",
+        REALFORM,
+        "_first_fit(rootdata._FAMILY_MIN_RANK, r,",
+        "_first_fit(sorted(rootdata._FAMILY_MIN_RANK, key=\"ACBDEFG\".index), r,",
+        RESTRICTED_TYPE_TESTS,
+    ),
+    Mutation(
+        "the norm guard dropped",
+        REALFORM,
+        "        if not ({norm[d] for d in indivisible} if doubles else norms)"
+        " <= set(simple_norms):\n",
+        "        if False:\n",
+        RESTRICTED_TYPE_TESTS,
+    ),
+    Mutation(
+        "the symmetrizer not compared, only the root count",
+        REALFORM,
+        "        if [n * sym[0] for n in simple_norms] == [s * simple_norms[0] for s in sym]:\n",
+        "        if True:\n",
+        RESTRICTED_TYPE_TESTS,
+    ),
+    # no involutive automorphism tried reaches the next two: only the
+    # hand-made sets of the BC tests do
+    Mutation(
+        "the BC double count unchecked",
+        REALFORM,
+        "len(doubles) == r and ",
+        "",
+        RESTRICTED_TYPE_TESTS,
+    ),
+    Mutation(
+        "BC doubles not checked to be twice a short root",
+        REALFORM,
+        " and all(norm[d] == 4 * simple_norms[0] for d in doubles)",
+        "",
+        RESTRICTED_TYPE_TESTS,
+    ),
+    # the elimination kernel of linalg.py
+    Mutation(
+        "d never updated",
+        LINALG,
+        "        pivots.append(c)\n        d = p\n",
+        "        pivots.append(c)\n",
+        ELIMINATION_TESTS,
+    ),
+    Mutation(
+        "division by the pivot before the previous one",
+        LINALG,
+        "        pivots.append(c)\n        d = p\n",
+        "        pivots.append(c)\n        d, before = locals().get(\"before\", 1), p\n",
+        ELIMINATION_TESTS,
+    ),
+    Mutation(
+        "a negative d left unnormalised",
+        LINALG,
+        "    if d < 0:\n        rows[:] = [[-x for x in row] for row in rows]\n        d = -d\n",
+        "",
+        ELIMINATION_TESTS,
+    ),
+    Mutation(
+        "elimination only below the pivot (Gauss without Jordan)",
+        LINALG,
+        "            if i != r:\n",
+        "            if i > r:\n",
+        ELIMINATION_TESTS,
+    ),
+    Mutation(
+        "stopping before the last pivot",
+        LINALG,
+        "    for c in range(width):\n",
+        "    for c in range(width - 1):\n",
+        ELIMINATION_TESTS,
+    ),
+    # the per-request kernels: simple roots off the chamber, the root check
+    # on theta's columns and the encoding of a weight
+    Mutation(
+        "zero restrictions kept among the simple ones",
+        REALFORM,
+        "sorted({doubled[k] for k in simple if any(doubled[k])})",
+        "sorted({doubled[k] for k in simple})",
+        REQUEST_KERNEL_TESTS,
+    ),
+    Mutation(
+        "rows of the chamber instead of its columns",
+        REALFORM,
+        "    simple = [rs.root_index[b] for b in zip(*inv.chamber.matrix)]\n    return positive,",
+        "    simple = [rs.root_index[b] for b in inv.chamber.matrix]\n    return positive,",
+        REQUEST_KERNEL_TESTS,
+    ),
+    Mutation(
+        "only the first column checked",
+        REALFORM,
+        ROOT_CHECK,
+        ROOT_CHECK.replace("zip(*theta)", "list(zip(*theta))[:1]"),
+        REQUEST_KERNEL_TESTS,
+    ),
+    Mutation(
+        "a coordinate's numerator left unreduced",
+        CLI,
+        ENCODED_COORDINATE,
+        ENCODED_COORDINATE.replace('f"{x // g}/', 'f"{x}/'),
+        REQUEST_KERNEL_TESTS,
+    ),
+    Mutation(
+        "an integral coordinate written over 1",
+        CLI,
+        ENCODED_COORDINATE,
+        'f"{x // (g := gcd(x, d))}/{d // g}"',
+        REQUEST_KERNEL_TESTS,
     ),
     # the int cone decisions of the translation search
     Mutation(

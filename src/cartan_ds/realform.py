@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from . import linalg
+from . import linalg, rootdata
 from .errors import (
     CapExceeded,
     ConsistencyError,
@@ -380,14 +380,31 @@ def multiplicity_identity_holds(rrs: RestrictedRootSystem) -> bool:
     return covered + len(rrs.vanishing_indices) == len(rrs.root_system.roots)
 
 
-def classify_restricted_type(rrs: RestrictedRootSystem) -> str:
-    """Cartan-type label of the restricted system, "BC_r" when non-reduced.
+def _first_fit(families, r: int, count: int, simple_norms: list[int]) -> str:
+    """The label of the first family with a type of rank r that has count
+    positive roots and a sorted symmetrizer proportional to simple_norms, or "?r"."""
+    for family in families:
+        if not rootdata._FAMILY_MIN_RANK[family] <= r <= rootdata._FAMILY_MAX_RANK.get(family, r):
+            continue
+        t = rootdata._build_cached(((family, r),))
+        if len(t.roots) != 2 * count:
+            continue
+        sym = sorted(t.symmetrizer)
+        if [n * sym[0] for n in simple_norms] == [s * simple_norms[0] for s in sym]:
+            return f"{family}{r}"
+    return f"?{r}"
 
-    The self-dual rank-2 case is reported as "B2".  Empty restricted systems
-    (compact forms) are labeled "0", and a component whose root count or norm
-    ratios match no type, such as a non-reduced one without the 2r(r+1) roots
-    of BC_r, "?r".  Components, supports and norm ratios come from int
-    pairings of the doubled restricted roots.
+
+def classify_restricted_type(rrs: RestrictedRootSystem) -> str:
+    """Cartan-type label of the restricted system, one per component, or "0".
+
+    Components, supports and norms come from int pairings of the doubled
+    restricted roots.  A reduced component whose roots all have a simple
+    root's norm is named by ``_first_fit`` in family order A..G, which puts
+    B2 before C2 and A3 before D3 (Humphreys, *Introduction to Lie Algebras
+    and Representation Theory*, 11.4).  BC_r, B_r plus twice each short root,
+    is a component with exactly r doubles, each twice a short root, whose
+    indivisible roots pass the same test against B_r.  Others are "?r".
     """
     if not rrs.doubled_multiplicity:
         return "0"
@@ -409,42 +426,24 @@ def classify_restricted_type(rrs: RestrictedRootSystem) -> str:
     labels = []
     for comp in comps:
         # positive roots pairing nonzero with the component and zero elsewhere
-        span_pos = [
+        span_pos = {
             d
             for d, p in pairings.items()
             if any(p[j] for j in comp)
             and not any(x for j, x in enumerate(p) if j not in comp)
-        ]
+        }
         r = len(comp)
-        count = 2 * len(span_pos)
-        # twice a positive restricted root is a positive one when it is a root;
-        # BC_r has 2r(r+1) roots
-        if any(tuple(2 * x for x in d) in pairings for d in span_pos):
-            labels.append(f"BC{r}" if count == 2 * r * (r + 1) else f"?{r}")
-            continue
-        norms = sorted({norm[d] for d in span_pos})
-        ratio = Fraction(norms[-1], norms[0])
-        if r == 1:
-            labels.append("A1")
-        elif ratio == 1:
-            if count == r * (r + 1):
-                labels.append(f"A{r}")
-            elif count == 2 * r * (r - 1):
-                labels.append(f"D{r}")
-            elif (r, count) in {(6, 72), (7, 126), (8, 240)}:
-                labels.append(f"E{r}")
-            else:
-                labels.append(f"?{r}")
-        elif ratio == 2:
-            if r == 4 and count == 48:
-                labels.append("F4")
-            elif r == 2:
-                labels.append("B2")
-            else:
-                long_count = sum(1 for d in span_pos if norm[d] == norms[-1])
-                labels.append(f"C{r}" if 2 * long_count == 2 * r else f"B{r}")
-        elif ratio == 3:
-            labels.append("G2")
+        simple_norms = sorted([norm[simple[j]] for j in comp])
+        norms = {norm[d] for d in span_pos}
+        # twice a root has four times its norm
+        doubles = {tuple([2 * x for x in d]) for d in span_pos if 4 * norm[d] in norms} & span_pos
+        indivisible = span_pos - doubles
+        if not ({norm[d] for d in indivisible} if doubles else norms) <= set(simple_norms):
+            labels.append(f"?{r}")
+        elif not doubles:
+            labels.append(_first_fit(rootdata._FAMILY_MIN_RANK, r, len(span_pos), simple_norms))
+        elif len(doubles) == r and all(norm[d] == 4 * simple_norms[0] for d in doubles):
+            labels.append(_first_fit("B", r, len(indivisible), simple_norms).replace("B", "BC"))
         else:
             labels.append(f"?{r}")
     return "x".join(sorted(labels))

@@ -4,12 +4,15 @@
 restricted root system once per test run; tests share them and change
 nothing in them.  ``pm_w_involutions`` yields every
 theta = +-w, w in W, that validates as an involution, on the types of
-``PM_W_TYPES``.  ``random_matrix`` draws the seeded rational matrices that
-the involution checks, the elimination kernel and the exact sequence are
+``PM_W_TYPES``, and ``involutive_automorphisms`` returns every w sigma,
+sigma a diagram automorphism, that validates on one type, once per test
+run.  ``random_matrix`` draws the seeded rational matrices that the
+involution checks, the elimination kernel and the exact sequence are
 compared on.
 """
 
 import functools
+import itertools
 from fractions import Fraction
 
 from cartan_ds import (
@@ -24,6 +27,7 @@ from cartan_ds import (
     validate_involution,
 )
 from cartan_ds import linalg
+from cartan_ds.rootdata import _int_mat_mul
 import linalg_reference
 from weight_reference import pairing
 
@@ -49,6 +53,25 @@ def pm_w_involutions(cartan_type):
                 yield rs, validate_involution(rs, theta)
             except CartanDSError:
                 continue
+
+
+@functools.lru_cache(maxsize=None)
+def involutive_automorphisms(cartan_type):
+    """Every (root system, w sigma), w in W and sigma a diagram automorphism,
+    that validates as an involution."""
+    rs = build_root_system(cartan_type)
+    a, n = rs.cartan_matrix, rs.rank
+    found = []
+    for p in itertools.permutations(range(n)):
+        if any(a[p[i]][p[j]] != a[i][j] for i in range(n) for j in range(n)):
+            continue
+        sigma = tuple(tuple(int(p[j] == i) for j in range(n)) for i in range(n))
+        for w in sorted(enumerate_weyl(rs), key=lambda w: w.matrix):
+            try:
+                found.append((rs, validate_involution(rs, _int_mat_mul(w.matrix, sigma))))
+            except CartanDSError:
+                continue
+    return tuple(found)
 
 
 def _random_rational(rng):

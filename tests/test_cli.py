@@ -319,6 +319,23 @@ def test_inspect_rechosen_chamber_document(capsys, tmp_path):
     assert res["source"] == "user"
 
 
+def test_inspect_restricted_roots_that_are_no_root_system(capsys, tmp_path):
+    # an A5 involution whose 12 restricted roots have the norms 4, 6 and 8 of
+    # no rank-3 type; verify_exact_sequence refuses it as no root system
+    path = tmp_path / "a5_no_root_system.json"
+    path.write_text(json.dumps({
+        "id": "a5-no-root-system", "cartan_type": "A5",
+        "theta_matrix": [[1, -1, 0, 0, 0], [0, -1, 0, 0, 0], [0, 0, -1, 0, 0],
+                         [0, 0, 0, -1, 0], [0, 0, 0, -1, 1]],
+        "compact_rank": 2, "expected_verdict": False,
+    }))
+    rc, doc, _ = run_json(capsys, "inspect", str(path))
+    assert rc == 0
+    res = doc["results"]
+    assert res["restricted_type"] == "?3"
+    assert res["restricted_root_count"] == 12 and res["split_rank"] == 3
+
+
 def test_inspect_frozen_so41(capsys):
     rc, doc, _ = run_json(capsys, "inspect", "so(4,1)")
     assert rc == 0

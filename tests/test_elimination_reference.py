@@ -13,10 +13,8 @@ of the +-w involutions, the ambient systems of ``scripts/build_catalog.py``)
 and on seeded and drawn rational, singular, rectangular and augmented
 matrices.
 
-Mutations these tests catch: division by a stale pivot (the one before the
-previous, or d never updated), a negative d left unnormalised, elimination
-only below the pivot (Gauss without Jordan), and stopping before the last
-pivot.
+The mutations these tests catch are listed, and run, in
+``scripts/mutants.py``: the elimination-kernel group there.
 """
 
 import random

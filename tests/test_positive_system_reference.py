@@ -7,24 +7,23 @@ positive system, a set of root indices, by signs on it: a root is positive by
 its restriction's pairing with a regular split vector, or, restricting to
 zero, by its pairing with a regular compact vector; the chamber is the chase
 of 2 rho of that system.  ``classify_restricted_type`` finds components,
-supports and norm ratios from int pairings of the doubled restricted roots.
+supports and norms from int pairings of the doubled restricted roots.
 The references below are the same table and positive system keyed by
 ``Weight`` (``reference_weight_table``, ``reference_weight_positive_system``),
 the Fraction restriction dict with a scaled regular weight, and the component
-split and support test on Fraction pairings.
+split, support test and norm-ratio branches on Fraction pairings.
 
-The one intended difference: a component that the reference labels BC_r
-without the 2r(r+1) roots of BC_r is labeled "?r".  Only 12 involutions
-+-w of B3, 6 of G2 and 19 random ones of G2 are relabeled so.
+Two differences are intended, and each labels a component "?r" in place of
+the reference's label.  First, a component that the reference labels BC_r
+without the 2r(r+1) roots of BC_r: 12 involutions +-w of B3, 6 of G2, 19
+random ones of G2 and 120 involutive automorphisms of D5.  Second, any other
+component whose roots have no type's count and simple-root norms, which
+only involutions that ``verify_exact_sequence`` refuses as no root system
+have: 45 involutive automorphisms of A5 labeled B3 by the reference, 60 of
+D5 labeled B3 and 120 of C5 labeled BC2 or BC3.
 
-Mutations these tests catch: the compact sign checked before the split sign,
-the chamber chased from rho in place of 2 rho of the chosen system, a
-default positive system kept without its compatibility test, the doubled
-table shifted by one index against the root table, the vanishing test
-inverted, a root image missing from ``root_index`` accepted as a root,
-the support test without its "pairs zero with the other components" clause,
-a long-root count taken at the shortest norm, and simple roots never merged
-into components.
+The mutations these tests catch are listed, and run, in
+``scripts/mutants.py``: the positive-system group there.
 """
 
 import dataclasses
@@ -38,6 +37,7 @@ import pytest
 from cartan_ds import (
     CartanDSError,
     NotRootPreserving,
+    PreconditionFailed,
     Weight,
     build_default_catalog,
     build_root_system,
@@ -46,6 +46,7 @@ from cartan_ds import (
     entry_root_system,
     restricted_roots,
     validate_involution,
+    verify_exact_sequence,
 )
 from cartan_ds.realform import _dot, _regular_covector
 from cartan_ds.rootdata import (
@@ -56,7 +57,7 @@ from cartan_ds.rootdata import (
     format_cartan_type,
     word_element,
 )
-from forms import PM_W_TYPES, pm_w_involutions, random_matrix
+from forms import PM_W_TYPES, involutive_automorphisms, pm_w_involutions, random_matrix
 import linalg_reference
 from restricted_reference import reference_vanishing
 from weight_reference import pairing, restricted_weights
@@ -188,21 +189,35 @@ def _supported_on(rs, simple, v, comp):
     )
 
 
+def _reference_spans(rrs):
+    """(rank, positive restricted roots) of each component, on Fraction
+    pairings."""
+    rs = rrs.root_system
+    weights = restricted_weights(rrs)
+    simple, positive = weights.simple_restricted, weights.positive_restricted
+    for comp in _component_split(rs, simple):
+        yield len(comp), [v for v in positive if _supported_on(rs, simple, v, comp)]
+
+
+def reference_short_bc(rrs):
+    """The reference's BC_r labels of components short of the 2r(r+1) roots
+    of BC_r."""
+    restricted = frozenset(restricted_weights(rrs).multiplicity)
+    return Counter(
+        f"BC{r}"
+        for r, span_pos in _reference_spans(rrs)
+        if any(v.scale(2) in restricted for v in span_pos) and len(span_pos) != r * (r + 1)
+    )
+
+
 def reference_restricted_type(rrs):
     """The type label from Fraction pairings of the restricted roots."""
     restricted = frozenset(restricted_weights(rrs).multiplicity)
     if not restricted:
         return "0"
     rs = rrs.root_system
-    simple = restricted_weights(rrs).simple_restricted
     labels = []
-    for comp in _component_split(rs, simple):
-        span_pos = [
-            v
-            for v in restricted_weights(rrs).positive_restricted
-            if _supported_on(rs, simple, v, comp)
-        ]
-        r = len(comp)
+    for r, span_pos in _reference_spans(rrs):
         if any(v.scale(2) in restricted for v in span_pos):
             labels.append(f"BC{r}")
             continue
@@ -235,9 +250,13 @@ def reference_restricted_type(rrs):
     return "x".join(sorted(labels))
 
 
+def _rank(label):
+    return int(label.lstrip("ABCDEFG?"))
+
+
 def assert_matches_reference(rs, inv, name, relabels):
     """Compare one involution with the references; returns the restricted type
-    and counts, by Cartan type, the BC_r components relabeled "?r"."""
+    and counts its relabels as ``assert_type_matches_reference`` does."""
     assert len(inv.doubled_restrictions) == len(rs.roots), name
     table = reference_weight_table(rs, inv.theta)
     for a, d in zip(rs.roots, inv.doubled_restrictions):
@@ -250,11 +269,26 @@ def assert_matches_reference(rs, inv, name, relabels):
         assert inv.default_compatible == default_ok, name
     rrs = restricted_roots(rs, inv)
     assert restricted_weights(rrs).vanishing_roots == reference_vanishing(table), name
+    return assert_type_matches_reference(rs, inv, rrs, name, relabels)
+
+
+def assert_type_matches_reference(rs, inv, rrs, name, relabels):
+    """Compare the restricted type with the reference's; returns it and counts,
+    by Cartan type and difference, the involutions with components relabeled
+    "?r"."""
     label = classify_restricted_type(rrs)
     expected = reference_restricted_type(rrs)
     if label != expected:
-        assert expected.startswith("BC") and label == "?" + expected[2:], name
-        relabels[format_cartan_type(rs.cartan_type)] += 1
+        mine, theirs = Counter(label.split("x")), Counter(expected.split("x"))
+        assert all(part.startswith("?") for part in mine - theirs), name
+        assert sorted(map(_rank, mine - theirs)) == sorted(map(_rank, theirs - mine)), name
+        if (theirs - mine) - reference_short_bc(rrs):
+            # the second difference: restricted roots that are no root system
+            with pytest.raises(PreconditionFailed, match="not a root system"):
+                verify_exact_sequence(rs, inv)
+            relabels[format_cartan_type(rs.cartan_type), "no root system"] += 1
+        else:
+            relabels[format_cartan_type(rs.cartan_type), "BC short"] += 1
     return label
 
 
@@ -283,7 +317,7 @@ def test_pm_weyl_involutions_match_reference():
                 rechosen += 1
                 zero = (0,) * rs.rank
                 rechosen_with_fixed += zero in inv.doubled_restrictions
-    assert checked == 252 and relabels == {"B3": 12, "G2": 6}
+    assert checked == 252 and relabels == {("B3", "BC short"): 12, ("G2", "BC short"): 6}
     # the re-choice branch, and its compact sign, stay covered
     assert rechosen >= 150 and rechosen_with_fixed >= 140
 
@@ -303,7 +337,21 @@ def test_random_involutions_match_reference():
         assert_matches_reference(rs, inv, k, relabels)
         passed += 1
         rechosen += not inv.default_compatible
-    assert passed >= 600 and rechosen >= 100 and relabels == {"G2": 19}
+    assert passed >= 600 and rechosen >= 100 and relabels == {("G2", "BC short"): 19}
+
+
+def test_involutive_automorphism_types_match_reference():
+    relabels = Counter()
+    for t in ("A5", "D5", "C5"):
+        for rs, inv in involutive_automorphisms(t):
+            rrs = restricted_roots(rs, inv)
+            assert_type_matches_reference(rs, inv, rrs, (t, inv.theta), relabels)
+    assert relabels == {
+        ("A5", "no root system"): 45,
+        ("D5", "no root system"): 60,
+        ("C5", "no root system"): 120,
+        ("D5", "BC short"): 120,
+    }
 
 
 def test_isometric_involution_that_does_not_permute_the_roots():

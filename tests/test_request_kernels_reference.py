@@ -22,10 +22,8 @@ from its numerators and denominator with one gcd per coordinate, and a
 Fraction with ``str``; ``format_rational`` of each Fraction coordinate is the
 reference.
 
-Mutations these tests catch: zero restrictions kept among the simple ones,
-rows of the chamber instead of its columns, only the first column checked,
-a coordinate's numerator left unreduced and an integral coordinate written
-over 1.
+The mutations these tests catch are listed, and run, in
+``scripts/mutants.py``: the per-request-kernel group there.
 """
 
 import itertools
@@ -36,14 +34,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartan_ds import (
-    CartanDSError,
     NotRootPreserving,
     SignedSqrt,
     Weight,
     build_default_catalog,
     build_root_system,
     default_catalog_ids,
-    enumerate_weyl,
     restricted_roots,
     validate_involution,
     word_element,
@@ -52,7 +48,7 @@ from cartan_ds.cli import encode_value
 from cartan_ds.linalg import format_rational
 from cartan_ds.realform import _positive_and_simple
 from cartan_ds.rootdata import _int_mat_mul
-from forms import form
+from forms import form, involutive_automorphisms
 from restricted_reference import reference_simple
 from weyl_reference import assert_checks_match
 
@@ -90,22 +86,6 @@ def test_simple_roots_match_reference_on_drawn_conjugates(form_id, data):
     assert_simple_match(rs, conjugate)
     rrs = restricted_roots(rs, conjugate)
     assert list(rrs.doubled_simple) == reference_simple(rrs.doubled_positive)
-
-
-def involutive_automorphisms(cartan_type):
-    """Every w sigma, w in W and sigma a diagram automorphism, that validates
-    as an involution."""
-    rs = build_root_system(cartan_type)
-    a, n = rs.cartan_matrix, rs.rank
-    for p in itertools.permutations(range(n)):
-        if any(a[p[i]][p[j]] != a[i][j] for i in range(n) for j in range(n)):
-            continue
-        sigma = tuple(tuple(int(p[j] == i) for j in range(n)) for i in range(n))
-        for w in sorted(enumerate_weyl(rs), key=lambda w: w.matrix):
-            try:
-                yield rs, validate_involution(rs, _int_mat_mul(w.matrix, sigma))
-            except CartanDSError:
-                continue
 
 
 def test_simple_roots_match_reference_on_involutive_automorphisms():
