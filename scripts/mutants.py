@@ -6,7 +6,10 @@ occur there once), the new text and the test modules, or test ids, that
 should catch it.
 The script copies the checkout to a temporary directory, runs the test
 modules once unmutated (they must pass), then applies each mutation in turn
-and runs its modules with ``-x``.  A mutant is caught when the run fails.
+and runs its modules with ``-x``.  A mutant is caught when the run fails, or
+when it runs longer than ten times the unmutated run of the same modules
+plus 60 s: it is stopped then and reported as ``timeout``, since a mutant
+may loop forever.
 
 Usage, from the root of a checkout:
 
@@ -157,10 +160,17 @@ MUTATIONS = (
     Mutation(
         "tracked roots are the default simple roots, not the chamber's columns",
         REALFORM,
-        "    simple = [rs.root_index[b] for b in zip(*inv.chamber.matrix)]\n"
-        "    tracked = ",
-        "    simple = [rs.root_index[b] for b in rs.identity.matrix]\n"
-        "    tracked = ",
+        "    beta = [rs.root_index[b] for b in zip(*inv.chamber.matrix)]\n",
+        "    beta = [rs.root_index[b] for b in rs.identity.matrix]\n",
+        EXACT_SEQUENCE_TESTS,
+    ),
+    # the outcome is the same, only later: the refusal-first test catches it
+    Mutation(
+        "commutant closed before the guard",
+        REALFORM,
+        "    roots = sorted({d for d in doubled if any(d)})\n",
+        "    _theta_commuting(rs, inv, beta)\n"
+        "    roots = sorted({d for d in doubled if any(d)})\n",
         EXACT_SEQUENCE_TESTS,
     ),
     Mutation(
@@ -768,18 +778,25 @@ MUTATIONS = (
 )
 
 
-def run_tests(copy: Path, tests: tuple[str, ...]) -> tuple[bool, float]:
-    """Whether the test modules pass in the copy, and the seconds taken."""
+def run_tests(
+    copy: Path, tests: tuple[str, ...], timeout: float | None = None
+) -> tuple[str, float]:
+    """"pass", "fail" or, past ``timeout`` seconds, "timeout" for the test
+    modules in the copy, and the seconds taken."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     start = time.perf_counter()
     quiet = {"stdout": subprocess.DEVNULL, "stderr": subprocess.DEVNULL}
-    done = subprocess.run(argv, cwd=copy, env=env, **quiet)
-    return done.returncode == 0, time.perf_counter() - start
+    try:
+        done = subprocess.run(argv, cwd=copy, env=env, timeout=timeout, **quiet)
+    except subprocess.TimeoutExpired:
+        return "timeout", time.perf_counter() - start
+    return "pass" if done.returncode == 0 else "fail", time.perf_counter() - start
 
 
 def main() -> int:
-    bad = 0
+    bad = timeouts = 0
+    limits = {}
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp) / "repo"
         skip = (".git", "__pycache__", ".*_cache", ".hypothesis", ".perfbench-out")
@@ -794,10 +811,11 @@ def main() -> int:
             print(f"the tests would import cartan_ds from {found}, not from the copy")
             return 1
         for tests in dict.fromkeys(m.tests for m in MUTATIONS):
-            ok, seconds = run_tests(copy, tests)
-            print(f"unmutated: {'pass' if ok else 'FAIL'} ({seconds:.1f}s) {' '.join(tests)}")
-            if not ok:
+            status, seconds = run_tests(copy, tests)
+            print(f"unmutated: {status.upper()} ({seconds:.1f}s) {' '.join(tests)}")
+            if status != "pass":
                 return 1
+            limits[tests] = 10 * seconds + 60
         for m in MUTATIONS:
             target = copy / m.path
             original = target.read_text()
@@ -808,12 +826,14 @@ def main() -> int:
                 continue
             target.write_text(original.replace(m.old, m.new))
             try:
-                survived, seconds = run_tests(copy, m.tests)
+                status, seconds = run_tests(copy, m.tests, limits[m.tests])
             finally:
                 target.write_text(original)
-            print(f"{'SURVIVED' if survived else 'caught  '}  {m.name} ({seconds:.1f}s)")
-            bad += survived
-    print(f"{len(MUTATIONS)} mutations, {bad} survived or stale")
+            label = {"pass": "SURVIVED", "fail": "caught  ", "timeout": "timeout "}[status]
+            print(f"{label}  {m.name} ({seconds:.1f}s)")
+            bad += status == "pass"
+            timeouts += status == "timeout"
+    print(f"{len(MUTATIONS)} mutations, {bad} survived or stale, {timeouts} caught by timeout")
     return 1 if bad else 0
 
 

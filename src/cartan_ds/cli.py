@@ -46,10 +46,8 @@ from .criterion import compact_cartan_verdict, extended_stabilizer
 from .errors import (
     BadParameters,
     CartanDSError,
-    ConsistencyError,
     InputError,
     ParseError,
-    ResourceError,
     UnknownForm,
 )
 from .exponents import (
@@ -91,7 +89,6 @@ from .translation import (
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
 EXIT_INPUT = 2
-EXIT_RESOURCE = 3
 
 #: Forms exercised by the ``verify pipeline`` suite: small enough to finish in
 #: seconds, rich enough to cover the equal-rank, non-equal-rank-split, and
@@ -786,7 +783,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser, message = exc.args
         if "--json" not in argv:
             argparse.ArgumentParser.error(parser, message)
-        _emit_error(ParseError(f"{parser.prog}: {message}"), EXIT_INPUT, as_json=True)
+        _emit_error(ParseError(f"{parser.prog}: {message}"), as_json=True)
         return EXIT_INPUT
     func: Callable[[argparse.Namespace, Path], Outcome] = args.func
     start = time.monotonic()
@@ -796,9 +793,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         directory = cat.resolve_catalog_dir(args.catalog)
         inputs, results, certificates, ok = func(args, directory)
     except CartanDSError as exc:
-        code = _error_exit_code(exc)
-        _emit_error(exc, code, as_json=getattr(args, "json", False))
-        return code
+        _emit_error(exc, as_json=getattr(args, "json", False))
+        return exc.exit_code
     text = _dumps(
         {"command": args.command, "inputs": inputs, "results": results, "certificates": certificates}
     )
@@ -808,22 +804,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     return EXIT_OK if ok else EXIT_INCONSISTENT
 
 
-def _error_exit_code(exc: CartanDSError) -> int:
-    if isinstance(exc, ConsistencyError):
-        return EXIT_INCONSISTENT
-    if isinstance(exc, ResourceError):
-        return EXIT_RESOURCE
-    if isinstance(exc, InputError):
-        return EXIT_INPUT
-    return EXIT_INCONSISTENT
-
-
-def _emit_error(exc: CartanDSError, code: int, as_json: bool) -> None:
+def _emit_error(exc: CartanDSError, as_json: bool) -> None:
     if as_json:
         payload: dict[str, Any] = {
             "error": type(exc).__name__,
             "message": str(exc),
-            "exit_code": code,
+            "exit_code": exc.exit_code,
         }
         best = getattr(exc, "best", None)
         if best is not None:

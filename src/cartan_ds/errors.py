@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all cartan_ds modules.
 
-InputError subclasses signal bad user input (CLI exit code 2), ResourceError
-subclasses signal an exhausted search bound or cap (exit code 3), and
-ConsistencyError signals an internal mathematical contradiction (exit code 1).
+InputError subclasses signal bad user input, ResourceError subclasses an
+exhausted search bound or cap, and ConsistencyError an internal mathematical
+contradiction.  Each class carries the CLI exit code of its family as
+``exit_code``: 2, 3 and 1, and 1 for any other CartanDSError.
 """
 
 from __future__ import annotations
@@ -11,13 +12,19 @@ from __future__ import annotations
 class CartanDSError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 1
+
 
 class InputError(CartanDSError):
     """Invalid input supplied by the caller."""
 
+    exit_code = 2
+
 
 class ResourceError(CartanDSError):
     """A configured cap or search bound was exceeded."""
+
+    exit_code = 3
 
 
 class ConsistencyError(CartanDSError):

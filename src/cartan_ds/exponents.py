@@ -73,8 +73,8 @@ def _require_same_chamber(
 class SignedSqrt:
     """Exact value sign * sqrt(square) with rational square.
 
-    Total order: signs compare first; equal signs compare squared magnitudes,
-    reversed on the negative side.  Scaling by a rational multiplies the
+    Total order: by sign * square, which is m |m| for the value m, and
+    m -> m |m| is strictly increasing.  Scaling by a rational multiplies the
     square by the square of the scalar, so linear margin laws hold exactly.
     """
 
@@ -103,13 +103,7 @@ class SignedSqrt:
     def __lt__(self, other: "SignedSqrt") -> bool:
         if not isinstance(other, SignedSqrt):
             return NotImplemented
-        if self.sign != other.sign:
-            return self.sign < other.sign
-        if self.sign > 0:
-            return self.square < other.square
-        if self.sign < 0:
-            return self.square > other.square
-        return False
+        return self.sign * self.square < other.sign * other.square
 
     def __float__(self) -> float:
         return self.sign * math.sqrt(float(self.square))

@@ -18,6 +18,9 @@ An isometry that maps each simple root to a root permutes the roots
 (Humphreys 10.3), so only theta's columns are looked up in the table.  The
 exact-sequence check likewise reflects in the simple restricted roots and in
 no other root of their orbit, since s_(w b) = w s_b w^-1 (Humphreys 9.2).
+It refuses before it enumerates: the Weyl-order cap, that guard and the
+restricted group's cap come before W is closed, and W_0, a subgroup of W,
+needs no cap once |W| <= cap has passed.
 
 A positive system of the ambient roots is *compatible* when its nonzero
 restrictions form a positive system of the restricted roots.  The validator
@@ -465,21 +468,21 @@ class ExactSequenceReport:
         return self.kernel_matches and self.image_matches and self.order_identity
 
 
-def _theta_commuting(rs: RootSystem, inv: CartanInvolution, cap: int) -> tuple[tuple, list]:
+def _theta_commuting(
+    rs: RootSystem, inv: CartanInvolution, simple: list[int]
+) -> tuple[tuple, list]:
     """The tracked roots, and the elements w of W that commute with theta,
     each the tuple of indices of w applied to the tracked roots: the
-    compatible simple roots beta_j, a basis, then their images theta beta_j.
+    compatible simple roots beta_j (indices ``simple``), a basis, then their
+    images theta beta_j.
 
     s_i w sends an entry k to ``reflections[i][k]`` (Humphreys 10.3), so W is
     closed on these tuples from the identity's.  theta permutes the roots,
     theta alpha = alpha - d with d the doubled restriction, and w commutes
     with theta iff theta (w beta_j) = w (theta beta_j) for every j.
     """
-    if rs.weyl_order > cap:
-        raise CapExceeded(f"Weyl group order {rs.weyl_order} exceeded cap {cap}")
     pairs = zip(rs.roots, inv.doubled_restrictions)
     theta = [rs.root_index[tuple(map(operator.sub, a, d))] for a, d in pairs]
-    simple = [rs.root_index[b] for b in zip(*inv.chamber.matrix)]
     tracked = (*simple, *(theta[k] for k in simple))
     group = closure((tracked,), lambda t: map(operator.itemgetter(*t), rs.reflections))
     r = rs.rank
@@ -493,44 +496,34 @@ def verify_exact_sequence(
 
     The theta-commutant of the Weyl group restricts to the split part; the
     kernel must be exactly the reflection group W_0 of the vanishing roots and
-    the image exactly the Weyl group of the reduced restricted system.  W and
-    W_0 are closed on the same tuples of root indices (``_theta_commuting``),
-    W_0 under the reflections in its simple roots u(alpha_j), u theta's
-    chamber transform: u s_j u^-1, as a root permutation, walks each root
-    index through ``RootSystem.reflections`` along the word u j u^-1.  The
-    restricted group permutes the restricted roots, whose simple ones are a
-    basis and generate it (Humphreys 1.5), so an element is the tuple of
-    indices of its images of the simple restricted roots, read doubled from
-    the involution's table; reflections permute them exactly on ints.  A Weyl
-    group larger than ``cap`` is refused (CapExceeded) before any enumeration,
-    and restricted roots that are not a root system, as for many
-    theta = +-w with w in W, with PreconditionFailed.  That guard builds the
-    simple reflections, closes the simple roots' indices under them and
-    reflects only in a positive indivisible root outside that orbit: if s_b
-    and w permute the roots, so does s_(w b) = w s_b w^-1 (Humphreys 9.2).
-    A cap that is not an int of at least 1 is BadParameters.
+    the image exactly the Weyl group of the reduced restricted system.  Every
+    refusal comes before any enumeration, in this order: a cap that is not an
+    int of at least 1 (BadParameters), an involution on another root system
+    (PreconditionFailed), a Weyl group larger than ``cap`` (CapExceeded),
+    restricted roots that are not a root system, as for many theta = +-w with
+    w in W (PreconditionFailed), and a restricted group larger than ``cap``.
+    That group permutes the restricted roots, whose simple ones are a basis
+    and generate it (Humphreys 1.5), so an element is the tuple of indices of
+    its images of the simple restricted roots, read doubled from the
+    involution's table.  The guard builds the simple reflections, closes the
+    simple roots' indices under them and reflects only in a positive
+    indivisible root outside that orbit: if s_b and w permute the roots, so
+    does s_(w b) = w s_b w^-1 (Humphreys 9.2).  Then W and W_0 are closed on
+    the same tuples of root indices (``_theta_commuting``), W_0 under the
+    reflections in its simple roots u(alpha_j), u theta's chamber transform:
+    u s_j u^-1, as a root permutation, walks each root index through
+    ``RootSystem.reflections`` along the word u j u^-1.  Neither closure needs
+    a cap: the tracked roots contain a basis, so distinct elements are
+    distinct tuples, and W_0, a subgroup of W, has at most |W| <= cap.
     """
     _check_cap(cap)
     _require_same_root_system(rs, inv)
-    tracked, commutant = _theta_commuting(rs, inv, cap)
-
-    # the vanishing roots are a root system, generated by the reflections in
-    # its simple roots u(alpha_j), the compatible simple roots that restrict
-    # to 0; u s_j u^-1 walks each root index through u^-1, s_j and u
+    if rs.weyl_order > cap:
+        raise CapExceeded(f"Weyl group order {rs.weyl_order} exceeded cap {cap}")
     doubled = inv.doubled_restrictions
-    word = inv.chamber.word
-    gens = []
-    for j, k in enumerate(tracked[: rs.rank]):
-        if not any(doubled[k]):
-            perm = range(len(rs.roots))
-            for i in (*word, j, *reversed(word)):
-                perm = list(map(rs.reflections[i].__getitem__, perm))
-            gens.append(perm)
-    vanishing_group = closure(
-        (tracked,), lambda t: map(operator.itemgetter(*t), gens), cap, "vanishing Weyl group"
-    )
-
-    positive, _ = _positive_and_simple(inv)
+    # the compatible simple roots beta_j: the columns of theta's chamber transform
+    beta = [rs.root_index[b] for b in zip(*inv.chamber.matrix)]
+    positive = {doubled[k] for k in inv.positive_indices if any(doubled[k])}
     roots = sorted({d for d in doubled if any(d)})
     index = {d: k for k, d in enumerate(roots)}
 
@@ -551,7 +544,7 @@ def verify_exact_sequence(
         return tuple(perm)
 
     # each simple restricted root, and a j whose beta_j restricts to it
-    simple = {doubled[k]: j for j, k in enumerate(tracked[: rs.rank]) if any(doubled[k])}
+    simple = {doubled[k]: j for j, k in enumerate(beta) if any(doubled[k])}
     # the simple reflections generate the group; s_(w b) = w s_b w^-1 permutes
     # the roots when s_b and w do, and s_beta = s_{-beta} = s_{2 beta}, so only
     # a positive indivisible root outside the simple roots' orbit is checked
@@ -567,6 +560,20 @@ def verify_exact_sequence(
         cap,
         "restricted Weyl group",
     )
+
+    tracked, commutant = _theta_commuting(rs, inv, beta)
+    # the vanishing roots are a root system, generated by the reflections in
+    # its simple roots u(alpha_j), the compatible simple roots that restrict
+    # to 0; u s_j u^-1 walks each root index through u^-1, s_j and u
+    word = inv.chamber.word
+    gens = []
+    for j, k in enumerate(beta):
+        if not any(doubled[k]):
+            perm = range(len(rs.roots))
+            for i in (*word, j, *reversed(word)):
+                perm = list(map(rs.reflections[i].__getitem__, perm))
+            gens.append(perm)
+    vanishing_group = closure((tracked,), lambda t: map(operator.itemgetter(*t), gens))
     # w beta_j - theta (w beta_j) = w (beta_j - theta beta_j) for w in the
     # commutant, so w's image of beta_j's simple restricted root is doubled[w beta_j]
     restriction = [index.get(d) for d in doubled]

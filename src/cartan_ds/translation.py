@@ -293,10 +293,6 @@ class SearchBest:
     min_margin: SignedSqrt
 
 
-def _best_key(entry: SearchBest) -> tuple[bool, SignedSqrt]:
-    return entry.strongly_regular, entry.min_margin
-
-
 def _candidate_coefficients(rank: int, max_coeff: int):
     """All coefficient tuples, by increasing total height then lexicographic."""
     def rec(prefix: list[int], remaining: int, budget: int):
@@ -376,7 +372,9 @@ def strong_regularization(
     # the shift maxima do not depend on k, and _cone_margin scales the
     # exponent maxima by each line factor
     top_exponent = _ray_maxima(rrs, keys), exponent_scale
-    best: SearchBest | None = None
+    # the best candidate so far, (strongly_regular, margin, coeffs, k), ranked
+    # by its first two entries; the first of equal ones is kept
+    best = None
     for coeffs in _candidate_coefficients(rs.rank, cfg.max_mu_coeff):
         # base + shift is dominant, so it is regular unless both have a
         # fundamental coordinate 0 at the same node
@@ -390,14 +388,8 @@ def strong_regularization(
             final = [factor * b + x for b, x in zip(base, shift)]
             strongly_regular = _strongly_regular(rs, inv, final)
             cone_ok, margin = _cone_margin(rrs, top_exponent, top_shift, factor)
-            candidate = SearchBest(
-                coefficients=coeffs,
-                k=k,
-                strongly_regular=strongly_regular,
-                min_margin=margin,
-            )
-            if best is None or _best_key(candidate) > _best_key(best):
-                best = candidate
+            if best is None or (strongly_regular, margin) > best[:2]:
+                best = strongly_regular, margin, coeffs, k
             if not (strongly_regular and cone_ok):
                 continue
             chamber = inv.chamber.matrix
@@ -417,7 +409,8 @@ def strong_regularization(
             )
     raise SearchExhausted(
         "no strongly regular translate within the configured bounds",
-        best=best,
+        # SearchBest's fields come in the order coefficients, k, strongly_regular, margin
+        best=best and SearchBest(*best[2:], *best[:2]),
     )
 
 

@@ -3,10 +3,16 @@
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+import cartan_ds
 from cartan_ds import (
+    CartanDSError,
+    ConsistencyError,
+    InputError,
+    ResourceError,
     WeylElement,
     build_default_catalog,
     build_root_system,
@@ -709,6 +715,20 @@ def test_non_positive_cap_is_bad_parameters(capsys, argv, cap):
     assert rc == 2
     doc = json.loads(out)
     assert doc["error"] == "BadParameters" and doc["exit_code"] == 2
+
+
+def test_every_error_class_has_the_readme_exit_code():
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    table = "Exit codes: `0` success, `1` consistency conflict, `2` bad input, `3` resource limit"
+    assert table in readme
+    # each family's code in that table; any other package error is a conflict
+    family = {ConsistencyError: 1, InputError: 2, ResourceError: 3}
+    exported = [getattr(cartan_ds, name) for name in cartan_ds.__all__]
+    errors = [c for c in exported if isinstance(c, type) and issubclass(c, CartanDSError)]
+    assert len(errors) == 18
+    for cls in errors:
+        want = next((code for base, code in family.items() if issubclass(cls, base)), 1)
+        assert cls.exit_code == want, cls.__name__
 
 
 def test_stored_verdict_conflict_is_a_consistency_error(capsys, tmp_path):

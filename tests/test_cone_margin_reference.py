@@ -87,7 +87,6 @@ from cartan_ds.exponents import (
 from cartan_ds.rootdata import _int_mat_vec
 from cartan_ds.translation import (
     SearchBest,
-    _best_key,
     _candidate_coefficients,
     _cone_margin,
     _strongly_regular,
@@ -431,6 +430,11 @@ def test_a_compact_cartan_has_no_interior():
     assert cone_margin(rrs, [-rs.rho], [Weight.zero(rs.rank)]) == (False, SignedSqrt.zero())
 
 
+def reference_key(entry):
+    """A search candidate's rank: strongly regular first, then the larger margin."""
+    return entry.strongly_regular, entry.min_margin
+
+
 def reference_search(rs, inv, rrs, datum, cfg):
     """The search as it was: every line parameter k scales the exponents and
     runs the pair loop against the candidate shift's restricted orbit.  The k
@@ -453,7 +457,7 @@ def reference_search(rs, inv, rrs, datum, cfg):
             scaled = [e.scale(factor) for e in datum.exponents]
             cone_ok, margin = reference_cone_margin(rrs, scaled, shifts)
             candidate = SearchBest(coeffs, k, strongly_regular, margin)
-            if best is None or _best_key(candidate) > _best_key(best):
+            if best is None or reference_key(candidate) > reference_key(best):
                 best = candidate
             if strongly_regular and cone_ok:
                 return k, final_weight

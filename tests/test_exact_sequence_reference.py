@@ -35,6 +35,12 @@ positive indivisible root.  Two tests count the reflections built: one per
 simple restricted root on every catalog form, and on three G2 thetas among
 the +-w involutions one more, in the root 3v/2 outside the orbit +-v/2.
 
+Every refusal comes before the commutant is enumerated.  One test stubs
+``_theta_commuting`` with a failure and still gets PreconditionFailed on
+two involutions whose restricted roots are no root system, one on B3 and
+one on A5; closing the commutant first changes no outcome, and only that
+test catches it.
+
 The mutations these tests catch are listed, and run, in
 ``scripts/mutants.py``: the exact-sequence group there.  One of them, the
 roots outside the orbit not reflected, changes no outcome on any input
@@ -66,6 +72,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,6 +102,11 @@ G2_THETA = ((2, -3), (1, -2))
 # the G2 thetas with those restricted roots: 3v/2 is indivisible and lies
 # outside the orbit +-v/2 of the simple restricted root
 G2_OUTSIDE_ORBIT = (G2_THETA, ((-1, 0), (-1, 1)), ((-1, 3), (0, 1)))
+
+# an involutive automorphism of A5 whose restricted roots are no root system
+A5_NO_ROOT_SYSTEM = (
+    (1, -1, 0, 0, 0), (0, -1, 0, 0, 0), (0, 0, -1, 0, 0), (0, 0, 0, -1, 0), (0, 0, 0, -1, 1)
+)
 
 # the restricted reflection nested in verify_exact_sequence
 REFLECTION = next(
@@ -213,9 +225,9 @@ def assert_matches_reference(rs, inv, name, tally, outer):
     else:
         tally[outcome[0].__name__] += 1
     group = reference_enumerate_weyl(rs)
-    tracked, commutant = _theta_commuting(rs, inv, DEFAULT_CAP)
     # the compatible simple roots, then their theta images, by matrix products
     simple = list(zip(*inv.chamber.matrix))
+    tracked, commutant = _theta_commuting(rs, inv, [rs.root_index[b] for b in simple])
     roots = simple + [tuple(_int_mat_vec(inv.theta, b)) for b in simple]
     assert [rs.roots[k] for k in tracked] == roots, name
     # each commuting w is named by the indices of w applied to those roots
@@ -330,6 +342,25 @@ def test_errors_come_in_the_reference_order():
         outcome = _outcome(verify_exact_sequence, rs, inv, cap)
         assert outcome == _outcome(reference_exact_sequence, rs, inv, cap)
         assert outcome[0].__name__ == error
+
+
+def test_no_root_system_is_refused_before_the_commutant(monkeypatch):
+    # every refusal comes before W is closed: with the commutant's enumerator
+    # failing, the no-root-system involutions still raise PreconditionFailed
+    b3, a5 = build_root_system("B3"), build_root_system("A5")
+    no_root_system = validate_involution(b3, ((1, -1, 0), (0, -1, 0), (0, 0, -1)))
+    a5_theta = validate_involution(a5, A5_NO_ROOT_SYSTEM)
+
+    def no_commutant(*args):
+        raise AssertionError("the commutant was closed")
+
+    monkeypatch.setattr(realform, "_theta_commuting", no_commutant)
+    for rs, inv in ((b3, no_root_system), (a5, a5_theta)):
+        with pytest.raises(PreconditionFailed, match="not a root system"):
+            verify_exact_sequence(rs, inv)
+    # a check that passes the guard does close it
+    with pytest.raises(AssertionError, match="commutant"):
+        verify_exact_sequence(b3, validate_involution(b3, ((-1, 0, 0), (0, -1, 0), (0, 0, -1))))
 
 
 def _scalar(theta):

@@ -103,6 +103,23 @@ def test_signed_sqrt_order_matches_squaring_oracle(a, b):
     assert (x == y) == (lhs == b)
 
 
+signed_sqrts = st.builds(
+    lambda sign, square: SignedSqrt(sign, square) if sign else SignedSqrt.zero(),
+    st.sampled_from((-1, 0, 1)),
+    st.fractions(min_value=0, max_value=9, max_denominator=12).filter(bool),
+)
+
+
+@settings(deadline=None, derandomize=True)
+@given(x=signed_sqrts, y=signed_sqrts)
+def test_signed_sqrt_order_matches_float_order(x, y):
+    # the order of the signed squares is the order of the values
+    if float(x) != float(y):
+        assert (x < y) == (float(x) < float(y))
+    # neither is less exactly when the fields agree
+    assert (not x < y and not y < x) == ((x.sign, x.square) == (y.sign, y.square))
+
+
 @settings(deadline=None, derandomize=True)
 @given(t=rationals, num=rationals)
 def test_signed_sqrt_scale_is_linear(t, num):
