@@ -65,6 +65,7 @@ POSITIVE_SYSTEM_TESTS = ("tests/test_positive_system_reference.py",)
 RESTRICTED_TYPE_TESTS = ("tests/test_restricted_type_reference.py",)
 ELIMINATION_TESTS = ("tests/test_elimination_reference.py",)
 REQUEST_KERNEL_TESTS = ("tests/test_request_kernels_reference.py",)
+RESTRICTED_TESTS = ("tests/test_restricted_reference.py",)
 
 NO_DIRECTION = (
     "    if not doubled:\n"
@@ -80,7 +81,7 @@ EXPONENT_CHECK = (
 )
 WALK_COVECTORS = (
     "    products = _int_mat_vec(chamber.chamber_covectors, start)\n"
-    "    if max(products) >= 0:\n"
+    "    if max(products, default=0) >= 0:\n"
     "        return []\n"
     "    columns = tuple(zip(*chamber.chamber_covectors))\n"
 )
@@ -394,6 +395,20 @@ MUTATIONS = (
         REQUEST_KERNEL_TESTS,
     ),
     # the int cone decisions of the translation search
+    Mutation(
+        "a zero largest product counted as interior",
+        EXPONENTS,
+        "    interior = top < 0\n",
+        "    interior = top <= 0\n",
+        CONE_MARGIN_TESTS,
+    ),
+    Mutation(
+        "a ray's squared covector length over g, not g^2",
+        REALFORM,
+        "Fraction(4 * adj[j][j] * det, g * g)",
+        "Fraction(4 * adj[j][j] * det, g)",
+        RESTRICTED_TESTS,
+    ),
     Mutation(
         "the sign of the largest product ignored when the least margin is chosen",
         EXPONENTS,
@@ -743,15 +758,15 @@ MUTATIONS = (
     Mutation(
         "d in place of d^2 in the involution test",
         REALFORM,
-        "_scaled_rows(rs.identity.matrix, dd)",
+        "_scaled_rows(rs.identity.matrix, d * d)",
         "_scaled_rows(rs.identity.matrix, d)",
         INT_KERNEL_TESTS,
     ),
     Mutation(
-        "d in place of d^2 in the isometry test",
+        "the isometry test compares F theta with itself, not its transpose",
         REALFORM,
-        "_scaled_rows(rs.form, dd)",
-        "_scaled_rows(rs.form, d)",
+        "    if form_theta != tuple(zip(*form_theta)):\n",
+        "    if form_theta != form_theta:\n",
         INT_KERNEL_TESTS,
     ),
     Mutation(

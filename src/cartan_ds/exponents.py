@@ -9,12 +9,13 @@ exact positions and margins relative to it, and the admissible part of a
 Weyl orbit: the points whose restriction lies in the open negative cone.
 
 Positions are decided on ints.  A vector's int numerators have one int
-product with each ray covector; it is interior when the cone is
-full-dimensional and every product is negative, and its margin, the least
--p/|X| over the rays, is found by sign and then by p^2 n' against p'^2 n,
-with one ``SignedSqrt`` (a sign and an exact rational square, never floating
-point) built for it.  A ray covector c has c.(v - theta v) = 2 c.v, so an
-orbit point v restricts into the open cone exactly when every c.v < 0.  The
+product p with each ray covector c; it is interior when there is a ray (the
+rays span the split part, ``RestrictedRootSystem``) and every product is
+negative, and its margin, the least -p/sqrt(n) over the rays, n = c F^-1 c,
+is found by sign and then by p^2 n' against p'^2 n, with one ``SignedSqrt``
+(a sign and an exact rational square, never floating point) built for it.
+A ray covector c has c.(v - theta v) = 2 c.v, so an orbit point v restricts
+into the open cone exactly when there is a ray and every c.v < 0.  The
 admissible points are walked up from the orbit's antidominant point
 (``_walk``), without closing the orbit.  A datum's exponents obey one rule:
 each is admissible.  ``strong_regularization`` checks it on the walked int set
@@ -124,54 +125,38 @@ def dual_chamber(rrs: RestrictedRootSystem) -> RestrictedRootSystem:
     return rrs
 
 
-def _ray_products(rrs: RestrictedRootSystem, v: Weight) -> tuple[list[int], int]:
-    """The int covector products x of v's numerators, and v's denominator S:
-    v's pairing with ray j is x[j] / (ray_scales[j] S)."""
-    if v.rank != rrs.root_system.rank:
-        raise RankMismatch("vector rank does not match the root system")
-    return _int_mat_vec(rrs.ray_covectors, v.nums), v.den
-
-
-NEG_INTERIOR = "neg_interior"
-BOUNDARY_OR_OUTSIDE = "boundary_or_outside"
-
-
 @dataclass(frozen=True)
 class ConePosition:
     """Position of a vector relative to the negated cone.
 
     ``margin`` is min over facet rays of -(v, X)/|X|: positive exactly on the
-    interior of the negated cone (when the cone is full-dimensional), zero on
-    its boundary, negative outside.
+    interior of the negated cone, zero on its boundary, negative outside;
+    ``neg_interior`` is whether the margin is positive.
     """
 
-    kind: str
+    neg_interior: bool
     margin: SignedSqrt
-
-    @property
-    def neg_interior(self) -> bool:
-        return self.kind == NEG_INTERIOR
 
 
 def _position(
     chamber: RestrictedRootSystem, products: Sequence[int], scale: int
 ) -> tuple[bool, SignedSqrt]:
     """Whether the vector with these int ray products at scale S is interior
-    (the cone full-dimensional, every product negative), and its margin.
+    (there is a ray and every product is negative), and its margin.
 
-    Ray j's margin is -x/(S sqrt(n)), n = s^2 |X|^2 with s the ray scale.  The
-    least has the sign of -max x (zero without rays) and the largest x^2/n
-    where x > 0, else the smallest; rays compare by x^2 n' against x'^2 n on
-    ints, and one SignedSqrt is built, for the ray chosen.
+    Ray j's margin is -x/(S sqrt(n)), n its ``ray_norms`` entry.  The least
+    has the sign of -max x (zero without rays) and the largest x^2/n where
+    x > 0, else the smallest; rays compare by x^2 n' against x'^2 n on ints,
+    and one SignedSqrt is built, for the ray chosen.
     """
-    interior = chamber.fulldim and all(x < 0 for x in products)
     top = max(products, default=0)
+    interior = top < 0
     if not top:
         return interior, SignedSqrt.zero()
     least = None
-    for x, s, norm in zip(products, chamber.ray_scales, chamber.ray_norms):
+    for x, norm in zip(products, chamber.ray_norms):
         if top < 0 or x > 0:
-            a, b = x * x * norm.denominator, s * s * norm.numerator  # x^2 / n
+            a, b = x * x * norm.denominator, norm.numerator  # x^2 / n
             if least is None or (a * least[1] - least[0] * b) * top > 0:
                 least = a, b
     return interior, SignedSqrt(-1 if top > 0 else 1, Fraction(least[0], least[1] * scale * scale))
@@ -179,9 +164,9 @@ def _position(
 
 def cone_position(chamber: RestrictedRootSystem, v: Weight) -> ConePosition:
     """Locate v relative to -(positive restricted cone), with exact margin."""
-    products, scale = _ray_products(chamber, v)
-    interior, margin = _position(chamber, products, scale)
-    return ConePosition(kind=NEG_INTERIOR if interior else BOUNDARY_OR_OUTSIDE, margin=margin)
+    if v.rank != chamber.root_system.rank:
+        raise RankMismatch("vector rank does not match the root system")
+    return ConePosition(*_position(chamber, _int_mat_vec(chamber.ray_covectors, v.nums), v.den))
 
 
 @dataclass(frozen=True)
@@ -220,8 +205,9 @@ Maxima = tuple[Sequence[int], int]
 def _walk(chamber: RestrictedRootSystem, lam: Weight, cap: int) -> list[tuple[int, ...]]:
     """The points u of lam's orbit times its denominator, in the coordinates
     of theta's chamber transform (the orbit point is v = chamber u), whose
-    restriction lies in the open negative cone: every c' u = c v < 0, for c'
-    the ray's ``chamber_covectors`` row, whose entries are >= 0.
+    restriction lies in the open negative cone: there is a ray and every
+    c' u = c v < 0, for c' the ray's ``chamber_covectors`` row, whose entries
+    are >= 0.
 
     Reflecting u at a node i where q = (A u)_i < 0 raises each product by
     -q c'[i] >= 0, so the products are least at the antidominant point
@@ -232,11 +218,9 @@ def _walk(chamber: RestrictedRootSystem, lam: Weight, cap: int) -> list[tuple[in
     rs = chamber.root_system
     coords = _nums_on(rs, -lam)
     fws = _chase_within_cap(rs, coords, cap)
-    if not chamber.fulldim:
-        return []
     start = tuple(-x for x in coords)
     products = _int_mat_vec(chamber.chamber_covectors, start)
-    if max(products) >= 0:
+    if max(products, default=0) >= 0:
         return []
     columns = tuple(zip(*chamber.chamber_covectors))
     walked, seen = [start], {start}

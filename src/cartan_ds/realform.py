@@ -192,13 +192,13 @@ def validate_involution(rs: RootSystem, theta_matrix) -> CartanInvolution:
     otherwise it is re-chosen deterministically from a regular split vector.
     """
     d, theta = _read_matrix(theta_matrix, rs.rank, "involution matrix")
-    # theta / d is an involution iff theta^2 = d^2 1, and an isometry iff
-    # theta^T F theta = d^2 F; it is integral iff d = 1
-    dd = d * d
-    if _int_mat_mul(theta, theta) != _scaled_rows(rs.identity.matrix, dd):
+    # theta / d is an involution iff theta^2 = d^2 1; then d^2 theta^-1 = theta,
+    # so it is an isometry, theta^T F theta = d^2 F, iff theta^T F = F theta,
+    # that is iff F theta is symmetric; it is integral iff d = 1
+    if _int_mat_mul(theta, theta) != _scaled_rows(rs.identity.matrix, d * d):
         raise NotInvolution("matrix does not square to the identity")
-    lhs = _int_mat_mul(_int_mat_mul(tuple(zip(*theta)), rs.form), theta)
-    if lhs != _scaled_rows(rs.form, dd):
+    form_theta = _int_mat_mul(rs.form, theta)
+    if form_theta != tuple(zip(*form_theta)):
         raise NotIsometric("matrix does not preserve the invariant pairing")
     if d != 1:
         raise NotRootPreserving("matrix does not preserve the root lattice")
@@ -270,17 +270,19 @@ class RestrictedRootSystem:
 
     The facet rays are the basis dual to the simple restricted roots inside
     their span: a vector lies in the positive restricted cone iff it pairs
-    nonnegatively with every ray.  Ray j is stored by its integer covector
-    ``ray_covectors[j]`` = c and scale ``ray_scales[j]`` = s, with
-    (v, ray) = c.v / s, and its squared length ``ray_norms[j]``.
+    nonnegatively with every ray.  That span is the whole split part: the
+    compatible simple roots are a basis, so their restrictions span the image
+    of 1 - theta, the (-1)-eigenspace, and once they pass the independence
+    check there are exactly ``split_rank`` rays, none on a compact form.  Ray
+    j is stored by its integer covector ``ray_covectors[j]`` = c, a positive
+    multiple of the ray's form F X, so (v, X) < 0 exactly when c.v < 0, and
+    by c's squared length ``ray_norms[j]`` = c F^-1 c, with which ray j's
+    margin -(v, X)/|X| is -c.v / sqrt(n).
     ``dominant_covectors[j]`` is c for the dominant point of ray j's orbit:
     the largest c.v over an orbit is its product with the dominant point.
     In u = chamber^-1 v, the coordinates of theta's chamber transform, c.v is
     ``chamber_covectors[j]`` . u (c's products with the compatible simple
     roots, all >= 0) and v - theta(v) is ``chamber_restriction`` u.
-    ``fulldim`` records whether the restricted roots span the whole split
-    part; when they do not, the cone has empty interior there and no vector
-    counts as negative-interior.
     """
 
     root_system: RootSystem
@@ -294,9 +296,7 @@ class RestrictedRootSystem:
     dominant_covectors: IntMat
     chamber_covectors: IntMat
     chamber_restriction: IntMat
-    ray_scales: tuple[int, ...]
     ray_norms: tuple[Fraction, ...]
-    fulldim: bool
 
 
 def _positive_and_simple(inv: CartanInvolution) -> tuple[set, list]:
@@ -344,7 +344,7 @@ def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSys
         raise ConsistencyError("simple restricted roots are not linearly independent")
     adj = [row[r:] for row in rows]
     rays = [_int_mat_vec(tuple(zip(*simple)), [2 * x for x in row]) for row in adj]
-    # (v, ray_j) = c.v / s with c = F ray_j det / g, s = det / g, g their gcd
+    # c = F ray_j det / g, g the gcd, so c F^-1 c = (det / g)^2 (ray_j, ray_j)
     forms = [_int_mat_vec(rs.form, ray) for ray in rays]
     gcds = [math.gcd(det, *f) for f in forms]
     covectors = tuple(tuple(x // g for x in f) for f, g in zip(forms, gcds))
@@ -371,9 +371,7 @@ def restricted_roots(rs: RootSystem, inv: CartanInvolution) -> RestrictedRootSys
         chamber_covectors=chamber_covectors,
         # column i: the doubled restriction of the compatible simple root chamber e_i
         chamber_restriction=tuple(zip(*(doubled[rs.root_index[b]] for b in zip(*chamber)))),
-        ray_scales=tuple(det // g for g in gcds),
-        ray_norms=tuple(Fraction(4 * adj[j][j], det) for j in range(r)),
-        fulldim=inv.split_rank > 0 and r == inv.split_rank,
+        ray_norms=tuple(Fraction(4 * adj[j][j] * det, g * g) for j, g in enumerate(gcds)),
     )
 
 

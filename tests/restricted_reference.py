@@ -9,18 +9,18 @@ Weight-keyed table.
 orbit with ``weyl_orbit`` (and its CapExceeded) and restrict each point on
 ints, v - theta(v); they give the references their shift sets.
 ``reference_chamber`` finds the facet rays from the Fraction inverse of the
-Gram matrix of the simple restricted roots, and ``reference_cone_position``
-locates a vector from its Fraction pairings with those rays; it reads nothing
-of the chamber but its simple restricted roots.  ``reference_margin`` is the
-one Fraction margin rule: one SignedSqrt -p/|X| per facet ray, the least
-kept.
+Gram matrix of the simple restricted roots, and whether they span the split
+part (their number is the split rank, not 0), the cone's interior being
+empty otherwise; ``reference_cone_position`` locates a vector from its
+Fraction pairings with those rays, and reads nothing of the chamber but its
+simple restricted roots.  ``reference_margin`` is the one Fraction margin
+rule: one SignedSqrt -p/|X| per facet ray, the least kept.
 """
 
 import functools
 import operator
 
 from cartan_ds import DEFAULT_CAP, SignedSqrt, Weight, weyl_orbit
-from cartan_ds.exponents import BOUNDARY_OR_OUTSIDE, NEG_INTERIOR
 from cartan_ds.rootdata import _int_mat_vec, _weight
 import linalg_reference
 from weight_reference import pairing, restricted_weights
@@ -60,7 +60,8 @@ def orbit_restrictions(rs, inv, lam, cap=DEFAULT_CAP):
 
 @functools.lru_cache(maxsize=None)
 def reference_chamber(rrs):
-    """Facet rays from the Fraction Gram inverse, and fulldim."""
+    """Facet rays from the Fraction Gram inverse, and whether they span the
+    split part."""
     simple = restricted_weights(rrs).simple_restricted
     r = len(simple)
     rays = []
@@ -81,27 +82,27 @@ def reference_chamber(rrs):
 @functools.lru_cache(maxsize=None)
 def reference_ray_data(rrs):
     """Each facet ray's Fraction pairings with the simple roots, its squared
-    length, and fulldim."""
+    length, and whether the rays span the split part."""
     rs = rrs.root_system
-    rays, fulldim = reference_chamber(rrs)
+    rays, spanning = reference_chamber(rrs)
     covectors = [tuple(pairing(rs, Weight(e), ray) for e in rs.identity.matrix) for ray in rays]
-    return covectors, [pairing(rs, ray, ray) for ray in rays], fulldim
+    return covectors, [pairing(rs, ray, ray) for ray in rays], spanning
 
 
-def reference_margin(pairings, norms, fulldim):
+def reference_margin(pairings, norms, spanning):
     """(interior, margin) from Fraction ray pairings p and squared ray norms n:
-    interior when the chamber is full-dimensional and every p < 0, and the
+    interior when the rays span the split part and every p < 0, and the
     least of the margins -p/sqrt(n)."""
     margins = [
         SignedSqrt(-1 if p > 0 else 1, p * p / n) if p else SignedSqrt.zero()
         for p, n in zip(pairings, norms)
     ]
-    return fulldim and all(p < 0 for p in pairings), min(margins, default=SignedSqrt.zero())
+    return spanning and all(p < 0 for p in pairings), min(margins, default=SignedSqrt.zero())
 
 
 def reference_cone_position(rrs, v):
-    """(kind, margin, ray pairings) from Fraction pairings with the rays."""
-    covectors, norms, fulldim = reference_ray_data(rrs)
+    """(interior, margin, ray pairings) from Fraction pairings with the rays."""
+    covectors, norms, spanning = reference_ray_data(rrs)
     pairings = tuple(sum(map(operator.mul, v.coords, f)) for f in covectors)
-    interior, margin = reference_margin(pairings, norms, fulldim)
-    return (NEG_INTERIOR if interior else BOUNDARY_OR_OUTSIDE), margin, pairings
+    interior, margin = reference_margin(pairings, norms, spanning)
+    return interior, margin, pairings

@@ -78,12 +78,7 @@ from cartan_ds import (
     weyl_order,
     word_element,
 )
-from cartan_ds.exponents import (
-    NEG_INTERIOR,
-    _orbit_maxima,
-    _position,
-    _ray_products,
-)
+from cartan_ds.exponents import _orbit_maxima, _position
 from cartan_ds.rootdata import _int_mat_vec
 from cartan_ds.translation import (
     SearchBest,
@@ -97,8 +92,9 @@ from restricted_reference import (
     orbit_restrictions,
     reference_cone_position,
     reference_margin,
+    reference_ray_data,
 )
-from weight_reference import pairings_of, ray_maxima, restricted_weights
+from weight_reference import pairings_of, ray_maxima, ray_scales, restricted_weights
 
 
 def reference_cone_margin(chamber, exponents, shifts):
@@ -107,10 +103,10 @@ def reference_cone_margin(chamber, exponents, shifts):
     least = None
     for e in exponents:
         for s in shifts:
-            kind, margin, _ = reference_cone_position(chamber, e + s)
+            interior, margin, _ = reference_cone_position(chamber, e + s)
             if least is None or margin < least:
                 least = margin
-            passed = passed and kind == NEG_INTERIOR
+            passed = passed and interior
     return passed, least
 
 
@@ -126,6 +122,13 @@ SPLIT_FORMS = [
 ]
 
 
+def reference_norms(rrs):
+    """The squared ray norms |X|^2 of the Fraction rays, and whether they span
+    the split part: the rule's inputs, read off no stored ray norm."""
+    _, norms, spanning = reference_ray_data(rrs)
+    return norms, spanning
+
+
 def test_position_matches_the_parent_rule_on_the_catalog():
     for entry in build_default_catalog():
         rs, inv, rrs = form(entry.id)
@@ -133,13 +136,13 @@ def test_position_matches_the_parent_rule_on_the_catalog():
         vectors += [-v for v in vectors]
         vectors += [inv.restrict(v) for v in vectors] + [Weight.zero(rs.rank)]
         for v in vectors:
-            products, scale = _ray_products(rrs, v)
+            products, scale = _int_mat_vec(rrs.ray_covectors, v.nums), v.den
             got = _position(rrs, products, scale)
             pairings = pairings_of(rrs, products, scale)
-            want = reference_margin(pairings, rrs.ray_norms, rrs.fulldim)
+            want = reference_margin(pairings, *reference_norms(rrs))
             assert got == want, (entry.id, v)
             pos = cone_position(rrs, v)
-            assert (pos.kind, pos.margin, pairings) == reference_cone_position(rrs, v)
+            assert (pos.neg_interior, pos.margin, pairings) == reference_cone_position(rrs, v)
 
 
 # sl(3,R) and split(B3) have rays of equal norm, where equal products tie;
@@ -156,7 +159,7 @@ def test_position_matches_the_parent_rule_on_drawn_products(form_id, data):
     products = data.draw(st.lists(st.integers(-4, 4), min_size=rays, max_size=rays))
     scale = data.draw(st.sampled_from([1, 2, 3, 12]))
     pairings = pairings_of(rrs, products, scale)
-    want = reference_margin(pairings, rrs.ray_norms, rrs.fulldim)
+    want = reference_margin(pairings, *reference_norms(rrs))
     assert _position(rrs, products, scale) == want
 
 
@@ -178,10 +181,10 @@ def test_position_matches_the_parent_rule_on_drawn_products(form_id, data):
 def test_position_on_the_two_equal_rays_of_sl3(products, interior, margin):
     # both rays of sl(3,R) have |X|^2 = 2/3 and scale 1: margin^2 = 3 x^2 / 2
     rrs = form("sl(3,R)")[2]
-    assert rrs.ray_scales == (1, 1) and rrs.ray_norms == (Fraction(2, 3),) * 2
+    assert ray_scales(rrs) == (1, 1) and rrs.ray_norms == (Fraction(2, 3),) * 2
     assert _position(rrs, products, 1) == (interior, margin)
     pairings = pairings_of(rrs, products, 1)
-    assert reference_margin(pairings, rrs.ray_norms, rrs.fulldim) == (interior, margin)
+    assert reference_margin(pairings, *reference_norms(rrs)) == (interior, margin)
 
 
 def reference_orbit_maxima(rs, inv, chamber, lam, cap=DEFAULT_CAP):
@@ -425,7 +428,7 @@ def test_a_sum_on_a_wall_is_not_interior():
 
 def test_a_compact_cartan_has_no_interior():
     rs, _, rrs = form("compact(A2)")
-    assert not rrs.fulldim and not rrs.ray_norms
+    assert not rrs.ray_covectors and not rrs.ray_norms
     assert ray_maxima(rrs, [-rs.rho]) == ([], 1)
     assert cone_margin(rrs, [-rs.rho], [Weight.zero(rs.rank)]) == (False, SignedSqrt.zero())
 

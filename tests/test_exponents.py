@@ -27,7 +27,6 @@ from cartan_ds import (
     sorted_exponents,
     weyl_orbit,
 )
-from cartan_ds.exponents import BOUNDARY_OR_OUTSIDE, NEG_INTERIOR
 from forms import PM_W_TYPES, form, pm_w_involutions
 from weight_reference import ray_pairings, restricted_weights
 
@@ -142,13 +141,13 @@ def test_signed_sqrt_scale_is_linear(t, num):
 def test_rank_one_chamber_and_margin():
     rs, inv, rrs = form("su(2,1)")
     ch = dual_chamber(rrs)
-    assert ch.fulldim
+    assert len(ch.ray_covectors) == inv.split_rank == 1
     assert [r.coords for r in restricted_weights(ch).facet_rays] == [(F(1), F(1))]
     pos = cone_position(ch, -rs.rho)
-    assert pos.kind == NEG_INTERIOR
+    assert pos.neg_interior
     assert pos.margin == SignedSqrt(1, F(2))
     assert ray_pairings(ch, -rs.rho) == (F(-2),)
-    assert cone_position(ch, rs.rho).kind == BOUNDARY_OR_OUTSIDE
+    assert not cone_position(ch, rs.rho).neg_interior
 
 
 def test_split_rank_two_margins():
@@ -159,24 +158,24 @@ def test_split_rank_two_margins():
         (F(2, 3), F(1, 3)),
     }
     assert cone_position(ch, -rs.rho).margin == SignedSqrt(1, F(3, 2))
-    assert cone_position(ch, -rs.rho).kind == NEG_INTERIOR
+    assert cone_position(ch, -rs.rho).neg_interior
     # a negated simple root sits on a wall of the cone
     wall = cone_position(ch, Weight.of([-1, 0]))
-    assert wall.kind == BOUNDARY_OR_OUTSIDE and wall.margin == SignedSqrt.zero()
+    assert not wall.neg_interior and wall.margin == SignedSqrt.zero()
     # the dominant weight itself is strictly outside: negative margin
     outside = cone_position(ch, rs.rho)
-    assert outside.kind == BOUNDARY_OR_OUTSIDE
+    assert not outside.neg_interior
     assert outside.margin == SignedSqrt(1, F(3, 2)).scale(F(-1))
 
 
 def test_compact_form_has_degenerate_chamber():
     rs, inv, rrs = form("compact(A2)")
     ch = dual_chamber(rrs)
-    assert not ch.fulldim
+    assert inv.split_rank == 0 and ch.ray_covectors == ()
     views = restricted_weights(ch)
     assert views.facet_rays == () and views.positive_restricted == frozenset()
     pos = cone_position(ch, Weight.zero(2))
-    assert pos.kind == BOUNDARY_OR_OUTSIDE and pos.margin == SignedSqrt.zero()
+    assert not pos.neg_interior and pos.margin == SignedSqrt.zero()
 
 
 @settings(deadline=None, derandomize=True)

@@ -2,13 +2,19 @@
 
 ``restricted_roots`` finds everything on the doubled int restrictions, keeps
 the vanishing roots as root indices, and reads each facet ray's integer
-covector, scale and squared norm from the int adjugate of the Gram matrix;
+covector and its squared length from the int adjugate of the Gram matrix;
 the reference below is the Weight-sum construction it replaced, and the
 Fraction dual chamber and cone position are those of
-``tests/restricted_reference.py``.  In the coordinates of theta's chamber
-transform, each covector entry must be the ray's Fraction pairing with a
-compatible simple root, never negative, and the doubled restriction's
-columns those roots' v - theta(v).
+``tests/restricted_reference.py``.  Each ray's scale, its covector over its
+form, is read off the simple restricted roots (``weight_reference``), not
+stored.  In the coordinates of theta's chamber transform, each covector
+entry must be the ray's Fraction pairing with a compatible simple root, never
+negative, and the doubled restriction's columns those roots' v - theta(v).
+
+The restricted roots span the split part: on every involution the tests
+build (the catalog, the +-w of ``PM_W_TYPES`` and the involutive
+automorphisms of ``AUTOMORPHISM_TYPES``) there are ``split_rank`` rays, and
+each stored squared length is c F^-1 c from the Fraction inverse of F.
 """
 
 import math
@@ -26,10 +32,10 @@ from cartan_ds import (
     word_element,
 )
 from cartan_ds.rootdata import closure
-from forms import PM_W_TYPES, form, pm_w_involutions
+from forms import PM_W_TYPES, form, involutive_automorphisms, pm_w_involutions
 import linalg_reference
 from restricted_reference import reference_chamber, reference_cone_position
-from weight_reference import pairing, ray_pairings, restricted_weights
+from weight_reference import pairing, ray_pairings, ray_scales, restricted_weights
 from weyl_reference import reference_reflection
 
 HALF = Fraction(1, 2)
@@ -81,23 +87,24 @@ def assert_matches_reference(rs, inv, name):
     for field, want in reference_restricted(rs, inv).items():
         got = getattr(views, field) if hasattr(views, field) else getattr(rrs, field)
         assert got == want, (name, field)
-    rays, fulldim = reference_chamber(rrs)
+    rays, spanning = reference_chamber(rrs)
     assert views.facet_rays == rays, name
-    assert rrs.fulldim == fulldim, name
+    assert spanning == bool(rrs.ray_covectors), name
     # the compatible simple roots, and the doubled restriction of each
     simple_roots = [Weight(e) for e in rs.identity.matrix]
     compatible = [apply(inv.chamber, e) for e in simple_roots]
     doubled = [(b - inv.act(b)).nums for b in compatible]
     assert tuple(zip(*rrs.chamber_restriction)) == tuple(doubled), name
-    ray_data = zip(rays, rrs.ray_covectors, rrs.chamber_covectors, rrs.ray_scales, rrs.ray_norms)
+    ray_data = zip(rays, rrs.ray_covectors, rrs.chamber_covectors, ray_scales(rrs), rrs.ray_norms)
     for ray, covector, chamber_covector, scale, norm in ray_data:
-        assert norm == pairing(rs, ray, ray), name
+        assert norm == scale * scale * pairing(rs, ray, ray), name
         for i, e in enumerate(simple_roots):
             assert Fraction(covector[i], scale) == pairing(rs, e, ray), name
         for x, b in zip(chamber_covector, compatible):
             assert x >= 0 and Fraction(x, scale) == pairing(rs, b, ray), name
         # scaled by the lcm of the denominators of form . ray, no further
-        assert scale > 0 and math.gcd(scale, *covector) == 1, name
+        assert scale.denominator == 1 and scale > 0, name
+        assert math.gcd(scale.numerator, *covector) == 1, name
     return rrs
 
 
@@ -121,6 +128,26 @@ def test_restricted_roots_match_reference_on_pm_weyl_involutions():
     assert checked >= 250
 
 
+AUTOMORPHISM_TYPES = ("A4", "B4", "C4", "D4", "A2xA1", "G2", "A5")
+
+
+def test_the_rays_span_the_split_part_and_their_norms_are_c_inverse_form_c():
+    involutions = [form(entry.id)[:2] for entry in build_default_catalog()]
+    involutions += [pair for t in PM_W_TYPES for pair in pm_w_involutions(t)]
+    involutions += [pair for t in AUTOMORPHISM_TYPES for pair in involutive_automorphisms(t)]
+    compact = 0
+    for rs, inv in involutions:
+        rrs = restricted_roots(rs, inv)
+        assert len(rrs.ray_covectors) == len(rrs.ray_norms) == inv.split_rank, inv.theta
+        compact += inv.split_rank == 0
+        form_inverse = linalg_reference.inverse(rs.form)
+        for c, norm in zip(rrs.ray_covectors, rrs.ray_norms):
+            c_over_form = linalg_reference.mat_vec(form_inverse, c)
+            assert norm == sum(x * y for x, y in zip(c, c_over_form)), inv.theta
+    # a compact form has no rays, and all 828 involutions were checked
+    assert compact > 0 and len(involutions) == 828
+
+
 def _reflection_group(rs, roots):
     gens = [word_element(rs, reference_reflection(rs, b)[1]) for b in roots]
     return set(closure((rs.identity,), lambda w: (word_element(rs, w.word + g.word) for g in gens)))
@@ -138,7 +165,9 @@ def test_cone_position_matches_fraction_reference(form_id, data):
     lam = Weight(tuple(data.draw(coefficient) for _ in range(rs.rank)))
     for v in (lam, inv.restrict(lam)):
         pos = cone_position(rrs, v)
-        assert (pos.kind, pos.margin, ray_pairings(rrs, v)) == reference_cone_position(rrs, v)
+        assert (pos.neg_interior, pos.margin, ray_pairings(rrs, v)) == reference_cone_position(
+            rrs, v
+        )
 
 
 @settings(deadline=None, derandomize=True, max_examples=200)

@@ -9,9 +9,11 @@ work on Fraction coordinates.
 ``restricted_weights`` maps a restricted root system's int data to the
 weights that tests compare: each doubled restricted root d is the weight
 d / 2, a vanishing index names the root itself, and the facet ray with int
-covector c and scale s is F^-1 c / s, F the invariant form.  ``ray_pairings``
-gives a vector's Fraction pairings with those rays, c.v / s, from the int
-products the library takes (``exponents._ray_products``); ``pairings_of``
+covector c is F^-1 c / s, F the invariant form.  The scale s is read off the
+simple restricted roots, not the library: ray j is dual to the simple
+restricted root d_j / 2, so s_j = c_j.d_j / 2 (``ray_scales``).
+``ray_pairings`` gives a vector's Fraction pairings with those rays, c.v / s,
+from the int products of its numerators with the covectors; ``pairings_of``
 gives them for any int products at a scale.  ``ray_maxima`` puts a set of
 weights on the search's int kernel, ``translation._ray_maxima``: their
 numerators at one scale, the lcm of their denominators.
@@ -27,9 +29,9 @@ from types import SimpleNamespace
 import linalg_reference
 
 from cartan_ds import Weight
-from cartan_ds.exponents import _ray_products
 from cartan_ds.linalg import frac
 from cartan_ds.realform import _indivisible
+from cartan_ds.rootdata import _int_mat_vec
 from cartan_ds.translation import _ray_maxima
 
 HALF = Fraction(1, 2)
@@ -104,20 +106,29 @@ def restricted_weights(rrs) -> SimpleNamespace:
         indivisible=frozenset(half[d] for d in mult if _indivisible(d, mult)),
         simple_restricted=tuple(half[d] for d in rrs.doubled_simple),
         facet_rays=tuple(
-            Weight(linalg_reference.mat_vec(form_inverse, c)).scale(Fraction(1, s))
-            for c, s in zip(rrs.ray_covectors, rrs.ray_scales)
+            Weight(linalg_reference.mat_vec(form_inverse, c)).scale(1 / s)
+            for c, s in zip(rrs.ray_covectors, ray_scales(rrs))
         ),
+    )
+
+
+def ray_scales(rrs) -> tuple[Fraction, ...]:
+    """Each ray's scale s_j = c_j.d_j / 2, d_j the doubled simple restricted
+    root the ray is dual to: (X_j, d_j / 2) = 1 and (v, X_j) = c_j.v / s_j."""
+    return tuple(
+        Fraction(sum(x * y for x, y in zip(c, d)), 2)
+        for c, d in zip(rrs.ray_covectors, rrs.doubled_simple)
     )
 
 
 def pairings_of(rrs, products, scale) -> tuple[Fraction, ...]:
     """The Fraction ray pairings x_j / (s_j S) of int products at scale S."""
-    return tuple(Fraction(x, s * scale) for x, s in zip(products, rrs.ray_scales))
+    return tuple(x / (s * scale) for x, s in zip(products, ray_scales(rrs)))
 
 
 def ray_pairings(rrs, v: Weight) -> tuple[Fraction, ...]:
     """v's pairing with each facet ray, c.v / s."""
-    return pairings_of(rrs, *_ray_products(rrs, v))
+    return pairings_of(rrs, _int_mat_vec(rrs.ray_covectors, v.nums), v.den)
 
 
 def ray_maxima(rrs, vectors):
