@@ -66,6 +66,8 @@ RESTRICTED_TYPE_TESTS = ("tests/test_restricted_type_reference.py",)
 ELIMINATION_TESTS = ("tests/test_elimination_reference.py",)
 REQUEST_KERNEL_TESTS = ("tests/test_request_kernels_reference.py",)
 RESTRICTED_TESTS = ("tests/test_restricted_reference.py",)
+BOUNDED_WALK_TESTS = ("tests/test_bounded_walk_reference.py",)
+SIGNED_SQRT_TESTS = ("tests/test_signed_sqrt_reference.py", "tests/test_exponents.py")
 
 NO_DIRECTION = (
     "    if not doubled:\n"
@@ -74,8 +76,7 @@ NO_DIRECTION = (
     "        )\n"
 )
 EXPONENT_CHECK = (
-    "    keys = [_key(admissible, e) for e in datum.exponents]\n"
-    "    if None in keys:\n"
+    "    if not all(d in doubled for d in keys):\n"
     "        raise InvalidDatum(\"exponent is not an admissible restriction"
     " of the weight's orbit\")\n"
 )
@@ -83,8 +84,18 @@ WALK_COVECTORS = (
     "    products = _int_mat_vec(chamber.chamber_covectors, start)\n"
     "    if max(products, default=0) >= 0:\n"
     "        return []\n"
-    "    columns = tuple(zip(*chamber.chamber_covectors))\n"
+    "    ceiling = [-1] * len(products) if bound is None else [min(b // 2, -1) for b in bound]\n"
+    "    covector_columns = tuple(zip(*chamber.chamber_covectors))\n"
 )
+WALK_RESTRICTION = (
+    "    restriction_columns = tuple(zip(*chamber.chamber_restriction))\n"
+    "    first = start, tuple(_int_mat_vec(chamber.chamber_restriction, start)), products\n"
+)
+WALK_STEP = "            if any(map(operator.gt, raised, ceiling)) or v in seen:\n"
+SIGNED_ORDER = (
+    "return (s, s * a.numerator * b.denominator) < (other.sign, s * b.numerator * a.denominator)"
+)
+CEILING = "    ceiling = [-1] * len(products) if bound is None else [min(b // 2, -1) for b in bound]\n"
 WALL_ORDER = (
     "        size = rs.weyl_order // _wall_group_order(rs, [i for i, f in enumerate(fws)"
     " if not f])\n"
@@ -246,8 +257,15 @@ MUTATIONS = (
     Mutation(
         "the doubled table shifted by one index against the root table",
         REALFORM,
-        "for a in rs.roots)\n",
-        "for a in rs.roots[1:] + rs.roots[:1])\n",
+        "for a in rs.roots[: len(rs.roots) // 2]]\n",
+        "for a in rs.roots[1 : len(rs.roots) // 2 + 1]]\n",
+        POSITIVE_SYSTEM_TESTS,
+    ),
+    Mutation(
+        "the negative roots' doubled restrictions not negated",
+        REALFORM,
+        "    doubled = (*half, *(tuple(-x for x in d) for d in half))\n",
+        "    doubled = (*half, *half)\n",
         POSITIVE_SYSTEM_TESTS,
     ),
     Mutation(
@@ -535,29 +553,30 @@ MUTATIONS = (
     Mutation(
         "the walked points restricted as v - theta(v) in default coordinates",
         EXPONENTS,
-        "    restriction = chamber.chamber_restriction\n",
+        WALK_RESTRICTION,
         "    restriction = [[int(i == j) - t for j, t in enumerate(row)]"
-        " for i, row in enumerate(inv.theta)]\n",
+        " for i, row in enumerate(chamber.involution.theta)]\n"
+        + WALK_RESTRICTION.replace("chamber.chamber_restriction", "restriction"),
         ORBIT_TESTS,
     ),
     Mutation(
         "the walk without its seen-set",
         EXPONENTS,
-        "            if max(raised) >= 0 or v in seen:\n",
-        "            if max(raised) >= 0:\n",
+        WALK_STEP,
+        WALK_STEP.replace(" or v in seen", ""),
         ORBIT_TESTS,
     ),
     Mutation(
         "<= 0 in place of < 0 as the walk's cone test",
         EXPONENTS,
-        "            if max(raised) >= 0 or v in seen:\n",
-        "            if max(raised) > 0 or v in seen:\n",
+        CEILING,
+        CEILING.replace("[-1] * len(products)", "[0] * len(products)"),
         ORBIT_TESTS,
     ),
     Mutation(
         "the search's exponent check dropped",
         TRANSLATION,
-        "    if None in keys:\n",
+        "    if not all(d in doubled for d in keys):\n",
         "    if False:\n",
         ORBIT_TESTS,
     ),
@@ -625,8 +644,8 @@ MUTATIONS = (
     Mutation(
         "given exponents not checked under the worst-case flag",
         TRANSLATION,
-        "    if None in keys:\n",
-        "    if None in keys and not cfg.worst_case_exponents:\n",
+        "    if not all(d in doubled for d in keys):\n",
+        "    if not all(d in doubled for d in keys) and not cfg.worst_case_exponents:\n",
         WORST_CASE_TESTS,
     ),
     Mutation(
@@ -635,6 +654,78 @@ MUTATIONS = (
         WORST_CASE_KEYS,
         WORST_CASE_KEYS.replace("sorted(", "list("),
         WORST_CASE_TESTS,
+    ),
+    Mutation(
+        "the worst case's exponent maxima taken as the walked products, not twice them",
+        TRANSLATION,
+        "        top = [2 * p for p in map(max, zip(*doubled.values()))]\n",
+        "        top = [p for p in map(max, zip(*doubled.values()))]\n",
+        WORST_CASE_TESTS,
+    ),
+    # the walk bounded by the datum's exponents
+    Mutation(
+        "the bound's > as >=: a point on a ray's bound is not walked",
+        EXPONENTS,
+        WALK_STEP,
+        WALK_STEP.replace("operator.gt", "operator.ge"),
+        BOUNDED_WALK_TESTS,
+    ),
+    Mutation(
+        "the bound dropped: the default datum's walk is the whole walk",
+        EXPONENTS,
+        CEILING,
+        "    ceiling = [-1] * len(products)\n",
+        BOUNDED_WALK_TESTS,
+    ),
+    Mutation(
+        "the bound without the cone test: a restriction outside the open cone is walked",
+        EXPONENTS,
+        CEILING,
+        CEILING.replace("min(b // 2, -1)", "b // 2"),
+        BOUNDED_WALK_TESTS,
+    ),
+    Mutation(
+        "the walked restriction moved by +q, not -q, times its column",
+        EXPONENTS,
+        "zip(d, restriction_columns[i])",
+        "zip(d, [-c for c in restriction_columns[i]])",
+        BOUNDED_WALK_TESTS,
+    ),
+    # SignedSqrt on ints
+    Mutation(
+        "<= in place of < in the SignedSqrt cross product",
+        EXPONENTS,
+        SIGNED_ORDER,
+        SIGNED_ORDER.replace(") < (", ") <= ("),
+        SIGNED_SQRT_TESTS,
+    ),
+    Mutation(
+        "the SignedSqrt cross product not multiplied by the sign",
+        EXPONENTS,
+        SIGNED_ORDER,
+        SIGNED_ORDER.replace("s * a.", "a.").replace("s * b.", "b."),
+        SIGNED_SQRT_TESTS,
+    ),
+    Mutation(
+        "the SignedSqrt signs not compared first",
+        EXPONENTS,
+        SIGNED_ORDER,
+        SIGNED_ORDER.replace("(s, ", "(0, ").replace("(other.sign, ", "(0, "),
+        SIGNED_SQRT_TESTS,
+    ),
+    Mutation(
+        "<= 0 in place of < 0 in the SignedSqrt validation",
+        EXPONENTS,
+        "        if square.numerator < 0:\n",
+        "        if square.numerator <= 0:\n",
+        SIGNED_SQRT_TESTS,
+    ),
+    Mutation(
+        "a bool sign accepted as an int",
+        EXPONENTS,
+        "if type(sign) is not int or ",
+        "if not isinstance(sign, int) or ",
+        SIGNED_SQRT_TESTS,
     ),
     # the extended stabilizer: the twisted word and theta(lam) only matter
     # where theta has no witness (sl(3,R), split(E6) among the catalog forms)

@@ -17,9 +17,11 @@ is found by sign and then by p^2 n' against p'^2 n, with one ``SignedSqrt``
 A ray covector c has c.(v - theta v) = 2 c.v, so an orbit point v restricts
 into the open cone exactly when there is a ray and every c.v < 0.  The
 admissible points are walked up from the orbit's antidominant point
-(``_walk``), without closing the orbit.  A datum's exponents obey one rule:
-each is admissible.  ``strong_regularization`` checks it on the walked int set
-(``_key``), and ``translate_line`` on ``admissible_exponents``: W acts
+(``_walk``), without closing the orbit; the products rise along the walk,
+so a walk bounded by a datum's exponents still reaches each of them that is
+admissible.  A datum's exponents obey one rule: each is admissible.
+``strong_regularization`` checks it on the walked int set (``_key``), and
+``translate_line`` on ``admissible_exponents``: W acts
 linearly and the open cone is closed under positive scaling, so the
 admissible set of f lam, f a positive int, is f times lam's, and one walk
 serves the whole line.  A ray's largest pairing over an orbit's
@@ -31,6 +33,7 @@ and Representation Theory*, 13.2), one chase and one product per ray.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -74,20 +77,26 @@ def _require_same_chamber(
 class SignedSqrt:
     """Exact value sign * sqrt(square) with rational square.
 
-    Total order: by sign * square, which is m |m| for the value m, and
-    m -> m |m| is strictly increasing.  Scaling by a rational multiplies the
-    square by the square of the scalar, so linear margin laws hold exactly.
+    ``sign`` is an int, not a bool, and ``square`` an int or a Fraction
+    (TypeError otherwise).  Total order: by sign * square, which is m |m| for
+    the value m, and m -> m |m| is strictly increasing.  It is decided on
+    ints: by sign, then, for equal signs s, by s a b' against s a' b for the
+    squares a/b and a'/b' in lowest terms.  Scaling by a rational multiplies
+    the square by the square of the scalar, so linear margin laws hold exactly.
     """
 
     sign: int
     square: Fraction
 
     def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
+        sign, square = self.sign, self.square
+        if type(sign) is not int or type(square) is bool or not isinstance(square, (Fraction, int)):
+            raise TypeError(f"sign and square are an int and a rational, not {sign!r}, {square!r}")
+        if sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or 1")
-        if self.square < 0:
+        if square.numerator < 0:
             raise ValueError("square must be nonnegative")
-        if (self.sign == 0) != (self.square == 0):
+        if (sign == 0) != (square.numerator == 0):
             raise ValueError("sign is zero exactly when the square is zero")
 
     @classmethod
@@ -104,7 +113,8 @@ class SignedSqrt:
     def __lt__(self, other: "SignedSqrt") -> bool:
         if not isinstance(other, SignedSqrt):
             return NotImplemented
-        return self.sign * self.square < other.sign * other.square
+        s, a, b = self.sign, self.square, other.square
+        return (s, s * a.numerator * b.denominator) < (other.sign, s * b.numerator * a.denominator)
 
     def __float__(self) -> float:
         return self.sign * math.sqrt(float(self.square))
@@ -198,22 +208,31 @@ def sorted_exponents(
     return tuple(sorted(items, key=lambda w: [x * (den // w.den) for x in w.nums]))
 
 
-Admissible = tuple[int, dict[tuple[int, ...], None]]
+Admissible = tuple[int, dict[tuple[int, ...], list[int]]]
 Maxima = tuple[Sequence[int], int]
+Walked = tuple[tuple[int, ...], tuple[int, ...], list[int]]
 
 
-def _walk(chamber: RestrictedRootSystem, lam: Weight, cap: int) -> list[tuple[int, ...]]:
+def _walk(chamber: RestrictedRootSystem, lam: Weight, cap: int, bound=None) -> list[Walked]:
     """The points u of lam's orbit times its denominator, in the coordinates
     of theta's chamber transform (the orbit point is v = chamber u), whose
-    restriction lies in the open negative cone: there is a ray and every
-    c' u = c v < 0, for c' the ray's ``chamber_covectors`` row, whose entries
-    are >= 0.
+    restriction lies in the open negative cone, each with its doubled
+    restriction d = v - theta(v) = ``chamber_restriction`` u and its ray
+    products p = c' u = c v: there is a ray and every p < 0, for c' the ray's
+    ``chamber_covectors`` row, whose entries are >= 0.  The ray covector c is
+    a positive multiple of F X with theta X = -X, so c d = 2 p.
 
     Reflecting u at a node i where q = (A u)_i < 0 raises each product by
-    -q c'[i] >= 0, so the products are least at the antidominant point
-    -dom(-lam), and every admissible point is reached from it by such steps
-    through admissible points: its chase down, reversed (Humphreys, 10.3 and
-    13.2).  An orbit past ``cap`` is refused from one chase first.
+    -q c'[i] >= 0 and moves d by -q times column i of ``chamber_restriction``,
+    so the products are least at the antidominant point -dom(-lam), and every
+    admissible point is reached from it by such steps through admissible
+    points: its chase down, reversed (Humphreys, 10.3 and 13.2).  A ``bound``,
+    a sequence of per-ray maxima of c d, stops every step that would raise
+    some 2 p above its ray's entry, but the start is always kept.  Since the
+    products rise along every path, the points under the bound are still all
+    reached, through points under it: with a datum's exponents' maxima as the
+    bound, each exponent that is admissible is walked.  An orbit past ``cap``
+    is refused from one chase first.
     """
     rs = chamber.root_system
     coords = _nums_on(rs, -lam)
@@ -222,47 +241,49 @@ def _walk(chamber: RestrictedRootSystem, lam: Weight, cap: int) -> list[tuple[in
     products = _int_mat_vec(chamber.chamber_covectors, start)
     if max(products, default=0) >= 0:
         return []
-    columns = tuple(zip(*chamber.chamber_covectors))
-    walked, seen = [start], {start}
-    stack = [(start, [-f for f in fws], products)]
+    ceiling = [-1] * len(products) if bound is None else [min(b // 2, -1) for b in bound]
+    covector_columns = tuple(zip(*chamber.chamber_covectors))
+    restriction_columns = tuple(zip(*chamber.chamber_restriction))
+    first = start, tuple(_int_mat_vec(chamber.chamber_restriction, start)), products
+    walked, seen = [first], {start}
+    stack = [(first, [-f for f in fws])]
     while stack:
-        u, pairings, products = stack.pop()
+        (u, d, products), pairings = stack.pop()
         for i, q in enumerate(pairings):
             if q >= 0:
                 continue
-            raised = [x - q * c for x, c in zip(products, columns[i])]
+            raised = [x - q * c for x, c in zip(products, covector_columns[i])]
             v = u[:i] + (u[i] - q,) + u[i + 1 :]
-            if max(raised) >= 0 or v in seen:
+            if any(map(operator.gt, raised, ceiling)) or v in seen:
                 continue
             seen.add(v)
-            walked.append(v)
+            point = v, tuple([x - q * c for x, c in zip(d, restriction_columns[i])]), raised
+            walked.append(point)
             # s_i subtracts q alpha_i, so pairing j drops by A[j][i] q
             moved = list(pairings)
             for j, a_ji in rs._neighbours[i]:
                 moved[j] -= a_ji * q
-            stack.append((v, moved, raised))
+            stack.append((point, moved))
     return walked
 
 
 def _admissible(
-    rs: RootSystem, inv: CartanInvolution, chamber: RestrictedRootSystem, lam: Weight, cap: int
+    rs: RootSystem, inv: CartanInvolution, chamber: RestrictedRootSystem, lam: Weight, cap: int,
+    bound: Sequence[int] | None = None,
 ) -> Admissible:
     """2s for lam's denominator s, and the distinct doubled restrictions d of
     s times lam's orbit in the open negative cone, as dict keys in the order
-    walked (``_walk``): lam's admissible exponents are d / 2s."""
+    walked (``_walk``, under its ``bound``), each mapped to its ray products
+    c d / 2: lam's admissible exponents are d / 2s."""
     _require_same_chamber(rs, inv, chamber)
-    restriction = chamber.chamber_restriction
-    return 2 * lam.den, dict.fromkeys(
-        tuple(_int_mat_vec(restriction, u)) for u in _walk(chamber, lam, cap)
-    )
+    return 2 * lam.den, {d: p for _, d, p in _walk(chamber, lam, cap, bound)}
 
 
-def _key(admissible: Admissible, e: Weight) -> tuple[int, ...] | None:
-    """e times the scale, the int tuple d with e = d / scale, if d is a walked key; else None."""
-    scale, doubled = admissible
+def _key(scale: int, e: Weight) -> tuple[int, ...] | None:
+    """e times the scale, the int tuple d with e = d / scale, or None when
+    that is not integral."""
     q, r = divmod(scale, e.den)
-    d = tuple(x * q for x in e.nums)
-    return d if not r and d in doubled else None
+    return None if r else tuple(x * q for x in e.nums)
 
 
 def _orbit_maxima(chamber: RestrictedRootSystem, coords: list[int], cap: int) -> list[int]:
@@ -314,4 +335,5 @@ def orbit_plus(
         chamber = restricted_roots(rs, inv)
     _require_same_chamber(rs, inv, chamber)
     transform = inv.chamber.matrix
-    return frozenset(_weight(_int_mat_vec(transform, u), lam.den) for u in _walk(chamber, lam, cap))
+    points = (u for u, _, _ in _walk(chamber, lam, cap))
+    return frozenset(_weight(_int_mat_vec(transform, u), lam.den) for u in points)

@@ -206,7 +206,9 @@ def validate_involution(rs: RootSystem, theta_matrix) -> CartanInvolution:
     if not all(col in rs.root_index for col in zip(*theta)):
         raise NotRootPreserving("matrix does not permute the roots")
     one_minus = tuple(tuple(map(operator.sub, e, row)) for e, row in zip(rs.identity.matrix, theta))
-    doubled = tuple(tuple(_int_mat_vec(one_minus, a)) for a in rs.roots)
+    # the root table lists the negatives after the positives, in the same order
+    half = [tuple(_int_mat_vec(one_minus, a)) for a in rs.roots[: len(rs.roots) // 2]]
+    doubled = (*half, *(tuple(-x for x in d) for d in half))
 
     split_basis = _eigenbasis(theta, -1)
     positive, chamber, default_ok = _compatible_positive_system(rs, theta, doubled, split_basis)

@@ -11,12 +11,15 @@ The search decides on ints.  The exponent-cone condition reads only the
 largest exponent pairing and the largest shift pairing on each facet ray
 (``_cone_margin``), as int products at one scale: the exponent maxima are
 taken once and scaled by each line factor, the shift maxima once per
-candidate shift from one chase (``exponents._orbit_maxima``).  The base B is
-one int chase of the weight and the F_i are the root system's int table of
-fundamental weights.  Each candidate (kN + 1) B + sum c_i F_i is an int tuple
-in the default chamber, tested for strong regularity by int chamber chases
-(``_strongly_regular``, the verdict of ``extended_stabilizer``, which is
-W-invariant); theta's compatible chamber is applied to the one returned.
+candidate shift from one chase (``exponents._orbit_maxima``).  The datum's
+exponent maxima are taken before the walk, which stops above them
+(``exponents._walk``); the worst case's are read off the walked products.
+The base B is one int chase of the weight and the F_i are the root system's
+int table of fundamental weights.  Each candidate (kN + 1) B + sum c_i F_i is
+an int tuple in the default chamber, tested for strong regularity by int
+chamber chases (``_strongly_regular``, the verdict of
+``extended_stabilizer``, which is W-invariant); theta's compatible chamber is
+applied to the one returned.
 Weights are built for the result, the exhaustion report and the
 certificates, which are re-derived from scratch.
 """
@@ -347,15 +350,20 @@ def strong_regularization(
     admissible exponent, else InvalidDatum for a given exponent, in either
     mode, that is not admissible, else InvalidDatum for none to certify.
     """
-    exponent_scale, doubled = admissible = _admissible(rs, inv, rrs, datum.weight, cfg.cap)
+    exponent_scale = 2 * datum.weight.den
+    keys = [_key(exponent_scale, e) for e in datum.exponents]
+    # in default mode the exponents' ray maxima, if any, are taken once and bound the walk
+    top = None if cfg.worst_case_exponents or None in keys else _ray_maxima(rrs, keys) or None
+    _, doubled = _admissible(rs, inv, rrs, datum.weight, cfg.cap, top)
     if not doubled:
         raise NoAdmissibleDirection(
             "no orbit element restricts into the negative cone interior"
         )
-    keys = [_key(admissible, e) for e in datum.exponents]
-    if None in keys:
+    if not all(d in doubled for d in keys):
         raise InvalidDatum("exponent is not an admissible restriction of the weight's orbit")
     keys = sorted(doubled if cfg.worst_case_exponents else keys)
+    if cfg.worst_case_exponents:
+        top = [2 * p for p in map(max, zip(*doubled.values()))]
     if not keys:
         raise InvalidDatum("datum has no exponents to certify")
     n = cfg.integrality
@@ -371,7 +379,7 @@ def strong_regularization(
     units = [[x * (common // d) for x in row] for row in rs.fw_numerators]
     # the shift maxima do not depend on k, and _cone_margin scales the
     # exponent maxima by each line factor
-    top_exponent = _ray_maxima(rrs, keys), exponent_scale
+    top_exponent = top, exponent_scale
     # the best candidate so far, (strongly_regular, margin, coeffs, k), ranked
     # by its first two entries; the first of equal ones is kept
     best = None

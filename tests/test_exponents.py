@@ -56,6 +56,21 @@ def test_signed_sqrt_invariants():
         SignedSqrt(1, F(-1))
 
 
+def test_signed_sqrt_refuses_a_bool_sign():
+    with pytest.raises(TypeError):
+        SignedSqrt(True, F(1))
+
+
+def test_signed_sqrt_refuses_a_float_square():
+    with pytest.raises(TypeError):
+        SignedSqrt(1, 0.5)
+
+
+def test_signed_sqrt_refuses_a_string_square():
+    with pytest.raises(TypeError):
+        SignedSqrt(1, "3")
+
+
 def test_signed_sqrt_equality_and_normalisation():
     # 2 / sqrt(2) equals sqrt(2)
     assert ratio(F(2), F(2)) == SignedSqrt(1, F(2))

@@ -180,7 +180,7 @@ def assert_walk_matches_reference(rs, inv, rrs, lam):
     """The walk visits each admissible orbit point once, the reference's
     ``orbit_plus``, and the search refuses lam when there is none."""
     want = reference_results(rs, inv, rrs, lam, CAP)
-    walked = _walk(rrs, lam, CAP)
+    walked = [u for u, _, _ in _walk(rrs, lam, CAP)]
     assert len(set(walked)) == len(walked), lam
     points = {apply(inv.chamber, Weight(Fraction(x, lam.den) for x in u)) for u in walked}
     assert points == want["orbit_plus"], lam

@@ -153,6 +153,25 @@ def test_fundamental_weights_are_dual_to_coroots():
 
 
 CATALOG_TYPES = sorted({e.cartan_type for e in build_default_catalog()})
+# the catalog's types and every other valid type that a test module names
+TESTED_TYPES = sorted(
+    set(CATALOG_TYPES)
+    | set(
+        "A1 A1xA1 A1xA1xA1xA1 A1xA2 A1xB3 A1xG2 A2 A2xA1 A2xB2 A2xB3xG2 A2xG2 A3 A4"
+        " A5 A6 A7 A8 B1 B2 B2xA1 B2xB2 B3 B3xC2xA1 B4 B5 B6 B8 C1 C2 C3 C4 C5 C6"
+        " D2 D3 D4 D4xE6 D5 D6 D7 D8 E6 E6xA1 E7 E8 F4 G2".split()
+    )
+)
+
+
+@pytest.mark.parametrize("cartan_type", TESTED_TYPES)
+def test_each_negative_root_sits_half_the_table_after_its_root(cartan_type):
+    # validate_involution negates the first half's doubled restrictions for
+    # the second half: roots[N + k] == -roots[k] for N positive roots
+    rs = build_root_system(cartan_type)
+    n = len(rs.roots) // 2
+    assert len(rs.roots) == 2 * n
+    assert all(rs.roots[n + k] == tuple(-x for x in a) for k, a in enumerate(rs.roots[:n]))
 
 
 @pytest.mark.parametrize("cartan_type", CATALOG_TYPES + ["A1xA1", "A2xB2"])

@@ -56,16 +56,16 @@ def reference_translate_line(rs, inv, chamber, datum, k, cfg):
     if k < 0:
         raise BadParameters("line parameter k must be nonnegative")
     factor = k * cfg.integrality + 1
-    base = _admissible(rs, inv, chamber, datum.weight, cfg.cap)
-    if any(_key(base, e) is None for e in datum.exponents):
+    scale, base = _admissible(rs, inv, chamber, datum.weight, cfg.cap)
+    if any(_key(scale, e) not in base for e in datum.exponents):
         raise InvalidDatum("exponent is not an admissible restriction of the weight's orbit")
     new_weight = datum.weight.scale(factor)
     if cfg.worst_case_exponents:
         new_exponents = admissible_exponents(rs, inv, chamber, new_weight, cfg.cap)
     else:
         new_exponents = frozenset(e.scale(factor) for e in datum.exponents)
-        scaled = _admissible(rs, inv, chamber, new_weight, cfg.cap)
-        if any(_key(scaled, e) is None for e in new_exponents):
+        scale, scaled = _admissible(rs, inv, chamber, new_weight, cfg.cap)
+        if any(_key(scale, e) not in scaled for e in new_exponents):
             raise ConsistencyError(
                 "scaled exponent left the admissible set of the scaled weight"
             )
